@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 from . import geometry, mf, windows
 from .fields import QQ, PrimeField
@@ -35,6 +35,13 @@ class SuiteConfig:
     m_bound: int = 0
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            item = {"census_qs": int, "suites": str}.get(f.name)
+            if item and not (type(value) is tuple and all(type(v) is item for v in value)):
+                raise ValueError(f"config value {f.name} must be a list of {item.__name__}")
+            if not item and type(value) is not f.type:
+                raise ValueError(f"config value {f.name} = {value!r} must be {f.type.__name__}")
         if self.d < 5 or self.d % 2 == 0:
             raise ValueError("d must be odd and at least 5")
         if self.field not in ("QQ", "Fq"):
@@ -116,8 +123,15 @@ def run_window_suite(config, report):
                    c.witness, elapsed / len(win.checks))
 
 
-def run_geometry_suite(config, report, model):
+def _sampling_model(config, model):
+    """The prime q the geometry checks sample over, and the model over F_q,
+    where pointwise verdicts at sampled points must be taken."""
     q = config.q if config.field == "Fq" and config.q >= 101 else 101
+    return q, replace(model, field=PrimeField(q))
+
+
+def run_geometry_suite(config, report, model):
+    q, model = _sampling_model(config, model)
 
     def census():
         strata = {}
@@ -208,11 +222,9 @@ def run_geometry_suite(config, report, model):
         xs = geometry.sample_y1_points(model, q, 3, seed=config.seed + 13)
         if not pts or not xs:
             return False, {"reason": "sampling failed"}
-        fq = PrimeField(q)
-        work = geometry.PfaffianModel(d=model.d, A=model.A, seed=model.seed, field=fq)
         for p in pts:
             for x in xs:
-                res = geometry.kernel_and_extend(work, p, x)
+                res = geometry.kernel_and_extend(model, p, x)
                 if res.ok:
                     return True, {"dim": len(res.extension)}
         return False, {"reason": "no transverse pair found"}
@@ -304,9 +316,7 @@ def run_mf_suite(config, report, model):
            {"c": model.d - 3, "degree_cutoff": 8}, determinantal)
 
     def fibre():
-        q = config.q if config.field == "Fq" and config.q >= 101 else 101
-        fq = PrimeField(q)
-        work = geometry.PfaffianModel(d=model.d, A=model.A, seed=model.seed, field=fq)
+        q, work = _sampling_model(config, model)
         pts = geometry.sample_y2_points(work, q, 1, seed=config.seed + 17)
         if not pts:
             return False, {"reason": "no degenerate point"}
@@ -421,7 +431,13 @@ def config_from_args(args):
     values = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            stored = json.load(fh)
+        if not isinstance(stored, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(stored) - {f.name for f in fields(SuiteConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        values.update(stored)
     for key in ("field", "q", "seed", "d", "dp_cutoff", "dx_cutoff",
                 "trunc", "samples"):
         v = getattr(args, key, None)
@@ -443,10 +459,9 @@ def config_from_args(args):
         for s in suites:
             expanded.extend(["window", "geometry", "mf"] if s == "all" else [s])
         values["suites"] = tuple(dict.fromkeys(expanded))
-    if "census_qs" in values:
-        values["census_qs"] = tuple(values["census_qs"])
-    if "suites" in values:
-        values["suites"] = tuple(values["suites"])
+    for key in ("census_qs", "suites"):
+        if type(values.get(key)) is list:
+            values[key] = tuple(values[key])
     return SuiteConfig(**values)
 
 
@@ -458,8 +473,8 @@ def main(argv=None):
         return 2
     if args.command == "model":
         if args.model_command == "gen":
-            field = QQ if args.field == "QQ" else PrimeField(args.q)
             try:
+                field = QQ if args.field == "QQ" else PrimeField(args.q)
                 model = geometry.random_model(args.seed, field=field, q=args.q, d=args.d)
             except (geometry.ModelCertificateError, ValueError) as err:
                 print(f"error: {err}", file=sys.stderr)
@@ -472,8 +487,12 @@ def main(argv=None):
                 print(text)
             return 0
         if args.model_command == "show":
-            with open(args.path) as fh:
-                model = geometry.model_from_json(fh.read())
+            try:
+                with open(args.path) as fh:
+                    model = geometry.model_from_json(fh.read())
+            except (OSError, ValueError) as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 2
             print(geometry.model_to_json(model))
             return 0
         print("error: model needs a subcommand (gen/show)", file=sys.stderr)
@@ -481,7 +500,7 @@ def main(argv=None):
     try:
         config = config_from_args(args)
         report = run(config)
-    except (ValueError, geometry.ModelCertificateError) as err:
+    except (OSError, ValueError, geometry.ModelCertificateError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     if args.out:

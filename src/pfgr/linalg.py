@@ -1,39 +1,13 @@
 """Dense exact linear algebra over a field from pfgr.fields.
 
 Matrices are lists of lists of field elements.  These routines are the slow,
-obviously-correct path; the geometry module has vectorized mod-q variants for
-its hot loops and cross-checks them against these.
+obviously-correct path for any field; pfgr.modq is the vectorized kernel over
+F_q for hot loops, and the tests check it against these entry for entry.
 """
 
 
 def mat_copy(rows):
     return [list(r) for r in rows]
-
-
-def identity(field, n):
-    one, zero = field.one, field.zero
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-def mat_mul(field, a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = [[field.zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if field.is_zero(c):
-                continue
-            bt = b[t]
-            for j in range(m):
-                oi[j] = field.add(oi[j], field.mul(c, bt[j]))
-    return out
 
 
 def mat_vec(field, a, v):

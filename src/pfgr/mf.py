@@ -35,6 +35,34 @@ def _zmat(ring, nrows, ncols):
     return [[zero for _ in range(ncols)] for _ in range(nrows)]
 
 
+def _exact_system(field, shape, entries, rhs=None):
+    """Rank of a sparse matrix, or one solution of matrix @ x = rhs.
+
+    The matrix has the given shape and is the sum of its (row, col, value)
+    entries.  Without rhs the rank is returned; with rhs, a solution as a
+    list of field elements, or None when the system is inconsistent.  This
+    is where mf picks its exact linear algebra: the vectorized modq kernel
+    over a prime field, pfgr.linalg over any other field.
+    """
+    nrows, ncols = shape
+    if rhs is None and not entries:
+        return 0
+    if isinstance(field, PrimeField):
+        mat = np.zeros(shape, dtype=np.int64)
+        for r, c, v in entries:
+            mat[r, c] = (mat[r, c] + v) % field.q
+        if rhs is None:
+            return int(modq.batch_rank(mat, field.q)[0])
+        x = modq.solve(mat, rhs, field.q)
+        return None if x is None else x.tolist()
+    mat = [[field.zero] * ncols for _ in range(nrows)]
+    for r, c, v in entries:
+        mat[r][c] = field.add(mat[r][c], v)
+    if rhs is None:
+        return linalg.rank(field, mat)
+    return linalg.solve(field, mat, rhs)
+
+
 def _mat_mul_sized(ring, a, b, nrows, ncols):
     if not a or not b or not b[0]:
         return _zmat(ring, nrows, ncols)
@@ -351,29 +379,14 @@ def _solve_lift(ring, U, B, level):
                         key = (i, tuple(a + b for a, b in zip(m, mu)))
                         if key not in rows:
                             frontier.append(key)
-        if isinstance(F, PrimeField):
-            mat = np.zeros((len(rows), len(unknowns)), dtype=np.int64)
-            vec = np.zeros(len(rows), dtype=np.int64)
-            for (t, m), col in unknowns.items():
-                for (i, e) in by_mid.get(t, []):
-                    for mu, c in e.coeffs.items():
-                        row = rows[(i, tuple(a + b for a, b in zip(m, mu)))]
-                        mat[row, col] = (mat[row, col] + c) % F.q
-            for key, c in rhs.items():
-                vec[rows[key]] = c % F.q
-            np_sol = modq.solve(mat, vec, F.q)
-            sol = None if np_sol is None else [int(v) for v in np_sol]
-        else:
-            mat = [[F.zero] * len(unknowns) for _ in range(len(rows))]
-            for (t, m), col in unknowns.items():
-                for (i, e) in by_mid.get(t, []):
-                    for mu, c in e.coeffs.items():
-                        row = rows[(i, tuple(a + b for a, b in zip(m, mu)))]
-                        mat[row][col] = F.add(mat[row][col], c)
-            vec = [F.zero] * len(rows)
-            for key, c in rhs.items():
-                vec[rows[key]] = c
-            sol = linalg.solve(F, mat, vec)
+        entries = [(rows[(i, tuple(a + b for a, b in zip(m, mu)))], col, c)
+                   for (t, m), col in unknowns.items()
+                   for (i, e) in by_mid.get(t, [])
+                   for mu, c in e.coeffs.items()]
+        vec = [F.zero] * len(rows)
+        for key, c in rhs.items():
+            vec[rows[key]] = c
+        sol = _exact_system(F, (len(rows), len(unknowns)), entries, vec)
         if sol is None:
             raise LiftObstruction(level, j, min(sum(m) for (_, m) in rhs))
         for (t, m), col in unknowns.items():
@@ -595,18 +608,7 @@ def _ext_dims(E, F, trunc):
                         if t is not None:
                             val = field.neg(c) if second_sign < 0 else c
                             entries.append((t, col, val))
-        if not entries:
-            ranks[key] = 0
-        elif isinstance(field, PrimeField):
-            mat = np.zeros((len(tgt_index), len(src)), dtype=np.int64)
-            for t, c_, v in entries:
-                mat[t, c_] = (mat[t, c_] + v) % field.q
-            ranks[key] = int(modq.batch_rank(mat[None], field.q)[0])
-        else:
-            mat = [[field.zero] * len(src) for _ in range(len(tgt_index))]
-            for t, c_, v in entries:
-                mat[t][c_] = field.add(mat[t][c_], v)
-            ranks[key] = linalg.rank(field, mat)
+        ranks[key] = _exact_system(field, (len(tgt_index), len(src)), entries)
 
     dims = {}
     for (par, r), basis in slabs.items():
@@ -787,10 +789,10 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                         for exp in _monomials_with_multidegree(c, mr, mc):
                             basis.append((gi, exp))
                     bases.append(basis)
-                mats = []
+                ranks = []
                 for k in range(len(diffs)):
                     tgt_index = {b: i for i, b in enumerate(bases[k])}
-                    mat = [[field.zero] * len(bases[k + 1]) for _ in range(len(bases[k]))]
+                    entries = []
                     for col, (gi, exp) in enumerate(bases[k + 1]):
                         for ti in range(len(terms[k])):
                             e = diffs[k][ti][gi]
@@ -800,12 +802,12 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                                 key = (ti, tuple(a + b for a, b in zip(exp, mu)))
                                 ri = tgt_index.get(key)
                                 if ri is not None:
-                                    mat[ri][col] = field.add(mat[ri][col], cf)
-                    mats.append(mat)
-                ranks = [linalg.rank(field, m) if m and m[0] else 0 for m in mats]
+                                    entries.append((ri, col, cf))
+                    shape = (len(bases[k]), len(bases[k + 1]))
+                    ranks.append(_exact_system(field, shape, entries))
                 for k in range(1, len(bases)):
                     rank_out = ranks[k - 1]
-                    rank_in = ranks[k] if k < len(mats) else 0
+                    rank_in = ranks[k] if k < len(ranks) else 0
                     h = len(bases[k]) - rank_out - rank_in
                     if h:
                         homology_failures.append(

@@ -1,123 +1,115 @@
-"""Vectorized arithmetic mod a prime, for the enumeration-heavy loops.
+"""Vectorized exact linear algebra mod a prime, for the enumeration-heavy loops.
 
-Entries live in int64 numpy arrays reduced into [0, q); q must be small
-enough that (q-1)^2 fits comfortably in int64, which every census prime does.
-The batched elimination processes one column per step across the whole batch,
-so a census of N small matrices costs O(columns) vectorized passes instead of
-N python-level eliminations.  Results agree with pfgr.linalg over F_q; the
-test suite cross-checks the two paths on random batches.
+Entries live in int64 numpy arrays reduced into [0, q).  All elimination is
+one batched Gauss-Jordan pass, rref, which reduces a stack of N matrices one
+column at a time across the whole batch: O(columns) vectorized steps instead
+of N python-level eliminations.  batch_rank, rank_and_kernel and solve only
+read its output.
+
+Contract: for each matrix rref returns the reduced row echelon form over F_q
+(pivots 1, zeros above and below them, zero rows last), the rank and the
+pivot-column mask.  The reduced form is unique, so it equals what
+pfgr.linalg.rref gives over PrimeField(q) entry for entry, and the kernel
+bases and solutions read off it are canonical too; the tests check both.
+
+Bound on q: a row update subtracts a product of two residues from a residue,
+so (q - 1)^2 must fit in int64.  Callers that form dot products of residues
+before reducing need terms * (q - 1)^2 < 2^63 for their longest one;
+geometry.random_model refuses sampling primes that break it.
 """
 
 import numpy as np
 
 
+def _inverse(a, q):
+    """Elementwise inverse of nonzero residues a mod q (Fermat: a^(q-2))."""
+    out = np.ones_like(a)
+    base = a % q
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
 def inverse_table(q):
-    inv = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        inv[a] = pow(a, q - 2, q)
-    return inv
+    """Inverses of 0..q-1 mod q; unused by pfgr, traced by name in perfbench."""
+    return _inverse(np.arange(q, dtype=np.int64), q)
 
 
-def batch_rank(mats, q, inv=None):
-    """Ranks of a batch of matrices over F_q.  mats: (N, m, n) int64."""
-    M = np.ascontiguousarray(mats % q)
-    if M.ndim == 2:
-        M = M[None, :, :]
+def rref(mats, q):
+    """Reduced row echelon forms over F_q of an (N, m, n) stack or one (m, n) matrix.
+
+    Returns (R, ranks, pivots): R the reduced forms, same shape as mats;
+    ranks an (N,) int64 array; pivots an (N, n) bool mask of pivot columns.
+    For a single matrix the leading N axis is dropped from all three.
+    """
+    M = np.array(mats, dtype=np.int64) % q
+    single = M.ndim == 2
+    if single:
+        M = M[None]
     N, m, n = M.shape
-    if inv is None:
-        inv = inverse_table(q)
-    r = np.zeros(N, dtype=np.int64)
+    ranks = np.zeros(N, dtype=np.int64)
+    pivots = np.zeros((N, n), dtype=bool)
     rows = np.arange(m)
     for c in range(n):
-        col = M[:, :, c]
-        active = (rows[None, :] >= r[:, None]) & (col != 0)
-        has = active.any(axis=1)
-        if not has.any():
-            continue
-        hi = np.nonzero(has)[0]
-        piv = np.argmax(active[hi], axis=1)
-        ri = r[hi]
-        tmp = M[hi, piv].copy()
-        M[hi, piv] = M[hi, ri]
-        M[hi, ri] = tmp
-        pivrow = (M[hi, ri] * inv[M[hi, ri, c]][:, None]) % q
-        M[hi, ri] = pivrow
-        sub = M[hi]
-        coef = np.where(rows[None, :] > ri[:, None], sub[:, :, c], 0)
-        M[hi] = (sub - coef[:, :, None] * pivrow[:, None, :]) % q
-        r[has] += 1
-        if (r == m).all():
+        if (ranks == m).all():
             break
-    return r
+        # rows at or below the current rank are zero left of column c, so
+        # the row operations of this step only touch columns c onwards
+        cand = (M[:, :, c] != 0) & (rows >= ranks[:, None])
+        hit = np.nonzero(cand.any(axis=1))[0]
+        if not len(hit):
+            continue
+        r = ranks[hit]
+        src = cand[hit].argmax(axis=1)
+        pivrow = M[hit, src, c:]
+        M[hit, src, c:] = M[hit, r, c:]
+        pivrow = pivrow * _inverse(pivrow[:, :1], q) % q
+        coef = M[hit, :, c]
+        coef[np.arange(len(hit)), r] = 0
+        M[hit, :, c:] = (M[hit, :, c:] - coef[:, :, None] * pivrow[:, None, :]) % q
+        M[hit, r, c:] = pivrow
+        pivots[hit, c] = True
+        ranks[hit] += 1
+    if single:
+        return M[0], ranks[0], pivots[0]
+    return M, ranks, pivots
+
+
+def kernels(R, pivots, q):
+    """Right-kernel bases read off a stack of reduced forms from rref.
+
+    For each matrix in turn and each of its free columns f, the vector with
+    1 at f and -R[i, f] at the i-th pivot column; stacked as (nullities, n).
+    """
+    N, m, n = R.shape
+    P = np.zeros((N, n, n), dtype=np.int64)  # row c of P: the row pivoting at c
+    P[pivots] = R[np.arange(m) < pivots.sum(axis=1)[:, None]]
+    return (np.eye(n, dtype=np.int64) - P.transpose(0, 2, 1))[~pivots] % q
+
+
+def batch_rank(mats, q):
+    """Ranks of a batch of matrices over F_q.  mats: (N, m, n) int64."""
+    return np.atleast_1d(rref(mats, q)[1])
 
 
 def rank_and_kernel(mat, q):
     """Rank and a right-kernel basis of a single matrix over F_q."""
-    M = np.array(mat, dtype=np.int64) % q
-    m, n = M.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if M[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), q - 2, q)) % q
-        nz = np.nonzero(M[:, c])[0]
-        for i in nz:
-            if i != r:
-                M[i] = (M[i] - M[i, c] * M[r]) % q
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for t, f in enumerate(free):
-        basis[t, f] = 1
-        for ri, c in enumerate(pivots):
-            basis[t, c] = (-M[ri, f]) % q
-    return r, basis % q
+    R, r, piv = rref(mat, q)
+    return int(r), kernels(R[None], piv[None], q)
 
 
 def solve(mat, vec, q):
     """One solution of mat @ x = vec over F_q, or None.  mat: (m, n) int64."""
-    M = np.concatenate([np.asarray(mat, dtype=np.int64) % q,
-                        (np.asarray(vec, dtype=np.int64) % q)[:, None]], axis=1)
-    m, n1 = M.shape
-    n = n1 - 1
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if M[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), q - 2, q)) % q
-        nz = np.nonzero(M[:, c])[0]
-        for i in nz:
-            if i != r:
-                M[i] = (M[i] - M[i, c] * M[r]) % q
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i, n]:
-            return None
-    x = np.zeros(n, dtype=np.int64)
-    for ri, c in enumerate(pivots):
-        x[c] = M[ri, n]
+    mat = np.asarray(mat, dtype=np.int64)
+    R, r, piv = rref(np.column_stack([mat, np.asarray(vec, dtype=np.int64)]), q)
+    if piv[-1]:
+        return None
+    x = np.zeros(mat.shape[1], dtype=np.int64)
+    x[piv[:-1]] = R[:r, -1]
     return x
 
 

@@ -130,3 +130,34 @@ def test_full_json_report_schema(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["suites"] == ["window"]
+
+
+def test_geometry_suite_over_qq():
+    # the pointwise checks run over the sampling field F_q, not over Q
+    assert cli.main(["geometry", "--field", "QQ", "--samples", "5"]) == 0
+
+
+def test_oversized_prime_is_refused():
+    # 2^31 - 1 is prime, but C(7, 2) (q - 1)^2 overflows int64
+    assert cli.main(["all", "--q", "2147483647"]) == 2
+    assert cli.main(["model", "gen", "--q", "2147483647"]) == 2
+
+
+def test_config_file_unknown_key(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"foo": 1}))
+    assert cli.main(["window", "--config", str(cfg)]) == 2
+
+
+def test_config_file_wrong_type(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": "7"}))
+    assert cli.main(["window", "--config", str(cfg)]) == 2
+
+
+def test_malformed_model_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{not json")
+    assert cli.main(["model", "show", str(path)]) == 2
+    path.write_text(json.dumps({"d": 7}))
+    assert cli.main(["model", "show", str(path)]) == 2

@@ -1,10 +1,11 @@
-import random
+from math import comb, isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfgr import linalg, modq
-from pfgr.fields import QQ, PrimeField, field_from_spec
+from pfgr.fields import QQ, PrimeField, field_from_spec, is_prime
 
 
 def test_prime_field_rejects_composite():
@@ -46,16 +47,62 @@ def test_solve_consistent_and_inconsistent():
     assert linalg.solve(F, bad, [1, 1]) is None
 
 
-def test_batch_rank_agrees_with_generic_path():
-    rng = random.Random(0)
-    q = 11
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def _largest_sampling_prime(d=7):
+    """The largest q that geometry.random_model accepts: C(d, 2) (q - 1)^2 < 2^63."""
+    q = isqrt((2 ** 63 - 1) // comb(d, 2)) + 1
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from([2, 1000003, _largest_sampling_prime()]),
+                 st.integers(2, 3000).map(_next_prime)),
+       st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
+       st.integers(0, 6), st.sampled_from([0.0, 0.5, 0.9]),
+       st.integers(0, 2 ** 32 - 1))
+def test_batch_rank_agrees_with_generic_path(q, shape, rank_cap, zero_share, seed):
+    """modq.rref and its views equal pfgr.linalg over PrimeField(q) exactly.
+
+    Stacks are products of (m x k) and (k x n) factors with k = min(rank_cap,
+    m, n), so rank_cap below min(m, n) makes them deliberately
+    rank-deficient; zero_share blanks entries on top of that.
+    The reduced form is canonical, so no comparison is up to equivalence.
+    """
+    N, m, n = shape
+    k = min(rank_cap, m, n)
+    rng = np.random.default_rng(seed)
+    mats = (rng.integers(0, q, (N, m, k)) @ rng.integers(0, q, (N, k, n))) % q
+    mats[rng.random(mats.shape) < zero_share] = 0
     F = PrimeField(q)
-    mats = np.array([[[rng.randrange(q) for _ in range(5)] for _ in range(4)]
-                     for _ in range(50)], dtype=np.int64)
-    fast = modq.batch_rank(mats, q)
-    for t in range(50):
-        slow = linalg.rank(F, [list(map(int, row)) for row in mats[t]])
-        assert fast[t] == slow
+    R, ranks, pivots = modq.rref(mats, q)
+    assert modq.batch_rank(mats, q).tolist() == ranks.tolist()
+    for t in range(N):
+        rows = mats[t].tolist()
+        slow, slow_pivots = linalg.rref(F, rows)
+        assert R[t].tolist() == slow
+        assert np.flatnonzero(pivots[t]).tolist() == slow_pivots
+        assert ranks[t] == len(slow_pivots)
+        R1, r1, piv1 = modq.rref(mats[t], q)
+        assert R1.tolist() == slow and r1 == ranks[t] and (piv1 == pivots[t]).all()
+        r, ker = modq.rank_and_kernel(mats[t], q)
+        assert r == ranks[t]
+        assert ker.tolist() == linalg.right_kernel(F, rows)
+        if t % 2:
+            vec = (mats[t] @ rng.integers(0, q, n)) % q
+        else:
+            vec = rng.integers(0, q, m)
+        x = modq.solve(mats[t], vec, q)
+        expect = linalg.solve(F, rows, vec.tolist())
+        assert (x is None and expect is None) or x.tolist() == expect
+    expected = [v for t in range(N) for v in linalg.right_kernel(F, mats[t].tolist())]
+    assert modq.kernels(R, pivots, q).tolist() == expected
 
 
 def test_rank_and_kernel_mod_q():
