@@ -16,8 +16,14 @@ against the kernel 2-forms.  Hot loops (censuses, point sampling, bulk rank
 checks) run through the vectorized mod-q routines in pfgr.modq; pointwise
 results are exact field computations via pfgr.linalg.
 
-Sampling is deterministic given a seed, and batches are merged in a fixed
-order, so reports are reproducible regardless of batch sizes.
+Both samplers cost about q draws per point over F_q.  Y2 is sampled by
+kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
+whose single solution lies on Y2 about once in q tries.  Y1 is sampled
+through the incidence {(p, U) : U meets ker(omega_p)} between the two
+varieties, the correspondence behind the equivalence: for a sampled p, a
+random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v)) about once
+in q draws (sample_y1_points holds the soundness argument).  Sampling is
+deterministic given a seed, with at most 4096 draws per batched elimination.
 """
 
 import json
@@ -340,94 +346,73 @@ def sample_y2_points(model, q, count, seed=0, max_tries=4_000_000):
     return found
 
 
-def _sample_y1_column_trick(model, q, count, seed, max_tries):
-    """Rank-2 solutions via the kernel of v -> A(u wedge v) for random u."""
-    d = model.d
-    Aq = np.array(model.A, dtype=np.int64) % q
-    # U[l, j, m]: coefficient of v_m in A(u wedge v)_j, contracted with u_l
-    U = np.zeros((d, d, d), dtype=np.int64)
-    for c, (a, b) in enumerate(model.pairs):
-        U[a, :, b] = (U[a, :, b] + Aq[:, c]) % q
-        U[b, :, a] = (U[b, :, a] - Aq[:, c]) % q
-    rng = np.random.default_rng(seed)
-    found = []
-    tries = 0
-    batch = 20000
-    while len(found) < count and tries < max_tries:
-        us = _rng_ints(rng, q, (batch, d))
-        tries += batch
-        us = us[us.any(axis=1)]
-        Cs = np.einsum("xl,ljm->xjm", us, U) % q
-        ranks = modq.batch_rank(Cs, q)
-        for row in np.nonzero(ranks <= d - 2)[0]:
-            u = us[row]
-            _, ker = modq.rank_and_kernel(Cs[row], q)
-            for v in ker:
-                x = np.stack([u, v]) % q
-                if modq.batch_rank(x[None], q)[0] == 2:
-                    found.append([[int(c) for c in u], [int(c) for c in v]])
-                    break
-            if len(found) == count:
-                break
-    return found
+def _incidence_pairs(model, q, count, seed, max_tries):
+    """Pairs (p, x) of the incidence: p on Y2, x a Y1 plane meeting ker(omega_p).
 
-
-def _sample_y1_kernel_form_trick(model, q, count, seed, max_tries):
-    """Decomposable 2-forms inside ker A, for d = 5.
-
-    For a random u, the forms in ker A annihilated by u form a line; its
-    generator lies on the rank-2 locus about once in q tries.
+    Takes count Y2 base points, from a seed stream disjoint from
+    sample_y2_points(seed=seed), and for each draws k in ker(omega_p) until
+    C_k: v -> A(k wedge v) has rank exactly d - 2; x is a basis of ker C_k.
+    At most 4096 draws go into one elimination.  Base points still without a
+    plane after max_tries draws are dropped, so fewer than count pairs can
+    come back.
     """
     d = model.d
-    pairs = model.pairs
-    Aq = np.array(model.A, dtype=np.int64) % q
-    _, kerA = modq.rank_and_kernel(Aq, q)
-    kdim = kerA.shape[0]
-    # contraction tensor: (iota_u w)_j for w in wedge coordinates
-    C = np.zeros((d, len(pairs), d), dtype=np.int64)  # u-index, pair, output
-    for cidx, (a, b) in enumerate(pairs):
-        C[a, cidx, b] = 1
-        C[b, cidx, a] = -1
-    rng = np.random.default_rng(seed)
-    found = []
+    Tq = model.tensor_mod(q)
+    ps = sample_y2_points(model, q, count, seed=(seed, 1), max_tries=max_tries)
+    if not ps:
+        return []
+    omegas = np.einsum("xi,iab->xab", np.array(ps), Tq) % q
+    R, ranks, pivots = modq.rref(omegas, q)
+    # every base point has nullity >= 3; draw from its first three kernel vectors
+    nullity = d - ranks
+    first = np.cumsum(nullity) - nullity
+    K = modq.kernels(R, pivots, q)[first[:, None] + np.arange(3)]
+    rng = np.random.default_rng((seed, 2))
+    planes = {}
+    pending = np.arange(len(ps))
     tries = 0
-    while len(found) < count and tries < max_tries:
-        tries += 1
-        u = _rng_ints(rng, q, d)
-        if not u.any():
-            continue
-        # rows: output coords, cols: kernel basis coefficients
-        contr = np.einsum("l,lcj,kc->jk", u, C, kerA) % q
-        r, ker = modq.rank_and_kernel(contr, q)
-        if len(ker) != 1:
-            continue
-        w = (ker[0] @ kerA) % q
-        W = np.zeros((d, d), dtype=np.int64)
-        for cidx, (a, b) in enumerate(pairs):
-            W[a, b] = w[cidx]
-            W[b, a] = (-w[cidx]) % q
-        if modq.batch_rank(W[None], q)[0] != 2:
-            continue
-        # the column space of a rank-2 form w = u' wedge v' is its plane
-        rows = [W[:, c] for c in range(d)]
-        basis = []
-        for col in rows:
-            if col.any():
-                cand = np.stack(basis + [col])
-                if modq.batch_rank(cand[None], q)[0] == len(basis) + 1:
-                    basis.append(col % q)
-            if len(basis) == 2:
-                break
-        if len(basis) == 2:
-            found.append([[int(c) for c in basis[0]], [int(c) for c in basis[1]]])
-    return found
+    batch = 4096
+    while len(pending) and tries < max_tries:
+        take = pending[:batch]
+        owner = np.repeat(take, batch // len(take))
+        tries += len(owner)
+        ks = np.einsum("xs,xsl->xl", _rng_ints(rng, q, (len(owner), 3)), K[owner]) % q
+        # C_k[j, m] = sum_l k_l omega_{e_j}[l, m], the coefficient of v_m in A(k wedge v)_j
+        R, ranks, pivots = modq.rref(np.einsum("xl,jlm->xjm", ks, Tq) % q, q)
+        hit = np.nonzero(ranks == d - 2)[0]
+        done, at = np.unique(owner[hit], return_index=True)
+        rows = hit[at]
+        xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
+        planes.update(zip(done.tolist(), xs.tolist()))
+        pending = np.setdiff1d(pending, done)
+    return [(ps[i], planes[i]) for i in sorted(planes)]
 
 
 def sample_y1_points(model, q, count, seed=0, max_tries=4_000_000):
-    """Full-rank 2 x d matrices x over F_q with A(wedge of x) = 0."""
-    if model.d == 5:
-        return _sample_y1_kernel_form_trick(model, q, count, seed, max_tries)
-    return _sample_y1_column_trick(model, q, count, seed, max_tries)
+    """Full-rank 2 x d matrices x over F_q with A(wedge of x) = 0.
+
+    Samples through the incidence {(p, U) : U meets K_p = ker(omega_p)}
+    between Y2 and Y1, one plane per sampled Y2 point p.  Draw k in K_p and
+    let C_k be the d x d matrix of v -> A(k wedge v).
+
+    * C_k kills k, and its image lies in the hyperplane p-perp, because
+      p . A(k wedge v) = omega_p(k, v) = 0.  So rank C_k <= d - 2 is a single
+      determinant condition on P(K_p), a plane curve, and a random k meets it
+      about once in q draws (a q-th of the cost of drawing k in all of V).
+    * When the rank is exactly d - 2, U = ker C_k is a 2-plane containing k,
+      and A(k wedge v) = 0 for every v in U, so A(Lambda^2 U) = 0.  Every
+      returned x is a rank-2 point of Y1 by construction.
+    * The incidence reaches all of Y1.  For k in a Y1 plane U, C_k kills U,
+      so the forms killing k (the kernel of C_k transposed) make a pencil.
+      Its degenerate members are the roots of the Pfaffian of the induced
+      form on V/k, a cubic at d = 7, so over the algebraic closure U meets
+      K_p for some p on Y2.
+
+    Planes are not deduplicated: at d = 5, Y1 is a curve with about q points
+    over F_q, so a sample of about q planes must repeat some, and repeats are
+    valid samples.
+    """
+    return [x for _, x in _incidence_pairs(model, q, count, seed, max_tries)]
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +499,16 @@ def smoothness_sample(model, variety, n_samples=100, q=101, seed=0):
     if q < 101:
         raise ValueError("smoothness sampling needs q >= 101; tiny fields "
                          "carry too few points for the sample budgets")
-    witnesses = []
-    ranks = []
     if variety == "Y2":
         pts = sample_y2_points(model, q, n_samples, seed=seed)
         expected = 3
-        for p in pts:
-            r = int(modq.batch_rank(pfaffian_jacobian_mod(model, p, q)[None], q)[0])
-            ranks.append(r)
-            if r != expected:
-                witnesses.append({"point": p, "rank": r})
+        jacobians = [pfaffian_jacobian_mod(model, p, q) for p in pts]
     else:
-        xs = sample_y1_points(model, q, n_samples, seed=seed)
+        pts = sample_y1_points(model, q, n_samples, seed=seed)
         expected = model.d
-        for x in xs:
-            r = int(modq.batch_rank(y1_jacobian_mod(model, x, q)[None], q)[0])
-            ranks.append(r)
-            if r != expected:
-                witnesses.append({"point": x, "rank": r})
+        jacobians = [y1_jacobian_mod(model, x, q) for x in pts]
+    ranks = modq.batch_rank(np.array(jacobians), q).tolist() if pts else []
+    witnesses = [{"point": pt, "rank": r} for pt, r in zip(pts, ranks) if r != expected]
     found = len(ranks)
     passed = found == n_samples and not witnesses
     return SmoothnessReport(variety, q, n_samples, found, expected, ranks, passed, witnesses)
@@ -794,6 +771,8 @@ def certify_model(model, census_qs=(2, 3, 5), cert_samples=5, sample_q=101):
             return f"deep_stratum_nonempty_q{q}"
     for variety in ("Y2", "Y1"):
         rep = smoothness_sample(model, variety, n_samples=cert_samples, q=sample_q, seed=model.seed)
+        if rep.found < cert_samples:
+            return f"sampling_budget_{variety}"
         if not rep.passed:
             return f"smoothness_{variety}"
     return ""
@@ -806,8 +785,9 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
     Samples small integer matrices until the certificates pass: A surjective
     (also mod every census prime), the deep rank stratum empty over each
     census field, and Jacobian ranks correct at sampled points of both
-    varieties.  Raises ModelCertificateError when retries run out, and
-    ValueError for a sampling prime too large for exact int64 arithmetic.
+    varieties.  Raises ModelCertificateError when retries run out or at once
+    when a sampler runs out of tries (a new A would not help), and ValueError
+    for a sampling prime too large for exact int64 arithmetic.
     """
     if field is None:
         field = PrimeField(q)
@@ -828,6 +808,8 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
         last = certify_model(model, census_qs, cert_samples, sample_q)
         if not last:
             return model
+        if last.startswith("sampling_budget_"):
+            raise ModelCertificateError(f"sampler out of tries at q = {sample_q}: {last}")
     raise ModelCertificateError(f"no generic model after {max_retries} tries: {last}")
 
 
@@ -994,36 +976,14 @@ def critical_equivalence_sweep(model, q=101, n_pos=1000, n_near=1000,
         disagreements=disagreements, positive_failures=positive_failures)
 
 
-def find_extension_failure(model, q=101, seed=0, budget=20):
+def find_extension_failure(model, q=101, seed=0):
     """A pair (p, x) on the locus where the kernel meets the plane of x.
 
-    For k inside the plane of a Y1 point, the forms annihilating k make up a
-    pencil (both plane directions give universal relations, so the solution
-    space is 2-dimensional); scanning the pencil for degenerate members
-    produces points whose kernel meets the plane.  Returns (p, x) or None.
+    The first pair of the incidence sampler behind sample_y1_points: its
+    plane x contains some k != 0 in K_p = ker(omega_p), so K_p + span(x) has
+    dimension at most 4 and kernel_and_extend can add at most one row of x.
+    For d >= 7 it needs two, and reports 'kernel_meets_image'.  Returns
+    (p, x) or None.
     """
-    d = model.d
-    Tq = model.tensor_mod(q)
-    xs = sample_y1_points(model, q, budget, seed=seed)
-    for x in xs:
-        u, v = (np.asarray(row, dtype=np.int64) % q for row in x)
-        candidates = [(1, t) for t in range(q)] + [(0, 1)]
-        for (a, b) in candidates:
-            k = (a * u + b * v) % q
-            if not k.any():
-                continue
-            Bk = np.einsum("l,ilj->ji", k, Tq) % q
-            r, ker = modq.rank_and_kernel(Bk, q)
-            if r > d - 2:
-                continue
-            # scan the pencil of solutions for degenerate members
-            pencil = [(ker[0] + t * ker[1]) % q for t in range(q)] + [ker[1] % q]
-            mats = np.einsum("xi,iab->xab", np.stack(pencil), Tq) % q
-            ranks = modq.batch_rank(mats, q)
-            for row in np.nonzero(ranks == model.degenerate_rank)[0]:
-                p = pencil[row]
-                # the kernel of omega_p contains k, which lies in the plane
-                stacked = np.concatenate([np.stack([u, v]), k[None]]) % q
-                if int(modq.batch_rank(stacked[None], q)[0]) == 2:
-                    return [int(c) for c in p], x
-    return None
+    pairs = _incidence_pairs(model, q, 1, seed, 4_000_000)
+    return pairs[0] if pairs else None

@@ -37,6 +37,24 @@ def test_model_deterministic_in_seed():
     assert m1.A == m2.A
 
 
+def test_model_independent_of_sampling_prime(model):
+    assert random_model(1, q=1009).A == model.A
+
+
+def test_sampler_exhaustion_is_not_retried(monkeypatch):
+    calls = []
+
+    def counting_certify(*args, **kwargs):
+        calls.append(certify_model(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(geometry, "sample_y2_points", lambda *args, **kwargs: [])
+    monkeypatch.setattr(geometry, "certify_model", counting_certify)
+    with pytest.raises(geometry.ModelCertificateError, match="sampling_budget_Y2"):
+        random_model(1, d=5)  # its first A passes every census certificate
+    assert calls == ["sampling_budget_Y2"]
+
+
 def test_zero_row_rejected():
     bad = tuple(tuple(0 for _ in range(21)) for _ in range(7))
     model = PfaffianModel(d=7, A=bad, seed=0, field=PrimeField(101))
@@ -193,6 +211,23 @@ def test_y1_membership_and_contraction_oracle(model):
     rng = random.Random(2)
     x = [[rng.randrange(101) for _ in range(7)] for _ in range(2)]
     assert not y1_membership(work, x)
+
+
+@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("q", [101, 1009])
+def test_incidence_sampler_cross_check(request, d, q):
+    """Every sampled plane is a rank-2 point of Y1, by two independent routes."""
+    base = request.getfixturevalue("model" if d == 7 else "model5")
+    work = PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q))
+    xs = sample_y1_points(base, q, 20, seed=3)
+    assert len(xs) == 20
+    for x in xs:
+        assert linalg.rank(work.field, [[work.field.of_int(c) for c in row] for row in x]) == 2
+        assert y1_membership(work, x)
+        assert all(work.field.is_zero(v) for v in geometry.contraction_oracle(work, x))
+    if d == 7:
+        reduced, _, _ = modq.rref(np.array(xs), q)
+        assert len({r.tobytes() for r in reduced}) == len(xs)
 
 
 def test_y1_membership_rejects_rank_deficient(model):
