@@ -14,7 +14,6 @@ characteristic test suites pin it down against independent oracles.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -44,12 +43,13 @@ def weyl_dimension(weights):
     n = len(w)
     if any(w[i] < w[i + 1] for i in range(n - 1)):
         raise ValueError(f"weight {w} is not dominant")
-    prod = Fraction(1)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            prod *= Fraction(w[i] - w[j] + j - i, j - i)
-    assert prod.denominator == 1 and prod > 0
-    return int(prod)
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0 and num > 0
+    return num // den
 
 
 def bbw_cohomology(a, b, n):
@@ -71,11 +71,6 @@ def bbw_cohomology(a, b, n):
     return CohomologyResult(inversions, lam, weyl_dimension(lam))
 
 
-def cohomology_of_s_weight(a, b, n):
-    """Same, but for Sigma^{(a,b)} S; equals Sigma^{(-b,-a)} S^dual."""
-    return bbw_cohomology(-b, -a, n)
-
-
 def ext_schur_pair(l, lp, k, n):
     """Graded dimensions of Ext between Sym^l S^dual and Sym^lp S^dual(-k).
 
@@ -92,7 +87,7 @@ def ext_schur_pair(l, lp, k, n):
     rep = decompose_tensor(GL2Weight(l, 0), GL2Weight(0, -lp)).twist(k)
     out = {}
     for w, mult in rep.terms.items():
-        res = cohomology_of_s_weight(w.a, w.b, n)
+        res = bbw_cohomology(-w.b, -w.a, n)  # Sigma^{(a,b)} S = Sigma^{(-b,-a)} S^dual
         if not res.is_zero:
             out[res.degree] = out.get(res.degree, 0) + mult * res.dimension
     return out

@@ -10,6 +10,7 @@ degree by degree, and certifies the determinantal resolution of the rank-one
 locus of a 2 x c matrix weight space by weight space.
 """
 
+import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
@@ -325,6 +326,24 @@ def koszul_complex(ring, elements):
                 mat[tidx[I]][j] = mat[tidx[I]][j] + elements[i] * sign
         diffs.append(mat)
     return GradedComplex(ring, charges, diffs)
+
+
+def random_cubic_superpotential(field, d, seed):
+    """A seeded W = sum_i p_i q_i(x) to fold the Koszul complex of the p_i into.
+
+    The ring has p0..p{d-1} of charge 2 and x0..x{d-1} of charge 0.  Each
+    quadric q_i is a sum of three terms c x_a x_b, drawn from
+    random.Random(seed) in the order a, b, c with c in 1..5.  Returns (ring, W).
+    """
+    names = tuple(f"p{i}" for i in range(d)) + tuple(f"x{i}" for i in range(d))
+    ring = PolyRing(field, names, (2,) * d + (0,) * d)
+    rng = random.Random(seed)
+    W = ring.zero()
+    for i in range(d):
+        for _ in range(3):
+            a, b = rng.randrange(d), rng.randrange(d)
+            W = W + ring.var(i) * ring.var(d + a) * ring.var(d + b) * rng.randint(1, 5)
+    return ring, W
 
 
 def _solve_lift(ring, U, B, level):

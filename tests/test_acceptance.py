@@ -8,7 +8,7 @@ import pytest
 
 from pfgr import bbw, geometry, mf, windows
 from pfgr.fields import QQ
-from pfgr.poly import Poly, PolyRing
+from pfgr.poly import PolyRing
 
 
 @pytest.fixture(scope="module")
@@ -177,20 +177,7 @@ def test_criterion_10_mf_engine():
                            ring2.var(0) * ring2.var(1))
     assert mf.mf_verify(E1).ok
     d = 7
-    names = tuple(f"p{i}" for i in range(d)) + tuple(f"x{i}" for i in range(d))
-    ring3 = PolyRing(QQ, names, (2,) * d + (0,) * d)
-    import random
-    rng = random.Random(1)
-    W = ring3.zero()
-    for i in range(d):
-        quad = ring3.zero()
-        for _ in range(3):
-            a, b = rng.randrange(d), rng.randrange(d)
-            mono = [0] * (2 * d)
-            mono[d + a] += 1
-            mono[d + b] += 1
-            quad = quad + Poly(ring3, {tuple(mono): QQ.of_int(rng.randint(1, 5))})
-        W = W + quad * ring3.var(i)
+    ring3, W = mf.random_cubic_superpotential(QQ, d, 1)
     E2 = mf.koszul_perturb(mf.koszul_complex(ring3, [ring3.var(i) for i in range(d)]), W)
     assert E2.rank == 2 ** 7 and mf.mf_verify(E2).ok
     # the determinantal resolution: term ranks and exactness through degree 8

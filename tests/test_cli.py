@@ -21,6 +21,22 @@ def test_config_validation():
     cli.SuiteConfig().validate()
 
 
+def test_half_default_rectangle_is_refused():
+    # a rectangle is either the default (both bounds 0) or given in full
+    for rect in ("0,5", "2,0", "-1,5"):
+        assert cli.main(["window", "--d", "5", f"--rect={rect}"]) == 2
+    with pytest.raises(ValueError):
+        cli.SuiteConfig(l_bound=3).validate()
+    cli.SuiteConfig(l_bound=2, m_bound=5).validate()
+
+
+def test_window_text_summary_times_the_shared_pass():
+    lines = cli.run(window_config()).to_text().splitlines()
+    assert len([x for x in lines if x.startswith("window (")]) == 1
+    # the six window checks share that one pass and carry no time of their own
+    assert all(x.startswith("[PASS] window.") and "s):" not in x for x in lines[:6])
+
+
 def test_window_suite_report_passes():
     report = cli.run(window_config())
     assert report.passed

@@ -131,3 +131,81 @@ def test_witten_index_candidates():
     # for even dimension the two candidate counts genuinely differ and are
     # reported side by side
     assert witten_index_candidates(6) == {"rectangle": 3, "index": 2}
+
+
+@pytest.mark.parametrize("l1", range(3))
+@pytest.mark.parametrize("l2", range(3))
+def test_pair_tables_are_twist_invariant(l1, l2):
+    # every table reads the pair only through (l1, l2, m1 - m2)
+    tables = (lambda b1, b2: gr_ext(b1, b2, 7),
+              lambda b1, b2: ext_table_X1(b1, b2, n=7, p_cutoff=3),
+              lambda b1, b2: ext_table_X2(b1, b2, n=7, x_cutoff=3),
+              lambda b1, b2: hom0_frakX(b1, b2, n=7, x_cutoff=4, p_cutoff=3))
+    for m1, m2 in [(0, 0), (0, 3), (4, 1), (2, 6), (6, 0)]:
+        for s in (1, 5):
+            for table in tables:
+                assert table(T(l1, m1), T(l2, m2)) == table(T(l1, m1 + s), T(l2, m2 + s))
+
+
+def test_report_computes_each_table_once_per_class(monkeypatch):
+    calls = []
+    for name in ("gr_ext", "ext_table_X1", "ext_table_X2", "hom0_frakX"):
+        def counted(b1, b2, *args, _name=name, _fn=getattr(windows, name)):
+            calls.append((_name, b1.l, b2.l, b1.m - b2.m, args))
+            return _fn(b1, b2, *args)
+        monkeypatch.setattr(windows, name, counted)
+    rep = exceptional_report(2, 5, n=5, dp_cutoff=2, dx_cutoff=3, hom0_dp_cutoff=4)
+    assert rep.passed
+    classes = {(l1, l2, k) for l1 in range(2) for l2 in range(2) for k in range(-4, 5)}
+    for name in ("gr_ext", "ext_table_X1", "ext_table_X2", "hom0_frakX"):
+        keys = [c[1:4] for c in calls if c[0] == name]
+        assert len(keys) == len(set(keys)) and set(keys) == classes
+    # one X1 table at the larger cutoff serves both checks that read it
+    assert {c[4] for c in calls if c[0] == "ext_table_X1"} == {(5, 4)}
+
+
+@pytest.mark.parametrize("rect", [(3, 8), (4, 7)])
+@pytest.mark.parametrize("dp_cutoff", [2, 0])
+def test_report_witnesses_match_direct_tables(rect, dp_cutoff):
+    # the X1 table is shared with the cross-model check at the larger cutoff
+    n, dx_cutoff, hom0_dp_cutoff = 7, 2, 4
+    rep = exceptional_report(*rect, n=n, dp_cutoff=dp_cutoff, dx_cutoff=dx_cutoff,
+                             hom0_dp_cutoff=hom0_dp_cutoff)
+    bundles = {repr(b): b for b in window_generators(*rect)}
+    witness = {c.name: c.witness["violations"] for c in rep.checks
+               if "violations" in c.witness}
+    assert witness["strong_exceptionality_gr"] and witness["x1_no_higher_ext"]
+
+    def higher(table):
+        return sorted((k, v) for k, v in table.items() if k[1] > 0)[:3]
+
+    for v in witness["strong_exceptionality_gr"]:
+        table = gr_ext(*(bundles[b] for b in v["pair"]), n)
+        if "table" in v:
+            assert v["table"] == sorted(table.items())
+        else:
+            assert v["endo"] == table.get(0, 0)
+    for v in witness["unitriangular_hom0"]:
+        h0 = gr_ext(*(bundles[b] for b in v["pair"]), n).get(0, 0)
+        assert v.get("diag", v.get("below")) == h0
+    for v in witness["x1_no_higher_ext"]:
+        b1, b2 = (bundles[b] for b in v["pair"])
+        assert v["entries"] == higher(ext_table_X1(b1, b2, n, dp_cutoff))
+        assert all(d_p <= dp_cutoff for (d_p, _), _ in v["entries"])
+    for v in witness["x2_no_higher_ext"]:
+        b1, b2 = (bundles[b] for b in v["pair"])
+        assert v["entries"] == higher(ext_table_X2(b1, b2, n, dx_cutoff)[0])
+    for v in witness["hom0_cross_model"]:
+        b1, b2 = (bundles[b] for b in v["pair"])
+        frak = hom0_frakX(b1, b2, n, dx_cutoff, hom0_dp_cutoff)
+        if "x1" in v:
+            d_p = v["d_p"]
+            d_x = b2.l - b1.l + 2 * (b2.m - b1.m) + 2 * d_p
+            assert v["x1"] == ext_table_X1(b1, b2, n, hom0_dp_cutoff).get((d_p, 0), 0)
+        else:
+            d_x = v["d_x"]
+            d_p = (b1.l - b2.l + 2 * (b1.m - b2.m) + d_x) / 2  # no entry if half-integral
+            assert v["x2"] == ext_table_X2(b1, b2, n, dx_cutoff)[0].get((d_x, 0), 0)
+        assert v["stack"] == frak.get((d_x, d_p), 0)
+    if rect == (3, 8):
+        assert witness["x2_no_higher_ext"]
