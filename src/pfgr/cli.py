@@ -48,8 +48,11 @@ class SuiteConfig:
             raise ValueError("field must be QQ or Fq")
         if self.field == "Fq":
             PrimeField(self.q)
-        if min(self.dp_cutoff, self.dx_cutoff, self.trunc, self.samples) < 1:
+        if min(self.dp_cutoff, self.dx_cutoff, self.samples) < 1:
             raise ValueError("cutoffs and sample counts must be positive")
+        if self.trunc < 2:
+            raise ValueError("trunc must be at least 2: morphism spaces are "
+                             "compared against the truncation lowered by one")
         for q in self.census_qs:
             PrimeField(q)
         bad = set(self.suites) - {"window", "geometry", "mf"}

@@ -7,13 +7,17 @@ theory to an integer-graded one.  This module verifies the defining
 identities exactly, computes morphism spaces by truncated exact linear
 algebra, folds resolutions into factorizations by solving lifting problems
 degree by degree, and certifies the determinantal resolution of the rank-one
-locus of a 2 x c matrix weight space by weight space.
+locus of a 2 x c matrix weight space by weight space.  Those weight spaces
+are ranked mod a prime, one batched modq elimination per matrix shape; the
+differentials have integer coefficients, so the result lifts to Q (the
+argument is in eagon_northcott_check).
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
+from operator import add, sub
 
 import numpy as np
 
@@ -43,7 +47,8 @@ def _exact_system(field, shape, entries, rhs=None):
     entries.  Without rhs the rank is returned; with rhs, a solution as a
     list of field elements, or None when the system is inconsistent.  This
     is where mf picks its exact linear algebra: the vectorized modq kernel
-    over a prime field, pfgr.linalg over any other field.
+    over a prime field, pfgr.linalg over any other field.  Only
+    eagon_northcott_check goes to modq directly, with whole stacks.
     """
     nrows, ncols = shape
     if rhs is None and not entries:
@@ -662,6 +667,11 @@ class DeterminantalResult:
                 and self.coker_dims == self.segre_dims)
 
 
+# The prime that Eagon-Northcott weight spaces over QQ are ranked modulo; see
+# eagon_northcott_check for why those ranks certify exactness over Q.
+EN_PRIME = 32003
+
+
 def _en_terms(c):
     """Generators of the resolution terms for a generic 2 x c matrix.
 
@@ -762,15 +772,43 @@ def _monomials_with_multidegree(c, rows, cols):
     return out
 
 
+def _en_homology(sizes, ranks):
+    """(spot, dim) of each nonzero homology group of one weight space, k >= 1."""
+    out = []
+    for k in range(1, len(sizes)):
+        h = sizes[k] - ranks[k - 1] - (ranks[k] if k < len(ranks) else 0)
+        if h:
+            out.append((k, h))
+    return out
+
+
 def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     """Certify the rank-one locus resolution for a generic 2 x c matrix.
 
-    Composites are checked as polynomial identities.  Exactness in every
-    internal degree up to the cutoff is checked weight space by weight space
-    (the differentials preserve the full torus multidegree, so each weight
-    gives a small exact-arithmetic rank computation).  The cokernel dimensions
-    are compared against the independent count of functions on the cone over
-    the Segre product, dim_t = (t+1) * C(t+c-1, c-1).
+    Composites are checked as polynomial identities over the field.
+    Exactness in every internal degree up to the cutoff is checked weight
+    space by weight space: the differentials preserve the full torus
+    multidegree, so each weight gives a few small matrices.  All of them are
+    ranked mod a prime p, one modq.batch_rank call per distinct matrix shape.
+    The cokernel dimensions are compared against the independent count of
+    functions on the cone over the Segre product, dim_t = (t+1) * C(t+c-1, c-1).
+
+    Soundness of the mod-p ranks:
+    - Over a PrimeField p is the field's own order, so the ranks are exact.
+    - Over QQ, p is the fixed EN_PRIME.  Every differential has coefficients
+      0 and +-1 (denominator 1 is asserted as the entries are read off), so
+      each matrix is an integer matrix and its rank mod p is at most its rank
+      over Q.  Each homology dimension mod p is then an upper bound on the
+      one over Q.
+    - If every higher homology group of a weight space vanishes mod p, it
+      vanishes over Q too, and the Euler characteristic of the weight space
+      (the alternating sum of its basis sizes, the same over both fields) is
+      then the cokernel dimension over both fields.
+    - A weight space with nonzero homology mod p is ranked again over the
+      field itself, through _exact_system, and only those ranks are used
+      for it.  A reported failure or cokernel dimension is thus exact over
+      the field.  The complex is a resolution over Z (the contractions carry
+      divided-power coefficients 1), so this path does not run in practice.
     """
     if field is None:
         field = QQ
@@ -786,52 +824,75 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     multidegrees = [
         [_en_gen_multidegree(c, k, g) for g in gens] for k, gens in enumerate(terms)
     ]
+    # the terms of each differential by source generator: (target, monomial,
+    # integer coefficient); over a prime field the coefficient is its residue
+    by_source = []
+    for k, mat in enumerate(diffs):
+        out = [[] for _ in terms[k + 1]]
+        for ti, row in enumerate(mat):
+            for gi, e in enumerate(row):
+                for mu, cf in e.coeffs.items():
+                    if not isinstance(field, PrimeField):
+                        assert cf.denominator == 1
+                    out[gi].append((ti, mu, int(cf)))
+        by_source.append(out)
+
+    p = field.q if isinstance(field, PrimeField) else EN_PRIME
+    weights = [(t, (r1, t - r1), cols) for t in range(degree_cutoff + 1)
+               for r1 in range(t + 1) for cols in _compositions(t, c)]
+    monomials = {}
+    stacks = {}  # shape -> the entry lists of its matrices, in stack order
+    spaces = []  # per weight: basis sizes, (shape, entries) and stack slots
+    for _, rows, cols in weights:
+        bases = []
+        for k in range(len(terms)):
+            basis = []
+            for gi, (grows, gcols) in enumerate(multidegrees[k]):
+                mr = (rows[0] - grows[0], rows[1] - grows[1])
+                mc = tuple(map(sub, cols, gcols))
+                if min(mr) < 0 or min(mc) < 0:
+                    continue
+                if (mr, mc) not in monomials:
+                    monomials[mr, mc] = _monomials_with_multidegree(c, mr, mc)
+                basis.extend((gi, exp) for exp in monomials[mr, mc])
+            bases.append(basis)
+        systems, slots = [], []
+        for k in range(len(diffs)):
+            tgt_index = {b: i for i, b in enumerate(bases[k])}
+            entries = []
+            for col, (gi, exp) in enumerate(bases[k + 1]):
+                for ti, mu, cf in by_source[k][gi]:
+                    ri = tgt_index.get((ti, tuple(map(add, exp, mu))))
+                    if ri is not None:
+                        entries.append((ri, col, cf))
+            shape = (len(bases[k]), len(bases[k + 1]))
+            systems.append((shape, entries))
+            slots.append(len(stacks.setdefault(shape, [])))
+            stacks[shape].append(entries)
+        spaces.append(([len(b) for b in bases], systems, slots))
+    stack_ranks = {}
+    for (m, n), group in stacks.items():
+        if not m or not n:
+            stack_ranks[m, n] = np.zeros(len(group), dtype=np.int64)
+            continue
+        flat = np.array([(i, r, col, v) for i, entries in enumerate(group)
+                         for r, col, v in entries], dtype=np.int64).reshape(-1, 4)
+        mats = np.zeros((len(group), m, n), dtype=np.int64)
+        np.add.at(mats, tuple(flat[:, :3].T), flat[:, 3])
+        stack_ranks[m, n] = modq.batch_rank(mats % p, p)
 
     homology_failures = []
-    coker = {}
-    for t in range(degree_cutoff + 1):
-        coker[t] = 0
-        for r1 in range(t + 1):
-            rows = (r1, t - r1)
-            for cols in _compositions(t, c):
-                # slab bases per term
-                bases = []
-                for k in range(len(terms)):
-                    basis = []
-                    for gi, (grows, gcols) in enumerate(multidegrees[k]):
-                        mr = (rows[0] - grows[0], rows[1] - grows[1])
-                        if mr[0] < 0 or mr[1] < 0:
-                            continue
-                        mc = tuple(cols[i] - gcols[i] for i in range(c))
-                        if any(v < 0 for v in mc):
-                            continue
-                        for exp in _monomials_with_multidegree(c, mr, mc):
-                            basis.append((gi, exp))
-                    bases.append(basis)
-                ranks = []
-                for k in range(len(diffs)):
-                    tgt_index = {b: i for i, b in enumerate(bases[k])}
-                    entries = []
-                    for col, (gi, exp) in enumerate(bases[k + 1]):
-                        for ti in range(len(terms[k])):
-                            e = diffs[k][ti][gi]
-                            if e.is_zero():
-                                continue
-                            for mu, cf in e.coeffs.items():
-                                key = (ti, tuple(a + b for a, b in zip(exp, mu)))
-                                ri = tgt_index.get(key)
-                                if ri is not None:
-                                    entries.append((ri, col, cf))
-                    shape = (len(bases[k]), len(bases[k + 1]))
-                    ranks.append(_exact_system(field, shape, entries))
-                for k in range(1, len(bases)):
-                    rank_out = ranks[k - 1]
-                    rank_in = ranks[k] if k < len(ranks) else 0
-                    h = len(bases[k]) - rank_out - rank_in
-                    if h:
-                        homology_failures.append(
-                            {"spot": k, "weight": (rows, cols), "dim": h})
-                coker[t] += len(bases[0]) - ranks[0]
+    coker = {t: 0 for t in range(degree_cutoff + 1)}
+    for (t, rows, cols), (sizes, systems, slots) in zip(weights, spaces):
+        ranks = [int(stack_ranks[shape][i]) for (shape, _), i in zip(systems, slots)]
+        if _en_homology(sizes, ranks):
+            # an upper bound only: rank this weight space over the field itself
+            ranks = [_exact_system(field, shape, [(r, col, field.of_int(v))
+                                                  for r, col, v in entries])
+                     for shape, entries in systems]
+        for k, h in _en_homology(sizes, ranks):
+            homology_failures.append({"spot": k, "weight": (rows, cols), "dim": h})
+        coker[t] += sizes[0] - ranks[0]
     segre = {t: (t + 1) * comb(t + c - 1, c - 1) for t in range(degree_cutoff + 1)}
     term_ranks = tuple(len(g) for g in terms)
     gen_degrees = tuple(0 if k == 0 else k + 1 for k in range(len(terms)))

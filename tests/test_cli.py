@@ -30,6 +30,16 @@ def test_half_default_rectangle_is_refused():
     cli.SuiteConfig(l_bound=2, m_bound=5).validate()
 
 
+def test_truncation_below_two_is_refused():
+    # hom_ext_truncated compares against trunc - 1, so a truncation below 2
+    # is refused before any suite runs
+    with pytest.raises(ValueError, match="trunc"):
+        cli.SuiteConfig(trunc=1).validate()
+    for trunc in ("1", "0", "-3"):
+        assert cli.main(["mf", "--trunc", trunc]) == 2
+    cli.SuiteConfig(trunc=2).validate()
+
+
 def test_window_text_summary_times_the_shared_pass():
     lines = cli.run(window_config()).to_text().splitlines()
     assert len([x for x in lines if x.startswith("window (")]) == 1

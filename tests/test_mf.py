@@ -1,8 +1,11 @@
+from dataclasses import fields as dataclass_fields
+from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
-from pfgr import geometry, mf
+from pfgr import geometry, linalg, mf
 from pfgr.fields import QQ, PrimeField
 from pfgr.mf import (GradedComplex, LiftObstruction, MatrixFactorization,
                      eagon_northcott_check, free_module_mf, hom_ext_truncated,
@@ -280,6 +283,101 @@ def test_determinantal_c3():
     res = eagon_northcott_check(c=3, degree_cutoff=6)
     assert res.term_ranks == (1, 3, 2)
     assert res.exact
+
+
+def _record_batch_ranks(monkeypatch, shorten=None):
+    """Wrap modq.batch_rank; keep (stack, q, ranks) of every call.
+
+    shorten(stack, ranks) may lower some of the returned ranks.
+    """
+    calls = []
+    real = mf.modq.batch_rank
+
+    def recording(mats, q):
+        ranks = real(mats, q)
+        if shorten is not None:
+            ranks = shorten(mats, ranks.copy())
+        calls.append((mats, q, ranks))
+        return ranks
+
+    monkeypatch.setattr(mf.modq, "batch_rank", recording)
+    return calls
+
+
+def _lift(mat, q):
+    """The integer matrix with entries in (-q/2, q/2] congruent to mat mod q."""
+    return [[Fraction(int(v) - q if v > q // 2 else int(v)) for v in row] for row in mat]
+
+
+@pytest.mark.parametrize("c,cutoff", [(2, 6), (3, 6), (4, 5)])
+def test_determinantal_modular_ranks_match_rationals(monkeypatch, c, cutoff):
+    """Every weight-space rank taken mod p equals the rank over Q."""
+    calls = _record_batch_ranks(monkeypatch)
+    res_q = eagon_northcott_check(c=c, degree_cutoff=cutoff, field=QQ)
+    shapes = [mats.shape[1:] for mats, _, _ in calls]
+    # one batched call per distinct shape, all over the one fixed prime
+    assert len(shapes) == len(set(shapes))
+    assert {q for _, q, _ in calls} == {mf.EN_PRIME}
+    for mats, q, ranks in calls:
+        for mat, r in zip(mats, ranks):
+            assert set(np.unique(mat)) <= {0, 1, q - 1}
+            assert linalg.rank(QQ, _lift(mat, q)) == r
+    res_p = eagon_northcott_check(c=c, degree_cutoff=cutoff, field=PrimeField(101))
+    for f in dataclass_fields(mf.DeterminantalResult):
+        assert getattr(res_q, f.name) == getattr(res_p, f.name), f.name
+    assert res_q.exact
+
+
+def _shorten_one(shortened):
+    """A shorten hook: the first 5 x 7 matrix of positive rank comes back one
+    rank short, and is appended to shortened."""
+    def shorten(stack, ranks):
+        if stack.shape[1:] == (5, 7):
+            i = int(np.flatnonzero(ranks)[0])
+            ranks[i] -= 1
+            shortened.append(stack[i])
+        return ranks
+    return shorten
+
+
+def test_determinantal_short_modular_rank_is_reranked(monkeypatch):
+    expected = eagon_northcott_check(c=3, degree_cutoff=5)
+    shortened = []
+    _record_batch_ranks(monkeypatch, _shorten_one(shortened))
+    reranked = []
+    real = mf._exact_system
+
+    def spy(field, shape, entries, rhs=None):
+        reranked.append(shape)
+        return real(field, shape, entries, rhs)
+
+    monkeypatch.setattr(mf, "_exact_system", spy)
+    res = eagon_northcott_check(c=3, degree_cutoff=5)
+    # exactly the one weight space whose upper bound failed, over QQ
+    assert len(shortened) == 1
+    assert len(reranked) == 2 and (5, 7) in reranked
+    assert res.exact and not res.homology_failures
+    assert res == expected
+
+
+def test_determinantal_failure_is_reported_exactly(monkeypatch):
+    shortened = []
+    _record_batch_ranks(monkeypatch, _shorten_one(shortened))
+    real = linalg.rank
+
+    def short_rank(field, mat):
+        same = field == QQ and _lift(shortened[0], mf.EN_PRIME) == mat
+        return real(field, mat) - same
+
+    monkeypatch.setattr(linalg, "rank", short_rank)
+    res = eagon_northcott_check(c=3, degree_cutoff=5)
+    # the shortened matrix is the first 5 x 7 one in weight order: the
+    # quadrics into the 5 monomials of row degrees (2, 3), columns (1, 2, 2)
+    weight = ((2, 3), (1, 2, 2))
+    assert len(mf._monomials_with_multidegree(3, *weight)) == 5
+    assert res.homology_failures == [{"spot": 1, "weight": weight, "dim": 1}]
+    assert res.coker_dims[5] == res.segre_dims[5] + 1
+    assert not res.exact
 
 
 def test_segre_dimension_oracle():
