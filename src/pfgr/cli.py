@@ -51,8 +51,8 @@ class SuiteConfig:
         if min(self.dp_cutoff, self.dx_cutoff, self.samples) < 1:
             raise ValueError("cutoffs and sample counts must be positive")
         if self.trunc < 2:
-            raise ValueError("trunc must be at least 2: morphism spaces are "
-                             "compared against the truncation lowered by one")
+            raise ValueError("trunc must be at least 2: below 2 the charge window "
+                             "trunc - 2 + min base is empty for the base object")
         for q in self.census_qs:
             PrimeField(q)
         bad = set(self.suites) - {"window", "geometry", "mf"}
@@ -246,12 +246,13 @@ def run_geometry_suite(config, report, model):
 
 def run_mf_suite(config, report, model):
     F = QQ
+    trunc = max(4, config.trunc)  # what the Hom checks run at and report
 
     def knorrer_base():
         ring = PolyRing(F, ("x1", "x2"), (1, 1))
         E = mf.hypersurface_factor(ring, ring.var(0), ring.var(1))
         ok = bool(mf.mf_verify(E))
-        ext = mf.hom_ext_truncated(E, E, max(4, config.trunc))
+        ext = mf.hom_ext_truncated(E, E, trunc)
         total = ext.total_dimension
         return (ok and ext.stabilized and total == 1
                 and ext.dims.get((0, 0)) == 1), {
@@ -260,7 +261,7 @@ def run_mf_suite(config, report, model):
 
     _timed(report, "mf.knorrer_base",
            "the basic hypersurface factorization is point-like",
-           {"trunc": config.trunc}, knorrer_base)
+           {"trunc": trunc}, knorrer_base)
 
     def contractible():
         ring = PolyRing(F, ("x1", "x2"), (1, 1))
@@ -268,20 +269,20 @@ def run_mf_suite(config, report, model):
         stab = mf.zero_locus_stabilization(ring, W)
         E = mf.hypersurface_factor(ring, ring.var(0), ring.var(1))
         ok = bool(mf.mf_verify(stab))
-        e1 = mf.hom_ext_truncated(stab, E, max(4, config.trunc))
-        e2 = mf.hom_ext_truncated(E, stab, max(4, config.trunc))
+        e1 = mf.hom_ext_truncated(stab, E, trunc)
+        e2 = mf.hom_ext_truncated(E, stab, trunc)
         # a zero-curvature perfect complex tensored with the stabilization
         # keeps curvature W and must also be invisible
         perfect = mf.MatrixFactorization(
             ring, ring.zero(), even_charges=[0], odd_charges=[0],
             d0=[[ring.var(0)]], d1=[[ring.zero()]])
-        e3 = mf.hom_ext_truncated(perfect.tensor(stab), E, max(4, config.trunc))
+        e3 = mf.hom_ext_truncated(perfect.tensor(stab), E, trunc)
         empty = not e1.capped() and not e2.capped() and not e3.capped()
         return ok and empty, {"dims_against": {str(k): v for k, v in e1.capped().items()}}
 
     _timed(report, "mf.stabilization_contractible",
            "the zero-locus stabilization has no morphisms in either direction",
-           {"trunc": config.trunc}, contractible)
+           {"trunc": trunc}, contractible)
 
     def perturb():
         ring = PolyRing(F, ("x1", "x2"), (0, 2))
@@ -334,11 +335,11 @@ def run_mf_suite(config, report, model):
     def tensor_law():
         small = PolyRing(F, ("z",), (1,))
         E = mf.hypersurface_factor(small, small.var(0), small.var(0))
-        base = mf.hom_ext_truncated(E, E, max(4, config.trunc))
+        base = mf.hom_ext_truncated(E, E, trunc)
         big = PolyRing(F, ("z", "u", "v"), (1, 1, 1))
         z, u, v = (big.var(i) for i in range(3))
         E2 = mf.hypersurface_factor(big, z, z).tensor(mf.hypersurface_factor(big, u, v))
-        doubled = mf.hom_ext_truncated(E2, E2, max(4, config.trunc))
+        doubled = mf.hom_ext_truncated(E2, E2, trunc)
         cap = min(base.charge_cap, doubled.charge_cap)
         lhs = {k: val for k, val in base.dims.items() if k[1] <= cap}
         rhs = {k: val for k, val in doubled.dims.items() if k[1] <= cap}
@@ -346,7 +347,7 @@ def run_mf_suite(config, report, model):
 
     _timed(report, "mf.knorrer_tensor_law",
            "adding a hyperbolic pair leaves the morphism dimensions unchanged",
-           {"trunc": config.trunc}, tensor_law)
+           {"trunc": trunc}, tensor_law)
 
 
 def run(config):

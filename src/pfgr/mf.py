@@ -7,16 +7,17 @@ theory to an integer-graded one.  This module verifies the defining
 identities exactly, computes morphism spaces by truncated exact linear
 algebra, folds resolutions into factorizations by solving lifting problems
 degree by degree, and certifies the determinantal resolution of the rank-one
-locus of a 2 x c matrix weight space by weight space.  Those weight spaces
-are ranked mod a prime, one batched modq elimination per matrix shape; the
-differentials have integer coefficients, so the result lifts to Q (the
-argument is in eagon_northcott_check).
+locus of a 2 x c matrix weight space by weight space.  Both kinds of matrix
+are ranked mod a prime, one batched modq elimination per shape; the ranks
+are proved exact over Q by kernel vectors checked exactly (_certified_ranks)
+or by integer coefficients (eagon_northcott_check).
 """
 
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, isqrt, lcm
 from operator import add, sub
 
 import numpy as np
@@ -45,10 +46,11 @@ def _exact_system(field, shape, entries, rhs=None):
 
     The matrix has the given shape and is the sum of its (row, col, value)
     entries.  Without rhs the rank is returned; with rhs, a solution as a
-    list of field elements, or None when the system is inconsistent.  This
-    is where mf picks its exact linear algebra: the vectorized modq kernel
-    over a prime field, pfgr.linalg over any other field.  Only
-    eagon_northcott_check goes to modq directly, with whole stacks.
+    list of field elements, or None when the system is inconsistent: modq
+    over a prime field, pfgr.linalg otherwise.  It solves _solve_lift's
+    systems and re-ranks what a batched modular rank could not settle (an
+    Eagon-Northcott weight space with homology mod p, a slab whose kernel
+    certificate failed); all other ranks are taken in stacks.
     """
     nrows, ncols = shape
     if rhs is None and not entries:
@@ -67,6 +69,102 @@ def _exact_system(field, shape, entries, rhs=None):
     if rhs is None:
         return linalg.rank(field, mat)
     return linalg.solve(field, mat, rhs)
+
+
+# The prime that Hom slabs and Eagon-Northcott weight spaces over QQ are ranked
+# modulo; _certified_ranks and eagon_northcott_check argue why that is exact.
+EN_PRIME = 32003
+
+
+def _stacks(systems, p):
+    """{shape: (positions, (N, m, n) int64 stack mod p)} of sparse integer
+    matrices (shape, [(row, col, value)]); matrices without entries, of
+    rank 0, are left out."""
+    groups = {}
+    for i, (shape, entries) in enumerate(systems):
+        if entries:
+            groups.setdefault(shape, []).append(i)
+    out = {}
+    for (m, n), idx in groups.items():
+        flat = np.array([(k, r, col, v % p) for k, i in enumerate(idx)
+                         for r, col, v in systems[i][1]], dtype=np.int64)
+        mats = np.zeros((len(idx), m, n), dtype=np.int64)
+        np.add.at(mats, tuple(flat[:, :3].T), flat[:, 3])
+        out[m, n] = idx, mats % p
+    return out
+
+
+def _modular_ranks(systems, p):
+    """Ranks mod p of sparse integer matrices, one modq.batch_rank per shape."""
+    ranks = [0] * len(systems)
+    for idx, mats in _stacks(systems, p).values():
+        for i, r in zip(idx, modq.batch_rank(mats, p)):
+            ranks[i] = int(r)
+    return ranks
+
+
+def _rational(a, p):
+    """Wang's rational reconstruction: the fraction r/s = a mod p with
+    |r|, s <= sqrt(p/2), which is unique when it exists, or None."""
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _in_kernel(nrows, entries, K, p):
+    """Whether every row of K, rebuilt over Q by _rational and scaled by a
+    common denominator, is killed exactly by the integer matrix of entries.
+    The product is taken in int64, so a possible overflow counts as False."""
+    values, inverse = np.unique(K, return_inverse=True)
+    fracs = [_rational(int(a), p) for a in values]
+    if None in fracs:
+        return False
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    peak = max(map(abs, ints), default=0) * max(abs(v) for *_, v in entries)
+    if peak * len(entries) >= 2 ** 63:
+        return False
+    W = np.array(ints, dtype=np.int64)[inverse].reshape(K.shape)
+    rows, cols, vals = np.array(entries, dtype=np.int64).T
+    prod = np.zeros((nrows, len(W)), dtype=np.int64)
+    np.add.at(prod, rows, vals[:, None] * W[:, cols].T)
+    return not prod.any()
+
+
+def _certified_ranks(systems):
+    """Ranks over Q of sparse rational matrices, one modq.rref per shape.
+
+    Each column is scaled to integers, which keeps the rank, and the stack
+    is reduced mod p = EN_PRIME.  Soundness: rank mod p <= rank over Q,
+    since a minor nonzero mod p is nonzero over Z.  The reduced form mod p
+    gives n - r_p kernel vectors with an identity block on the free
+    columns; reconstruction keeps 0 and 1, so the rebuilt vectors keep the
+    block and are independent.  Each passes M v = 0 exactly over Z or the
+    matrix is ranked again through _exact_system; so rank over Q <= r_p,
+    and the ranks are equal.  Slab kernels hold 0 and +-1 in practice,
+    well inside the reconstruction bound sqrt(p/2).
+    """
+    p = EN_PRIME
+    scaled = []
+    for shape, entries in systems:
+        scale = {}
+        for _, col, v in entries:
+            scale[col] = lcm(scale.get(col, 1), v.denominator)
+        scaled.append((shape, [(r, col, v.numerator * (scale[col] // v.denominator))
+                               for r, col, v in entries]))
+    ranks = [0] * len(systems)
+    for idx, mats in _stacks(scaled, p).values():
+        R, rp, pivots = modq.rref(mats, p)
+        kernels = np.split(modq.kernels(R, pivots, p), np.cumsum(mats.shape[2] - rp)[:-1])
+        for i, r, K in zip(idx, rp, kernels):
+            (m, _), ints = scaled[i]
+            ranks[i] = int(r) if _in_kernel(m, ints, K, p) else _exact_system(QQ, *systems[i])
+    return ranks
 
 
 def _mat_mul_sized(ring, a, b, nrows, ncols):
@@ -512,43 +610,35 @@ def koszul_perturb(C, W):
 
 @dataclass
 class ExtResult:
+    """Graded morphism dimensions {(parity, charge): dim}, charge <= charge_cap."""
     dims: dict
-    dims_previous: dict
     truncation: int
     charge_cap: int
-
-    @property
-    def stabilized(self):
-        keys = {k for k in self.dims if k[1] <= self.charge_cap}
-        keys |= {k for k in self.dims_previous if k[1] <= self.charge_cap}
-        return all(self.dims.get(k, 0) == self.dims_previous.get(k, 0) for k in keys)
+    # trunc - 1 would give the same dims: a theorem (see hom_ext_truncated)
+    stabilized = True
 
     @property
     def total_dimension(self):
-        return sum(v for (p, r), v in self.dims.items() if r <= self.charge_cap)
-
-    def parity_totals(self):
-        out = {0: 0, 1: 0}
-        for (p, r), v in self.dims.items():
-            if r <= self.charge_cap:
-                out[p] += v
-        return out
+        return sum(self.dims.values())
 
     def capped(self):
-        return {k: v for k, v in sorted(self.dims.items()) if k[1] <= self.charge_cap}
+        return dict(sorted(self.dims.items()))
 
 
-def hom_ext_truncated(E, F, trunc, charge_cap=None):
+def hom_ext_truncated(E, F, trunc):
     """Graded dimensions of morphisms from E to F, truncated in total degree.
 
-    Builds the finite-dimensional slabs of the Hom complex up to the degree
-    cutoff, applies the graded-commutator differential, and computes homology
-    by exact rank computations (vectorized over prime fields, fractions over
-    Q).  Every variable must have charge at least 1: then a charge slab only
-    contains monomials of degree at most its charge, so every slab below the
-    cap is complete and its homology is exact, not an approximation.  The
-    stabilization flag compares against the cutoff lowered by one and reports
-    whether anything inside the cap moved.
+    Builds the charge slabs of the Hom complex, applies the graded-commutator
+    differential and takes homology by exact ranks, batched per shape, at
+    every charge r <= cap = trunc - 2 + min base (a base charge is a charge
+    of F minus one of E); ExtResult.dims holds exactly those keys.
+
+    Why that is exact and stable: every variable has charge >= 1, so a
+    monomial's degree is at most its charge, and the slab at charge s is
+    complete once s - min base <= the truncation.  The homology at r <= cap
+    reads the slabs at r - 1, r and r + 1 <= trunc - 1 + min base, so at
+    trunc and at trunc - 1 alike they are complete, with the same bases and
+    matrices: ExtResult.stabilized is this theorem, not a second run.
     """
     if E.ring != F.ring:
         raise ValueError("objects must share a ring")
@@ -562,83 +652,58 @@ def hom_ext_truncated(E, F, trunc, charge_cap=None):
             "morphism computations need every variable charge >= 1 "
             "(renormalize the charge torus; weight-0 conventions are only "
             "supported by the verification and perturbation routines)")
-    dims = _ext_dims(E, F, trunc)
-    dims_prev = _ext_dims(E, F, trunc - 1)
-    if charge_cap is None:
-        base_charges = [cf - ce for (_, cf) in F.generators()
-                        for (_, ce) in E.generators()]
-        # the window on which both runs are provably complete
-        charge_cap = trunc - 2 + min(base_charges, default=0)
-    return ExtResult(dims, dims_prev, trunc, charge_cap)
+    base_charges = [cf - ce for (_, cf) in F.generators() for (_, ce) in E.generators()]
+    cap = trunc - 2 + min(base_charges, default=0)
+    return ExtResult(_ext_dims(E, F, cap), trunc, cap)
 
 
-def _ext_dims(E, F, trunc):
+def _ext_dims(E, F, cap):
+    """Homology dimensions of the Hom complex at every charge r <= cap, from
+    slabs up to charge cap + 1 (monomials of degree <= cap + 1 - min base)."""
     ring = E.ring
-    field = ring.field
     gens_e = E.generators()
     gens_f = F.generators()
     Ed = E.full_differential()
     Fd = F.full_differential()
-
-    monos = []
-    for d in range(trunc + 1):
-        monos.extend(ring.monomials_of_degree(d))
+    components = [(i, j, (pf + pe) % 2, cf - ce) for i, (pf, cf) in enumerate(gens_f)
+                  for j, (pe, ce) in enumerate(gens_e)]
+    top = cap + 1 - min((base for *_, base in components), default=0)
+    monos = [(m, ring.monomial_charge(m)) for d in range(top + 1)
+             for m in ring.monomials_of_degree(d)]
     slabs = {}
-    base_charges = []
-    for i, (pf, cf) in enumerate(gens_f):
-        for j, (pe, ce) in enumerate(gens_e):
-            par = (pf + pe) % 2
-            base = cf - ce
-            base_charges.append(base)
-            for m in monos:
-                key = (par, base + ring.monomial_charge(m))
-                slabs.setdefault(key, []).append((i, j, m))
+    for i, j, par, base in components:
+        for m, charge in monos:
+            if base + charge <= cap + 1:
+                slabs.setdefault((par, base + charge), []).append((i, j, m))
     index = {key: {b: t for t, b in enumerate(basis)} for key, basis in slabs.items()}
-    # a slab at charge r is complete once r - base <= trunc for every
-    # component, since charges >= 1 bound monomial degree by charge
-    r_complete = trunc + (min(base_charges) if base_charges else 0)
 
-    ranks = {}
-    for key, src in slabs.items():
-        par, r = key
-        if r + 1 > r_complete:
-            continue
+    keys = [key for key in slabs if key[1] <= cap]
+    systems = []
+    for par, r in keys:
         tgt_index = index.get(((par + 1) % 2, r + 1), {})
-        if not tgt_index or not src:
-            ranks[key] = 0
-            continue
         entries = []
-        for col, (i, j, m) in enumerate(src):
+        for col, (i, j, m) in enumerate(slabs[par, r]):
             # D(phi) = d_F o phi - (-1)^{parity(phi)} phi o d_E
-            second_sign = -1 if par == 0 else 1
             for k in range(len(gens_f)):
-                e = Fd[k][i]
-                if e.is_zero():
-                    continue
-                for mu, c in e.coeffs.items():
-                    mm = tuple(a + b for a, b in zip(m, mu))
-                    if sum(mm) <= trunc:
-                        t = tgt_index.get((k, j, mm))
-                        if t is not None:
-                            entries.append((t, col, c))
+                for mu, c in Fd[k][i].coeffs.items():
+                    t = tgt_index.get((k, j, tuple(map(add, m, mu))))
+                    if t is not None:
+                        entries.append((t, col, c))
             for l in range(len(gens_e)):
-                e = Ed[j][l]
-                if e.is_zero():
-                    continue
-                for mu, c in e.coeffs.items():
-                    mm = tuple(a + b for a, b in zip(m, mu))
-                    if sum(mm) <= trunc:
-                        t = tgt_index.get((i, l, mm))
-                        if t is not None:
-                            val = field.neg(c) if second_sign < 0 else c
-                            entries.append((t, col, val))
-        ranks[key] = _exact_system(field, (len(tgt_index), len(src)), entries)
+                for mu, c in Ed[j][l].coeffs.items():
+                    t = tgt_index.get((i, l, tuple(map(add, m, mu))))
+                    if t is not None:
+                        entries.append((t, col, ring.field.neg(c) if par == 0 else c))
+        systems.append(((len(tgt_index), len(slabs[par, r])), entries))
+    if isinstance(ring.field, PrimeField):
+        ranks = _modular_ranks(systems, ring.field.q)
+    else:
+        ranks = _certified_ranks(systems)
+    ranks = dict(zip(keys, ranks))
 
     dims = {}
-    for (par, r), basis in slabs.items():
-        if r + 1 > r_complete:
-            continue
-        h = len(basis) - ranks.get((par, r), 0) - ranks.get(((par + 1) % 2, r - 1), 0)
+    for par, r in keys:
+        h = len(slabs[par, r]) - ranks[par, r] - ranks.get(((par + 1) % 2, r - 1), 0)
         assert h >= 0
         if h:
             dims[(par, r)] = h
@@ -665,11 +730,6 @@ class DeterminantalResult:
     def exact(self):
         return (self.composites_zero and not self.homology_failures
                 and self.coker_dims == self.segre_dims)
-
-
-# The prime that Eagon-Northcott weight spaces over QQ are ranked modulo; see
-# eagon_northcott_check for why those ranks certify exactness over Q.
-EN_PRIME = 32003
 
 
 def _en_terms(c):
@@ -841,8 +901,8 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     weights = [(t, (r1, t - r1), cols) for t in range(degree_cutoff + 1)
                for r1 in range(t + 1) for cols in _compositions(t, c)]
     monomials = {}
-    stacks = {}  # shape -> the entry lists of its matrices, in stack order
-    spaces = []  # per weight: basis sizes, (shape, entries) and stack slots
+    systems = []  # (shape, entries) of every differential, weight by weight
+    term_sizes = []  # per weight: the basis size of each term
     for _, rows, cols in weights:
         bases = []
         for k in range(len(terms)):
@@ -856,7 +916,6 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                     monomials[mr, mc] = _monomials_with_multidegree(c, mr, mc)
                 basis.extend((gi, exp) for exp in monomials[mr, mc])
             bases.append(basis)
-        systems, slots = [], []
         for k in range(len(diffs)):
             tgt_index = {b: i for i, b in enumerate(bases[k])}
             entries = []
@@ -865,31 +924,21 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                     ri = tgt_index.get((ti, tuple(map(add, exp, mu))))
                     if ri is not None:
                         entries.append((ri, col, cf))
-            shape = (len(bases[k]), len(bases[k + 1]))
-            systems.append((shape, entries))
-            slots.append(len(stacks.setdefault(shape, [])))
-            stacks[shape].append(entries)
-        spaces.append(([len(b) for b in bases], systems, slots))
-    stack_ranks = {}
-    for (m, n), group in stacks.items():
-        if not m or not n:
-            stack_ranks[m, n] = np.zeros(len(group), dtype=np.int64)
-            continue
-        flat = np.array([(i, r, col, v) for i, entries in enumerate(group)
-                         for r, col, v in entries], dtype=np.int64).reshape(-1, 4)
-        mats = np.zeros((len(group), m, n), dtype=np.int64)
-        np.add.at(mats, tuple(flat[:, :3].T), flat[:, 3])
-        stack_ranks[m, n] = modq.batch_rank(mats % p, p)
+            systems.append(((len(bases[k]), len(bases[k + 1])), entries))
+        term_sizes.append([len(b) for b in bases])
+    modular = _modular_ranks(systems, p)
 
     homology_failures = []
     coker = {t: 0 for t in range(degree_cutoff + 1)}
-    for (t, rows, cols), (sizes, systems, slots) in zip(weights, spaces):
-        ranks = [int(stack_ranks[shape][i]) for (shape, _), i in zip(systems, slots)]
+    nd = len(diffs)
+    for w, ((t, rows, cols), sizes) in enumerate(zip(weights, term_sizes)):
+        own = slice(w * nd, (w + 1) * nd)
+        ranks = modular[own]
         if _en_homology(sizes, ranks):
             # an upper bound only: rank this weight space over the field itself
             ranks = [_exact_system(field, shape, [(r, col, field.of_int(v))
                                                   for r, col, v in entries])
-                     for shape, entries in systems]
+                     for shape, entries in systems[own]]
         for k, h in _en_homology(sizes, ranks):
             homology_failures.append({"spot": k, "weight": (rows, cols), "dim": h})
         coker[t] += sizes[0] - ranks[0]

@@ -31,13 +31,26 @@ def test_half_default_rectangle_is_refused():
 
 
 def test_truncation_below_two_is_refused():
-    # hom_ext_truncated compares against trunc - 1, so a truncation below 2
-    # is refused before any suite runs
+    # below 2 the charge window trunc - 2 + min base is empty for the base
+    # object, so a truncation below 2 is refused before any suite runs
     with pytest.raises(ValueError, match="trunc"):
         cli.SuiteConfig(trunc=1).validate()
     for trunc in ("1", "0", "-3"):
         assert cli.main(["mf", "--trunc", trunc]) == 2
     cli.SuiteConfig(trunc=2).validate()
+
+
+def test_mf_checks_report_the_truncation_they_ran_at(tmp_path):
+    out = tmp_path / "mf.json"
+    assert cli.main(["mf", "--d", "5", "--trunc", "2", "--out", str(out)]) == 0
+    params = {c["check_name"]: c["parameters"]
+              for c in json.loads(out.read_text())["checks"]}
+    # the Hom checks raise the truncation to 4 and say so; the fibre check
+    # runs at the requested one
+    for name in ("mf.knorrer_base", "mf.stabilization_contractible",
+                 "mf.knorrer_tensor_law"):
+        assert params[name]["trunc"] == 4
+    assert params["mf.knorrer_fibre"]["trunc"] == 2
 
 
 def test_window_text_summary_times_the_shared_pass():

@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfgr import geometry, linalg, mf
 from pfgr.fields import QQ, PrimeField
@@ -192,6 +193,204 @@ def test_knorrer_tensor_law():
         {k: v for k, v in doubled.dims.items() if k[1] <= cap}
 
 
+def _uncapped_ext_dims(E, F, trunc):
+    """The Hom dimensions as computed before the charge cap, as an oracle.
+
+    Every slab is built from all monomials of degree <= trunc and ranked by
+    pfgr.linalg; dims are reported at every charge whose differential target
+    is complete, one charge above the cap.  hom_ext_truncated used to run
+    this at trunc and at trunc - 1 and compare.
+    """
+    ring, field = E.ring, E.ring.field
+    gens_e, gens_f = E.generators(), F.generators()
+    Ed, Fd = E.full_differential(), F.full_differential()
+    monos = [m for d in range(trunc + 1) for m in ring.monomials_of_degree(d)]
+    slabs, base_charges = {}, []
+    for i, (pf, cf) in enumerate(gens_f):
+        for j, (pe, ce) in enumerate(gens_e):
+            base_charges.append(cf - ce)
+            for m in monos:
+                key = ((pf + pe) % 2, cf - ce + ring.monomial_charge(m))
+                slabs.setdefault(key, []).append((i, j, m))
+    r_complete = trunc + min(base_charges)
+    ranks = {}
+    for (par, r), src in slabs.items():
+        if r + 1 > r_complete:
+            continue
+        tgt = {b: t for t, b in enumerate(slabs.get(((par + 1) % 2, r + 1), []))}
+        mat = [[field.zero] * len(src) for _ in tgt]
+
+        def put(key, col, c):
+            if sum(key[2]) <= trunc and key in tgt:
+                mat[tgt[key]][col] = field.add(mat[tgt[key]][col], c)
+
+        for col, (i, j, m) in enumerate(src):
+            for k in range(len(gens_f)):
+                for mu, c in Fd[k][i].coeffs.items():
+                    put((k, j, tuple(a + b for a, b in zip(m, mu))), col, c)
+            for l in range(len(gens_e)):
+                for mu, c in Ed[j][l].coeffs.items():
+                    put((i, l, tuple(a + b for a, b in zip(m, mu))), col,
+                        field.neg(c) if par == 0 else c)
+        ranks[par, r] = linalg.rank(field, mat)
+    dims = {}
+    for (par, r), basis in slabs.items():
+        if r + 1 <= r_complete:
+            h = len(basis) - ranks[par, r] - ranks.get(((par + 1) % 2, r - 1), 0)
+            if h:
+                dims[par, r] = h
+    return dims
+
+
+@st.composite
+def hom_problems(draw):
+    """(E, F, trunc): small factorizations over QQ or F_101 in 1-3 variables
+    of charges 1..3, hypersurfaces and their tensor products, shifts and
+    stabilizations, or free modules for W = 0."""
+    field = draw(st.sampled_from([QQ, PrimeField(101)]))
+    charges = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    ring = PolyRing(field, ("x", "y", "z")[:len(charges)], charges)
+    scalars = [field.one, field.neg(field.one), field.of_int(2),
+               field.inv(field.of_int(2))]
+
+    def monos(charge):
+        return [m for d in range(charge + 1) for m in ring.monomials_of_degree(d)
+                if ring.monomial_charge(m) == charge]
+
+    def form(charge):
+        picks = draw(st.lists(st.sampled_from(monos(charge)), min_size=1,
+                              max_size=3, unique=True))
+        return Poly(ring, {m: draw(st.sampled_from(scalars)) for m in picks})
+
+    splits = [a for a in range(3) if monos(a) and monos(2 - a)]
+
+    def factor():
+        a = draw(st.sampled_from(splits))
+        return hypersurface_factor(ring, form(a), form(2 - a))
+
+    kind = draw(st.sampled_from(["free", "factor", "tensor"]))
+    if kind == "free" or not splits:
+        E = free_module_mf(ring, draw(st.integers(-1, 1)))
+        F = free_module_mf(ring, draw(st.integers(-1, 1)))
+    else:
+        E = factor()
+        if kind == "tensor":
+            E = E.tensor(factor())
+        F = draw(st.sampled_from([
+            E, E.shift(1), E.shift(-1), E.shift(2),
+            zero_locus_stabilization(ring, E.W)]))
+    if draw(st.booleans()):
+        E, F = F, E
+    return E, F, draw(st.integers(2, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hom_problems())
+def test_capped_hom_matches_uncapped_oracle(problem):
+    """Inside the cap one capped computation equals the old uncapped one at
+    trunc and at trunc - 1, key for key: stabilized is a theorem."""
+    E, F, trunc = problem
+    ext = hom_ext_truncated(E, F, trunc)
+    for t in (trunc, trunc - 1):
+        old = _uncapped_ext_dims(E, F, t)
+        assert ext.dims == {k: v for k, v in old.items() if k[1] <= ext.charge_cap}
+    assert ext.stabilized
+
+
+def _tensor_law_object(coefficient=1):
+    big = PolyRing(QQ, ("z", "u", "v"), (1, 1, 1))
+    z, u, v = (big.var(i) for i in range(3))
+    return hypersurface_factor(big, z, z * coefficient).tensor(
+        hypersurface_factor(big, u, v))
+
+
+def _record_rrefs(monkeypatch):
+    """Wrap modq.rref; keep (stack, q, ranks) of every call."""
+    calls = []
+    real = mf.modq.rref
+
+    def recording(mats, q):
+        out = real(mats, q)
+        calls.append((mats, q, np.atleast_1d(out[1])))
+        return out
+
+    monkeypatch.setattr(mf.modq, "rref", recording)
+    return calls
+
+
+def _spy_exact_system(monkeypatch):
+    shapes = []
+    real = mf._exact_system
+
+    def spy(field, shape, entries, rhs=None):
+        shapes.append(shape)
+        return real(field, shape, entries, rhs)
+
+    monkeypatch.setattr(mf, "_exact_system", spy)
+    return shapes
+
+
+def test_certified_slab_ranks_match_rationals(monkeypatch):
+    """Every QQ slab is ranked mod EN_PRIME, one rref per shape, and its
+    certified rank equals the rational rank of the integer lift."""
+    calls = _record_rrefs(monkeypatch)
+    fallbacks = _spy_exact_system(monkeypatch)
+    E2 = _tensor_law_object()
+    mixed = PolyRing(QQ, ("a", "b"), (1, 2))
+    E3 = hypersurface_factor(mixed, mixed.var(0), mixed.var(0))
+    for E, trunc in ((E2, 6), (E3, 5)):
+        calls.clear()
+        hom_ext_truncated(E, E, trunc)
+        shapes = [mats.shape[1:] for mats, _, _ in calls]
+        assert calls and len(shapes) == len(set(shapes))
+        for mats, q, ranks in calls:
+            assert q == mf.EN_PRIME
+            for mat, r in zip(mats, ranks):
+                assert linalg.rank(QQ, _lift(mat, q)) == r
+    assert not fallbacks
+
+
+def test_failed_certificate_reranks_only_that_slab(monkeypatch):
+    E = _tensor_law_object()
+    expected = hom_ext_truncated(E, E, 6).dims
+    corrupted = []
+    real = mf.modq.kernels
+
+    def corrupting(R, pivots, q):
+        K = real(R, pivots, q)
+        nullity = (~pivots).sum(axis=1)
+        hit = [j for j in range(len(R)) if nullity[j] and pivots[j].any()]
+        if hit and not corrupted:
+            # the first kernel vector of that matrix gains a pivot column,
+            # which M does not annihilate
+            j = hit[0]
+            K[nullity[:j].sum(), np.flatnonzero(pivots[j])[0]] += 1
+            corrupted.append(R.shape[1:])
+        return K
+
+    monkeypatch.setattr(mf.modq, "kernels", corrupting)
+    fallbacks = _spy_exact_system(monkeypatch)
+    assert hom_ext_truncated(E, E, 6).dims == expected
+    assert len(corrupted) == 1 and fallbacks == corrupted
+
+
+def test_fractional_coefficients_are_scaled_to_integers(monkeypatch):
+    systems = []
+    real = mf._certified_ranks
+
+    def recording(batch):
+        systems.extend(batch)
+        return real(batch)
+
+    monkeypatch.setattr(mf, "_certified_ranks", recording)
+    E = _tensor_law_object(Fraction(1, 2))
+    ext = hom_ext_truncated(E, E, 5)
+    assert any(v.denominator != 1 for _, entries in systems for _, _, v in entries)
+    old = _uncapped_ext_dims(E, E, 5)
+    assert ext.dims == {k: v for k, v in old.items() if k[1] <= ext.charge_cap}
+    assert ext.dims
+
+
 # ---------------------------------------------------------------------------
 # folding resolutions
 
@@ -344,14 +543,7 @@ def test_determinantal_short_modular_rank_is_reranked(monkeypatch):
     expected = eagon_northcott_check(c=3, degree_cutoff=5)
     shortened = []
     _record_batch_ranks(monkeypatch, _shorten_one(shortened))
-    reranked = []
-    real = mf._exact_system
-
-    def spy(field, shape, entries, rhs=None):
-        reranked.append(shape)
-        return real(field, shape, entries, rhs)
-
-    monkeypatch.setattr(mf, "_exact_system", spy)
+    reranked = _spy_exact_system(monkeypatch)
     res = eagon_northcott_check(c=3, degree_cutoff=5)
     # exactly the one weight space whose upper bound failed, over QQ
     assert len(shortened) == 1
