@@ -249,19 +249,28 @@ def quadratic_form_matrix(model, p):
 # censuses over small fields
 
 
+# points of P^(d-1)(F_q) per batched rank call in rank_census: the stack of
+# one range stays at CENSUS_CHUNK * d^2 int64 entries whatever q^(d-1) is
+CENSUS_CHUNK = 65536
+
+
 def rank_census(model, q):
-    """Counts of each omega rank stratum over P^(d-1)(F_q), exhaustively."""
+    """Counts of each omega rank stratum over P^(d-1)(F_q), exhaustively,
+    ranked CENSUS_CHUNK points at a time."""
     if q > 11:
         raise ValueError("census fields are capped at q = 11")
     PrimeField(q)
-    pts = modq.projective_points(model.d, q)
+    total = (q ** model.d - 1) // (q - 1)
     Tq = model.tensor_mod(q)
-    mats = np.einsum("xi,iab->xab", pts, Tq) % q
-    ranks = modq.batch_rank(mats, q)
-    vals, counts = np.unique(ranks, return_counts=True)
-    out = {int(v): int(c) for v, c in zip(vals, counts)}
-    assert sum(out.values()) == (q ** model.d - 1) // (q - 1)
-    return out
+    out = {}
+    for start in range(0, total, CENSUS_CHUNK):
+        pts = modq.projective_points(model.d, q, start, start + CENSUS_CHUNK)
+        mats = np.einsum("xi,iab->xab", pts, Tq) % q
+        vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
+        for v, c in zip(vals.tolist(), counts.tolist()):
+            out[v] = out.get(v, 0) + c
+    assert sum(out.values()) == total
+    return dict(sorted(out.items()))
 
 
 def gaussian_binomial_2(n, q):

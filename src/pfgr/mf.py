@@ -10,7 +10,9 @@ degree by degree, and certifies the determinantal resolution of the rank-one
 locus of a 2 x c matrix weight space by weight space.  Both kinds of matrix
 are ranked mod a prime, one batched modq elimination per shape; the ranks
 are proved exact over Q by kernel vectors checked exactly (_certified_ranks)
-or by integer coefficients (eagon_northcott_check).
+or by integer coefficients (eagon_northcott_check).  Lifting systems over Q
+are solved mod the same prime and their solutions checked exactly
+(_lift_mod_p).
 """
 
 import random
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
@@ -47,10 +49,11 @@ def _exact_system(field, shape, entries, rhs=None):
     The matrix has the given shape and is the sum of its (row, col, value)
     entries.  Without rhs the rank is returned; with rhs, a solution as a
     list of field elements, or None when the system is inconsistent: modq
-    over a prime field, pfgr.linalg otherwise.  It solves _solve_lift's
-    systems and re-ranks what a batched modular rank could not settle (an
-    Eagon-Northcott weight space with homology mod p, a slab whose kernel
-    certificate failed); all other ranks are taken in stacks.
+    over a prime field, pfgr.linalg otherwise.  It solves what a modular
+    certificate could not settle (a lifting system over Q that _lift_mod_p
+    did not solve, an Eagon-Northcott weight space with homology mod p, a
+    slab whose kernel certificate failed), lifting systems over a prime
+    field, and no other rank: those are taken in stacks.
     """
     nrows, ncols = shape
     if rhs is None and not entries:
@@ -449,6 +452,41 @@ def random_cubic_superpotential(field, d, seed):
     return ring, W
 
 
+def _lift_mod_p(shape, entries, vec):
+    """One solution over Q of a sparse rational system, or None.
+
+    Each row is scaled to integers and the system is solved once mod
+    EN_PRIME; every entry of x is rebuilt by _rational and U x = b is then
+    checked exactly over Z on the sparse entries.  None proves nothing: the
+    system may be inconsistent mod p only, or x beyond the reconstruction
+    bound sqrt(p/2).
+    """
+    p = EN_PRIME
+    scale = [b.denominator for b in vec]
+    for r, _, v in entries:
+        scale[r] = lcm(scale[r], v.denominator)
+    ints = [(r, col, v.numerator * (scale[r] // v.denominator)) for r, col, v in entries]
+    rhs = [b.numerator * (s // b.denominator) for b, s in zip(vec, scale)]
+    mat = np.zeros(shape, dtype=np.int64)
+    for r, col, v in ints:
+        mat[r, col] += v % p
+    x = modq.solve(mat, [b % p for b in rhs], p)
+    if x is None:
+        return None
+    x = x.tolist()
+    fracs = {a: _rational(a, p) for a in set(x)}
+    if None in fracs.values():
+        return None
+    den = lcm(*(f.denominator for f in fracs.values()))
+    nums = [fracs[a].numerator * (den // fracs[a].denominator) for a in x]
+    acc = [0] * len(rhs)
+    for r, col, v in ints:
+        acc[r] += v * nums[col]
+    if any(a != b * den for a, b in zip(acc, rhs)):
+        return None
+    return [fracs[a] for a in x]
+
+
 def _solve_lift(ring, U, B, level):
     """Solve U @ X = B over the ring, column by column.
 
@@ -457,8 +495,16 @@ def _solve_lift(ring, U, B, level):
     linear system over the ground field.  For the structured differentials
     this package feeds in, the closures stay small.  Raises LiftObstruction
     when a column is inconsistent.
+
+    Over QQ each system is first solved mod EN_PRIME by _lift_mod_p, whose
+    answer is checked exactly, so it is a solution whichever route found it;
+    koszul_perturb's output is certified again by mf_verify over Q anyway.
+    Any failure there sends that one system to _exact_system over Q, the only
+    route that may report an obstruction.  Over a prime field the system
+    goes to _exact_system directly.
     """
     F = ring.field
+    divides = ring.divides
     nrows = len(B)
     nmid = len(U[0]) if U and U[0] else 0
     ncols = len(B[0]) if B else 0
@@ -489,8 +535,8 @@ def _solve_lift(ring, U, B, level):
                 rows[(i, m)] = len(rows)
                 for (t, e) in by_row.get(i, []):
                     for mu in e.coeffs:
-                        if all(a >= b for a, b in zip(m, mu)):
-                            key = (t, tuple(a - b for a, b in zip(m, mu)))
+                        if divides(mu, m):
+                            key = (t, m - mu)
                             if key not in unknowns:
                                 unknowns[key] = len(unknowns)
                                 fresh.append(key)
@@ -498,19 +544,22 @@ def _solve_lift(ring, U, B, level):
             for (t, m) in fresh:
                 for (i, e) in by_mid.get(t, []):
                     for mu in e.coeffs:
-                        key = (i, tuple(a + b for a, b in zip(m, mu)))
+                        key = (i, m + mu)
                         if key not in rows:
                             frontier.append(key)
-        entries = [(rows[(i, tuple(a + b for a, b in zip(m, mu)))], col, c)
+        entries = [(rows[(i, m + mu)], col, c)
                    for (t, m), col in unknowns.items()
                    for (i, e) in by_mid.get(t, [])
                    for mu, c in e.coeffs.items()]
         vec = [F.zero] * len(rows)
         for key, c in rhs.items():
             vec[rows[key]] = c
-        sol = _exact_system(F, (len(rows), len(unknowns)), entries, vec)
+        shape = (len(rows), len(unknowns))
+        sol = None if isinstance(F, PrimeField) else _lift_mod_p(shape, entries, vec)
         if sol is None:
-            raise LiftObstruction(level, j, min(sum(m) for (_, m) in rhs))
+            sol = _exact_system(F, shape, entries, vec)
+        if sol is None:
+            raise LiftObstruction(level, j, min(sum(ring.unpack(m)) for (_, m) in rhs))
         for (t, m), col in unknowns.items():
             c = sol[col]
             if not F.is_zero(c):
@@ -668,7 +717,7 @@ def _ext_dims(E, F, cap):
     components = [(i, j, (pf + pe) % 2, cf - ce) for i, (pf, cf) in enumerate(gens_f)
                   for j, (pe, ce) in enumerate(gens_e)]
     top = cap + 1 - min((base for *_, base in components), default=0)
-    monos = [(m, ring.monomial_charge(m)) for d in range(top + 1)
+    monos = [(ring.pack(m), ring.monomial_charge(m)) for d in range(top + 1)
              for m in ring.monomials_of_degree(d)]
     slabs = {}
     for i, j, par, base in components:
@@ -686,12 +735,12 @@ def _ext_dims(E, F, cap):
             # D(phi) = d_F o phi - (-1)^{parity(phi)} phi o d_E
             for k in range(len(gens_f)):
                 for mu, c in Fd[k][i].coeffs.items():
-                    t = tgt_index.get((k, j, tuple(map(add, m, mu))))
+                    t = tgt_index.get((k, j, m + mu))
                     if t is not None:
                         entries.append((t, col, c))
             for l in range(len(gens_e)):
                 for mu, c in Ed[j][l].coeffs.items():
-                    t = tgt_index.get((i, l, tuple(map(add, m, mu))))
+                    t = tgt_index.get((i, l, m + mu))
                     if t is not None:
                         entries.append((t, col, ring.field.neg(c) if par == 0 else c))
         systems.append(((len(tgt_index), len(slabs[par, r])), entries))
@@ -913,7 +962,8 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                 if min(mr) < 0 or min(mc) < 0:
                     continue
                 if (mr, mc) not in monomials:
-                    monomials[mr, mc] = _monomials_with_multidegree(c, mr, mc)
+                    monomials[mr, mc] = [ring.pack(exp) for exp in
+                                         _monomials_with_multidegree(c, mr, mc)]
                 basis.extend((gi, exp) for exp in monomials[mr, mc])
             bases.append(basis)
         for k in range(len(diffs)):
@@ -921,7 +971,7 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
             entries = []
             for col, (gi, exp) in enumerate(bases[k + 1]):
                 for ti, mu, cf in by_source[k][gi]:
-                    ri = tgt_index.get((ti, tuple(map(add, exp, mu))))
+                    ri = tgt_index.get((ti, exp + mu))
                     if ri is not None:
                         entries.append((ri, col, cf))
             systems.append(((len(bases[k]), len(bases[k + 1])), entries))
@@ -1095,7 +1145,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
                 mono = [0] * n
                 mono[a] += 1
                 mono[b] += 1
-                W_poly = W_poly + Poly(ring_full, {tuple(mono): B[a][b]})
+                W_poly = W_poly + Poly(ring_full, {ring_full.pack(mono): B[a][b]})
     cutters = []
     for m in ms:
         row = linalg.mat_vec(F, B, m)
@@ -1104,7 +1154,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
             if not F.is_zero(cval):
                 mono = [0] * n
                 mono[a] = 1
-                form = form + Poly(ring_full, {tuple(mono): cval})
+                form = form + Poly(ring_full, {ring_full.pack(mono): cval})
         cutters.append(form)
     full_ok = False
     if split_ok:

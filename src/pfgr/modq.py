@@ -1,9 +1,10 @@
 """Vectorized exact linear algebra mod a prime, for the enumeration-heavy loops.
 
-Entries live in int64 numpy arrays reduced into [0, q).  All elimination is
-one batched Gauss-Jordan pass, rref, which reduces a stack of N matrices one
-column at a time across the whole batch: O(columns) vectorized steps instead
-of N python-level eliminations.  batch_rank, rank_and_kernel and solve only
+Entries live in int64 numpy arrays, and every result is reduced into
+[0, q).  All elimination is one batched Gauss-Jordan pass, rref, which
+reduces a stack of N matrices one column at a time across the whole batch:
+O(columns) vectorized steps instead of N python-level eliminations, each
+running along the batch axis.  batch_rank, rank_and_kernel and solve only
 read its output.
 
 Contract: for each matrix rref returns the reduced row echelon form over F_q
@@ -12,9 +13,13 @@ pivot-column mask.  The reduced form is unique, so it equals what
 pfgr.linalg.rref gives over PrimeField(q) entry for entry, and the kernel
 bases and solutions read off it are canonical too; the tests check both.
 
-Bound on q: a row update subtracts a product of two residues from a residue,
-so (q - 1)^2 must fit in int64.  Callers that form dot products of residues
-before reducing need terms * (q - 1)^2 < 2^63 for their longest one;
+Bound on q: rref reduces lazily.  A step reduces only the pivot column and
+the pivot row, so each factor of a row update is a residue and the update
+subtracts at most (q - 1)^2 from an unreduced entry.  rref keeps a python-int
+bound on |entry|, and reduces the whole block first whenever bound +
+(q - 1)^2 would reach 2^63; no int64 operation can then wrap, as long as
+(q - 1)^2 < 2^63.  Callers that form dot products of residues before
+reducing need terms * (q - 1)^2 < 2^63 for their longest one;
 geometry.random_model refuses sampling primes that break it.
 """
 
@@ -45,38 +50,55 @@ def rref(mats, q):
     Returns (R, ranks, pivots): R the reduced forms, same shape as mats;
     ranks an (N,) int64 array; pivots an (N, n) bool mask of pivot columns.
     For a single matrix the leading N axis is dropped from all three.
+
+    The stack is eliminated as an (m, n, N) array, batch axis innermost.  A
+    matrix without a pivot in column c gets a zero pivot row, which leaves
+    it unchanged; column c is final after its step (see the module
+    docstring for the lazy reduction and its bound).
     """
-    M = np.array(mats, dtype=np.int64) % q
+    M = np.array(mats, dtype=np.int64)
     single = M.ndim == 2
     if single:
         M = M[None]
     N, m, n = M.shape
+    M = np.remainder(M.transpose(1, 2, 0), q, order="C")
     ranks = np.zeros(N, dtype=np.int64)
-    pivots = np.zeros((N, n), dtype=bool)
-    rows = np.arange(m)
+    pivots = np.zeros((n, N), dtype=bool)
+    rows = np.arange(m)[:, None]
+    step = (q - 1) ** 2
+    bound = q - 1
     for c in range(n):
         if (ranks == m).all():
             break
+        col = M[:, c] % q
+        M[:, c] = col
         # rows at or below the current rank are zero left of column c, so
         # the row operations of this step only touch columns c onwards
-        cand = (M[:, :, c] != 0) & (rows >= ranks[:, None])
-        hit = np.nonzero(cand.any(axis=1))[0]
+        cand = (col != 0) & (rows >= ranks)
+        hit = np.flatnonzero(cand.any(axis=0))
         if not len(hit):
             continue
         r = ranks[hit]
-        src = cand[hit].argmax(axis=1)
-        pivrow = M[hit, src, c:]
-        M[hit, src, c:] = M[hit, r, c:]
+        src = cand[:, hit].argmax(axis=0)
+        pivrow = M[src, c:, hit] % q
+        M[src, c:, hit] = M[r, c:, hit]
         pivrow = pivrow * _inverse(pivrow[:, :1], q) % q
-        coef = M[hit, :, c]
-        coef[np.arange(len(hit)), r] = 0
-        M[hit, :, c:] = (M[hit, :, c:] - coef[:, :, None] * pivrow[:, None, :]) % q
-        M[hit, r, c:] = pivrow
-        pivots[hit, c] = True
+        coef = M[:, c].copy()
+        coef[r, hit] = 0
+        P = np.zeros((n - c, N), dtype=np.int64)
+        P[:, hit] = pivrow.T
+        if bound + step >= 2 ** 63:
+            M[:, c + 1:] %= q
+            bound = q - 1
+        M[:, c:] -= coef[:, None] * P
+        bound += step
+        M[r, c:, hit] = pivrow
+        pivots[c, hit] = True
         ranks[hit] += 1
+    R = (M % q).transpose(2, 0, 1)
     if single:
-        return M[0], ranks[0], pivots[0]
-    return M, ranks, pivots
+        return R[0], ranks[0], pivots[:, 0]
+    return R, ranks, pivots.T
 
 
 def kernels(R, pivots, q):
@@ -113,17 +135,25 @@ def solve(mat, vec, q):
     return x
 
 
-def projective_points(d, q):
-    """All points of P^(d-1)(F_q) as an (N, d) array, first nonzero entry 1."""
-    blocks = []
+def projective_points(d, q, start=0, stop=None):
+    """Points start..stop-1 of P^(d-1)(F_q) as an (N, d) array, first nonzero
+    entry 1; all of them by default.  The order is fixed: by the position of
+    the leading 1, then the tail read as a base-q number."""
+    total = (q ** d - 1) // (q - 1)
+    stop = total if stop is None else min(stop, total)
+    blocks = [np.zeros((0, d), dtype=np.int64)]
+    offset = 0
     for lead in range(d):
         tail = d - lead - 1
         count = q ** tail
-        block = np.zeros((count, d), dtype=np.int64)
+        lo, hi = max(start - offset, 0), min(stop - offset, count)
+        offset += count
+        if lo >= hi:
+            continue
+        block = np.zeros((hi - lo, d), dtype=np.int64)
         block[:, lead] = 1
-        if tail:
-            idx = np.arange(count)
-            for t in range(tail):
-                block[:, lead + 1 + t] = (idx // q ** (tail - 1 - t)) % q
+        idx = np.arange(lo, hi)
+        for t in range(tail):
+            block[:, lead + 1 + t] = (idx // q ** (tail - 1 - t)) % q
         blocks.append(block)
     return np.concatenate(blocks)

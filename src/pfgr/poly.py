@@ -1,12 +1,28 @@
 """Sparse multivariate polynomials over an exact field, with torus charges.
 
 A ring fixes the variable names and an integer charge per variable; a
-polynomial is a {exponent tuple: coefficient} dict.  Charges implement the
+polynomial is a {monomial key: coefficient} dict.  Charges implement the
 auxiliary grading under which superpotentials are homogeneous of charge 2;
 total degree is the ordinary one.  Everything is exact.
+
+Monomial keys are packed exponent vectors (Monagan and Pearce, CASC 2007):
+variable i owns the 16-bit field at bit 16 i of one int, exponents stay below
+2^15, and the top bit of each field is a guard.  PolyRing owns the format
+(pack, unpack, guard, divides).  Two exponents below 2^15 sum below 2^16, so
+the sum of two keys never carries between fields: it encodes the exponent
+sum injectively, and is a valid key exactly when no guard bit is set.
+Products test that with one AND and raise OverflowError, never yielding a
+wrong monomial.  The key sums in pfgr.mf (the Hom slabs of _ext_dims, the
+Eagon-Northcott weight bases, the _solve_lift closure) add two valid keys
+and only look the sum up among valid keys or use it as a row label, so no
+sum there can alias another monomial.  Printing unpacks and sorts terms by
+exponent tuple, so it does not depend on the packing.
 """
 
 from itertools import combinations_with_replacement
+
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 
 
 class PolyRing:
@@ -21,27 +37,50 @@ class PolyRing:
         if any(c < 0 for c in self.charges):
             raise ValueError("variable charges must be non-negative")
         self.nvars = len(self.names)
+        self.shifts = tuple(FIELD_BITS * i for i in range(self.nvars))
+        self.guard = sum(EXPONENT_LIMIT << s for s in self.shifts)
+
+    def pack(self, exp):
+        """The key of an exponent tuple; OverflowError from 2^15 on."""
+        if len(exp) != self.nvars:
+            raise ValueError("one exponent per variable")
+        key = 0
+        for e, s in zip(exp, self.shifts):
+            if not 0 <= e < EXPONENT_LIMIT:
+                raise OverflowError(f"exponent {e} outside [0, 2^15)")
+            key |= e << s
+        return key
+
+    def unpack(self, key):
+        """The exponent tuple of a key."""
+        mask = (1 << FIELD_BITS) - 1
+        return tuple((key >> s) & mask for s in self.shifts)
+
+    def divides(self, mu, m):
+        """Whether monomial mu divides m.  If some exponent of mu exceeds that
+        of m, the lowest such field of m - mu borrows and sets its guard bit;
+        otherwise no field borrows and m - mu is the key of m / mu."""
+        return not (m - mu) & self.guard
 
     def zero(self):
         return Poly(self, {})
 
     def one(self):
-        return Poly(self, {(0,) * self.nvars: self.field.one})
+        return Poly(self, {0: self.field.one})
 
     def constant(self, c):
         c = self.field.of_int(c) if isinstance(c, int) else c
         if self.field.is_zero(c):
             return self.zero()
-        return Poly(self, {(0,) * self.nvars: c})
+        return Poly(self, {0: c})
 
     def var(self, i):
         if isinstance(i, str):
             i = self.names.index(i)
-        exp = [0] * self.nvars
-        exp[i] = 1
-        return Poly(self, {tuple(exp): self.field.one})
+        return Poly(self, {1 << self.shifts[i]: self.field.one})
 
     def monomial_charge(self, exp):
+        """The charge of an exponent tuple."""
         return sum(e * c for e, c in zip(exp, self.charges))
 
     def monomials_of_degree(self, deg):
@@ -62,6 +101,10 @@ class PolyRing:
         return f"PolyRing({self.field}, {','.join(self.names)})"
 
 
+def _nonzero(F, coeffs):
+    return {m: c for m, c in coeffs.items() if not F.is_zero(c)}
+
+
 class Poly:
     __slots__ = ("ring", "coeffs")
 
@@ -78,9 +121,10 @@ class Poly:
     def __add__(self, other):
         other = self._coerce(other)
         F = self.ring.field
+        zero = F.zero
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            v = F.add(out.get(m, F.zero), c)
+            v = F.add(out.get(m, zero), c)
             if F.is_zero(v):
                 out.pop(m, None)
             else:
@@ -101,16 +145,15 @@ class Poly:
             if F.is_zero(scalar):
                 return self.ring.zero()
             return Poly(self.ring, {m: F.mul(c, scalar) for m, c in self.coeffs.items()})
+        guard, zero, add, mul = self.ring.guard, F.zero, F.add, F.mul
         out = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                v = F.add(out.get(key, F.zero), F.mul(c1, c2))
-                if F.is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return Poly(self.ring, out)
+                key = m1 + m2
+                if key & guard:
+                    raise OverflowError("a product exponent reaches 2^15")
+                out[key] = add(out.get(key, zero), mul(c1, c2))
+        return Poly(self.ring, _nonzero(F, out))
 
     __rmul__ = __mul__
 
@@ -128,11 +171,12 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
-        return max(sum(m) for m in self.coeffs)
+        return max(sum(self.ring.unpack(m)) for m in self.coeffs)
 
     def homogeneous_charge(self):
         """The common charge of all monomials; None if mixed, 0 for zero."""
-        charges = {self.ring.monomial_charge(m) for m in self.coeffs}
+        ring = self.ring
+        charges = {ring.monomial_charge(ring.unpack(m)) for m in self.coeffs}
         if len(charges) > 1:
             return None
         return charges.pop() if charges else 0
@@ -142,7 +186,7 @@ class Poly:
             return "0"
         names = self.ring.names
         parts = []
-        for m, c in sorted(self.coeffs.items()):
+        for m, c in sorted((self.ring.unpack(m), c) for m, c in self.coeffs.items()):
             factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                        for i, e in enumerate(m) if e]
             body = "*".join(factors) if factors else "1"
@@ -151,27 +195,31 @@ class Poly:
 
 
 def poly_mat_mul(a, b):
-    """Product of matrices of polynomials (lists of lists)."""
+    """Product of matrices of polynomials (lists of lists).
+
+    The nonzero entries of each row of b are read once; each output entry
+    accumulates in one dict, whose zero terms are dropped at the end.
+    """
     if not a or not b:
         return []
-    ring = None
+    ring = next(e.ring for row in a for e in row)
+    F = ring.field
+    guard, zero, add, mul = ring.guard, F.zero, F.add, F.mul
+    m = len(b[0])
+    b_rows = [[(j, e.coeffs.items()) for j, e in enumerate(row) if e.coeffs] for row in b]
+    out = []
     for row in a:
-        for e in row:
-            ring = e.ring
-            break
-        if ring:
-            break
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ring.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            e = a[i][t]
-            if e.is_zero():
-                continue
-            for j in range(m):
-                if b[t][j].is_zero():
-                    continue
-                out[i][j] = out[i][j] + e * b[t][j]
+        acc = [{} for _ in range(m)]
+        for e, b_row in zip(row, b_rows):
+            for m1, c1 in e.coeffs.items():
+                for j, terms in b_row:
+                    d = acc[j]
+                    for m2, c2 in terms:
+                        key = m1 + m2
+                        if key & guard:
+                            raise OverflowError("a product exponent reaches 2^15")
+                        d[key] = add(d.get(key, zero), mul(c1, c2))
+        out.append([Poly(ring, _nonzero(F, d)) for d in acc])
     return out
 
 

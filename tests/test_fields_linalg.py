@@ -2,7 +2,7 @@ from math import comb, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfgr import linalg, modq
 from pfgr.fields import QQ, PrimeField, field_from_spec, is_prime
@@ -64,21 +64,35 @@ def _largest_sampling_prime(d=7):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.sampled_from([2, 1000003, _largest_sampling_prime()]),
                  st.integers(2, 3000).map(_next_prime)),
-       st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
-       st.integers(0, 6), st.sampled_from([0.0, 0.5, 0.9]),
-       st.integers(0, 2 ** 32 - 1))
-def test_batch_rank_agrees_with_generic_path(q, shape, rank_cap, zero_share, seed):
+       st.tuples(st.integers(1, 5), st.integers(1, 32), st.integers(1, 32)),
+       st.integers(0, 32), st.sampled_from([0.0, 0.5, 0.9]),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+@example(_largest_sampling_prime(), (2, 24, 32), 32, 0.0, 0, True)
+def test_batch_rank_agrees_with_generic_path(q, shape, rank_cap, zero_share, seed,
+                                             triangular):
     """modq.rref and its views equal pfgr.linalg over PrimeField(q) exactly.
 
     Stacks are products of (m x k) and (k x n) factors with k = min(rank_cap,
     m, n), so rank_cap below min(m, n) makes them deliberately
-    rank-deficient; zero_share blanks entries on top of that.
+    rank-deficient; zero_share blanks entries on top of that.  The factors
+    are random, or (triangular) the identity times the unitriangular matrix
+    with q - 1 above the diagonal: eliminating that one subtracts about
+    (q - 1)^2 from each free entry of the top row at every pivot, so at the
+    largest prime rref's lazy reduction must reduce the block after about 21
+    pivots (the explicit example) or int64 wraps.
     The reduced form is canonical, so no comparison is up to equivalence.
     """
     N, m, n = shape
     k = min(rank_cap, m, n)
     rng = np.random.default_rng(seed)
-    mats = (rng.integers(0, q, (N, m, k)) @ rng.integers(0, q, (N, k, n))) % q
+    if triangular:
+        upper = np.triu(np.full((k, n), q - 1), 1) + np.eye(k, n, dtype=np.int64)
+        left = np.broadcast_to(np.eye(m, k, dtype=np.int64), (N, m, k))
+        right = np.broadcast_to(upper, (N, k, n))
+    else:
+        left, right = rng.integers(0, q, (N, m, k)), rng.integers(0, q, (N, k, n))
+    # exact products in python ints: k (q - 1)^2 can pass 2^63
+    mats = (left.astype(object) @ right.astype(object) % q).astype(np.int64)
     mats[rng.random(mats.shape) < zero_share] = 0
     F = PrimeField(q)
     R, ranks, pivots = modq.rref(mats, q)
@@ -131,3 +145,7 @@ def test_projective_points_count_and_normalization():
         nz = [c for c in p if c]
         assert nz[0] == 1
     assert len({tuple(p) for p in pts}) == len(pts)
+    # index ranges tile the same list; a range may run past the end
+    parts = [modq.projective_points(3, 5, s, s + 7) for s in range(0, len(pts), 7)]
+    assert (np.concatenate(parts) == pts).all()
+    assert (modq.projective_points(3, 5, 20, 99) == pts[20:]).all()

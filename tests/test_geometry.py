@@ -123,6 +123,27 @@ def test_rank_census_small_fields(model):
         assert sum(c for r, c in census.items() if r <= 2) == 0
 
 
+@pytest.mark.parametrize("q", [5, 11])
+def test_rank_census_walks_points_in_chunks(monkeypatch, model5, q):
+    """The census ranks at most CENSUS_CHUNK points per call, and the summed
+    strata equal one unchunked pass over every point."""
+    pts = modq.projective_points(5, q)
+    mats = np.einsum("xi,iab->xab", pts, model5.tensor_mod(q)) % q
+    vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
+    whole = dict(zip(vals.tolist(), counts.tolist()))
+    sizes = []
+    real = modq.batch_rank
+
+    def recording(stack, prime):
+        sizes.append(len(stack))
+        return real(stack, prime)
+
+    monkeypatch.setattr(geometry, "CENSUS_CHUNK", 1000)
+    monkeypatch.setattr(modq, "batch_rank", recording)
+    assert rank_census(model5, q) == whole
+    assert max(sizes) <= 1000 and sum(sizes) == len(pts)
+
+
 def test_pfaffian_rank_consistency_exhaustive(model):
     """rank <= 4 iff every principal sub-Pfaffian vanishes, whole point set."""
     for q in (2, 3, 5):

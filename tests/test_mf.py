@@ -227,10 +227,10 @@ def _uncapped_ext_dims(E, F, trunc):
         for col, (i, j, m) in enumerate(src):
             for k in range(len(gens_f)):
                 for mu, c in Fd[k][i].coeffs.items():
-                    put((k, j, tuple(a + b for a, b in zip(m, mu))), col, c)
+                    put((k, j, tuple(a + b for a, b in zip(m, ring.unpack(mu)))), col, c)
             for l in range(len(gens_e)):
                 for mu, c in Ed[j][l].coeffs.items():
-                    put((i, l, tuple(a + b for a, b in zip(m, mu))), col,
+                    put((i, l, tuple(a + b for a, b in zip(m, ring.unpack(mu)))), col,
                         field.neg(c) if par == 0 else c)
         ranks[par, r] = linalg.rank(field, mat)
     dims = {}
@@ -260,7 +260,7 @@ def hom_problems(draw):
     def form(charge):
         picks = draw(st.lists(st.sampled_from(monos(charge)), min_size=1,
                               max_size=3, unique=True))
-        return Poly(ring, {m: draw(st.sampled_from(scalars)) for m in picks})
+        return Poly(ring, {ring.pack(m): draw(st.sampled_from(scalars)) for m in picks})
 
     splits = [a for a in range(3) if monos(a) and monos(2 - a)]
 
@@ -433,7 +433,7 @@ def test_perturb_koszul_stabilization_chart():
             mono = [0] * (2 * d)
             mono[d + a] += 1
             mono[d + b] += 1
-            quad = quad + Poly(ring, {tuple(mono): QQ.of_int(rng.randint(1, 5))})
+            quad = quad + Poly(ring, {ring.pack(mono): QQ.of_int(rng.randint(1, 5))})
         W = W + quad * ring.var(i)
     E = koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
     assert E.rank == 2 ** d
@@ -441,14 +441,70 @@ def test_perturb_koszul_stabilization_chart():
     assert res.ok and res.parity_consistent
 
 
-def test_perturb_obstruction_reported():
+def test_perturb_obstruction_reported(monkeypatch):
     # W does not annihilate the resolved cokernel: the lift must fail
     ring = plane_ring((2, 0))
     x1, x2 = ring.var(0), ring.var(1)
     C = koszul_complex(ring, [x2])
+    answers = []
+    real = mf._exact_system
+
+    def spy(field, shape, entries, rhs=None):
+        answers.append(real(field, shape, entries, rhs))
+        return answers[-1]
+
+    monkeypatch.setattr(mf, "_exact_system", spy)
     with pytest.raises(LiftObstruction) as err:
         koszul_perturb(C, x1 * x1)
     assert err.value.degree >= 0
+    # the obstruction is the exact solver's verdict over Q, not the mod-p one
+    assert answers and answers[-1] is None
+
+
+def _perturb_cubic(d, seed=1):
+    ring, W = mf.random_cubic_superpotential(QQ, d, seed)
+    return koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
+
+
+def _differentials(E):
+    return E.even_charges, E.odd_charges, E.d0, E.d1
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_modular_lifts_equal_rational_lifts(monkeypatch, d):
+    """Lifts found mod p and checked over Q give the differentials the
+    rational solver gives; at d = 7 no system needs the rational solver."""
+    fallbacks = _spy_exact_system(monkeypatch)
+    fast = _perturb_cubic(d)
+    if d == 7:
+        assert not fallbacks
+    monkeypatch.setattr(mf, "_lift_mod_p", lambda shape, entries, vec: None)
+    rational = _perturb_cubic(d)
+    assert fallbacks
+    assert _differentials(fast) == _differentials(rational)
+    assert mf_verify(fast).ok
+
+
+def test_failed_modular_lift_solves_only_that_system(monkeypatch):
+    expected = _differentials(_perturb_cubic(5))
+    solves = []
+    real_solve = mf.modq.solve
+
+    def corrupting(mat, vec, q):
+        # the 3rd system solves to a wrong x, which the exact check rejects;
+        # the 5th rebuilds no rational, as if beyond the reconstruction bound
+        x = real_solve(mat, vec, q)
+        solves.append(np.shape(mat))
+        if len(solves) == 3:
+            x = (x + 1) % q
+        if len(solves) == 5:
+            x[0] = next(a for a in range(q) if mf._rational(a, q) is None)
+        return x
+
+    monkeypatch.setattr(mf.modq, "solve", corrupting)
+    fallbacks = _spy_exact_system(monkeypatch)
+    assert _differentials(_perturb_cubic(5)) == expected
+    assert fallbacks == [solves[2], solves[4]]
 
 
 def test_graded_complex_shape_validation():
