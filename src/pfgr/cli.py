@@ -60,6 +60,10 @@ class SuiteConfig:
             raise ValueError(f"unknown suites: {sorted(bad)}")
         if (self.l_bound, self.m_bound) != (0, 0) and min(self.l_bound, self.m_bound) < 1:
             raise ValueError("rectangle bounds must be both 0 (the default) or both positive")
+        draws = self.samples * self.sampling_q()
+        if "geometry" in self.suites and draws > geometry.SAMPLER_MAX_TRIES:
+            raise ValueError(f"samples * q = {draws} exceeds the sampler budget of "
+                             f"{geometry.SAMPLER_MAX_TRIES} draws (about q draws per point)")
 
     def rectangle(self):
         if self.l_bound and self.m_bound:
@@ -68,6 +72,11 @@ class SuiteConfig:
 
     def make_field(self):
         return QQ if self.field == "QQ" else PrimeField(self.q)
+
+    def sampling_q(self):
+        """The prime the geometry checks sample over: q itself for F_q with
+        q >= 101, else 101."""
+        return self.q if self.field == "Fq" and self.q >= 101 else 101
 
 
 @dataclass
@@ -136,7 +145,7 @@ def run_window_suite(config, report):
 def _sampling_model(config, model):
     """The prime q the geometry checks sample over, and the model over F_q,
     where pointwise verdicts at sampled points must be taken."""
-    q = config.q if config.field == "Fq" and config.q >= 101 else 101
+    q = config.sampling_q()
     return q, replace(model, field=PrimeField(q))
 
 
@@ -204,11 +213,8 @@ def run_geometry_suite(config, report, model):
 
     def normal():
         pts = geometry.sample_y2_points(model, q, config.samples, seed=config.seed + 7)
-        bad = []
-        for p in pts:
-            res = geometry.normal_map_check(model, p, q=q)
-            if not res.passed:
-                bad.append({"p": p, "rank": res.rank})
+        results = geometry.normal_map_check(model, pts, q=q) if pts else []
+        bad = [{"p": p, "rank": res.rank} for p, res in zip(pts, results) if not res.passed]
         return (len(pts) == config.samples and not bad), {
             "checked": len(pts), "failures": bad[:3]}
 

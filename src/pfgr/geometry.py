@@ -12,9 +12,11 @@ Everything here is computed over Q or a prime field, with no floating point:
 rank strata by exhaustive census over small fields, smoothness by exact
 Jacobian ranks at sampled points, the critical-locus equivalence for the
 cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
-against the kernel 2-forms.  Hot loops (censuses, point sampling, bulk rank
-checks) run through the vectorized mod-q routines in pfgr.modq; pointwise
-results are exact field computations via pfgr.linalg.
+against the kernel 2-forms.  Censuses, point sampling and the per-point
+certificates (smoothness Jacobians, the normal map) run through the
+vectorized mod-q routines in pfgr.modq, each over a whole (N, ...) stack of
+points at once; the model's membership tests, kernels and isotropic
+extensions at single points are exact field computations via pfgr.linalg.
 
 Both samplers cost about q draws per point over F_q.  Y2 is sampled by
 kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
@@ -23,7 +25,8 @@ through the incidence {(p, U) : U meets ker(omega_p)} between the two
 varieties, the correspondence behind the equivalence: for a sampled p, a
 random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v)) about once
 in q draws (sample_y1_points holds the soundness argument).  Sampling is
-deterministic given a seed, with at most 4096 draws per batched elimination.
+deterministic given a seed, with at most 4096 draws per batched elimination
+and SAMPLER_MAX_TRIES draws per call, so q is refused beyond that budget.
 """
 
 import json
@@ -326,7 +329,13 @@ def _rng_ints(rng, q, shape):
     return rng.integers(0, q, size=shape, dtype=np.int64)
 
 
-def sample_y2_points(model, q, count, seed=0, max_tries=4_000_000):
+# draws one sampler call may make.  A Y2 point costs about q draws, so count
+# points need count * q <= SAMPLER_MAX_TRIES; random_model and the CLI refuse
+# a sampling prime that breaks this before any sampling starts
+SAMPLER_MAX_TRIES = 4_000_000
+
+
+def sample_y2_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
     """Points p with rank(omega_p) = d - 3 over F_q, by kernel search.
 
     A random vector k determines the linear system {p : k in ker(omega_p)};
@@ -397,7 +406,7 @@ def _incidence_pairs(model, q, count, seed, max_tries):
     return [(ps[i], planes[i]) for i in sorted(planes)]
 
 
-def sample_y1_points(model, q, count, seed=0, max_tries=4_000_000):
+def sample_y1_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
     """Full-rank 2 x d matrices x over F_q with A(wedge of x) = 0.
 
     Samples through the incidence {(p, U) : U meets K_p = ker(omega_p)}
@@ -449,38 +458,76 @@ def principal_pfaffians_batch(model, omegas, q):
     return out
 
 
+@lru_cache(maxsize=None)
+def _jacobian_terms(d):
+    """Index arrays over the terms of the sub-Pfaffian Jacobian, grouped by row.
+
+    Pf_i, the Pfaffian of omega with row and column i deleted, is a sum over
+    perfect matchings of the other d - 1 indices of a sign times one entry
+    omega[a, b] per pair.  Its derivative along p_j is, for each matching and
+    each position t in it, the sign times the other entries times
+    T[j, a_t, b_t].  Returns (signs, others, target), each with a leading
+    (d, terms per row) shape: signs the matching signs, others the flat
+    indices a * d + b of the other pairs, target that of the pair (a_t, b_t).
+    """
+    signs, others, target = [], [], []
+    for i in range(d):
+        for matching, sign in perfect_matchings(tuple(a for a in range(d) if a != i)):
+            flat = [a * d + b for a, b in matching]
+            for t in range(len(flat)):
+                signs.append(sign)
+                others.append(flat[:t] + flat[t + 1:])
+                target.append(flat[t])
+    shape = (d, len(signs) // d)
+    arrays = (np.array(signs).reshape(shape), np.array(others).reshape(shape + (-1,)),
+              np.array(target).reshape(shape))
+    for a in arrays:
+        a.flags.writeable = False  # cached and shared by every caller
+    return arrays
+
+
 def pfaffian_jacobian_mod(model, p, q):
-    """Jacobian of the d principal sub-Pfaffians at p, over F_q."""
+    """Jacobians of the d principal sub-Pfaffians over F_q, at one point p
+    (a (d, d) matrix J[i, j] = dPf_i/dp_j) or at an (N, d) stack of points
+    (an (N, d, d) stack).
+
+    Each term of _jacobian_terms is a sign times a product of omega entries,
+    reduced after every factor, so it is a residue; it is then multiplied by
+    a residue of T.  Each row sums its terms C(d, 2) at a time and reduces
+    after every chunk, so no int64 sum exceeds C(d, 2) (q - 1)^2, which
+    random_model keeps below 2^63 for every sampling prime it accepts.
+    """
     d = model.d
     Tq = model.tensor_mod(q)
-    M = np.einsum("i,iab->ab", np.asarray(p, dtype=np.int64) % q, Tq) % q
-    J = np.zeros((d, d), dtype=np.int64)
-    for i in range(d):
-        idx = tuple(a for a in range(d) if a != i)
-        for matching, sign in perfect_matchings(idx):
-            vals = [int(M[a, b]) for a, b in matching]
-            for t, (a, b) in enumerate(matching):
-                others = sign
-                for s, val in enumerate(vals):
-                    if s != t:
-                        others = (others * val) % q
-                J[i] = (J[i] + others * Tq[:, a, b]) % q
-    return J
+    pts = np.asarray(p, dtype=np.int64) % q
+    single = pts.ndim == 1
+    omegas = np.einsum("xi,iab->xab", pts.reshape(-1, d), Tq).reshape(-1, d * d) % q
+    signs, others, target = _jacobian_terms(d)
+    prod = signs % q
+    for s in range(others.shape[-1]):
+        prod = prod * omegas[:, others[..., s]] % q
+    Tt = Tq.reshape(d, d * d)[:, target]
+    J = np.zeros((len(omegas), d, d), dtype=np.int64)
+    chunk = comb(d, 2)
+    for start in range(0, target.shape[1], chunk):
+        part = slice(start, start + chunk)
+        J += np.einsum("xit,jit->xij", prod[..., part], Tt[..., part]) % q
+        J %= q
+    return J[0] if single else J
 
 
 def y1_jacobian_mod(model, x, q):
-    """Differential of the d equations A(wedge) at x, on all of Hom(S, V)."""
-    d = model.d
-    Aq = np.array(model.A, dtype=np.int64) % q
-    u, v = (np.asarray(row, dtype=np.int64) % q for row in x)
-    D = np.zeros((d, 2 * d), dtype=np.int64)
-    for c, (a, b) in enumerate(model.pairs):
-        col = Aq[:, c]
-        D[:, a] = (D[:, a] + col * v[b]) % q
-        D[:, b] = (D[:, b] - col * v[a]) % q
-        D[:, d + b] = (D[:, d + b] + col * u[a]) % q
-        D[:, d + a] = (D[:, d + a] - col * u[b]) % q
-    return D
+    """Differentials of the d equations A(wedge) on all of Hom(S, V), at one
+    2 x d point x (a (d, 2d) matrix) or at an (N, 2, d) stack (an (N, d, 2d)
+    stack).  Column a is the derivative along u_a, column d + b along v_b:
+    sum_b T[i, a, b] v_b and sum_a T[i, a, b] u_a."""
+    Tq = model.tensor_mod(q)
+    xs = np.asarray(x, dtype=np.int64) % q
+    single = xs.ndim == 2
+    xs = xs.reshape(-1, 2, model.d)
+    D = np.concatenate([np.einsum("iab,xb->xia", Tq, xs[:, 1]),
+                        np.einsum("iab,xa->xib", Tq, xs[:, 0])], axis=2) % q
+    return D[0] if single else D
 
 
 @dataclass
@@ -511,12 +558,12 @@ def smoothness_sample(model, variety, n_samples=100, q=101, seed=0):
     if variety == "Y2":
         pts = sample_y2_points(model, q, n_samples, seed=seed)
         expected = 3
-        jacobians = [pfaffian_jacobian_mod(model, p, q) for p in pts]
+        jacobian = pfaffian_jacobian_mod
     else:
         pts = sample_y1_points(model, q, n_samples, seed=seed)
         expected = model.d
-        jacobians = [y1_jacobian_mod(model, x, q) for x in pts]
-    ranks = modq.batch_rank(np.array(jacobians), q).tolist() if pts else []
+        jacobian = y1_jacobian_mod
+    ranks = modq.batch_rank(jacobian(model, pts, q), q).tolist() if pts else []
     witnesses = [{"point": pt, "rank": r} for pt, r in zip(pts, ranks) if r != expected]
     found = len(ranks)
     passed = found == n_samples and not witnesses
@@ -677,34 +724,42 @@ class NormalMapResult:
 
 
 def normal_map_check(model, p, q=101):
-    """Rank of the pairing between normal directions and kernel 2-forms.
+    """Rank of the pairing between normal directions and kernel 2-forms, at
+    one point p (one NormalMapResult) or at an (N, d) stack of points (a
+    list of N results).
 
     The Jacobian J of the principal sub-Pfaffians cuts out the tangent space
     at p; each direction vector e_i restricts to the 2-form omega_{e_i} on
     the 3-dimensional kernel K_p, giving a map into the 3-dimensional space
     of 2-forms on K_p.  The check certifies that this map has rank 3 and
     kills exactly the tangent directions, which together make the induced
-    map on the normal space an isomorphism.
+    map on the normal space an isomorphism.  The whole stack takes one rref
+    for the kernels and three batch_rank calls; a point whose omega rank is
+    not d - 3 raises ValueError.
     """
+    d = model.d
     Tq = model.tensor_mod(q)
-    pv = np.asarray(p, dtype=np.int64) % q
-    M = np.einsum("i,iab->ab", pv, Tq) % q
-    r, K = modq.rank_and_kernel(M, q)
-    if r != model.degenerate_rank:
-        raise ValueError(f"omega rank {r} at p, expected {model.degenerate_rank}")
-    assert K.shape[0] == 3
-    pairsK = [(0, 1), (0, 2), (1, 2)]
+    pts = np.asarray(p, dtype=np.int64) % q
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, d)
+    R, ranks, pivots = modq.rref(np.einsum("xi,iab->xab", pts, Tq) % q, q)
+    off = np.flatnonzero(ranks != model.degenerate_rank)
+    if len(off):
+        raise ValueError(f"omega rank {ranks[off[0]]} at p = {pts[off[0]].tolist()}, "
+                         f"expected {model.degenerate_rank}")
+    K = modq.kernels(R, pivots, q).reshape(-1, 3, d)
     # reduce after each contraction: entries of K and Tq are residues, so an
     # unreduced double contraction could reach d^2 (q - 1)^3 and wrap int64
-    TK = np.einsum("iab,tb->ita", Tq, K) % q
-    G = np.einsum("sa,ita->ist", K, TK) % q
-    M3 = np.stack([G[:, s, t] for s, t in pairsK], axis=1)
-    J = pfaffian_jacobian_mod(model, p, q)
-    rank_m = int(modq.batch_rank(M3.T[None] % q, q)[0])
-    rank_j = int(modq.batch_rank(J[None], q)[0])
-    stacked = np.concatenate([J, M3.T % q])
-    match = int(modq.batch_rank(stacked[None], q)[0]) == rank_j == rank_m
-    return NormalMapResult(rank_m, rank_j, match)
+    TK = np.einsum("iab,xtb->xita", Tq, K) % q
+    G = np.einsum("xsa,xita->xist", K, TK) % q
+    M3 = np.stack([G[:, :, s, t] for s, t in [(0, 1), (0, 2), (1, 2)]], axis=1)
+    J = pfaffian_jacobian_mod(model, pts, q)
+    rank_m = modq.batch_rank(M3, q).tolist()
+    rank_j = modq.batch_rank(J, q).tolist()
+    rank_both = modq.batch_rank(np.concatenate([J, M3], axis=1), q).tolist()
+    out = [NormalMapResult(rm, rj, rb == rj == rm)
+           for rm, rj, rb in zip(rank_m, rank_j, rank_both)]
+    return out[0] if single else out
 
 
 def underlying_scheme_probe(model, p, max_degree=6):
@@ -796,7 +851,8 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
     census field, and Jacobian ranks correct at sampled points of both
     varieties.  Raises ModelCertificateError when retries run out or at once
     when a sampler runs out of tries (a new A would not help), and ValueError
-    for a sampling prime too large for exact int64 arithmetic.
+    for a sampling prime too large for exact int64 arithmetic or for the
+    sampler budget (cert_samples * q > SAMPLER_MAX_TRIES), before sampling.
     """
     if field is None:
         field = PrimeField(q)
@@ -810,6 +866,10 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
     if comb(d, 2) * (sample_q - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"q = {sample_q} is too large for exact int64 arithmetic "
                          f"at d = {d}: need C(d, 2) * (q - 1)^2 < 2^63")
+    if cert_samples * sample_q > SAMPLER_MAX_TRIES:
+        raise ValueError(f"q = {sample_q} is too large to sample {cert_samples} points "
+                         f"within {SAMPLER_MAX_TRIES} draws: need samples * q "
+                         f"<= {SAMPLER_MAX_TRIES}")
     rng = random.Random(seed)
     last = ""
     for attempt in range(max_retries):
@@ -994,5 +1054,5 @@ def find_extension_failure(model, q=101, seed=0):
     For d >= 7 it needs two, and reports 'kernel_meets_image'.  Returns
     (p, x) or None.
     """
-    pairs = _incidence_pairs(model, q, 1, seed, 4_000_000)
+    pairs = _incidence_pairs(model, q, 1, seed, SAMPLER_MAX_TRIES)
     return pairs[0] if pairs else None

@@ -11,8 +11,8 @@ locus of a 2 x c matrix weight space by weight space.  Both kinds of matrix
 are ranked mod a prime, one batched modq elimination per shape; the ranks
 are proved exact over Q by kernel vectors checked exactly (_certified_ranks)
 or by integer coefficients (eagon_northcott_check).  Lifting systems over Q
-are solved mod the same prime and their solutions checked exactly
-(_lift_mod_p).
+are solved mod the same prime, one stacked modq.solve per shape, and their
+solutions checked exactly (_lifts_mod_p).
 """
 
 import random
@@ -50,7 +50,7 @@ def _exact_system(field, shape, entries, rhs=None):
     entries.  Without rhs the rank is returned; with rhs, a solution as a
     list of field elements, or None when the system is inconsistent: modq
     over a prime field, pfgr.linalg otherwise.  It solves what a modular
-    certificate could not settle (a lifting system over Q that _lift_mod_p
+    certificate could not settle (a lifting system over Q that _lifts_mod_p
     did not solve, an Eagon-Northcott weight space with homology mod p, a
     slab whose kernel certificate failed), lifting systems over a prime
     field, and no other rank: those are taken in stacks.
@@ -452,39 +452,45 @@ def random_cubic_superpotential(field, d, seed):
     return ring, W
 
 
-def _lift_mod_p(shape, entries, vec):
-    """One solution over Q of a sparse rational system, or None.
+def _lifts_mod_p(systems):
+    """Solutions over Q of sparse rational systems (shape, entries, vec), each
+    one a list of Fractions or None.
 
-    Each row is scaled to integers and the system is solved once mod
-    EN_PRIME; every entry of x is rebuilt by _rational and U x = b is then
-    checked exactly over Z on the sparse entries.  None proves nothing: the
+    Each row is scaled to integers, and the augmented systems [U | b] are
+    solved mod EN_PRIME, one modq.solve per distinct shape.  Every entry of
+    each x is rebuilt by _rational, and U x = b is then checked exactly over
+    Z on the sparse entries, system by system.  None proves nothing: the
     system may be inconsistent mod p only, or x beyond the reconstruction
     bound sqrt(p/2).
     """
     p = EN_PRIME
-    scale = [b.denominator for b in vec]
-    for r, _, v in entries:
-        scale[r] = lcm(scale[r], v.denominator)
-    ints = [(r, col, v.numerator * (scale[r] // v.denominator)) for r, col, v in entries]
-    rhs = [b.numerator * (s // b.denominator) for b, s in zip(vec, scale)]
-    mat = np.zeros(shape, dtype=np.int64)
-    for r, col, v in ints:
-        mat[r, col] += v % p
-    x = modq.solve(mat, [b % p for b in rhs], p)
-    if x is None:
-        return None
-    x = x.tolist()
-    fracs = {a: _rational(a, p) for a in set(x)}
-    if None in fracs.values():
-        return None
-    den = lcm(*(f.denominator for f in fracs.values()))
-    nums = [fracs[a].numerator * (den // fracs[a].denominator) for a in x]
-    acc = [0] * len(rhs)
-    for r, col, v in ints:
-        acc[r] += v * nums[col]
-    if any(a != b * den for a, b in zip(acc, rhs)):
-        return None
-    return [fracs[a] for a in x]
+    scaled = []
+    for (m, n), entries, vec in systems:
+        scale = [b.denominator for b in vec]
+        for r, _, v in entries:
+            scale[r] = lcm(scale[r], v.denominator)
+        ints = [(r, col, v.numerator * (scale[r] // v.denominator)) for r, col, v in entries]
+        rhs = [b.numerator * (s // b.denominator) for b, s in zip(vec, scale)]
+        scaled.append(((m, n + 1), ints + [(r, n, b) for r, b in enumerate(rhs) if b]))
+    out = [None] * len(systems)
+    for idx, aug in _stacks(scaled, p).values():
+        for i, x in zip(idx, modq.solve(aug[:, :, :-1], aug[:, :, -1], p)):
+            if x is None:
+                continue
+            x = x.tolist()
+            fracs = {a: _rational(a, p) for a in set(x)}
+            if None in fracs.values():
+                continue
+            den = lcm(*(f.denominator for f in fracs.values()))
+            # the column of b carries weight -den, so U x = b means acc = 0
+            nums = [fracs[a].numerator * (den // fracs[a].denominator) for a in x] + [-den]
+            (m, _), ints = scaled[i]
+            acc = [0] * m
+            for r, col, v in ints:
+                acc[r] += v * nums[col]
+            if not any(acc):
+                out[i] = [fracs[a] for a in x]
+    return out
 
 
 def _solve_lift(ring, U, B, level):
@@ -496,12 +502,13 @@ def _solve_lift(ring, U, B, level):
     this package feeds in, the closures stay small.  Raises LiftObstruction
     when a column is inconsistent.
 
-    Over QQ each system is first solved mod EN_PRIME by _lift_mod_p, whose
-    answer is checked exactly, so it is a solution whichever route found it;
-    koszul_perturb's output is certified again by mf_verify over Q anyway.
-    Any failure there sends that one system to _exact_system over Q, the only
-    route that may report an obstruction.  Over a prime field the system
-    goes to _exact_system directly.
+    Every column's system is built first.  Over QQ they are then solved mod
+    EN_PRIME by _lifts_mod_p, one stacked modq.solve per system shape, and
+    each answer is checked exactly, so it is a solution whichever route found
+    it; koszul_perturb's output is certified again by mf_verify over Q
+    anyway.  Any failure there sends that one system to _exact_system over
+    Q, the only route that may report an obstruction.  Over a prime field
+    each system goes to _exact_system directly.
     """
     F = ring.field
     divides = ring.divides
@@ -517,6 +524,7 @@ def _solve_lift(ring, U, B, level):
             if not e.is_zero():
                 by_mid.setdefault(t, []).append((i, e))
                 by_row.setdefault(i, []).append((t, e))
+    columns = []
     for j in range(ncols):
         rhs = {}
         for i in range(nrows):
@@ -554,10 +562,12 @@ def _solve_lift(ring, U, B, level):
         vec = [F.zero] * len(rows)
         for key, c in rhs.items():
             vec[rows[key]] = c
-        shape = (len(rows), len(unknowns))
-        sol = None if isinstance(F, PrimeField) else _lift_mod_p(shape, entries, vec)
+        columns.append((j, rhs, unknowns, ((len(rows), len(unknowns)), entries, vec)))
+    systems = [system for *_, system in columns]
+    sols = [None] * len(systems) if isinstance(F, PrimeField) else _lifts_mod_p(systems)
+    for (j, rhs, unknowns, system), sol in zip(columns, sols):
         if sol is None:
-            sol = _exact_system(F, shape, entries, vec)
+            sol = _exact_system(F, *system)
         if sol is None:
             raise LiftObstruction(level, j, min(sum(ring.unpack(m)) for (_, m) in rhs))
         for (t, m), col in unknowns.items():

@@ -5,7 +5,7 @@ Entries live in int64 numpy arrays, and every result is reduced into
 reduces a stack of N matrices one column at a time across the whole batch:
 O(columns) vectorized steps instead of N python-level eliminations, each
 running along the batch axis.  batch_rank, rank_and_kernel and solve only
-read its output.
+read its output; solve, like rref, takes a whole stack of systems at once.
 
 Contract: for each matrix rref returns the reduced row echelon form over F_q
 (pivots 1, zeros above and below them, zero rows last), the rank and the
@@ -124,15 +124,28 @@ def rank_and_kernel(mat, q):
     return int(r), kernels(R[None], piv[None], q)
 
 
-def solve(mat, vec, q):
-    """One solution of mat @ x = vec over F_q, or None.  mat: (m, n) int64."""
-    mat = np.asarray(mat, dtype=np.int64)
-    R, r, piv = rref(np.column_stack([mat, np.asarray(vec, dtype=np.int64)]), q)
-    if piv[-1]:
-        return None
-    x = np.zeros(mat.shape[1], dtype=np.int64)
-    x[piv[:-1]] = R[:r, -1]
-    return x
+def solve(mats, vecs, q):
+    """Solutions of mat @ x = vec over F_q, for an (N, m, n) stack of
+    matrices with (N, m) right-hand sides or for one (m, n) matrix and (m,)
+    vector.
+
+    All N augmented systems go through one rref.  Each solution is the one
+    read off the reduced form (free unknowns 0) as an (n,) int64 array, or
+    None for an inconsistent system; a stack gives a list of N of them.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    vecs = np.asarray(vecs, dtype=np.int64)
+    single = mats.ndim == 2
+    if single:
+        mats, vecs = mats[None], vecs[None]
+    N, m, n = mats.shape
+    R, ranks, piv = rref(np.concatenate([mats, vecs[:, :, None]], axis=2), q)
+    consistent = ~piv[:, -1]
+    # the pivot rows of the unknowns come first, in the order of their columns
+    X = np.zeros((N, n), dtype=np.int64)
+    X[piv[:, :-1]] = R[:, :, -1][np.arange(m) < (ranks - piv[:, -1])[:, None]]
+    xs = [x if ok else None for x, ok in zip(X, consistent)]
+    return xs[0] if single else xs
 
 
 def projective_points(d, q, start=0, stop=None):

@@ -182,6 +182,30 @@ def test_oversized_prime_is_refused():
     assert cli.main(["model", "gen", "--q", "2147483647"]) == 2
 
 
+def test_sampling_budget_is_refused_before_sampling(monkeypatch):
+    # about q draws per point: 100 samples allow q <= 40,000, and model
+    # generation, with 5 samples per variety, q <= 800,000
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr(geometry, "sample_y2_points", spy)
+    monkeypatch.setattr(geometry, "sample_y1_points", spy)
+    assert cli.main(["model", "gen", "--q", "1000003", "--seed", "1"]) == 2
+    assert cli.main(["all", "--q", "1000003"]) == 2
+    assert cli.main(["mf", "--q", "1000003"]) == 2
+    assert cli.main(["geometry", "--q", "40009"]) == 2
+    assert cli.main(["geometry", "--q", "10007", "--samples", "400"]) == 2
+    assert not calls
+    with pytest.raises(ValueError, match="sampler budget"):
+        cli.SuiteConfig(q=40009).validate()
+    cli.SuiteConfig(q=39989).validate()
+    cli.SuiteConfig(q=40009, suites=("mf",)).validate()
+    cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"foo": 1}))

@@ -97,6 +97,8 @@ def test_batch_rank_agrees_with_generic_path(q, shape, rank_cap, zero_share, see
     F = PrimeField(q)
     R, ranks, pivots = modq.rref(mats, q)
     assert modq.batch_rank(mats, q).tolist() == ranks.tolist()
+    vecs = np.zeros((N, m), dtype=np.int64)
+    solutions = []
     for t in range(N):
         rows = mats[t].tolist()
         slow, slow_pivots = linalg.rref(F, rows)
@@ -115,6 +117,10 @@ def test_batch_rank_agrees_with_generic_path(q, shape, rank_cap, zero_share, see
         x = modq.solve(mats[t], vec, q)
         expect = linalg.solve(F, rows, vec.tolist())
         assert (x is None and expect is None) or x.tolist() == expect
+        vecs[t] = vec
+        solutions.append(expect)
+    assert [None if x is None else x.tolist()
+            for x in modq.solve(mats, vecs, q)] == solutions
     expected = [v for t in range(N) for v in linalg.right_kernel(F, mats[t].tolist())]
     assert modq.kernels(R, pivots, q).tolist() == expected
 
@@ -135,6 +141,10 @@ def test_modq_solve():
     assert x is not None
     assert ((mat @ x) % q == np.array([5, 4, 9])).all()
     assert modq.solve(np.array([[1, 1], [2, 2]]), np.array([1, 3]), q) is None
+    # a stack: one solution or None per system, in order
+    stack = np.array([[[1, 1], [2, 2]], [[1, 0], [0, 1]], [[1, 1], [2, 2]]])
+    xs = modq.solve(stack, np.array([[1, 3], [4, 5], [1, 2]]), q)
+    assert xs[0] is None and xs[1].tolist() == [4, 5] and xs[2].tolist() == [1, 0]
 
 
 def test_projective_points_count_and_normalization():

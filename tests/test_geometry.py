@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
+from math import comb, isqrt
 
 import numpy as np
 import pytest
 
 from pfgr import geometry, linalg, modq
-from pfgr.fields import QQ, PrimeField
+from pfgr.fields import QQ, PrimeField, is_prime
 from pfgr.geometry import (PfaffianModel, certify_model, critical_test,
                            critical_equivalence_sweep, find_extension_failure,
                            gaussian_binomial_2, grad_W, grassmannian_census,
@@ -53,6 +55,25 @@ def test_sampler_exhaustion_is_not_retried(monkeypatch):
     with pytest.raises(geometry.ModelCertificateError, match="sampling_budget_Y2"):
         random_model(1, d=5)  # its first A passes every census certificate
     assert calls == ["sampling_budget_Y2"]
+
+
+def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):
+    """cert_samples * q beyond SAMPLER_MAX_TRIES is refused up front: the
+    samplers would give up after that many draws anyway."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr(geometry, "sample_y2_points", spy)
+    monkeypatch.setattr(geometry, "sample_y1_points", spy)
+    assert 5 * 1000003 > geometry.SAMPLER_MAX_TRIES
+    with pytest.raises(ValueError, match="draws"):
+        random_model(1, q=1000003)
+    with pytest.raises(ValueError, match="draws"):
+        random_model(1, q=101, cert_samples=geometry.SAMPLER_MAX_TRIES // 101 + 1)
+    assert not calls
 
 
 def test_zero_row_rejected():
@@ -280,6 +301,94 @@ def test_smoothness_rejects_unknown_variety(model):
         smoothness_sample(model, "Y3")
 
 
+def _largest_int64_prime(d):
+    """The largest q with C(d, 2) (q - 1)^2 < 2^63, the bound random_model
+    puts on every int64 sum of residues."""
+    q = isqrt((2 ** 63 - 1) // comb(d, 2)) + 1
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+def _jacobian_oracle(work, p):
+    """dPf_i/dp_j over work.field, from principal_pfaffians along p + t e_j at
+    t = 0..(d - 1)/2: Pf_i has degree (d - 1)/2 in t, so its Lagrange
+    interpolant is exact, and J[i][j] is the interpolant's slope at 0."""
+    F, d = work.field, work.d
+    ts = range((d + 1) // 2)
+    # L_m'(0) = sum over l != m of 1/(t_m - t_l) prod over s != m, l of -t_s/(t_m - t_s)
+    weights = []
+    for m in ts:
+        w = Fraction(0)
+        for l in ts:
+            if l != m:
+                term = Fraction(1, m - l)
+                for s in ts:
+                    if s not in (m, l):
+                        term *= Fraction(-s, m - s)
+                w += term
+        weights.append(F.mul(F.of_int(w.numerator), F.inv(F.of_int(w.denominator))))
+    J = [[F.zero] * d for _ in range(d)]
+    for j in range(d):
+        for m, w in zip(ts, weights):
+            pt = list(p)
+            pt[j] += m
+            for i, pf in enumerate(principal_pfaffians(work, pt)):
+                J[i][j] = F.add(J[i][j], F.mul(w, pf))
+    return J
+
+
+@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("q", [101, 1009, "int64"])
+def test_pfaffian_jacobian_matches_interpolation_oracle(request, d, q):
+    """The stacked Jacobian equals dPf_i/dp_j interpolated over PrimeField(q),
+    and each point of the stack equals the one-point call.
+
+    The int64 case takes the largest prime the bound admits and a model with
+    every entry of A negative, so every residue of T lies near q: at d = 7 a
+    row's 45 terms, summed without a reduction every C(d, 2) terms, then
+    average about 22 (q - 1)^2 and wrap int64.
+    """
+    base = request.getfixturevalue("model" if d == 7 else "model5")
+    rng = random.Random(d)
+    if q == "int64":
+        q = _largest_int64_prime(d)
+        A = tuple(tuple(rng.randint(-9, -1) for _ in range(comb(d, 2))) for _ in range(d))
+        base = PfaffianModel(d=d, A=A, seed=0, field=PrimeField(q))
+        pts = [[rng.randrange(1, q) for _ in range(d)] for _ in range(4)]
+    else:
+        # five points on Y2 and three random points off it
+        pts = sample_y2_points(base, q, 5, seed=d)
+        pts += [[rng.randrange(1, q) for _ in range(d)] for _ in range(3)]
+    work = PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q))
+    J = geometry.pfaffian_jacobian_mod(base, pts, q)
+    assert J.shape == (len(pts), d, d)
+    for p, Jp in zip(pts, J):
+        assert Jp.tolist() == _jacobian_oracle(work, p)
+        assert (geometry.pfaffian_jacobian_mod(base, p, q) == Jp).all()
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_y1_jacobian_matches_wedge_columns(request, d):
+    """Column a of the stacked Y1 differential is A(e_a wedge v), column
+    d + a is A(u wedge e_a), and each point equals the one-point call."""
+    base = request.getfixturevalue("model" if d == 7 else "model5")
+    q = 101
+    F = PrimeField(q)
+    work = PfaffianModel(d=d, A=base.A, seed=0, field=F)
+    rng = random.Random(d)
+    xs = sample_y1_points(base, q, 5, seed=d)
+    xs += [[[rng.randrange(q) for _ in range(d)] for _ in range(2)] for _ in range(3)]
+    D = geometry.y1_jacobian_mod(base, xs, q)
+    assert D.shape == (len(xs), d, 2 * d)
+    for (u, v), Dx in zip(xs, D):
+        e = [[int(a == b) for b in range(d)] for a in range(d)]
+        cols = ([geometry.apply_A(work, geometry.plucker_vector(F, e[a], v)) for a in range(d)]
+                + [geometry.apply_A(work, geometry.plucker_vector(F, u, e[a])) for a in range(d)])
+        assert Dx.T.tolist() == cols
+        assert (geometry.y1_jacobian_mod(base, [u, v], q) == Dx).all()
+
+
 # ---------------------------------------------------------------------------
 # kernels and isotropic extensions
 
@@ -428,6 +537,39 @@ def test_normal_map_rejects_generic_point(model):
     rng = random.Random(10)
     with pytest.raises(ValueError):
         normal_map_check(model, [rng.randrange(101) for _ in range(7)])
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_stacked_normal_map_matches_linalg(request, d):
+    """Each result of a 20-point stack equals the same check done pointwise
+    over PrimeField(101) with pfgr.linalg: the kernel basis, the 2-forms
+    omega_{e_i} restricted to it, and the interpolated Jacobian.  One point
+    off Y2 makes the whole stack raise."""
+    base = request.getfixturevalue("model" if d == 7 else "model5")
+    q = 101
+    F = PrimeField(q)
+    work = PfaffianModel(d=d, A=base.A, seed=0, field=F)
+    T = base.coefficient_tensor()
+    pts = sample_y2_points(base, q, 20, seed=83)
+    results = normal_map_check(base, pts, q=q)
+    assert len(results) == 20
+    for p, res in zip(pts, results):
+        K = kernel_basis(work, p)
+
+        def pair(i, s, t):
+            return sum(K[s][a] * T[i][a][b] * K[t][b] for a in range(d) for b in range(d)) % q
+        M3 = [[pair(i, s, t) for i in range(d)] for s, t in [(0, 1), (0, 2), (1, 2)]]
+        J = _jacobian_oracle(work, p)
+        rank_m, rank_j = linalg.rank(F, M3), linalg.rank(F, J)
+        expect = geometry.NormalMapResult(
+            rank_m, rank_j, linalg.rank(F, J + M3) == rank_j == rank_m)
+        assert res == expect and res.passed
+        assert normal_map_check(base, p, q=q) == expect
+    rng = random.Random(d)
+    off = [rng.randrange(1, q) for _ in range(d)]
+    assert omega_rank(work, off) == d - 1
+    with pytest.raises(ValueError):
+        normal_map_check(base, pts[:7] + [off] + pts[7:], q=q)
 
 
 def test_underlying_scheme_probe(model):

@@ -478,7 +478,7 @@ def test_modular_lifts_equal_rational_lifts(monkeypatch, d):
     fast = _perturb_cubic(d)
     if d == 7:
         assert not fallbacks
-    monkeypatch.setattr(mf, "_lift_mod_p", lambda shape, entries, vec: None)
+    monkeypatch.setattr(mf, "_lifts_mod_p", lambda systems: [None] * len(systems))
     rational = _perturb_cubic(d)
     assert fallbacks
     assert _differentials(fast) == _differentials(rational)
@@ -490,21 +490,50 @@ def test_failed_modular_lift_solves_only_that_system(monkeypatch):
     solves = []
     real_solve = mf.modq.solve
 
-    def corrupting(mat, vec, q):
+    def corrupting(mats, vecs, q):
         # the 3rd system solves to a wrong x, which the exact check rejects;
         # the 5th rebuilds no rational, as if beyond the reconstruction bound
-        x = real_solve(mat, vec, q)
-        solves.append(np.shape(mat))
-        if len(solves) == 3:
-            x = (x + 1) % q
-        if len(solves) == 5:
-            x[0] = next(a for a in range(q) if mf._rational(a, q) is None)
-        return x
+        xs = real_solve(mats, vecs, q)
+        for x in xs:
+            solves.append(np.shape(mats)[1:])
+            if len(solves) == 3:
+                x += 1
+                x %= q
+            if len(solves) == 5:
+                x[0] = next(a for a in range(q) if mf._rational(a, q) is None)
+        return xs
 
     monkeypatch.setattr(mf.modq, "solve", corrupting)
     fallbacks = _spy_exact_system(monkeypatch)
     assert _differentials(_perturb_cubic(5)) == expected
     assert fallbacks == [solves[2], solves[4]]
+
+
+def test_lift_systems_are_solved_one_stack_per_shape(monkeypatch):
+    """Each _solve_lift call over QQ makes one modq.solve per distinct system
+    shape: 13 stacks for the 127 systems of the d = 7 cubic."""
+    calls = []
+    real_solve = mf.modq.solve
+    real_lift = mf._solve_lift
+
+    def counting_solve(mats, vecs, q):
+        calls[-1].append(np.shape(mats))
+        return real_solve(mats, vecs, q)
+
+    def counting_lift(*args, **kwargs):
+        calls.append([])
+        return real_lift(*args, **kwargs)
+
+    monkeypatch.setattr(mf.modq, "solve", counting_solve)
+    monkeypatch.setattr(mf, "_solve_lift", counting_lift)
+    fallbacks = _spy_exact_system(monkeypatch)
+    _perturb_cubic(7)
+    assert not fallbacks
+    for shapes in calls:
+        assert len({shape[1:] for shape in shapes}) == len(shapes)
+    stacks = [shape for shapes in calls for shape in shapes]
+    assert len(stacks) == 13
+    assert sum(shape[0] for shape in stacks) == 127
 
 
 def test_graded_complex_shape_validation():
