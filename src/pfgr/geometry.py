@@ -255,15 +255,20 @@ def quadratic_form_matrix(model, p):
 # points of P^(d-1)(F_q) per batched rank call in rank_census: the stack of
 # one range stays at CENSUS_CHUNK * d^2 int64 entries whatever q^(d-1) is
 CENSUS_CHUNK = 65536
+# the most points a census may rank, 2^22 in 64 ranges (P^6(F_11) has
+# 1,948,717 and takes about 10 s on a 2-vCPU box)
+CENSUS_MAX_POINTS = 64 * CENSUS_CHUNK
 
 
 def rank_census(model, q):
     """Counts of each omega rank stratum over P^(d-1)(F_q), exhaustively,
-    ranked CENSUS_CHUNK points at a time."""
-    if q > 11:
-        raise ValueError("census fields are capped at q = 11")
+    ranked CENSUS_CHUNK points at a time.  A census of more than
+    CENSUS_MAX_POINTS points raises ValueError before any ranking."""
     PrimeField(q)
     total = (q ** model.d - 1) // (q - 1)
+    if total > CENSUS_MAX_POINTS:
+        raise ValueError(f"P^{model.d - 1}(F_{q}) has {total} points, more than the "
+                         f"census bound of {CENSUS_MAX_POINTS}")
     Tq = model.tensor_mod(q)
     out = {}
     for start in range(0, total, CENSUS_CHUNK):

@@ -7,12 +7,13 @@ theory to an integer-graded one.  This module verifies the defining
 identities exactly, computes morphism spaces by truncated exact linear
 algebra, folds resolutions into factorizations by solving lifting problems
 degree by degree, and certifies the determinantal resolution of the rank-one
-locus of a 2 x c matrix weight space by weight space.  Both kinds of matrix
-are ranked mod a prime, one batched modq elimination per shape; the ranks
-are proved exact over Q by kernel vectors checked exactly (_certified_ranks)
-or by integer coefficients (eagon_northcott_check).  Lifting systems over Q
-are solved mod the same prime, one stacked modq.solve per shape, and their
-solutions checked exactly (_lifts_mod_p).
+locus of a 2 x c matrix weight space by weight space.  Every such linear
+system goes through _ranks or _solutions, which stack the systems by shape
+and eliminate each stack mod a prime: over F_q its own order, and the
+answers are exact; over Q the fixed EN_PRIME, and each answer is checked
+exactly over Z, with _exact_system for any that fails.  The Eagon-Northcott
+weight spaces over Q are ranked over F_EN_PRIME, sound by their integer
+coefficients (eagon_northcott_check).
 """
 
 import random
@@ -44,28 +45,17 @@ def _zmat(ring, nrows, ncols):
 
 
 def _exact_system(field, shape, entries, rhs=None):
-    """Rank of a sparse matrix, or one solution of matrix @ x = rhs.
+    """Rank of a sparse matrix, or one solution of matrix @ x = rhs, by
+    pfgr.linalg over the field.
 
     The matrix has the given shape and is the sum of its (row, col, value)
     entries.  Without rhs the rank is returned; with rhs, a solution as a
-    list of field elements, or None when the system is inconsistent: modq
-    over a prime field, pfgr.linalg otherwise.  It solves what a modular
-    certificate could not settle (a lifting system over Q that _lifts_mod_p
-    did not solve, an Eagon-Northcott weight space with homology mod p, a
-    slab whose kernel certificate failed), lifting systems over a prime
-    field, and no other rank: those are taken in stacks.
+    list of field elements, or None when the system is inconsistent.  It
+    settles only what an answer mod p cannot: a system over Q whose
+    certificate failed in _ranks or _solutions, and an Eagon-Northcott weight
+    space with homology mod p.
     """
     nrows, ncols = shape
-    if rhs is None and not entries:
-        return 0
-    if isinstance(field, PrimeField):
-        mat = np.zeros(shape, dtype=np.int64)
-        for r, c, v in entries:
-            mat[r, c] = (mat[r, c] + v) % field.q
-        if rhs is None:
-            return int(modq.batch_rank(mat, field.q)[0])
-        x = modq.solve(mat, rhs, field.q)
-        return None if x is None else x.tolist()
     mat = [[field.zero] * ncols for _ in range(nrows)]
     for r, c, v in entries:
         mat[r][c] = field.add(mat[r][c], v)
@@ -74,8 +64,8 @@ def _exact_system(field, shape, entries, rhs=None):
     return linalg.solve(field, mat, rhs)
 
 
-# The prime that Hom slabs and Eagon-Northcott weight spaces over QQ are ranked
-# modulo; _certified_ranks and eagon_northcott_check argue why that is exact.
+# The prime that systems over QQ are eliminated modulo; _ranks, _solutions
+# and eagon_northcott_check argue why their answers are exact.
 EN_PRIME = 32003
 
 
@@ -97,13 +87,23 @@ def _stacks(systems, p):
     return out
 
 
-def _modular_ranks(systems, p):
-    """Ranks mod p of sparse integer matrices, one modq.batch_rank per shape."""
-    ranks = [0] * len(systems)
-    for idx, mats in _stacks(systems, p).values():
-        for i, r in zip(idx, modq.batch_rank(mats, p)):
-            ranks[i] = int(r)
-    return ranks
+def _modular(field, systems):
+    """(p, integer systems) for sparse matrices over the field, to be stacked
+    by _stacks.  Over F_q, p = q and the residues are the systems themselves,
+    so every answer mod p is exact.  Over Q, p = EN_PRIME and each row is
+    scaled to integers by the lcm of its denominators, which keeps the rank,
+    the kernel and, for [U | b], the solutions; an answer mod p is then only
+    a candidate to certify."""
+    if field.characteristic:
+        return field.characteristic, systems
+    scaled = []
+    for shape, entries in systems:
+        scale = [1] * shape[0]
+        for r, _, v in entries:
+            scale[r] = lcm(scale[r], v.denominator)
+        scaled.append((shape, [(r, col, v.numerator * (scale[r] // v.denominator))
+                               for r, col, v in entries]))
+    return EN_PRIME, scaled
 
 
 def _rational(a, p):
@@ -139,35 +139,65 @@ def _in_kernel(nrows, entries, K, p):
     return not prod.any()
 
 
-def _certified_ranks(systems):
-    """Ranks over Q of sparse rational matrices, one modq.rref per shape.
+def _ranks(field, systems):
+    """Ranks over the field of sparse matrices (shape, [(row, col, value)]),
+    stacked by shape mod p (_modular).
 
-    Each column is scaled to integers, which keeps the rank, and the stack
-    is reduced mod p = EN_PRIME.  Soundness: rank mod p <= rank over Q,
-    since a minor nonzero mod p is nonzero over Z.  The reduced form mod p
-    gives n - r_p kernel vectors with an identity block on the free
-    columns; reconstruction keeps 0 and 1, so the rebuilt vectors keep the
-    block and are independent.  Each passes M v = 0 exactly over Z or the
-    matrix is ranked again through _exact_system; so rank over Q <= r_p,
-    and the ranks are equal.  Slab kernels hold 0 and +-1 in practice,
-    well inside the reconstruction bound sqrt(p/2).
+    Over F_q each shape is ranked by one modq.batch_rank, and the ranks are
+    exact.  Over Q each shape is reduced by one modq.rref mod p = EN_PRIME.
+    Soundness: rank mod p <= rank over Q, since a minor nonzero mod p is
+    nonzero over Z.  The reduced form mod p gives n - r_p kernel vectors with
+    an identity block on the free columns; reconstruction keeps 0 and 1, so
+    the rebuilt vectors keep the block and are independent.  Each passes
+    M v = 0 exactly over Z (_in_kernel) or the matrix is ranked again through
+    _exact_system; so rank over Q <= r_p, and the ranks are equal.  Slab
+    kernels hold 0 and +-1 in practice, well inside the reconstruction bound
+    sqrt(p/2).
     """
-    p = EN_PRIME
-    scaled = []
-    for shape, entries in systems:
-        scale = {}
-        for _, col, v in entries:
-            scale[col] = lcm(scale.get(col, 1), v.denominator)
-        scaled.append((shape, [(r, col, v.numerator * (scale[col] // v.denominator))
-                               for r, col, v in entries]))
+    p, ints = _modular(field, systems)
     ranks = [0] * len(systems)
-    for idx, mats in _stacks(scaled, p).values():
+    for idx, mats in _stacks(ints, p).values():
+        if field.characteristic:
+            for i, r in zip(idx, modq.batch_rank(mats, p)):
+                ranks[i] = int(r)
+            continue
         R, rp, pivots = modq.rref(mats, p)
         kernels = np.split(modq.kernels(R, pivots, p), np.cumsum(mats.shape[2] - rp)[:-1])
         for i, r, K in zip(idx, rp, kernels):
-            (m, _), ints = scaled[i]
-            ranks[i] = int(r) if _in_kernel(m, ints, K, p) else _exact_system(QQ, *systems[i])
+            (m, _), rows = ints[i]
+            ranks[i] = int(r) if _in_kernel(m, rows, K, p) else _exact_system(field, *systems[i])
     return ranks
+
+
+def _solutions(field, systems):
+    """One solution over the field of each sparse system (shape, entries,
+    vec), U x = vec, as a list of field elements, or None when the system is
+    inconsistent.
+
+    The augmented systems [U | b] are stacked by shape mod p (_modular) and
+    solved by one modq.solve per shape; a system without entries (U = 0 and
+    b = 0) gets x = 0.  Over F_q each answer, x or None, is exact.  Over Q,
+    p = EN_PRIME and x is rebuilt by _rational; it is a solution exactly when
+    [U | b] (x, -1) = 0 over Z, which _in_kernel checks on the scaled integer
+    rows (-1 is the residue p - 1).  A system inconsistent mod p, or whose x
+    fails this check (x may lie beyond the reconstruction bound sqrt(p/2)),
+    is solved again by _exact_system, so None is always the exact verdict
+    over Q.
+    """
+    augmented = [((m, n + 1), entries + [(r, n, b) for r, b in enumerate(vec) if b])
+                 for (m, n), entries, vec in systems]
+    p, ints = _modular(field, augmented)
+    out = [[field.zero] * n for (_, n), *_ in systems]
+    for idx, aug in _stacks(ints, p).values():
+        for i, x in zip(idx, modq.solve(aug[:, :, :-1], aug[:, :, -1], p)):
+            (m, _), rows = ints[i]
+            if field.characteristic:
+                out[i] = None if x is None else x.tolist()
+            elif x is not None and _in_kernel(m, rows, np.append(x, p - 1)[None], p):
+                out[i] = [_rational(a, p) for a in x.tolist()]
+            else:
+                out[i] = _exact_system(field, *systems[i])
+    return out
 
 
 def _mat_mul_sized(ring, a, b, nrows, ncols):
@@ -452,47 +482,6 @@ def random_cubic_superpotential(field, d, seed):
     return ring, W
 
 
-def _lifts_mod_p(systems):
-    """Solutions over Q of sparse rational systems (shape, entries, vec), each
-    one a list of Fractions or None.
-
-    Each row is scaled to integers, and the augmented systems [U | b] are
-    solved mod EN_PRIME, one modq.solve per distinct shape.  Every entry of
-    each x is rebuilt by _rational, and U x = b is then checked exactly over
-    Z on the sparse entries, system by system.  None proves nothing: the
-    system may be inconsistent mod p only, or x beyond the reconstruction
-    bound sqrt(p/2).
-    """
-    p = EN_PRIME
-    scaled = []
-    for (m, n), entries, vec in systems:
-        scale = [b.denominator for b in vec]
-        for r, _, v in entries:
-            scale[r] = lcm(scale[r], v.denominator)
-        ints = [(r, col, v.numerator * (scale[r] // v.denominator)) for r, col, v in entries]
-        rhs = [b.numerator * (s // b.denominator) for b, s in zip(vec, scale)]
-        scaled.append(((m, n + 1), ints + [(r, n, b) for r, b in enumerate(rhs) if b]))
-    out = [None] * len(systems)
-    for idx, aug in _stacks(scaled, p).values():
-        for i, x in zip(idx, modq.solve(aug[:, :, :-1], aug[:, :, -1], p)):
-            if x is None:
-                continue
-            x = x.tolist()
-            fracs = {a: _rational(a, p) for a in set(x)}
-            if None in fracs.values():
-                continue
-            den = lcm(*(f.denominator for f in fracs.values()))
-            # the column of b carries weight -den, so U x = b means acc = 0
-            nums = [fracs[a].numerator * (den // fracs[a].denominator) for a in x] + [-den]
-            (m, _), ints = scaled[i]
-            acc = [0] * m
-            for r, col, v in ints:
-                acc[r] += v * nums[col]
-            if not any(acc):
-                out[i] = [fracs[a] for a in x]
-    return out
-
-
 def _solve_lift(ring, U, B, level):
     """Solve U @ X = B over the ring, column by column.
 
@@ -502,13 +491,10 @@ def _solve_lift(ring, U, B, level):
     this package feeds in, the closures stay small.  Raises LiftObstruction
     when a column is inconsistent.
 
-    Every column's system is built first.  Over QQ they are then solved mod
-    EN_PRIME by _lifts_mod_p, one stacked modq.solve per system shape, and
-    each answer is checked exactly, so it is a solution whichever route found
-    it; koszul_perturb's output is certified again by mf_verify over Q
-    anyway.  Any failure there sends that one system to _exact_system over
-    Q, the only route that may report an obstruction.  Over a prime field
-    each system goes to _exact_system directly.
+    Every column's system is built first, and _solutions solves them all,
+    one stacked modq.solve per system shape; its None is an exact verdict
+    over either field.  koszul_perturb's output is certified again by
+    mf_verify anyway.
     """
     F = ring.field
     divides = ring.divides
@@ -563,11 +549,8 @@ def _solve_lift(ring, U, B, level):
         for key, c in rhs.items():
             vec[rows[key]] = c
         columns.append((j, rhs, unknowns, ((len(rows), len(unknowns)), entries, vec)))
-    systems = [system for *_, system in columns]
-    sols = [None] * len(systems) if isinstance(F, PrimeField) else _lifts_mod_p(systems)
-    for (j, rhs, unknowns, system), sol in zip(columns, sols):
-        if sol is None:
-            sol = _exact_system(F, *system)
+    sols = _solutions(F, [system for *_, system in columns])
+    for (j, rhs, unknowns, _), sol in zip(columns, sols):
         if sol is None:
             raise LiftObstruction(level, j, min(sum(ring.unpack(m)) for (_, m) in rhs))
         for (t, m), col in unknowns.items():
@@ -754,11 +737,7 @@ def _ext_dims(E, F, cap):
                     if t is not None:
                         entries.append((t, col, ring.field.neg(c) if par == 0 else c))
         systems.append(((len(tgt_index), len(slabs[par, r])), entries))
-    if isinstance(ring.field, PrimeField):
-        ranks = _modular_ranks(systems, ring.field.q)
-    else:
-        ranks = _certified_ranks(systems)
-    ranks = dict(zip(keys, ranks))
+    ranks = dict(zip(keys, _ranks(ring.field, systems)))
 
     dims = {}
     for par, r in keys:
@@ -908,14 +887,15 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     Exactness in every internal degree up to the cutoff is checked weight
     space by weight space: the differentials preserve the full torus
     multidegree, so each weight gives a few small matrices.  All of them are
-    ranked mod a prime p, one modq.batch_rank call per distinct matrix shape.
-    The cokernel dimensions are compared against the independent count of
-    functions on the cone over the Segre product, dim_t = (t+1) * C(t+c-1, c-1).
+    ranked over F_p by _ranks, one modq.batch_rank call per distinct matrix
+    shape, with no kernel certificate.  The cokernel dimensions are compared
+    against the independent count of functions on the cone over the Segre
+    product, dim_t = (t+1) * C(t+c-1, c-1).
 
     Soundness of the mod-p ranks:
-    - Over a PrimeField p is the field's own order, so the ranks are exact.
+    - Over a prime field p is the field's own order, so the ranks are exact.
     - Over QQ, p is the fixed EN_PRIME.  Every differential has coefficients
-      0 and +-1 (denominator 1 is asserted as the entries are read off), so
+      0 and +-1 (integrality is asserted as the entries are read off), so
       each matrix is an integer matrix and its rank mod p is at most its rank
       over Q.  Each homology dimension mod p is then an upper bound on the
       one over Q.
@@ -951,12 +931,10 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
         for ti, row in enumerate(mat):
             for gi, e in enumerate(row):
                 for mu, cf in e.coeffs.items():
-                    if not isinstance(field, PrimeField):
-                        assert cf.denominator == 1
+                    assert int(cf) == cf
                     out[gi].append((ti, mu, int(cf)))
         by_source.append(out)
 
-    p = field.q if isinstance(field, PrimeField) else EN_PRIME
     weights = [(t, (r1, t - r1), cols) for t in range(degree_cutoff + 1)
                for r1 in range(t + 1) for cols in _compositions(t, c)]
     monomials = {}
@@ -986,7 +964,7 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                         entries.append((ri, col, cf))
             systems.append(((len(bases[k]), len(bases[k + 1])), entries))
         term_sizes.append([len(b) for b in bases])
-    modular = _modular_ranks(systems, p)
+    modular = _ranks(field if field.characteristic else PrimeField(EN_PRIME), systems)
 
     homology_failures = []
     coker = {t: 0 for t in range(degree_cutoff + 1)}

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -204,6 +205,19 @@ def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     cli.SuiteConfig(q=39989).validate()
     cli.SuiteConfig(q=40009, suites=("mf",)).validate()
     cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
+
+
+def test_oversized_census_is_refused(monkeypatch):
+    # P^8(F_11) has 235,794,769 points, beyond geometry.CENSUS_MAX_POINTS:
+    # the model's first census refuses it before a point is enumerated
+    enumerated = []
+    real = geometry.modq.projective_points
+    monkeypatch.setattr(geometry.modq, "projective_points",
+                        lambda *args: enumerated.append(args) or real(*args))
+    start = time.monotonic()
+    assert cli.main(["run", "--suite", "geometry", "--d", "9", "--census-q", "11"]) == 2
+    assert time.monotonic() - start < 60
+    assert not enumerated
 
 
 def test_config_file_unknown_key(tmp_path):

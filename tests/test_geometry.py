@@ -165,6 +165,21 @@ def test_rank_census_walks_points_in_chunks(monkeypatch, model5, q):
     assert max(sizes) <= 1000 and sum(sizes) == len(pts)
 
 
+def test_oversized_census_is_refused_before_ranking(monkeypatch, model5):
+    """A census of more than CENSUS_MAX_POINTS points raises before any rank
+    is taken; P^4(F_13), 30,941 points, is inside the bound."""
+    census = rank_census(model5, 13)
+    assert sum(census.values()) == (13 ** 5 - 1) // 12
+    ranked = []
+    monkeypatch.setattr(modq, "batch_rank", lambda mats, q: ranked.append(q))
+    A = tuple(tuple(int(j == i) for j in range(comb(9, 2))) for i in range(9))
+    model9 = PfaffianModel(d=9, A=A, seed=1, field=PrimeField(101))
+    assert (11 ** 9 - 1) // 10 > geometry.CENSUS_MAX_POINTS
+    with pytest.raises(ValueError, match="census bound"):
+        rank_census(model9, 11)
+    assert not ranked
+
+
 def test_pfaffian_rank_consistency_exhaustive(model):
     """rank <= 4 iff every principal sub-Pfaffian vanishes, whole point set."""
     for q in (2, 3, 5):

@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfgr import geometry, linalg, mf
 from pfgr.fields import QQ, PrimeField
@@ -376,13 +376,13 @@ def test_failed_certificate_reranks_only_that_slab(monkeypatch):
 
 def test_fractional_coefficients_are_scaled_to_integers(monkeypatch):
     systems = []
-    real = mf._certified_ranks
+    real = mf._ranks
 
-    def recording(batch):
+    def recording(field, batch):
         systems.extend(batch)
-        return real(batch)
+        return real(field, batch)
 
-    monkeypatch.setattr(mf, "_certified_ranks", recording)
+    monkeypatch.setattr(mf, "_ranks", recording)
     E = _tensor_law_object(Fraction(1, 2))
     ext = hom_ext_truncated(E, E, 5)
     assert any(v.denominator != 1 for _, entries in systems for _, _, v in entries)
@@ -478,7 +478,7 @@ def test_modular_lifts_equal_rational_lifts(monkeypatch, d):
     fast = _perturb_cubic(d)
     if d == 7:
         assert not fallbacks
-    monkeypatch.setattr(mf, "_lifts_mod_p", lambda systems: [None] * len(systems))
+    monkeypatch.setattr(mf.modq, "solve", lambda mats, vecs, q: [None] * len(mats))
     rational = _perturb_cubic(d)
     assert fallbacks
     assert _differentials(fast) == _differentials(rational)
@@ -534,6 +534,101 @@ def test_lift_systems_are_solved_one_stack_per_shape(monkeypatch):
     stacks = [shape for shapes in calls for shape in shapes]
     assert len(stacks) == 13
     assert sum(shape[0] for shape in stacks) == 127
+
+
+def _dense(field, shape, entries):
+    mat = [[field.zero] * shape[1] for _ in range(shape[0])]
+    for r, c, v in entries:
+        mat[r][c] = field.add(mat[r][c], v)
+    return mat
+
+
+def test_lifts_over_a_prime_field_are_stacked(monkeypatch):
+    """Over F_101 each _solve_lift call makes one modq.solve per distinct
+    system shape, returns linalg.solve's x for every system, and never needs
+    _exact_system; an inconsistent lift still raises LiftObstruction."""
+    F = PrimeField(101)
+    calls = []
+    real_solve = mf.modq.solve
+    real_solutions = mf._solutions
+
+    def counting_solve(mats, vecs, q):
+        calls[-1].append(np.shape(mats))
+        return real_solve(mats, vecs, q)
+
+    def checking_solutions(field, systems):
+        calls.append([])
+        xs = real_solutions(field, systems)
+        for (shape, entries, vec), x in zip(systems, xs):
+            assert x == linalg.solve(field, _dense(field, shape, entries), vec)
+        return xs
+
+    monkeypatch.setattr(mf.modq, "solve", counting_solve)
+    monkeypatch.setattr(mf, "_solutions", checking_solutions)
+    fallbacks = _spy_exact_system(monkeypatch)
+    ring, W = mf.random_cubic_superpotential(F, 5, 1)
+    E = koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(5)]), W)
+    assert mf_verify(E).ok
+    assert calls and not fallbacks
+    for shapes in calls:
+        assert len({shape[1:] for shape in shapes}) == len(shapes)
+
+    plane = PolyRing(F, ("x1", "x2"), (2, 0))
+    x1, x2 = plane.var(0), plane.var(1)
+    with pytest.raises(LiftObstruction):
+        koszul_perturb(koszul_complex(plane, [x2]), x1 * x1)
+
+
+# entries of the cross-check systems: small fractions, and EN_PRIME and
+# EN_PRIME + 1, which vanish or collide mod the prime the QQ route uses
+_SYSTEM_VALUES = [Fraction(v) for v in (0, 1, -1, mf.EN_PRIME, mf.EN_PRIME + 1)] + [
+    Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+
+
+@st.composite
+def sparse_systems(draw):
+    """(field, [(shape, entries, rhs)]): one to four sparse systems up to
+    6 x 6 over QQ, F_2 or F_101, entries from _SYSTEM_VALUES that exist in
+    the field."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(101)]))
+    values = [field.mul(field.of_int(v.numerator), field.inv(field.of_int(v.denominator)))
+              for v in _SYSTEM_VALUES
+              if not field.characteristic or v.denominator % field.characteristic]
+    systems = []
+    for _ in range(draw(st.integers(1, 4))):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        cells = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                              unique=True, max_size=m * n))
+        entries = [(r, c, draw(st.sampled_from(values))) for r, c in cells]
+        systems.append(((m, n), entries, [draw(st.sampled_from(values)) for _ in range(m)]))
+    return field, systems
+
+
+_P = Fraction(mf.EN_PRIME)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+# rank 2 over Q, rank 1 mod EN_PRIME: the kernel certificate must fail
+@example((QQ, [((2, 2), [(0, 0, Fraction(1)), (0, 1, Fraction(1)), (1, 0, Fraction(1)),
+                         (1, 1, _P + 1)], [Fraction(1), Fraction(1)])]))
+# consistent over Q, x = 1/EN_PRIME, but inconsistent mod EN_PRIME
+@example((QQ, [((1, 1), [(0, 0, _P)], [Fraction(1)])]))
+def test_ranks_and_solutions_match_linalg(problem):
+    """_ranks equals linalg.rank; _solutions is None exactly when
+    linalg.solve is, any x solves U x = b exactly, and over F_q it is
+    linalg.solve's x."""
+    field, systems = problem
+    dense = [_dense(field, shape, entries) for shape, entries, _ in systems]
+    ranks = mf._ranks(field, [(shape, entries) for shape, entries, _ in systems])
+    assert ranks == [linalg.rank(field, mat) for mat in dense]
+    for mat, (_, _, b), x in zip(dense, systems, mf._solutions(field, systems)):
+        want = linalg.solve(field, mat, b)
+        assert (x is None) == (want is None)
+        if x is not None:
+            assert linalg.mat_vec(field, mat, x) == b
+            if field.characteristic:
+                assert x == want
 
 
 def test_graded_complex_shape_validation():
