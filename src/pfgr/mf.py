@@ -8,12 +8,13 @@ identities exactly, computes morphism spaces by truncated exact linear
 algebra, folds resolutions into factorizations by solving lifting problems
 degree by degree, and certifies the determinantal resolution of the rank-one
 locus of a 2 x c matrix weight space by weight space.  Every such linear
-system goes through _ranks or _solutions, which stack the systems by shape
-and eliminate each stack mod a prime: over F_q its own order, and the
-answers are exact; over Q the fixed EN_PRIME, and each answer is checked
-exactly over Z, with _exact_system for any that fails.  The Eagon-Northcott
-weight spaces over Q are ranked over F_EN_PRIME, sound by their integer
-coefficients (eagon_northcott_check).
+system is built by _sparse_map, which applies a differential to a basis of
+(generator, monomial) pairs, and solved by _ranks or _solutions, which stack
+the systems by shape and eliminate each stack mod a prime: over F_q its own
+order, and the answers are exact; over Q the fixed EN_PRIME, and each answer
+is checked exactly over Z, with _exact_system for any that fails.  The
+Eagon-Northcott weight spaces over Q are ranked over F_EN_PRIME, sound by
+their integer coefficients (eagon_northcott_check).
 """
 
 import random
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
-from operator import sub
+from operator import add
 
 import numpy as np
 
@@ -42,6 +43,18 @@ class LiftObstruction(RuntimeError):
 def _zmat(ring, nrows, ncols):
     zero = ring.zero()
     return [[zero for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _sparse_map(basis, index, images):
+    """(shape, entries) of a differential on a basis of (generator, monomial)
+    pairs.  Column t is basis[t] = (g, m), and each term (g2, mu, c) of
+    images[g] puts c at row index[(g2, m + mu)].  The lookup is strict, a
+    missing row raises KeyError: every caller's rows hold every image (the
+    complete slab one charge up in _ext_dims, one whole weight space in
+    eagon_northcott_check, the closed row support in _solve_lift)."""
+    entries = [(index[g2, m + mu], col, c) for col, (g, m) in enumerate(basis)
+               for g2, mu, c in images[g]]
+    return (len(index), len(basis)), entries
 
 
 def _exact_system(field, shape, entries, rhs=None):
@@ -486,10 +499,11 @@ def _solve_lift(ring, U, B, level):
     """Solve U @ X = B over the ring, column by column.
 
     The unknown support is found by closing the right-hand side's monomial
-    support under division by monomials of U; each closure is one exact
-    linear system over the ground field.  For the structured differentials
-    this package feeds in, the closures stay small.  Raises LiftObstruction
-    when a column is inconsistent.
+    support under division by monomials of U, and the rows under the images
+    of the unknowns; _sparse_map reads each closure off as one exact linear
+    system over the ground field.  For the structured differentials this
+    package feeds in, the closures stay small.  Raises LiftObstruction when
+    a column is inconsistent.
 
     Every column's system is built first, and _solutions solves them all,
     one stacked modq.solve per system shape; its None is an exact verdict
@@ -502,14 +516,14 @@ def _solve_lift(ring, U, B, level):
     nmid = len(U[0]) if U and U[0] else 0
     ncols = len(B[0]) if B else 0
     X = _zmat(ring, nmid, ncols)
-    by_mid = {}
-    by_row = {}
+    images = {}  # t: the terms (i, monomial, coefficient) of column t of U
+    by_row = {}  # i: the terms (t, monomial) of row i of U
     for i in range(len(U)):
         for t in range(nmid):
             e = U[i][t]
             if not e.is_zero():
-                by_mid.setdefault(t, []).append((i, e))
-                by_row.setdefault(i, []).append((t, e))
+                images.setdefault(t, []).extend((i, mu, c) for mu, c in e.coeffs.items())
+                by_row.setdefault(i, []).extend((t, mu) for mu in e.coeffs)
     columns = []
     for j in range(ncols):
         rhs = {}
@@ -527,28 +541,22 @@ def _solve_lift(ring, U, B, level):
                 if (i, m) in rows:
                     continue
                 rows[(i, m)] = len(rows)
-                for (t, e) in by_row.get(i, []):
-                    for mu in e.coeffs:
-                        if divides(mu, m):
-                            key = (t, m - mu)
-                            if key not in unknowns:
-                                unknowns[key] = len(unknowns)
-                                fresh.append(key)
+                for (t, mu) in by_row.get(i, []):
+                    if divides(mu, m):
+                        key = (t, m - mu)
+                        if key not in unknowns:
+                            unknowns[key] = len(unknowns)
+                            fresh.append(key)
             frontier = []
             for (t, m) in fresh:
-                for (i, e) in by_mid.get(t, []):
-                    for mu in e.coeffs:
-                        key = (i, m + mu)
-                        if key not in rows:
-                            frontier.append(key)
-        entries = [(rows[(i, m + mu)], col, c)
-                   for (t, m), col in unknowns.items()
-                   for (i, e) in by_mid.get(t, [])
-                   for mu, c in e.coeffs.items()]
+                for (i, mu, _) in images[t]:
+                    key = (i, m + mu)
+                    if key not in rows:
+                        frontier.append(key)
         vec = [F.zero] * len(rows)
         for key, c in rhs.items():
             vec[rows[key]] = c
-        columns.append((j, rhs, unknowns, ((len(rows), len(unknowns)), entries, vec)))
+        columns.append((j, rhs, unknowns, (*_sparse_map(list(unknowns), rows, images), vec)))
     sols = _solutions(F, [system for *_, system in columns])
     for (j, rhs, unknowns, _), sol in zip(columns, sols):
         if sol is None:
@@ -701,7 +709,9 @@ def hom_ext_truncated(E, F, trunc):
 
 def _ext_dims(E, F, cap):
     """Homology dimensions of the Hom complex at every charge r <= cap, from
-    slabs up to charge cap + 1 (monomials of degree <= cap + 1 - min base)."""
+    slabs up to charge cap + 1 (monomials of degree <= cap + 1 - min base)
+    of (component (i, j): E_j -> F_i, monomial) pairs; D maps the slab at r
+    into the complete one at r + 1, read off by _sparse_map."""
     ring = E.ring
     gens_e = E.generators()
     gens_f = F.generators()
@@ -709,6 +719,12 @@ def _ext_dims(E, F, cap):
     Fd = F.full_differential()
     components = [(i, j, (pf + pe) % 2, cf - ce) for i, (pf, cf) in enumerate(gens_f)
                   for j, (pe, ce) in enumerate(gens_e)]
+    # D(phi) = d_F o phi - (-1)^{parity(phi)} phi o d_E on each component phi
+    images = {(i, j): [((k, j), mu, c) for k in range(len(gens_f))
+                       for mu, c in Fd[k][i].coeffs.items()]
+              + [((i, l), mu, ring.field.neg(c) if par == 0 else c)
+                 for l in range(len(gens_e)) for mu, c in Ed[j][l].coeffs.items()]
+              for i, j, par, _ in components}
     top = cap + 1 - min((base for *_, base in components), default=0)
     monos = [(ring.pack(m), ring.monomial_charge(m)) for d in range(top + 1)
              for m in ring.monomials_of_degree(d)]
@@ -716,27 +732,12 @@ def _ext_dims(E, F, cap):
     for i, j, par, base in components:
         for m, charge in monos:
             if base + charge <= cap + 1:
-                slabs.setdefault((par, base + charge), []).append((i, j, m))
+                slabs.setdefault((par, base + charge), []).append(((i, j), m))
     index = {key: {b: t for t, b in enumerate(basis)} for key, basis in slabs.items()}
 
     keys = [key for key in slabs if key[1] <= cap]
-    systems = []
-    for par, r in keys:
-        tgt_index = index.get(((par + 1) % 2, r + 1), {})
-        entries = []
-        for col, (i, j, m) in enumerate(slabs[par, r]):
-            # D(phi) = d_F o phi - (-1)^{parity(phi)} phi o d_E
-            for k in range(len(gens_f)):
-                for mu, c in Fd[k][i].coeffs.items():
-                    t = tgt_index.get((k, j, m + mu))
-                    if t is not None:
-                        entries.append((t, col, c))
-            for l in range(len(gens_e)):
-                for mu, c in Ed[j][l].coeffs.items():
-                    t = tgt_index.get((i, l, m + mu))
-                    if t is not None:
-                        entries.append((t, col, ring.field.neg(c) if par == 0 else c))
-        systems.append(((len(tgt_index), len(slabs[par, r])), entries))
+    systems = [_sparse_map(slabs[par, r], index.get(((par + 1) % 2, r + 1), {}), images)
+               for par, r in keys]
     ranks = dict(zip(keys, _ranks(ring.field, systems)))
 
     dims = {}
@@ -775,8 +776,9 @@ def _en_terms(c):
 
     Term 0 is the free rank-one module; term 1 is indexed by column pairs;
     term k >= 2 by (k+1)-subsets of columns together with a symmetric tensor
-    g1^a1 g2^a2 of the two rows, a1 + a2 = k - 1.  Each generator carries a
-    multidegree (row part, column part) making all differentials homogeneous.
+    g1^a1 g2^a2 of the two rows, a1 + a2 = k - 1.  A generator (I, (a1, a2))
+    of term k >= 1 has row sums (1 + a1, 1 + a2) and column sums 1 on I, the
+    multidegree that makes all differentials homogeneous.
     """
     terms = [[((), (0, 0))]]
     terms.append([(I, (0, 0)) for I in combinations(range(c), 2)])
@@ -789,15 +791,6 @@ def _en_terms(c):
         terms.append(gens)
         k += 1
     return terms
-
-
-def _en_gen_multidegree(c, level, gen):
-    I, (a1, a2) = gen
-    cols = [0] * c
-    for i in I:
-        cols[i] += 1
-    rows = (0, 0) if level == 0 else (1 + a1, 1 + a2)
-    return rows, tuple(cols)
 
 
 def eagon_northcott_complex(ring, c):
@@ -838,38 +831,6 @@ def eagon_northcott_complex(ring, c):
     return terms, diffs
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _monomials_with_multidegree(c, rows, cols):
-    """Exponent tuples (y11..y1c, y21..y2c) with given row and column sums."""
-    r1, r2 = rows
-
-    def rec(i, remaining):
-        if i == c:
-            if remaining == 0:
-                yield ()
-            return
-        hi = min(cols[i], remaining)
-        for n1 in range(hi + 1):
-            for tail in rec(i + 1, remaining - n1):
-                yield (n1,) + tail
-
-    out = []
-    for top in rec(0, r1):
-        if all(cols[i] - top[i] >= 0 for i in range(c)):
-            bottom = tuple(cols[i] - top[i] for i in range(c))
-            if sum(bottom) == r2:
-                out.append(top + bottom)
-    return out
-
-
 def _en_homology(sizes, ranks):
     """(spot, dim) of each nonzero homology group of one weight space, k >= 1."""
     out = []
@@ -886,7 +847,10 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     Composites are checked as polynomial identities over the field.
     Exactness in every internal degree up to the cutoff is checked weight
     space by weight space: the differentials preserve the full torus
-    multidegree, so each weight gives a few small matrices.  All of them are
+    multidegree, so each weight gives a few small matrices.  Each (generator,
+    monomial) pair of degree <= the cutoff is bucketed by its weight and
+    term, so a weight space holds every image of its pairs (_sparse_map);
+    weights run in the order (t, row sums, column sums).  All of them are
     ranked over F_p by _ranks, one modq.batch_rank call per distinct matrix
     shape, with no kernel certificate.  The cokernel dimensions are compared
     against the independent count of functions on the cone over the Segre
@@ -920,56 +884,48 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
         poly_mat_is_zero(poly_mat_mul(diffs[k], diffs[k + 1]))
         for k in range(len(diffs) - 1))
 
-    multidegrees = [
-        [_en_gen_multidegree(c, k, g) for g in gens] for k, gens in enumerate(terms)
-    ]
-    # the terms of each differential by source generator: (target, monomial,
+    # the image of generator gi of term k + 1: (generator (k, ti), monomial,
     # integer coefficient); over a prime field the coefficient is its residue
-    by_source = []
+    images = {}
     for k, mat in enumerate(diffs):
-        out = [[] for _ in terms[k + 1]]
-        for ti, row in enumerate(mat):
-            for gi, e in enumerate(row):
-                for mu, cf in e.coeffs.items():
+        for gi in range(len(terms[k + 1])):
+            image = images[k + 1, gi] = []
+            for ti, row in enumerate(mat):
+                for mu, cf in row[gi].coeffs.items():
                     assert int(cf) == cf
-                    out[gi].append((ti, mu, int(cf)))
-        by_source.append(out)
+                    image.append(((k, ti), mu, int(cf)))
 
-    weights = [(t, (r1, t - r1), cols) for t in range(degree_cutoff + 1)
-               for r1 in range(t + 1) for cols in _compositions(t, c)]
-    monomials = {}
+    # each (generator, monomial) pair of total degree <= the cutoff, bucketed
+    # by weight (degree, row sums, column sums, flattened) and then by term
+    monos = [[(ring.pack(e), (d, sum(e[:c]), sum(e[c:]), *map(add, e[:c], e[c:])))
+              for e in ring.monomials_of_degree(d)]
+             for d in range(degree_cutoff + 1)]
+    buckets = {}
+    for k, gens in enumerate(terms):
+        for gi, (I, (a1, a2)) in enumerate(gens):
+            rows = (0, 0) if k == 0 else (1 + a1, 1 + a2)
+            gen, gw = (k, gi), (sum(rows), *rows, *map(I.count, range(c)))
+            for d in range(degree_cutoff + 1 - gw[0]):
+                for m, mw in monos[d]:
+                    weight = tuple(map(add, mw, gw))
+                    if weight not in buckets:
+                        buckets[weight] = [[] for _ in terms]
+                    buckets[weight][k].append((gen, m))
+    weights = sorted(buckets)
     systems = []  # (shape, entries) of every differential, weight by weight
-    term_sizes = []  # per weight: the basis size of each term
-    for _, rows, cols in weights:
-        bases = []
-        for k in range(len(terms)):
-            basis = []
-            for gi, (grows, gcols) in enumerate(multidegrees[k]):
-                mr = (rows[0] - grows[0], rows[1] - grows[1])
-                mc = tuple(map(sub, cols, gcols))
-                if min(mr) < 0 or min(mc) < 0:
-                    continue
-                if (mr, mc) not in monomials:
-                    monomials[mr, mc] = [ring.pack(exp) for exp in
-                                         _monomials_with_multidegree(c, mr, mc)]
-                basis.extend((gi, exp) for exp in monomials[mr, mc])
-            bases.append(basis)
+    for weight in weights:
+        bases = buckets[weight]
         for k in range(len(diffs)):
-            tgt_index = {b: i for i, b in enumerate(bases[k])}
-            entries = []
-            for col, (gi, exp) in enumerate(bases[k + 1]):
-                for ti, mu, cf in by_source[k][gi]:
-                    ri = tgt_index.get((ti, exp + mu))
-                    if ri is not None:
-                        entries.append((ri, col, cf))
-            systems.append(((len(bases[k]), len(bases[k + 1])), entries))
-        term_sizes.append([len(b) for b in bases])
+            index = {b: i for i, b in enumerate(bases[k])}
+            systems.append(_sparse_map(bases[k + 1], index, images))
     modular = _ranks(field if field.characteristic else PrimeField(EN_PRIME), systems)
 
     homology_failures = []
     coker = {t: 0 for t in range(degree_cutoff + 1)}
     nd = len(diffs)
-    for w, ((t, rows, cols), sizes) in enumerate(zip(weights, term_sizes)):
+    for w, weight in enumerate(weights):
+        t, rows, cols = weight[0], weight[1:3], weight[3:]
+        sizes = [len(basis) for basis in buckets[weight]]
         own = slice(w * nd, (w + 1) * nd)
         ranks = modular[own]
         if _en_homology(sizes, ranks):

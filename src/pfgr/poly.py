@@ -12,10 +12,10 @@ variable i owns the 16-bit field at bit 16 i of one int, exponents stay below
 the sum of two keys never carries between fields: it encodes the exponent
 sum injectively, and is a valid key exactly when no guard bit is set.
 Products test that with one AND and raise OverflowError, never yielding a
-wrong monomial.  The key sums in pfgr.mf (the Hom slabs of _ext_dims, the
-Eagon-Northcott weight bases, the _solve_lift closure) add two valid keys
-and only look the sum up among valid keys or use it as a row label, so no
-sum there can alias another monomial.  Printing unpacks and sorts terms by
+wrong monomial.  The key sums in pfgr.mf add two valid keys.  Each sum is
+looked up among valid keys by one helper, mf._sparse_map, where a miss
+raises KeyError, or is used as a row label by the _solve_lift closure, so
+no sum there can alias another monomial.  Printing unpacks and sorts terms by
 exponent tuple, so it does not depend on the packing.
 """
 

@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +241,16 @@ def test_malformed_model_file(tmp_path):
     assert cli.main(["model", "show", str(path)]) == 2
     path.write_text(json.dumps({"d": 7}))
     assert cli.main(["model", "show", str(path)]) == 2
+
+
+def test_perfbench_traced_names_resolve():
+    """Every layer function perfbench/trace_child.py wraps under --trace 1 is
+    a callable of its pfgr module, so deleting or renaming one fails here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    missing = [(module, name) for module, names in trace_child.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"pfgr.{module}"), name, None))]
+    assert trace_child.TRACED and missing == []

@@ -746,10 +746,40 @@ def test_determinantal_failure_is_reported_exactly(monkeypatch):
     # the shortened matrix is the first 5 x 7 one in weight order: the
     # quadrics into the 5 monomials of row degrees (2, 3), columns (1, 2, 2)
     weight = ((2, 3), (1, 2, 2))
-    assert len(mf._monomials_with_multidegree(3, *weight)) == 5
+    assert [((sum(e[:3]), sum(e[3:])), tuple(map(sum, zip(e[:3], e[3:]))))
+            for e in PolyRing(QQ, "abcdef").monomials_of_degree(5)].count(weight) == 5
     assert res.homology_failures == [{"spot": 1, "weight": weight, "dim": 1}]
     assert res.coker_dims[5] == res.segre_dims[5] + 1
     assert not res.exact
+
+
+@pytest.mark.parametrize("c,cutoff", [(2, 6), (3, 5), (4, 5)])
+def test_determinantal_bases_are_complete(monkeypatch, c, cutoff):
+    """Summed over the weights, the basis of term k holds each of its
+    generators times every monomial of degree <= cutoff - its degree, and
+    _sparse_map refuses a map whose rows miss an image."""
+    systems = []
+    real = mf._ranks
+
+    def recording(field, batch):
+        systems.extend(batch)
+        return real(field, batch)
+
+    monkeypatch.setattr(mf, "_ranks", recording)
+    res = eagon_northcott_check(c=c, degree_cutoff=cutoff)
+    nd = len(res.term_ranks) - 1
+    # nd systems per weight; the system at position k - 1 maps term k to term k - 1
+    assert systems and len(systems) % nd == 0
+    for k in range(1, nd + 1):
+        columns = sum(n for (_, n), _ in systems[k - 1::nd])
+        monomials = comb(cutoff - res.generator_degrees[k] + 2 * c, 2 * c)
+        assert columns == res.term_ranks[k] * monomials
+    assert sum(m for (m, _), _ in systems[::nd]) == comb(cutoff + 2 * c, 2 * c)
+
+    images = {"g": [("h", 1, 3)]}
+    assert mf._sparse_map([("g", 1)], {("h", 2): 0}, images) == ((1, 1), [(0, 0, 3)])
+    with pytest.raises(KeyError):
+        mf._sparse_map([("g", 1)], {("h", 1): 0}, images)
 
 
 def test_segre_dimension_oracle():
