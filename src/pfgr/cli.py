@@ -4,6 +4,10 @@ Reports are deterministic for a fixed configuration: the JSON output carries
 no timestamps and all collections are emitted in sorted order, so identical
 configs produce byte-identical files.  Wall-clock timings appear only in the
 human-readable text summary.
+
+A run takes one census and one sample pool: the census check reports the
+strata the model was certified with, and every sampled check reads slices
+of the pool that draw_pool takes right after the model.
 """
 
 import argparse
@@ -84,6 +88,7 @@ class Report:
     config: dict
     checks: list = dc_field(default_factory=list)
     timings: dict = dc_field(default_factory=dict)
+    shared: dict = dc_field(default_factory=dict)  # name -> (seconds, what it serves)
 
     def add(self, name, claim, passed, parameters, witness, elapsed=None):
         self.checks.append({
@@ -117,10 +122,8 @@ class Report:
             lines.append(f"[{mark}] {c['check_name']}{took}: {c['claim']}")
             if c["verdict"] != "pass":
                 lines.append(f"       witness: {json.dumps(c['witness'], sort_keys=True)}")
-        checked = {c["check_name"] for c in self.checks}
-        for name, t in self.timings.items():
-            if name not in checked:
-                lines.append(f"{name} ({t:.2f}s): one pass shared by the {name}.* checks")
+        for name, (t, note) in self.shared.items():
+            lines.append(f"{name} ({t:.2f}s): {note}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
@@ -137,7 +140,8 @@ def run_window_suite(config, report):
     win = windows.exceptional_report(
         l_bound, m_bound, n=config.d,
         dp_cutoff=config.dp_cutoff, dx_cutoff=config.dx_cutoff)
-    report.timings["window"] = time.perf_counter() - t0
+    report.shared["window"] = (time.perf_counter() - t0,
+                               "one pass shared by the window.* checks")
     for c in win.checks:
         report.add("window." + c.name, c.claim, c.passed, c.parameters, c.witness)
 
@@ -149,14 +153,36 @@ def _sampling_model(config, model):
     return q, replace(model, field=PrimeField(q))
 
 
-def run_geometry_suite(config, report, model):
+def draw_pool(config, model, report):
+    """(points, planes): max(samples, 16) Y2 points over the sampling field
+    when the geometry suite runs (the critical sweep takes 16) and one for
+    the Knorrer fibre otherwise, and one Y1 plane through each of the first
+    `samples` points when geometry runs; timed on a shared `pool` line."""
+    q, work = _sampling_model(config, model)
+    t0 = time.perf_counter()
+    geometry_runs = "geometry" in config.suites
+    pool = geometry.sample_y2_points(work, q, max(config.samples, 16) if geometry_runs else 1,
+                                     seed=config.seed)
+    planes = (geometry.sample_y1_points(work, q, pool[:config.samples], seed=config.seed)
+              if geometry_runs else [])
+    report.shared["pool"] = (time.perf_counter() - t0,
+                             f"{len(pool)} Y2 points and {len(planes)} Y1 planes over "
+                             f"F_{q}, shared by the sampled checks")
+    return pool, planes
+
+
+def run_geometry_suite(config, report, model, pool, planes):
+    """The geometry checks on the certified model.  The census check reports
+    the strata the model was certified with; the sampled checks read slices
+    of the run's pool and Y1 planes, so they share points and are not
+    independent draws, but each certifies every point it is given."""
     q, model = _sampling_model(config, model)
 
     def census():
         strata = {}
         ok = True
         for cq in config.census_qs:
-            census_q = geometry.rank_census(model, cq)
+            census_q = model.census[cq]
             strata[str(cq)] = {str(k): v for k, v in sorted(census_q.items())}
             deep = sum(v for r, v in census_q.items() if r <= model.forbidden_rank)
             ok = ok and deep == 0
@@ -182,8 +208,8 @@ def run_geometry_suite(config, report, model):
 
     for variety in ("Y1", "Y2"):
         def smooth(v=variety):
-            rep = geometry.smoothness_sample(model, v, config.samples, q=q,
-                                             seed=config.seed)
+            points = planes if v == "Y1" else pool[:config.samples]
+            rep = geometry.smoothness_sample(model, v, points, q=q, requested=config.samples)
             return rep.passed, {"found": rep.found, "expected_rank": rep.expected_rank,
                                 "witnesses": rep.witnesses[:3]}
         _timed(report, f"geometry.smoothness_{variety}",
@@ -201,7 +227,7 @@ def run_geometry_suite(config, report, model):
 
     def critical():
         sweep = geometry.critical_equivalence_sweep(
-            model, q=q, n_pos=1000, n_near=1000, n_rand=10000, seed=config.seed)
+            model, pool[:16], q=q, n_pos=1000, n_near=1000, n_rand=10000, seed=config.seed)
         return (sweep.consistent and sweep.positive_failures == 0), {
             "positives": sweep.positives, "near_misses": sweep.near_misses,
             "randoms": sweep.randoms, "disagreements": sweep.disagreements[:3],
@@ -212,7 +238,7 @@ def run_geometry_suite(config, report, model):
            {"q": q}, critical)
 
     def normal():
-        pts = geometry.sample_y2_points(model, q, config.samples, seed=config.seed + 7)
+        pts = pool[:config.samples]
         results = geometry.normal_map_check(model, pts, q=q) if pts else []
         bad = [{"p": p, "rank": res.rank} for p, res in zip(pts, results) if not res.passed]
         return (len(pts) == config.samples and not bad), {
@@ -223,10 +249,9 @@ def run_geometry_suite(config, report, model):
            {"samples": config.samples, "q": q}, normal)
 
     def probe():
-        pts = geometry.sample_y2_points(model, q, 1, seed=config.seed + 11)
-        if not pts:
+        if not pool:
             return False, {"reason": "no degenerate point found"}
-        dims, okp = geometry.underlying_scheme_probe(model, pts[0])
+        dims, okp = geometry.underlying_scheme_probe(model, pool[0])
         return okp, {"dims": {str(k): v for k, v in dims.items()}}
 
     _timed(report, "geometry.invariant_ring_probe",
@@ -234,12 +259,12 @@ def run_geometry_suite(config, report, model):
            {"max_degree": 6}, probe)
 
     def extension():
-        pts = geometry.sample_y2_points(model, q, 3, seed=config.seed + 13)
-        xs = geometry.sample_y1_points(model, q, 3, seed=config.seed + 13)
-        if not pts or not xs:
+        if not pool or not planes:
             return False, {"reason": "sampling failed"}
-        for p in pts:
-            for x in xs:
+        # planes[i] passes through pool[i] and meets its kernel, so the pairs
+        # i = j fail as 'kernel_meets_image' and the loop passes over them
+        for p in pool[:3]:
+            for x in planes[:3]:
                 res = geometry.kernel_and_extend(model, p, x)
                 if res.ok:
                     return True, {"dim": len(res.extension)}
@@ -250,7 +275,7 @@ def run_geometry_suite(config, report, model):
            {"q": q}, extension)
 
 
-def run_mf_suite(config, report, model):
+def run_mf_suite(config, report, model, pool):
     F = QQ
     trunc = max(4, config.trunc)  # what the Hom checks run at and report
 
@@ -319,12 +344,11 @@ def run_mf_suite(config, report, model):
            {"c": model.d - 3, "degree_cutoff": 8}, determinantal)
 
     def fibre():
-        q, work = _sampling_model(config, model)
-        pts = geometry.sample_y2_points(work, q, 1, seed=config.seed + 17)
-        if not pts:
+        _, work = _sampling_model(config, model)
+        if not pool:
             return False, {"reason": "no degenerate point"}
-        L = geometry.maximal_isotropic(work, pts[0], seed=config.seed)
-        res = mf.knorrer_rank_check(work, pts[0], L, trunc=min(config.trunc, 6))
+        L = geometry.maximal_isotropic(work, pool[0], seed=config.seed)
+        res = mf.knorrer_rank_check(work, pool[0], L, trunc=min(config.trunc, 6))
         ok = (res.split_certified and res.full_rank_factorization_ok
               and res.stabilized and res.matches_kernel_functions
               and all(t == 1 for t in res.factor_totals))
@@ -376,12 +400,14 @@ def run(config):
                        "a generic model passes surjectivity, census and smoothness certificates",
                        False, {"seed": config.seed, "d": config.d},
                        {"error": str(err)}, time.perf_counter() - t0)
+    if model is not None:
+        pool, planes = draw_pool(config, model, report)
     if "window" in config.suites:
         run_window_suite(config, report)
     if "geometry" in config.suites and model is not None:
-        run_geometry_suite(config, report, model)
+        run_geometry_suite(config, report, model, pool, planes)
     if "mf" in config.suites and model is not None:
-        run_mf_suite(config, report, model)
+        run_mf_suite(config, report, model, pool)
     return report
 
 

@@ -22,19 +22,31 @@ Both samplers cost about q draws per point over F_q.  Y2 is sampled by
 kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
 whose single solution lies on Y2 about once in q tries.  Y1 is sampled
 through the incidence {(p, U) : U meets ker(omega_p)} between the two
-varieties, the correspondence behind the equivalence: for a sampled p, a
-random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v)) about once
-in q draws (sample_y1_points holds the soundness argument).  Sampling is
-deterministic given a seed, with at most 4096 draws per batched elimination
-and SAMPLER_MAX_TRIES draws per call, so q is refused beyond that budget.
+varieties, the correspondence behind the equivalence: for each given Y2
+point p, a random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v))
+about once in q draws (sample_y1_points holds the soundness argument).
+Sampling is deterministic given a seed, with at most 4096 draws per batched
+elimination and SAMPLER_MAX_TRIES draws per call, so q is refused beyond
+that budget.
+
+Each census and each sample is taken once per run.  certify_model ranks the
+census primes and draws its Y2 points, with one Y1 plane through each, in
+one stream; random_model keeps the strata on the model (PfaffianModel.census)
+for the census check to report.  The pointwise checks (smoothness_sample,
+normal_map_check, critical_equivalence_sweep, kernel_and_extend, the probe)
+sample nothing: they take points from the caller, and the command line
+hands every check slices of one pool.  Each check still certifies the rank
+of every point it is given, so sharing points gives up independence
+between the checks, not soundness.
 """
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 import random
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,13 +84,17 @@ class PfaffianModel:
 
     A has d rows and C(d, 2) columns (wedge-basis order from wedge_pairs) and
     full row rank; entries are small integers so the same model reduces
-    soundly mod every census prime.
+    soundly mod every census prime.  census maps each prime certify_model
+    ranked to its read-only strata {rank: count} (None for a model that was
+    not certified); it depends on A only, so replace(model, field=...) may
+    carry it, and it takes no part in equality, repr or model_to_json.
     """
 
     d: int
     A: tuple
     seed: int
     field: object
+    census: object = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 5 or self.d % 2 == 0:
@@ -369,30 +385,53 @@ def sample_y2_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
     return found
 
 
-def _incidence_pairs(model, q, count, seed, max_tries):
-    """Pairs (p, x) of the incidence: p on Y2, x a Y1 plane meeting ker(omega_p).
+def sample_y1_points(model, q, base_points, seed=0, max_tries=SAMPLER_MAX_TRIES):
+    """Full-rank 2 x d matrices x over F_q with A(wedge of x) = 0, one Y1
+    plane through each given Y2 point, in the order of base_points.
 
-    Takes count Y2 base points, from a seed stream disjoint from
-    sample_y2_points(seed=seed), and for each draws k in ker(omega_p) until
-    C_k: v -> A(k wedge v) has rank exactly d - 2; x is a basis of ker C_k.
-    At most 4096 draws go into one elimination.  Base points still without a
-    plane after max_tries draws are dropped, so fewer than count pairs can
-    come back.
+    Samples through the incidence {(p, U) : U meets K_p = ker(omega_p)}
+    between Y2 and Y1.  The base points come from the caller, so the planes
+    are not independent of them: the plane returned for p meets K_p.  For
+    each p, draw k in K_p and let C_k be the d x d matrix of
+    v -> A(k wedge v).
+
+    * C_k kills k, and its image lies in the hyperplane p-perp, because
+      p . A(k wedge v) = omega_p(k, v) = 0.  So rank C_k <= d - 2 is a single
+      determinant condition on P(K_p), a plane curve, and a random k meets it
+      about once in q draws (a q-th of the cost of drawing k in all of V).
+    * When the rank is exactly d - 2, U = ker C_k is a 2-plane containing k,
+      and A(k wedge v) = 0 for every v in U, so A(Lambda^2 U) = 0.  Every
+      returned x is a rank-2 point of Y1 by construction.
+    * The incidence reaches all of Y1.  For k in a Y1 plane U, C_k kills U,
+      so the forms killing k (the kernel of C_k transposed) make a pencil.
+      Its degenerate members are the roots of the Pfaffian of the induced
+      form on V/k, a cubic at d = 7, so over the algebraic closure U meets
+      K_p for some p on Y2.
+
+    The draws of k come from a stream disjoint from
+    sample_y2_points(seed=seed), at most 4096 per elimination.  A base point
+    still without a plane after max_tries draws is dropped, so fewer planes
+    than base points can come back.  Planes are not deduplicated: at d = 5,
+    Y1 is a curve with about q points over F_q, so a sample of about q
+    planes must repeat some, and repeats are valid samples.
     """
+    if not len(base_points):
+        return []
     d = model.d
     Tq = model.tensor_mod(q)
-    ps = sample_y2_points(model, q, count, seed=(seed, 1), max_tries=max_tries)
-    if not ps:
-        return []
-    omegas = np.einsum("xi,iab->xab", np.array(ps), Tq) % q
+    omegas = np.einsum("xi,iab->xab", np.asarray(base_points, dtype=np.int64) % q, Tq) % q
     R, ranks, pivots = modq.rref(omegas, q)
+    off = np.flatnonzero(ranks > model.degenerate_rank)
+    if len(off):
+        raise ValueError(f"base point {list(base_points[off[0]])} is not on Y2: "
+                         f"omega rank {ranks[off[0]]}")
     # every base point has nullity >= 3; draw from its first three kernel vectors
     nullity = d - ranks
     first = np.cumsum(nullity) - nullity
     K = modq.kernels(R, pivots, q)[first[:, None] + np.arange(3)]
-    rng = np.random.default_rng((seed, 2))
+    rng = np.random.default_rng((seed, 1))
     planes = {}
-    pending = np.arange(len(ps))
+    pending = np.arange(len(base_points))
     tries = 0
     batch = 4096
     while len(pending) and tries < max_tries:
@@ -408,59 +447,11 @@ def _incidence_pairs(model, q, count, seed, max_tries):
         xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
         planes.update(zip(done.tolist(), xs.tolist()))
         pending = np.setdiff1d(pending, done)
-    return [(ps[i], planes[i]) for i in sorted(planes)]
-
-
-def sample_y1_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
-    """Full-rank 2 x d matrices x over F_q with A(wedge of x) = 0.
-
-    Samples through the incidence {(p, U) : U meets K_p = ker(omega_p)}
-    between Y2 and Y1, one plane per sampled Y2 point p.  Draw k in K_p and
-    let C_k be the d x d matrix of v -> A(k wedge v).
-
-    * C_k kills k, and its image lies in the hyperplane p-perp, because
-      p . A(k wedge v) = omega_p(k, v) = 0.  So rank C_k <= d - 2 is a single
-      determinant condition on P(K_p), a plane curve, and a random k meets it
-      about once in q draws (a q-th of the cost of drawing k in all of V).
-    * When the rank is exactly d - 2, U = ker C_k is a 2-plane containing k,
-      and A(k wedge v) = 0 for every v in U, so A(Lambda^2 U) = 0.  Every
-      returned x is a rank-2 point of Y1 by construction.
-    * The incidence reaches all of Y1.  For k in a Y1 plane U, C_k kills U,
-      so the forms killing k (the kernel of C_k transposed) make a pencil.
-      Its degenerate members are the roots of the Pfaffian of the induced
-      form on V/k, a cubic at d = 7, so over the algebraic closure U meets
-      K_p for some p on Y2.
-
-    Planes are not deduplicated: at d = 5, Y1 is a curve with about q points
-    over F_q, so a sample of about q planes must repeat some, and repeats are
-    valid samples.
-    """
-    return [x for _, x in _incidence_pairs(model, q, count, seed, max_tries)]
+    return [planes[i] for i in sorted(planes)]
 
 
 # ---------------------------------------------------------------------------
 # smoothness certificates
-
-
-def principal_pfaffians_batch(model, omegas, q):
-    """Principal sub-Pfaffians of a batch of 2-form matrices over F_q.
-
-    omegas: (N, d, d) int64.  Returns an (N, d) array; row vanishing is
-    equivalent to rank <= d - 3, which the census tests exploit exhaustively.
-    """
-    d = model.d
-    N = omegas.shape[0]
-    out = np.zeros((N, d), dtype=np.int64)
-    for i in range(d):
-        idx = tuple(a for a in range(d) if a != i)
-        acc = np.zeros(N, dtype=np.int64)
-        for matching, sign in perfect_matchings(idx):
-            term = np.full(N, sign, dtype=np.int64)
-            for a, b in matching:
-                term = (term * omegas[:, a, b]) % q
-            acc = (acc + term) % q
-        out[:, i] = acc
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -547,32 +538,32 @@ class SmoothnessReport:
     witnesses: list = dc_field(default_factory=list)
 
 
-def smoothness_sample(model, variety, n_samples=100, q=101, seed=0):
-    """Exact Jacobian ranks at sampled points of Y1 or Y2 over F_q.
+def smoothness_sample(model, variety, points, q=101, requested=None):
+    """Exact Jacobian ranks at the given points of Y1 or Y2 over F_q.
 
     Y2 points must have Jacobian rank 3 (the codimension of the stratum);
-    Y1 points must have differential rank d, i.e. the linear conditions are
-    transverse to the Grassmannian cone.  Finding no points at all is
-    reported as a failure only when the field is large enough to expect some.
+    Y1 points (2 x d planes) must have differential rank d, i.e. the linear
+    conditions are transverse to the Grassmannian cone.  The points come
+    from the caller, which may share them with other checks; every one of
+    them is ranked here.  The check passes when every rank is the expected
+    one and there are requested points (default: as many as given), so a
+    sampler that came back short is reported as a failure.
     """
     if variety not in ("Y1", "Y2"):
         raise ValueError("variety must be 'Y1' or 'Y2'")
-    if q < 101:
-        raise ValueError("smoothness sampling needs q >= 101; tiny fields "
-                         "carry too few points for the sample budgets")
+    pts = list(points)
     if variety == "Y2":
-        pts = sample_y2_points(model, q, n_samples, seed=seed)
         expected = 3
         jacobian = pfaffian_jacobian_mod
     else:
-        pts = sample_y1_points(model, q, n_samples, seed=seed)
         expected = model.d
         jacobian = y1_jacobian_mod
     ranks = modq.batch_rank(jacobian(model, pts, q), q).tolist() if pts else []
     witnesses = [{"point": pt, "rank": r} for pt, r in zip(pts, ranks) if r != expected]
     found = len(ranks)
-    passed = found == n_samples and not witnesses
-    return SmoothnessReport(variety, q, n_samples, found, expected, ranks, passed, witnesses)
+    requested = found if requested is None else requested
+    passed = found == requested and not witnesses
+    return SmoothnessReport(variety, q, requested, found, expected, ranks, passed, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +603,44 @@ def isotropic_target_dim(d):
     return 3 + (d - 3) // 2
 
 
-def kernel_and_extend(model, p, x):
-    """Extend ker(omega_p) by directions from a Y1 plane to a maximal isotropic.
+def _extend_isotropic(field, omega, basis, target, rng):
+    """Grow the isotropic list basis to target vectors, each new one a
+    random combination of a basis of its omega-orthogonal (basis-perp).
 
-    For d = 7 the extension is the full plane of x and needs the kernel and
-    the plane to be transverse; the locus where they meet is a genuine curve
-    and is reported as the named failure 'kernel_meets_image'.  For d = 5 a
-    single column of x suffices.
+    basis-perp contains basis and is strictly larger while the dimension is
+    below target = (d + 3) / 2 (for a form of rank d - 3 whose radical lies
+    in basis), so a random combination usually leaves the span; 500 failed
+    draws raise RuntimeError."""
+    basis = [list(v) for v in basis]
+    guard = 0
+    while len(basis) < target:
+        guard += 1
+        if guard > 500:
+            raise RuntimeError("failed to extend isotropic subspace")
+        # candidates must pair to zero with the current span
+        perp = linalg.right_kernel(field, [linalg.mat_vec(field, omega, v) for v in basis])
+        cand = [field.zero] * len(omega)
+        for v in perp:
+            c = field.of_int(rng.randrange(1, 97))
+            cand = [field.add(a, field.mul(c, b)) for a, b in zip(cand, v)]
+        if linalg.rank(field, basis + [cand]) == len(basis) + 1:
+            basis.append(cand)
+    return basis
+
+
+def kernel_and_extend(model, p, x):
+    """Extend ker(omega_p) through a Y1 plane to a certified maximal
+    isotropic subspace.
+
+    K_p + U is isotropic for every Y1 plane U = span(x), because
+    omega_p(u, v) = p(A(u wedge v)) = 0 and K_p is the radical.  Rows of x
+    transverse to the kernel are added first, as many as the target
+    dimension needs (one at d = 5, where U always meets K_p; both from d = 7
+    on).  Where the plane meets the kernel, a genuine curve for the base
+    point p (the plane through p drawn by sample_y1_points lies on it), the
+    named failure is 'kernel_meets_image'.  The rest, (d - 7) / 2 vectors
+    from d = 9 on, is completed inside (K_p + U)-perp as in
+    maximal_isotropic, and the result is certified isotropic.
     """
     F = model.field
     r, in_y2 = y2_membership(model, p)
@@ -628,20 +650,16 @@ def kernel_and_extend(model, p, x):
         raise ValueError("x is not a Y1 point")
     K = kernel_basis(model, p)
     assert len(K) == 3
-    xm = _coerce_matrix(F, x)
     target = isotropic_target_dim(model.d)
-    need = target - 3
+    need = 3 + min(target - 3, 2)
     stacked = [list(v) for v in K]
-    added = []
-    for row in xm:
-        if len(added) == need:
-            break
-        if linalg.rank(F, stacked + [row]) == len(stacked) + 1:
-            stacked.append(list(row))
-            added.append(row)
-    if len(added) < need:
+    for row in _coerce_matrix(F, x):
+        if len(stacked) < need and linalg.rank(F, stacked + [row]) == len(stacked) + 1:
+            stacked.append(row)
+    if len(stacked) < need:
         return KernelExtension(K, [], failure="kernel_meets_image")
     omega = omega_at(model, p)
+    stacked = _extend_isotropic(F, omega, stacked, target, random.Random(0))
     if not _is_isotropic(F, omega, stacked):
         return KernelExtension(K, [], failure="extension_not_isotropic")
     return KernelExtension(K, stacked)
@@ -651,23 +669,8 @@ def maximal_isotropic(model, p, seed=0):
     """A maximal isotropic subspace containing ker(omega_p), by random search."""
     F = model.field
     omega = omega_at(model, p)
-    basis = kernel_basis(model, p)
-    target = isotropic_target_dim(model.d)
-    rng = random.Random(seed)
-    guard = 0
-    while len(basis) < target:
-        guard += 1
-        if guard > 500:
-            raise RuntimeError("failed to extend isotropic subspace")
-        # candidates must pair to zero with the current span
-        rows = [linalg.mat_vec(F, omega, v) for v in basis]
-        perp = linalg.right_kernel(F, rows) if rows else []
-        cand = [F.zero] * model.d
-        for v in perp:
-            c = F.of_int(rng.randrange(1, 97))
-            cand = [F.add(a, F.mul(c, b)) for a, b in zip(cand, v)]
-        if linalg.rank(F, basis + [cand]) == len(basis) + 1:
-            basis.append(cand)
+    basis = _extend_isotropic(F, omega, kernel_basis(model, p),
+                              isotropic_target_dim(model.d), random.Random(seed))
     assert _is_isotropic(F, omega, basis)
     return basis
 
@@ -826,25 +829,39 @@ def _random_A(rng, d):
 
 
 def certify_model(model, census_qs=(2, 3, 5), cert_samples=5, sample_q=101):
-    """Run the genericity certificates; return the name of a failure or ''."""
+    """Run the genericity certificates.
+
+    Returns (failure, census): the name of the first certificate that
+    failed, or '' when all pass, and the strata {q: {rank: count}} of every
+    census prime ranked on the way.  The smoothness certificates take one
+    stream of cert_samples Y2 points over F_sample_q and one Y1 plane
+    through each of them.
+    """
+    census = {}
     if linalg.rank(QQ, [[QQ.of_int(c) for c in row] for row in model.A]) != model.d:
-        return "A_not_surjective"
+        return "A_not_surjective", census
     for q in list(census_qs) + [sample_q]:
         Aq = np.array(model.A, dtype=np.int64) % q
         if int(modq.batch_rank(Aq[None], q)[0]) != model.d:
-            return f"A_rank_drop_mod_{q}"
+            return f"A_rank_drop_mod_{q}", census
     for q in census_qs:
-        census = rank_census(model, q)
-        deep = sum(c for r, c in census.items() if r <= model.forbidden_rank)
-        if deep:
-            return f"deep_stratum_nonempty_q{q}"
-    for variety in ("Y2", "Y1"):
-        rep = smoothness_sample(model, variety, n_samples=cert_samples, q=sample_q, seed=model.seed)
+        census[q] = rank_census(model, q)
+        if any(r <= model.forbidden_rank for r in census[q]):
+            return f"deep_stratum_nonempty_q{q}", census
+    pts = sample_y2_points(model, sample_q, cert_samples, seed=model.seed)
+    planes = sample_y1_points(model, sample_q, pts, seed=model.seed)
+    for variety, points in (("Y2", pts), ("Y1", planes)):
+        rep = smoothness_sample(model, variety, points, q=sample_q, requested=cert_samples)
         if rep.found < cert_samples:
-            return f"sampling_budget_{variety}"
+            return f"sampling_budget_{variety}", census
         if not rep.passed:
-            return f"smoothness_{variety}"
-    return ""
+            return f"smoothness_{variety}", census
+    return "", census
+
+
+# 2-forms on V with rank <= d - 5 (kernel of dimension >= 5) have codimension
+# C(5, 2) = 10, so a linear P^(d-1) of them meets that stratum once d - 1 >= 10
+DEEP_STRATUM_CODIM = comb(5, 2)
 
 
 def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
@@ -854,11 +871,19 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
     Samples small integer matrices until the certificates pass: A surjective
     (also mod every census prime), the deep rank stratum empty over each
     census field, and Jacobian ranks correct at sampled points of both
-    varieties.  Raises ModelCertificateError when retries run out or at once
-    when a sampler runs out of tries (a new A would not help), and ValueError
-    for a sampling prime too large for exact int64 arithmetic or for the
-    sampler budget (cert_samples * q > SAMPLER_MAX_TRIES), before sampling.
+    varieties.  The returned model carries the census strata it was
+    certified with (PfaffianModel.census).  Raises ModelCertificateError
+    when retries run out or at once when a sampler runs out of tries (a new
+    A would not help), and ValueError, before any census or sampling, for
+    d >= 11 (the deep stratum has codimension 10 among 2-forms, so P^(d-1)
+    always meets it), for a sampling prime too large for exact int64
+    arithmetic, or for the sampler budget (cert_samples * q >
+    SAMPLER_MAX_TRIES).
     """
+    if d - 1 >= DEEP_STRATUM_CODIM:
+        raise ValueError(f"no model at d = {d} is generic: the stratum {{rank <= d - 5}} "
+                         f"has codimension C(5, 2) = {DEEP_STRATUM_CODIM} among 2-forms, "
+                         f"and P^{d - 1} meets it once d - 1 >= {DEEP_STRATUM_CODIM}")
     if field is None:
         field = PrimeField(q)
     if isinstance(field, str):
@@ -879,9 +904,10 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
     last = ""
     for attempt in range(max_retries):
         model = PfaffianModel(d=d, A=_random_A(rng, d), seed=seed + attempt, field=field)
-        last = certify_model(model, census_qs, cert_samples, sample_q)
+        last, census = certify_model(model, census_qs, cert_samples, sample_q)
         if not last:
-            return model
+            frozen = {cq: MappingProxyType(strata) for cq, strata in census.items()}
+            return replace(model, census=MappingProxyType(frozen))
         if last.startswith("sampling_budget_"):
             raise ModelCertificateError(f"sampler out of tries at q = {sample_q}: {last}")
     raise ModelCertificateError(f"no generic model after {max_retries} tries: {last}")
@@ -911,13 +937,6 @@ def model_from_json(text):
         return PfaffianModel(d=data["d"], A=A, seed=data["seed"], field=field)
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed model: {err!r}") from err
-
-
-def census_to_csv(census):
-    lines = ["stratum,count"]
-    for r in sorted(census):
-        lines.append(f"rank_{r},{census[r]}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -961,20 +980,20 @@ def _batch_verdicts(model, q, us, vs, ps):
     return gradient_zero, geometric
 
 
-def critical_equivalence_sweep(model, q=101, n_pos=1000, n_near=1000,
+def critical_equivalence_sweep(model, base_points, q=101, n_pos=1000, n_near=1000,
                                n_rand=10000, seed=0):
     """Compare gradient and geometric criticality verdicts in bulk.
 
-    Constructed positives are rank-one maps into the kernel at sampled
-    degenerate points; near-misses are rank-two maps into the kernel and
-    rank-one maps off the kernel; the rest are uniform random.  Any
-    disagreement between the two verdicts is returned as a witness.
+    Constructed positives are rank-one maps into the kernel at the given
+    degenerate base points (the caller's, which other checks may share);
+    near-misses are rank-two maps into the kernel and rank-one maps off the
+    kernel; the rest are uniform random.  Any disagreement between the two
+    verdicts is returned as a witness.
     """
     d = model.d
     rng = np.random.default_rng(seed)
-    base_points = sample_y2_points(model, q, max(4, min(16, n_pos)), seed=seed + 1)
-    if not base_points:
-        raise RuntimeError("no degenerate points found for the sweep")
+    if not len(base_points):
+        raise RuntimeError("no degenerate points given for the sweep")
     kernels = []
     Tq = model.tensor_mod(q)
     for p in base_points:
@@ -1048,16 +1067,3 @@ def critical_equivalence_sweep(model, q=101, n_pos=1000, n_near=1000,
     return CriticalSweep(
         positives=total_pos, near_misses=n_near, randoms=int(keep.sum()),
         disagreements=disagreements, positive_failures=positive_failures)
-
-
-def find_extension_failure(model, q=101, seed=0):
-    """A pair (p, x) on the locus where the kernel meets the plane of x.
-
-    The first pair of the incidence sampler behind sample_y1_points: its
-    plane x contains some k != 0 in K_p = ker(omega_p), so K_p + span(x) has
-    dimension at most 4 and kernel_and_extend can add at most one row of x.
-    For d >= 7 it needs two, and reports 'kernel_meets_image'.  Returns
-    (p, x) or None.
-    """
-    pairs = _incidence_pairs(model, q, 1, seed, SAMPLER_MAX_TRIES)
-    return pairs[0] if pairs else None

@@ -89,11 +89,6 @@ def char_mul(f, g):
     return out
 
 
-def char_is_symmetric(f):
-    """Invariance under swapping the torus variables (Weyl group of GL(2))."""
-    return all(f.get((j, i), 0) == c for (i, j), c in f.items())
-
-
 def diagonal_isotypic(char):
     """Multiplicity of each irreducible (w, w) in a genuine character.
 

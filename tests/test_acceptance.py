@@ -129,9 +129,11 @@ def test_criterion_07_geometry_certificates(model):
     for q in (2, 3, 5):
         census = geometry.rank_census(model, q)
         assert sum(cnt for r, cnt in census.items() if r <= 2) == 0
-    rep1 = geometry.smoothness_sample(model, "Y1", n_samples=100, q=101, seed=1)
+    pts = geometry.sample_y2_points(model, 101, 100, seed=1)
+    planes = geometry.sample_y1_points(model, 101, pts, seed=1)
+    rep1 = geometry.smoothness_sample(model, "Y1", planes, q=101, requested=100)
     assert rep1.found == 100 and rep1.passed and set(rep1.ranks) == {7}
-    rep2 = geometry.smoothness_sample(model, "Y2", n_samples=100, q=101, seed=1)
+    rep2 = geometry.smoothness_sample(model, "Y2", pts, q=101, requested=100)
     assert rep2.found == 100 and rep2.passed and set(rep2.ranks) == {3}
     checked, failures = geometry.rank_parity_sample(model, 10000, q=101, seed=1)
     assert checked == 10000 and not failures
@@ -140,8 +142,9 @@ def test_criterion_07_geometry_certificates(model):
 
 def test_criterion_08_critical_equivalence(model):
     c = Criterion(8, 60, "gradient and geometric criticality verdicts agree")
+    base_points = geometry.sample_y2_points(model, 101, 16, seed=2)
     sweep = geometry.critical_equivalence_sweep(
-        model, q=101, n_pos=1000, n_near=1000, n_rand=10000, seed=1)
+        model, base_points, q=101, n_pos=1000, n_near=1000, n_rand=10000, seed=1)
     assert sweep.positives >= 990
     assert sweep.randoms >= 9900
     assert sweep.positive_failures == 0
@@ -210,14 +213,16 @@ def test_criterion_11_dimension_five_suite(model5):
     for q in (2, 3, 5):
         census = geometry.rank_census(model5, q)
         assert sum(cnt for r, cnt in census.items() if r <= 0) == 0
-    rep1 = geometry.smoothness_sample(model5, "Y1", n_samples=100, q=101, seed=1)
+    pts = geometry.sample_y2_points(model5, 101, 100, seed=1)
+    planes = geometry.sample_y1_points(model5, 101, pts, seed=1)
+    rep1 = geometry.smoothness_sample(model5, "Y1", planes, q=101, requested=100)
     assert rep1.found == 100 and rep1.passed and set(rep1.ranks) == {5}
-    rep2 = geometry.smoothness_sample(model5, "Y2", n_samples=100, q=101, seed=1)
+    rep2 = geometry.smoothness_sample(model5, "Y2", pts, q=101, requested=100)
     assert rep2.found == 100 and rep2.passed and set(rep2.ranks) == {3}
     checked, failures = geometry.rank_parity_sample(model5, 10000, q=101, seed=1)
     assert checked == 10000 and not failures
     sweep = geometry.critical_equivalence_sweep(
-        model5, q=101, n_pos=1000, n_near=1000, n_rand=10000, seed=1)
+        model5, pts[:16], q=101, n_pos=1000, n_near=1000, n_rand=10000, seed=1)
     assert sweep.disagreements == [] and sweep.positive_failures == 0
     pts = geometry.sample_y2_points(model5, 101, 100, seed=8)
     assert len(pts) == 100

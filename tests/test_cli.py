@@ -223,6 +223,55 @@ def test_oversized_census_is_refused(monkeypatch):
     assert not enumerated
 
 
+def test_each_census_and_sample_is_taken_once(monkeypatch, capsys):
+    """One census per prime, ranked by the model's certificate and reported
+    by the census check; one Y2 sampler call and one Y1 sampler call inside
+    random_model, and one of each for the run's pool, timed on one shared
+    line of the text summary; no check samples."""
+    calls = []
+    inside = []
+
+    def spy(name):
+        real = getattr(geometry, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, bool(inside), args[1]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, wrapped)
+
+    real_model = geometry.random_model
+
+    def model_spy(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_model(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for name in ("rank_census", "sample_y2_points", "sample_y1_points"):
+        spy(name)
+    monkeypatch.setattr(geometry, "random_model", model_spy)
+    assert cli.main(["all", "--d", "5", "--samples", "20", "--seed", "1"]) == 0
+    pool_lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("pool (")]
+    assert len(pool_lines) == 1 and "20 Y2 points and 20 Y1 planes over F_101" in pool_lines[0]
+    censuses = [(within, q) for name, within, q in calls if name == "rank_census"]
+    assert sorted(censuses) == [(True, 2), (True, 3), (True, 5)]
+    samplers = [(name, within) for name, within, _ in calls if name != "rank_census"]
+    assert sorted(samplers) == [("sample_y1_points", False), ("sample_y1_points", True),
+                                ("sample_y2_points", False), ("sample_y2_points", True)]
+
+
+def test_dimension_11_and_up_is_refused(monkeypatch):
+    """Every model at d >= 11 meets the deep stratum: the suites that build
+    one exit 2 before any census; the window suite still runs there."""
+    ranked = []
+    monkeypatch.setattr(geometry, "rank_census", lambda *args: ranked.append(args))
+    assert cli.main(["geometry", "--d", "11"]) == 2
+    assert cli.main(["model", "gen", "--d", "11"]) == 2
+    assert not ranked
+    cli.SuiteConfig(d=11, suites=("window",)).validate()
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"foo": 1}))

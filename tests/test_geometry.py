@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -8,8 +9,7 @@ import pytest
 from pfgr import geometry, linalg, modq
 from pfgr.fields import QQ, PrimeField, is_prime
 from pfgr.geometry import (PfaffianModel, certify_model, critical_test,
-                           critical_equivalence_sweep, find_extension_failure,
-                           gaussian_binomial_2, grad_W, grassmannian_census,
+                           critical_equivalence_sweep, gaussian_binomial_2, grad_W, grassmannian_census,
                            kernel_and_extend, kernel_basis, maximal_isotropic,
                            normal_map_check, omega_at, omega_rank,
                            principal_pfaffians, quadratic_form_matrix,
@@ -47,8 +47,9 @@ def test_sampler_exhaustion_is_not_retried(monkeypatch):
     calls = []
 
     def counting_certify(*args, **kwargs):
-        calls.append(certify_model(*args, **kwargs))
-        return calls[-1]
+        failure, census = certify_model(*args, **kwargs)
+        calls.append(failure)
+        return failure, census
 
     monkeypatch.setattr(geometry, "sample_y2_points", lambda *args, **kwargs: [])
     monkeypatch.setattr(geometry, "certify_model", counting_certify)
@@ -79,7 +80,7 @@ def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):
 def test_zero_row_rejected():
     bad = tuple(tuple(0 for _ in range(21)) for _ in range(7))
     model = PfaffianModel(d=7, A=bad, seed=0, field=PrimeField(101))
-    assert certify_model(model) == "A_not_surjective"
+    assert certify_model(model) == ("A_not_surjective", {})
 
 
 def test_degenerate_model_fails_certificates(model):
@@ -88,7 +89,7 @@ def test_degenerate_model_fails_certificates(model):
     rows[1] = rows[0]
     broken = PfaffianModel(d=7, A=tuple(tuple(r) for r in rows), seed=0,
                            field=PrimeField(101))
-    assert certify_model(broken) != ""
+    assert certify_model(broken)[0] != ""
 
 
 def test_model_requires_odd_dimension():
@@ -102,11 +103,35 @@ def test_model_json_roundtrip(model):
     assert back.A == model.A and back.d == model.d and back.field == model.field
 
 
-def test_census_csv(model):
-    census = rank_census(model, 2)
-    csv = geometry.census_to_csv(census)
-    assert csv.startswith("stratum,count\n")
-    assert f"rank_6,{census[6]}" in csv
+def test_model_carries_its_census(model, model5):
+    """random_model keeps the strata certify_model ranked: equal to a fresh
+    census for every certified prime, read-only, carried by a change of
+    field, and left out of equality, repr and the JSON record."""
+    for m in (model, model5):
+        assert sorted(m.census) == [2, 3, 5]
+        for q, strata in m.census.items():
+            assert dict(strata) == rank_census(m, q)
+    with pytest.raises(TypeError):
+        model.census[2] = {}
+    with pytest.raises(TypeError):
+        model.census[2][6] = 0
+    moved = replace(model, field=QQ)
+    assert moved.census is model.census
+    bare = PfaffianModel(d=7, A=model.A, seed=model.seed, field=model.field)
+    assert bare.census is None and bare == model and hash(bare) == hash(model)
+    assert repr(bare) == repr(model)
+    assert geometry.model_to_json(bare) == geometry.model_to_json(model)
+
+
+@pytest.mark.parametrize("d", [11, 13])
+def test_random_model_refuses_d_11_and_up(monkeypatch, d):
+    """From d = 11 on, P^(d-1) always meets the codimension-10 stratum
+    {rank <= d - 5}: refused before any census is ranked."""
+    ranked = []
+    monkeypatch.setattr(geometry, "rank_census", lambda *args: ranked.append(args))
+    with pytest.raises(ValueError, match="codimension C\\(5, 2\\) = 10"):
+        random_model(1, d=d)
+    assert not ranked
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +205,20 @@ def test_oversized_census_is_refused_before_ranking(monkeypatch, model5):
     assert not ranked
 
 
+def _principal_pfaffians_batch(model, omegas, q):
+    """Principal sub-Pfaffians of an (N, d, d) stack of 2-forms over F_q, an
+    (N, d) array: the oracle whose rows vanish exactly at rank <= d - 3."""
+    d = model.d
+    out = np.zeros((omegas.shape[0], d), dtype=np.int64)
+    for i in range(d):
+        for matching, sign in geometry.perfect_matchings(tuple(a for a in range(d) if a != i)):
+            term = np.full(omegas.shape[0], sign, dtype=np.int64)
+            for a, b in matching:
+                term = (term * omegas[:, a, b]) % q
+            out[:, i] = (out[:, i] + term) % q
+    return out
+
+
 def test_pfaffian_rank_consistency_exhaustive(model):
     """rank <= 4 iff every principal sub-Pfaffian vanishes, whole point set."""
     for q in (2, 3, 5):
@@ -187,7 +226,7 @@ def test_pfaffian_rank_consistency_exhaustive(model):
         Tq = model.tensor_mod(q)
         omegas = np.einsum("xi,iab->xab", pts, Tq) % q
         ranks = modq.batch_rank(omegas.copy(), q)
-        pfs = geometry.principal_pfaffians_batch(model, omegas, q)
+        pfs = _principal_pfaffians_batch(model, omegas, q)
         low = ranks <= 4
         vanish = (pfs == 0).all(axis=1)
         assert (low == vanish).all()
@@ -200,7 +239,7 @@ def test_pfaffian_batch_matches_pointwise(model):
     pts = modq.projective_points(7, q)[:80]
     Tq = model.tensor_mod(q)
     omegas = np.einsum("xi,iab->xab", pts, Tq) % q
-    pfs = geometry.principal_pfaffians_batch(model, omegas, q)
+    pfs = _principal_pfaffians_batch(model, omegas, q)
     for t, p in enumerate(pts):
         slow = principal_pfaffians(work, [int(c) for c in p])
         assert [int(v) for v in pfs[t]] == [int(v) % q for v in slow]
@@ -258,7 +297,7 @@ def test_rank_parity_bulk(model):
 
 
 def test_y1_membership_and_contraction_oracle(model):
-    xs = sample_y1_points(model, 101, 5, seed=21)
+    xs = sample_y1_points(model, 101, sample_y2_points(model, 101, 5, seed=21), seed=21)
     assert len(xs) == 5
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     for x in xs:
@@ -273,18 +312,30 @@ def test_y1_membership_and_contraction_oracle(model):
 @pytest.mark.parametrize("d", [5, 7])
 @pytest.mark.parametrize("q", [101, 1009])
 def test_incidence_sampler_cross_check(request, d, q):
-    """Every sampled plane is a rank-2 point of Y1, by two independent routes."""
+    """Every sampled plane is a rank-2 point of Y1, by two independent routes,
+    and plane i meets the kernel at base point i."""
     base = request.getfixturevalue("model" if d == 7 else "model5")
     work = PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q))
-    xs = sample_y1_points(base, q, 20, seed=3)
+    ps = sample_y2_points(base, q, 20, seed=3)
+    xs = sample_y1_points(base, q, ps, seed=3)
     assert len(xs) == 20
-    for x in xs:
+    for p, x in zip(ps, xs):
         assert linalg.rank(work.field, [[work.field.of_int(c) for c in row] for row in x]) == 2
         assert y1_membership(work, x)
         assert all(work.field.is_zero(v) for v in geometry.contraction_oracle(work, x))
+        assert linalg.rank(work.field, kernel_basis(work, p) + x) <= 4
     if d == 7:
         reduced, _, _ = modq.rref(np.array(xs), q)
         assert len({r.tobytes() for r in reduced}) == len(xs)
+
+
+def test_y1_sampler_refuses_base_points_off_y2(model):
+    rng = random.Random(4)
+    off = [rng.randrange(1, 101) for _ in range(7)]
+    assert omega_rank(model, off) == 6
+    with pytest.raises(ValueError, match="not on Y2"):
+        sample_y1_points(model, 101, sample_y2_points(model, 101, 2, seed=5) + [off])
+    assert sample_y1_points(model, 101, []) == []
 
 
 def test_y1_membership_rejects_rank_deficient(model):
@@ -298,22 +349,35 @@ def test_y1_membership_rejects_rank_deficient(model):
 
 
 def test_smoothness_samples(model):
-    rep = smoothness_sample(model, "Y2", n_samples=25, q=101, seed=31)
-    assert rep.passed and set(rep.ranks) == {3}
-    rep = smoothness_sample(model, "Y1", n_samples=10, q=101, seed=31)
-    assert rep.passed and set(rep.ranks) == {7}
+    pts = sample_y2_points(model, 101, 25, seed=31)
+    rep = smoothness_sample(model, "Y2", pts, q=101)
+    assert rep.passed and set(rep.ranks) == {3} and rep.found == rep.requested == 25
+    rep = smoothness_sample(model, "Y1", sample_y1_points(model, 101, pts[:10], seed=31), q=101)
+    assert rep.passed and set(rep.ranks) == {7} and rep.found == 10
 
 
 def test_smoothness_samples_d5(model5):
-    rep = smoothness_sample(model5, "Y2", n_samples=25, q=101, seed=31)
+    pts = sample_y2_points(model5, 101, 25, seed=31)
+    rep = smoothness_sample(model5, "Y2", pts, q=101)
     assert rep.passed and set(rep.ranks) == {3}
-    rep = smoothness_sample(model5, "Y1", n_samples=10, q=101, seed=31)
+    rep = smoothness_sample(model5, "Y1", sample_y1_points(model5, 101, pts[:10], seed=31), q=101)
     assert rep.passed and set(rep.ranks) == {5}
+
+
+def test_smoothness_short_sample_fails(model):
+    """Fewer points than requested fail the check; a point off Y2 is a witness."""
+    pts = sample_y2_points(model, 101, 3, seed=33)
+    rep = smoothness_sample(model, "Y2", pts, q=101, requested=4)
+    assert rep.found == 3 and not rep.passed and not rep.witnesses
+    rng = random.Random(6)
+    off = [rng.randrange(1, 101) for _ in range(7)]
+    rep = smoothness_sample(model, "Y2", pts + [off], q=101)
+    assert not rep.passed and [w["point"] for w in rep.witnesses] == [off]
 
 
 def test_smoothness_rejects_unknown_variety(model):
     with pytest.raises(ValueError):
-        smoothness_sample(model, "Y3")
+        smoothness_sample(model, "Y3", [])
 
 
 def _largest_int64_prime(d):
@@ -392,7 +456,7 @@ def test_y1_jacobian_matches_wedge_columns(request, d):
     F = PrimeField(q)
     work = PfaffianModel(d=d, A=base.A, seed=0, field=F)
     rng = random.Random(d)
-    xs = sample_y1_points(base, q, 5, seed=d)
+    xs = sample_y1_points(base, q, sample_y2_points(base, q, 5, seed=d), seed=d)
     xs += [[[rng.randrange(q) for _ in range(d)] for _ in range(2)] for _ in range(3)]
     D = geometry.y1_jacobian_mod(base, xs, q)
     assert D.shape == (len(xs), d, 2 * d)
@@ -408,19 +472,40 @@ def test_y1_jacobian_matches_wedge_columns(request, d):
 # kernels and isotropic extensions
 
 
+def _assert_isotropic(work, p, basis):
+    omega = omega_at(work, p)
+    F = work.field
+    assert linalg.rank(F, basis) == len(basis)
+    for u in basis:
+        mu = linalg.mat_vec(F, omega, u)
+        for v in basis:
+            assert F.is_zero(sum(a * b for a, b in zip(mu, v)) % F.q)
+
+
 def test_kernel_and_extend_generic(model):
+    """A plane through another base point is transverse to the kernel, and
+    the extension is the kernel plus both of its rows."""
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     pts = sample_y2_points(model, 101, 2, seed=41)
-    xs = sample_y1_points(model, 101, 2, seed=41)
-    res = kernel_and_extend(work, pts[0], xs[0])
+    xs = sample_y1_points(model, 101, pts, seed=41)
+    res = kernel_and_extend(work, pts[0], xs[1])
     assert res.ok
     assert len(res.kernel) == 3 and len(res.extension) == 5
-    omega = omega_at(work, pts[0])
-    F = work.field
-    for u in res.extension:
-        mu = linalg.mat_vec(F, omega, u)
-        for v in res.extension:
-            assert F.is_zero(sum(a * b for a, b in zip(mu, v)) % 101)
+    assert res.extension[3:] == xs[1]
+    _assert_isotropic(work, pts[0], res.extension)
+
+
+def test_kernel_and_extend_d9():
+    """At d = 9 the kernel and a transverse Y1 plane span 5 dimensions and
+    the certified extension is completed to 6 inside their perp."""
+    model9 = random_model(1, d=9, census_qs=(2,))
+    work = replace(model9, field=PrimeField(101))
+    pts = sample_y2_points(model9, 101, 2, seed=45)
+    xs = sample_y1_points(model9, 101, pts, seed=45)
+    res = kernel_and_extend(work, pts[0], xs[1])
+    assert res.ok and len(res.kernel) == 3 and len(res.extension) == 6
+    _assert_isotropic(work, pts[0], res.extension)
+    assert kernel_and_extend(work, pts[1], xs[1]).failure == "kernel_meets_image"
 
 
 def test_kernel_dimension_always_three(model):
@@ -430,10 +515,12 @@ def test_kernel_dimension_always_three(model):
 
 
 def test_kernel_and_extend_named_failure(model):
+    """The Y1 plane drawn through p contains some k != 0 in K_p, so
+    K_p + span(x) has dimension at most 4 and at most one row of x can be
+    added; d = 7 needs two."""
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
-    hit = find_extension_failure(model, q=101, seed=2)
-    assert hit is not None
-    p, x = hit
+    p = sample_y2_points(model, 101, 1, seed=2)[0]
+    x = sample_y1_points(model, 101, [p], seed=2)[0]
     res = kernel_and_extend(work, p, x)
     assert not res.ok and res.failure == "kernel_meets_image"
 
@@ -442,7 +529,7 @@ def test_kernel_and_extend_preconditions(model):
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     rng = random.Random(7)
     generic_p = [rng.randrange(101) for _ in range(7)]
-    xs = sample_y1_points(model, 101, 1, seed=47)
+    xs = sample_y1_points(model, 101, sample_y2_points(model, 101, 1, seed=47), seed=47)
     with pytest.raises(ValueError):
         kernel_and_extend(work, generic_p, xs[0])
 
@@ -482,7 +569,7 @@ def test_d5_plane_always_meets_kernel(model5):
     """In dimension five the kernel and any solution plane must intersect."""
     work = PfaffianModel(d=5, A=model5.A, seed=0, field=PrimeField(101))
     pts = sample_y2_points(model5, 101, 3, seed=53)
-    xs = sample_y1_points(model5, 101, 3, seed=53)
+    xs = sample_y1_points(model5, 101, sample_y2_points(model5, 101, 3, seed=54), seed=53)
     F = work.field
     for p in pts:
         K = kernel_basis(work, p)
@@ -531,8 +618,8 @@ def test_critical_positives_and_near_misses(model):
 
 
 def test_critical_sweep_consistency(model):
-    sweep = critical_equivalence_sweep(model, n_pos=200, n_near=200,
-                                       n_rand=2000, seed=71)
+    sweep = critical_equivalence_sweep(model, sample_y2_points(model, 101, 16, seed=72),
+                                       n_pos=200, n_near=200, n_rand=2000, seed=71)
     assert sweep.consistent and sweep.positive_failures == 0
     assert sweep.positives >= 190 and sweep.randoms >= 1990
 
