@@ -198,12 +198,15 @@ def run_geometry_suite(config, report, model, pool, planes):
         for cq in [x for x in config.census_qs if x <= 3]:
             total, on_y1 = geometry.grassmannian_census(model, cq)
             expected = geometry.gaussian_binomial_2(config.d, cq)
-            out[str(cq)] = {"planes": total, "on_y1": on_y1}
-            ok = ok and total == expected
+            on_y2 = sum(v for r, v in model.census[cq].items() if r <= model.degenerate_rank)
+            out[str(cq)] = {"planes": total, "on_y1": on_y1, "on_y2": on_y2}
+            # the incidence u in ker omega_p, counted from both sides, gives
+            # #Y1 = #Y2 when the deep stratum is empty (grassmannian_census)
+            ok = ok and total == expected and on_y1 == on_y2
         return ok, out
 
     _timed(report, "geometry.grassmannian_census",
-           "2-plane counts match the Gaussian binomial; solution counts recorded",
+           "2-plane counts match the Gaussian binomial; Y1 and Y2 have equally many points",
            {"d": config.d}, gr_census)
 
     for variety in ("Y1", "Y2"):

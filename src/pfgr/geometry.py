@@ -12,11 +12,14 @@ Everything here is computed over Q or a prime field, with no floating point:
 rank strata by exhaustive census over small fields, smoothness by exact
 Jacobian ranks at sampled points, the critical-locus equivalence for the
 cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
-against the kernel 2-forms.  Censuses, point sampling and the per-point
-certificates (smoothness Jacobians, the normal map) run through the
-vectorized mod-q routines in pfgr.modq, each over a whole (N, ...) stack of
-points at once; the model's membership tests, kernels and isotropic
-extensions at single points are exact field computations via pfgr.linalg.
+against the kernel 2-forms.  Y2 and Y1 are counted by the same bounded walk
+over P^(d-1)(F_q), Y1 through the incidence u in ker(omega_p); with the deep
+stratum empty the counts agree (grassmannian_census).  Censuses, point
+sampling and the per-point certificates (smoothness Jacobians, the normal
+map) run through the vectorized mod-q routines in pfgr.modq, each over a
+whole (N, ...) stack of points at once; the model's membership tests,
+kernels and isotropic extensions at single points are exact field
+computations via pfgr.linalg.
 
 Both samplers cost about q draws per point over F_q.  Y2 is sampled by
 kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
@@ -268,18 +271,18 @@ def quadratic_form_matrix(model, p):
 # censuses over small fields
 
 
-# points of P^(d-1)(F_q) per batched rank call in rank_census: the stack of
-# one range stays at CENSUS_CHUNK * d^2 int64 entries whatever q^(d-1) is
+# points of P^(d-1)(F_q) per batched rank call of a census: the stack of one
+# range stays at CENSUS_CHUNK * d^2 int64 entries whatever q^(d-1) is
 CENSUS_CHUNK = 65536
 # the most points a census may rank, 2^22 in 64 ranges (P^6(F_11) has
 # 1,948,717 and takes about 10 s on a 2-vCPU box)
 CENSUS_MAX_POINTS = 64 * CENSUS_CHUNK
 
 
-def rank_census(model, q):
-    """Counts of each omega rank stratum over P^(d-1)(F_q), exhaustively,
-    ranked CENSUS_CHUNK points at a time.  A census of more than
-    CENSUS_MAX_POINTS points raises ValueError before any ranking."""
+def _strata(model, q, contraction):
+    """{rank: points} of the matrices einsum(contraction, point, T mod q) over
+    P^(d-1)(F_q), ranked CENSUS_CHUNK points at a time.  More than
+    CENSUS_MAX_POINTS points raise ValueError before any ranking."""
     PrimeField(q)
     total = (q ** model.d - 1) // (q - 1)
     if total > CENSUS_MAX_POINTS:
@@ -289,12 +292,18 @@ def rank_census(model, q):
     out = {}
     for start in range(0, total, CENSUS_CHUNK):
         pts = modq.projective_points(model.d, q, start, start + CENSUS_CHUNK)
-        mats = np.einsum("xi,iab->xab", pts, Tq) % q
+        mats = np.einsum(contraction, pts, Tq) % q
         vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
         for v, c in zip(vals.tolist(), counts.tolist()):
             out[v] = out.get(v, 0) + c
     assert sum(out.values()) == total
     return dict(sorted(out.items()))
+
+
+def rank_census(model, q):
+    """Counts of each omega rank stratum over P^(d-1)(F_q), exhaustively,
+    by the bounded walk of _strata."""
+    return _strata(model, q, "xi,iab->xab")
 
 
 def gaussian_binomial_2(n, q):
@@ -305,41 +314,21 @@ def gaussian_binomial_2(n, q):
 def grassmannian_census(model, q):
     """(number of 2-planes over F_q, number of them lying on Y1).
 
-    Enumerates reduced row echelon representatives per pivot pattern, in
-    vectorized blocks, so each 2-plane is visited exactly once.
+    Walks the points u of P^(d-1)(F_q) as rank_census does, ranking
+    C_u[j, m] = sum_l u_l omega_{e_j}[l, m], the map v -> A(u wedge v).  It
+    kills u, so the Y1 planes through u are the (q^(k_u - 1) - 1)/(q - 1)
+    lines of ker C_u / <u>, k_u = d - rank C_u; each plane has q + 1 points.
+
+    Double count: p . C_u v = omega_p(u, v), so counting {(u, p) : u in
+    ker omega_p} over u and over p gives, for any A,
+    #Y1 = sum_p (q^(d - 1 - r_p) - 1)/(q^2 - 1).  With the deep stratum
+    empty every r_p is d - 1 or d - 3, and that sum is #Y2(F_q).
     """
-    if q > 3:
-        raise ValueError("full Grassmannian enumeration is capped at q = 3")
     d = model.d
-    Aq = np.array(model.A, dtype=np.int64) % q
-    pairs = model.pairs
-    total = 0
-    solutions = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            free0 = [c for c in range(i + 1, d) if c != j]
-            free1 = list(range(j + 1, d))
-            k = len(free0) + len(free1)
-            count = q ** k
-            total += count
-            rows0 = np.zeros((count, d), dtype=np.int64)
-            rows1 = np.zeros((count, d), dtype=np.int64)
-            rows0[:, i] = 1
-            rows1[:, j] = 1
-            idx = np.arange(count)
-            for t, c in enumerate(free0 + free1):
-                digit = (idx // q ** (k - 1 - t)) % q
-                if t < len(free0):
-                    rows0[:, c] = digit
-                else:
-                    rows1[:, c] = digit
-            wedge = np.empty((count, len(pairs)), dtype=np.int64)
-            for cidx, (a, b) in enumerate(pairs):
-                wedge[:, cidx] = (rows0[:, a] * rows1[:, b] - rows0[:, b] * rows1[:, a]) % q
-            image = (wedge @ Aq.T) % q
-            solutions += int(((image == 0).all(axis=1)).sum())
-    assert total == gaussian_binomial_2(d, q)
-    return total, solutions
+    strata = _strata(model, q, "xl,jlm->xjm")
+    through = sum(c * ((q ** (d - r - 1) - 1) // (q - 1)) for r, c in strata.items())
+    assert through % (q + 1) == 0
+    return gaussian_binomial_2(d, q), through // (q + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +350,8 @@ def sample_y2_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
 
     A random vector k determines the linear system {p : k in ker(omega_p)};
     when its solution space is a single projective point p_k, that point lies
-    on Y2 roughly once in q tries, which is fast enough to batch.
+    on Y2 roughly once in q tries, which is fast enough to batch.  B_k is
+    C_k transposed (grassmannian_census), whose right kernel gives Y1 planes.
     """
     d = model.d
     Tq = model.tensor_mod(q)
@@ -775,7 +765,8 @@ def underlying_scheme_probe(model, p, max_degree=6):
 
     Degree 2k carries the k-th symmetric power of the three wedge
     coordinates, so the dimensions must match a polynomial ring on three
-    generators of degree 2; returned alongside that comparison.
+    generators of degree 2; returned alongside that comparison.  They
+    depend on p only through dim ker omega_p = 3.
     """
     r, in_y2 = y2_membership(model, p)
     if r != model.degenerate_rank:
@@ -791,7 +782,9 @@ def underlying_scheme_probe(model, p, max_degree=6):
 
 
 def rank_parity_sample(model, count, q=101, seed=0):
-    """Check rank(W_p) = 2 rank(omega_p) on a batch of random points."""
+    """Check rank(W_p) = 2 rank(omega_p) on a batch of random points.
+    W_p = [[0, omega_p / 2], [omega_p / 2, 0]] and rank [[0, M], [M, 0]] =
+    2 rank M for any M: this tests modq.batch_rank, not the model."""
     d = model.d
     Tq = model.tensor_mod(q)
     rng = np.random.default_rng(seed)

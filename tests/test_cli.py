@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -180,6 +181,36 @@ def test_geometry_suite_over_qq():
     assert cli.main(["geometry", "--field", "QQ", "--samples", "5"]) == 0
 
 
+def test_geometry_suite_at_d9():
+    """d = 9 with its F_2 and F_3 censuses and the Y1 counts through them."""
+    assert cli.main(["geometry", "--d", "9", "--census-q", "2,3", "--samples", "20",
+                     "--seed", "1"]) == 0
+
+
+def test_y1_count_must_equal_the_certified_y2_count(monkeypatch):
+    """The grassmannian_census check compares the Y1 count with the Y2 count
+    of the model's census: moving one F_2 point of a certified census from
+    Y2 to the generic stratum keeps the deep stratum empty, so the census
+    check still passes, and fails this check with both counts in the witness."""
+    real = geometry.random_model
+
+    def altered(*args, **kwargs):
+        model = real(*args, **kwargs)
+        strata = dict(model.census[2])
+        strata[2] -= 1
+        strata[4] += 1
+        return replace(model, census={**model.census, 2: strata})
+
+    monkeypatch.setattr(geometry, "random_model", altered)
+    report = cli.run(cli.SuiteConfig(d=5, samples=5, census_qs=(2, 3), suites=("geometry",)))
+    checks = {c["check_name"]: c for c in report.checks}
+    assert checks["geometry.rank_census"]["verdict"] == "pass"
+    check = checks["geometry.grassmannian_census"]
+    assert check["verdict"] == "fail"
+    assert check["witness"]["2"]["on_y1"] == check["witness"]["2"]["on_y2"] + 1
+    assert check["witness"]["3"]["on_y1"] == check["witness"]["3"]["on_y2"]
+
+
 def test_oversized_prime_is_refused():
     # 2^31 - 1 is prime, but C(7, 2) (q - 1)^2 overflows int64
     assert cli.main(["all", "--q", "2147483647"]) == 2
@@ -303,3 +334,13 @@ def test_perfbench_traced_names_resolve():
                for name in names
                if not callable(getattr(importlib.import_module(f"pfgr.{module}"), name, None))]
     assert trace_child.TRACED and missing == []
+
+
+def test_perfbench_setup_probe_runs():
+    """perfbench/setup_probe.py, loaded unedited, builds the model of a run:
+    a drift in the cli or geometry calls it makes fails here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "setup_probe.py"
+    spec = importlib.util.spec_from_file_location("setup_probe", path)
+    setup_probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(setup_probe)
+    assert setup_probe.main(["all", "--d", "5", "--seed", "1"]) == 0

@@ -169,14 +169,22 @@ def test_rank_census_small_fields(model):
         assert sum(c for r, c in census.items() if r <= 2) == 0
 
 
-@pytest.mark.parametrize("q", [5, 11])
-def test_rank_census_walks_points_in_chunks(monkeypatch, model5, q):
-    """The census ranks at most CENSUS_CHUNK points per call, and the summed
-    strata equal one unchunked pass over every point."""
+@pytest.mark.parametrize("census, q", [
+    pytest.param(rank_census, 5, id="5"), pytest.param(rank_census, 11, id="11"),
+    pytest.param(grassmannian_census, 5, id="y1-5"),
+    pytest.param(grassmannian_census, 11, id="y1-11")])
+def test_rank_census_walks_points_in_chunks(monkeypatch, model5, census, q):
+    """Both censuses rank at most CENSUS_CHUNK points per call, the calls
+    rank every point once, and the result equals one unchunked pass over
+    every point (the default chunk holds all of them here)."""
     pts = modq.projective_points(5, q)
-    mats = np.einsum("xi,iab->xab", pts, model5.tensor_mod(q)) % q
-    vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
-    whole = dict(zip(vals.tolist(), counts.tolist()))
+    assert len(pts) <= geometry.CENSUS_CHUNK
+    if census is rank_census:
+        mats = np.einsum("xi,iab->xab", pts, model5.tensor_mod(q)) % q
+        vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
+        whole = dict(zip(vals.tolist(), counts.tolist()))
+    else:
+        whole = census(model5, q)
     sizes = []
     real = modq.batch_rank
 
@@ -186,7 +194,7 @@ def test_rank_census_walks_points_in_chunks(monkeypatch, model5, q):
 
     monkeypatch.setattr(geometry, "CENSUS_CHUNK", 1000)
     monkeypatch.setattr(modq, "batch_rank", recording)
-    assert rank_census(model5, q) == whole
+    assert census(model5, q) == whole
     assert max(sizes) <= 1000 and sum(sizes) == len(pts)
 
 
@@ -202,6 +210,8 @@ def test_oversized_census_is_refused_before_ranking(monkeypatch, model5):
     assert (11 ** 9 - 1) // 10 > geometry.CENSUS_MAX_POINTS
     with pytest.raises(ValueError, match="census bound"):
         rank_census(model9, 11)
+    with pytest.raises(ValueError, match="census bound"):
+        grassmannian_census(model9, 11)
     assert not ranked
 
 
@@ -263,6 +273,75 @@ def test_grassmannian_census_counts(model):
     assert on_y1 >= 0
     census = rank_census(model, 2)
     assert sum(census.values()) == 127
+
+
+def _grassmannian_census_enumerated(model, q):
+    """(2-planes over F_q, those on Y1) by listing every 2-plane once: the
+    reduced row echelon representatives of each pivot pattern (i, j),
+    vectorized per pattern.  The oracle for the incidence count."""
+    d = model.d
+    Aq = np.array(model.A, dtype=np.int64) % q
+    total = 0
+    solutions = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            free0 = [c for c in range(i + 1, d) if c != j]
+            free1 = list(range(j + 1, d))
+            k = len(free0) + len(free1)
+            count = q ** k
+            total += count
+            rows = np.zeros((2, count, d), dtype=np.int64)
+            rows[0, :, i] = 1
+            rows[1, :, j] = 1
+            idx = np.arange(count)
+            for t, (r, c) in enumerate([(0, c) for c in free0] + [(1, c) for c in free1]):
+                rows[r, :, c] = (idx // q ** (k - 1 - t)) % q
+            wedge = np.stack([rows[0, :, a] * rows[1, :, b] - rows[0, :, b] * rows[1, :, a]
+                              for a, b in model.pairs], axis=1) % q
+            solutions += int(((wedge @ Aq.T) % q == 0).all(axis=1).sum())
+    assert total == gaussian_binomial_2(d, q)
+    return total, solutions
+
+
+def _uncertified_model(d, seed):
+    """A PfaffianModel on a seeded random A with no certificate taken."""
+    return PfaffianModel(d=d, A=geometry._random_A(random.Random(seed), d), seed=seed,
+                         field=PrimeField(101))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_grassmannian_census_matches_enumeration(model, model5, q):
+    """The incidence count equals listing every 2-plane, on the certified
+    models at d = 5, 7 and on uncertified random ones."""
+    for m in (model5, model, _uncertified_model(5, 7), _uncertified_model(7, 7)):
+        assert grassmannian_census(m, q) == _grassmannian_census_enumerated(m, q)
+
+
+def _incidence_sides(model, q):
+    """#{(u, p) : u in ker omega_p} over P^(d-1)(F_q), counted over p from
+    the omega strata and over u from the Y1 count: C_u contributes
+    (q^(k_u) - 1)/(q - 1) = 1 + q (planes through u), and each plane has
+    q + 1 points."""
+    d = model.d
+    points = (q ** d - 1) // (q - 1)
+    by_p = sum(c * (q ** (d - r) - 1) // (q - 1) for r, c in rank_census(model, q).items())
+    by_u = points + q * (q + 1) * grassmannian_census(model, q)[1]
+    return by_p, by_u
+
+
+def test_incidence_double_count():
+    """Both sides of the incidence agree for any A, the deep stratum
+    included: the d = 9 model certified at q = 2 has one rank-4 point at
+    q = 3, where #Y1 and #Y2 differ but the incidence sums still match."""
+    model9 = random_model(1, d=9, census_qs=(2,))
+    strata = rank_census(model9, 3)
+    assert strata[4] == 1
+    assert _incidence_sides(model9, 3) == (14497, 14497)
+    assert grassmannian_census(model9, 3)[1] != sum(c for r, c in strata.items() if r <= 6)
+    for m in (_uncertified_model(5, 3), _uncertified_model(7, 3)):
+        for q in (2, 3):
+            by_p, by_u = _incidence_sides(m, q)
+            assert by_p == by_u
 
 
 def test_quadratic_form_symmetry_and_value(model):
@@ -686,8 +765,11 @@ def test_underlying_scheme_probe(model):
 
 
 def test_point_counts_reported_side_by_side(model):
-    """The two solution counts are reported, never asserted equal."""
+    """The two solution counts are equal: the incidence double count gives
+    #Y1(F_q) = #Y2(F_q) once the deep stratum is empty, as it is on a
+    certified model."""
     census = rank_census(model, 2)
     y2_count = sum(c for r, c in census.items() if r <= 4)
     _, y1_count = grassmannian_census(model, 2)
     assert y2_count > 0 and y1_count > 0
+    assert y1_count == y2_count
