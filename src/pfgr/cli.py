@@ -295,7 +295,7 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.knorrer_base",
            "the basic hypersurface factorization is point-like",
-           {"trunc": trunc}, knorrer_base)
+           {"trunc": trunc, "field": repr(F)}, knorrer_base)
 
     def contractible():
         ring = PolyRing(F, ("x1", "x2"), (1, 1))
@@ -316,7 +316,7 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.stabilization_contractible",
            "the zero-locus stabilization has no morphisms in either direction",
-           {"trunc": trunc}, contractible)
+           {"trunc": trunc, "field": repr(F)}, contractible)
 
     def perturb():
         ring = PolyRing(F, ("x1", "x2"), (0, 2))
@@ -332,7 +332,7 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.koszul_perturb",
            "perturbed resolutions square to W exactly",
-           {"d": config.d}, perturb)
+           {"d": config.d, "field": repr(F)}, perturb)
 
     def determinantal():
         c = model.d - 3
@@ -344,10 +344,11 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.determinantal_resolution",
            "the rank-one locus resolution is exact with the expected term ranks",
-           {"c": model.d - 3, "degree_cutoff": 8}, determinantal)
+           {"c": model.d - 3, "degree_cutoff": 8, "field": repr(F)}, determinantal)
+
+    _, work = _sampling_model(config, model)
 
     def fibre():
-        _, work = _sampling_model(config, model)
         if not pool:
             return False, {"reason": "no degenerate point"}
         L = geometry.maximal_isotropic(work, pool[0], seed=config.seed)
@@ -363,7 +364,7 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.knorrer_fibre",
            "the isotropic-subspace object is a skyscraper along the kernel directions",
-           {"trunc": min(config.trunc, 6)}, fibre)
+           {"trunc": min(config.trunc, 6), "field": repr(work.field)}, fibre)
 
     def tensor_law():
         small = PolyRing(F, ("z",), (1,))
@@ -380,7 +381,7 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.knorrer_tensor_law",
            "adding a hyperbolic pair leaves the morphism dimensions unchanged",
-           {"trunc": trunc}, tensor_law)
+           {"trunc": trunc, "field": repr(F)}, tensor_law)
 
 
 def run(config):

@@ -1,8 +1,20 @@
 """Exact scalar fields: the rationals and prime fields F_q.
 
 Everything downstream (geometry, matrix factorizations) computes over one of
-these; there is no floating point anywhere in the package.  Rational elements
-are fractions.Fraction, prime-field elements are plain ints in [0, q).
+these; there is no floating point anywhere in the package.  Prime-field
+elements are plain ints in [0, q).
+
+A rational element is a Python int while it is integral and a
+fractions.Fraction otherwise: zero, one and of_int give ints, sums,
+differences and products of ints stay ints, and a coefficient becomes a
+Fraction only after a real division (inv, or a rebuilt rational in
+pfgr.mf).  This is sound because an int and a Fraction of equal value
+compare equal and hash equal, so Poly coefficient dicts, is_zero and every
+equality test mean what they would with Fractions throughout; ints also
+carry .numerator and .denominator, so code that reads those (the integer
+scaling and kernel certificates of pfgr.mf) takes either.  Integer
+arithmetic skips Fraction's normalising gcd, which is most of the cost of
+exact folds over Q.
 """
 
 from fractions import Fraction
@@ -25,16 +37,11 @@ class RationalField:
     name = "QQ"
     characteristic = 0
 
+    zero = 0
+    one = 1
+
     def of_int(self, n):
-        return Fraction(n)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -49,7 +56,7 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return Fraction(1) / a
+        return Fraction(1, a) if isinstance(a, int) else 1 / a
 
     def is_zero(self, a):
         return a == 0
@@ -67,6 +74,9 @@ class RationalField:
 class PrimeField:
     """The field F_q, q prime.  Elements are ints reduced into [0, q)."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, q):
         if not is_prime(q):
             raise ValueError(f"field order {q} is not prime")
@@ -76,14 +86,6 @@ class PrimeField:
 
     def of_int(self, n):
         return n % self.q
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def add(self, a, b):
         return (a + b) % self.q

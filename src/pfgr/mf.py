@@ -7,10 +7,11 @@ theory to an integer-graded one.  This module verifies the defining
 identities exactly, computes morphism spaces by truncated exact linear
 algebra, folds resolutions into factorizations by solving lifting problems
 degree by degree, and certifies the determinantal resolution of the rank-one
-locus of a 2 x c matrix weight space by weight space.  Every such linear
-system is built by _sparse_map, which applies a differential to a basis of
-(generator, monomial) pairs, and solved by _ranks or _solutions, which stack
-the systems by shape and eliminate each stack mod a prime: over F_q its own
+locus of a 2 x c matrix weight space by weight space, one weight per orbit
+of its row and column symmetries.  Every such linear system is built by
+_sparse_map, which applies a differential to a basis of (generator,
+monomial) pairs, and solved by _ranks or _solutions, which stack the
+systems by shape and eliminate each stack mod a prime: over F_q its own
 order, and the answers are exact; over Q the fixed EN_PRIME, and each answer
 is checked exactly over Z, with _exact_system for any that fails.  The
 Eagon-Northcott weight spaces over Q are ranked over F_EN_PRIME, sound by
@@ -21,8 +22,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt, lcm
-from operator import add
+from math import comb, factorial, gcd, isqrt, lcm
+from operator import add, lt
 
 import numpy as np
 
@@ -121,7 +122,8 @@ def _modular(field, systems):
 
 def _rational(a, p):
     """Wang's rational reconstruction: the fraction r/s = a mod p with
-    |r|, s <= sqrt(p/2), which is unique when it exists, or None."""
+    |r|, s <= sqrt(p/2), which is unique when it exists, or None.  It is the
+    int r s when s = +-1, as integral rationals are (pfgr.fields)."""
     bound = isqrt(p // 2)
     r0, r1, s0, s1 = p, a % p, 0, 1
     while r1 > bound:
@@ -129,7 +131,7 @@ def _rational(a, p):
         r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return r1 * s1 if abs(s1) == 1 else Fraction(r1, s1)
 
 
 def _in_kernel(nrows, entries, K, p):
@@ -841,20 +843,47 @@ def _en_homology(sizes, ranks):
     return out
 
 
+def _orbit_size(rows, cols):
+    """The number of weights (rows, cols) reaches under swapping the two row
+    sums and permuting the column sums."""
+    size = factorial(len(cols))
+    for v in set(cols):
+        size //= factorial(cols.count(v))
+    return size * (1 if rows[0] == rows[1] else 2)
+
+
 def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     """Certify the rank-one locus resolution for a generic 2 x c matrix.
 
     Composites are checked as polynomial identities over the field.
     Exactness in every internal degree up to the cutoff is checked weight
     space by weight space: the differentials preserve the full torus
-    multidegree, so each weight gives a few small matrices.  Each (generator,
-    monomial) pair of degree <= the cutoff is bucketed by its weight and
-    term, so a weight space holds every image of its pairs (_sparse_map);
-    weights run in the order (t, row sums, column sums).  All of them are
-    ranked over F_p by _ranks, one modq.batch_rank call per distinct matrix
-    shape, with no kernel certificate.  The cokernel dimensions are compared
-    against the independent count of functions on the cone over the Segre
-    product, dim_t = (t+1) * C(t+c-1, c-1).
+    multidegree, so each weight gives a few small matrices.  Only canonical
+    weights are built: row sums r1 >= r2 and column sums non-increasing.
+    Each (generator, monomial) pair of degree <= the cutoff and of canonical
+    weight is bucketed by weight and term, so a weight space holds every
+    image of its pairs (_sparse_map); weights run in the order (t, row sums,
+    column sums).  All of them are ranked over F_p by _ranks, one
+    modq.batch_rank call per distinct matrix shape, with no kernel
+    certificate.  The cokernel dimensions, each weight space's counted once
+    per weight of its orbit, are compared against the independent count of
+    functions on the cone over the Segre product, dim_t = (t+1) * C(t+c-1, c-1).
+
+    Why one weight space per orbit is enough:
+    - The complex is GL_2 x GL_c-equivariant (Eagon-Northcott 1962; Weyman,
+      Cohomology of Vector Bundles and Syzygies, ch. 6), and the row swap
+      and the column permutations lie in that group.  The row swap
+      y1i <-> y2i sends generator
+      (I, (a1, a2)) to (I, (a2, a1)); a column permutation s sends (I, a) to
+      +-(s(I) sorted, a).  Both send (generator, monomial) bases to signed
+      bases and commute with the differentials up to sign (the row swap
+      negates d_1, the 2 x 2 minors).
+    - So two weights that differ by swapping the row sums or permuting the
+      column sums have weight spaces with equal basis sizes whose matrices
+      agree up to signed permutations of rows and columns, hence equal ranks
+      over Q and over every F_q.  Every weight is in the orbit of exactly one
+      canonical weight, of _orbit_size weights; a homology failure is
+      reported once, at its canonical weight, with that count as "orbit".
 
     Soundness of the mod-p ranks:
     - Over a prime field p is the field's own order, so the ranks are exact.
@@ -895,22 +924,27 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                     assert int(cf) == cf
                     image.append(((k, ti), mu, int(cf)))
 
-    # each (generator, monomial) pair of total degree <= the cutoff, bucketed
-    # by weight (degree, row sums, column sums, flattened) and then by term
-    monos = [[(ring.pack(e), (d, sum(e[:c]), sum(e[c:]), *map(add, e[:c], e[c:])))
-              for e in ring.monomials_of_degree(d)]
-             for d in range(degree_cutoff + 1)]
+    # the monomials of each degree, grouped by weight (degree, row sums,
+    # column sums); each (generator, monomial group) pair of total degree <=
+    # the cutoff and canonical weight is bucketed by weight and then by term
+    monos = [{} for _ in range(degree_cutoff + 1)]
+    for d, groups in enumerate(monos):
+        for e in ring.monomials_of_degree(d):
+            mw = (d, sum(e[:c]), sum(e[c:]), *map(add, e[:c], e[c:]))
+            groups.setdefault(mw, []).append(ring.pack(e))
     buckets = {}
     for k, gens in enumerate(terms):
         for gi, (I, (a1, a2)) in enumerate(gens):
             rows = (0, 0) if k == 0 else (1 + a1, 1 + a2)
             gen, gw = (k, gi), (sum(rows), *rows, *map(I.count, range(c)))
             for d in range(degree_cutoff + 1 - gw[0]):
-                for m, mw in monos[d]:
+                for mw, ms in monos[d].items():
                     weight = tuple(map(add, mw, gw))
+                    if weight[1] < weight[2] or any(map(lt, weight[3:], weight[4:])):
+                        continue
                     if weight not in buckets:
                         buckets[weight] = [[] for _ in terms]
-                    buckets[weight][k].append((gen, m))
+                    buckets[weight][k].extend((gen, m) for m in ms)
     weights = sorted(buckets)
     systems = []  # (shape, entries) of every differential, weight by weight
     for weight in weights:
@@ -925,6 +959,7 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     nd = len(diffs)
     for w, weight in enumerate(weights):
         t, rows, cols = weight[0], weight[1:3], weight[3:]
+        orbit = _orbit_size(rows, cols)
         sizes = [len(basis) for basis in buckets[weight]]
         own = slice(w * nd, (w + 1) * nd)
         ranks = modular[own]
@@ -934,8 +969,9 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                                                   for r, col, v in entries])
                      for shape, entries in systems[own]]
         for k, h in _en_homology(sizes, ranks):
-            homology_failures.append({"spot": k, "weight": (rows, cols), "dim": h})
-        coker[t] += sizes[0] - ranks[0]
+            homology_failures.append({"spot": k, "weight": (rows, cols), "dim": h,
+                                      "orbit": orbit})
+        coker[t] += orbit * (sizes[0] - ranks[0])
     segre = {t: (t + 1) * comb(t + c - 1, c - 1) for t in range(degree_cutoff + 1)}
     term_ranks = tuple(len(g) for g in terms)
     gen_degrees = tuple(0 if k == 0 else k + 1 for k in range(len(terms)))

@@ -1,6 +1,8 @@
 import importlib
 import importlib.util
 import json
+import runpy
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -56,6 +58,18 @@ def test_mf_checks_report_the_truncation_they_ran_at(tmp_path):
                  "mf.knorrer_tensor_law"):
         assert params[name]["trunc"] == 4
     assert params["mf.knorrer_fibre"]["trunc"] == 2
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "QQ"]], ids=["default", "QQ"])
+def test_mf_checks_report_the_field_they_ran_over(tmp_path, field):
+    """The fibre runs on the working model over F_101; the other five mf
+    checks run over Q whatever --field says."""
+    out = tmp_path / "mf.json"
+    assert cli.main(["mf", "--d", "5", *field, "--out", str(out)]) == 0
+    fields = {c["check_name"]: c["parameters"]["field"]
+              for c in json.loads(out.read_text())["checks"] if c["check_name"].startswith("mf.")}
+    assert fields.pop("mf.knorrer_fibre") == "F101"
+    assert len(fields) == 5 and set(fields.values()) == {"QQ"}
 
 
 def test_window_text_summary_times_the_shared_pass():
@@ -185,6 +199,20 @@ def test_geometry_suite_at_d9():
     """d = 9 with its F_2 and F_3 censuses and the Y1 counts through them."""
     assert cli.main(["geometry", "--d", "9", "--census-q", "2,3", "--samples", "20",
                      "--seed", "1"]) == 0
+
+
+def test_all_suites_at_d9(tmp_path):
+    out = tmp_path / "d9.json"
+    assert cli.main(["all", "--d", "9", "--seed", "1", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks and all(c["verdict"] == "pass" for c in checks)
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pfgr", "window", "--d", "5"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("pfgr", run_name="__main__")
+    assert exit_.value.code == 0
 
 
 def test_y1_count_must_equal_the_certified_y2_count(monkeypatch):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb, isqrt
 
 import numpy as np
@@ -20,6 +21,23 @@ def test_prime_field_arithmetic():
     assert F.of_int(-1) == 100
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+def test_rationals_are_ints_until_a_division():
+    assert type(QQ.zero) is int and type(QQ.one) is int and type(QQ.of_int(-7)) is int
+    assert type(QQ.mul(QQ.add(3, 4), QQ.neg(2))) is int
+    for a, want in ((3, Fraction(1, 3)), (-2, Fraction(-1, 2)), (1, Fraction(1)),
+                    (Fraction(2, 3), Fraction(3, 2)), (Fraction(-1, 4), Fraction(-4)),
+                    (Fraction(5), Fraction(1, 5))):
+        got = QQ.inv(a)
+        assert got == want and type(got) is Fraction
+        assert QQ.mul(a, got) == 1
+    # an integral Fraction equals and hashes as its int, so dict keys and
+    # coefficient comparisons do not see the difference
+    assert Fraction(6, 3) == 2 and hash(Fraction(6, 3)) == hash(2)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(zero)
 
 
 def test_field_from_spec():

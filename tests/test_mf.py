@@ -1,13 +1,15 @@
+from collections import Counter
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, gcd, isqrt
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pfgr import geometry, linalg, mf
-from pfgr.fields import QQ, PrimeField
+from pfgr.fields import QQ, PrimeField, RationalField
 from pfgr.mf import (GradedComplex, LiftObstruction, MatrixFactorization,
                      eagon_northcott_check, free_module_mf, hom_ext_truncated,
                      hypersurface_factor, knorrer_rank_check, koszul_complex,
@@ -579,6 +581,71 @@ def test_lifts_over_a_prime_field_are_stacked(monkeypatch):
         koszul_perturb(koszul_complex(plane, [x2]), x1 * x1)
 
 
+class _FractionField(RationalField):
+    """Q with every element a Fraction, integral or not: the rational field
+    as it was before integral rationals became ints, kept as an oracle."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def of_int(self, n):
+        return Fraction(n)
+
+    def inv(self, a):
+        return Fraction(1) / a
+
+
+def _coefficient_dicts(E):
+    return [[e.coeffs for e in row] for row in E.d0 + E.d1]
+
+
+@pytest.mark.parametrize("d,seed", [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_integral_fold_equals_fraction_fold(d, seed):
+    """The fold over QQ, whose integral coefficients are ints, equals the
+    fold over the all-Fraction field coefficient for coefficient; at d = 7
+    every coefficient is an int."""
+    folds = []
+    for field in (QQ, _FractionField()):
+        ring, W = mf.random_cubic_superpotential(field, d, seed)
+        E = koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
+        assert mf_verify(E).ok
+        folds.append(E)
+    fast, oracle = folds
+    assert fast.even_charges == oracle.even_charges
+    assert fast.odd_charges == oracle.odd_charges
+    assert _coefficient_dicts(fast) == _coefficient_dicts(oracle)
+    if d == 7:
+        assert all(type(c) is int for row in _coefficient_dicts(fast)
+                   for coeffs in row for c in coeffs.values())
+
+
+def _fraction_rational(a, p):
+    """Wang's reconstruction returning a Fraction always, as an oracle."""
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 101, mf.EN_PRIME]).flatmap(
+    lambda p: st.tuples(st.integers(0, p - 1), st.just(p))))
+@example((mf.EN_PRIME - 1, mf.EN_PRIME))
+@example((mf.EN_PRIME - mf.EN_PRIME // 2, mf.EN_PRIME))
+def test_rational_is_an_int_exactly_when_integral(problem):
+    a, p = problem
+    got, want = mf._rational(a, p), _fraction_rational(a, p)
+    if want is None:
+        assert got is None
+    else:
+        assert got == want
+        assert isinstance(got, int) == (want.denominator == 1)
+
+
 # entries of the cross-check systems: small fractions, and EN_PRIME and
 # EN_PRIME + 1, which vanish or collide mod the prime the QQ route uses
 _SYSTEM_VALUES = [Fraction(v) for v in (0, 1, -1, mf.EN_PRIME, mf.EN_PRIME + 1)] + [
@@ -743,38 +810,134 @@ def test_determinantal_failure_is_reported_exactly(monkeypatch):
 
     monkeypatch.setattr(linalg, "rank", short_rank)
     res = eagon_northcott_check(c=3, degree_cutoff=5)
-    # the shortened matrix is the first 5 x 7 one in weight order: the
-    # quadrics into the 5 monomials of row degrees (2, 3), columns (1, 2, 2)
-    weight = ((2, 3), (1, 2, 2))
+    # the shortened matrix is the first 5 x 7 one in canonical weight order:
+    # the quadrics into the 5 monomials of row degrees (3, 2), columns
+    # (2, 2, 1), whose orbit holds 2 row orders times 3 column orders
+    weight = ((3, 2), (2, 2, 1))
     assert [((sum(e[:3]), sum(e[3:])), tuple(map(sum, zip(e[:3], e[3:]))))
             for e in PolyRing(QQ, "abcdef").monomials_of_degree(5)].count(weight) == 5
-    assert res.homology_failures == [{"spot": 1, "weight": weight, "dim": 1}]
-    assert res.coker_dims[5] == res.segre_dims[5] + 1
+    assert res.homology_failures == [{"spot": 1, "weight": weight, "dim": 1, "orbit": 6}]
+    # each of the 6 weight spaces of the orbit gains one cokernel dimension
+    assert res.coker_dims[5] == res.segre_dims[5] + 6
     assert not res.exact
+
+
+def _en_weight(c, k, generator, e):
+    """(row sums, column sums) of generator (I, (a1, a2)) of term k times the
+    monomial of exponents e."""
+    I, (a1, a2) = generator
+    rows = (0, 0) if k == 0 else (1 + a1, 1 + a2)
+    return ((rows[0] + sum(e[:c]), rows[1] + sum(e[c:])),
+            tuple(I.count(i) + e[i] + e[c + i] for i in range(c)))
+
+
+def _canonical(weight):
+    rows, cols = weight
+    return tuple(sorted(rows, reverse=True)), tuple(sorted(cols, reverse=True))
+
+
+def _orbit(weight):
+    rows, cols = weight
+    return len({(r, s) for r in (rows, rows[::-1]) for s in permutations(cols)})
+
+
+def _all_weight_spaces(c, cutoff, field):
+    """{weight: (basis sizes, ranks)} of every weight space of degree <=
+    cutoff, as an oracle: every (generator, monomial) pair is bucketed by its
+    weight, with no symmetry used, and all of them are ranked by mf._ranks
+    as eagon_northcott_check ranks its canonical ones."""
+    ring = PolyRing(field, [f"y{i}" for i in range(2 * c)])
+    terms, diffs = mf.eagon_northcott_complex(ring, c)
+    images = {(k + 1, gi): [((k, ti), mu, int(cf)) for ti, row in enumerate(mat)
+                            for mu, cf in row[gi].coeffs.items()]
+              for k, mat in enumerate(diffs) for gi in range(len(terms[k + 1]))}
+    buckets = {}
+    for k, gens in enumerate(terms):
+        for gi, gen in enumerate(gens):
+            degree = 0 if k == 0 else k + 1
+            for d in range(cutoff + 1 - degree):
+                for e in ring.monomials_of_degree(d):
+                    bases = buckets.setdefault(_en_weight(c, k, gen, e), [[] for _ in terms])
+                    bases[k].append(((k, gi), ring.pack(e)))
+    weights = list(buckets)
+    systems = [mf._sparse_map(buckets[w][k + 1], {b: i for i, b in enumerate(buckets[w][k])},
+                              images)
+               for w in weights for k in range(len(diffs))]
+    ranks = mf._ranks(field if field.characteristic else PrimeField(mf.EN_PRIME), systems)
+    nd = len(diffs)
+    return {w: ([len(b) for b in buckets[w]], ranks[i * nd:(i + 1) * nd])
+            for i, w in enumerate(weights)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=repr)
+@pytest.mark.parametrize("c,cutoff", [(2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6)])
+def test_orbit_representatives_match_every_weight(monkeypatch, c, cutoff, field):
+    """Every weight space has the basis sizes and ranks of its canonical
+    representative, each canonical weight stands for _orbit_size weights,
+    and the cokernel dimensions are those of the full enumeration."""
+    oracle = _all_weight_spaces(c, cutoff, field)
+    recorded = []
+    real = mf._ranks
+
+    def recording(f, systems):
+        recorded.append((systems, real(f, systems)))
+        return recorded[-1][1]
+
+    monkeypatch.setattr(mf, "_ranks", recording)
+    res = eagon_northcott_check(c=c, degree_cutoff=cutoff, field=field)
+    (systems, ranks), = recorded
+    nd = len(res.term_ranks) - 1
+    # the check ranks nd maps per canonical weight, in the order (t, rows, cols)
+    canonical = sorted(set(map(_canonical, oracle)), key=lambda w: (sum(w[0]), *w[0], *w[1]))
+    assert len(systems) == nd * len(canonical)
+    spaces = {}
+    for i, w in enumerate(canonical):
+        shapes = [shape for shape, _ in systems[i * nd:(i + 1) * nd]]
+        spaces[w] = ([shapes[0][0]] + [n for _, n in shapes], ranks[i * nd:(i + 1) * nd])
+    for w, space in oracle.items():
+        assert spaces[_canonical(w)] == space, w
+    orbits = Counter(map(_canonical, oracle))
+    assert all(orbits[w] == mf._orbit_size(*w) == _orbit(w) for w in canonical)
+    coker = {t: 0 for t in range(cutoff + 1)}
+    for (rows, _), (sizes, r) in oracle.items():
+        coker[sum(rows)] += sizes[0] - r[0]
+    assert res.coker_dims == coker
+    assert res.exact
 
 
 @pytest.mark.parametrize("c,cutoff", [(2, 6), (3, 5), (4, 5)])
 def test_determinantal_bases_are_complete(monkeypatch, c, cutoff):
-    """Summed over the weights, the basis of term k holds each of its
-    generators times every monomial of degree <= cutoff - its degree, and
-    _sparse_map refuses a map whose rows miss an image."""
-    systems = []
-    real = mf._ranks
+    """Summed over the canonical weights, each weight space counted once per
+    weight of its orbit, the basis of term k holds each of its generators
+    times every monomial of degree <= cutoff - its degree, and _sparse_map
+    refuses a map whose rows miss an image."""
+    maps = []
+    real = mf._sparse_map
 
-    def recording(field, batch):
-        systems.extend(batch)
-        return real(field, batch)
+    def recording(basis, index, images):
+        maps.append((basis, list(index)))
+        return real(basis, index, images)
 
-    monkeypatch.setattr(mf, "_ranks", recording)
+    monkeypatch.setattr(mf, "_sparse_map", recording)
     res = eagon_northcott_check(c=c, degree_cutoff=cutoff)
     nd = len(res.term_ranks) - 1
-    # nd systems per weight; the system at position k - 1 maps term k to term k - 1
-    assert systems and len(systems) % nd == 0
+    # nd maps per weight; the map at position k - 1 takes term k to term k - 1
+    assert maps and len(maps) % nd == 0
+    ring = PolyRing(QQ, [f"y{i}" for i in range(2 * c)])
+    terms = mf._en_terms(c)
+    columns = [0] * (nd + 1)
+    for w in range(0, len(maps), nd):
+        group = maps[w:w + nd]
+        (term, gi), m = next(pair for basis, rows in group for pair in basis + rows)
+        weight = _en_weight(c, term, terms[term][gi], ring.unpack(m))
+        assert weight == _canonical(weight)
+        columns[0] += _orbit(weight) * len(group[0][1])
+        for k, (basis, _) in enumerate(group, 1):
+            columns[k] += _orbit(weight) * len(basis)
     for k in range(1, nd + 1):
-        columns = sum(n for (_, n), _ in systems[k - 1::nd])
         monomials = comb(cutoff - res.generator_degrees[k] + 2 * c, 2 * c)
-        assert columns == res.term_ranks[k] * monomials
-    assert sum(m for (m, _), _ in systems[::nd]) == comb(cutoff + 2 * c, 2 * c)
+        assert columns[k] == res.term_ranks[k] * monomials
+    assert columns[0] == comb(cutoff + 2 * c, 2 * c)
 
     images = {"g": [("h", 1, 3)]}
     assert mf._sparse_map([("g", 1)], {("h", 2): 0}, images) == ((1, 1), [(0, 0, 3)])
