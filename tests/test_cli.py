@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from pfgr import cli, geometry
+from pfgr.fields import QQ, PrimeField
 
 
 def window_config(**extra):
@@ -70,6 +71,32 @@ def test_mf_checks_report_the_field_they_ran_over(tmp_path, field):
               for c in json.loads(out.read_text())["checks"] if c["check_name"].startswith("mf.")}
     assert fields.pop("mf.knorrer_fibre") == "F101"
     assert len(fields) == 5 and set(fields.values()) == {"QQ"}
+
+
+_MF_HOM = {"mf.knorrer_base": {"dims": {"(0, 0)": 1}, "total": 1},
+           "mf.stabilization_contractible": {"dims_against": {}},
+           "mf.knorrer_tensor_law": {"dims": {"(0, 0)": 1, "(1, 0)": 1}}}
+_FIBRE = {"dims": {"(0, 0)": 1, "(0, 1)": 6, "(0, 2)": 21, "(0, 3)": 56, "(0, 4)": 126},
+          "invariant_dims": {"0": 1, "1": 0, "2": 3, "3": 0, "4": 6}, "radical_dimension": 6}
+
+
+@pytest.mark.parametrize("d,ranks,term_ranks,sym_degrees,coker,pairs", [
+    (5, [2, 32], [1, 1], [0, 0], [1, 4, 9, 16, 25, 36, 49, 64, 81], 2),
+    (7, [2, 128], [1, 6, 8, 3], [0, 0, 1, 2], [1, 8, 30, 80, 175, 336, 588, 960, 1485], 4)])
+def test_mf_suite_report_entries(d, ranks, term_ranks, sym_degrees, coker, pairs):
+    """Every mf.* check's parameters and witness at seed 1, pinned."""
+    report = cli.run(cli.SuiteConfig(d=d, seed=1, suites=("mf",)))
+    got = {c["check_name"]: (c["parameters"], c["witness"])
+           for c in report.checks if c["check_name"].startswith("mf.")}
+    want = {name: ({"field": "QQ", "trunc": 6}, witness) for name, witness in _MF_HOM.items()}
+    want["mf.koszul_perturb"] = {"d": d, "field": "QQ"}, {"ranks": ranks}
+    want["mf.determinantal_resolution"] = (
+        {"c": d - 3, "degree_cutoff": 8, "field": "QQ"},
+        {"coker_dims": {str(t): v for t, v in enumerate(coker)},
+         "sym_degrees": sym_degrees, "term_ranks": term_ranks})
+    want["mf.knorrer_fibre"] = {"field": "F101", "trunc": 6}, {**_FIBRE, "hyperbolic_pairs": pairs}
+    assert got == want
+    assert report.passed
 
 
 def test_window_text_summary_times_the_shared_pass():
@@ -267,6 +294,17 @@ def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     cli.SuiteConfig(q=39989).validate()
     cli.SuiteConfig(q=40009, suites=("mf",)).validate()
     cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
+
+
+def test_sampling_prime_is_one_policy():
+    """F_q with q >= 101 samples over itself, every other field over F_101;
+    the CLI asks geometry.sampling_prime."""
+    assert geometry.sampling_prime(QQ) == 101
+    assert geometry.sampling_prime(PrimeField(97)) == 101
+    assert geometry.sampling_prime(PrimeField(103)) == 103
+    for field, q in (("QQ", 103), ("Fq", 97), ("Fq", 103)):
+        config = cli.SuiteConfig(field=field, q=q)
+        assert config.sampling_q() == geometry.sampling_prime(config.make_field())
 
 
 def test_oversized_census_is_refused(monkeypatch):

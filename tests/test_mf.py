@@ -63,33 +63,45 @@ def test_verify_stabilization():
 
 def test_verify_negative_control():
     ring = plane_ring((0, 2))
-    x1, x2 = ring.var(0), ring.var(1)
-    broken = MatrixFactorization(ring, x1 * x2, [0], [-1],
-                                 d0=[[x1]], d1=[[x2 + ring.one()]])
+    x1, x2, zero = ring.var(0), ring.var(1), ring.zero()
+    broken = MatrixFactorization(ring, x1 * x2, [(0, 0), (1, -1)],
+                                 [[zero, x1], [x2 + ring.one(), zero]])
     res = mf_verify(broken)
     assert not res.ok and "entry" in res.witness
 
 
 def test_verify_one_sided_failure():
-    # with unequal block sizes only one composite can come out right; the
-    # other is flagged with the offending entry
+    # with unequal parity counts only the even corner of D*D can come out
+    # right; the odd corner is flagged with the offending entry
     ring = plane_ring((1, 1))
     x1, x2 = ring.var(0), ring.var(1)
     zero = ring.zero()
-    lopsided = MatrixFactorization(ring, ring.zero(), [0], [0, 0],
-                                   d0=[[x1, zero]], d1=[[zero], [x2]])
+    lopsided = MatrixFactorization(ring, ring.zero(), [(0, 0), (1, 0), (1, 0)],
+                                   [[zero, x1, zero], [zero, zero, zero], [x2, zero, zero]])
     res = mf_verify(lopsided)
     assert bool(res) is False
-    assert res.reason.startswith("d1*d0")
-    assert res.witness["entry"] == (1, 0)
+    assert res.reason.startswith("D*D")
+    assert res.witness["entry"] == (2, 1)
 
 
 def test_verify_charge_mismatch():
     ring = plane_ring((1, 1))
-    x1, x2 = ring.var(0), ring.var(1)
-    bad = MatrixFactorization(ring, x1 * x2, [0], [5], d0=[[x1]], d1=[[x2]])
+    x1, x2, zero = ring.var(0), ring.var(1), ring.zero()
+    bad = MatrixFactorization(ring, x1 * x2, [(0, 0), (1, 5)], [[zero, x1], [x2, zero]])
     res = mf_verify(bad)
     assert not res.ok and res.reason.endswith("charge mismatch")
+
+
+def test_verify_refuses_entries_between_equal_parities():
+    # D*D = 0 = W*id and the entry has charge c_j + 1 - c_i, but D is not odd
+    ring = plane_ring((1, 1))
+    zero = ring.zero()
+    even = MatrixFactorization(ring, zero, [(0, 0), (0, 0)], [[zero, ring.var(0)], [zero, zero]])
+    res = mf_verify(even)
+    assert not res.ok and res.reason == "D entry joins generators of equal parity"
+    assert res.witness == {"entry": (0, 1), "parity": 0}
+    # the same D between generators of opposite parity is a factorization
+    assert mf_verify(MatrixFactorization(ring, zero, [(0, 0), (1, 0)], even.D)).ok
 
 
 def test_parity_convention_reported():
@@ -108,7 +120,7 @@ def test_knorrer_base_point_like():
     E = hypersurface_factor(ring, ring.var(0), ring.var(1))
     ext = hom_ext_truncated(E, E, 6)
     assert ext.capped() == {(0, 0): 1}
-    assert ext.stabilized and ext.total_dimension == 1
+    assert ext.total_dimension == 1
 
 
 def test_knorrer_base_asymmetric_charges():
@@ -125,7 +137,7 @@ def test_four_variable_maximal_isotropic():
     assert mf_verify(E).ok and E.rank == 4
     ext = hom_ext_truncated(E, E, 5)
     assert ext.capped() == {(0, 0): 1}
-    assert ext.total_dimension == 1 and ext.stabilized
+    assert ext.total_dimension == 1
 
 
 def test_contractible_stabilization_kills_everything():
@@ -138,8 +150,8 @@ def test_contractible_stabilization_kills_everything():
     assert hom_ext_truncated(E, stab, 6).capped() == {}
     assert hom_ext_truncated(stab, stab, 6).capped() == {}
     # tensoring a zero-curvature complex into the stabilization stays invisible
-    perfect = MatrixFactorization(ring, ring.zero(), [0], [0],
-                                  d0=[[x1]], d1=[[ring.zero()]])
+    zero = ring.zero()
+    perfect = MatrixFactorization(ring, zero, [(0, 0), (1, 0)], [[zero, x1], [zero, zero]])
     assert hom_ext_truncated(perfect.tensor(stab), E, 6).capped() == {}
 
 
@@ -161,6 +173,27 @@ def test_shift_two_periodicity():
     single = hom_ext_truncated(E, E.shift(1), 6)
     assert {(1 - p, r + 1): v for (p, r), v in base.capped().items()} == \
         {k: v for k, v in single.capped().items() if k[1] <= 1 + base.charge_cap}
+
+
+@pytest.mark.parametrize("k", range(-2, 4))
+def test_shift_is_the_iterated_unit_shift(k):
+    """E.shift(k) is k-fold shift(+-1) and E.shift(k).shift(-k) is E, on
+    both rank-2 factorizations and the d = 3 cubic fold."""
+    ring = plane_ring((1, 1))
+    x1, x2, zero = ring.var(0), ring.var(1), ring.zero()
+    E = hypersurface_factor(ring, x1, x2)
+    # [1] flips parity, raises charges by one and negates D
+    assert E.shift(1).gens == ((1, 1), (0, 1))
+    assert E.shift(1).D == [[zero, -x1], [-x2, zero]]
+    for E in (E, zero_locus_stabilization(ring, x1 * x2), _perturb_cubic(3)):
+        stepped = E
+        for _ in range(abs(k)):
+            stepped = stepped.shift(1 if k > 0 else -1)
+        shifted = E.shift(k)
+        assert (shifted.gens, shifted.D, shifted.W) == (stepped.gens, stepped.D, stepped.W)
+        assert mf_verify(shifted).ok
+        back = shifted.shift(-k)
+        assert (back.gens, back.D) == (E.gens, E.D)
 
 
 def test_knorrer_tensor_law():
@@ -204,8 +237,8 @@ def _uncapped_ext_dims(E, F, trunc):
     this at trunc and at trunc - 1 and compare.
     """
     ring, field = E.ring, E.ring.field
-    gens_e, gens_f = E.generators(), F.generators()
-    Ed, Fd = E.full_differential(), F.full_differential()
+    gens_e, gens_f = E.gens, F.gens
+    Ed, Fd = E.D, F.D
     monos = [m for d in range(trunc + 1) for m in ring.monomials_of_degree(d)]
     slabs, base_charges = {}, []
     for i, (pf, cf) in enumerate(gens_f):
@@ -290,13 +323,12 @@ def hom_problems(draw):
 @given(hom_problems())
 def test_capped_hom_matches_uncapped_oracle(problem):
     """Inside the cap one capped computation equals the old uncapped one at
-    trunc and at trunc - 1, key for key: stabilized is a theorem."""
+    trunc and at trunc - 1, key for key: stability is a theorem."""
     E, F, trunc = problem
     ext = hom_ext_truncated(E, F, trunc)
     for t in (trunc, trunc - 1):
         old = _uncapped_ext_dims(E, F, t)
         assert ext.dims == {k: v for k, v in old.items() if k[1] <= ext.charge_cap}
-    assert ext.stabilized
 
 
 def _tensor_law_object(coefficient=1):
@@ -406,10 +438,10 @@ def test_koszul_complex_structure():
 
 def test_perturb_recovers_two_periodic():
     ring = plane_ring((0, 2))
-    x1, x2 = ring.var(0), ring.var(1)
+    x1, x2, zero = ring.var(0), ring.var(1), ring.zero()
     E = koszul_perturb(koszul_complex(ring, [x1]), x1 * x2)
     assert mf_verify(E).ok and E.rank == 2
-    assert E.d0 == [[x1]] and E.d1 == [[x2]]
+    assert E.D == [[zero, x1], [x2, zero]]
 
 
 def test_perturb_zero_superpotential_returns_fold():
@@ -417,7 +449,7 @@ def test_perturb_zero_superpotential_returns_fold():
     C = koszul_complex(ring, [ring.var(0)])
     E = koszul_perturb(C, ring.zero())
     assert mf_verify(E).ok
-    assert E.d0 == C.diffs[0]
+    assert E.D == [[ring.zero(), *C.diffs[0][0]], [ring.zero()] * 2]
 
 
 def test_perturb_koszul_stabilization_chart():
@@ -469,7 +501,7 @@ def _perturb_cubic(d, seed=1):
 
 
 def _differentials(E):
-    return E.even_charges, E.odd_charges, E.d0, E.d1
+    return E.gens, E.D
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
@@ -596,7 +628,7 @@ class _FractionField(RationalField):
 
 
 def _coefficient_dicts(E):
-    return [[e.coeffs for e in row] for row in E.d0 + E.d1]
+    return [[e.coeffs for e in row] for row in E.D]
 
 
 @pytest.mark.parametrize("d,seed", [(5, 1), (5, 2), (7, 1), (7, 2)])
@@ -611,8 +643,7 @@ def test_integral_fold_equals_fraction_fold(d, seed):
         assert mf_verify(E).ok
         folds.append(E)
     fast, oracle = folds
-    assert fast.even_charges == oracle.even_charges
-    assert fast.odd_charges == oracle.odd_charges
+    assert fast.gens == oracle.gens
     assert _coefficient_dicts(fast) == _coefficient_dicts(oracle)
     if d == 7:
         assert all(type(c) is int for row in _coefficient_dicts(fast)
@@ -971,7 +1002,6 @@ def test_knorrer_rank_check(model):
     assert res.full_rank_factorization_ok
     assert res.hyperbolic_pairs == 4 and res.radical_dimension == 6
     assert res.factor_totals == [1, 1, 1, 1]
-    assert res.stabilized
     # the graded dimensions are the functions on the kernel Hom space
     assert res.matches_kernel_functions
     for r in range(5):
