@@ -8,12 +8,32 @@ human-readable text summary.
 A run takes one census and one sample pool: the census check reports the
 strata the model was certified with, and every sampled check reads slices
 of the pool that draw_pool takes right after the model.
+
+A run validates its config and certifies the model in one process, so every
+refusal and every failed certificate comes before any other work.  The
+checks then split in two halves that share no input but the config:
+
+- model-bound, in the calling process: the pool, the geometry suite and
+  mf.knorrer_fibre, which read the certified model and its pool;
+- model-free, in one worker forked beside them: the window suite and the
+  other five mf checks, which build their own objects over Q.
+
+The worker pickles its records, timings and shared lines back over a pipe,
+and run merges them into the serial order (_report_order), so the report is
+the one a serial run gives: each check seeds its own random stream from
+config.seed, the halves share no mutable state, and the merge order is
+fixed.  A run forks only when both halves have work, so window-only and
+geometry-only runs, and runs whose model failed its certificate, stay in
+one process.  This needs POSIX fork.
 """
 
 import argparse
 import json
+import os
+import pickle
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 from . import geometry, mf, windows
@@ -273,9 +293,9 @@ def run_geometry_suite(config, report, model, pool, planes):
            {"q": q}, extension)
 
 
-def run_mf_suite(config, report, model, pool):
-    """The matrix-factorization checks, over Q except the Knorrer fibre,
-    which runs on the certified model over the sampling field F_q."""
+def run_mf_suite(config, report):
+    """The model-free matrix-factorization checks, over Q; the Knorrer
+    fibre, which reads the model, is run_fibre_check."""
     F = QQ
     trunc = max(4, config.trunc)  # what the Hom checks run at and report
 
@@ -332,7 +352,7 @@ def run_mf_suite(config, report, model, pool):
            {"d": config.d, "field": repr(F)}, perturb)
 
     def determinantal():
-        c = model.d - 3
+        c = config.d - 3
         res = mf.eagon_northcott_check(c=c, degree_cutoff=8, field=F)
         return res.exact, {
             "term_ranks": list(res.term_ranks),
@@ -341,25 +361,7 @@ def run_mf_suite(config, report, model, pool):
 
     _timed(report, "mf.determinantal_resolution",
            "the rank-one locus resolution is exact with the expected term ranks",
-           {"c": model.d - 3, "degree_cutoff": 8, "field": repr(F)}, determinantal)
-
-    def fibre():
-        if not pool:
-            return False, {"reason": "no degenerate point"}
-        L = geometry.maximal_isotropic(model, pool[0], seed=config.seed)
-        res = mf.knorrer_rank_check(model, pool[0], L, trunc=min(config.trunc, 6))
-        ok = (res.split_certified and res.full_rank_factorization_ok
-              and res.matches_kernel_functions
-              and all(t == 1 for t in res.factor_totals))
-        return ok, {
-            "dims": {str(k): v for k, v in sorted(res.dims.items())},
-            "radical_dimension": res.radical_dimension,
-            "hyperbolic_pairs": res.hyperbolic_pairs,
-            "invariant_dims": {str(k): v for k, v in res.invariant_dims.items()}}
-
-    _timed(report, "mf.knorrer_fibre",
-           "the isotropic-subspace object is a skyscraper along the kernel directions",
-           {"trunc": min(config.trunc, 6), "field": repr(model.field)}, fibre)
+           {"c": config.d - 3, "degree_cutoff": 8, "field": repr(F)}, determinantal)
 
     def tensor_law():
         small = PolyRing(F, ("z",), (1,))
@@ -379,8 +381,108 @@ def run_mf_suite(config, report, model, pool):
            {"trunc": trunc, "field": repr(F)}, tensor_law)
 
 
+def run_fibre_check(config, report, model, pool):
+    """mf.knorrer_fibre: the Knorrer fold at the first pool point, on the
+    certified model over the sampling field F_q."""
+
+    def fibre():
+        if not pool:
+            return False, {"reason": "no degenerate point"}
+        L = geometry.maximal_isotropic(model, pool[0], seed=config.seed)
+        res = mf.knorrer_rank_check(model, pool[0], L, trunc=min(config.trunc, 6))
+        ok = (res.split_certified and res.full_rank_factorization_ok
+              and res.matches_kernel_functions
+              and all(t == 1 for t in res.factor_totals))
+        return ok, {
+            "dims": {str(k): v for k, v in sorted(res.dims.items())},
+            "radical_dimension": res.radical_dimension,
+            "hyperbolic_pairs": res.hyperbolic_pairs,
+            "invariant_dims": {str(k): v for k, v in res.invariant_dims.items()}}
+
+    _timed(report, "mf.knorrer_fibre",
+           "the isotropic-subspace object is a skyscraper along the kernel directions",
+           {"trunc": min(config.trunc, 6), "field": repr(model.field)}, fibre)
+
+
+_MF_ORDER = ("knorrer_base", "stabilization_contractible", "koszul_perturb",
+             "determinantal_resolution", "knorrer_fibre", "knorrer_tensor_law")
+
+
+def _report_order(check):
+    """Sort key of the serial report order after the model certificate: the
+    window, geometry and mf suites in turn, the mf checks as in _MF_ORDER.
+    Sorting is stable, so each suite keeps its own order."""
+    suite, name = check["check_name"].split(".", 1)
+    return ("window", "geometry", "mf").index(suite), _MF_ORDER.index(name) if suite == "mf" else 0
+
+
+def _portable(err, text):
+    """err if it survives a pickle round trip, else a RuntimeError holding its
+    traceback text (mf.LiftObstruction, for one, cannot be rebuilt from its
+    pickled arguments)."""
+    try:
+        pickle.loads(pickle.dumps(err))
+        return err
+    except Exception:
+        return RuntimeError(text)
+
+
+@contextmanager
+def _worker(fn):
+    """Run fn() in one forked process while the with-block runs.
+
+    Yields join(), which waits for the worker and returns fn's value or
+    raises its exception, chained from the worker's traceback.  The worker
+    pickles its outcome into a pipe and always leaves through os._exit, so it
+    never unwinds into the caller.  If the block raises first, the worker is
+    killed and reaped: no process outlives the block."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                data = pickle.dumps((fn(), None))
+            except BaseException as err:
+                import traceback  # the failure path only: a passing run imports nothing new
+                text = traceback.format_exc()
+                data = pickle.dumps((None, (_portable(err, text), text)))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    reaped = False
+
+    def join():
+        nonlocal reaped
+        with open(read_fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not data:
+            raise RuntimeError("the model-free worker ended without a result "
+                               f"(exit status {os.waitstatus_to_exitcode(status)})")
+        value, error = pickle.loads(data)
+        if error:
+            err, text = error
+            raise err from RuntimeError("in the model-free worker:\n" + text)
+        return value
+
+    try:
+        yield join
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            import signal  # the failure path only, as traceback above
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run(config):
-    """Execute the selected suites and return the report."""
+    """Execute the selected suites and return the report; the model-free
+    checks run in a forked worker beside the model-bound ones (see the
+    module docstring)."""
     config.validate()
     report = Report(config=dict(sorted(asdict(config).items())))
     model = None
@@ -399,16 +501,35 @@ def run(config):
                        "a generic model passes surjectivity, census and smoothness certificates",
                        False, {"seed": config.seed, "d": config.d},
                        {"error": str(err)}, time.perf_counter() - t0)
-    if model is not None:
-        # the model over the sampling field F_q, where the sampled checks run
-        work = replace(model, field=PrimeField(config.sampling_q()))
-        pool, planes = draw_pool(config, work, report)
-    if "window" in config.suites:
-        run_window_suite(config, report)
-    if "geometry" in config.suites and model is not None:
-        run_geometry_suite(config, report, work, pool, planes)
-    if "mf" in config.suites and model is not None:
-        run_mf_suite(config, report, work, pool)
+
+    def model_free(part):
+        if "window" in config.suites:
+            run_window_suite(config, part)
+        if "mf" in config.suites and model is not None:
+            run_mf_suite(config, part)
+        return part
+
+    if model is None:
+        return model_free(report)
+    # the model over the sampling field F_q, where the sampled checks run
+    work = replace(model, field=PrimeField(config.sampling_q()))
+
+    def model_bound(part):
+        pool, planes = draw_pool(config, work, part)
+        if "geometry" in config.suites:
+            run_geometry_suite(config, part, work, pool, planes)
+        if "mf" in config.suites:
+            run_fibre_check(config, part, work, pool)
+        return part
+
+    if "window" not in config.suites and "mf" not in config.suites:
+        return model_bound(report)
+    with _worker(lambda: model_free(Report(config=report.config))) as join:
+        bound = model_bound(Report(config=report.config))
+        free = join()
+    report.checks += sorted(bound.checks + free.checks, key=_report_order)
+    report.timings.update(bound.timings | free.timings)
+    report.shared.update(bound.shared | free.shared)  # the pool line, then the window line
     return report
 
 

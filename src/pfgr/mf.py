@@ -655,8 +655,8 @@ def _ext_dims(E, F, cap):
                  for l in range(len(gens_e)) for mu, c in Ed[j][l].coeffs.items()]
               for i, j, par, _ in components}
     top = cap + 1 - min((base for *_, base in components), default=0)
-    monos = [(ring.pack(m), ring.monomial_charge(m)) for d in range(top + 1)
-             for m in ring.monomials_of_degree(d)]
+    monos = [(key, ring.monomial_charge(m)) for d in range(top + 1)
+             for m, key in ring.packed_monomials_of_degree(d)]
     slabs = {}
     for i, j, par, base in components:
         for m, charge in monos:
@@ -856,9 +856,9 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     # the cutoff and canonical weight is bucketed by weight and then by term
     monos = [{} for _ in range(degree_cutoff + 1)]
     for d, groups in enumerate(monos):
-        for e in ring.monomials_of_degree(d):
+        for e, key in ring.packed_monomials_of_degree(d):
             mw = (d, sum(e[:c]), sum(e[c:]), *map(add, e[:c], e[c:]))
-            groups.setdefault(mw, []).append(ring.pack(e))
+            groups.setdefault(mw, []).append(key)
     buckets = {}
     for k, gens in enumerate(terms):
         for gi, (I, (a1, a2)) in enumerate(gens):

@@ -85,12 +85,23 @@ class PolyRing:
 
     def monomials_of_degree(self, deg):
         """All exponent tuples of the given total degree."""
+        return [exp for exp, _ in self.packed_monomials_of_degree(deg)]
+
+    def packed_monomials_of_degree(self, deg):
+        """(exponent tuple, key) for every monomial of the given total degree.
+        No exponent exceeds deg, so one bound on deg covers every key and
+        each key is summed from unit keys as its exponents are counted."""
+        if deg >= EXPONENT_LIMIT:
+            raise OverflowError(f"degree {deg} reaches 2^15")
+        units = [1 << s for s in self.shifts]
         out = []
         for combo in combinations_with_replacement(range(self.nvars), deg):
             exp = [0] * self.nvars
+            key = 0
             for i in combo:
                 exp[i] += 1
-            out.append(tuple(exp))
+                key += units[i]
+            out.append((tuple(exp), key))
         return out
 
     def __eq__(self, other):
@@ -197,8 +208,10 @@ class Poly:
 def poly_mat_mul(a, b):
     """Product of matrices of polynomials (lists of lists).
 
-    The nonzero entries of each row of b are read once; each output entry
-    accumulates in one dict, whose zero terms are dropped at the end.
+    Only nonzero entries are walked: those of each row of b once, those of
+    each row of a per row.  Each output entry accumulates in one dict, whose
+    zero terms are dropped at the end; an entry that no product reached is
+    the zero polynomial as it stands.
     """
     if not a or not b:
         return []
@@ -211,6 +224,8 @@ def poly_mat_mul(a, b):
     for row in a:
         acc = [{} for _ in range(m)]
         for e, b_row in zip(row, b_rows):
+            if not (e.coeffs and b_row):
+                continue
             for m1, c1 in e.coeffs.items():
                 for j, terms in b_row:
                     d = acc[j]
@@ -219,7 +234,7 @@ def poly_mat_mul(a, b):
                         if key & guard:
                             raise OverflowError("a product exponent reaches 2^15")
                         d[key] = add(d.get(key, zero), mul(c1, c2))
-        out.append([Poly(ring, _nonzero(F, d)) for d in acc])
+        out.append([Poly(ring, _nonzero(F, d)) if d else Poly(ring, d) for d in acc])
     return out
 
 

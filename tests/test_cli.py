@@ -1,15 +1,18 @@
 import importlib
 import importlib.util
 import json
+import os
 import runpy
+import subprocess
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pfgr import cli, geometry
+from pfgr import cli, geometry, mf
 from pfgr.fields import QQ, PrimeField
 
 
@@ -410,3 +413,127 @@ def test_perfbench_setup_probe_runs():
     setup_probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(setup_probe)
     assert setup_probe.main(["all", "--d", "5", "--seed", "1"]) == 0
+
+
+SERIAL_ORDER = ["geometry.model_certificates"] + [
+    "window." + name for name in (
+        "strong_exceptionality_gr", "unitriangular_hom0", "window_size",
+        "x1_no_higher_ext", "x2_no_higher_ext", "hom0_cross_model")] + [
+    "geometry." + name for name in (
+        "rank_census", "grassmannian_census", "smoothness_Y1", "smoothness_Y2",
+        "rank_parity", "critical_equivalence", "normal_map",
+        "invariant_ring_probe", "isotropic_extension")] + [
+    "mf." + name for name in (
+        "knorrer_base", "stabilization_contractible", "koszul_perturb",
+        "determinantal_resolution", "knorrer_fibre", "knorrer_tensor_law")]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_all_reports_the_checks_in_serial_order():
+    """The model-free half runs in a forked worker, yet the report lists
+    the 22 checks of `pfgr all` as a serial run does, with every timing and
+    the pool line before the window line, and the worker is gone when run
+    returns."""
+    report = cli.run(cli.SuiteConfig(d=5, samples=20))
+    assert report.passed
+    assert [c["check_name"] for c in report.checks] == SERIAL_ORDER
+    assert list(report.shared) == ["pool", "window"]
+    assert set(report.timings) == set(SERIAL_ORDER) - {
+        name for name in SERIAL_ORDER if name.startswith("window.")}
+    _no_child_left()
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def test_worker_exception_is_raised_in_the_caller(monkeypatch):
+    def broken(**kwargs):
+        raise WorkerFailure("Eagon-Northcott broke")
+
+    monkeypatch.setattr(mf, "eagon_northcott_check", broken)
+    with pytest.raises(WorkerFailure, match="Eagon-Northcott broke") as raised:
+        cli.run(cli.SuiteConfig(d=5, samples=20))
+    # chained from the worker's own traceback
+    assert "in the model-free worker" in str(raised.value.__cause__)
+    assert "determinantal" in str(raised.value.__cause__)
+    _no_child_left()
+
+
+def test_worker_exception_that_does_not_pickle_arrives_as_text(monkeypatch):
+    def broken(**kwargs):
+        raise mf.LiftObstruction(1, 2, 3)
+
+    monkeypatch.setattr(mf, "eagon_northcott_check", broken)
+    with pytest.raises(RuntimeError, match="lifting failed at level 1, column 2, degree 3"):
+        cli.run(cli.SuiteConfig(d=5, samples=20))
+    _no_child_left()
+
+
+def test_caller_exception_kills_the_worker(monkeypatch):
+    def broken(*args, **kwargs):
+        raise WorkerFailure("rank parity broke")
+
+    monkeypatch.setattr(geometry, "rank_parity_sample", broken)
+    with pytest.raises(WorkerFailure, match="rank parity broke"):
+        cli.run(cli.SuiteConfig(d=5, samples=20))
+    _no_child_left()
+
+
+def _forbid_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+
+
+def test_refused_runs_never_fork(monkeypatch):
+    """Refusals come before the worker: d >= 11 exits 2 with no fork."""
+    _forbid_fork(monkeypatch)
+    assert cli.main(["all", "--d", "11"]) == 2
+    assert cli.main(["mf", "--d", "11"]) == 2
+
+
+def test_one_sided_runs_do_not_fork(monkeypatch):
+    """Window-only and geometry-only runs, and a run whose model failed its
+    certificate, have work on one side only and stay in one process."""
+    _forbid_fork(monkeypatch)
+    assert cli.run(window_config()).passed
+    assert cli.run(cli.SuiteConfig(d=5, samples=5, census_qs=(2, 3),
+                                   suites=("geometry",))).passed
+
+    def uncertified(*args, **kwargs):
+        raise geometry.ModelCertificateError("no certified model")
+
+    monkeypatch.setattr(geometry, "random_model", uncertified)
+    report = cli.run(window_config(suites=("window", "geometry", "mf")))
+    names = [c["check_name"] for c in report.checks]
+    assert names == SERIAL_ORDER[:7]
+    assert report.checks[0]["verdict"] == "fail"
+
+
+def test_perfbench_trace_child_runs_beside_the_worker(tmp_path):
+    """perfbench/trace_child.py, run unedited, still exits 0 and writes one
+    spans file, holding the main-side spans: the worker neither unwinds into
+    the tracer nor overwrites its file."""
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.npz"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH", "")) if p)}
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_child.py"), str(spans),
+         "all", "--d", "5", "--samples", "20"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    # one report and nothing on stderr: the worker never returned into the tracer
+    assert done.stdout.count("overall: PASS") == 1 and done.stderr == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["spans.npz"]
+    with np.load(spans) as z:
+        names = [str(n) for n in z["names"]]
+        calls = np.bincount(z["name_id"], minlength=len(names))
+    called = {name for name, n in zip(names, calls) if n}
+    assert {"geometry.random_model", "geometry.sample_y2_points",
+            "cli.run_geometry_suite"} <= called
+    # the model-free half ran in the worker, whose spans are not recorded
+    assert "mf.eagon_northcott_check" not in called

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pfgr.fields import QQ, PrimeField
 from pfgr.poly import EXPONENT_LIMIT, Poly, PolyRing, poly_mat_mul
@@ -59,6 +59,52 @@ def test_products_match_tuple_arithmetic(field):
     assert prod.coeffs == {ring.pack(e): c for e, c in terms.items() if not field.is_zero(c)}
     assert poly_mat_mul([[f, g]], [[g], [f]]) == [[f * g + g * f]]
     assert (f * g - g * f).is_zero()
+
+
+def test_packed_monomials_carry_their_keys():
+    """Each key summed from unit keys is the packed exponent tuple, every
+    monomial of the degree appears once, and one bound covers the degree."""
+    ring = _ring(3)
+    for d in range(6):
+        packed = ring.packed_monomials_of_degree(d)
+        assert all(key == ring.pack(e) for e, key in packed)
+        assert sorted(e for e, _ in packed) == [
+            e for e in product(range(d + 1), repeat=3) if sum(e) == d]
+        assert ring.monomials_of_degree(d) == [e for e, _ in packed]
+    with pytest.raises(OverflowError):
+        ring.packed_monomials_of_degree(EXPONENT_LIMIT)
+
+
+sparse_entries = st.lists(st.tuples(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 1)]),
+                                     st.sampled_from([1, -1])), max_size=3)
+_x, _minus_x, _none = [((1, 0), 1)], [((1, 0), -1)], []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(sparse_entries, min_size=3, max_size=3), min_size=2, max_size=2),
+       st.lists(st.lists(sparse_entries, min_size=2, max_size=2), min_size=3, max_size=3))
+@example([[_x, _x, _none], [_none, _none, _none]],
+         [[_x, _none], [_minus_x, _none], [_none, _none]])
+def test_sparse_matrix_products_match_entrywise_sums(a_terms, b_terms):
+    """Zero entries, zero rows and cancelling sums give the same product as
+    the sum of entry products; an output no product reaches is zero."""
+    ring = _ring(2, PrimeField(7))
+
+    def entry(terms):
+        p = ring.zero()
+        for e, c in terms:
+            p = p + Poly(ring, {ring.pack(e): ring.field.of_int(c)})
+        return p
+
+    a = [[entry(t) for t in row] for row in a_terms]
+    b = [[entry(t) for t in row] for row in b_terms]
+    got = poly_mat_mul(a, b)
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            want = ring.zero()
+            for k, e in enumerate(row):
+                want = want + e * b[k][j]
+            assert isinstance(got[i][j], Poly) and got[i][j].coeffs == want.coeffs
 
 
 def test_reaching_a_guard_bit_raises():
