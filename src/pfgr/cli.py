@@ -77,6 +77,9 @@ class SuiteConfig:
         if self.trunc < 2:
             raise ValueError("trunc must be at least 2: below 2 the charge window "
                              "trunc - 2 + min base is empty for the base object")
+        if not self.census_qs or not self.suites:
+            raise ValueError("census_qs and suites must each name at least one entry: "
+                             "an empty list would certify with nothing checked")
         for q in self.census_qs:
             PrimeField(q)
         bad = set(self.suites) - {"window", "geometry", "mf"}
@@ -208,9 +211,12 @@ def run_geometry_suite(config, report, model, pool, planes):
            {"census_qs": list(config.census_qs), "d": config.d}, census)
 
     def gr_census():
+        primes = [x for x in config.census_qs if x <= 3]
+        if not primes:
+            return False, {"reason": "no census prime <= 3"}
         out = {}
         ok = True
-        for cq in [x for x in config.census_qs if x <= 3]:
+        for cq in primes:
             total, on_y1 = geometry.grassmannian_census(model, cq)
             expected = geometry.gaussian_binomial_2(config.d, cq)
             on_y2 = sum(v for r, v in model.census[cq].items() if r <= model.degenerate_rank)
@@ -416,17 +422,6 @@ def _report_order(check):
     return ("window", "geometry", "mf").index(suite), _MF_ORDER.index(name) if suite == "mf" else 0
 
 
-def _portable(err, text):
-    """err if it survives a pickle round trip, else a RuntimeError holding its
-    traceback text (mf.LiftObstruction, for one, cannot be rebuilt from its
-    pickled arguments)."""
-    try:
-        pickle.loads(pickle.dumps(err))
-        return err
-    except Exception:
-        return RuntimeError(text)
-
-
 @contextmanager
 def _worker(fn):
     """Run fn() in one forked process while the with-block runs.
@@ -446,7 +441,7 @@ def _worker(fn):
             except BaseException as err:
                 import traceback  # the failure path only: a passing run imports nothing new
                 text = traceback.format_exc()
-                data = pickle.dumps((None, (_portable(err, text), text)))
+                data = pickle.dumps((None, (err, text)))
             with open(write_fd, "wb") as pipe:
                 pipe.write(data)
         finally:

@@ -199,29 +199,6 @@ def y2_membership(model, p):
     return r, r <= model.degenerate_rank
 
 
-def contraction_oracle(model, x):
-    """A(wedge of x) computed the slow way, pairing against basis 2-forms.
-
-    Evaluates omega at each coordinate vector e_i and contracts with the two
-    rows of x; used as the independent route for y1_membership.
-    """
-    F = model.field
-    xm = _coerce_matrix(F, x)
-    u, v = xm
-    T = model.coefficient_tensor()
-    out = []
-    for i in range(model.d):
-        s = F.zero
-        for a in range(model.d):
-            if F.is_zero(u[a]):
-                continue
-            for b in range(model.d):
-                if T[i][a][b]:
-                    s = F.add(s, F.mul(F.mul(u[a], v[b]), F.of_int(T[i][a][b])))
-        out.append(s)
-    return out
-
-
 def principal_pfaffians(model, p):
     """The d sub-Pfaffians of omega_p deleting one index each.
 
@@ -680,33 +657,6 @@ def grad_W(model, x, p):
     gv = [F.neg(c) for c in linalg.mat_vec(F, omega, u)]
     gp = apply_A(model, plucker_vector(F, u, v))
     return gu + gv + gp
-
-
-def critical_test(model, x, p):
-    """Compare the gradient verdict with the geometric one.
-
-    Gradient: all 3d partials vanish.  Geometric: both columns lie in
-    ker(omega_p) and the matrix x has rank at most 1.  The two are computed
-    by disjoint routes so their agreement is a real check.
-    """
-    F = model.field
-    xm = _coerce_matrix(F, x)
-    grad = grad_W(model, xm, p)
-    gradient_zero = all(F.is_zero(c) for c in grad)
-    K = kernel_basis(model, p)
-    rk_k = linalg.rank(F, K)
-    in_kernel = all(
-        linalg.rank(F, K + [row]) == rk_k for row in xm if any(not F.is_zero(c) for c in row)
-    )
-    rank_le_1 = linalg.rank(F, xm) <= 1
-    geometric = in_kernel and rank_le_1
-    flags = {
-        "gradient_zero": gradient_zero,
-        "image_in_kernel": in_kernel,
-        "rank_le_1": rank_le_1,
-        "geometric": geometric,
-    }
-    return gradient_zero, flags
 
 
 @dataclass

@@ -16,7 +16,10 @@ systems by shape and eliminate each stack mod a prime: over F_q its own
 order, and the answers are exact; over Q the fixed EN_PRIME, and each answer
 is checked exactly over Z, with _exact_system for any that fails.  The
 Eagon-Northcott weight spaces over Q are ranked over F_EN_PRIME, sound by
-their integer coefficients (eagon_northcott_check).
+their integer coefficients (eagon_northcott_check).  The Knorrer fibre
+(knorrer_rank_check) needs no fold: it splits the quadric W_p mod q and
+writes its factorization in closed form, a tensor product of rank-2
+factors, certified by mf_verify and the identity E.W == W_p.
 """
 
 import random
@@ -40,6 +43,9 @@ class LiftObstruction(RuntimeError):
         self.level = level
         self.column = column
         self.degree = degree
+
+    def __reduce__(self):
+        return LiftObstruction, (self.level, self.column, self.degree)
 
 
 def _zmat(ring, nrows, ncols):
@@ -941,92 +947,66 @@ class KnorrerCheck:
                    for r, v in self.kernel_function_dims.items())
 
 
+def _linear_forms(ring, rows):
+    """The linear forms sum_a row[a] x_a of the rows of a residue matrix."""
+    return [Poly(ring, {1 << s: int(c) for s, c in zip(ring.shifts, row) if c})
+            for row in rows]
+
+
 def knorrer_rank_check(model, p, L_basis, trunc=6):
-    """Graded self-Ext of the structure sheaf of Hom(S, L_p) on one fibre.
+    """Graded self-Ext of the structure sheaf of M_p = Hom(S, L_p) on one
+    fibre, and the Knorrer factorization of W_p that it stands for.
 
-    The quadratic form W_p is split exactly: a basis adapted to the chosen
-    maximal isotropic M_p = Hom(S, L_p) is completed to hyperbolic pairs plus
-    the radical, and the change of basis is certified by an exact matrix
-    identity.  Each hyperbolic pair contributes a point-like factor (total
-    dimension 1, computed honestly by truncation), the radical contributes
-    the functions on the kernel of W_p, and the graded dimensions multiply.
-    The output therefore matches the functions on Hom(S, ker omega_p): the
-    object is a skyscraper along the kernel directions, fattened by nothing
-    in the hyperbolic ones.  The SL(2)-invariant slice of those kernel
-    functions (three quadratic generators) is reported alongside.
+    The split is exact linear algebra mod q through pfgr.modq, so the model
+    must be over a prime field F_q (ValueError over Q).  With W_p(x) =
+    x B x^T and M B M^T = 0 for the rows M spanning M_p, the pivot rows ms
+    of rref([radical; M]^T) complete the radical ker B to M_p, one stacked
+    solve gives ns with ms B ns^T = I, and ns -= 1/2 (ns B ns^T) ms makes
+    them isotropic.  The split is certified by full rank of basis =
+    [ms; ns; radical] and basis B basis^T = [[0, I, 0], [I, 0, 0], [0, 0, 0]].
+    Each product is reduced mod q at once: a dot product has 2d <= C(d, 2)
+    terms, within the C(d, 2) (q - 1)^2 < 2^63 bound of random_model.
 
-    As a model-level certificate, the Koszul resolution of M_p inside the
-    full coordinate ring is also perturbed into a factorization of the actual
-    quadratic polynomial and verified exactly.
+    In the adapted basis the cutters c_i(x) = (B m_i) . x and the duals
+    a_i(x) = (B n_i) . x are the coordinates along n_i and m_i, so
+    W_p = 2 sum_i a_i c_i and E = tensor_i hypersurface_factor(c_i, 2 a_i)
+    is the Koszul complex on the cutters with its perturbation.  Soundness:
+    E.W == W_p is a polynomial identity and mf_verify checks D * D = W * id
+    exactly, so E factors W_p whatever built it; the Gram certificate makes
+    the c_i independent and zero on M_p, so they cut out M_p exactly.
+
+    Each hyperbolic pair contributes a point-like factor (total dimension 1,
+    computed by truncation) and the radical the functions on ker W_p; the
+    graded dimensions multiply and match the functions on Hom(S, ker
+    omega_p), a skyscraper along the kernel directions.  The SL(2)-invariant
+    slice of those functions (three quadratic generators) is reported too.
     """
     from . import geometry
     F = model.field
-    d = model.d
-    n = 2 * d
-    B = geometry.quadratic_form_matrix(model, p)
-
-    def bform(u, v):
-        s = F.zero
-        for a in range(n):
-            if F.is_zero(u[a]):
-                continue
-            for b in range(n):
-                if B[a][b] != F.zero and not F.is_zero(v[b]):
-                    s = F.add(s, F.mul(u[a], F.mul(B[a][b], v[b])))
-        return s
-
-    Lm = [[F.of_int(c) if isinstance(c, int) else c for c in row] for row in L_basis]
-    M_vectors = [row + [F.zero] * d for row in Lm] + [[F.zero] * d + row for row in Lm]
-    for i, u in enumerate(M_vectors):
-        for v in M_vectors[i:]:
-            if not F.is_zero(bform(u, v)):
-                raise ValueError("the given subspace is not isotropic for W_p")
-    radical = linalg.right_kernel(F, B)
+    q = F.characteristic
+    if not q:
+        raise ValueError("knorrer_rank_check needs a model over a prime field")
+    n = 2 * model.d
+    B = np.array(geometry.quadratic_form_matrix(model, p), dtype=np.int64)
+    M = np.kron(np.eye(2, dtype=np.int64), np.array(L_basis, dtype=np.int64) % q)
+    if (M @ B % q @ M.T % q).any():
+        raise ValueError("the given subspace is not isotropic for W_p")
+    _, radical = modq.rank_and_kernel(B, q)
     rad_dim = len(radical)
-    stacked = [list(v) for v in M_vectors]
-    if linalg.rank(F, stacked) != linalg.rank(F, stacked + [list(r) for r in radical]):
+    _, rank, pivots = modq.rref(np.concatenate([radical, M]).T, q)
+    if rank != modq.batch_rank(M, q)[0]:
         raise ValueError("the radical is not contained in the isotropic subspace")
-
-    adapted = [list(r) for r in radical]
-    ms = []
-    for v in M_vectors:
-        if linalg.rank(F, adapted + [list(v)]) == len(adapted) + 1:
-            adapted.append(list(v))
-            ms.append(list(v))
+    ms = M[pivots[rad_dim:]]
     h = len(ms)
+    pairing = ms @ B % q
+    ns = np.array(modq.solve(np.repeat(pairing[None], h, axis=0), np.eye(h, dtype=np.int64), q))
+    half_gram = (ns @ B % q @ ns.T % q) * ((q + 1) // 2) % q
+    ns = (ns - half_gram @ ms) % q
 
-    pairing_rows = [linalg.mat_vec(F, B, m) for m in ms]
-    ns = []
-    for j in range(h):
-        target = [F.one if i == j else F.zero for i in range(h)]
-        v = linalg.solve(F, pairing_rows, target)
-        assert v is not None
-        ns.append(v)
-    half = F.inv(F.of_int(2))
-    corrected = []
-    for j in range(h):
-        nj = list(ns[j])
-        for k in range(h):
-            coef = F.mul(half, bform(ns[k], ns[j]))
-            nj = [F.sub(a, F.mul(coef, b)) for a, b in zip(nj, ms[k])]
-        corrected.append(nj)
-    ns = corrected
-
-    basis = ms + ns + [list(r) for r in radical]
-    split_ok = len(basis) == n and linalg.rank(F, basis) == n
-    if split_ok:
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                val = bform(u, v)
-                if i < h and j == h + i or j < h and i == h + j:
-                    want = F.one
-                else:
-                    want = F.zero
-                if val != want:
-                    split_ok = False
-                    break
-            if not split_ok:
-                break
+    basis = np.concatenate([ms, ns, radical])
+    gram = np.pad(np.kron([[0, 1], [1, 0]], np.eye(h, dtype=np.int64)), (0, rad_dim))
+    split_ok = bool(basis.shape == (n, n) and modq.batch_rank(basis, q)[0] == n
+                    and (basis @ B % q @ basis.T % q == gram).all())
 
     # honest truncated computation on each split factor
     ring2 = PolyRing(F, ("u", "v"), (1, 1))
@@ -1041,39 +1021,19 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     for _ in range(h):
         dims = convolve_dims(dims, pair_ext.capped(), cap)
 
-    # model-level certificate: perturb the actual Koszul resolution of M_p
-    names = tuple(f"x{i}" for i in range(n))
-    ring_full = PolyRing(F, names, (1,) * n)
-    W_poly = ring_full.zero()
-    for a in range(n):
-        for b in range(n):
-            if not F.is_zero(B[a][b]):
-                mono = [0] * n
-                mono[a] += 1
-                mono[b] += 1
-                W_poly = W_poly + Poly(ring_full, {ring_full.pack(mono): B[a][b]})
-    cutters = []
-    for m in ms:
-        row = linalg.mat_vec(F, B, m)
-        form = ring_full.zero()
-        for a, cval in enumerate(row):
-            if not F.is_zero(cval):
-                mono = [0] * n
-                mono[a] = 1
-                form = form + Poly(ring_full, {ring_full.pack(mono): cval})
-        cutters.append(form)
-    full_ok = False
-    if split_ok:
-        stab = koszul_perturb(koszul_complex(ring_full, cutters), W_poly)
-        full_ok = bool(mf_verify(stab))
+    # model-level certificate: the closed-form factorization of W_p itself
+    ring = PolyRing(F, tuple(f"x{i}" for i in range(n)), (1,) * n)
+    W_p = sum((ring.var(a) * f for a, f in enumerate(_linear_forms(ring, B))), ring.zero())
+    E = free_module_mf(ring)
+    for cutter, dual in zip(_linear_forms(ring, pairing), _linear_forms(ring, ns @ B % q)):
+        E = E.tensor(hypersurface_factor(ring, cutter, dual * 2))
+    full_ok = split_ok and E.W == W_p and bool(mf_verify(E))
 
     from .reps import sym_power_characters, diagonal_isotypic
     chars = sym_power_characters({(1, 0): 3, (0, 1): 3}, max(cap, 0))
-    invariant_dims = {}
-    kernel_fn = {}
-    for r in range(max(cap + 1, 0)):
-        invariant_dims[r] = sum(diagonal_isotypic(chars[r]).values()) if r < len(chars) else 0
-        kernel_fn[r] = comb(r + rad_dim - 1, rad_dim - 1)
+    invariant_dims = {r: sum(diagonal_isotypic(chars[r]).values()) if r < len(chars) else 0
+                      for r in range(cap + 1)}
+    kernel_fn = {r: comb(r + rad_dim - 1, rad_dim - 1) for r in range(cap + 1)}
     return KnorrerCheck(
         dims=dims, radical_dimension=rad_dim, hyperbolic_pairs=h,
         split_certified=split_ok, full_rank_factorization_ok=full_ok,

@@ -384,6 +384,28 @@ def test_config_file_wrong_type(tmp_path):
     assert cli.main(["window", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key", ["census_qs", "suites"])
+def test_config_file_empty_list_is_refused(tmp_path, capsys, key):
+    """An empty census list or suite list would pass with nothing checked."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: []}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "at least one entry" in capsys.readouterr().err
+
+
+def test_grassmannian_census_fails_without_a_small_prime(tmp_path):
+    """With no census prime <= 3 the Y1 count has nothing to count: the
+    check fails with its reason instead of passing on an empty witness."""
+    out = tmp_path / "census5.json"
+    assert cli.main(["geometry", "--d", "5", "--samples", "5", "--census-q", "5",
+                     "--out", str(out)]) == 1
+    checks = {c["check_name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["geometry.rank_census"]["verdict"] == "pass"
+    check = checks["geometry.grassmannian_census"]
+    assert check["verdict"] == "fail"
+    assert check["witness"] == {"reason": "no census prime <= 3"}
+
+
 def test_malformed_model_file(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("{not json")
@@ -464,13 +486,18 @@ def test_worker_exception_is_raised_in_the_caller(monkeypatch):
     _no_child_left()
 
 
-def test_worker_exception_that_does_not_pickle_arrives_as_text(monkeypatch):
+def test_worker_lift_obstruction_arrives_as_itself(monkeypatch):
+    """A LiftObstruction raised in the forked worker pickles as itself and
+    reaches the caller with its level, column and degree."""
     def broken(**kwargs):
         raise mf.LiftObstruction(1, 2, 3)
 
     monkeypatch.setattr(mf, "eagon_northcott_check", broken)
-    with pytest.raises(RuntimeError, match="lifting failed at level 1, column 2, degree 3"):
+    with pytest.raises(mf.LiftObstruction,
+                       match="lifting failed at level 1, column 2, degree 3") as raised:
         cli.run(cli.SuiteConfig(d=5, samples=20))
+    assert (raised.value.level, raised.value.column, raised.value.degree) == (1, 2, 3)
+    assert "in the model-free worker" in str(raised.value.__cause__)
     _no_child_left()
 
 

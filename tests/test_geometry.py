@@ -8,7 +8,7 @@ import pytest
 
 from pfgr import geometry, linalg, modq
 from pfgr.fields import QQ, PrimeField, is_prime
-from pfgr.geometry import (PfaffianModel, certify_model, critical_test,
+from pfgr.geometry import (PfaffianModel, certify_model,
                            critical_equivalence_sweep, gaussian_binomial_2, grad_W, grassmannian_census,
                            kernel_and_extend, kernel_basis, maximal_isotropic,
                            normal_map_check, omega_at, omega_rank,
@@ -375,13 +375,33 @@ def test_rank_parity_bulk(model):
 # membership for planes
 
 
+def _contraction_oracle(model, x):
+    """A(wedge of x) computed the slow way, pairing against basis 2-forms.
+
+    Evaluates omega at each coordinate vector e_i and contracts with the two
+    rows of x; the independent route for y1_membership.
+    """
+    F = model.field
+    u, v = ([F.of_int(c) for c in row] for row in x)
+    T = model.coefficient_tensor()
+    out = []
+    for i in range(model.d):
+        s = F.zero
+        for a in range(model.d):
+            for b in range(model.d):
+                if T[i][a][b]:
+                    s = F.add(s, F.mul(F.mul(u[a], v[b]), F.of_int(T[i][a][b])))
+        out.append(s)
+    return out
+
+
 def test_y1_membership_and_contraction_oracle(model):
     xs = sample_y1_points(model, 101, sample_y2_points(model, 101, 5, seed=21), seed=21)
     assert len(xs) == 5
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     for x in xs:
         assert y1_membership(work, x)
-        oracle = geometry.contraction_oracle(work, x)
+        oracle = _contraction_oracle(work, x)
         assert all(v == 0 for v in oracle)
     rng = random.Random(2)
     x = [[rng.randrange(101) for _ in range(7)] for _ in range(2)]
@@ -401,7 +421,7 @@ def test_incidence_sampler_cross_check(request, d, q):
     for p, x in zip(ps, xs):
         assert linalg.rank(work.field, [[work.field.of_int(c) for c in row] for row in x]) == 2
         assert y1_membership(work, x)
-        assert all(work.field.is_zero(v) for v in geometry.contraction_oracle(work, x))
+        assert all(work.field.is_zero(v) for v in _contraction_oracle(work, x))
         assert linalg.rank(work.field, kernel_basis(work, p) + x) <= 4
     if d == 7:
         reduced, _, _ = modq.rref(np.array(xs), q)
@@ -664,13 +684,36 @@ def test_d5_plane_always_meets_kernel(model5):
 # the critical locus
 
 
+def _critical_test(model, x, p):
+    """Compare the gradient verdict with the geometric one.
+
+    Gradient: all 3d partials vanish.  Geometric: both columns lie in
+    ker(omega_p) and the matrix x has rank at most 1.  The two are computed
+    by disjoint routes so their agreement is a real check.
+    """
+    F = model.field
+    xm = [[F.of_int(c) for c in row] for row in x]
+    gradient_zero = all(F.is_zero(c) for c in grad_W(model, xm, p))
+    K = kernel_basis(model, p)
+    rk_k = linalg.rank(F, K)
+    in_kernel = all(linalg.rank(F, K + [row]) == rk_k for row in xm if any(row))
+    rank_le_1 = linalg.rank(F, xm) <= 1
+    flags = {
+        "gradient_zero": gradient_zero,
+        "image_in_kernel": in_kernel,
+        "rank_le_1": rank_le_1,
+        "geometric": in_kernel and rank_le_1,
+    }
+    return gradient_zero, flags
+
+
 def test_grad_zero_matrix(model):
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     rng = random.Random(8)
     p = [rng.randrange(1, 101) for _ in range(7)]
     g = grad_W(work, [[0] * 7, [0] * 7], p)
     assert all(work.field.is_zero(c) for c in g)
-    crit, flags = critical_test(work, [[0] * 7, [0] * 7], p)
+    crit, flags = _critical_test(work, [[0] * 7, [0] * 7], p)
     assert crit and flags["geometric"]
 
 
@@ -681,18 +724,18 @@ def test_critical_positives_and_near_misses(model):
     k = K[0]
     # rank-one into the kernel: critical
     x = [[(3 * c) % 101 for c in k], [(5 * c) % 101 for c in k]]
-    crit, flags = critical_test(work, x, p)
+    crit, flags = _critical_test(work, x, p)
     assert crit and flags["geometric"] and flags["gradient_zero"]
     # rank-two inside the kernel: gradient picks up the wedge contractions
     x2 = [list(K[0]), list(K[1])]
-    crit, flags = critical_test(work, x2, p)
+    crit, flags = _critical_test(work, x2, p)
     assert not crit and not flags["rank_le_1"] and flags["image_in_kernel"]
     assert not flags["gradient_zero"]
     # rank-one off the kernel
     rng = random.Random(9)
     u = [rng.randrange(101) for _ in range(7)]
     x3 = [u, [(2 * c) % 101 for c in u]]
-    crit, flags = critical_test(work, x3, p)
+    crit, flags = _critical_test(work, x3, p)
     assert not crit and not flags["image_in_kernel"]
 
 

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
@@ -493,6 +494,13 @@ def test_perturb_obstruction_reported(monkeypatch):
     assert err.value.degree >= 0
     # the obstruction is the exact solver's verdict over Q, not the mod-p one
     assert answers and answers[-1] is None
+
+
+def test_lift_obstruction_pickles_with_its_fields():
+    err = pickle.loads(pickle.dumps(LiftObstruction(1, 2, 3)))
+    assert isinstance(err, LiftObstruction)
+    assert (err.level, err.column, err.degree) == (1, 2, 3)
+    assert str(err) == "lifting failed at level 1, column 2, degree 3"
 
 
 def _perturb_cubic(d, seed=1):
@@ -1029,6 +1037,73 @@ def test_knorrer_rank_check_rejects_non_isotropic(model):
            [0, 0, 0, 0, 1, 0, 0]]
     with pytest.raises(ValueError):
         knorrer_rank_check(work, p, bad, trunc=4)
+
+
+def _fibre_spy(monkeypatch, n):
+    """Record the cutters that knorrer_rank_check passes to
+    hypersurface_factor on its n-variable ring, and every factorization it
+    hands to mf_verify."""
+    cutters, verified = [], []
+    real_factor, real_verify = mf.hypersurface_factor, mf.mf_verify
+
+    def factor(ring, f, g):
+        if ring.nvars == n:
+            cutters.append(f)
+        return real_factor(ring, f, g)
+
+    def verify(E):
+        verified.append(E)
+        return real_verify(E)
+
+    monkeypatch.setattr(mf, "hypersurface_factor", factor)
+    monkeypatch.setattr(mf, "mf_verify", verify)
+    return cutters, verified
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_knorrer_closed_form_matches_the_fold(monkeypatch, model, d):
+    """The closed-form factorization of W_p agrees with the Koszul complex
+    on the same cutters folded by koszul_perturb: both verify, share W and
+    rank 2^h, and have the same (parity, charge) generators.  W_p is built
+    here from the matrix of the form, entry by entry."""
+    work = model if d == 7 else geometry.random_model(1, d=5)
+    p = geometry.sample_y2_points(work, 101, 1, seed=18)[0]
+    L = geometry.maximal_isotropic(work, p, seed=5)
+    cutters, verified = _fibre_spy(monkeypatch, 2 * d)
+    res = knorrer_rank_check(work, p, L, trunc=4)
+    assert res.full_rank_factorization_ok
+    E = verified[-1]
+    ring = E.ring
+    W_p = ring.zero()
+    for a, row in enumerate(geometry.quadratic_form_matrix(work, p)):
+        for b, c in enumerate(row):
+            W_p = W_p + ring.var(a) * ring.var(b) * c
+    fold = koszul_perturb(koszul_complex(ring, cutters), W_p)
+    h = res.hyperbolic_pairs
+    assert len(cutters) == h
+    assert mf_verify(fold) and mf_verify(E)
+    assert E.W == fold.W == W_p
+    assert E.rank == fold.rank == 2 ** h
+    assert Counter(E.gens) == Counter(fold.gens)
+
+
+def test_knorrer_fibre_catches_a_wrong_factor(monkeypatch, model):
+    """Scaling g by 3 in every hypersurface factor leaves a factorization
+    that verifies, but of 3 W_p: the identity E.W == W_p refuses it."""
+    real = mf.hypersurface_factor
+    monkeypatch.setattr(mf, "hypersurface_factor", lambda ring, f, g: real(ring, f, g * 3))
+    p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
+    L = geometry.maximal_isotropic(model, p, seed=5)
+    res = knorrer_rank_check(model, p, L, trunc=4)
+    assert res.split_certified and not res.full_rank_factorization_ok
+
+
+def test_knorrer_rank_check_needs_a_prime_field(model):
+    p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
+    L = geometry.maximal_isotropic(model, p, seed=5)
+    over_q = geometry.PfaffianModel(d=7, A=model.A, seed=0, field=QQ)
+    with pytest.raises(ValueError, match="prime field"):
+        knorrer_rank_check(over_q, p, L, trunc=4)
 
 
 def test_free_module_endomorphisms_are_polynomials():
