@@ -103,15 +103,3 @@ def projective_cohomology(n, d):
         return {n: comb(-d - 1, n)}
     return {}
 
-
-def twist_tail_dominant(l, k_bound):
-    """True if every summand weight below the twist bound is dominant.
-
-    The summands of Sym^l S (x) Sym^lp S^dual (x) O(-k) have S-weights
-    (l - j + k, j - lp + k), j = 0..min(l, lp); as Sigma S^dual weights these
-    are (lp - j - k, -l + j - k), which are weakly decreasing with both
-    entries non-negative as soon as -k >= l.  Dominant weights have only
-    degree-zero cohomology, so for every k <= -l the whole twist tail is
-    concentrated in degree 0, for any lp >= 0.
-    """
-    return -k_bound >= l

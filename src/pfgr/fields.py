@@ -120,13 +120,3 @@ class PrimeField:
 
 QQ = RationalField()
 
-
-def field_from_spec(name, q=None):
-    """Build a field from a config-style spec: 'QQ' or 'Fq' with a prime q."""
-    if name == "QQ":
-        return QQ
-    if name in ("Fq", "GF", "F"):
-        if q is None:
-            raise ValueError("prime q required for a finite field")
-        return PrimeField(q)
-    raise ValueError(f"unknown field spec {name!r}")

@@ -8,18 +8,21 @@ varieties of interest are
   Y1: 2-planes U in V with A(Lambda^2 U) = 0, inside Gr(2, d), and
   Y2: points p where rank(omega_p) drops to d - 3, inside P^(d-1).
 
-Everything here is computed over Q or a prime field, with no floating point:
+Everything here is computed over a prime field F_q, with no floating point:
 rank strata by exhaustive census over small fields, smoothness by exact
 Jacobian ranks at sampled points, the critical-locus equivalence for the
 cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
 against the kernel 2-forms.  Y2 and Y1 are counted by the same bounded walk
 over P^(d-1)(F_q), Y1 through the incidence u in ker(omega_p); with the deep
-stratum empty the counts agree (grassmannian_census).  Censuses, point
-sampling and the per-point certificates (smoothness Jacobians, the normal
-map) run through the vectorized mod-q routines in pfgr.modq, each over a
-whole (N, ...) stack of points at once; the model's membership tests,
-kernels and isotropic extensions at single points are exact field
-computations via pfgr.linalg.
+stratum empty the counts agree (grassmannian_census).  Every pointwise
+verdict reads omega_p mod q from omegas and takes its ranks, kernels and
+isotropic extensions through the vectorized routines of pfgr.modq, over a
+whole (N, ...) stack of points or at one point.  The single-point functions
+(membership, kernels, isotropic extensions) read q from the model's field
+and refuse a model over Q with ValueError: the command line runs them on the
+model moved onto the sampling field.  Surjectivity of A needs no rational
+elimination either: rank d mod any prime q means some d x d minor is
+nonzero mod q, hence nonzero over Z (certify_model).
 
 Both samplers cost about q draws per point over F_q.  Y2 is sampled by
 kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
@@ -53,8 +56,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg, modq, reps
-from .fields import QQ, PrimeField, field_from_spec
+from . import modq, reps
+from .fields import QQ, PrimeField
 
 
 class ModelCertificateError(RuntimeError):
@@ -135,108 +138,69 @@ class PfaffianModel:
 
 
 # ---------------------------------------------------------------------------
-# pointwise exact evaluations
+# pointwise evaluations mod q
 
 
-def omega_at(model, p):
-    """The antisymmetric matrix omega_p over the model's field."""
-    F = model.field
-    pv = [F.of_int(c) if isinstance(c, int) else c for c in p]
-    if all(F.is_zero(c) for c in pv):
+def omegas(model, pts, q):
+    """omega_p mod q: a (d, d) matrix for one point p, an (N, d, d) stack for
+    an (N, d) stack of points.  Each entry sums d products of residues, within
+    the C(d, 2) (q - 1)^2 < 2^63 bound of random_model."""
+    pts = np.asarray(pts, dtype=np.int64) % q
+    return np.einsum("...i,iab->...ab", pts, model.tensor_mod(q)) % q
+
+
+def _prime(model):
+    """The order q of the model's prime field; a model over Q raises."""
+    q = model.field.characteristic
+    if not q:
+        raise ValueError("pointwise verdicts need a model over a prime field, not Q")
+    return q
+
+
+def _omega_at(model, p):
+    """(q, omega_p mod q) over the model's prime field; p = 0 raises."""
+    q = _prime(model)
+    if not (np.asarray(p, dtype=np.int64) % q).any():
         raise ValueError("p must be a nonzero point")
-    d = model.d
-    M = [[F.zero] * d for _ in range(d)]
-    for c, (a, b) in enumerate(model.pairs):
-        v = F.zero
-        for i in range(d):
-            if model.A[i][c]:
-                v = F.add(v, F.mul(pv[i], F.of_int(model.A[i][c])))
-        M[a][b] = v
-        M[b][a] = F.neg(v)
-    return M
+    return q, omegas(model, p, q)
 
 
-def omega_rank(model, p):
-    return linalg.rank(model.field, omega_at(model, p))
-
-
-def plucker_vector(field, u, v):
-    """Wedge coordinates of the 2-plane spanned by u and v."""
-    d = len(u)
-    return [field.sub(field.mul(u[a], v[b]), field.mul(u[b], v[a]))
-            for a, b in wedge_pairs(d)]
-
-
-def apply_A(model, wedge):
-    F = model.field
-    out = []
-    for i in range(model.d):
-        s = F.zero
-        for c, w in enumerate(wedge):
-            if model.A[i][c] and not F.is_zero(w):
-                s = F.add(s, F.mul(F.of_int(model.A[i][c]), w))
-        out.append(s)
-    return out
-
-
-def _coerce_matrix(field, x):
-    return [[field.of_int(c) if isinstance(c, int) else c for c in row] for row in x]
+def _rank(rows, q):
+    return int(modq.rref(np.asarray(rows, dtype=np.int64), q)[1])
 
 
 def y1_membership(model, x):
     """Whether the full-rank 2 x d matrix x spans a plane killed by A."""
-    F = model.field
-    xm = _coerce_matrix(F, x)
-    if linalg.rank(F, xm) != 2:
+    q = _prime(model)
+    u, v = np.asarray(x, dtype=np.int64) % q
+    if _rank([u, v], q) != 2:
         raise ValueError("x must have rank 2")
-    image = apply_A(model, plucker_vector(F, xm[0], xm[1]))
-    return all(F.is_zero(c) for c in image)
+    # A(u wedge v)_i = u . T_i v, reduced after each contraction
+    return not (np.einsum("iab,b->ia", model.tensor_mod(q), v) % q @ u % q).any()
 
 
 def y2_membership(model, p):
     """(rank of omega_p, whether the rank is at most d - 3)."""
-    r = omega_rank(model, p)
+    q, omega = _omega_at(model, p)
+    r = _rank(omega, q)
     return r, r <= model.degenerate_rank
 
 
-def principal_pfaffians(model, p):
-    """The d sub-Pfaffians of omega_p deleting one index each.
+def quadratic_form_matrix(model, p, q):
+    """The symmetric 2d x 2d matrix of W_p on pairs of columns (u, v), as
+    residues mod q: [[0, omega_p / 2], [omega_p^T / 2, 0]] for one point p,
+    an (N, 2d, 2d) stack for an (N, d) stack of points.
 
-    Their simultaneous vanishing is equivalent to rank(omega_p) <= d - 3.
+    W_p(u, v) = omega_p(u, v), polarized; needs an invertible 2, so q must
+    be odd.
     """
-    F = model.field
-    M = omega_at(model, p)
-    out = []
-    for i in range(model.d):
-        idx = tuple(a for a in range(model.d) if a != i)
-        s = F.zero
-        for matching, sign in perfect_matchings(idx):
-            term = F.of_int(sign)
-            for a, b in matching:
-                term = F.mul(term, M[a][b])
-            s = F.add(s, term)
-        out.append(s)
-    return out
-
-
-def quadratic_form_matrix(model, p):
-    """The symmetric 2d x 2d matrix of W_p on pairs of columns (u, v).
-
-    W_p(u, v) = omega_p(u, v), polarized; needs an invertible 2, so the model
-    field must not have characteristic 2.
-    """
-    F = model.field
-    if F.characteristic == 2:
+    if q == 2:
         raise ValueError("quadratic form matrix needs characteristic != 2")
-    M = omega_at(model, p)
     d = model.d
-    half = F.inv(F.of_int(2))
-    B = [[F.zero] * (2 * d) for _ in range(2 * d)]
-    for a in range(d):
-        for b in range(d):
-            hb = F.mul(half, M[a][b])
-            B[a][d + b] = hb
-            B[d + b][a] = hb
+    half = omegas(model, p, q) * ((q + 1) // 2) % q
+    B = np.zeros(half.shape[:-2] + (2 * d, 2 * d), dtype=np.int64)
+    B[..., :d, d:] = half
+    B[..., d:, :d] = np.swapaxes(half, -1, -2)
     return B
 
 
@@ -345,8 +309,7 @@ def sample_y2_points(model, q, count, seed=0):
         R, ranks, pivots = modq.rref(Bs, q)
         line = ranks == d - 1
         ps = modq.kernels(R[line], pivots[line], q)
-        omegas = np.einsum("xi,iab->xab", ps, Tq) % q
-        hits = ps[modq.batch_rank(omegas, q) <= model.degenerate_rank]
+        hits = ps[modq.batch_rank(omegas(model, ps, q), q) <= model.degenerate_rank]
         found.extend(hits[:count - len(found)].tolist())
     return found
 
@@ -385,8 +348,7 @@ def sample_y1_points(model, q, base_points, seed=0):
         return []
     d = model.d
     Tq = model.tensor_mod(q)
-    omegas = np.einsum("xi,iab->xab", np.asarray(base_points, dtype=np.int64) % q, Tq) % q
-    R, ranks, pivots = modq.rref(omegas, q)
+    R, ranks, pivots = modq.rref(omegas(model, base_points, q), q)
     off = np.flatnonzero(ranks > model.degenerate_rank)
     if len(off):
         raise ValueError(f"base point {list(base_points[off[0]])} is not on Y2: "
@@ -463,13 +425,13 @@ def pfaffian_jacobian_mod(model, p, q):
     Tq = model.tensor_mod(q)
     pts = np.asarray(p, dtype=np.int64) % q
     single = pts.ndim == 1
-    omegas = np.einsum("xi,iab->xab", pts.reshape(-1, d), Tq).reshape(-1, d * d) % q
+    flat = omegas(model, pts.reshape(-1, d), q).reshape(-1, d * d)
     signs, others, target = _jacobian_terms(d)
     prod = signs % q
     for s in range(others.shape[-1]):
-        prod = prod * omegas[:, others[..., s]] % q
+        prod = prod * flat[:, others[..., s]] % q
     Tt = Tq.reshape(d, d * d)[:, target]
-    J = np.zeros((len(omegas), d, d), dtype=np.int64)
+    J = np.zeros((len(flat), d, d), dtype=np.int64)
     chunk = comb(d, 2)
     for start in range(0, target.shape[1], chunk):
         part = slice(start, start + chunk)
@@ -548,20 +510,16 @@ class KernelExtension:
 
 
 def kernel_basis(model, p):
-    """Basis of ker(omega_p) over the model field; dimension 3 on Y2."""
-    return linalg.right_kernel(model.field, omega_at(model, p))
+    """Basis of ker(omega_p) over the model's prime field, the canonical one
+    read off the reduced form; dimension 3 on Y2."""
+    q, omega = _omega_at(model, p)
+    return modq.rank_and_kernel(omega, q)[1].tolist()
 
 
-def _is_isotropic(field, omega, basis):
-    for i, u in enumerate(basis):
-        mu = linalg.mat_vec(field, omega, u)
-        for v in basis[i:]:
-            s = field.zero
-            for a, b in zip(mu, v):
-                s = field.add(s, field.mul(a, b))
-            if not field.is_zero(s):
-                return False
-    return True
+def _isotropic(omega, basis, q):
+    """Whether basis omega basis^T vanishes mod q."""
+    L = np.asarray(basis, dtype=np.int64)
+    return not (L @ omega % q @ L.T % q).any()
 
 
 def isotropic_target_dim(d):
@@ -569,8 +527,8 @@ def isotropic_target_dim(d):
     return 3 + (d - 3) // 2
 
 
-def _extend_isotropic(field, omega, basis, target, rng):
-    """Grow the isotropic list basis to target vectors, each new one a
+def _extend_isotropic(omega, basis, target, rng, q):
+    """Grow the isotropic list basis to target vectors mod q, each new one a
     random combination of a basis of its omega-orthogonal (basis-perp).
 
     basis-perp contains basis and is strictly larger while the dimension is
@@ -584,12 +542,10 @@ def _extend_isotropic(field, omega, basis, target, rng):
         if guard > 500:
             raise RuntimeError("failed to extend isotropic subspace")
         # candidates must pair to zero with the current span
-        perp = linalg.right_kernel(field, [linalg.mat_vec(field, omega, v) for v in basis])
-        cand = [field.zero] * len(omega)
-        for v in perp:
-            c = field.of_int(rng.randrange(1, 97))
-            cand = [field.add(a, field.mul(c, b)) for a, b in zip(cand, v)]
-        if linalg.rank(field, basis + [cand]) == len(basis) + 1:
+        _, perp = modq.rank_and_kernel(np.asarray(basis, dtype=np.int64) @ omega % q, q)
+        coeffs = np.array([rng.randrange(1, 97) for _ in perp], dtype=np.int64) % q
+        cand = (coeffs @ perp % q).tolist()
+        if _rank(basis + [cand], q) == len(basis) + 1:
             basis.append(cand)
     return basis
 
@@ -606,57 +562,37 @@ def kernel_and_extend(model, p, x):
     point p (the plane through p drawn by sample_y1_points lies on it), the
     named failure is 'kernel_meets_image'.  The rest, (d - 7) / 2 vectors
     from d = 9 on, is completed inside (K_p + U)-perp as in
-    maximal_isotropic, and the result is certified isotropic.
+    maximal_isotropic, and the result is certified isotropic mod q.
     """
-    F = model.field
-    r, in_y2 = y2_membership(model, p)
-    if not in_y2 or r != model.degenerate_rank:
+    q, omega = _omega_at(model, p)
+    r, K = modq.rank_and_kernel(omega, q)
+    if r != model.degenerate_rank:
         raise ValueError(f"p has omega rank {r}, expected {model.degenerate_rank}")
     if not y1_membership(model, x):
         raise ValueError("x is not a Y1 point")
-    K = kernel_basis(model, p)
-    assert len(K) == 3
+    K = K.tolist()
     target = isotropic_target_dim(model.d)
     need = 3 + min(target - 3, 2)
-    stacked = [list(v) for v in K]
-    for row in _coerce_matrix(F, x):
-        if len(stacked) < need and linalg.rank(F, stacked + [row]) == len(stacked) + 1:
+    stacked = list(K)
+    for row in (np.asarray(x, dtype=np.int64) % q).tolist():
+        if len(stacked) < need and _rank(stacked + [row], q) == len(stacked) + 1:
             stacked.append(row)
     if len(stacked) < need:
         return KernelExtension(K, [], failure="kernel_meets_image")
-    omega = omega_at(model, p)
-    stacked = _extend_isotropic(F, omega, stacked, target, random.Random(0))
-    if not _is_isotropic(F, omega, stacked):
+    stacked = _extend_isotropic(omega, stacked, target, random.Random(0), q)
+    if not _isotropic(omega, stacked, q):
         return KernelExtension(K, [], failure="extension_not_isotropic")
     return KernelExtension(K, stacked)
 
 
 def maximal_isotropic(model, p, seed=0):
-    """A maximal isotropic subspace containing ker(omega_p), by random search."""
-    F = model.field
-    omega = omega_at(model, p)
-    basis = _extend_isotropic(F, omega, kernel_basis(model, p),
-                              isotropic_target_dim(model.d), random.Random(seed))
-    assert _is_isotropic(F, omega, basis)
+    """A maximal isotropic subspace containing ker(omega_p), by random search
+    over the model's prime field, certified isotropic mod q."""
+    q, omega = _omega_at(model, p)
+    basis = _extend_isotropic(omega, kernel_basis(model, p), isotropic_target_dim(model.d),
+                              random.Random(seed), q)
+    assert _isotropic(omega, basis, q)
     return basis
-
-
-def grad_W(model, x, p):
-    """All 3d partial derivatives of W(x, p) on the affine atlas.
-
-    W is the contraction of omega_p with the wedge of the two columns of x,
-    so the u- and v-partials are omega_p applied to the other column and the
-    p-partials are the d wedge contractions.
-    """
-    F = model.field
-    xm = _coerce_matrix(F, x)
-    u, v = xm
-    pv = [F.of_int(c) if isinstance(c, int) else c for c in p]
-    omega = omega_at(model, pv)
-    gu = linalg.mat_vec(F, omega, v)
-    gv = [F.neg(c) for c in linalg.mat_vec(F, omega, u)]
-    gp = apply_A(model, plucker_vector(F, u, v))
-    return gu + gv + gp
 
 
 @dataclass
@@ -689,7 +625,7 @@ def normal_map_check(model, p, q=101):
     pts = np.asarray(p, dtype=np.int64) % q
     single = pts.ndim == 1
     pts = pts.reshape(-1, d)
-    R, ranks, pivots = modq.rref(np.einsum("xi,iab->xab", pts, Tq) % q, q)
+    R, ranks, pivots = modq.rref(omegas(model, pts, q), q)
     off = np.flatnonzero(ranks != model.degenerate_rank)
     if len(off):
         raise ValueError(f"omega rank {ranks[off[0]]} at p = {pts[off[0]].tolist()}, "
@@ -720,26 +656,21 @@ def underlying_scheme_probe(model, p, max_degree=6):
     r, in_y2 = y2_membership(model, p)
     if r != model.degenerate_rank:
         raise ValueError("probe needs a point with 3-dimensional kernel")
-    base = {(1, 0): 3, (0, 1): 3}
-    chars = reps.sym_power_characters(base, max_degree)
-    dims = {}
-    expected = {}
-    for t in range(max_degree + 1):
-        dims[t] = sum(reps.diagonal_isotypic(chars[t]).values())
-        expected[t] = 0 if t % 2 else (t // 2 + 1) * (t // 2 + 2) // 2
+    dims = reps.sl2_invariant_dims(3, max_degree)
+    expected = {t: 0 if t % 2 else (t // 2 + 1) * (t // 2 + 2) // 2
+                for t in range(max_degree + 1)}
     return dims, dims == expected
 
 
 def rank_parity_sample(model, count, q=101, seed=0):
     """Check rank(W_p) = 2 rank(omega_p) on a batch of random points.
-    W_p = [[0, omega_p / 2], [omega_p / 2, 0]] and rank [[0, M], [M, 0]] =
-    2 rank M for any M: this tests modq.batch_rank, not the model."""
+    W_p is quadratic_form_matrix, [[0, M], [M^T, 0]] with M = omega_p / 2,
+    and rank [[0, M], [M^T, 0]] = 2 rank M for any M: this tests
+    modq.batch_rank, not the model."""
     d = model.d
-    Tq = model.tensor_mod(q)
     rng = np.random.default_rng(seed)
     checked = 0
     failures = []
-    inv2 = pow(2, q - 2, q)
     batch = 2048
     while checked < count:
         take = min(batch, count - checked)
@@ -747,12 +678,8 @@ def rank_parity_sample(model, count, q=101, seed=0):
         ps = ps[ps.any(axis=1)]
         if not len(ps):
             continue
-        omegas = np.einsum("xi,iab->xab", ps, Tq) % q
-        r_omega = modq.batch_rank(omegas, q)
-        W = np.zeros((len(ps), 2 * d, 2 * d), dtype=np.int64)
-        W[:, :d, d:] = (omegas * inv2) % q
-        W[:, d:, :d] = (-W[:, :d, d:].transpose(0, 2, 1)) % q
-        r_w = modq.batch_rank(W, q)
+        r_omega = modq.batch_rank(omegas(model, ps, q), q)
+        r_w = modq.batch_rank(quadratic_form_matrix(model, ps, q), q)
         bad = np.nonzero(r_w != 2 * r_omega)[0]
         for b in bad:
             failures.append({"p": [int(c) for c in ps[b]],
@@ -780,8 +707,8 @@ def certify_model(model, census_qs=(2, 3, 5), cert_samples=5, sample_q=101):
     through each of them.
     """
     census = {}
-    if linalg.rank(QQ, [[QQ.of_int(c) for c in row] for row in model.A]) != model.d:
-        return "A_not_surjective", census
+    # rank d mod any prime makes some d x d minor of A nonzero over Z, so A
+    # is surjective over Q as well
     for q in list(census_qs) + [sample_q]:
         Aq = np.array(model.A, dtype=np.int64) % q
         if int(modq.batch_rank(Aq[None], q)[0]) != model.d:
@@ -836,8 +763,6 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples
                          f"and P^{d - 1} meets it once d - 1 >= {DEEP_STRATUM_CODIM}")
     if field is None:
         field = PrimeField(q)
-    if isinstance(field, str):
-        field = field_from_spec(field, q)
     if field.characteristic and field.characteristic < 5:
         raise ValueError("model field must be Q or F_q with q >= 5")
     sample_q = sampling_prime(field)
@@ -913,11 +838,10 @@ def _batch_verdicts(model, q, us, vs, ps):
     the gradient verdict adds the vanishing of the wedge contractions, the
     geometric verdict adds the vanishing of the 2 x 2 minors of x.
     """
-    Tq = model.tensor_mod(q)
     Aq = np.array(model.A, dtype=np.int64) % q
-    omegas = np.einsum("xi,iab->xab", ps % q, Tq) % q
-    gu = np.einsum("xab,xb->xa", omegas, vs % q) % q
-    gv = np.einsum("xab,xb->xa", omegas, us % q) % q
+    om = omegas(model, ps, q)
+    gu = np.einsum("xab,xb->xa", om, vs % q) % q
+    gv = np.einsum("xab,xb->xa", om, us % q) % q
     pairs = model.pairs
     wedge = np.empty((len(us), len(pairs)), dtype=np.int64)
     for c, (a, b) in enumerate(pairs):
@@ -945,10 +869,8 @@ def critical_equivalence_sweep(model, base_points, q=101, n_pos=1000, n_near=100
     if not len(base_points):
         raise RuntimeError("no degenerate points given for the sweep")
     kernels = []
-    Tq = model.tensor_mod(q)
     for p in base_points:
-        M = np.einsum("i,iab->ab", np.asarray(p, dtype=np.int64), Tq) % q
-        _, K = modq.rank_and_kernel(M, q)
+        _, K = modq.rank_and_kernel(omegas(model, p, q), q)
         kernels.append((np.asarray(p, dtype=np.int64), K))
 
     disagreements = []

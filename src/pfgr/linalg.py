@@ -2,7 +2,9 @@
 
 Matrices are lists of lists of field elements.  These routines are the slow,
 obviously-correct path for any field; pfgr.modq is the vectorized kernel over
-F_q for hot loops, and the tests check it against these entry for entry.
+F_q, and the tests check it against these entry for entry.  In the package
+only pfgr.mf reads them, as its fallback over Q; every geometry verdict goes
+through pfgr.modq.
 """
 
 

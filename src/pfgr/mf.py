@@ -31,7 +31,7 @@ from operator import add, lt
 
 import numpy as np
 
-from . import linalg, modq
+from . import linalg, modq, reps
 from .fields import QQ, PrimeField
 from .poly import Poly, PolyRing, poly_mat_mul, poly_mat_is_zero
 
@@ -987,7 +987,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     if not q:
         raise ValueError("knorrer_rank_check needs a model over a prime field")
     n = 2 * model.d
-    B = np.array(geometry.quadratic_form_matrix(model, p), dtype=np.int64)
+    B = geometry.quadratic_form_matrix(model, p, q)
     M = np.kron(np.eye(2, dtype=np.int64), np.array(L_basis, dtype=np.int64) % q)
     if (M @ B % q @ M.T % q).any():
         raise ValueError("the given subspace is not isotropic for W_p")
@@ -1029,10 +1029,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
         E = E.tensor(hypersurface_factor(ring, cutter, dual * 2))
     full_ok = split_ok and E.W == W_p and bool(mf_verify(E))
 
-    from .reps import sym_power_characters, diagonal_isotypic
-    chars = sym_power_characters({(1, 0): 3, (0, 1): 3}, max(cap, 0))
-    invariant_dims = {r: sum(diagonal_isotypic(chars[r]).values()) if r < len(chars) else 0
-                      for r in range(cap + 1)}
+    invariant_dims = reps.sl2_invariant_dims(3, cap)
     kernel_fn = {r: comb(r + rad_dim - 1, rad_dim - 1) for r in range(cap + 1)}
     return KnorrerCheck(
         dims=dims, radical_dimension=rad_dim, hyperbolic_pairs=h,

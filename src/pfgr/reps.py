@@ -233,6 +233,13 @@ def sym_power_characters(base_char, degree):
     return [{m: int(c) for m, c in hc.items()} for hc in h]
 
 
+def sl2_invariant_dims(copies, degree):
+    """{t: dimension of the SL(2)-invariants of Sym^t(copies * S)} for
+    t = 0..degree, read off the diagonal isotypic pieces of each character."""
+    chars = sym_power_characters({(1, 0): copies, (0, 1): copies}, degree)
+    return {t: sum(diagonal_isotypic(ch).values()) for t, ch in enumerate(chars)}
+
+
 def decompose_sym_power(base, degree, cutoff=PLETHYSM_CUTOFF):
     """Decomposition of Sym^degree(base) for a RepSum base."""
     if degree < 0:

@@ -10,6 +10,8 @@ from pfgr import bbw, geometry, mf, windows
 from pfgr.fields import QQ
 from pfgr.poly import PolyRing
 
+from oracles import twist_tail_dominant
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -55,7 +57,7 @@ def test_criterion_02_negative_twist_sweep():
         for lp in range(3):
             for k in range(-50, 0):
                 assert all(p == 0 for p in bbw.ext_schur_pair(l, lp, k, 7))
-        assert bbw.twist_tail_dominant(l, -51)
+        assert twist_tail_dominant(l, -51)
     c.done()
 
 
@@ -202,7 +204,7 @@ def test_criterion_11_dimension_five_suite(model5):
                     assert table == {}
             for k in range(-50, 0):
                 assert all(p == 0 for p in bbw.ext_schur_pair(l, lp, k, 5))
-        assert bbw.twist_tail_dominant(l, -51)
+        assert twist_tail_dominant(l, -51)
     # the rectangle
     rep = windows.exceptional_report(n=5, dp_cutoff=12, dx_cutoff=12,
                                      hom0_dp_cutoff=8)

@@ -8,8 +8,9 @@ import pytest
 
 from pfgr import bbw, modq
 from pfgr.bbw import (CohomologyResult, bbw_cohomology, ext_schur_pair,
-                      projective_cohomology, twist_tail_dominant,
-                      weyl_dimension)
+                      projective_cohomology, weyl_dimension)
+
+from oracles import twist_tail_dominant
 
 # ---------------------------------------------------------------------------
 # independent oracles

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pfgr import linalg, modq
-from pfgr.fields import QQ, PrimeField, field_from_spec, is_prime
+from pfgr.fields import QQ, PrimeField, is_prime
 
 
 def test_prime_field_rejects_composite():
@@ -38,13 +38,6 @@ def test_rationals_are_ints_until_a_division():
     for zero in (0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):
             QQ.inv(zero)
-
-
-def test_field_from_spec():
-    assert field_from_spec("QQ") == QQ
-    assert field_from_spec("Fq", 7).q == 7
-    with pytest.raises(ValueError):
-        field_from_spec("Fq")
 
 
 def test_rref_and_rank_over_qq():

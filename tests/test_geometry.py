@@ -9,14 +9,16 @@ import pytest
 from pfgr import geometry, linalg, modq
 from pfgr.fields import QQ, PrimeField, is_prime
 from pfgr.geometry import (PfaffianModel, certify_model,
-                           critical_equivalence_sweep, gaussian_binomial_2, grad_W, grassmannian_census,
+                           critical_equivalence_sweep, gaussian_binomial_2, grassmannian_census,
                            kernel_and_extend, kernel_basis, maximal_isotropic,
-                           normal_map_check, omega_at, omega_rank,
-                           principal_pfaffians, quadratic_form_matrix,
+                           normal_map_check, omegas, quadratic_form_matrix,
                            random_model, rank_census, rank_parity_sample,
                            sample_y1_points, sample_y2_points,
                            smoothness_sample, underlying_scheme_probe,
                            y1_membership, y2_membership)
+
+from oracles import (contraction_oracle, critical_test, grad_W, omega_field,
+                     principal_pfaffians)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +29,11 @@ def model():
 @pytest.fixture(scope="module")
 def model5():
     return random_model(1, d=5)
+
+
+@pytest.fixture(scope="module")
+def model9():
+    return random_model(1, d=9, census_qs=(2,))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):
 def test_zero_row_rejected():
     bad = tuple(tuple(0 for _ in range(21)) for _ in range(7))
     model = PfaffianModel(d=7, A=bad, seed=0, field=PrimeField(101))
-    assert certify_model(model) == ("A_not_surjective", {})
+    assert certify_model(model) == ("A_rank_drop_mod_2", {})
 
 
 def test_degenerate_model_fails_certificates(model):
@@ -139,18 +146,23 @@ def test_random_model_refuses_d_11_and_up(monkeypatch, d):
 
 
 def test_omega_antisymmetric_and_linear(model):
+    """omegas is antisymmetric and linear in p mod q, a stack of points
+    gives the stack of one-point matrices, and each equals the field oracle."""
     rng = random.Random(0)
-    p = [rng.randrange(101) for _ in range(7)]
-    M = omega_at(model, p)
-    for i in range(7):
-        assert M[i][i] == 0
-        for j in range(7):
-            assert M[i][j] == model.field.neg(M[j][i])
+    ps = [[rng.randrange(-200, 200) for _ in range(7)] for _ in range(2)]
+    M, N = omegas(model, ps, 101)
+    assert (M == -M.T % 101).all() and not M.diagonal().any()
+    assert (omegas(model, [a + b for a, b in zip(*ps)], 101) == (M + N) % 101).all()
+    assert (omegas(model, ps[0], 101) == M).all()
+    assert M.tolist() == omega_field(model, ps[0])
 
 
 def test_omega_rejects_zero_point(model):
-    with pytest.raises(ValueError):
-        omega_at(model, [0] * 7)
+    for p in ([0] * 7, [101] * 7):
+        with pytest.raises(ValueError, match="nonzero"):
+            y2_membership(model, p)
+        with pytest.raises(ValueError, match="nonzero"):
+            kernel_basis(model, p)
 
 
 def test_generic_rank_and_membership(model):
@@ -262,7 +274,7 @@ def test_pfaffian_rank_consistency_rational(model):
         p = [rng.randint(-9, 9) for _ in range(7)]
         if not any(p):
             continue
-        rank = omega_rank(work, p)
+        rank = linalg.rank(QQ, omega_field(work, p))
         pf = principal_pfaffians(work, p)
         assert (rank <= 4) == all(v == 0 for v in pf)
 
@@ -345,25 +357,30 @@ def test_incidence_double_count():
 
 
 def test_quadratic_form_symmetry_and_value(model):
+    """The residue matrix B is symmetric with x B x^T = omega_p(u, v) for
+    x = (u, v), the omega taken from the field oracle; a stack of points
+    gives the stack of one-point matrices; q = 2 is refused."""
     rng = random.Random(5)
     F = model.field
-    p = [rng.randrange(101) for _ in range(7)]
-    B = quadratic_form_matrix(model, p)
-    assert all(B[i][j] == B[j][i] for i in range(14) for j in range(14))
-    u = [rng.randrange(101) for _ in range(7)]
-    v = [rng.randrange(101) for _ in range(7)]
-    x = [F.of_int(c) for c in u + v]
-    val = F.zero
-    for i in range(14):
-        for j in range(14):
-            val = F.add(val, F.mul(x[i], F.mul(B[i][j], x[j])))
-    omega = omega_at(model, p)
-    direct = F.zero
-    for a in range(7):
-        for b in range(7):
-            direct = F.add(direct, F.mul(F.of_int(u[a]),
-                                         F.mul(omega[a][b], F.of_int(v[b]))))
-    assert val == direct
+    ps = [[rng.randrange(101) for _ in range(7)] for _ in range(3)]
+    stack = quadratic_form_matrix(model, ps, 101)
+    assert stack.shape == (3, 14, 14)
+    for p, B in zip(ps, stack):
+        assert (quadratic_form_matrix(model, p, 101) == B).all()
+        assert (B == B.T).all() and ((0 <= B) & (B < 101)).all()
+        u = [rng.randrange(101) for _ in range(7)]
+        v = [rng.randrange(101) for _ in range(7)]
+        x = u + v
+        val = sum(x[i] * int(B[i, j]) * x[j] for i in range(14) for j in range(14)) % 101
+        omega = omega_field(model, p)
+        direct = F.zero
+        for a in range(7):
+            for b in range(7):
+                direct = F.add(direct, F.mul(F.of_int(u[a]),
+                                             F.mul(omega[a][b], F.of_int(v[b]))))
+        assert val == direct
+    with pytest.raises(ValueError, match="characteristic"):
+        quadratic_form_matrix(model, ps[0], 2)
 
 
 def test_rank_parity_bulk(model):
@@ -375,33 +392,13 @@ def test_rank_parity_bulk(model):
 # membership for planes
 
 
-def _contraction_oracle(model, x):
-    """A(wedge of x) computed the slow way, pairing against basis 2-forms.
-
-    Evaluates omega at each coordinate vector e_i and contracts with the two
-    rows of x; the independent route for y1_membership.
-    """
-    F = model.field
-    u, v = ([F.of_int(c) for c in row] for row in x)
-    T = model.coefficient_tensor()
-    out = []
-    for i in range(model.d):
-        s = F.zero
-        for a in range(model.d):
-            for b in range(model.d):
-                if T[i][a][b]:
-                    s = F.add(s, F.mul(F.mul(u[a], v[b]), F.of_int(T[i][a][b])))
-        out.append(s)
-    return out
-
-
 def test_y1_membership_and_contraction_oracle(model):
     xs = sample_y1_points(model, 101, sample_y2_points(model, 101, 5, seed=21), seed=21)
     assert len(xs) == 5
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     for x in xs:
         assert y1_membership(work, x)
-        oracle = _contraction_oracle(work, x)
+        oracle = contraction_oracle(work, x)
         assert all(v == 0 for v in oracle)
     rng = random.Random(2)
     x = [[rng.randrange(101) for _ in range(7)] for _ in range(2)]
@@ -421,7 +418,7 @@ def test_incidence_sampler_cross_check(request, d, q):
     for p, x in zip(ps, xs):
         assert linalg.rank(work.field, [[work.field.of_int(c) for c in row] for row in x]) == 2
         assert y1_membership(work, x)
-        assert all(work.field.is_zero(v) for v in _contraction_oracle(work, x))
+        assert all(work.field.is_zero(v) for v in contraction_oracle(work, x))
         assert linalg.rank(work.field, kernel_basis(work, p) + x) <= 4
     if d == 7:
         reduced, _, _ = modq.rref(np.array(xs), q)
@@ -431,7 +428,7 @@ def test_incidence_sampler_cross_check(request, d, q):
 def test_y1_sampler_refuses_base_points_off_y2(model):
     rng = random.Random(4)
     off = [rng.randrange(1, 101) for _ in range(7)]
-    assert omega_rank(model, off) == 6
+    assert y2_membership(model, off) == (6, False)
     with pytest.raises(ValueError, match="not on Y2"):
         sample_y1_points(model, 101, sample_y2_points(model, 101, 2, seed=5) + [off])
     assert sample_y1_points(model, 101, []) == []
@@ -561,8 +558,8 @@ def test_y1_jacobian_matches_wedge_columns(request, d):
     assert D.shape == (len(xs), d, 2 * d)
     for (u, v), Dx in zip(xs, D):
         e = [[int(a == b) for b in range(d)] for a in range(d)]
-        cols = ([geometry.apply_A(work, geometry.plucker_vector(F, e[a], v)) for a in range(d)]
-                + [geometry.apply_A(work, geometry.plucker_vector(F, u, e[a])) for a in range(d)])
+        cols = ([contraction_oracle(work, [e[a], v]) for a in range(d)]
+                + [contraction_oracle(work, [u, e[a]]) for a in range(d)])
         assert Dx.T.tolist() == cols
         assert (geometry.y1_jacobian_mod(base, [u, v], q) == Dx).all()
 
@@ -572,13 +569,71 @@ def test_y1_jacobian_matches_wedge_columns(request, d):
 
 
 def _assert_isotropic(work, p, basis):
-    omega = omega_at(work, p)
+    omega = omega_field(work, p)
     F = work.field
     assert linalg.rank(F, basis) == len(basis)
     for u in basis:
         mu = linalg.mat_vec(F, omega, u)
         for v in basis:
             assert F.is_zero(sum(a * b for a, b in zip(mu, v)) % F.q)
+
+
+@pytest.mark.parametrize("q", [3, 101])
+@pytest.mark.parametrize("d", [5, 7, 9])
+def test_pointwise_residue_path_matches_linalg(request, d, q):
+    """Over F_q, at pool points and random points: kernel_basis equals the
+    linalg kernel of the coefficient-tensor oracle entry for entry (both are
+    canonical reduced-form kernels), y2_membership its rank, and
+    y1_membership the contraction oracle on sampled planes and random
+    rank-2 matrices.  maximal_isotropic and kernel_and_extend come back
+    isotropic by the oracle and of the target dimension, or kernel_and_extend
+    names a plane that meets the kernel."""
+    base = request.getfixturevalue({5: "model5", 7: "model", 9: "model9"}[d])
+    work = replace(base, field=PrimeField(q))
+    F = work.field
+    rng = random.Random(d * q)
+    pool = sample_y2_points(base, q, 6, seed=d)
+    assert len(pool) == 6
+    randoms = [[rng.randrange(q) for _ in range(d)] for _ in range(6)]
+    for p in pool + [r for r in randoms if any(r)]:
+        omega = omega_field(work, p)
+        assert kernel_basis(work, p) == linalg.right_kernel(F, omega)
+        r = linalg.rank(F, omega)
+        assert y2_membership(work, p) == (r, r <= d - 3)
+    planes = sample_y1_points(base, q, pool, seed=d)
+    assert planes and all(y1_membership(work, x) for x in planes)
+    others = [[[rng.randrange(q) for _ in range(d)] for _ in range(2)] for _ in range(6)]
+    for x in planes + [x for x in others if linalg.rank(F, x) == 2]:
+        assert y1_membership(work, x) == all(F.is_zero(c) for c in contraction_oracle(work, x))
+    target = geometry.isotropic_target_dim(d)
+    extended = 0
+    for p, x in zip(pool, planes[1:] + planes[:1]):
+        L = maximal_isotropic(work, p, seed=3)
+        assert len(L) == target
+        _assert_isotropic(work, p, L)
+        res = kernel_and_extend(work, p, x)
+        if res.ok:
+            assert len(res.extension) == target
+            _assert_isotropic(work, p, res.extension)
+            extended += 1
+        else:
+            assert res.failure == "kernel_meets_image"
+            assert linalg.rank(F, res.kernel + x) < min(target, 5)
+    assert extended
+
+
+def test_pointwise_functions_refuse_rationals(model):
+    """Every single-point verdict runs mod the model's prime: over Q it
+    raises ValueError before any arithmetic."""
+    over_q = replace(model, field=QQ)
+    p = sample_y2_points(model, 101, 1, seed=18)[0]
+    x = sample_y1_points(model, 101, [p], seed=18)[0]
+    for call in (lambda: y1_membership(over_q, x), lambda: y2_membership(over_q, p),
+                 lambda: kernel_basis(over_q, p), lambda: kernel_and_extend(over_q, p, x),
+                 lambda: maximal_isotropic(over_q, p),
+                 lambda: underlying_scheme_probe(over_q, p)):
+        with pytest.raises(ValueError, match="prime field"):
+            call()
 
 
 def test_kernel_and_extend_generic(model):
@@ -649,7 +704,7 @@ def test_invariant_vanishes_on_isotropic_hom(model):
     L = maximal_isotropic(work, p, seed=3)
     rng = random.Random(12)
     K = kernel_basis(work, p)
-    omega = omega_at(work, p)
+    omega = omega_field(work, p)
     for _ in range(50):
         cu = [rng.randrange(101) for _ in L]
         cv = [rng.randrange(101) for _ in L]
@@ -684,36 +739,13 @@ def test_d5_plane_always_meets_kernel(model5):
 # the critical locus
 
 
-def _critical_test(model, x, p):
-    """Compare the gradient verdict with the geometric one.
-
-    Gradient: all 3d partials vanish.  Geometric: both columns lie in
-    ker(omega_p) and the matrix x has rank at most 1.  The two are computed
-    by disjoint routes so their agreement is a real check.
-    """
-    F = model.field
-    xm = [[F.of_int(c) for c in row] for row in x]
-    gradient_zero = all(F.is_zero(c) for c in grad_W(model, xm, p))
-    K = kernel_basis(model, p)
-    rk_k = linalg.rank(F, K)
-    in_kernel = all(linalg.rank(F, K + [row]) == rk_k for row in xm if any(row))
-    rank_le_1 = linalg.rank(F, xm) <= 1
-    flags = {
-        "gradient_zero": gradient_zero,
-        "image_in_kernel": in_kernel,
-        "rank_le_1": rank_le_1,
-        "geometric": in_kernel and rank_le_1,
-    }
-    return gradient_zero, flags
-
-
 def test_grad_zero_matrix(model):
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     rng = random.Random(8)
     p = [rng.randrange(1, 101) for _ in range(7)]
     g = grad_W(work, [[0] * 7, [0] * 7], p)
     assert all(work.field.is_zero(c) for c in g)
-    crit, flags = _critical_test(work, [[0] * 7, [0] * 7], p)
+    crit, flags = critical_test(work, [[0] * 7, [0] * 7], p)
     assert crit and flags["geometric"]
 
 
@@ -724,18 +756,18 @@ def test_critical_positives_and_near_misses(model):
     k = K[0]
     # rank-one into the kernel: critical
     x = [[(3 * c) % 101 for c in k], [(5 * c) % 101 for c in k]]
-    crit, flags = _critical_test(work, x, p)
+    crit, flags = critical_test(work, x, p)
     assert crit and flags["geometric"] and flags["gradient_zero"]
     # rank-two inside the kernel: gradient picks up the wedge contractions
     x2 = [list(K[0]), list(K[1])]
-    crit, flags = _critical_test(work, x2, p)
+    crit, flags = critical_test(work, x2, p)
     assert not crit and not flags["rank_le_1"] and flags["image_in_kernel"]
     assert not flags["gradient_zero"]
     # rank-one off the kernel
     rng = random.Random(9)
     u = [rng.randrange(101) for _ in range(7)]
     x3 = [u, [(2 * c) % 101 for c in u]]
-    crit, flags = _critical_test(work, x3, p)
+    crit, flags = critical_test(work, x3, p)
     assert not crit and not flags["image_in_kernel"]
 
 
@@ -791,7 +823,7 @@ def test_stacked_normal_map_matches_linalg(request, d):
         assert normal_map_check(base, p, q=q) == expect
     rng = random.Random(d)
     off = [rng.randrange(1, q) for _ in range(d)]
-    assert omega_rank(work, off) == d - 1
+    assert y2_membership(work, off) == (d - 1, False)
     with pytest.raises(ValueError):
         normal_map_check(base, pts[:7] + [off] + pts[7:], q=q)
 

@@ -1075,7 +1075,7 @@ def test_knorrer_closed_form_matches_the_fold(monkeypatch, model, d):
     E = verified[-1]
     ring = E.ring
     W_p = ring.zero()
-    for a, row in enumerate(geometry.quadratic_form_matrix(work, p)):
+    for a, row in enumerate(geometry.quadratic_form_matrix(work, p, 101).tolist()):
         for b, c in enumerate(row):
             W_p = W_p + ring.var(a) * ring.var(b) * c
     fold = koszul_perturb(koszul_complex(ring, cutters), W_p)

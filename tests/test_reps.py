@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pfgr import reps
 from pfgr.reps import (GL2Weight, RepSum, char_mul,
                        decompose_exterior_hom, decompose_sym_power,
-                       decompose_tensor, invariant_multiplicities)
+                       decompose_tensor, invariant_multiplicities,
+                       sl2_invariant_dims)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -227,3 +228,13 @@ def test_diagonal_isotypic_matches_peeling():
     ch = decompose_tensor((3, -1), (1, -3)).character()
     rep = reps.decompose_character(ch)
     assert reps.diagonal_isotypic(ch) == invariant_multiplicities(rep)
+
+
+def test_sl2_invariant_dims_match_sym_power_decomposition():
+    """sl2_invariant_dims counts the (w, w) pieces decompose_sym_power finds
+    in Sym^t(3 S), those of a polynomial ring on three quadratic generators."""
+    base = RepSum({GL2Weight(1, 0): 3})
+    dims = sl2_invariant_dims(3, 6)
+    assert dims == {t: sum(invariant_multiplicities(decompose_sym_power(base, t)).values())
+                    for t in range(7)}
+    assert dims == {0: 1, 1: 0, 2: 3, 3: 0, 4: 6, 5: 0, 6: 10}
