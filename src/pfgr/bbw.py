@@ -14,7 +14,9 @@ characteristic test suites pin it down against independent oracles.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 from typing import Optional
 
 from .reps import decompose_tensor, GL2Weight
@@ -71,6 +73,7 @@ def bbw_cohomology(a, b, n):
     return CohomologyResult(inversions, lam, weyl_dimension(lam))
 
 
+@lru_cache(maxsize=None)
 def ext_schur_pair(l, lp, k, n):
     """Graded dimensions of Ext between Sym^l S^dual and Sym^lp S^dual(-k).
 
@@ -79,6 +82,9 @@ def ext_schur_pair(l, lp, k, n):
     zero entries dropped.  Here O(-1) = det S, so O(-k) carries S-weight
     (k, k).  The tables record dimensions only; the weights of the
     contributing groups are available from bbw_cohomology directly.
+
+    A row is a pure function of its four ints, so it is computed once per
+    (l, lp, k, n) and cached; the returned mapping is shared and read-only.
     """
     if l < 0 or lp < 0:
         raise ValueError("symmetric powers need non-negative degree")
@@ -90,7 +96,7 @@ def ext_schur_pair(l, lp, k, n):
         res = bbw_cohomology(-w.b, -w.a, n)  # Sigma^{(a,b)} S = Sigma^{(-b,-a)} S^dual
         if not res.is_zero:
             out[res.degree] = out.get(res.degree, 0) + mult * res.dimension
-    return out
+    return MappingProxyType(out)
 
 
 def projective_cohomology(n, d):

@@ -36,7 +36,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
-from . import geometry, mf, windows
+from . import geometry, mf, reps, windows
 from .fields import QQ, PrimeField
 from .poly import PolyRing
 
@@ -74,6 +74,9 @@ class SuiteConfig:
             PrimeField(self.q)
         if min(self.dp_cutoff, self.dx_cutoff, self.samples) < 1:
             raise ValueError("cutoffs and sample counts must be positive")
+        if "window" in self.suites and self.dx_cutoff > reps.PLETHYSM_CUTOFF:
+            raise ValueError(f"dx_cutoff {self.dx_cutoff} exceeds the plethysm cutoff "
+                             f"{reps.PLETHYSM_CUTOFF} of the window suite")
         if self.trunc < 2:
             raise ValueError("trunc must be at least 2: below 2 the charge window "
                              "trunc - 2 + min base is empty for the base object")

@@ -3,11 +3,17 @@
 Everything here works over a model's own field with pfgr.fields arithmetic
 and pfgr.linalg, entry by entry, on routes disjoint from the vectorized mod-q
 code in pfgr.geometry; twist_tail_dominant is the closed-form dominance bound
-the negative-twist sweeps of the BBW tests lean on.
+the negative-twist sweeps of the BBW tests lean on.  The window tables
+ext_table_X2_direct and hom0_frakX_direct decompose each twisted character
+afresh, with no cache and no twist shift.
 """
 
-from pfgr import linalg
+from functools import lru_cache
+from math import comb
+
+from pfgr import bbw, linalg
 from pfgr.geometry import perfect_matchings
+from pfgr.reps import GL2Weight, char_mul, diagonal_isotypic, sym_power_characters
 
 
 def omega_field(model, p):
@@ -112,3 +118,43 @@ def twist_tail_dominant(l, k_bound):
     concentrated in degree 0, for any lp >= 0.
     """
     return -k_bound >= l
+
+
+def pair_char(b1, b2, det_shift=0):
+    """Character of Sym^{l1}S (x) Sym^{l2}S^dual (x) det^(m1-m2+det_shift)."""
+    ch = char_mul(GL2Weight(b1.l, 0).character(), GL2Weight(0, -b2.l).character())
+    t = b1.m - b2.m + det_shift
+    if t:
+        ch = char_mul(ch, {(t, t): 1})
+    return ch
+
+
+@lru_cache(maxsize=None)
+def _coordinate_chars(n, degree):
+    """Characters of Sym^d(S^(+n)) for d = 0..degree."""
+    return tuple(sym_power_characters({(1, 0): n, (0, 1): n}, degree))
+
+
+def ext_table_X2_direct(b1, b2, n, x_cutoff):
+    """windows.ext_table_X2, one decomposition per x-degree."""
+    out, max_nu = {}, None
+    for d_x, sym in enumerate(_coordinate_chars(n, x_cutoff)):
+        for w, mult in diagonal_isotypic(char_mul(pair_char(b1, b2), sym)).items():
+            max_nu = -w if max_nu is None else max(max_nu, -w)
+            for deg, dim in bbw.projective_cohomology(n - 1, w).items():
+                out[(d_x, deg)] = out.get((d_x, deg), 0) + mult * dim
+    return out, max_nu
+
+
+def hom0_frakX_direct(b1, b2, n, x_cutoff, p_cutoff):
+    """windows.hom0_frakX, one decomposition per fibre degree."""
+    syms = _coordinate_chars(n, x_cutoff)
+    out = {}
+    for d_p in range(p_cutoff + 1):
+        d_x = b2.l - b1.l + 2 * (b2.m - b1.m) + 2 * d_p
+        if 0 <= d_x <= x_cutoff:
+            ch = char_mul(pair_char(b1, b2, det_shift=-d_p), syms[d_x])
+            inv = diagonal_isotypic(ch).get(0, 0)
+            if inv:
+                out[(d_x, d_p)] = inv * comb(d_p + n - 1, n - 1)
+    return out

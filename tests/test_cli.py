@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfgr import cli, geometry, mf
+from pfgr import cli, geometry, mf, reps, windows
 from pfgr.fields import QQ, PrimeField
 
 
@@ -370,6 +370,23 @@ def test_dimension_11_and_up_is_refused(monkeypatch):
     assert cli.main(["model", "gen", "--d", "11"]) == 2
     assert not ranked
     cli.SuiteConfig(d=11, suites=("window",)).validate()
+    assert cli.main(["window", "--d", "11"]) == 0
+
+
+def test_dx_cutoff_above_the_plethysm_cutoff_is_refused(monkeypatch):
+    """hom0_frakX refuses x-degrees above reps.PLETHYSM_CUTOFF, so the config
+    refuses them before any suite runs or the worker forks."""
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(windows, "exceptional_report",
+                        lambda *args, **kwargs: pytest.fail("window suite ran"))
+    monkeypatch.setattr(geometry, "random_model",
+                        lambda *args, **kwargs: pytest.fail("model generated"))
+    assert cli.main(["window", "--d", "7", "--dx-cutoff", "25"]) == 2
+    assert cli.main(["all", "--dx-cutoff", "25"]) == 2
+    with pytest.raises(ValueError, match="plethysm cutoff"):
+        cli.SuiteConfig(dx_cutoff=reps.PLETHYSM_CUTOFF + 1).validate()
+    cli.SuiteConfig(dx_cutoff=reps.PLETHYSM_CUTOFF).validate()
+    cli.SuiteConfig(dx_cutoff=25, suites=("geometry", "mf")).validate()
 
 
 def test_config_file_unknown_key(tmp_path):

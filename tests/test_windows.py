@@ -2,10 +2,12 @@ from math import comb
 
 import pytest
 
-from pfgr import windows
+from pfgr import bbw, windows
 from pfgr.windows import (WindowBundle, default_bounds, exceptional_report,
                           ext_table_X1, ext_table_X2, gr_ext, hom0_frakX,
                           window_generators, witten_index_candidates)
+
+from oracles import ext_table_X2_direct, hom0_frakX_direct
 
 T = WindowBundle
 
@@ -209,3 +211,59 @@ def test_report_witnesses_match_direct_tables(rect, dp_cutoff):
         assert v["stack"] == frak.get((d_x, d_p), 0)
     if rect == (3, 8):
         assert witness["x2_no_higher_ext"]
+
+
+def _class_representatives(l_bound, m_bound):
+    """One ordered pair per class (l1, l2, m1 - m2) of the rectangle."""
+    gens = window_generators(l_bound, m_bound)
+    reps = {}
+    for b1 in gens:
+        for b2 in gens:
+            reps.setdefault((b1.l, b2.l, b1.m - b2.m), (b1, b2))
+    return list(reps.values())
+
+
+@pytest.mark.parametrize("n, rect, dp_cutoff, dx_cutoff, hom0_dp_cutoff", [
+    (5, None, 12, 12, 8), (7, None, 12, 12, 8), (9, None, 12, 12, 8),
+    (7, (3, 8), 2, 3, 2), (7, (3, 8), 4, 24, 10)])
+def test_cached_tables_match_the_direct_route(n, rect, dp_cutoff, dx_cutoff, hom0_dp_cutoff):
+    # the shifted isotypic tables and the cached Ext rows against the route
+    # that decomposes every twisted character afresh
+    for b1, b2 in _class_representatives(*(rect or default_bounds(n))):
+        assert ext_table_X2(b1, b2, n, dx_cutoff) == ext_table_X2_direct(b1, b2, n, dx_cutoff)
+        assert (hom0_frakX(b1, b2, n, dx_cutoff, hom0_dp_cutoff)
+                == hom0_frakX_direct(b1, b2, n, dx_cutoff, hom0_dp_cutoff))
+        k = b1.m - b2.m
+        for row in range(k - max(dp_cutoff, hom0_dp_cutoff), k + 1):
+            assert (bbw.ext_schur_pair(b1.l, b2.l, row, n)
+                    == bbw.ext_schur_pair.__wrapped__(b1.l, b2.l, row, n))
+
+
+def test_cached_rows_and_tables_are_read_only():
+    row = bbw.ext_schur_pair(1, 2, 0, 7)
+    table = windows.pair_isotypic(1, 2, 7, 3)
+    assert row and table
+    for cached in (row, table):
+        key = next(iter(cached))
+        with pytest.raises(TypeError):
+            cached[key] = 0
+        with pytest.raises(TypeError):
+            del cached[key]
+    assert bbw.ext_schur_pair(1, 2, 0, 7) is row
+    assert windows.pair_isotypic(1, 2, 7, 3) is table
+
+
+def test_report_computes_each_row_and_table_once():
+    # a deterministic work count: 464 Ext rows (16 (l1, l2) times k in
+    # -20..8) and 208 isotypic tables (16 times d_x in 0..12) at n = 9
+    bbw.ext_schur_pair.cache_clear()
+    windows.pair_isotypic.cache_clear()
+    assert exceptional_report(n=9).passed
+    assert bbw.ext_schur_pair.cache_info().misses == 464
+    assert windows.pair_isotypic.cache_info().misses == 208
+
+
+def test_report_at_n11_passes():
+    rep = exceptional_report(n=11)
+    assert (rep.l_bound, rep.m_bound, rep.size) == (5, 11, 55)
+    assert len(rep.checks) == 6 and all(c.passed for c in rep.checks)
