@@ -19,7 +19,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Optional
 
-from .reps import decompose_tensor, GL2Weight
+from .reps import GL2Weight, char_mul, decompose_character
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,12 @@ def ext_schur_pair(l, lp, k, n):
         raise ValueError("symmetric powers need non-negative degree")
     if n < 5:
         raise ValueError("need n >= 5")
-    rep = decompose_tensor(GL2Weight(l, 0), GL2Weight(0, -lp)).twist(k)
+    rep = decompose_character(char_mul(GL2Weight(l, 0).character(),
+                                       GL2Weight(0, -lp).character()))
     out = {}
-    for w, mult in rep.terms.items():
-        res = bbw_cohomology(-w.b, -w.a, n)  # Sigma^{(a,b)} S = Sigma^{(-b,-a)} S^dual
+    for w, mult in rep.items():
+        # O(-k) moves (a, b) to (a + k, b + k); Sigma^{(a,b)} S = Sigma^{(-b,-a)} S^dual
+        res = bbw_cohomology(-w.b - k, -w.a - k, n)
         if not res.is_zero:
             out[res.degree] = out.get(res.degree, 0) + mult * res.dimension
     return MappingProxyType(out)

@@ -78,8 +78,8 @@ class PrimeField:
     one = 1
 
     def __init__(self, q):
-        if not is_prime(q):
-            raise ValueError(f"field order {q} is not prime")
+        if type(q) is not int or not is_prime(q):
+            raise ValueError(f"field order {q!r} is not a prime int")
         self.q = q
         self.name = f"F{q}"
         self.characteristic = q

@@ -103,11 +103,17 @@ class PfaffianModel:
     census: object = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        # exact ints only: a float entry would be truncated mod q, and a bool
+        # is an int subclass that no model file means
+        if type(self.d) is not int or type(self.seed) is not int:
+            raise ValueError("d and seed must be integers")
         if self.d < 5 or self.d % 2 == 0:
             raise ValueError("d must be odd and at least 5")
         npairs = len(wedge_pairs(self.d))
         if len(self.A) != self.d or any(len(r) != npairs for r in self.A):
             raise ValueError("A must be d x C(d,2)")
+        if any(type(x) is not int for r in self.A for x in r):
+            raise ValueError("entries of A must be integers")
 
     @property
     def pairs(self):

@@ -52,7 +52,7 @@ from math import comb
 from types import MappingProxyType
 
 from . import bbw, reps
-from .reps import GL2Weight, char_mul, diagonal_isotypic
+from .reps import GL2Weight, char_mul, diagonal_isotypic, sym_power_character
 
 
 @dataclass(frozen=True, order=True)
@@ -79,18 +79,7 @@ def default_bounds(n):
 
 
 # ---------------------------------------------------------------------------
-# characters of the coordinate algebras, cached per (n, degree)
-
-_sym_cache = {}
-
-
-def _sym_chars(n, degree):
-    """Characters of Sym^d(S^(+n)) for d = 0..degree."""
-    have = _sym_cache.get(n)
-    if have is None or len(have) <= degree:
-        base = {(1, 0): n, (0, 1): n}
-        _sym_cache[n] = reps.sym_power_characters(base, max(degree, 12))
-    return _sym_cache[n][degree]
+# the isotypic table of a pair class
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +88,7 @@ def pair_isotypic(l1, l2, n, d_x):
     Sym^{d_x}(S^(+n)), with no determinant twist.  Tensoring with det^t
     shifts every key by t (module docstring).  Cached; read-only."""
     ch = char_mul(GL2Weight(l1, 0).character(), GL2Weight(0, -l2).character())
-    return MappingProxyType(diagonal_isotypic(char_mul(ch, _sym_chars(n, d_x))))
+    return MappingProxyType(diagonal_isotypic(char_mul(ch, sym_power_character(n, d_x))))
 
 
 # ---------------------------------------------------------------------------

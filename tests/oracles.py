@@ -5,15 +5,17 @@ and pfgr.linalg, entry by entry, on routes disjoint from the vectorized mod-q
 code in pfgr.geometry; twist_tail_dominant is the closed-form dominance bound
 the negative-twist sweeps of the BBW tests lean on.  The window tables
 ext_table_X2_direct and hom0_frakX_direct decompose each twisted character
-afresh, with no cache and no twist shift.
+afresh, with no cache and no twist shift, and take Sym^d(S^(+n)) from
+newton_sym_characters, not from the closed form in pfgr.reps.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from pfgr import bbw, linalg
 from pfgr.geometry import perfect_matchings
-from pfgr.reps import GL2Weight, char_mul, diagonal_isotypic, sym_power_characters
+from pfgr.reps import GL2Weight, char_add, char_mul, diagonal_isotypic
 
 
 def omega_field(model, p):
@@ -129,10 +131,40 @@ def pair_char(b1, b2, det_shift=0):
     return ch
 
 
+def newton_sym_characters(base_char, degree):
+    """Characters of Sym^d of any representation for d = 0..degree.
+
+    Newton's identity d*h_d = sum_k p_k h_(d-k) on the weight multiset, with
+    p_k the k-th power sum.  Intermediate arithmetic is done over Q and the
+    result asserted integral.
+    """
+    h = [{(0, 0): Fraction(1)}]
+    powers = {}
+    for k in range(1, degree + 1):
+        pk = {}
+        for (i, j), c in base_char.items():
+            key = (k * i, k * j)
+            pk[key] = pk.get(key, 0) + c
+        powers[k] = pk
+    for d in range(1, degree + 1):
+        acc = {}
+        for k in range(1, d + 1):
+            part = char_mul({m: Fraction(c) for m, c in powers[k].items()}, h[d - k])
+            acc = char_add(acc, part)
+        hd = {}
+        for m, c in acc.items():
+            c = c / d
+            if c:
+                assert c.denominator == 1
+                hd[m] = c
+        h.append(hd)
+    return [{m: int(c) for m, c in hc.items()} for hc in h]
+
+
 @lru_cache(maxsize=None)
 def _coordinate_chars(n, degree):
     """Characters of Sym^d(S^(+n)) for d = 0..degree."""
-    return tuple(sym_power_characters({(1, 0): n, (0, 1): n}, degree))
+    return tuple(newton_sym_characters({(1, 0): n, (0, 1): n}, degree))
 
 
 def ext_table_X2_direct(b1, b2, n, x_cutoff):

@@ -429,6 +429,21 @@ def test_malformed_model_file(tmp_path):
     assert cli.main(["model", "show", str(path)]) == 2
     path.write_text(json.dumps({"d": 7}))
     assert cli.main(["model", "show", str(path)]) == 2
+    # a value that is not an exact int: a float or bool entry of A, or a seed,
+    # dimension or field order of another type
+    good = {"d": 5, "seed": 1, "field": {"name": "Fq", "q": 101},
+            "A": [[int(j == i) for j in range(10)] for i in range(5)]}
+    for key, bad in [("A", 0.5), ("A", True), ("seed", "x"), ("seed", 1.0), ("d", 5.0),
+                     ("field", {"name": "Fq", "q": 101.0})]:
+        data = json.loads(json.dumps(good))
+        if key == "A":
+            data["A"][0][0] = bad
+        else:
+            data[key] = bad
+        path.write_text(json.dumps(data))
+        assert cli.main(["model", "show", str(path)]) == 2, (key, bad)
+    path.write_text(json.dumps(good))
+    assert cli.main(["model", "show", str(path)]) == 0
 
 
 def test_perfbench_traced_names_resolve():
