@@ -42,6 +42,13 @@ from .poly import PolyRing
 
 SCHEMA_VERSION = 1
 
+# the largest trunc the mf suite accepts.  `pfgr mf --seed 1` on a 2-vCPU box
+# (trunc: seconds, peak RSS): 6: 0.82 s, 62 MiB; 8: 0.97 s; 10: 1.7 s;
+# 12: 3.5 s, 71 MiB; 14: 9.8 s, 121 MiB; 16: 24 s, 175 MiB.  Each step of 2
+# costs about 2.5 times the time, so 14 keeps the suite near the 10 s of the
+# largest census (geometry.CENSUS_MAX_POINTS); trunc 100 ran out of memory
+MF_MAX_TRUNC = 14
+
 
 @dataclass
 class SuiteConfig:
@@ -77,9 +84,16 @@ class SuiteConfig:
         if "window" in self.suites and self.dx_cutoff > reps.PLETHYSM_CUTOFF:
             raise ValueError(f"dx_cutoff {self.dx_cutoff} exceeds the plethysm cutoff "
                              f"{reps.PLETHYSM_CUTOFF} of the window suite")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative: seeds are non-negative "
+                             f"integers (random.Random(-s) draws the model of seed s)")
         if self.trunc < 2:
             raise ValueError("trunc must be at least 2: below 2 the charge window "
                              "trunc - 2 + min base is empty for the base object")
+        if "mf" in self.suites and self.trunc > MF_MAX_TRUNC:
+            raise ValueError(f"trunc {self.trunc} exceeds the mf suite's bound of "
+                             f"{MF_MAX_TRUNC} (about 10 s; the cost grows about 2.5 "
+                             f"times per step of 2)")
         if not self.census_qs or not self.suites:
             raise ValueError("census_qs and suites must each name at least one entry: "
                              "an empty list would certify with nothing checked")

@@ -222,21 +222,19 @@ CENSUS_CHUNK = 65536
 CENSUS_MAX_POINTS = 64 * CENSUS_CHUNK
 
 
-def _strata(model, q, contraction):
-    """{rank: points} of the matrices einsum(contraction, point, T mod q) over
-    P^(d-1)(F_q), ranked CENSUS_CHUNK points at a time.  More than
-    CENSUS_MAX_POINTS points raise ValueError before any ranking."""
+def _strata(model, q, ranks):
+    """{rank: points} of ranks(pts), an (N,) array of ranks for an (N, d)
+    stack of points, over P^(d-1)(F_q), CENSUS_CHUNK points at a time.
+    More than CENSUS_MAX_POINTS points raise ValueError before any ranking."""
     PrimeField(q)
     total = (q ** model.d - 1) // (q - 1)
     if total > CENSUS_MAX_POINTS:
         raise ValueError(f"P^{model.d - 1}(F_{q}) has {total} points, more than the "
                          f"census bound of {CENSUS_MAX_POINTS}")
-    Tq = model.tensor_mod(q)
     out = {}
     for start in range(0, total, CENSUS_CHUNK):
         pts = modq.projective_points(model.d, q, start, start + CENSUS_CHUNK)
-        mats = np.einsum(contraction, pts, Tq) % q
-        vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
+        vals, counts = np.unique(ranks(pts), return_counts=True)
         for v, c in zip(vals.tolist(), counts.tolist()):
             out[v] = out.get(v, 0) + c
     assert sum(out.values()) == total
@@ -245,8 +243,9 @@ def _strata(model, q, contraction):
 
 def rank_census(model, q):
     """Counts of each omega rank stratum over P^(d-1)(F_q), exhaustively,
-    by the bounded walk of _strata."""
-    return _strata(model, q, "xi,iab->xab")
+    by the bounded walk of _strata; each omega_p is ranked by its principal
+    Pfaffians (modq.alternating_rank)."""
+    return _strata(model, q, lambda pts: modq.alternating_rank(omegas(model, pts, q), q))
 
 
 def gaussian_binomial_2(n, q):
@@ -267,11 +266,14 @@ def grassmannian_census(model, q):
     #Y1 = sum_p (q^(d - 1 - r_p) - 1)/(q^2 - 1).  With the deep stratum
     empty every r_p is d - 1 or d - 3, and that sum is #Y2(F_q).  So #Y1 is
     a function of the omega strata for any A, and the check comparing it
-    with #Y2 cross-checks this walk against rank_census's, as rank_parity
-    cross-checks the rank kernel; it adds nothing about the model.
+    with #Y2 cross-checks this walk (batch_rank on C_u) against
+    rank_census's (principal Pfaffians of omega_p), as rank_parity
+    cross-checks the two rank routes; it adds nothing about the model.
     """
     d = model.d
-    strata = _strata(model, q, "xl,jlm->xjm")
+    Tq = model.tensor_mod(q)
+    strata = _strata(model, q,
+                     lambda us: modq.batch_rank(np.einsum("xl,jlm->xjm", us, Tq) % q, q))
     through = sum(c * ((q ** (d - r - 1) - 1) // (q - 1)) for r, c in strata.items())
     assert through % (q + 1) == 0
     return gaussian_binomial_2(d, q), through // (q + 1)
@@ -315,7 +317,8 @@ def sample_y2_points(model, q, count, seed=0):
         R, ranks, pivots = modq.rref(Bs, q)
         line = ranks == d - 1
         ps = modq.kernels(R[line], pivots[line], q)
-        hits = ps[modq.batch_rank(omegas(model, ps, q), q) <= model.degenerate_rank]
+        # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
+        hits = ps[modq.pfaffians_vanish(omegas(model, ps, q), q)]
         found.extend(hits[:count - len(found)].tolist())
     return found
 
@@ -366,6 +369,7 @@ def sample_y1_points(model, q, base_points, seed=0):
     rng = np.random.default_rng((seed, 1))
     planes = {}
     pending = np.arange(len(base_points))
+    open_ = np.ones(len(base_points), dtype=bool)
     tries = 0
     batch = 4096
     while len(pending) and tries < SAMPLER_MAX_TRIES:
@@ -380,7 +384,8 @@ def sample_y1_points(model, q, base_points, seed=0):
         rows = hit[at]
         xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
         planes.update(zip(done.tolist(), xs.tolist()))
-        pending = np.setdiff1d(pending, done)
+        open_[done] = False
+        pending = pending[open_[pending]]
     return [planes[i] for i in sorted(planes)]
 
 
@@ -671,8 +676,10 @@ def underlying_scheme_probe(model, p, max_degree=6):
 def rank_parity_sample(model, count, q=101, seed=0):
     """Check rank(W_p) = 2 rank(omega_p) on a batch of random points.
     W_p is quadratic_form_matrix, [[0, M], [M^T, 0]] with M = omega_p / 2,
-    and rank [[0, M], [M^T, 0]] = 2 rank M for any M: this tests
-    modq.batch_rank, not the model."""
+    and rank [[0, M], [M^T, 0]] = 2 rank M for any M.  rank(W_p) comes from
+    modq.batch_rank's elimination and rank(omega_p) from the principal
+    Pfaffians (modq.alternating_rank), so this tests the two rank routes
+    against each other, not the model."""
     d = model.d
     rng = np.random.default_rng(seed)
     checked = 0
@@ -684,7 +691,7 @@ def rank_parity_sample(model, count, q=101, seed=0):
         ps = ps[ps.any(axis=1)]
         if not len(ps):
             continue
-        r_omega = modq.batch_rank(omegas(model, ps, q), q)
+        r_omega = modq.alternating_rank(omegas(model, ps, q), q)
         r_w = modq.batch_rank(quadratic_form_matrix(model, ps, q), q)
         bad = np.nonzero(r_w != 2 * r_omega)[0]
         for b in bad:
@@ -757,12 +764,15 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples
     varieties.  The returned model carries the census strata it was
     certified with (PfaffianModel.census).  Raises ModelCertificateError
     when retries run out or at once when a sampler runs out of tries (a new
-    A would not help), and ValueError, before any census or sampling, for
-    d >= 11 (the deep stratum has codimension 10 among 2-forms, so P^(d-1)
-    always meets it), for a sampling prime too large for exact int64
-    arithmetic, or for the sampler budget (cert_samples * q >
+    A would not help), and ValueError, before any census or sampling, for a
+    negative seed, for d >= 11 (the deep stratum has codimension 10 among
+    2-forms, so P^(d-1) always meets it), for a sampling prime too large for
+    exact int64 arithmetic, or for the sampler budget (cert_samples * q >
     SAMPLER_MAX_TRIES).
     """
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative: seeds are non-negative integers "
+                         f"(random.Random(-s) draws the model of seed s)")
     if d - 1 >= DEEP_STRATUM_CODIM:
         raise ValueError(f"no model at d = {d} is generic: the stratum {{rank <= d - 5}} "
                          f"has codimension C(5, 2) = {DEEP_STRATUM_CODIM} among 2-forms, "

@@ -7,6 +7,10 @@ O(columns) vectorized steps instead of N python-level eliminations, each
 running along the batch axis.  batch_rank, rank_and_kernel and solve only
 read its output; solve, like rref, takes a whole stack of systems at once.
 
+alternating_rank ranks a stack of alternating matrices by its principal
+Pfaffians instead, and sends only the matrices where all of them vanish
+through rref (pfaffians_vanish holds the argument and its bound).
+
 Contract: for each matrix rref returns the reduced row echelon form over F_q
 (pivots 1, zeros above and below them, zero rows last), the rank and the
 pivot-column mask.  The reduced form is unique, so it equals what
@@ -22,6 +26,8 @@ bound on |entry|, and reduces the whole block first whenever bound +
 reducing need terms * (q - 1)^2 < 2^63 for their longest one;
 geometry.random_model refuses sampling primes that break it.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -116,6 +122,80 @@ def kernels(R, pivots, q):
 def batch_rank(mats, q):
     """Ranks of a batch of matrices over F_q.  mats: (N, m, n) int64."""
     return np.atleast_1d(rref(mats, q)[1])
+
+
+def _pfaffian(entries, idx, q, memo):
+    """Pf mod q of the principal submatrix on the sorted index tuple idx,
+    expanded along its first index; every sub-Pfaffian is kept in memo, so
+    each one is evaluated once however many expansions reach it."""
+    if len(idx) == 2:
+        return entries[idx]
+    if idx not in memo:
+        acc = 0
+        for t in range(1, len(idx)):
+            term = entries[idx[0], idx[t]] * _pfaffian(entries, idx[1:t] + idx[t + 1:], q, memo)
+            acc = acc + term if t % 2 else acc - term
+        memo[idx] = acc % q
+    return memo[idx]
+
+
+def pfaffians_vanish(mats, q):
+    """Whether each matrix of an (N, d, d) stack of alternating residues mod
+    q (d >= 2) has every principal Pfaffian of size 2 floor(d/2) zero: an
+    (N,) bool array, True exactly where the rank is below 2 floor(d/2).
+
+    Soundness: over any field, characteristic 2 included, the rank of an
+    alternating matrix is the largest size of a principal submatrix with a
+    nonzero Pfaffian (a principal submatrix is invertible iff its Pfaffian,
+    a square root of its determinant, is nonzero).  For odd d the rank is
+    d - 1 exactly when one of the d principal (d - 1)-Pfaffians is nonzero.
+
+    The Pfaffians are taken one at a time, each only on the matrices where
+    every earlier one vanished, so at a generic point one Pfaffian decides.
+    Each is expanded along its first index with shared sub-Pfaffians
+    (_pfaffian): C(d, 4) of size 4, C(d, 6) of size 6 and so on at most,
+    against (d - 2)!! perfect matchings for the full expansion.
+
+    Bound on q: one expansion step adds at most d - 1 products of two
+    residues, sub-Pfaffians included, and reduces the sum mod q; no
+    int64 operation wraps as long as (d - 1)(q - 1)^2 < 2^63, which is
+    checked (geometry.random_model's C(d, 2)(q - 1)^2 < 2^63 implies it).
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    d = mats.shape[-1]
+    if (d - 1) * (q - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"q = {q} is too large for int64 Pfaffians at d = {d}: "
+                         f"need (d - 1)(q - 1)^2 < 2^63")
+    rows, cols = np.triu_indices(d, 1)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    # one contiguous (N,) row per entry above the diagonal
+    upper = mats.transpose(1, 2, 0)[rows, cols] % q
+    alive = np.arange(len(mats))
+    for idx in combinations(range(d), d - d % 2):
+        if not len(alive):
+            break
+        zero = _pfaffian(dict(zip(pairs, upper)), idx, q, {}) == 0
+        alive, upper = alive[zero], upper[:, zero]
+    out = np.zeros(len(mats), dtype=bool)
+    out[alive] = True
+    return out
+
+
+def alternating_rank(mats, q):
+    """Ranks over F_q of an (N, d, d) stack of alternating residues mod q.
+
+    Rank 2 floor(d/2) wherever some principal Pfaffian of that size is
+    nonzero (pfaffians_vanish, which holds the soundness argument and the
+    int64 bound); only the matrices where all of them vanish are ranked by
+    batch_rank.
+    """
+    mats = np.asarray(mats, dtype=np.int64)
+    d = mats.shape[-1]
+    ranks = np.full(len(mats), d - d % 2, dtype=np.int64)
+    low = np.flatnonzero(pfaffians_vanish(mats, q))
+    if len(low):
+        ranks[low] = batch_rank(mats[low], q)
+    return ranks
 
 
 def rank_and_kernel(mat, q):

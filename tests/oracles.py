@@ -2,7 +2,9 @@
 
 Everything here works over a model's own field with pfgr.fields arithmetic
 and pfgr.linalg, entry by entry, on routes disjoint from the vectorized mod-q
-code in pfgr.geometry; twist_tail_dominant is the closed-form dominance bound
+code in pfgr.geometry, except omega_rank_walk: the rank census as it was
+before the Pfaffian route, every omega_p ranked by modq.batch_rank's
+elimination; twist_tail_dominant is the closed-form dominance bound
 the negative-twist sweeps of the BBW tests lean on.  The window tables
 ext_table_X2_direct and hom0_frakX_direct decompose each twisted character
 afresh, with no cache and no twist shift, and take Sym^d(S^(+n)) from
@@ -13,7 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from pfgr import bbw, linalg
+import numpy as np
+
+from pfgr import bbw, linalg, modq
 from pfgr.geometry import perfect_matchings
 from pfgr.reps import GL2Weight, char_add, char_mul, diagonal_isotypic
 
@@ -49,6 +53,15 @@ def principal_pfaffians(model, p):
             s = F.add(s, term)
         out.append(s)
     return out
+
+
+def omega_rank_walk(model, q):
+    """{rank: points} of omega_p over P^(d-1)(F_q), every point ranked by
+    Gauss-Jordan elimination (modq.batch_rank) in one unchunked pass."""
+    pts = modq.projective_points(model.d, q)
+    mats = np.einsum("xi,iab->xab", pts, model.tensor_mod(q)) % q
+    vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
+    return dict(zip(vals.tolist(), counts.tolist()))
 
 
 def contraction_oracle(model, x):

@@ -51,6 +51,40 @@ def test_truncation_below_two_is_refused():
     cli.SuiteConfig(trunc=2).validate()
 
 
+def test_truncation_above_the_bound_is_refused(monkeypatch):
+    """The mf suite's cost grows about 2.5 times per step of 2 in trunc, and
+    trunc 100 ran out of memory: above MF_MAX_TRUNC the config refuses it
+    with exit 2 before the model is certified or the worker forks.  Suites
+    that never read trunc accept any value."""
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(geometry, "random_model",
+                        lambda *args, **kwargs: pytest.fail("model generated"))
+    for argv in (["mf", "--trunc", str(cli.MF_MAX_TRUNC + 1)], ["mf", "--trunc", "100"],
+                 ["all", "--trunc", "100"]):
+        assert cli.main(argv) == 2
+    with pytest.raises(ValueError, match="trunc"):
+        cli.SuiteConfig(trunc=cli.MF_MAX_TRUNC + 1).validate()
+    cli.SuiteConfig(trunc=cli.MF_MAX_TRUNC).validate()
+    cli.SuiteConfig(trunc=100, suites=("window", "geometry")).validate()
+
+
+def test_negative_seed_is_refused(monkeypatch, capsys):
+    """random.Random(-s) equals Random(s), so seed -1 would certify seed 1's
+    model under another label: both commands exit 2 before any census."""
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(geometry, "rank_census",
+                        lambda *args: pytest.fail("census ranked"))
+    assert cli.main(["model", "gen", "--seed", "-1"]) == 2
+    assert cli.main(["all", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("seed -1 is negative") == 2
+    with pytest.raises(ValueError, match="negative"):
+        geometry.random_model(-1, d=5)
+    with pytest.raises(ValueError, match="negative"):
+        cli.SuiteConfig(seed=-1, suites=("window",)).validate()
+    cli.SuiteConfig(seed=0).validate()
+
+
 def test_mf_checks_report_the_truncation_they_ran_at(tmp_path):
     out = tmp_path / "mf.json"
     assert cli.main(["mf", "--d", "5", "--trunc", "2", "--out", str(out)]) == 0

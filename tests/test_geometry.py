@@ -3,8 +3,14 @@ from dataclasses import replace
 from fractions import Fraction
 from math import comb, isqrt
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfgr import geometry, linalg, modq
 from pfgr.fields import QQ, PrimeField, is_prime
@@ -18,7 +24,7 @@ from pfgr.geometry import (PfaffianModel, certify_model,
                            y1_membership, y2_membership)
 
 from oracles import (contraction_oracle, critical_test, grad_W, omega_field,
-                     principal_pfaffians)
+                     omega_rank_walk, principal_pfaffians)
 
 
 @pytest.fixture(scope="module")
@@ -181,42 +187,49 @@ def test_rank_census_small_fields(model):
         assert sum(c for r, c in census.items() if r <= 2) == 0
 
 
-@pytest.mark.parametrize("census, q", [
-    pytest.param(rank_census, 5, id="5"), pytest.param(rank_census, 11, id="11"),
-    pytest.param(grassmannian_census, 5, id="y1-5"),
-    pytest.param(grassmannian_census, 11, id="y1-11")])
-def test_rank_census_walks_points_in_chunks(monkeypatch, model5, census, q):
-    """Both censuses rank at most CENSUS_CHUNK points per call, the calls
-    rank every point once, and the result equals one unchunked pass over
-    every point (the default chunk holds all of them here)."""
+@pytest.mark.parametrize("d, q", [(7, 2), (7, 3), (7, 5), (5, 13), (9, 3)])
+def test_rank_census_matches_the_elimination_walk(request, d, q):
+    """The Pfaffian census equals the walk that ranks every omega_p by
+    elimination; the d = 9 model is certified at q = 2 only, and its
+    q = 3 strata hold a rank-4 point, below d - 3."""
+    m = request.getfixturevalue({5: "model5", 7: "model", 9: "model9"}[d])
+    assert rank_census(m, q) == omega_rank_walk(m, q)
+
+
+@pytest.mark.parametrize("census, ranker, q", [
+    pytest.param(rank_census, "alternating_rank", 5, id="5"),
+    pytest.param(rank_census, "alternating_rank", 11, id="11"),
+    pytest.param(grassmannian_census, "batch_rank", 5, id="y1-5"),
+    pytest.param(grassmannian_census, "batch_rank", 11, id="y1-11")])
+def test_rank_census_walks_points_in_chunks(monkeypatch, model5, census, ranker, q):
+    """Both censuses hand their ranking entry point (the Pfaffian route for
+    omega_p, elimination for C_u) at most CENSUS_CHUNK points per call, the
+    calls cover every point once, and the result equals one unchunked pass
+    over every point (the default chunk holds all of them here)."""
     pts = modq.projective_points(5, q)
     assert len(pts) <= geometry.CENSUS_CHUNK
-    if census is rank_census:
-        mats = np.einsum("xi,iab->xab", pts, model5.tensor_mod(q)) % q
-        vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
-        whole = dict(zip(vals.tolist(), counts.tolist()))
-    else:
-        whole = census(model5, q)
+    whole = omega_rank_walk(model5, q) if census is rank_census else census(model5, q)
     sizes = []
-    real = modq.batch_rank
+    real = getattr(modq, ranker)
 
     def recording(stack, prime):
         sizes.append(len(stack))
         return real(stack, prime)
 
     monkeypatch.setattr(geometry, "CENSUS_CHUNK", 1000)
-    monkeypatch.setattr(modq, "batch_rank", recording)
+    monkeypatch.setattr(modq, ranker, recording)
     assert census(model5, q) == whole
     assert max(sizes) <= 1000 and sum(sizes) == len(pts)
 
 
 def test_oversized_census_is_refused_before_ranking(monkeypatch, model5):
     """A census of more than CENSUS_MAX_POINTS points raises before any rank
-    is taken; P^4(F_13), 30,941 points, is inside the bound."""
+    or Pfaffian is taken; P^4(F_13), 30,941 points, is inside the bound."""
     census = rank_census(model5, 13)
     assert sum(census.values()) == (13 ** 5 - 1) // 12
     ranked = []
-    monkeypatch.setattr(modq, "batch_rank", lambda mats, q: ranked.append(q))
+    for name in ("batch_rank", "alternating_rank", "pfaffians_vanish"):
+        monkeypatch.setattr(modq, name, lambda mats, q, name=name: ranked.append(name))
     A = tuple(tuple(int(j == i) for j in range(comb(9, 2))) for i in range(9))
     model9 = PfaffianModel(d=9, A=A, seed=1, field=PrimeField(101))
     assert (11 ** 9 - 1) // 10 > geometry.CENSUS_MAX_POINTS
@@ -225,6 +238,44 @@ def test_oversized_census_is_refused_before_ranking(monkeypatch, model5):
     with pytest.raises(ValueError, match="census bound"):
         grassmannian_census(model9, 11)
     assert not ranked
+
+
+def _alternating_stack(rng, d, q, n):
+    """n alternating d x d residue matrices, each a sum of k wedges u ^ v
+    with k drawn from 0..d // 2, so of rank at most 2k: deliberately
+    rank-deficient, the zero matrix included."""
+    k = rng.integers(0, d // 2 + 1, n)
+    u, v = rng.integers(0, q, (2, n, d // 2, d))
+    u = u * (np.arange(d // 2) < k[:, None])[..., None]
+    return (np.einsum("nka,nkb->nab", u, v) - np.einsum("nka,nkb->nab", v, u)) % q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 9]), st.sampled_from([2, 3, 5, 7, 101]),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_pfaffian_rank_route_matches_elimination(d, q, seed, from_model):
+    """modq.alternating_rank and pfaffians_vanish agree with batch_rank's
+    elimination on omega_p of a random integer model at random points, and
+    on rank-deficient alternating stacks, characteristic 2 included."""
+    rng = np.random.default_rng(seed)
+    if from_model:
+        A = tuple(tuple(row) for row in rng.integers(-9, 10, (d, comb(d, 2))).tolist())
+        mats = omegas(PfaffianModel(d=d, A=A, seed=0, field=PrimeField(101)),
+                      rng.integers(0, q, (200, d)), q)
+    else:
+        mats = _alternating_stack(rng, d, q, 200)
+    expect = modq.batch_rank(mats, q)
+    assert modq.alternating_rank(mats, q).tolist() == expect.tolist()
+    assert modq.pfaffians_vanish(mats, q).tolist() == (expect < d - 1).tolist()
+
+
+def test_pfaffian_route_refuses_primes_past_its_int64_bound():
+    """(d - 1)(q - 1)^2 < 2^63 bounds each unreduced expansion step."""
+    q = 1500000001  # prime, 2 (q - 1)^2 < 2^63 <= 8 (q - 1)^2
+    mats = np.zeros((1, 9, 9), dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        modq.alternating_rank(mats, q)
+    assert modq.alternating_rank(mats[:, :3, :3], q).tolist() == [0]
 
 
 def _principal_pfaffians_batch(model, omegas, q):
@@ -381,6 +432,20 @@ def test_quadratic_form_symmetry_and_value(model):
         assert val == direct
     with pytest.raises(ValueError, match="characteristic"):
         quadratic_form_matrix(model, ps[0], 2)
+
+
+def test_model_path_leaves_numpy_ma_unimported():
+    """numpy.ma costs about 11 ms to import, and only np.isin's first call
+    needs it: certifying a model must not get there."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH", "")) if p)}
+    code = ("import sys; from pfgr import geometry; geometry.random_model(1); "
+            "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_rank_parity_bulk(model):
