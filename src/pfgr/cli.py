@@ -14,9 +14,10 @@ refusal and every failed certificate comes before any other work.  The
 checks then split in two halves that share no input but the config:
 
 - model-bound, in the calling process: the pool, the geometry suite and
-  mf.knorrer_fibre, which read the certified model and its pool;
+  the two mf checks that read the certified model, mf.koszul_perturb (its
+  Koszul factorization over Q) and mf.knorrer_fibre (at a pool point);
 - model-free, in one worker forked beside them: the window suite and the
-  other five mf checks, which build their own objects over Q.
+  other four mf checks, which build their own objects over Q.
 
 The worker pickles its records, timings and shared lines back over a pipe,
 and run merges them into the serial order (_report_order), so the report is
@@ -43,10 +44,11 @@ from .poly import PolyRing
 SCHEMA_VERSION = 1
 
 # the largest trunc the mf suite accepts.  `pfgr mf --seed 1` on a 2-vCPU box
-# (trunc: seconds, peak RSS): 6: 0.82 s, 62 MiB; 8: 0.97 s; 10: 1.7 s;
-# 12: 3.5 s, 71 MiB; 14: 9.8 s, 121 MiB; 16: 24 s, 175 MiB.  Each step of 2
-# costs about 2.5 times the time, so 14 keeps the suite near the 10 s of the
-# largest census (geometry.CENSUS_MAX_POINTS); trunc 100 ran out of memory
+# (trunc: seconds, peak RSS): 6: 0.53 s, 48 MiB; 8: 0.7 s; 10: 1.3 s;
+# 12: 3.6 s, 70 MiB; 14: 9.7 s, 120 MiB; 16, before this bound: 24 s,
+# 175 MiB.  Each step of 2 costs about 2.5 to 3 times the time, so 14 keeps
+# the suite near the 10 s of the largest census (geometry.CENSUS_MAX_POINTS);
+# trunc 100 ran out of memory
 MF_MAX_TRUNC = 14
 
 
@@ -317,8 +319,8 @@ def run_geometry_suite(config, report, model, pool, planes):
 
 
 def run_mf_suite(config, report):
-    """The model-free matrix-factorization checks, over Q; the Knorrer
-    fibre, which reads the model, is run_fibre_check."""
+    """The four model-free matrix-factorization checks, over Q; the two that
+    read the model are run_fibre_check."""
     F = QQ
     trunc = max(4, config.trunc)  # what the Hom checks run at and report
 
@@ -358,22 +360,6 @@ def run_mf_suite(config, report):
            "the zero-locus stabilization has no morphisms in either direction",
            {"trunc": trunc, "field": repr(F)}, contractible)
 
-    def perturb():
-        ring = PolyRing(F, ("x1", "x2"), (0, 2))
-        C = mf.koszul_complex(ring, [ring.var(0)])
-        E = mf.koszul_perturb(C, ring.var(0) * ring.var(1))
-        ok1 = bool(mf.mf_verify(E)) and E.rank == 2
-        d = config.d
-        ring2, W = mf.random_cubic_superpotential(F, d, config.seed)
-        C2 = mf.koszul_complex(ring2, [ring2.var(i) for i in range(d)])
-        E2 = mf.koszul_perturb(C2, W)
-        ok2 = bool(mf.mf_verify(E2)) and E2.rank == 2 ** d
-        return ok1 and ok2, {"ranks": [E.rank, E2.rank]}
-
-    _timed(report, "mf.koszul_perturb",
-           "perturbed resolutions square to W exactly",
-           {"d": config.d, "field": repr(F)}, perturb)
-
     def determinantal():
         c = config.d - 3
         res = mf.eagon_northcott_check(c=c, degree_cutoff=8, field=F)
@@ -405,8 +391,25 @@ def run_mf_suite(config, report):
 
 
 def run_fibre_check(config, report, model, pool):
-    """mf.knorrer_fibre: the Knorrer fold at the first pool point, on the
+    """The two model-bound mf checks.  mf.koszul_perturb builds the Koszul
+    factorization tensor_i (p_i, Q_i) of the model's W(x, p) over Q from the
+    integer A and certifies it by its Clifford relations
+    (mf.koszul_certificate), after mf_verify on the rank-2 toy (x1, x2);
+    mf.knorrer_fibre runs the Knorrer fold at the first pool point, on the
     certified model over the sampling field F_q."""
+
+    def koszul():
+        plane = PolyRing(QQ, ("x1", "x2"), (0, 2))
+        toy = mf.hypersurface_factor(plane, plane.var(0), plane.var(1))
+        ring, pairs, W = mf.model_koszul_pairs(model)
+        K = mf.koszul_perturb(ring, pairs)
+        ok = (bool(mf.mf_verify(toy)) and toy.rank == 2 and K.W == W
+              and bool(mf.koszul_certificate(K, pairs)) and K.rank == 2 ** config.d)
+        return ok, {"ranks": [toy.rank, K.rank]}
+
+    _timed(report, "mf.koszul_perturb",
+           "the Koszul factorization of the model's W squares to W exactly",
+           {"d": config.d, "field": repr(QQ)}, koszul)
 
     def fibre():
         if not pool:

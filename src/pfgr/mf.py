@@ -6,23 +6,28 @@ to W times the identity (MatrixFactorization); the charge grading
 (W homogeneous of charge 2, differential of charge 1) upgrades the 2-periodic
 theory to an integer-graded one.  This module verifies the defining
 identities exactly, computes morphism spaces by truncated exact linear
-algebra, folds resolutions into factorizations by solving lifting problems
-degree by degree, and certifies the determinantal resolution of the rank-one
-locus of a 2 x c matrix weight space by weight space, one weight per orbit
-of its row and column symmetries.  Every such linear system is built by
-_sparse_map, which applies a differential to a basis of (generator,
-monomial) pairs, and solved by _ranks or _solutions, which stack the
-systems by shape and eliminate each stack mod a prime: over F_q its own
-order, and the answers are exact; over Q the fixed EN_PRIME, and each answer
-is checked exactly over Z, with _exact_system for any that fails.  The
-Eagon-Northcott weight spaces over Q are ranked over F_EN_PRIME, sound by
-their integer coefficients (eagon_northcott_check).  The Knorrer fibre
-(knorrer_rank_check) needs no fold: it splits the quadric W_p mod q and
-writes its factorization in closed form, a tensor product of rank-2
-factors, certified by mf_verify and the identity E.W == W_p.
+algebra, and certifies the determinantal resolution of the rank-one locus of
+a 2 x c matrix weight space by weight space, one weight per orbit of its row
+and column symmetries.  Every such linear system is built by _sparse_map,
+which applies a differential to a basis of (generator, monomial) pairs, and
+ranked by _ranks, which stacks the systems by shape and eliminates each
+stack mod a prime: over F_q its own order, and the ranks are exact; over Q
+the fixed EN_PRIME, and each rank is checked exactly over Z, with
+_exact_system for any that fails.  The Eagon-Northcott weight spaces over Q
+are ranked over F_EN_PRIME, sound by their integer coefficients
+(eagon_northcott_check).
+
+Koszul factorizations need no lifting problem: for W = sum_k a_k b_k,
+koszul_perturb writes tensor_k (a_k, b_k) in closed form, and
+koszul_certificate proves D * D = W * id from its Clifford relations in
+O(h^2 rank) steps for h pairs, after one pass over D, where mf_verify forms
+the product D * D.  The model's own step-1 object,
+W(x, p) = sum_i p_i Q_i(x), is the case a_i = p_i, b_i = Q_i
+(model_koszul_pairs).  The Knorrer fibre (knorrer_rank_check) splits the
+quadric W_p mod q and writes its factorization the same way, certified by
+mf_verify and the identity E.W == W_p.
 """
 
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
@@ -36,18 +41,6 @@ from .fields import QQ, PrimeField
 from .poly import Poly, PolyRing, poly_mat_mul, poly_mat_is_zero
 
 
-class LiftObstruction(RuntimeError):
-    def __init__(self, level, column, degree):
-        super().__init__(
-            f"lifting failed at level {level}, column {column}, degree {degree}")
-        self.level = level
-        self.column = column
-        self.degree = degree
-
-    def __reduce__(self):
-        return LiftObstruction, (self.level, self.column, self.degree)
-
-
 def _zmat(ring, nrows, ncols):
     zero = ring.zero()
     return [[zero for _ in range(ncols)] for _ in range(nrows)]
@@ -59,34 +52,29 @@ def _sparse_map(basis, index, images):
     images[g] puts c at row index[(g2, m + mu)].  The lookup is strict, a
     missing row raises KeyError: every caller's rows hold every image (the
     complete slab one charge up in _ext_dims, one whole weight space in
-    eagon_northcott_check, the closed row support in _solve_lift)."""
+    eagon_northcott_check)."""
     entries = [(index[g2, m + mu], col, c) for col, (g, m) in enumerate(basis)
                for g2, mu, c in images[g]]
     return (len(index), len(basis)), entries
 
 
-def _exact_system(field, shape, entries, rhs=None):
-    """Rank of a sparse matrix, or one solution of matrix @ x = rhs, by
-    pfgr.linalg over the field.
+def _exact_system(field, shape, entries):
+    """Rank of a sparse matrix by pfgr.linalg over the field.
 
     The matrix has the given shape and is the sum of its (row, col, value)
-    entries.  Without rhs the rank is returned; with rhs, a solution as a
-    list of field elements, or None when the system is inconsistent.  It
-    settles only what an answer mod p cannot: a system over Q whose
-    certificate failed in _ranks or _solutions, and an Eagon-Northcott weight
-    space with homology mod p.
+    entries.  It settles only what a rank mod p cannot: a system over Q whose
+    certificate failed in _ranks, and an Eagon-Northcott weight space with
+    homology mod p.
     """
     nrows, ncols = shape
     mat = [[field.zero] * ncols for _ in range(nrows)]
     for r, c, v in entries:
         mat[r][c] = field.add(mat[r][c], v)
-    if rhs is None:
-        return linalg.rank(field, mat)
-    return linalg.solve(field, mat, rhs)
+    return linalg.rank(field, mat)
 
 
-# The prime that systems over QQ are eliminated modulo; _ranks, _solutions
-# and eagon_northcott_check argue why their answers are exact.
+# The prime that systems over QQ are eliminated modulo; _ranks and
+# eagon_northcott_check argue why their answers are exact.
 EN_PRIME = 32003
 
 
@@ -191,37 +179,6 @@ def _ranks(field, systems):
     return ranks
 
 
-def _solutions(field, systems):
-    """One solution over the field of each sparse system (shape, entries,
-    vec), U x = vec, as a list of field elements, or None when the system is
-    inconsistent.
-
-    The augmented systems [U | b] are stacked by shape mod p (_modular) and
-    solved by one modq.solve per shape; a system without entries (U = 0 and
-    b = 0) gets x = 0.  Over F_q each answer, x or None, is exact.  Over Q,
-    p = EN_PRIME and x is rebuilt by _rational; it is a solution exactly when
-    [U | b] (x, -1) = 0 over Z, which _in_kernel checks on the scaled integer
-    rows (-1 is the residue p - 1).  A system inconsistent mod p, or whose x
-    fails this check (x may lie beyond the reconstruction bound sqrt(p/2)),
-    is solved again by _exact_system, so None is always the exact verdict
-    over Q.
-    """
-    augmented = [((m, n + 1), entries + [(r, n, b) for r, b in enumerate(vec) if b])
-                 for (m, n), entries, vec in systems]
-    p, ints = _modular(field, augmented)
-    out = [[field.zero] * n for (_, n), *_ in systems]
-    for idx, aug in _stacks(ints, p).values():
-        for i, x in zip(idx, modq.solve(aug[:, :, :-1], aug[:, :, -1], p)):
-            (m, _), rows = ints[i]
-            if field.characteristic:
-                out[i] = None if x is None else x.tolist()
-            elif x is not None and _in_kernel(m, rows, np.append(x, p - 1)[None], p):
-                out[i] = [_rational(a, p) for a in x.tolist()]
-            else:
-                out[i] = _exact_system(field, *systems[i])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # matrix factorizations
 
@@ -257,19 +214,26 @@ class MatrixFactorization:
     def tensor(self, other):
         """Tensor product; the curvatures add.  Generator (i, j) sits at index
         i * other.rank + j, and D = Da (x) 1 + (-1)^|a| (1 (x) Db), where |a|
-        is the parity of the source a-generator i."""
+        is the parity of the source a-generator i.  Only the nonzero entries
+        of each factor are walked, and each entry of other is negated once
+        and shared; every other output entry is the ring's zero."""
         if self.ring != other.ring:
             raise ValueError("tensor factors must share a ring")
         nb = other.rank
         gens = [((pa + pb) % 2, ca + cb) for pa, ca in self.gens for pb, cb in other.gens]
         D = _zmat(self.ring, len(gens), len(gens))
+        cols_a = [[(i2, row[i]) for i2, row in enumerate(self.D) if row[i]]
+                  for i in range(self.rank)]
+        # each entry e of other as (e, -e), indexed by the parity |a|
+        cols_b = [[(j2, (row[j], -row[j])) for j2, row in enumerate(other.D) if row[j]]
+                  for j in range(nb)]
         for i, (pa, _) in enumerate(self.gens):
             for j in range(nb):
                 src = i * nb + j
-                for i2, row in enumerate(self.D):
-                    D[i2 * nb + j][src] += row[i]
-                for j2, row in enumerate(other.D):
-                    D[i * nb + j2][src] += -row[j] if pa else row[j]
+                for i2, e in cols_a[i]:
+                    D[i2 * nb + j][src] += e
+                for j2, signed in cols_b[j]:
+                    D[i * nb + j2][src] += signed[pa]
         return MatrixFactorization(self.ring, self.W + other.W, gens, D)
 
 
@@ -350,247 +314,142 @@ def free_module_mf(ring, charge=0):
 
 
 # ---------------------------------------------------------------------------
-# graded complexes and the perturbation construction
+# Koszul factorizations
 
 
-class GradedComplex:
-    """Free modules F_0..F_L with differentials d_k: F_{k+1} -> F_k.
+def koszul_perturb(ring, pairs):
+    """The Koszul factorization tensor_k (a_k, b_k) of W = sum_k a_k b_k.
 
-    Generator charges follow the convention that makes every differential
-    have charge 1 (entry charge = source charge + 1 - target charge).
+    Each pair gives the rank-2 factor hypersurface_factor(a_k, b_k), so the
+    charges of a_k and b_k must sum to 2.  The generator of a subset I of the
+    pairs has parity |I| mod 2 and charge sum over I of (charge(a_k) - 1); D
+    is the Koszul complex on the a_k perturbed by the b_k, the fold of that
+    complex into W written in closed form (Eisenbud, Trans. AMS 260, 1980).
     """
-
-    def __init__(self, ring, charges, diffs):
-        self.ring = ring
-        self.charges = [tuple(c) for c in charges]
-        self.diffs = diffs
-        if len(diffs) != len(self.charges) - 1:
-            raise ValueError("need one differential per adjacent pair")
-
-    @property
-    def length(self):
-        return len(self.charges) - 1
-
-    def verify(self):
-        """Composites vanish and all entries are charge homogeneous."""
-        for k in range(len(self.diffs) - 1):
-            if not poly_mat_is_zero(poly_mat_mul(self.diffs[k], self.diffs[k + 1])):
-                return False
-        for k, mat in enumerate(self.diffs):
-            tgt, src = self.charges[k], self.charges[k + 1]
-            for i, ci in enumerate(tgt):
-                for j, cj in enumerate(src):
-                    e = mat[i][j]
-                    if not e.is_zero() and e.homogeneous_charge() != cj + 1 - ci:
-                        return False
-        return True
+    E = free_module_mf(ring)
+    for a, b in pairs:
+        E = E.tensor(hypersurface_factor(ring, a, b))
+    return E
 
 
-def koszul_complex(ring, elements):
-    """The Koszul complex of a list of homogeneous ring elements.
+def _anticommutator(X, Y):
+    """{column: {row: coefficient}} of XY + YX for signed partial maps X and
+    Y (column -> (row, sign)), without zero coefficients or empty columns."""
+    out = {}
+    for P, Q in ((X, Y), (Y, X)):
+        for c, (r, s) in Q.items():
+            if r in P:
+                r2, s2 = P[r]
+                col = out.setdefault(c, {})
+                col[r2] = col.get(r2, 0) + s * s2
+    return {c: nz for c, col in out.items() if (nz := {r: v for r, v in col.items() if v})}
 
-    The generator indexed by a subset I sits in term |I| with charge
-    sum(charge(f_i) - 1 for i in I).
+
+def koszul_certificate(E, pairs):
+    """Certify D * D = W * id for a Koszul factorization E of
+    W = sum_k a_k b_k from the entries of D, as an MFVerifyResult.
+
+    Name the 2h factor polynomials f_2k = a_k and f_2k+1 = b_k.  Every
+    nonzero D[r][c] must be +-f_j for exactly one j, so no two f_j may agree
+    up to sign (in characteristic 2 every E is refused), and each j may take
+    at most one entry per column.  That writes D = sum_j f_j X_j with integer
+    matrices X_j of entries 0 and +-1, each a signed partial map of columns
+    to rows.  The ring is commutative and the X_j are scalar, so
+
+        D * D = sum_j f_j^2 X_j^2 + sum_{j < l} f_j f_l (X_j X_l + X_l X_j),
+
+    and D * D = (sum_k a_k b_k) * id = W * id holds exactly, whatever the f_j
+    are, once X_j^2 = 0 for every j, {X_2k, X_2k+1} = id for every k,
+    {X_j, X_l} = 0 for every other j < l, and sum_k a_k b_k == E.W.  The
+    relations are checked over Z, so they hold over every field.  Each
+    product composes two partial maps in O(rank), O(h^2 rank) in all, after
+    one pass over the rank^2 slots of D; mf_verify instead forms the
+    polynomial product D * D.  The parity and charge rules of mf_verify
+    are checked on every nonzero entry, with the charge of f_j taken once,
+    and W must be homogeneous of charge 2.  The certificate reads the D that
+    was built, not the pairs it was meant to be built from, so a wrong sign,
+    a misplaced entry or a wrong factor in D fails it.
     """
-    s = len(elements)
-    charges_of = [f.homogeneous_charge() for f in elements]
-    if any(c is None for c in charges_of):
-        raise ValueError("Koszul inputs must be charge homogeneous")
-    charges = []
-    bases = []
-    for k in range(s + 1):
-        basis = list(combinations(range(s), k))
-        bases.append(basis)
-        charges.append(tuple(sum(charges_of[i] - 1 for i in I) for I in basis))
-    diffs = []
-    for k in range(s):
-        tgt, src = bases[k], bases[k + 1]
-        tidx = {I: t for t, I in enumerate(tgt)}
-        mat = _zmat(ring, len(tgt), len(src))
-        for j, J in enumerate(src):
-            for pos, i in enumerate(J):
-                I = tuple(a for a in J if a != i)
-                sign = -1 if pos % 2 else 1
-                mat[tidx[I]][j] = mat[tidx[I]][j] + elements[i] * sign
-        diffs.append(mat)
-    return GradedComplex(ring, charges, diffs)
+    factors = [f for pair in pairs for f in pair]
+    label = {}  # the coefficients of +-f_j: (j, sign)
+    for j, f in enumerate(factors):
+        for sign, g in ((1, f), (-1, -f)):
+            key = frozenset(g.coeffs.items())
+            if key in label:
+                return MFVerifyResult(False, "two factor polynomials agree up to sign",
+                                      {"factors": (label[key][0], j)})
+            label[key] = j, sign
+    W = sum((a * b for a, b in pairs), E.ring.zero())
+    if W != E.W:
+        return MFVerifyResult(False, "sum of a_k b_k differs from W",
+                              {"difference": repr(W - E.W)})
+    if not W.is_zero() and W.homogeneous_charge() != 2:
+        return MFVerifyResult(False, "W is not homogeneous of charge 2",
+                              {"charge": W.homogeneous_charge()})
+    charges = [f.homogeneous_charge() for f in factors]
+    X = [{} for _ in factors]
+    for r, row in enumerate(E.D):
+        pr, cr = E.gens[r]
+        for c, e in enumerate(row):
+            if not e.coeffs:
+                continue
+            hit = label.get(frozenset(e.coeffs.items()))
+            if hit is None:
+                return MFVerifyResult(False, "D entry is no factor polynomial up to sign",
+                                      {"entry": (r, c)})
+            j, sign = hit
+            if c in X[j]:
+                return MFVerifyResult(False, "a factor polynomial fills two entries of one column",
+                                      {"entry": (r, c), "factor": j})
+            X[j][c] = r, sign
+            pc, cc = E.gens[c]
+            if pr == pc:
+                return MFVerifyResult(False, "D entry joins generators of equal parity",
+                                      {"entry": (r, c), "parity": pr})
+            if charges[j] != cc + 1 - cr:
+                return MFVerifyResult(False, "D entry charge mismatch",
+                                      {"entry": (r, c), "expected": cc + 1 - cr,
+                                       "got": charges[j]})
+    identity = {c: {c: 1} for c in range(E.rank)}
+    for j, Xj in enumerate(X):
+        if any(r in Xj for r, _ in Xj.values()):
+            return MFVerifyResult(False, "X_j * X_j is not zero", {"factor": j})
+        for l in range(j + 1, len(X)):
+            want = identity if j % 2 == 0 and l == j + 1 else {}
+            if _anticommutator(Xj, X[l]) != want:
+                return MFVerifyResult(False, "Clifford relation fails", {"factors": (j, l)})
+    return MFVerifyResult(True, parity_consistent=all(c % 2 == p for p, c in E.gens))
 
 
-def random_cubic_superpotential(field, d, seed):
-    """A seeded W = sum_i p_i q_i(x) to fold the Koszul complex of the p_i into.
+def model_koszul_pairs(model):
+    """(ring, pairs, W) over Q for the model's superpotential
+    W(x, p) = sum_i p_i Q_i(x), the step-1 object of Knorrer periodicity.
 
-    The ring has p0..p{d-1} of charge 2 and x0..x{d-1} of charge 0.  Each
-    quadric q_i is a sum of three terms c x_a x_b, drawn from
-    random.Random(seed) in the order a, b, c with c in 1..5.  Returns (ring, W).
+    The ring has p0..p{d-1} of charge 2 and the coordinates u0..u{d-1},
+    v0..v{d-1} of the two columns of x, of charge 0.  pairs holds (p_i, Q_i)
+    with Q_i = A_i(u wedge v) = sum_c A[i][c] (u_a v_b - u_b v_a) over the
+    wedge pairs (a, b) of the columns c of A.  W = u omega_p v^T is summed
+    apart, term p_i u_a v_b by term from the coefficient tensor, so
+    W == sum_i p_i Q_i compares two readings of A.  Only the integer A is
+    read, whatever the model's field.
     """
-    names = tuple(f"p{i}" for i in range(d)) + tuple(f"x{i}" for i in range(d))
-    ring = PolyRing(field, names, (2,) * d + (0,) * d)
-    rng = random.Random(seed)
-    W = ring.zero()
-    for i in range(d):
-        for _ in range(3):
-            a, b = rng.randrange(d), rng.randrange(d)
-            W = W + ring.var(i) * ring.var(d + a) * ring.var(d + b) * rng.randint(1, 5)
-    return ring, W
-
-
-def _solve_lift(ring, U, B, level):
-    """Solve U @ X = B over the ring, column by column.
-
-    The unknown support is found by closing the right-hand side's monomial
-    support under division by monomials of U, and the rows under the images
-    of the unknowns; _sparse_map reads each closure off as one exact linear
-    system over the ground field.  For the structured differentials this
-    package feeds in, the closures stay small.  Raises LiftObstruction when
-    a column is inconsistent.
-
-    Every column's system is built first, and _solutions solves them all,
-    one stacked modq.solve per system shape; its None is an exact verdict
-    over either field.  koszul_perturb's output is certified again by
-    mf_verify anyway.
-    """
-    F = ring.field
-    divides = ring.divides
-    nrows = len(B)
-    nmid = len(U[0]) if U and U[0] else 0
-    ncols = len(B[0]) if B else 0
-    X = _zmat(ring, nmid, ncols)
-    images = {}  # t: the terms (i, monomial, coefficient) of column t of U
-    by_row = {}  # i: the terms (t, monomial) of row i of U
-    for i in range(len(U)):
-        for t in range(nmid):
-            e = U[i][t]
-            if not e.is_zero():
-                images.setdefault(t, []).extend((i, mu, c) for mu, c in e.coeffs.items())
-                by_row.setdefault(i, []).extend((t, mu) for mu in e.coeffs)
-    columns = []
-    for j in range(ncols):
-        rhs = {}
-        for i in range(nrows):
-            for m, c in B[i][j].coeffs.items():
-                rhs[(i, m)] = c
-        if not rhs:
-            continue
-        unknowns = {}
-        rows = {}
-        frontier = list(rhs)
-        while frontier:
-            fresh = []
-            for (i, m) in frontier:
-                if (i, m) in rows:
-                    continue
-                rows[(i, m)] = len(rows)
-                for (t, mu) in by_row.get(i, []):
-                    if divides(mu, m):
-                        key = (t, m - mu)
-                        if key not in unknowns:
-                            unknowns[key] = len(unknowns)
-                            fresh.append(key)
-            frontier = []
-            for (t, m) in fresh:
-                for (i, mu, _) in images[t]:
-                    key = (i, m + mu)
-                    if key not in rows:
-                        frontier.append(key)
-        vec = [F.zero] * len(rows)
-        for key, c in rhs.items():
-            vec[rows[key]] = c
-        columns.append((j, rhs, unknowns, (*_sparse_map(list(unknowns), rows, images), vec)))
-    sols = _solutions(F, [system for *_, system in columns])
-    for (j, rhs, unknowns, _), sol in zip(columns, sols):
-        if sol is None:
-            raise LiftObstruction(level, j, min(sum(ring.unpack(m)) for (_, m) in rhs))
-        for (t, m), col in unknowns.items():
-            c = sol[col]
-            if not F.is_zero(c):
-                X[t][j] = X[t][j] + Poly(ring, {m: c})
-    return X
-
-
-def koszul_perturb(C, W):
-    """Fold a resolution into a matrix factorization of W.
-
-    Correction maps raising the homological index by 1, 3, 5, ... are solved
-    for order by order, lowest internal degree first.  Each step is a lifting
-    problem through the next differential; the lifts exist exactly when the
-    complex is exact in positive degrees and W annihilates the resolved
-    cokernel, and a failed lift raises LiftObstruction with the offending
-    degree.  With W = 0 no corrections are needed and the complex comes back
-    folded but otherwise unchanged.
-    """
-    ring = C.ring
-    L = C.length
-    sigmas = {}
-    if not W.is_zero():
-        j = 0
-        while True:
-            j += 1
-            raise_by = 2 * j - 1
-            if raise_by > L + 1:
-                break
-            prev = None
-            solved_any = False
-            for k in range(L + 1):
-                target = k + raise_by - 1
-                if target > L:
-                    prev = None
-                    continue
-                nt = len(C.charges[target])
-                nk = len(C.charges[k])
-                rhs = _zmat(ring, nt, nk)
-                if j == 1:
-                    for i in range(nk):
-                        rhs[i][i] = W
-                else:
-                    for a in range(1, j):
-                        b = j - a
-                        sa = sigmas.get((a, k + 2 * b - 1))
-                        sb = sigmas.get((b, k))
-                        if sa is not None and sb is not None:
-                            prod = poly_mat_mul(sa, sb)
-                            for r in range(nt):
-                                for c2 in range(nk):
-                                    rhs[r][c2] = rhs[r][c2] - prod[r][c2]
-                if prev is not None and k >= 1:
-                    corr = poly_mat_mul(prev, C.diffs[k - 1])
-                    for r in range(nt):
-                        for c2 in range(nk):
-                            rhs[r][c2] = rhs[r][c2] - corr[r][c2]
-                if k + raise_by > L:
-                    # no room to lift: the identity must already hold
-                    if any(not e.is_zero() for row in rhs for e in row):
-                        raise LiftObstruction(k, -1,
-                                              max(e.degree() for row in rhs
-                                                  for e in row if not e.is_zero()))
-                    prev = None
-                    continue
-                X = _solve_lift(ring, C.diffs[target], rhs, level=k)
-                prev = X
-                if any(not e.is_zero() for row in X for e in row):
-                    sigmas[(j, k)] = X
-                    solved_any = True
-            if not solved_any:
-                break
-
-    gens = []
-    offsets = []
-    for k in range(L + 1):
-        offsets.append(len(gens))
-        gens.extend((k % 2, c) for c in C.charges[k])
-    n = len(gens)
-    D = _zmat(ring, n, n)
-    for k in range(L):
-        for i, row in enumerate(C.diffs[k]):
-            for j2, e in enumerate(row):
-                if not e.is_zero():
-                    D[offsets[k] + i][offsets[k + 1] + j2] = e
-    for (j, k), mat in sigmas.items():
-        tgt = k + 2 * j - 1
-        for i, row in enumerate(mat):
-            for j2, e in enumerate(row):
-                if not e.is_zero():
-                    D[offsets[tgt] + i][offsets[k] + j2] = e
-    return MatrixFactorization(ring, W, gens, D)
+    d = model.d
+    ring = PolyRing(QQ, [f"{s}{i}" for s in "puv" for i in range(d)],
+                    (2,) * d + (0,) * (2 * d))
+    unit = [1 << s for s in ring.shifts]
+    p, u, v = unit[:d], unit[d:2 * d], unit[2 * d:]
+    pairs = []
+    for i, row in enumerate(model.A):
+        Q = {}
+        for (a, b), c in zip(model.pairs, row):
+            if c:
+                Q[u[a] + v[b]] = c
+                Q[u[b] + v[a]] = -c
+        pairs.append((ring.var(i), Poly(ring, Q)))
+    T = model.coefficient_tensor()
+    W = Poly(ring, {p[i] + u[a] + v[b]: T[i][a][b] for i in range(d)
+                    for a in range(d) for b in range(d) if T[i][a][b]})
+    return ring, pairs, W
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +498,7 @@ def hom_ext_truncated(E, F, trunc):
         raise ValueError(
             "morphism computations need every variable charge >= 1 "
             "(renormalize the charge torus; weight-0 conventions are only "
-            "supported by the verification and perturbation routines)")
+            "supported by mf_verify, koszul_perturb and koszul_certificate)")
     base_charges = [cf - ce for (_, cf) in F.gens for (_, ce) in E.gens]
     cap = trunc - 2 + min(base_charges, default=0)
     return ExtResult(_ext_dims(E, F, cap), trunc, cap)
@@ -969,7 +828,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
 
     In the adapted basis the cutters c_i(x) = (B m_i) . x and the duals
     a_i(x) = (B n_i) . x are the coordinates along n_i and m_i, so
-    W_p = 2 sum_i a_i c_i and E = tensor_i hypersurface_factor(c_i, 2 a_i)
+    W_p = 2 sum_i a_i c_i and E = koszul_perturb on the pairs (c_i, 2 a_i)
     is the Koszul complex on the cutters with its perturbation.  Soundness:
     E.W == W_p is a polynomial identity and mf_verify checks D * D = W * id
     exactly, so E factors W_p whatever built it; the Gram certificate makes
@@ -1024,9 +883,8 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     # model-level certificate: the closed-form factorization of W_p itself
     ring = PolyRing(F, tuple(f"x{i}" for i in range(n)), (1,) * n)
     W_p = sum((ring.var(a) * f for a, f in enumerate(_linear_forms(ring, B))), ring.zero())
-    E = free_module_mf(ring)
-    for cutter, dual in zip(_linear_forms(ring, pairing), _linear_forms(ring, ns @ B % q)):
-        E = E.tensor(hypersurface_factor(ring, cutter, dual * 2))
+    E = koszul_perturb(ring, [(cutter, dual * 2) for cutter, dual in zip(
+        _linear_forms(ring, pairing), _linear_forms(ring, ns @ B % q))])
     full_ok = split_ok and E.W == W_p and bool(mf_verify(E))
 
     invariant_dims = reps.sl2_invariant_dims(3, cap)

@@ -12,11 +12,14 @@ variable i owns the 16-bit field at bit 16 i of one int, exponents stay below
 the sum of two keys never carries between fields: it encodes the exponent
 sum injectively, and is a valid key exactly when no guard bit is set.
 Products test that with one AND and raise OverflowError, never yielding a
-wrong monomial.  The key sums in pfgr.mf add two valid keys.  Each sum is
-looked up among valid keys by one helper, mf._sparse_map, where a miss
-raises KeyError, or is used as a row label by the _solve_lift closure, so
-no sum there can alias another monomial.  Printing unpacks and sorts terms by
-exponent tuple, so it does not depend on the packing.
+wrong monomial.  The key sums in pfgr.mf add two valid keys, looked up
+among valid keys by one helper, mf._sparse_map, where a miss raises
+KeyError, so no sum there can alias another monomial; mf.model_koszul_pairs
+adds unit keys of distinct variables, each a valid key.  Printing unpacks
+and sorts terms by exponent tuple, so it does not depend on the packing.
+
+A polynomial is never changed after it is made, so one object may sit in
+many places: the zero polynomial plus f is f itself.
 """
 
 from itertools import combinations_with_replacement
@@ -131,6 +134,8 @@ class Poly:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if not self.coeffs:
+            return other
         F = self.ring.field
         zero = F.zero
         out = dict(self.coeffs)

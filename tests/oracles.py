@@ -9,16 +9,28 @@ the negative-twist sweeps of the BBW tests lean on.  The window tables
 ext_table_X2_direct and hom0_frakX_direct decompose each twisted character
 afresh, with no cache and no twist shift, and take Sym^d(S^(+n)) from
 newton_sym_characters, not from the closed form in pfgr.reps.
+
+koszul_fold is the general route to a Koszul factorization that
+mf.koszul_perturb writes in closed form: it folds a resolution into W by
+solving lifting problems degree by degree (_solve_lift, _solutions), and
+raises LiftObstruction when a lift does not exist.  Its systems reuse the
+stacking and the exact certificates of pfgr.mf; random_cubic_superpotential
+is the seeded W its tests fold.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from pfgr import bbw, linalg, modq
 from pfgr.geometry import perfect_matchings
+from pfgr.mf import (MatrixFactorization, _in_kernel, _modular, _rational, _sparse_map,
+                     _stacks, _zmat)
+from pfgr.poly import Poly, PolyRing, poly_mat_is_zero, poly_mat_mul
 from pfgr.reps import GL2Weight, char_add, char_mul, diagonal_isotypic
 
 
@@ -203,3 +215,305 @@ def hom0_frakX_direct(b1, b2, n, x_cutoff, p_cutoff):
             if inv:
                 out[(d_x, d_p)] = inv * comb(d_p + n - 1, n - 1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the Koszul fold: the general lifting solver that mf.koszul_perturb's closed
+# form is cross-checked against
+
+
+def dense(field, shape, entries):
+    """The dense matrix over the field summed from sparse (row, col, value)
+    entries."""
+    mat = [[field.zero] * shape[1] for _ in range(shape[0])]
+    for r, c, v in entries:
+        mat[r][c] = field.add(mat[r][c], v)
+    return mat
+
+
+def _exact_solution(field, shape, entries, vec):
+    """One solution of the sparse system by linalg.solve, or None."""
+    return linalg.solve(field, dense(field, shape, entries), vec)
+
+
+class LiftObstruction(RuntimeError):
+    def __init__(self, level, column, degree):
+        super().__init__(
+            f"lifting failed at level {level}, column {column}, degree {degree}")
+        self.level = level
+        self.column = column
+        self.degree = degree
+
+    def __reduce__(self):
+        return LiftObstruction, (self.level, self.column, self.degree)
+
+
+def _solutions(field, systems):
+    """One solution over the field of each sparse system (shape, entries,
+    vec), U x = vec, as a list of field elements, or None when the system is
+    inconsistent.
+
+    The augmented systems [U | b] are stacked by shape mod p (_modular) and
+    solved by one modq.solve per shape; a system without entries (U = 0 and
+    b = 0) gets x = 0.  Over F_q each answer, x or None, is exact.  Over Q,
+    p = EN_PRIME and x is rebuilt by _rational; it is a solution exactly when
+    [U | b] (x, -1) = 0 over Z, which _in_kernel checks on the scaled integer
+    rows (-1 is the residue p - 1).  A system inconsistent mod p, or whose x
+    fails this check (x may lie beyond the reconstruction bound sqrt(p/2)),
+    is solved again by _exact_solution, so None is always the exact verdict
+    over Q.
+    """
+    augmented = [((m, n + 1), entries + [(r, n, b) for r, b in enumerate(vec) if b])
+                 for (m, n), entries, vec in systems]
+    p, ints = _modular(field, augmented)
+    out = [[field.zero] * n for (_, n), *_ in systems]
+    for idx, aug in _stacks(ints, p).values():
+        for i, x in zip(idx, modq.solve(aug[:, :, :-1], aug[:, :, -1], p)):
+            (m, _), rows = ints[i]
+            if field.characteristic:
+                out[i] = None if x is None else x.tolist()
+            elif x is not None and _in_kernel(m, rows, np.append(x, p - 1)[None], p):
+                out[i] = [_rational(a, p) for a in x.tolist()]
+            else:
+                out[i] = _exact_solution(field, *systems[i])
+    return out
+
+
+class GradedComplex:
+    """Free modules F_0..F_L with differentials d_k: F_{k+1} -> F_k.
+
+    Generator charges follow the convention that makes every differential
+    have charge 1 (entry charge = source charge + 1 - target charge).
+    """
+
+    def __init__(self, ring, charges, diffs):
+        self.ring = ring
+        self.charges = [tuple(c) for c in charges]
+        self.diffs = diffs
+        if len(diffs) != len(self.charges) - 1:
+            raise ValueError("need one differential per adjacent pair")
+
+    @property
+    def length(self):
+        return len(self.charges) - 1
+
+    def verify(self):
+        """Composites vanish and all entries are charge homogeneous."""
+        for k in range(len(self.diffs) - 1):
+            if not poly_mat_is_zero(poly_mat_mul(self.diffs[k], self.diffs[k + 1])):
+                return False
+        for k, mat in enumerate(self.diffs):
+            tgt, src = self.charges[k], self.charges[k + 1]
+            for i, ci in enumerate(tgt):
+                for j, cj in enumerate(src):
+                    e = mat[i][j]
+                    if not e.is_zero() and e.homogeneous_charge() != cj + 1 - ci:
+                        return False
+        return True
+
+
+def koszul_complex(ring, elements):
+    """The Koszul complex of a list of homogeneous ring elements.
+
+    The generator indexed by a subset I sits in term |I| with charge
+    sum(charge(f_i) - 1 for i in I).
+    """
+    s = len(elements)
+    charges_of = [f.homogeneous_charge() for f in elements]
+    if any(c is None for c in charges_of):
+        raise ValueError("Koszul inputs must be charge homogeneous")
+    charges = []
+    bases = []
+    for k in range(s + 1):
+        basis = list(combinations(range(s), k))
+        bases.append(basis)
+        charges.append(tuple(sum(charges_of[i] - 1 for i in I) for I in basis))
+    diffs = []
+    for k in range(s):
+        tgt, src = bases[k], bases[k + 1]
+        tidx = {I: t for t, I in enumerate(tgt)}
+        mat = _zmat(ring, len(tgt), len(src))
+        for j, J in enumerate(src):
+            for pos, i in enumerate(J):
+                I = tuple(a for a in J if a != i)
+                sign = -1 if pos % 2 else 1
+                mat[tidx[I]][j] = mat[tidx[I]][j] + elements[i] * sign
+        diffs.append(mat)
+    return GradedComplex(ring, charges, diffs)
+
+
+def random_cubic_superpotential(field, d, seed):
+    """A seeded W = sum_i p_i q_i(x) to fold the Koszul complex of the p_i into.
+
+    The ring has p0..p{d-1} of charge 2 and x0..x{d-1} of charge 0.  Each
+    quadric q_i is a sum of three terms c x_a x_b, drawn from
+    random.Random(seed) in the order a, b, c with c in 1..5.  Returns (ring, W).
+    """
+    names = tuple(f"p{i}" for i in range(d)) + tuple(f"x{i}" for i in range(d))
+    ring = PolyRing(field, names, (2,) * d + (0,) * d)
+    rng = random.Random(seed)
+    W = ring.zero()
+    for i in range(d):
+        for _ in range(3):
+            a, b = rng.randrange(d), rng.randrange(d)
+            W = W + ring.var(i) * ring.var(d + a) * ring.var(d + b) * rng.randint(1, 5)
+    return ring, W
+
+
+def _solve_lift(ring, U, B, level):
+    """Solve U @ X = B over the ring, column by column.
+
+    The unknown support is found by closing the right-hand side's monomial
+    support under division by monomials of U, and the rows under the images
+    of the unknowns; _sparse_map reads each closure off as one exact linear
+    system over the ground field.  For the structured differentials this
+    package feeds in, the closures stay small.  Raises LiftObstruction when
+    a column is inconsistent.
+
+    Every column's system is built first, and _solutions solves them all,
+    one stacked modq.solve per system shape; its None is an exact verdict
+    over either field.  koszul_fold's output is certified again by
+    mf_verify anyway.
+    """
+    F = ring.field
+    divides = ring.divides
+    nrows = len(B)
+    nmid = len(U[0]) if U and U[0] else 0
+    ncols = len(B[0]) if B else 0
+    X = _zmat(ring, nmid, ncols)
+    images = {}  # t: the terms (i, monomial, coefficient) of column t of U
+    by_row = {}  # i: the terms (t, monomial) of row i of U
+    for i in range(len(U)):
+        for t in range(nmid):
+            e = U[i][t]
+            if not e.is_zero():
+                images.setdefault(t, []).extend((i, mu, c) for mu, c in e.coeffs.items())
+                by_row.setdefault(i, []).extend((t, mu) for mu in e.coeffs)
+    columns = []
+    for j in range(ncols):
+        rhs = {}
+        for i in range(nrows):
+            for m, c in B[i][j].coeffs.items():
+                rhs[(i, m)] = c
+        if not rhs:
+            continue
+        unknowns = {}
+        rows = {}
+        frontier = list(rhs)
+        while frontier:
+            fresh = []
+            for (i, m) in frontier:
+                if (i, m) in rows:
+                    continue
+                rows[(i, m)] = len(rows)
+                for (t, mu) in by_row.get(i, []):
+                    if divides(mu, m):
+                        key = (t, m - mu)
+                        if key not in unknowns:
+                            unknowns[key] = len(unknowns)
+                            fresh.append(key)
+            frontier = []
+            for (t, m) in fresh:
+                for (i, mu, _) in images[t]:
+                    key = (i, m + mu)
+                    if key not in rows:
+                        frontier.append(key)
+        vec = [F.zero] * len(rows)
+        for key, c in rhs.items():
+            vec[rows[key]] = c
+        columns.append((j, rhs, unknowns, (*_sparse_map(list(unknowns), rows, images), vec)))
+    sols = _solutions(F, [system for *_, system in columns])
+    for (j, rhs, unknowns, _), sol in zip(columns, sols):
+        if sol is None:
+            raise LiftObstruction(level, j, min(sum(ring.unpack(m)) for (_, m) in rhs))
+        for (t, m), col in unknowns.items():
+            c = sol[col]
+            if not F.is_zero(c):
+                X[t][j] = X[t][j] + Poly(ring, {m: c})
+    return X
+
+
+def koszul_fold(C, W):
+    """Fold a resolution into a matrix factorization of W.
+
+    Correction maps raising the homological index by 1, 3, 5, ... are solved
+    for order by order, lowest internal degree first.  Each step is a lifting
+    problem through the next differential; the lifts exist exactly when the
+    complex is exact in positive degrees and W annihilates the resolved
+    cokernel, and a failed lift raises LiftObstruction with the offending
+    degree.  With W = 0 no corrections are needed and the complex comes back
+    folded but otherwise unchanged.
+    """
+    ring = C.ring
+    L = C.length
+    sigmas = {}
+    if not W.is_zero():
+        j = 0
+        while True:
+            j += 1
+            raise_by = 2 * j - 1
+            if raise_by > L + 1:
+                break
+            prev = None
+            solved_any = False
+            for k in range(L + 1):
+                target = k + raise_by - 1
+                if target > L:
+                    prev = None
+                    continue
+                nt = len(C.charges[target])
+                nk = len(C.charges[k])
+                rhs = _zmat(ring, nt, nk)
+                if j == 1:
+                    for i in range(nk):
+                        rhs[i][i] = W
+                else:
+                    for a in range(1, j):
+                        b = j - a
+                        sa = sigmas.get((a, k + 2 * b - 1))
+                        sb = sigmas.get((b, k))
+                        if sa is not None and sb is not None:
+                            prod = poly_mat_mul(sa, sb)
+                            for r in range(nt):
+                                for c2 in range(nk):
+                                    rhs[r][c2] = rhs[r][c2] - prod[r][c2]
+                if prev is not None and k >= 1:
+                    corr = poly_mat_mul(prev, C.diffs[k - 1])
+                    for r in range(nt):
+                        for c2 in range(nk):
+                            rhs[r][c2] = rhs[r][c2] - corr[r][c2]
+                if k + raise_by > L:
+                    # no room to lift: the identity must already hold
+                    if any(not e.is_zero() for row in rhs for e in row):
+                        raise LiftObstruction(k, -1,
+                                              max(e.degree() for row in rhs
+                                                  for e in row if not e.is_zero()))
+                    prev = None
+                    continue
+                X = _solve_lift(ring, C.diffs[target], rhs, level=k)
+                prev = X
+                if any(not e.is_zero() for row in X for e in row):
+                    sigmas[(j, k)] = X
+                    solved_any = True
+            if not solved_any:
+                break
+
+    gens = []
+    offsets = []
+    for k in range(L + 1):
+        offsets.append(len(gens))
+        gens.extend((k % 2, c) for c in C.charges[k])
+    n = len(gens)
+    D = _zmat(ring, n, n)
+    for k in range(L):
+        for i, row in enumerate(C.diffs[k]):
+            for j2, e in enumerate(row):
+                if not e.is_zero():
+                    D[offsets[k] + i][offsets[k + 1] + j2] = e
+    for (j, k), mat in sigmas.items():
+        tgt = k + 2 * j - 1
+        for i, row in enumerate(mat):
+            for j2, e in enumerate(row):
+                if not e.is_zero():
+                    D[offsets[tgt] + i][offsets[k] + j2] = e
+    return MatrixFactorization(ring, W, gens, D)

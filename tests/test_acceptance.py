@@ -164,7 +164,7 @@ def test_criterion_09_normal_map(model):
     c.done()
 
 
-def test_criterion_10_mf_engine():
+def test_criterion_10_mf_engine(model):
     c = Criterion(10, 60, "factorization engine identities")
     # the basic point-like object at stabilized truncation
     ring = PolyRing(QQ, ("x1", "x2"), (1, 1))
@@ -176,15 +176,12 @@ def test_criterion_10_mf_engine():
     assert mf.mf_verify(stab).ok
     assert mf.hom_ext_truncated(stab, E, 6).capped() == {}
     assert mf.hom_ext_truncated(E, stab, 6).capped() == {}
-    # perturbed resolutions satisfy the square identity exactly
-    ring2 = PolyRing(QQ, ("x1", "x2"), (0, 2))
-    E1 = mf.koszul_perturb(mf.koszul_complex(ring2, [ring2.var(0)]),
-                           ring2.var(0) * ring2.var(1))
-    assert mf.mf_verify(E1).ok
-    d = 7
-    ring3, W = mf.random_cubic_superpotential(QQ, d, 1)
-    E2 = mf.koszul_perturb(mf.koszul_complex(ring3, [ring3.var(i) for i in range(d)]), W)
-    assert E2.rank == 2 ** 7 and mf.mf_verify(E2).ok
+    # the model's Koszul factorization squares to its W exactly, by the
+    # Clifford certificate and by the full product D * D
+    ring2, pairs, W = mf.model_koszul_pairs(model)
+    K = mf.koszul_perturb(ring2, pairs)
+    assert K.rank == 2 ** 7 and K.W == W
+    assert mf.koszul_certificate(K, pairs).ok and mf.mf_verify(K).ok
     # the determinantal resolution: term ranks and exactness through degree 8
     res = mf.eagon_northcott_check(c=4, degree_cutoff=8)
     assert res.term_ranks == (1, 6, 8, 3) and res.exact

@@ -101,7 +101,8 @@ def test_mf_checks_report_the_truncation_they_ran_at(tmp_path):
 @pytest.mark.parametrize("field", [[], ["--field", "QQ"]], ids=["default", "QQ"])
 def test_mf_checks_report_the_field_they_ran_over(tmp_path, field):
     """The fibre runs on the working model over F_101; the other five mf
-    checks run over Q whatever --field says."""
+    checks run over Q whatever --field says, koszul_perturb on the model's
+    Koszul factorization built from its integer A."""
     out = tmp_path / "mf.json"
     assert cli.main(["mf", "--d", "5", *field, "--out", str(out)]) == 0
     fields = {c["check_name"]: c["parameters"]["field"]
@@ -134,6 +135,33 @@ def test_mf_suite_report_entries(d, ranks, term_ranks, sym_degrees, coker, pairs
     want["mf.knorrer_fibre"] = {"field": "F101", "trunc": 6}, {**_FIBRE, "hyperbolic_pairs": pairs}
     assert got == want
     assert report.passed
+
+
+def test_koszul_check_verifies_only_the_toy_by_multiplication(monkeypatch):
+    """The koszul_perturb check hands mf_verify only the rank-2 toy; the
+    model's K of rank 2^d goes through the Clifford certificate.  With an
+    empty pool the fibre check verifies nothing, so every call seen is the
+    koszul check's."""
+    ranks, certified = [], []
+    real_verify, real_certificate = mf.mf_verify, mf.koszul_certificate
+
+    def verify(E):
+        ranks.append(E.rank)
+        return real_verify(E)
+
+    def certificate(E, pairs):
+        certified.append(E.rank)
+        return real_certificate(E, pairs)
+
+    monkeypatch.setattr(mf, "mf_verify", verify)
+    monkeypatch.setattr(mf, "koszul_certificate", certificate)
+    config = cli.SuiteConfig(d=7, suites=("mf",))
+    report = cli.Report(config={})
+    cli.run_fibre_check(config, report, geometry.random_model(1, d=7), [])
+    checks = {c["check_name"]: c for c in report.checks}
+    assert checks["mf.koszul_perturb"]["verdict"] == "pass"
+    assert checks["mf.koszul_perturb"]["witness"] == {"ranks": [2, 128]}
+    assert ranks == [2] and certified == [128]
 
 
 def test_window_text_summary_times_the_shared_pass():
@@ -552,14 +580,26 @@ def test_worker_exception_is_raised_in_the_caller(monkeypatch):
     _no_child_left()
 
 
+class LiftFailure(RuntimeError):
+    """An exception whose constructor takes fields, not its message, and
+    that pickles through __reduce__, as a lifting obstruction does."""
+
+    def __init__(self, level, column, degree):
+        super().__init__(f"lifting failed at level {level}, column {column}, degree {degree}")
+        self.level, self.column, self.degree = level, column, degree
+
+    def __reduce__(self):
+        return LiftFailure, (self.level, self.column, self.degree)
+
+
 def test_worker_lift_obstruction_arrives_as_itself(monkeypatch):
-    """A LiftObstruction raised in the forked worker pickles as itself and
-    reaches the caller with its level, column and degree."""
+    """An exception with fields, raised in the forked worker, pickles as
+    itself and reaches the caller with its level, column and degree."""
     def broken(**kwargs):
-        raise mf.LiftObstruction(1, 2, 3)
+        raise LiftFailure(1, 2, 3)
 
     monkeypatch.setattr(mf, "eagon_northcott_check", broken)
-    with pytest.raises(mf.LiftObstruction,
+    with pytest.raises(LiftFailure,
                        match="lifting failed at level 1, column 2, degree 3") as raised:
         cli.run(cli.SuiteConfig(d=5, samples=20))
     assert (raised.value.level, raised.value.column, raised.value.degree) == (1, 2, 3)

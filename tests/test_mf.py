@@ -11,11 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from pfgr import geometry, linalg, mf
 from pfgr.fields import QQ, PrimeField, RationalField
-from pfgr.mf import (GradedComplex, LiftObstruction, MatrixFactorization,
-                     eagon_northcott_check, free_module_mf, hom_ext_truncated,
-                     hypersurface_factor, knorrer_rank_check, koszul_complex,
-                     koszul_perturb, mf_verify, zero_locus_stabilization)
+from pfgr.mf import (MatrixFactorization, eagon_northcott_check, free_module_mf,
+                     hom_ext_truncated, hypersurface_factor, knorrer_rank_check,
+                     koszul_certificate, koszul_perturb, mf_verify, model_koszul_pairs,
+                     zero_locus_stabilization)
 from pfgr.poly import Poly, PolyRing
+
+import oracles
+from oracles import (GradedComplex, LiftObstruction, dense, koszul_complex, koszul_fold,
+                     random_cubic_superpotential)
 
 
 def plane_ring(charges=(1, 1)):
@@ -357,11 +361,24 @@ def _spy_exact_system(monkeypatch):
     shapes = []
     real = mf._exact_system
 
-    def spy(field, shape, entries, rhs=None):
+    def spy(field, shape, entries):
         shapes.append(shape)
-        return real(field, shape, entries, rhs)
+        return real(field, shape, entries)
 
     monkeypatch.setattr(mf, "_exact_system", spy)
+    return shapes
+
+
+def _spy_exact_solution(monkeypatch):
+    """Record the shape of every system the fold oracle solves by linalg."""
+    shapes = []
+    real = oracles._exact_solution
+
+    def spy(field, shape, entries, vec):
+        shapes.append(shape)
+        return real(field, shape, entries, vec)
+
+    monkeypatch.setattr(oracles, "_exact_solution", spy)
     return shapes
 
 
@@ -427,7 +444,7 @@ def test_fractional_coefficients_are_scaled_to_integers(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# folding resolutions
+# folding resolutions: the oracle koszul_fold
 
 
 def test_koszul_complex_structure():
@@ -440,7 +457,7 @@ def test_koszul_complex_structure():
 def test_perturb_recovers_two_periodic():
     ring = plane_ring((0, 2))
     x1, x2, zero = ring.var(0), ring.var(1), ring.zero()
-    E = koszul_perturb(koszul_complex(ring, [x1]), x1 * x2)
+    E = koszul_fold(koszul_complex(ring, [x1]), x1 * x2)
     assert mf_verify(E).ok and E.rank == 2
     assert E.D == [[zero, x1], [x2, zero]]
 
@@ -448,7 +465,7 @@ def test_perturb_recovers_two_periodic():
 def test_perturb_zero_superpotential_returns_fold():
     ring = plane_ring((0, 2))
     C = koszul_complex(ring, [ring.var(0)])
-    E = koszul_perturb(C, ring.zero())
+    E = koszul_fold(C, ring.zero())
     assert mf_verify(E).ok
     assert E.D == [[ring.zero(), *C.diffs[0][0]], [ring.zero()] * 2]
 
@@ -470,7 +487,7 @@ def test_perturb_koszul_stabilization_chart():
             mono[d + b] += 1
             quad = quad + Poly(ring, {ring.pack(mono): QQ.of_int(rng.randint(1, 5))})
         W = W + quad * ring.var(i)
-    E = koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
+    E = koszul_fold(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
     assert E.rank == 2 ** d
     res = mf_verify(E)
     assert res.ok and res.parity_consistent
@@ -482,15 +499,15 @@ def test_perturb_obstruction_reported(monkeypatch):
     x1, x2 = ring.var(0), ring.var(1)
     C = koszul_complex(ring, [x2])
     answers = []
-    real = mf._exact_system
+    real = oracles._exact_solution
 
-    def spy(field, shape, entries, rhs=None):
-        answers.append(real(field, shape, entries, rhs))
+    def spy(field, shape, entries, vec):
+        answers.append(real(field, shape, entries, vec))
         return answers[-1]
 
-    monkeypatch.setattr(mf, "_exact_system", spy)
+    monkeypatch.setattr(oracles, "_exact_solution", spy)
     with pytest.raises(LiftObstruction) as err:
-        koszul_perturb(C, x1 * x1)
+        koszul_fold(C, x1 * x1)
     assert err.value.degree >= 0
     # the obstruction is the exact solver's verdict over Q, not the mod-p one
     assert answers and answers[-1] is None
@@ -504,8 +521,8 @@ def test_lift_obstruction_pickles_with_its_fields():
 
 
 def _perturb_cubic(d, seed=1):
-    ring, W = mf.random_cubic_superpotential(QQ, d, seed)
-    return koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
+    ring, W = random_cubic_superpotential(QQ, d, seed)
+    return koszul_fold(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
 
 
 def _differentials(E):
@@ -516,7 +533,7 @@ def _differentials(E):
 def test_modular_lifts_equal_rational_lifts(monkeypatch, d):
     """Lifts found mod p and checked over Q give the differentials the
     rational solver gives; at d = 7 no system needs the rational solver."""
-    fallbacks = _spy_exact_system(monkeypatch)
+    fallbacks = _spy_exact_solution(monkeypatch)
     fast = _perturb_cubic(d)
     if d == 7:
         assert not fallbacks
@@ -546,7 +563,7 @@ def test_failed_modular_lift_solves_only_that_system(monkeypatch):
         return xs
 
     monkeypatch.setattr(mf.modq, "solve", corrupting)
-    fallbacks = _spy_exact_system(monkeypatch)
+    fallbacks = _spy_exact_solution(monkeypatch)
     assert _differentials(_perturb_cubic(5)) == expected
     assert fallbacks == [solves[2], solves[4]]
 
@@ -556,7 +573,7 @@ def test_lift_systems_are_solved_one_stack_per_shape(monkeypatch):
     shape: 13 stacks for the 127 systems of the d = 7 cubic."""
     calls = []
     real_solve = mf.modq.solve
-    real_lift = mf._solve_lift
+    real_lift = oracles._solve_lift
 
     def counting_solve(mats, vecs, q):
         calls[-1].append(np.shape(mats))
@@ -567,8 +584,8 @@ def test_lift_systems_are_solved_one_stack_per_shape(monkeypatch):
         return real_lift(*args, **kwargs)
 
     monkeypatch.setattr(mf.modq, "solve", counting_solve)
-    monkeypatch.setattr(mf, "_solve_lift", counting_lift)
-    fallbacks = _spy_exact_system(monkeypatch)
+    monkeypatch.setattr(oracles, "_solve_lift", counting_lift)
+    fallbacks = _spy_exact_solution(monkeypatch)
     _perturb_cubic(7)
     assert not fallbacks
     for shapes in calls:
@@ -578,21 +595,14 @@ def test_lift_systems_are_solved_one_stack_per_shape(monkeypatch):
     assert sum(shape[0] for shape in stacks) == 127
 
 
-def _dense(field, shape, entries):
-    mat = [[field.zero] * shape[1] for _ in range(shape[0])]
-    for r, c, v in entries:
-        mat[r][c] = field.add(mat[r][c], v)
-    return mat
-
-
 def test_lifts_over_a_prime_field_are_stacked(monkeypatch):
     """Over F_101 each _solve_lift call makes one modq.solve per distinct
     system shape, returns linalg.solve's x for every system, and never needs
-    _exact_system; an inconsistent lift still raises LiftObstruction."""
+    _exact_solution; an inconsistent lift still raises LiftObstruction."""
     F = PrimeField(101)
     calls = []
     real_solve = mf.modq.solve
-    real_solutions = mf._solutions
+    real_solutions = oracles._solutions
 
     def counting_solve(mats, vecs, q):
         calls[-1].append(np.shape(mats))
@@ -602,14 +612,14 @@ def test_lifts_over_a_prime_field_are_stacked(monkeypatch):
         calls.append([])
         xs = real_solutions(field, systems)
         for (shape, entries, vec), x in zip(systems, xs):
-            assert x == linalg.solve(field, _dense(field, shape, entries), vec)
+            assert x == linalg.solve(field, dense(field, shape, entries), vec)
         return xs
 
     monkeypatch.setattr(mf.modq, "solve", counting_solve)
-    monkeypatch.setattr(mf, "_solutions", checking_solutions)
-    fallbacks = _spy_exact_system(monkeypatch)
-    ring, W = mf.random_cubic_superpotential(F, 5, 1)
-    E = koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(5)]), W)
+    monkeypatch.setattr(oracles, "_solutions", checking_solutions)
+    fallbacks = _spy_exact_solution(monkeypatch)
+    ring, W = random_cubic_superpotential(F, 5, 1)
+    E = koszul_fold(koszul_complex(ring, [ring.var(i) for i in range(5)]), W)
     assert mf_verify(E).ok
     assert calls and not fallbacks
     for shapes in calls:
@@ -618,7 +628,7 @@ def test_lifts_over_a_prime_field_are_stacked(monkeypatch):
     plane = PolyRing(F, ("x1", "x2"), (2, 0))
     x1, x2 = plane.var(0), plane.var(1)
     with pytest.raises(LiftObstruction):
-        koszul_perturb(koszul_complex(plane, [x2]), x1 * x1)
+        koszul_fold(koszul_complex(plane, [x2]), x1 * x1)
 
 
 class _FractionField(RationalField):
@@ -646,8 +656,8 @@ def test_integral_fold_equals_fraction_fold(d, seed):
     every coefficient is an int."""
     folds = []
     for field in (QQ, _FractionField()):
-        ring, W = mf.random_cubic_superpotential(field, d, seed)
-        E = koszul_perturb(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
+        ring, W = random_cubic_superpotential(field, d, seed)
+        E = koszul_fold(koszul_complex(ring, [ring.var(i) for i in range(d)]), W)
         assert mf_verify(E).ok
         folds.append(E)
     fast, oracle = folds
@@ -721,14 +731,14 @@ _P = Fraction(mf.EN_PRIME)
 # consistent over Q, x = 1/EN_PRIME, but inconsistent mod EN_PRIME
 @example((QQ, [((1, 1), [(0, 0, _P)], [Fraction(1)])]))
 def test_ranks_and_solutions_match_linalg(problem):
-    """_ranks equals linalg.rank; _solutions is None exactly when
-    linalg.solve is, any x solves U x = b exactly, and over F_q it is
-    linalg.solve's x."""
+    """mf._ranks equals linalg.rank; the fold oracle's _solutions is None
+    exactly when linalg.solve is, any x solves U x = b exactly, and over F_q
+    it is linalg.solve's x."""
     field, systems = problem
-    dense = [_dense(field, shape, entries) for shape, entries, _ in systems]
+    mats = [dense(field, shape, entries) for shape, entries, _ in systems]
     ranks = mf._ranks(field, [(shape, entries) for shape, entries, _ in systems])
-    assert ranks == [linalg.rank(field, mat) for mat in dense]
-    for mat, (_, _, b), x in zip(dense, systems, mf._solutions(field, systems)):
+    assert ranks == [linalg.rank(field, mat) for mat in mats]
+    for mat, (_, _, b), x in zip(mats, systems, oracles._solutions(field, systems)):
         want = linalg.solve(field, mat, b)
         assert (x is None) == (want is None)
         if x is not None:
@@ -1040,15 +1050,15 @@ def test_knorrer_rank_check_rejects_non_isotropic(model):
 
 
 def _fibre_spy(monkeypatch, n):
-    """Record the cutters that knorrer_rank_check passes to
+    """Record the (cutter, 2 * dual) pairs that knorrer_rank_check passes to
     hypersurface_factor on its n-variable ring, and every factorization it
     hands to mf_verify."""
-    cutters, verified = [], []
+    pairs, verified = [], []
     real_factor, real_verify = mf.hypersurface_factor, mf.mf_verify
 
     def factor(ring, f, g):
         if ring.nvars == n:
-            cutters.append(f)
+            pairs.append((f, g))
         return real_factor(ring, f, g)
 
     def verify(E):
@@ -1057,20 +1067,21 @@ def _fibre_spy(monkeypatch, n):
 
     monkeypatch.setattr(mf, "hypersurface_factor", factor)
     monkeypatch.setattr(mf, "mf_verify", verify)
-    return cutters, verified
+    return pairs, verified
 
 
 @pytest.mark.parametrize("d", [5, 7])
 def test_knorrer_closed_form_matches_the_fold(monkeypatch, model, d):
     """The closed-form factorization of W_p agrees with the Koszul complex
-    on the same cutters folded by koszul_perturb: both verify, share W and
-    rank 2^h, and have the same (parity, charge) generators.  W_p is built
-    here from the matrix of the form, entry by entry."""
+    on the same cutters folded by the oracle koszul_fold: both verify, share
+    W and rank 2^h, and have the same (parity, charge) generators.  W_p is
+    built here from the matrix of the form, entry by entry."""
     work = model if d == 7 else geometry.random_model(1, d=5)
     p = geometry.sample_y2_points(work, 101, 1, seed=18)[0]
     L = geometry.maximal_isotropic(work, p, seed=5)
-    cutters, verified = _fibre_spy(monkeypatch, 2 * d)
+    pairs, verified = _fibre_spy(monkeypatch, 2 * d)
     res = knorrer_rank_check(work, p, L, trunc=4)
+    cutters = [f for f, _ in pairs]
     assert res.full_rank_factorization_ok
     E = verified[-1]
     ring = E.ring
@@ -1078,7 +1089,7 @@ def test_knorrer_closed_form_matches_the_fold(monkeypatch, model, d):
     for a, row in enumerate(geometry.quadratic_form_matrix(work, p, 101).tolist()):
         for b, c in enumerate(row):
             W_p = W_p + ring.var(a) * ring.var(b) * c
-    fold = koszul_perturb(koszul_complex(ring, cutters), W_p)
+    fold = koszul_fold(koszul_complex(ring, cutters), W_p)
     h = res.hyperbolic_pairs
     assert len(cutters) == h
     assert mf_verify(fold) and mf_verify(E)
@@ -1112,3 +1123,164 @@ def test_free_module_endomorphisms_are_polynomials():
     ext = hom_ext_truncated(E, E, 6)
     for r in range(5):
         assert ext.dims.get((0, r), 0) == r + 1
+
+
+# ---------------------------------------------------------------------------
+# Koszul factorizations: the closed form and its Clifford certificate
+
+
+@pytest.fixture(scope="module")
+def model5():
+    return geometry.random_model(1, d=5)
+
+
+def _model_koszul(model):
+    ring, pairs, W = model_koszul_pairs(model)
+    return koszul_perturb(ring, pairs), pairs, W
+
+
+def _with_D(E, D, W=None):
+    return MatrixFactorization(E.ring, E.W if W is None else W, E.gens, D)
+
+
+def _entries(E):
+    return [(r, c) for r, row in enumerate(E.D) for c, e in enumerate(row) if e]
+
+
+def test_model_koszul_factorization_is_certified_at_d5(model5):
+    """At d = 5 the certificate and mf_verify agree on the model's K, and
+    both pairs readings of A give one W."""
+    K, pairs, W = _model_koszul(model5)
+    assert K.rank == 2 ** 5 and K.W == W
+    assert len(_entries(K)) == 5 * 2 ** 5
+    cert, full = koszul_certificate(K, pairs), mf_verify(K)
+    assert cert.ok and full.ok
+    assert cert.parity_consistent == full.parity_consistent
+
+
+def test_model_koszul_factorization_is_certified_at_d9():
+    """The model's K at d = 9, rank 512, is built and certified; mf_verify
+    would multiply 512^3 pairs of polynomials and is not run."""
+    K, pairs, W = _model_koszul(geometry.random_model(1, d=9, census_qs=(2,)))
+    assert K.rank == 2 ** 9 and K.W == W
+    assert koszul_certificate(K, pairs).ok
+
+
+def _flip_sign(E, pairs):
+    r, c = _entries(E)[7]
+    D = [list(row) for row in E.D]
+    D[r][c] = -D[r][c]
+    return _with_D(E, D), pairs
+
+
+def _move_entry(E, pairs):
+    """Move one entry f to a column of the same (parity, charge) that holds
+    no +-f, so only the Clifford relations can catch it."""
+    r, c = _entries(E)[7]
+    f = E.D[r][c]
+    c2 = next(j for j in range(E.rank) if E.gens[j] == E.gens[c]
+              and all(row[j] not in (f, -f) for row in E.D))
+    D = [list(row) for row in E.D]
+    D[r][c2], D[r][c] = D[r][c], E.ring.zero()
+    return _with_D(E, D), pairs
+
+
+def _scale_factor(E, pairs):
+    b = pairs[1][1]
+    D = [[e * 3 if e in (b, -b) else e for e in row] for row in E.D]
+    return _with_D(E, D), pairs
+
+
+def _foreign_entry(E, pairs):
+    r, c = _entries(E)[7]
+    D = [list(row) for row in E.D]
+    D[r][c] = D[r][c] + E.ring.var(0) * 5
+    return _with_D(E, D), pairs
+
+
+def _equal_up_to_sign(E, pairs):
+    pairs = [pairs[0], (-pairs[0][0], pairs[1][1])] + pairs[2:]
+    return koszul_perturb(E.ring, pairs), pairs
+
+
+def _wrong_W(E, pairs):
+    return _with_D(E, E.D, E.W + pairs[0][0] * pairs[0][1]), pairs
+
+
+@pytest.mark.parametrize("mutate,reason", [
+    (_flip_sign, "Clifford relation fails"),
+    (_move_entry, "Clifford relation fails"),
+    (_scale_factor, "D entry is no factor polynomial up to sign"),
+    (_foreign_entry, "D entry is no factor polynomial up to sign"),
+    (_equal_up_to_sign, "two factor polynomials agree up to sign"),
+    (_wrong_W, "sum of a_k b_k differs from W")])
+def test_koszul_certificate_refuses_mutations(model5, mutate, reason):
+    """Each mutation of the model's K at d = 5 is refused, for the reason
+    named.  All but two factors equal up to sign break D * D = W * id, and
+    mf_verify refuses those too; that one still factors its W, but its
+    entries cannot be read as one f_j each, so the certificate says no."""
+    K, pairs, _ = _model_koszul(model5)
+    E, pairs = mutate(K, pairs)
+    res = koszul_certificate(E, pairs)
+    assert not res.ok and res.reason == reason
+    assert bool(mf_verify(E)) == (mutate is _equal_up_to_sign)
+
+
+def test_koszul_certificate_refuses_a_doubled_column(model5):
+    """An entry of the same factor copied into an empty slot of its column
+    gives X_j two entries there, which the partial-map reading refuses."""
+    K, pairs, _ = _model_koszul(model5)
+    r, c = _entries(K)[7]
+    r2 = next(i for i in range(K.rank) if not K.D[i][c] and K.gens[i][0] == K.gens[r][0])
+    D = [list(row) for row in K.D]
+    D[r2][c] = D[r][c]
+    res = koszul_certificate(_with_D(K, D), pairs)
+    assert not res.ok and res.reason == "a factor polynomial fills two entries of one column"
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_koszul_certificate_agrees_on_the_knorrer_fibre(monkeypatch, model, model5, d):
+    """The knorrer_fibre factorization E over F_101, certified on the pairs
+    (c_i, 2 a_i) it was built from, passes both the certificate and
+    mf_verify."""
+    work = model if d == 7 else model5
+    p = geometry.sample_y2_points(work, 101, 1, seed=18)[0]
+    L = geometry.maximal_isotropic(work, p, seed=5)
+    pairs, verified = _fibre_spy(monkeypatch, 2 * d)
+    assert knorrer_rank_check(work, p, L, trunc=4).full_rank_factorization_ok
+    E = verified[-1]
+    assert len(pairs) and E.rank == 2 ** len(pairs)
+    assert koszul_certificate(E, pairs).ok and mf_verify(E).ok
+
+
+def test_closed_form_matches_the_fold_on_the_model(model5):
+    """At d = 5 the oracle koszul_fold of the Koszul complex on p into the
+    model's W and the closed form share W and rank, have the same (parity,
+    charge) generators, and both pass mf_verify."""
+    K, pairs, W = _model_koszul(model5)
+    fold = koszul_fold(koszul_complex(K.ring, [a for a, _ in pairs]), W)
+    assert fold.W == K.W == W
+    assert fold.rank == K.rank == 2 ** 5
+    assert Counter(fold.gens) == Counter(K.gens)
+    assert mf_verify(fold).ok and mf_verify(K).ok
+
+
+def test_tensor_equals_the_dense_walk():
+    """tensor walks only nonzero entries yet gives the D of the dense sum
+    D = Da (x) 1 + (-1)^|a| (1 (x) Db), entry for entry."""
+    ring = PolyRing(QQ, ("x", "y", "z", "w"), (1, 1, 1, 1))
+    x, y, z, w = (ring.var(i) for i in range(4))
+    A = hypersurface_factor(ring, x, y).tensor(hypersurface_factor(ring, z + x, w))
+    B = zero_locus_stabilization(ring, z * w)
+    T = A.tensor(B)
+    nb = B.rank
+    for r in range(T.rank):
+        for c in range(T.rank):
+            (i2, j2), (i, j) = divmod(r, nb), divmod(c, nb)
+            want = ring.zero()
+            if j2 == j:
+                want = want + A.D[i2][i]
+            if i2 == i:
+                want = want + (-B.D[j2][j] if A.gens[i][0] else B.D[j2][j])
+            assert T.D[r][c] == want
+    assert T.W == A.W + B.W and mf_verify(T).ok
