@@ -26,6 +26,15 @@ config.seed, the halves share no mutable state, and the merge order is
 fixed.  A run forks only when both halves have work, so window-only and
 geometry-only runs, and runs whose model failed its certificate, stay in
 one process.  This needs POSIX fork.
+
+Layers load on first use (pfgr/__init__): importing this module runs only
+fields, poly and the standard library.  A window-only run then loads reps,
+bbw and windows and never imports numpy.  A run with the geometry or mf
+suite loads geometry (with modq and numpy) and, when the mf suite runs, mf
+(with linalg) at the start of run, before the model and the fork: the
+worker inherits them instead of importing mf a second time, and the layers
+are loaded before the model's arrays are allocated, as an eager import
+loads them.
 """
 
 import argparse
@@ -106,10 +115,12 @@ class SuiteConfig:
             raise ValueError(f"unknown suites: {sorted(bad)}")
         if (self.l_bound, self.m_bound) != (0, 0) and min(self.l_bound, self.m_bound) < 1:
             raise ValueError("rectangle bounds must be both 0 (the default) or both positive")
-        draws = self.samples * self.sampling_q()
-        if "geometry" in self.suites and draws > geometry.SAMPLER_MAX_TRIES:
-            raise ValueError(f"samples * q = {draws} exceeds the sampler budget of "
-                             f"{geometry.SAMPLER_MAX_TRIES} draws (about q draws per point)")
+        # only a run with the geometry suite reads geometry here: it loads numpy
+        if "geometry" in self.suites:
+            draws = self.samples * self.sampling_q()
+            if draws > geometry.SAMPLER_MAX_TRIES:
+                raise ValueError(f"samples * q = {draws} exceeds the sampler budget of "
+                                 f"{geometry.SAMPLER_MAX_TRIES} draws (about q draws per point)")
 
     def rectangle(self):
         if self.l_bound and self.m_bound:
@@ -502,6 +513,10 @@ def run(config):
     report = Report(config=dict(sorted(asdict(config).items())))
     model = None
     if "geometry" in config.suites or "mf" in config.suites:
+        # load the numpy layers now, as an eager import would, so the worker
+        # inherits mf instead of loading it again (see the module docstring)
+        for layer in (geometry, mf) if "mf" in config.suites else (geometry,):
+            vars(layer)
         t0 = time.perf_counter()
         try:
             model = geometry.random_model(
@@ -631,6 +646,20 @@ def config_from_args(args):
     return SuiteConfig(**values)
 
 
+def _check_out_path(path):
+    """Refuse (ValueError) an --out path that no report can be written to,
+    before any suite or model runs and without creating or truncating
+    anything: an existing file must be writable, a new one needs a writable
+    directory."""
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+    if not ok:
+        raise ValueError(f"cannot write the report to --out {path}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -640,6 +669,8 @@ def main(argv=None):
     if args.command == "model":
         if args.model_command == "gen":
             try:
+                if args.out:
+                    _check_out_path(args.out)
                 field = QQ if args.field == "QQ" else PrimeField(args.q)
                 model = geometry.random_model(args.seed, field=field, q=args.q, d=args.d)
             except (geometry.ModelCertificateError, ValueError) as err:
@@ -665,6 +696,8 @@ def main(argv=None):
         return 2
     try:
         config = config_from_args(args)
+        if args.out:
+            _check_out_path(args.out)
         report = run(config)
     except (OSError, ValueError, geometry.ModelCertificateError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

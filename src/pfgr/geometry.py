@@ -15,9 +15,10 @@ cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
 against the kernel 2-forms.  Y2 and Y1 are counted by the same bounded walk
 over P^(d-1)(F_q), Y1 through the incidence u in ker(omega_p); with the deep
 stratum empty the counts agree (grassmannian_census).  Every pointwise
-verdict reads omega_p mod q from omegas and takes its ranks, kernels and
-isotropic extensions through the vectorized routines of pfgr.modq, over a
-whole (N, ...) stack of points or at one point.  The single-point functions
+verdict reads omega_p mod q from omegas (the Pfaffian rank route only its
+entries above the diagonal, from omega_rows) and takes its ranks, kernels
+and isotropic extensions through the vectorized routines of pfgr.modq, over
+a whole (N, ...) stack of points or at one point.  The single-point functions
 (membership, kernels, isotropic extensions) read q from the model's field
 and refuse a model over Q with ValueError: the command line runs them on the
 model moved onto the sampling field.  Surjectivity of A needs no rational
@@ -155,6 +156,17 @@ def omegas(model, pts, q):
     return np.einsum("...i,iab->...ab", pts, model.tensor_mod(q)) % q
 
 
+def omega_rows(model, pts, q):
+    """The entries of omega_p above the diagonal mod q for an (N, d) stack of
+    points, as the (C(d, 2), N) rows that modq.alternating_rank and
+    modq.pfaffians_vanish take.  Entry (a, b) of the c-th wedge pair is
+    p . A[:, c], so the rows are the one product (A mod q)^T p^T.  Each entry
+    sums d products of residues, so no int64 operation wraps while
+    d (q - 1)^2 < 2^63 (random_model's C(d, 2)(q - 1)^2 < 2^63 implies it)."""
+    pts = np.asarray(pts, dtype=np.int64) % q
+    return (np.array(model.A, dtype=np.int64) % q).T @ pts.T % q
+
+
 def _prime(model):
     """The order q of the model's prime field; a model over Q raises."""
     q = model.field.characteristic
@@ -244,8 +256,11 @@ def _strata(model, q, ranks):
 def rank_census(model, q):
     """Counts of each omega rank stratum over P^(d-1)(F_q), exhaustively,
     by the bounded walk of _strata; each omega_p is ranked by its principal
-    Pfaffians (modq.alternating_rank)."""
-    return _strata(model, q, lambda pts: modq.alternating_rank(omegas(model, pts, q), q))
+    Pfaffians (modq.alternating_rank) on its entries above the diagonal, one
+    (C(d, 2), N) product p . A per range (omega_rows), and built in full only
+    where every Pfaffian vanishes.  The census bound keeps q^(d - 1) below
+    2^22, so d (q - 1)^2 is far below omega_rows' 2^63."""
+    return _strata(model, q, lambda pts: modq.alternating_rank(omega_rows(model, pts, q), q))
 
 
 def gaussian_binomial_2(n, q):
@@ -318,7 +333,7 @@ def sample_y2_points(model, q, count, seed=0):
         line = ranks == d - 1
         ps = modq.kernels(R[line], pivots[line], q)
         # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
-        hits = ps[modq.pfaffians_vanish(omegas(model, ps, q), q)]
+        hits = ps[modq.pfaffians_vanish(omega_rows(model, ps, q), q)]
         found.extend(hits[:count - len(found)].tolist())
     return found
 
@@ -691,7 +706,7 @@ def rank_parity_sample(model, count, q=101, seed=0):
         ps = ps[ps.any(axis=1)]
         if not len(ps):
             continue
-        r_omega = modq.alternating_rank(omegas(model, ps, q), q)
+        r_omega = modq.alternating_rank(omega_rows(model, ps, q), q)
         r_w = modq.batch_rank(quadratic_form_matrix(model, ps, q), q)
         bad = np.nonzero(r_w != 2 * r_omega)[0]
         for b in bad:

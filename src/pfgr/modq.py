@@ -9,7 +9,9 @@ read its output; solve, like rref, takes a whole stack of systems at once.
 
 alternating_rank ranks a stack of alternating matrices by its principal
 Pfaffians instead, and sends only the matrices where all of them vanish
-through rref (pfaffians_vanish holds the argument and its bound).
+through rref (pfaffians_vanish holds the argument and its bound).  Both take
+the stack as the rows of its entries above the diagonal, one contiguous row
+per entry; alternating_rank builds in full only the matrices it sends.
 
 Contract: for each matrix rref returns the reduced row echelon form over F_q
 (pivots 1, zeros above and below them, zero rows last), the rank and the
@@ -28,6 +30,7 @@ geometry.random_model refuses sampling primes that break it.
 """
 
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
@@ -139,10 +142,22 @@ def _pfaffian(entries, idx, q, memo):
     return memo[idx]
 
 
-def pfaffians_vanish(mats, q):
-    """Whether each matrix of an (N, d, d) stack of alternating residues mod
-    q (d >= 2) has every principal Pfaffian of size 2 floor(d/2) zero: an
-    (N,) bool array, True exactly where the rank is below 2 floor(d/2).
+def _order(upper):
+    """d for a stack of alternating d x d matrices given by C(d, 2) rows."""
+    d = (1 + isqrt(1 + 8 * len(upper))) // 2
+    if d * (d - 1) // 2 != len(upper) or d < 2:
+        raise ValueError(f"{len(upper)} rows are not the C(d, 2) entries above the "
+                         f"diagonal of a d x d matrix, d >= 2")
+    return d
+
+
+def pfaffians_vanish(upper, q):
+    """Whether each of N alternating d x d matrices mod q (d >= 2) has every
+    principal Pfaffian of size 2 floor(d/2) zero: an (N,) bool array, True
+    exactly where the rank is below 2 floor(d/2).  The matrices come as a
+    (C(d, 2), N) array of their entries above the diagonal, row c holding
+    entry (a, b) for the c-th pair a < b in combinations(range(d), 2) order,
+    so each entry is one contiguous row across the stack.
 
     Soundness: over any field, characteristic 2 included, the rank of an
     alternating matrix is the largest size of a principal submatrix with a
@@ -161,40 +176,43 @@ def pfaffians_vanish(mats, q):
     int64 operation wraps as long as (d - 1)(q - 1)^2 < 2^63, which is
     checked (geometry.random_model's C(d, 2)(q - 1)^2 < 2^63 implies it).
     """
-    mats = np.asarray(mats, dtype=np.int64)
-    d = mats.shape[-1]
+    upper = np.asarray(upper, dtype=np.int64) % q
+    d = _order(upper)
     if (d - 1) * (q - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"q = {q} is too large for int64 Pfaffians at d = {d}: "
                          f"need (d - 1)(q - 1)^2 < 2^63")
-    rows, cols = np.triu_indices(d, 1)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    # one contiguous (N,) row per entry above the diagonal
-    upper = mats.transpose(1, 2, 0)[rows, cols] % q
-    alive = np.arange(len(mats))
+    pairs = list(combinations(range(d), 2))
+    n = upper.shape[1]
+    alive = np.arange(n)
     for idx in combinations(range(d), d - d % 2):
         if not len(alive):
             break
         zero = _pfaffian(dict(zip(pairs, upper)), idx, q, {}) == 0
         alive, upper = alive[zero], upper[:, zero]
-    out = np.zeros(len(mats), dtype=bool)
+    out = np.zeros(n, dtype=bool)
     out[alive] = True
     return out
 
 
-def alternating_rank(mats, q):
-    """Ranks over F_q of an (N, d, d) stack of alternating residues mod q.
+def alternating_rank(upper, q):
+    """Ranks over F_q of N alternating d x d matrices mod q, given as the
+    (C(d, 2), N) rows of their entries above the diagonal (pfaffians_vanish).
 
     Rank 2 floor(d/2) wherever some principal Pfaffian of that size is
     nonzero (pfaffians_vanish, which holds the soundness argument and the
-    int64 bound); only the matrices where all of them vanish are ranked by
-    batch_rank.
+    int64 bound); only the matrices where all of them vanish are built in
+    full and ranked by batch_rank.
     """
-    mats = np.asarray(mats, dtype=np.int64)
-    d = mats.shape[-1]
-    ranks = np.full(len(mats), d - d % 2, dtype=np.int64)
-    low = np.flatnonzero(pfaffians_vanish(mats, q))
+    upper = np.asarray(upper, dtype=np.int64)
+    d = _order(upper)
+    ranks = np.full(upper.shape[1], d - d % 2, dtype=np.int64)
+    low = np.flatnonzero(pfaffians_vanish(upper, q))
     if len(low):
-        ranks[low] = batch_rank(mats[low], q)
+        rows, cols = np.triu_indices(d, 1)
+        mats = np.zeros((len(low), d, d), dtype=np.int64)
+        mats[:, rows, cols] = upper[:, low].T
+        mats[:, cols, rows] = -mats[:, rows, cols]
+        ranks[low] = batch_rank(mats, q)
     return ranks
 
 

@@ -26,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from pfgr import bbw, linalg, modq
+from pfgr import bbw, geometry, linalg, modq
 from pfgr.geometry import perfect_matchings
 from pfgr.mf import (MatrixFactorization, _in_kernel, _modular, _rational, _sparse_map,
                      _stacks, _zmat)
@@ -74,6 +74,30 @@ def omega_rank_walk(model, q):
     mats = np.einsum("xi,iab->xab", pts, model.tensor_mod(q)) % q
     vals, counts = np.unique(modq.batch_rank(mats, q), return_counts=True)
     return dict(zip(vals.tolist(), counts.tolist()))
+
+
+def upper_rows(mats):
+    """The (C(d, 2), N) rows of the entries above the diagonal of an
+    (N, d, d) stack, in wedge-pair order, as modq.alternating_rank and
+    modq.pfaffians_vanish take them."""
+    rows, cols = np.triu_indices(mats.shape[-1], 1)
+    return np.asarray(mats).transpose(1, 2, 0)[rows, cols]
+
+
+def omega_stack_census(model, q):
+    """rank_census by the route it replaced: each range's full (N, d, d)
+    stack of omega_p (geometry.omegas), its entries above the diagonal
+    gathered for the principal Pfaffians, and the matrices of that stack
+    where all of them vanish ranked by elimination."""
+    def ranks(pts):
+        mats = geometry.omegas(model, pts, q)
+        out = np.full(len(mats), model.d - 1)
+        low = np.flatnonzero(modq.pfaffians_vanish(upper_rows(mats), q))
+        if len(low):
+            out[low] = modq.batch_rank(mats[low], q)
+        return out
+
+    return geometry._strata(model, q, ranks)
 
 
 def contraction_oracle(model, x):

@@ -211,6 +211,30 @@ def test_main_exit_codes(tmp_path):
     assert code == 2
 
 
+def test_unwritable_out_is_refused_before_any_suite(tmp_path, monkeypatch, capsys):
+    """An --out path no report can be written to (a missing directory, a
+    directory) exits 2 before any suite or model runs, for a run and for
+    `model gen`, and creates nothing."""
+    def forbidden(*args, **kwargs):
+        pytest.fail("a suite or model ran")
+
+    monkeypatch.setattr(cli, "run_window_suite", forbidden)
+    monkeypatch.setattr(geometry, "random_model", forbidden)
+    for out in (tmp_path / "missing" / "report.json", tmp_path):
+        assert cli.main(["window", "--d", "5", "--out", str(out)]) == 2
+        assert cli.main(["model", "gen", "--out", str(out)]) == 2
+        assert "cannot write the report" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_config_leaves_the_out_file_untouched(tmp_path):
+    kept = tmp_path / "report.json"
+    kept.write_text("an earlier report\n")
+    assert cli.main(["window", "--d", "4", "--out", str(kept)]) == 2
+    assert cli.main(["model", "gen", "--d", "4", "--out", str(kept)]) == 2
+    assert kept.read_text() == "an earlier report\n"
+
+
 def test_smaller_dimension_window_suite():
     code = cli.main(["run", "--suite", "window", "--d", "5",
                      "--dp-cutoff", "4", "--dx-cutoff", "4"])

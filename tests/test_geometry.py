@@ -17,14 +17,14 @@ from pfgr.fields import QQ, PrimeField, is_prime
 from pfgr.geometry import (PfaffianModel, certify_model,
                            critical_equivalence_sweep, gaussian_binomial_2, grassmannian_census,
                            kernel_and_extend, kernel_basis, maximal_isotropic,
-                           normal_map_check, omegas, quadratic_form_matrix,
+                           normal_map_check, omega_rows, omegas, quadratic_form_matrix,
                            random_model, rank_census, rank_parity_sample,
                            sample_y1_points, sample_y2_points,
                            smoothness_sample, underlying_scheme_probe,
                            y1_membership, y2_membership)
 
 from oracles import (contraction_oracle, critical_test, grad_W, omega_field,
-                     omega_rank_walk, principal_pfaffians)
+                     omega_rank_walk, omega_stack_census, principal_pfaffians, upper_rows)
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +213,8 @@ def test_rank_census_walks_points_in_chunks(monkeypatch, model5, census, ranker,
     real = getattr(modq, ranker)
 
     def recording(stack, prime):
-        sizes.append(len(stack))
+        # alternating_rank takes one row per entry, one column per point
+        sizes.append(stack.shape[1] if ranker == "alternating_rank" else len(stack))
         return real(stack, prime)
 
     monkeypatch.setattr(geometry, "CENSUS_CHUNK", 1000)
@@ -260,22 +261,37 @@ def test_pfaffian_rank_route_matches_elimination(d, q, seed, from_model):
     rng = np.random.default_rng(seed)
     if from_model:
         A = tuple(tuple(row) for row in rng.integers(-9, 10, (d, comb(d, 2))).tolist())
-        mats = omegas(PfaffianModel(d=d, A=A, seed=0, field=PrimeField(101)),
-                      rng.integers(0, q, (200, d)), q)
+        m = PfaffianModel(d=d, A=A, seed=0, field=PrimeField(101))
+        pts = rng.integers(0, q, (200, d))
+        mats = omegas(m, pts, q)
+        # the rows read off p . A are the entries above the diagonal of omega_p
+        assert (omega_rows(m, pts, q) == upper_rows(mats)).all()
     else:
         mats = _alternating_stack(rng, d, q, 200)
     expect = modq.batch_rank(mats, q)
-    assert modq.alternating_rank(mats, q).tolist() == expect.tolist()
-    assert modq.pfaffians_vanish(mats, q).tolist() == (expect < d - 1).tolist()
+    assert modq.alternating_rank(upper_rows(mats), q).tolist() == expect.tolist()
+    assert modq.pfaffians_vanish(upper_rows(mats), q).tolist() == (expect < d - 1).tolist()
 
 
 def test_pfaffian_route_refuses_primes_past_its_int64_bound():
     """(d - 1)(q - 1)^2 < 2^63 bounds each unreduced expansion step."""
     q = 1500000001  # prime, 2 (q - 1)^2 < 2^63 <= 8 (q - 1)^2
-    mats = np.zeros((1, 9, 9), dtype=np.int64)
     with pytest.raises(ValueError, match="too large"):
-        modq.alternating_rank(mats, q)
-    assert modq.alternating_rank(mats[:, :3, :3], q).tolist() == [0]
+        modq.alternating_rank(np.zeros((comb(9, 2), 1), dtype=np.int64), q)
+    assert modq.alternating_rank(np.zeros((comb(3, 2), 1), dtype=np.int64), q).tolist() == [0]
+
+
+@pytest.mark.parametrize("d", [5, 7, 9])
+def test_rank_census_off_p_times_A_matches_the_omega_stack_route(d):
+    """rank_census reads the entries above the diagonal off one product
+    p . A per range and builds omega_p only where every Pfaffian vanishes;
+    its strata equal those of the full omega stack route it replaced, at
+    q = 2, 3 and 5, on a random integer A that is not certified, so strata
+    below d - 3 may show."""
+    m = PfaffianModel(d=d, A=geometry._random_A(random.Random(d), d), seed=0,
+                      field=PrimeField(101))
+    for q in (2, 3, 5):
+        assert rank_census(m, q) == omega_stack_census(m, q)
 
 
 def _principal_pfaffians_batch(model, omegas, q):

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pfgr
@@ -22,3 +26,71 @@ def test_sources_parse_at_the_python_floor():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+ROOT = SRC.parents[1]
+
+
+def _run_python(code):
+    """Run python -c CODE in a fresh process on this checkout's src; its
+    stdout's last line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_runs_no_layer():
+    """Importing the package registers every layer unexecuted, so numpy
+    stays unimported; from pfgr import * then still binds every name of
+    __all__, each through the lazy layer that defines it."""
+    code = ("import sys, types, pfgr; "
+            "loaded = [name for name in pfgr._LAYERS "
+            "if type(sys.modules['pfgr.' + name]) is types.ModuleType]; "
+            "numpy = 'numpy' in sys.modules; ns = {}; exec('from pfgr import *', ns); "
+            "print(numpy, loaded, sorted(set(pfgr.__all__) - set(ns)), "
+            "ns['random_model'].__module__)")
+    assert _run_python(code) == "False [] [] pfgr.geometry"
+
+
+def test_window_run_never_imports_numpy(tmp_path):
+    """`pfgr window`, from cli.main and from python -m pfgr.cli, certifies
+    its window categories with the pure-python layers alone."""
+    out = tmp_path / "report.json"
+    code = ("import sys; from pfgr import cli; "
+            f"code = cli.main(['window', '--d', '5', '--out', {str(out)!r}]); "
+            "print(code, 'numpy' in sys.modules)")
+    assert _run_python(code) == "0 False"
+    assert json.loads(out.read_text())["overall"] == "pass"
+    code = ("import atexit, runpy, sys; "
+            "atexit.register(lambda: print('numpy' in sys.modules)); "
+            "sys.argv = ['pfgr', 'window', '--d', '9']; "
+            "runpy.run_module('pfgr.cli', run_name='__main__')")
+    assert _run_python(code) == "False"
+
+
+def test_setup_probe_window_never_imports_numpy():
+    """perfbench/setup_probe.py, loaded unedited, stops a window-only run
+    after the import, which loads no numpy."""
+    path = ROOT / "perfbench" / "setup_probe.py"
+    code = ("import importlib.util, sys; "
+            f"spec = importlib.util.spec_from_file_location('setup_probe', {str(path)!r}); "
+            "probe = importlib.util.module_from_spec(spec); spec.loader.exec_module(probe); "
+            "print(probe.main(['window', '--d', '5']), 'numpy' in sys.modules)")
+    assert _run_python(code) == "0 False"
+
+
+def test_full_run_loads_geometry_and_mf_before_the_fork():
+    """pfgr all loads geometry and mf before the model-free worker forks, so
+    the worker inherits them instead of importing mf a second time."""
+    code = ("import sys, types; from pfgr import cli; real = cli._worker; seen = []\n"
+            "def spy(fn):\n"
+            "    seen.append([type(sys.modules['pfgr.' + name]) is types.ModuleType\n"
+            "                 for name in ('geometry', 'mf')])\n"
+            "    return real(fn)\n"
+            "cli._worker = spy\n"
+            "code = cli.main(['all', '--d', '5', '--samples', '20'])\n"
+            "print(code, seen)")
+    assert _run_python(code) == "0 [[True, True]]"
