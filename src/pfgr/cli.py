@@ -425,7 +425,7 @@ def run_fibre_check(config, report, model, pool):
     def fibre():
         if not pool:
             return False, {"reason": "no degenerate point"}
-        L = geometry.maximal_isotropic(model, pool[0], seed=config.seed)
+        L = geometry.maximal_isotropic(model, pool[0])
         res = mf.knorrer_rank_check(model, pool[0], L, trunc=min(config.trunc, 6))
         ok = (res.split_certified and res.full_rank_factorization_ok
               and res.matches_kernel_functions

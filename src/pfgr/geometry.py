@@ -49,7 +49,6 @@ between the checks, not soundness.
 
 import json
 from dataclasses import dataclass, field as dc_field, replace
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 import random
@@ -67,22 +66,6 @@ class ModelCertificateError(RuntimeError):
 
 def wedge_pairs(d):
     return list(combinations(range(d), 2))
-
-
-@lru_cache(maxsize=None)
-def perfect_matchings(indices):
-    """All perfect matchings of a tuple of indices, with signs."""
-    idx = list(indices)
-    if not idx:
-        return [((), 1)]
-    out = []
-    i0 = idx[0]
-    for t in range(1, len(idx)):
-        j = idx[t]
-        rest = tuple(k for k in idx[1:] if k != j)
-        for sub, sign in perfect_matchings(rest):
-            out.append((((i0, j),) + sub, sign * (-1) ** (t - 1)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -408,61 +391,37 @@ def sample_y1_points(model, q, base_points, seed=0):
 # smoothness certificates
 
 
-@lru_cache(maxsize=None)
-def _jacobian_terms(d):
-    """Index arrays over the terms of the sub-Pfaffian Jacobian, grouped by row.
-
-    Pf_i, the Pfaffian of omega with row and column i deleted, is a sum over
-    perfect matchings of the other d - 1 indices of a sign times one entry
-    omega[a, b] per pair.  Its derivative along p_j is, for each matching and
-    each position t in it, the sign times the other entries times
-    T[j, a_t, b_t].  Returns (signs, others, target), each with a leading
-    (d, terms per row) shape: signs the matching signs, others the flat
-    indices a * d + b of the other pairs, target that of the pair (a_t, b_t).
-    """
-    signs, others, target = [], [], []
-    for i in range(d):
-        for matching, sign in perfect_matchings(tuple(a for a in range(d) if a != i)):
-            flat = [a * d + b for a, b in matching]
-            for t in range(len(flat)):
-                signs.append(sign)
-                others.append(flat[:t] + flat[t + 1:])
-                target.append(flat[t])
-    shape = (d, len(signs) // d)
-    arrays = (np.array(signs).reshape(shape), np.array(others).reshape(shape + (-1,)),
-              np.array(target).reshape(shape))
-    for a in arrays:
-        a.flags.writeable = False  # cached and shared by every caller
-    return arrays
-
-
 def pfaffian_jacobian_mod(model, p, q):
     """Jacobians of the d principal sub-Pfaffians over F_q, at one point p
     (a (d, d) matrix J[i, j] = dPf_i/dp_j) or at an (N, d) stack of points
     (an (N, d, d) stack).
 
-    Each term of _jacobian_terms is a sign times a product of omega entries,
-    reduced after every factor, so it is a residue; it is then multiplied by
-    a residue of T.  Each row sums its terms C(d, 2) at a time and reduces
-    after every chunk, so no int64 sum exceeds C(d, 2) (q - 1)^2, which
-    random_model keeps below 2^63 for every sampling prime it accepts.
+    Pf_i, the Pfaffian of omega with row and column i deleted, is a
+    polynomial in the entries above the diagonal.  For a < b at positions
+    s < t among the indices other than i, dPf_i/domega[a, b] is
+    (-1)^(s + t + 1) Pf(the indices other than i, a and b).  Entry
+    omega[a, b] is p . A[:, c] for the wedge pair c = (a, b), so
+    J[i, j] = sum_c S[i, c] A[j, c], where S is the (N, d, C(d, 2)) stack of
+    these signed sub-Pfaffians, zero wherever i is in c.  Each is one
+    modq.pfaffian on the rows of omega_rows, and one memo shares it across
+    the rows i that reach it.  J is then one product of C(d, 2) residue
+    terms, within the C(d, 2)(q - 1)^2 < 2^63 bound random_model keeps.
     """
     d = model.d
-    Tq = model.tensor_mod(q)
     pts = np.asarray(p, dtype=np.int64) % q
     single = pts.ndim == 1
-    flat = omegas(model, pts.reshape(-1, d), q).reshape(-1, d * d)
-    signs, others, target = _jacobian_terms(d)
-    prod = signs % q
-    for s in range(others.shape[-1]):
-        prod = prod * flat[:, others[..., s]] % q
-    Tt = Tq.reshape(d, d * d)[:, target]
-    J = np.zeros((len(flat), d, d), dtype=np.int64)
-    chunk = comb(d, 2)
-    for start in range(0, target.shape[1], chunk):
-        part = slice(start, start + chunk)
-        J += np.einsum("xit,jit->xij", prod[..., part], Tt[..., part]) % q
-        J %= q
+    rows = omega_rows(model, pts.reshape(-1, d), q)
+    entries = dict(zip(model.pairs, rows))
+    memo = {}
+    S = np.zeros((rows.shape[1], d, len(rows)), dtype=np.int64)
+    for i in range(d):
+        for c, (a, b) in enumerate(model.pairs):
+            if i in (a, b):
+                continue
+            pf = modq.pfaffian(entries, tuple(k for k in range(d) if k not in (i, a, b)), q, memo)
+            s, t = a - (a > i), b - (b > i)  # the positions of a, b among the other indices
+            S[:, i, c] = pf if (s + t) % 2 else -pf % q
+    J = S @ (np.array(model.A, dtype=np.int64) % q).T % q
     return J[0] if single else J
 
 
@@ -553,26 +512,27 @@ def isotropic_target_dim(d):
     return 3 + (d - 3) // 2
 
 
-def _extend_isotropic(omega, basis, target, rng, q):
-    """Grow the isotropic list basis to target vectors mod q, each new one a
-    random combination of a basis of its omega-orthogonal (basis-perp).
+def _extend_isotropic(omega, basis, target, q):
+    """Grow the isotropic list basis to target vectors mod q, each new one
+    the first vector of the canonical kernel basis of basis omega (a basis
+    of basis-perp) that leaves the span of basis.
 
-    basis-perp contains basis and is strictly larger while the dimension is
-    below target = (d + 3) / 2 (for a form of rank d - 3 whose radical lies
-    in basis), so a random combination usually leaves the span; 500 failed
-    draws raise RuntimeError."""
+    Every vector of basis-perp keeps the list isotropic.  For omega of rank
+    d - 3, target = (d + 3) / 2, some vector always leaves the span: basis-perp
+    holds the radical, and once the radical lies in the span, basis-perp
+    has dimension d + 3 - len(basis), more than the span while the list is
+    short.  Where no vector leaves, omega has rank above d - 3 (its maximal
+    isotropic subspaces are smaller than target), and ValueError is raised."""
     basis = [list(v) for v in basis]
-    guard = 0
     while len(basis) < target:
-        guard += 1
-        if guard > 500:
-            raise RuntimeError("failed to extend isotropic subspace")
-        # candidates must pair to zero with the current span
         _, perp = modq.rank_and_kernel(np.asarray(basis, dtype=np.int64) @ omega % q, q)
-        coeffs = np.array([rng.randrange(1, 97) for _ in perp], dtype=np.int64) % q
-        cand = (coeffs @ perp % q).tolist()
-        if _rank(basis + [cand], q) == len(basis) + 1:
-            basis.append(cand)
+        for v in perp.tolist():
+            if _rank(basis + [v], q) == len(basis) + 1:
+                basis.append(v)
+                break
+        else:
+            raise ValueError(f"omega has rank above {len(omega) - 3}: no isotropic "
+                             f"subspace of dimension {target} contains these vectors")
     return basis
 
 
@@ -605,18 +565,18 @@ def kernel_and_extend(model, p, x):
             stacked.append(row)
     if len(stacked) < need:
         return KernelExtension(K, [], failure="kernel_meets_image")
-    stacked = _extend_isotropic(omega, stacked, target, random.Random(0), q)
+    stacked = _extend_isotropic(omega, stacked, target, q)
     if not _isotropic(omega, stacked, q):
         return KernelExtension(K, [], failure="extension_not_isotropic")
     return KernelExtension(K, stacked)
 
 
-def maximal_isotropic(model, p, seed=0):
-    """A maximal isotropic subspace containing ker(omega_p), by random search
-    over the model's prime field, certified isotropic mod q."""
+def maximal_isotropic(model, p):
+    """A maximal isotropic subspace containing ker(omega_p) over the model's
+    prime field: kernel_basis completed deterministically by
+    _extend_isotropic, certified isotropic mod q."""
     q, omega = _omega_at(model, p)
-    basis = _extend_isotropic(omega, kernel_basis(model, p), isotropic_target_dim(model.d),
-                              random.Random(seed), q)
+    basis = _extend_isotropic(omega, kernel_basis(model, p), isotropic_target_dim(model.d), q)
     assert _isotropic(omega, basis, q)
     return basis
 
@@ -679,7 +639,7 @@ def underlying_scheme_probe(model, p, max_degree=6):
     generators of degree 2; returned alongside that comparison.  They
     depend on p only through dim ker omega_p = 3.
     """
-    r, in_y2 = y2_membership(model, p)
+    r, _ = y2_membership(model, p)
     if r != model.degenerate_rank:
         raise ValueError("probe needs a point with 3-dimensional kernel")
     dims = reps.sl2_invariant_dims(3, max_degree)
@@ -797,8 +757,9 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples
     if field.characteristic and field.characteristic < 5:
         raise ValueError("model field must be Q or F_q with q >= 5")
     sample_q = sampling_prime(field)
-    # the longest int64 dot product of residues is the C(d, 2)-term wedge
-    # contraction (wedge @ A.T in _batch_verdicts); it must not wrap
+    # the longest int64 dot products of residues have C(d, 2) terms: the
+    # wedge contraction (wedge @ A.T in _batch_verdicts) and the product of
+    # signed sub-Pfaffians with A in pfaffian_jacobian_mod; they must not wrap
     if comb(d, 2) * (sample_q - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"q = {sample_q} is too large for exact int64 arithmetic "
                          f"at d = {d}: need C(d, 2) * (q - 1)^2 < 2^63")
@@ -953,7 +914,7 @@ def critical_equivalence_sweep(model, base_points, q=101, n_pos=1000, n_near=100
             record(us[keep], vs[keep], ps[keep])
             done += int(keep.sum())
     rest = n_near - done
-    p0, K0 = kernels[0]
+    p0 = kernels[0][0]
     us = _rng_ints(rng, q, (rest, d))
     lam = _rng_ints(rng, q, (rest, 1))
     vs = (lam * us) % q

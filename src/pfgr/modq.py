@@ -12,6 +12,8 @@ Pfaffians instead, and sends only the matrices where all of them vanish
 through rref (pfaffians_vanish holds the argument and its bound).  Both take
 the stack as the rows of its entries above the diagonal, one contiguous row
 per entry; alternating_rank builds in full only the matrices it sends.
+pfaffian, the one memoized expansion behind this rank route, also gives the
+sub-Pfaffians that geometry.pfaffian_jacobian_mod sums.
 
 Contract: for each matrix rref returns the reduced row echelon form over F_q
 (pivots 1, zeros above and below them, zero rows last), the rank and the
@@ -127,16 +129,17 @@ def batch_rank(mats, q):
     return np.atleast_1d(rref(mats, q)[1])
 
 
-def _pfaffian(entries, idx, q, memo):
-    """Pf mod q of the principal submatrix on the sorted index tuple idx,
+def pfaffian(entries, idx, q, memo):
+    """Pf mod q of the principal submatrix on the sorted index tuple idx, as
+    one row across a stack: entries maps each pair a < b to its row.  It is
     expanded along its first index; every sub-Pfaffian is kept in memo, so
-    each one is evaluated once however many expansions reach it."""
+    each one is evaluated once however many expansions or callers reach it."""
     if len(idx) == 2:
         return entries[idx]
     if idx not in memo:
         acc = 0
         for t in range(1, len(idx)):
-            term = entries[idx[0], idx[t]] * _pfaffian(entries, idx[1:t] + idx[t + 1:], q, memo)
+            term = entries[idx[0], idx[t]] * pfaffian(entries, idx[1:t] + idx[t + 1:], q, memo)
             acc = acc + term if t % 2 else acc - term
         memo[idx] = acc % q
     return memo[idx]
@@ -168,7 +171,7 @@ def pfaffians_vanish(upper, q):
     The Pfaffians are taken one at a time, each only on the matrices where
     every earlier one vanished, so at a generic point one Pfaffian decides.
     Each is expanded along its first index with shared sub-Pfaffians
-    (_pfaffian): C(d, 4) of size 4, C(d, 6) of size 6 and so on at most,
+    (pfaffian): C(d, 4) of size 4, C(d, 6) of size 6 and so on at most,
     against (d - 2)!! perfect matchings for the full expansion.
 
     Bound on q: one expansion step adds at most d - 1 products of two
@@ -187,7 +190,7 @@ def pfaffians_vanish(upper, q):
     for idx in combinations(range(d), d - d % 2):
         if not len(alive):
             break
-        zero = _pfaffian(dict(zip(pairs, upper)), idx, q, {}) == 0
+        zero = pfaffian(dict(zip(pairs, upper)), idx, q, {}) == 0
         alive, upper = alive[zero], upper[:, zero]
     out = np.zeros(n, dtype=bool)
     out[alive] = True

@@ -224,6 +224,12 @@ def exceptional_report(l_bound=None, m_bound=None, n=7, dp_cutoff=12, dx_cutoff=
     gens = window_generators(l_bound, m_bound)
     classes = {}
     bad, tri_bad, x1_bad, x2_bad, cross_bad = [], [], [], [], []
+
+    def note(violations, violation):
+        # the report shows the first five per check; a check fails on the first
+        if len(violations) < 5:
+            violations.append(violation)
+
     nu_max = None
     # gens is in the (m, l) order, so (i, j) index the Hom^0 matrix directly
     for i, b1 in enumerate(gens):
@@ -241,24 +247,24 @@ def exceptional_report(l_bound=None, m_bound=None, n=7, dp_cutoff=12, dx_cutoff=
             # (ii) unitriangular Hom^0 matrix in the (m, l) order
             h0 = gr.get(0, 0)
             if any(p > 0 for p in gr):
-                bad.append({"pair": pair, "table": sorted(gr.items())})
+                note(bad, {"pair": pair, "table": sorted(gr.items())})
             if i == j and h0 != 1:
-                bad.append({"pair": pair, "endo": h0})
-                tri_bad.append({"pair": pair, "diag": h0})
+                note(bad, {"pair": pair, "endo": h0})
+                note(tri_bad, {"pair": pair, "diag": h0})
             if j < i and h0 != 0:
-                tri_bad.append({"pair": pair, "below": h0})
+                note(tri_bad, {"pair": pair, "below": h0})
 
             # (iv) no higher Ext after restriction to X1, up to dp_cutoff
             hi = sorted((k, v) for k, v in x1.items() if k[1] > 0 and k[0] <= dp_cutoff)
             if hi:
-                x1_bad.append({"pair": pair, "entries": hi[:3]})
+                note(x1_bad, {"pair": pair, "entries": hi[:3]})
 
             # (v) no higher Ext on X2 and determinant powers within range
             if nu is not None and (nu_max is None or nu > nu_max):
                 nu_max = nu
             hi = sorted((k, v) for k, v in x2.items() if k[1] > 0)
             if hi:
-                x2_bad.append({"pair": pair, "entries": hi[:3]})
+                note(x2_bad, {"pair": pair, "entries": hi[:3]})
 
             # (vi) cross-model agreement of Hom^0 dimensions; the stack table
             # has (d_x, d_p) entries only where l1 - l2 + 2(m1 - m2) + d_x = 2 d_p
@@ -268,14 +274,14 @@ def exceptional_report(l_bound=None, m_bound=None, n=7, dp_cutoff=12, dx_cutoff=
                     continue
                 lhs, rhs = frak.get((d_x, d_p), 0), x1.get((d_p, 0), 0)
                 if lhs != rhs:
-                    cross_bad.append({"pair": pair, "d_p": d_p, "stack": lhs, "x1": rhs})
+                    note(cross_bad, {"pair": pair, "d_p": d_p, "stack": lhs, "x1": rhs})
             for d_x in range(dx_cutoff + 1):
                 bal = b1.l - b2.l + 2 * (b1.m - b2.m) + d_x
                 if bal % 2 == 0 and bal // 2 > hom0_dp_cutoff:
                     continue
                 lhs, rhs = frak.get((d_x, bal // 2), 0), x2.get((d_x, 0), 0)
                 if lhs != rhs:
-                    cross_bad.append({"pair": pair, "d_x": d_x, "stack": lhs, "x2": rhs})
+                    note(cross_bad, {"pair": pair, "d_x": d_x, "stack": lhs, "x2": rhs})
 
     wit = witten_index_candidates(n)
     size_ok = len(gens) == l_bound * m_bound
@@ -287,13 +293,13 @@ def exceptional_report(l_bound=None, m_bound=None, n=7, dp_cutoff=12, dx_cutoff=
             claim="no higher Ext between window bundles on Gr(2,n), simple endomorphisms",
             passed=not bad,
             parameters={"n": n, "pairs": len(gens) ** 2},
-            witness={"violations": bad[:5]}),
+            witness={"violations": bad}),
         CheckRecord(
             name="unitriangular_hom0",
             claim="Hom^0 matrix is unitriangular in the (m, l) order",
             passed=not tri_bad,
             parameters={"n": n},
-            witness={"violations": tri_bad[:5]}),
+            witness={"violations": tri_bad}),
         # (iii) window size and fibre generator count
         CheckRecord(
             name="window_size",
@@ -306,18 +312,18 @@ def exceptional_report(l_bound=None, m_bound=None, n=7, dp_cutoff=12, dx_cutoff=
             claim="window pairs acquire no higher Ext on the first total space",
             passed=not x1_bad,
             parameters={"n": n, "dp_cutoff": dp_cutoff},
-            witness={"violations": x1_bad[:5]}),
+            witness={"violations": x1_bad}),
         CheckRecord(
             name="x2_no_higher_ext",
             claim="no higher cohomology on the second total space; det powers bounded by n-1",
             passed=not x2_bad and nu_ok,
             parameters={"n": n, "dx_cutoff": dx_cutoff},
-            witness={"violations": x2_bad[:5], "max_nu": nu_max}),
+            witness={"violations": x2_bad, "max_nu": nu_max}),
         CheckRecord(
             name="hom0_cross_model",
             claim="graded Hom^0 agrees between the stack, X1 and X2 computations",
             passed=not cross_bad,
             parameters={"n": n, "dx_cutoff": dx_cutoff, "dp_cutoff": hom0_dp_cutoff},
-            witness={"violations": cross_bad[:5]}),
+            witness={"violations": cross_bad}),
     ]
     return WindowReport(n=n, l_bound=l_bound, m_bound=m_bound, checks=checks)

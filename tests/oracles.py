@@ -5,7 +5,10 @@ and pfgr.linalg, entry by entry, on routes disjoint from the vectorized mod-q
 code in pfgr.geometry, except omega_rank_walk: the rank census as it was
 before the Pfaffian route, every omega_p ranked by modq.batch_rank's
 elimination; twist_tail_dominant is the closed-form dominance bound
-the negative-twist sweeps of the BBW tests lean on.  The window tables
+the negative-twist sweeps of the BBW tests lean on.  perfect_matchings is
+the reference Pfaffian: principal_pfaffians and the Jacobian tests sum its
+(d - 2)!! signed matchings in full, where pfgr expands every Pfaffian once,
+with shared sub-Pfaffians (modq.pfaffian).  The window tables
 ext_table_X2_direct and hom0_frakX_direct decompose each twisted character
 afresh, with no cache and no twist shift, and take Sym^d(S^(+n)) from
 newton_sym_characters, not from the closed form in pfgr.reps.
@@ -27,7 +30,6 @@ from math import comb
 import numpy as np
 
 from pfgr import bbw, geometry, linalg, modq
-from pfgr.geometry import perfect_matchings
 from pfgr.mf import (MatrixFactorization, _in_kernel, _modular, _rational, _sparse_map,
                      _stacks, _zmat)
 from pfgr.poly import Poly, PolyRing, poly_mat_is_zero, poly_mat_mul
@@ -46,6 +48,22 @@ def omega_field(model, p):
                 if Ti[a][b]:
                     M[a][b] = F.add(M[a][b], F.mul(pv[i], F.of_int(Ti[a][b])))
     return M
+
+
+@lru_cache(maxsize=None)
+def perfect_matchings(indices):
+    """All perfect matchings of a tuple of indices, with signs."""
+    idx = list(indices)
+    if not idx:
+        return [((), 1)]
+    out = []
+    i0 = idx[0]
+    for t in range(1, len(idx)):
+        j = idx[t]
+        rest = tuple(k for k in idx[1:] if k != j)
+        for sub, sign in perfect_matchings(rest):
+            out.append((((i0, j),) + sub, sign * (-1) ** (t - 1)))
+    return out
 
 
 def principal_pfaffians(model, p):

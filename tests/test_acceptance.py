@@ -231,7 +231,7 @@ def test_criterion_11_dimension_five_suite(model5):
     res = mf.eagon_northcott_check(c=2, degree_cutoff=8)
     assert res.term_ranks == (1, 1) and res.exact
     p = pts[0]
-    L = geometry.maximal_isotropic(model5, p, seed=5)
+    L = geometry.maximal_isotropic(model5, p)
     kn = mf.knorrer_rank_check(model5, p, L, trunc=5)
     assert kn.split_certified and kn.full_rank_factorization_ok
     assert kn.hyperbolic_pairs == 2 and kn.radical_dimension == 6

@@ -24,7 +24,8 @@ from pfgr.geometry import (PfaffianModel, certify_model,
                            y1_membership, y2_membership)
 
 from oracles import (contraction_oracle, critical_test, grad_W, omega_field,
-                     omega_rank_walk, omega_stack_census, principal_pfaffians, upper_rows)
+                     omega_rank_walk, omega_stack_census, perfect_matchings,
+                     principal_pfaffians, upper_rows)
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +301,7 @@ def _principal_pfaffians_batch(model, omegas, q):
     d = model.d
     out = np.zeros((omegas.shape[0], d), dtype=np.int64)
     for i in range(d):
-        for matching, sign in geometry.perfect_matchings(tuple(a for a in range(d) if a != i)):
+        for matching, sign in perfect_matchings(tuple(a for a in range(d) if a != i)):
             term = np.full(omegas.shape[0], sign, dtype=np.int64)
             for a, b in matching:
                 term = (term * omegas[:, a, b]) % q
@@ -594,19 +595,24 @@ def _jacobian_oracle(work, p):
     return J
 
 
-@pytest.mark.parametrize("d", [5, 7])
+@pytest.mark.parametrize("d", [5, 7, 9])
 @pytest.mark.parametrize("q", [101, 1009, "int64"])
 def test_pfaffian_jacobian_matches_interpolation_oracle(request, d, q):
     """The stacked Jacobian equals dPf_i/dp_j interpolated over PrimeField(q),
     and each point of the stack equals the one-point call.
 
     The int64 case takes the largest prime the bound admits and a model with
-    every entry of A negative, so every residue of T lies near q: at d = 7 a
-    row's 45 terms, summed without a reduction every C(d, 2) terms, then
-    average about 22 (q - 1)^2 and wrap int64.
+    every entry of A negative, so every residue of A mod q lies near q: each
+    entry of J, C(d, 2) products of residues summed before one reduction,
+    comes within a small factor of 2^63.  At d = 9 the sub-Pfaffians are
+    6 x 6 and share their 4 x 4 sub-Pfaffians through the memo, which d = 5 and 7
+    never reach; that model is a random uncertified A, as in the census tests.
     """
-    base = request.getfixturevalue("model" if d == 7 else "model5")
     rng = random.Random(d)
+    if d == 9:
+        base = PfaffianModel(d=d, A=geometry._random_A(rng, d), seed=0, field=PrimeField(101))
+    else:
+        base = request.getfixturevalue("model" if d == 7 else "model5")
     if q == "int64":
         q = _largest_int64_prime(d)
         A = tuple(tuple(rng.randint(-9, -1) for _ in range(comb(d, 2))) for _ in range(d))
@@ -689,7 +695,7 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
     target = geometry.isotropic_target_dim(d)
     extended = 0
     for p, x in zip(pool, planes[1:] + planes[:1]):
-        L = maximal_isotropic(work, p, seed=3)
+        L = maximal_isotropic(work, p)
         assert len(L) == target
         _assert_isotropic(work, p, L)
         res = kernel_and_extend(work, p, x)
@@ -769,12 +775,30 @@ def test_kernel_and_extend_preconditions(model):
         kernel_and_extend(work, generic_p, xs[0])
 
 
-def test_maximal_isotropic(model, model5):
-    for mod, dim in ((model, 5), (model5, 4)):
-        work = PfaffianModel(d=mod.d, A=mod.A, seed=0, field=PrimeField(101))
+def test_maximal_isotropic(model, model5, model9):
+    """The completion is canonical: two calls give the same basis, it starts
+    with kernel_basis, and its (d + 3) / 2 rows are independent and
+    isotropic.  Off Y2 (omega of rank d - 1) the maximal isotropic subspaces
+    through the kernel have dimension (d + 1) / 2, short of the target, and
+    the completion raises ValueError instead of searching."""
+    for mod in (model5, model, model9):
+        d = mod.d
+        work = replace(mod, field=PrimeField(101))
         p = sample_y2_points(mod, 101, 1, seed=51)[0]
-        L = maximal_isotropic(work, p, seed=3)
-        assert len(L) == dim
+        L = maximal_isotropic(work, p)
+        assert maximal_isotropic(work, p) == L
+        assert L[:3] == kernel_basis(work, p)
+        assert len(L) == (d + 3) // 2
+        _assert_isotropic(work, p, L)
+        rng = random.Random(d)
+        off = [rng.randrange(1, 101) for _ in range(d)]
+        assert y2_membership(work, off) == (d - 1, False)
+        omega = geometry.omegas(work, off, 101)
+        with pytest.raises(ValueError, match="rank above"):
+            geometry._extend_isotropic(omega, kernel_basis(work, off),
+                                       geometry.isotropic_target_dim(d), 101)
+        with pytest.raises(ValueError, match="rank above"):
+            maximal_isotropic(work, off)
 
 
 def test_invariant_vanishes_on_isotropic_hom(model):
@@ -782,7 +806,7 @@ def test_invariant_vanishes_on_isotropic_hom(model):
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     F = work.field
     p = sample_y2_points(model, 101, 1, seed=55)[0]
-    L = maximal_isotropic(work, p, seed=3)
+    L = maximal_isotropic(work, p)
     rng = random.Random(12)
     K = kernel_basis(work, p)
     omega = omega_field(work, p)

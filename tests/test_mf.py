@@ -1014,7 +1014,7 @@ def model():
 
 def test_knorrer_rank_check(model):
     p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
-    L = geometry.maximal_isotropic(model, p, seed=5)
+    L = geometry.maximal_isotropic(model, p)
     res = knorrer_rank_check(model, p, L, trunc=6)
     assert res.split_certified
     assert res.full_rank_factorization_ok
@@ -1032,7 +1032,7 @@ def test_knorrer_rank_check(model):
 def test_knorrer_rank_check_d5():
     model5 = geometry.random_model(1, d=5)
     p = geometry.sample_y2_points(model5, 101, 1, seed=18)[0]
-    L = geometry.maximal_isotropic(model5, p, seed=5)
+    L = geometry.maximal_isotropic(model5, p)
     res = knorrer_rank_check(model5, p, L, trunc=5)
     assert res.split_certified and res.full_rank_factorization_ok
     assert res.hyperbolic_pairs == 2 and res.radical_dimension == 6
@@ -1078,7 +1078,7 @@ def test_knorrer_closed_form_matches_the_fold(monkeypatch, model, d):
     built here from the matrix of the form, entry by entry."""
     work = model if d == 7 else geometry.random_model(1, d=5)
     p = geometry.sample_y2_points(work, 101, 1, seed=18)[0]
-    L = geometry.maximal_isotropic(work, p, seed=5)
+    L = geometry.maximal_isotropic(work, p)
     pairs, verified = _fibre_spy(monkeypatch, 2 * d)
     res = knorrer_rank_check(work, p, L, trunc=4)
     cutters = [f for f, _ in pairs]
@@ -1104,14 +1104,14 @@ def test_knorrer_fibre_catches_a_wrong_factor(monkeypatch, model):
     real = mf.hypersurface_factor
     monkeypatch.setattr(mf, "hypersurface_factor", lambda ring, f, g: real(ring, f, g * 3))
     p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
-    L = geometry.maximal_isotropic(model, p, seed=5)
+    L = geometry.maximal_isotropic(model, p)
     res = knorrer_rank_check(model, p, L, trunc=4)
     assert res.split_certified and not res.full_rank_factorization_ok
 
 
 def test_knorrer_rank_check_needs_a_prime_field(model):
     p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
-    L = geometry.maximal_isotropic(model, p, seed=5)
+    L = geometry.maximal_isotropic(model, p)
     over_q = geometry.PfaffianModel(d=7, A=model.A, seed=0, field=QQ)
     with pytest.raises(ValueError, match="prime field"):
         knorrer_rank_check(over_q, p, L, trunc=4)
@@ -1245,7 +1245,7 @@ def test_koszul_certificate_agrees_on_the_knorrer_fibre(monkeypatch, model, mode
     mf_verify."""
     work = model if d == 7 else model5
     p = geometry.sample_y2_points(work, 101, 1, seed=18)[0]
-    L = geometry.maximal_isotropic(work, p, seed=5)
+    L = geometry.maximal_isotropic(work, p)
     pairs, verified = _fibre_spy(monkeypatch, 2 * d)
     assert knorrer_rank_check(work, p, L, trunc=4).full_rank_factorization_ok
     E = verified[-1]

@@ -28,6 +28,36 @@ def test_sources_parse_at_the_python_floor():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+def _unread_locals(func):
+    """Names func assigns but never reads: stores in its own body (nested
+    functions are checked on their own), reads anywhere inside it (a closure
+    reads its enclosing function's names).  Names starting with _ and names
+    declared nonlocal or global are exempt."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    stored, declared, todo = set(), set(), list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Nonlocal, ast.Global)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stored.add(node.id)
+        if not isinstance(node, nested):
+            todo.extend(ast.iter_child_nodes(node))
+    read = {node.id for node in ast.walk(func)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted(n for n in stored - read - declared if not n.startswith("_"))
+
+
+def test_no_local_is_assigned_and_never_read():
+    """No function in src/pfgr assigns a local that nothing reads."""
+    unread = [f"{path.name}:{node.lineno} {node.name}: {name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for name in _unread_locals(node)]
+    assert unread == []
+
+
 ROOT = SRC.parents[1]
 
 

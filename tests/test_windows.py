@@ -1,4 +1,5 @@
 from math import comb
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,25 @@ def test_report_oversized_rectangle_fails():
     # the witness names an offending pair with its nonvanishing table
     bad = [c for c in rep.checks if c.name == "strong_exceptionality_gr"][0]
     assert bad.witness["violations"]
+
+
+def test_report_keeps_five_violations_per_check():
+    """A failing check keeps its first five violations, not one per failing
+    pair: on 6,400 pairs over 316 classes the report's traced peak stays far
+    below the ~3 MiB that storing every violation takes."""
+    # a first run fills the table caches, so the traced one holds the pair loop only
+    exceptional_report(2, 40, n=5, dp_cutoff=1, dx_cutoff=1, hom0_dp_cutoff=1)
+    tracemalloc.start()
+    try:
+        rep = exceptional_report(2, 40, n=5, dp_cutoff=1, dx_cutoff=1, hom0_dp_cutoff=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    failed = {c.name: c.witness["violations"] for c in rep.failures()
+              if "violations" in c.witness}
+    assert {"strong_exceptionality_gr", "x1_no_higher_ext", "x2_no_higher_ext"} <= set(failed)
+    assert all(len(v) == 5 for v in failed.values())
 
 
 def test_report_smaller_grassmannian_passes():
