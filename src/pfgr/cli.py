@@ -207,9 +207,9 @@ def draw_pool(config, model, report):
     q = model.field.characteristic
     t0 = time.perf_counter()
     geometry_runs = "geometry" in config.suites
-    pool = geometry.sample_y2_points(model, q, max(config.samples, 16) if geometry_runs else 1,
+    pool = geometry.sample_y2_points(model, max(config.samples, 16) if geometry_runs else 1,
                                      seed=config.seed)
-    planes = (geometry.sample_y1_points(model, q, pool[:config.samples], seed=config.seed)
+    planes = (geometry.sample_y1_points(model, pool[:config.samples], seed=config.seed)
               if geometry_runs else [])
     report.shared["pool"] = (time.perf_counter() - t0,
                              f"{len(pool)} Y2 points and {len(planes)} Y1 planes over "
@@ -263,7 +263,7 @@ def run_geometry_suite(config, report, model, pool, planes):
     for variety in ("Y1", "Y2"):
         def smooth(v=variety):
             points = planes if v == "Y1" else pool[:config.samples]
-            rep = geometry.smoothness_sample(model, v, points, q=q, requested=config.samples)
+            rep = geometry.smoothness_sample(model, v, points, requested=config.samples)
             return rep.passed, {"found": rep.found, "expected_rank": rep.expected_rank,
                                 "witnesses": rep.witnesses[:3]}
         _timed(report, f"geometry.smoothness_{variety}",
@@ -271,8 +271,7 @@ def run_geometry_suite(config, report, model, pool, planes):
                {"samples": config.samples, "q": q}, smooth)
 
     def parity():
-        checked, failures = geometry.rank_parity_sample(model, 10000, q=q,
-                                                        seed=config.seed)
+        checked, failures = geometry.rank_parity_sample(model, 10000, seed=config.seed)
         return not failures, {"checked": checked, "failures": failures[:3]}
 
     _timed(report, "geometry.rank_parity",
@@ -281,7 +280,7 @@ def run_geometry_suite(config, report, model, pool, planes):
 
     def critical():
         sweep = geometry.critical_equivalence_sweep(
-            model, pool[:16], q=q, n_pos=1000, n_near=1000, n_rand=10000, seed=config.seed)
+            model, pool[:16], n_pos=1000, n_near=1000, n_rand=10000, seed=config.seed)
         return (sweep.consistent and sweep.positive_failures == 0), {
             "positives": sweep.positives, "near_misses": sweep.near_misses,
             "randoms": sweep.randoms, "disagreements": sweep.disagreements[:3],
@@ -293,7 +292,7 @@ def run_geometry_suite(config, report, model, pool, planes):
 
     def normal():
         pts = pool[:config.samples]
-        results = geometry.normal_map_check(model, pts, q=q) if pts else []
+        results = geometry.normal_map_check(model, pts)
         bad = [{"p": p, "rank": res.rank} for p, res in zip(pts, results) if not res.passed]
         return (len(pts) == config.samples and not bad), {
             "checked": len(pts), "failures": bad[:3]}
@@ -343,7 +342,7 @@ def run_mf_suite(config, report):
         total = ext.total_dimension
         return (ok and total == 1
                 and ext.dims.get((0, 0)) == 1), {
-            "dims": {str(k): v for k, v in ext.capped().items()},
+            "dims": {str(k): v for k, v in ext.dims.items()},
             "total": total}
 
     _timed(report, "mf.knorrer_base",
@@ -364,8 +363,8 @@ def run_mf_suite(config, report):
         perfect = mf.MatrixFactorization(ring, zero, [(0, 0), (1, 0)],
                                          [[zero, ring.var(0)], [zero, zero]])
         e3 = mf.hom_ext_truncated(perfect.tensor(stab), E, trunc)
-        empty = not e1.capped() and not e2.capped() and not e3.capped()
-        return ok and empty, {"dims_against": {str(k): v for k, v in e1.capped().items()}}
+        empty = not e1.dims and not e2.dims and not e3.dims
+        return ok and empty, {"dims_against": {str(k): v for k, v in e1.dims.items()}}
 
     _timed(report, "mf.stabilization_contractible",
            "the zero-locus stabilization has no morphisms in either direction",
@@ -583,14 +582,14 @@ def build_parser():
                        help="comma-separated census primes, e.g. 2,3,5")
         p.add_argument("--rect", default=None,
                        help="window rectangle as L,M (default: half of (d-1) by d)")
-        p.add_argument("--suite", action="append", default=None,
-                       choices=["window", "geometry", "mf", "all"])
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="write the JSON report here")
         p.add_argument("--format", choices=["json", "text"], default="text")
 
     run_p = sub.add_parser("run", help="run selected suites")
     add_run_args(run_p)
+    run_p.add_argument("--suite", action="append", default=None,
+                       choices=["window", "geometry", "mf", "all"])
     for name in ("window", "geometry", "mf", "all"):
         p = sub.add_parser(name, help=f"run the {name} suite")
         add_run_args(p)

@@ -15,15 +15,16 @@ cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
 against the kernel 2-forms.  Y2 and Y1 are counted by the same bounded walk
 over P^(d-1)(F_q), Y1 through the incidence u in ker(omega_p); with the deep
 stratum empty the counts agree (grassmannian_census).  Every pointwise
-verdict reads omega_p mod q from omegas (the Pfaffian rank route only its
-entries above the diagonal, from omega_rows) and takes its ranks, kernels
-and isotropic extensions through the vectorized routines of pfgr.modq, over
-a whole (N, ...) stack of points or at one point.  The single-point functions
-(membership, kernels, isotropic extensions) read q from the model's field
-and refuse a model over Q with ValueError: the command line runs them on the
-model moved onto the sampling field.  Surjectivity of A needs no rational
-elimination either: rank d mod any prime q means some d x d minor is
-nonzero mod q, hence nonzero over Z (certify_model).
+verdict and sampler reads q from the model's field, refusing a model over Q
+with ValueError (the command line moves the model onto the sampling field);
+only omegas, omega_rows, tensor_mod and the censuses, which meet one model
+at several primes, take q.  Each reads omega_p mod q from omegas (the
+Pfaffian rank route its entries above the diagonal, from omega_rows) and
+ranks through pfgr.modq; the Jacobians, the normal map, the sweep and the
+samplers take (N, ...) stacks, and y2_kernels alone reads ker(omega_p) off
+a stack.  Surjectivity of A needs no rational elimination either: rank d
+mod any prime q means some d x d minor is nonzero mod q, hence nonzero
+over Z (certify_model).
 
 Both samplers cost about q draws per point over F_q.  Y2 is sampled by
 kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
@@ -187,7 +188,7 @@ def y2_membership(model, p):
     return r, r <= model.degenerate_rank
 
 
-def quadratic_form_matrix(model, p, q):
+def quadratic_form_matrix(model, p):
     """The symmetric 2d x 2d matrix of W_p on pairs of columns (u, v), as
     residues mod q: [[0, omega_p / 2], [omega_p^T / 2, 0]] for one point p,
     an (N, 2d, 2d) stack for an (N, d) stack of points.
@@ -195,6 +196,7 @@ def quadratic_form_matrix(model, p, q):
     W_p(u, v) = omega_p(u, v), polarized; needs an invertible 2, so q must
     be odd.
     """
+    q = _prime(model)
     if q == 2:
         raise ValueError("quadratic form matrix needs characteristic != 2")
     d = model.d
@@ -291,7 +293,7 @@ def _rng_ints(rng, q, shape):
 SAMPLER_MAX_TRIES = 4_000_000
 
 
-def sample_y2_points(model, q, count, seed=0):
+def sample_y2_points(model, count, seed=0):
     """Points p with rank(omega_p) = d - 3 over F_q, by kernel search.
 
     A random vector k determines the linear system {p : k in ker(omega_p)};
@@ -299,7 +301,7 @@ def sample_y2_points(model, q, count, seed=0):
     on Y2 roughly once in q tries, which is fast enough to batch.  B_k is
     C_k transposed (grassmannian_census), whose right kernel gives Y1 planes.
     """
-    d = model.d
+    d, q = model.d, _prime(model)
     Tq = model.tensor_mod(q)
     rng = np.random.default_rng(seed)
     found = []
@@ -321,9 +323,24 @@ def sample_y2_points(model, q, count, seed=0):
     return found
 
 
-def sample_y1_points(model, q, base_points, seed=0):
+def y2_kernels(model, pts):
+    """The canonical bases of ker(omega_p) over F_q, read off one reduced
+    form of the (N, d) stack pts, as an (N, 3, d) stack.  A point whose
+    omega rank is not d - 3 raises ValueError."""
+    d, q = model.d, _prime(model)
+    pts = np.asarray(pts, dtype=np.int64).reshape(-1, d) % q
+    R, ranks, pivots = modq.rref(omegas(model, pts, q), q)
+    off = np.flatnonzero(ranks != model.degenerate_rank)
+    if len(off):
+        raise ValueError(f"p = {pts[off[0]].tolist()} is not on Y2: omega rank "
+                         f"{ranks[off[0]]}, expected {model.degenerate_rank}")
+    return modq.kernels(R, pivots, q).reshape(-1, 3, d)
+
+
+def sample_y1_points(model, base_points, seed=0):
     """Full-rank 2 x d matrices x over F_q with A(wedge of x) = 0, one Y1
-    plane through each given Y2 point, in the order of base_points.
+    plane through each given Y2 point, in the order of base_points; a base
+    point of omega rank other than d - 3 raises ValueError (y2_kernels).
 
     Samples through the incidence {(p, U) : U meets K_p = ker(omega_p)}
     between Y2 and Y1.  The base points come from the caller, so the planes
@@ -351,19 +368,9 @@ def sample_y1_points(model, q, base_points, seed=0):
     d = 5, Y1 is a curve with about q points over F_q, so a sample of about
     q planes must repeat some, and repeats are valid samples.
     """
-    if not len(base_points):
-        return []
-    d = model.d
+    d, q = model.d, _prime(model)
     Tq = model.tensor_mod(q)
-    R, ranks, pivots = modq.rref(omegas(model, base_points, q), q)
-    off = np.flatnonzero(ranks > model.degenerate_rank)
-    if len(off):
-        raise ValueError(f"base point {list(base_points[off[0]])} is not on Y2: "
-                         f"omega rank {ranks[off[0]]}")
-    # every base point has nullity >= 3; draw from its first three kernel vectors
-    nullity = d - ranks
-    first = np.cumsum(nullity) - nullity
-    K = modq.kernels(R, pivots, q)[first[:, None] + np.arange(3)]
+    K = y2_kernels(model, base_points)
     rng = np.random.default_rng((seed, 1))
     planes = {}
     pending = np.arange(len(base_points))
@@ -391,10 +398,9 @@ def sample_y1_points(model, q, base_points, seed=0):
 # smoothness certificates
 
 
-def pfaffian_jacobian_mod(model, p, q):
-    """Jacobians of the d principal sub-Pfaffians over F_q, at one point p
-    (a (d, d) matrix J[i, j] = dPf_i/dp_j) or at an (N, d) stack of points
-    (an (N, d, d) stack).
+def pfaffian_jacobian_mod(model, pts):
+    """Jacobians of the d principal sub-Pfaffians over F_q at an (N, d)
+    stack of points: an (N, d, d) stack of J[i, j] = dPf_i/dp_j.
 
     Pf_i, the Pfaffian of omega with row and column i deleted, is a
     polynomial in the entries above the diagonal.  For a < b at positions
@@ -407,10 +413,8 @@ def pfaffian_jacobian_mod(model, p, q):
     the rows i that reach it.  J is then one product of C(d, 2) residue
     terms, within the C(d, 2)(q - 1)^2 < 2^63 bound random_model keeps.
     """
-    d = model.d
-    pts = np.asarray(p, dtype=np.int64) % q
-    single = pts.ndim == 1
-    rows = omega_rows(model, pts.reshape(-1, d), q)
+    d, q = model.d, _prime(model)
+    rows = omega_rows(model, np.asarray(pts, dtype=np.int64).reshape(-1, d), q)
     entries = dict(zip(model.pairs, rows))
     memo = {}
     S = np.zeros((rows.shape[1], d, len(rows)), dtype=np.int64)
@@ -421,22 +425,19 @@ def pfaffian_jacobian_mod(model, p, q):
             pf = modq.pfaffian(entries, tuple(k for k in range(d) if k not in (i, a, b)), q, memo)
             s, t = a - (a > i), b - (b > i)  # the positions of a, b among the other indices
             S[:, i, c] = pf if (s + t) % 2 else -pf % q
-    J = S @ (np.array(model.A, dtype=np.int64) % q).T % q
-    return J[0] if single else J
+    return S @ (np.array(model.A, dtype=np.int64) % q).T % q
 
 
-def y1_jacobian_mod(model, x, q):
-    """Differentials of the d equations A(wedge) on all of Hom(S, V), at one
-    2 x d point x (a (d, 2d) matrix) or at an (N, 2, d) stack (an (N, d, 2d)
-    stack).  Column a is the derivative along u_a, column d + b along v_b:
-    sum_b T[i, a, b] v_b and sum_a T[i, a, b] u_a."""
+def y1_jacobian_mod(model, xs):
+    """Differentials of the d equations A(wedge) on all of Hom(S, V) over
+    F_q at an (N, 2, d) stack of points (an (N, d, 2d) stack).  Column a is
+    the derivative along u_a, column d + b along v_b: sum_b T[i, a, b] v_b
+    and sum_a T[i, a, b] u_a."""
+    q = _prime(model)
     Tq = model.tensor_mod(q)
-    xs = np.asarray(x, dtype=np.int64) % q
-    single = xs.ndim == 2
-    xs = xs.reshape(-1, 2, model.d)
-    D = np.concatenate([np.einsum("iab,xb->xia", Tq, xs[:, 1]),
-                        np.einsum("iab,xa->xib", Tq, xs[:, 0])], axis=2) % q
-    return D[0] if single else D
+    xs = np.asarray(xs, dtype=np.int64).reshape(-1, 2, model.d) % q
+    return np.concatenate([np.einsum("iab,xb->xia", Tq, xs[:, 1]),
+                           np.einsum("iab,xa->xib", Tq, xs[:, 0])], axis=2) % q
 
 
 @dataclass
@@ -451,7 +452,7 @@ class SmoothnessReport:
     witnesses: list = dc_field(default_factory=list)
 
 
-def smoothness_sample(model, variety, points, q=101, requested=None):
+def smoothness_sample(model, variety, points, requested=None):
     """Exact Jacobian ranks at the given points of Y1 or Y2 over F_q.
 
     Y2 points must have Jacobian rank 3 (the codimension of the stratum);
@@ -464,6 +465,7 @@ def smoothness_sample(model, variety, points, q=101, requested=None):
     """
     if variety not in ("Y1", "Y2"):
         raise ValueError("variety must be 'Y1' or 'Y2'")
+    q = _prime(model)
     pts = list(points)
     if variety == "Y2":
         expected = 3
@@ -471,7 +473,7 @@ def smoothness_sample(model, variety, points, q=101, requested=None):
     else:
         expected = model.d
         jacobian = y1_jacobian_mod
-    ranks = modq.batch_rank(jacobian(model, pts, q), q).tolist() if pts else []
+    ranks = modq.batch_rank(jacobian(model, pts), q).tolist()
     witnesses = [{"point": pt, "rank": r} for pt, r in zip(pts, ranks) if r != expected]
     found = len(ranks)
     requested = found if requested is None else requested
@@ -592,10 +594,9 @@ class NormalMapResult:
         return self.rank == 3 and self.jacobian_rank == 3 and self.kernels_match
 
 
-def normal_map_check(model, p, q=101):
-    """Rank of the pairing between normal directions and kernel 2-forms, at
-    one point p (one NormalMapResult) or at an (N, d) stack of points (a
-    list of N results).
+def normal_map_check(model, pts):
+    """Rank of the pairing between normal directions and kernel 2-forms at
+    an (N, d) stack of points: a list of N NormalMapResults.
 
     The Jacobian J of the principal sub-Pfaffians cuts out the tangent space
     at p; each direction vector e_i restricts to the 2-form omega_{e_i} on
@@ -603,32 +604,23 @@ def normal_map_check(model, p, q=101):
     of 2-forms on K_p.  The check certifies that this map has rank 3 and
     kills exactly the tangent directions, which together make the induced
     map on the normal space an isomorphism.  The whole stack takes one rref
-    for the kernels and three batch_rank calls; a point whose omega rank is
-    not d - 3 raises ValueError.
+    for the kernels (y2_kernels, which raises ValueError at a point whose
+    omega rank is not d - 3) and three batch_rank calls.
     """
-    d = model.d
+    q = _prime(model)
     Tq = model.tensor_mod(q)
-    pts = np.asarray(p, dtype=np.int64) % q
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, d)
-    R, ranks, pivots = modq.rref(omegas(model, pts, q), q)
-    off = np.flatnonzero(ranks != model.degenerate_rank)
-    if len(off):
-        raise ValueError(f"omega rank {ranks[off[0]]} at p = {pts[off[0]].tolist()}, "
-                         f"expected {model.degenerate_rank}")
-    K = modq.kernels(R, pivots, q).reshape(-1, 3, d)
+    K = y2_kernels(model, pts)
     # reduce after each contraction: entries of K and Tq are residues, so an
     # unreduced double contraction could reach d^2 (q - 1)^3 and wrap int64
     TK = np.einsum("iab,xtb->xita", Tq, K) % q
     G = np.einsum("xsa,xita->xist", K, TK) % q
     M3 = np.stack([G[:, :, s, t] for s, t in [(0, 1), (0, 2), (1, 2)]], axis=1)
-    J = pfaffian_jacobian_mod(model, pts, q)
+    J = pfaffian_jacobian_mod(model, pts)
     rank_m = modq.batch_rank(M3, q).tolist()
     rank_j = modq.batch_rank(J, q).tolist()
     rank_both = modq.batch_rank(np.concatenate([J, M3], axis=1), q).tolist()
-    out = [NormalMapResult(rm, rj, rb == rj == rm)
-           for rm, rj, rb in zip(rank_m, rank_j, rank_both)]
-    return out[0] if single else out
+    return [NormalMapResult(rm, rj, rb == rj == rm)
+            for rm, rj, rb in zip(rank_m, rank_j, rank_both)]
 
 
 def underlying_scheme_probe(model, p, max_degree=6):
@@ -648,14 +640,14 @@ def underlying_scheme_probe(model, p, max_degree=6):
     return dims, dims == expected
 
 
-def rank_parity_sample(model, count, q=101, seed=0):
+def rank_parity_sample(model, count, seed=0):
     """Check rank(W_p) = 2 rank(omega_p) on a batch of random points.
     W_p is quadratic_form_matrix, [[0, M], [M^T, 0]] with M = omega_p / 2,
     and rank [[0, M], [M^T, 0]] = 2 rank M for any M.  rank(W_p) comes from
     modq.batch_rank's elimination and rank(omega_p) from the principal
     Pfaffians (modq.alternating_rank), so this tests the two rank routes
     against each other, not the model."""
-    d = model.d
+    d, q = model.d, _prime(model)
     rng = np.random.default_rng(seed)
     checked = 0
     failures = []
@@ -667,7 +659,7 @@ def rank_parity_sample(model, count, q=101, seed=0):
         if not len(ps):
             continue
         r_omega = modq.alternating_rank(omega_rows(model, ps, q), q)
-        r_w = modq.batch_rank(quadratic_form_matrix(model, ps, q), q)
+        r_w = modq.batch_rank(quadratic_form_matrix(model, ps), q)
         bad = np.nonzero(r_w != 2 * r_omega)[0]
         for b in bad:
             failures.append({"p": [int(c) for c in ps[b]],
@@ -685,15 +677,16 @@ def _random_A(rng, d):
     return tuple(tuple(rng.randint(-9, 9) for _ in range(npairs)) for _ in range(d))
 
 
-def certify_model(model, census_qs=(2, 3, 5), cert_samples=5, sample_q=101):
+def certify_model(model, census_qs=(2, 3, 5), cert_samples=5):
     """Run the genericity certificates.
 
     Returns (failure, census): the name of the first certificate that
     failed, or '' when all pass, and the strata {q: {rank: count}} of every
     census prime ranked on the way.  The smoothness certificates take one
-    stream of cert_samples Y2 points over F_sample_q and one Y1 plane
-    through each of them.
+    stream of cert_samples Y2 points over F_sampling_prime(model.field) and
+    one Y1 plane through each of them.
     """
+    sample_q = sampling_prime(model.field)
     census = {}
     # rank d mod any prime makes some d x d minor of A nonzero over Z, so A
     # is surjective over Q as well
@@ -705,10 +698,11 @@ def certify_model(model, census_qs=(2, 3, 5), cert_samples=5, sample_q=101):
         census[q] = rank_census(model, q)
         if any(r <= model.forbidden_rank for r in census[q]):
             return f"deep_stratum_nonempty_q{q}", census
-    pts = sample_y2_points(model, sample_q, cert_samples, seed=model.seed)
-    planes = sample_y1_points(model, sample_q, pts, seed=model.seed)
+    work = replace(model, field=PrimeField(sample_q))
+    pts = sample_y2_points(work, cert_samples, seed=model.seed)
+    planes = sample_y1_points(work, pts, seed=model.seed)
     for variety, points in (("Y2", pts), ("Y1", planes)):
-        rep = smoothness_sample(model, variety, points, q=sample_q, requested=cert_samples)
+        rep = smoothness_sample(work, variety, points, requested=cert_samples)
         if rep.found < cert_samples:
             return f"sampling_budget_{variety}", census
         if not rep.passed:
@@ -771,7 +765,7 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples
     last = ""
     for attempt in range(MODEL_MAX_RETRIES):
         model = PfaffianModel(d=d, A=_random_A(rng, d), seed=seed + attempt, field=field)
-        last, census = certify_model(model, census_qs, cert_samples, sample_q)
+        last, census = certify_model(model, census_qs, cert_samples)
         if not last:
             frozen = {cq: MappingProxyType(strata) for cq, strata in census.items()}
             return replace(model, census=MappingProxyType(frozen))
@@ -823,13 +817,14 @@ class CriticalSweep:
         return not self.disagreements
 
 
-def _batch_verdicts(model, q, us, vs, ps):
+def _batch_verdicts(model, us, vs, ps):
     """Vectorized gradient and geometric verdicts for batches of (x, p).
 
     The shared conditions (both columns killed by omega_p) are computed once;
     the gradient verdict adds the vanishing of the wedge contractions, the
     geometric verdict adds the vanishing of the 2 x 2 minors of x.
     """
+    q = _prime(model)
     Aq = np.array(model.A, dtype=np.int64) % q
     om = omegas(model, ps, q)
     gu = np.einsum("xab,xb->xa", om, vs % q) % q
@@ -846,31 +841,30 @@ def _batch_verdicts(model, q, us, vs, ps):
     return gradient_zero, geometric
 
 
-def critical_equivalence_sweep(model, base_points, q=101, n_pos=1000, n_near=1000,
+def critical_equivalence_sweep(model, base_points, n_pos=1000, n_near=1000,
                                n_rand=10000, seed=0):
     """Compare gradient and geometric criticality verdicts in bulk.
 
     Constructed positives are rank-one maps into the kernel at the given
-    degenerate base points (the caller's, which other checks may share);
+    Y2 base points (the caller's, which other checks may share; y2_kernels
+    refuses any of omega rank other than d - 3);
     near-misses are rank-two maps into the kernel and rank-one maps off the
     kernel; the rest are uniform random.  Any disagreement between the two
     verdicts is returned as a witness.
     """
-    d = model.d
+    d, q = model.d, _prime(model)
     rng = np.random.default_rng(seed)
     if not len(base_points):
         raise RuntimeError("no degenerate points given for the sweep")
-    kernels = []
-    for p in base_points:
-        _, K = modq.rank_and_kernel(omegas(model, p, q), q)
-        kernels.append((np.asarray(p, dtype=np.int64), K))
+    kernels = list(zip(np.asarray(base_points, dtype=np.int64),
+                       y2_kernels(model, base_points)))
 
     disagreements = []
     positive_failures = 0
 
     def record(us, vs, ps, expect_positive=False):
         nonlocal positive_failures
-        grad, geo = _batch_verdicts(model, q, us, vs, ps)
+        grad, geo = _batch_verdicts(model, us, vs, ps)
         for t in np.nonzero(grad != geo)[0]:
             disagreements.append({
                 "x": [[int(c) for c in us[t]], [int(c) for c in vs[t]]],

@@ -467,9 +467,6 @@ class ExtResult:
     def total_dimension(self):
         return sum(self.dims.values())
 
-    def capped(self):
-        return dict(sorted(self.dims.items()))
-
 
 def hom_ext_truncated(E, F, trunc):
     """Graded dimensions of morphisms from E to F, truncated in total degree.
@@ -846,7 +843,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     if not q:
         raise ValueError("knorrer_rank_check needs a model over a prime field")
     n = 2 * model.d
-    B = geometry.quadratic_form_matrix(model, p, q)
+    B = geometry.quadratic_form_matrix(model, p)
     M = np.kron(np.eye(2, dtype=np.int64), np.array(L_basis, dtype=np.int64) % q)
     if (M @ B % q @ M.T % q).any():
         raise ValueError("the given subspace is not isotropic for W_p")
@@ -876,9 +873,9 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     rad_ext = hom_ext_truncated(free_module_mf(ring_rad), free_module_mf(ring_rad), trunc)
 
     cap = min(pair_ext.charge_cap, rad_ext.charge_cap)
-    dims = rad_ext.capped()
+    dims = rad_ext.dims
     for _ in range(h):
-        dims = convolve_dims(dims, pair_ext.capped(), cap)
+        dims = convolve_dims(dims, pair_ext.dims, cap)
 
     # model-level certificate: the closed-form factorization of W_p itself
     ring = PolyRing(F, tuple(f"x{i}" for i in range(n)), (1,) * n)

@@ -297,6 +297,19 @@ def test_model_gen_and_show(tmp_path):
     assert cli.main(["model", "show", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["window", "geometry", "mf", "all"])
+def test_suite_flag_belongs_to_run_only(command, capsys):
+    """A named subcommand fixes its own suites, so --suite there is an
+    argparse error (exit 2) instead of a flag that is silently ignored; run
+    still takes it."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--d", "5", "--suite", "geometry"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --suite" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(["run", "--suite", "mf", "--suite", "window"])
+    assert cli.config_from_args(args).suites == ("mf", "window")
+
+
 def test_full_json_report_schema(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(["run", "--suite", "window", "--dp-cutoff", "2",

@@ -21,7 +21,7 @@ from pfgr.geometry import (PfaffianModel, certify_model,
                            random_model, rank_census, rank_parity_sample,
                            sample_y1_points, sample_y2_points,
                            smoothness_sample, underlying_scheme_probe,
-                           y1_membership, y2_membership)
+                           y1_membership, y2_kernels, y2_membership)
 
 from oracles import (contraction_oracle, critical_test, grad_W, omega_field,
                      omega_rank_walk, omega_stack_census, perfect_matchings,
@@ -431,10 +431,10 @@ def test_quadratic_form_symmetry_and_value(model):
     rng = random.Random(5)
     F = model.field
     ps = [[rng.randrange(101) for _ in range(7)] for _ in range(3)]
-    stack = quadratic_form_matrix(model, ps, 101)
+    stack = quadratic_form_matrix(model, ps)
     assert stack.shape == (3, 14, 14)
     for p, B in zip(ps, stack):
-        assert (quadratic_form_matrix(model, p, 101) == B).all()
+        assert (quadratic_form_matrix(model, p) == B).all()
         assert (B == B.T).all() and ((0 <= B) & (B < 101)).all()
         u = [rng.randrange(101) for _ in range(7)]
         v = [rng.randrange(101) for _ in range(7)]
@@ -448,7 +448,7 @@ def test_quadratic_form_symmetry_and_value(model):
                                              F.mul(omega[a][b], F.of_int(v[b]))))
         assert val == direct
     with pytest.raises(ValueError, match="characteristic"):
-        quadratic_form_matrix(model, ps[0], 2)
+        quadratic_form_matrix(replace(model, field=PrimeField(2)), ps[0])
 
 
 def test_model_path_leaves_numpy_ma_unimported():
@@ -475,7 +475,7 @@ def test_rank_parity_bulk(model):
 
 
 def test_y1_membership_and_contraction_oracle(model):
-    xs = sample_y1_points(model, 101, sample_y2_points(model, 101, 5, seed=21), seed=21)
+    xs = sample_y1_points(model, sample_y2_points(model, 5, seed=21), seed=21)
     assert len(xs) == 5
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     for x in xs:
@@ -494,8 +494,8 @@ def test_incidence_sampler_cross_check(request, d, q):
     and plane i meets the kernel at base point i."""
     base = request.getfixturevalue("model" if d == 7 else "model5")
     work = PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q))
-    ps = sample_y2_points(base, q, 20, seed=3)
-    xs = sample_y1_points(base, q, ps, seed=3)
+    ps = sample_y2_points(work, 20, seed=3)
+    xs = sample_y1_points(work, ps, seed=3)
     assert len(xs) == 20
     for p, x in zip(ps, xs):
         assert linalg.rank(work.field, [[work.field.of_int(c) for c in row] for row in x]) == 2
@@ -512,8 +512,8 @@ def test_y1_sampler_refuses_base_points_off_y2(model):
     off = [rng.randrange(1, 101) for _ in range(7)]
     assert y2_membership(model, off) == (6, False)
     with pytest.raises(ValueError, match="not on Y2"):
-        sample_y1_points(model, 101, sample_y2_points(model, 101, 2, seed=5) + [off])
-    assert sample_y1_points(model, 101, []) == []
+        sample_y1_points(model, sample_y2_points(model, 2, seed=5) + [off])
+    assert sample_y1_points(model, []) == []
 
 
 def test_y1_membership_rejects_rank_deficient(model):
@@ -527,29 +527,29 @@ def test_y1_membership_rejects_rank_deficient(model):
 
 
 def test_smoothness_samples(model):
-    pts = sample_y2_points(model, 101, 25, seed=31)
-    rep = smoothness_sample(model, "Y2", pts, q=101)
+    pts = sample_y2_points(model, 25, seed=31)
+    rep = smoothness_sample(model, "Y2", pts)
     assert rep.passed and set(rep.ranks) == {3} and rep.found == rep.requested == 25
-    rep = smoothness_sample(model, "Y1", sample_y1_points(model, 101, pts[:10], seed=31), q=101)
+    rep = smoothness_sample(model, "Y1", sample_y1_points(model, pts[:10], seed=31))
     assert rep.passed and set(rep.ranks) == {7} and rep.found == 10
 
 
 def test_smoothness_samples_d5(model5):
-    pts = sample_y2_points(model5, 101, 25, seed=31)
-    rep = smoothness_sample(model5, "Y2", pts, q=101)
+    pts = sample_y2_points(model5, 25, seed=31)
+    rep = smoothness_sample(model5, "Y2", pts)
     assert rep.passed and set(rep.ranks) == {3}
-    rep = smoothness_sample(model5, "Y1", sample_y1_points(model5, 101, pts[:10], seed=31), q=101)
+    rep = smoothness_sample(model5, "Y1", sample_y1_points(model5, pts[:10], seed=31))
     assert rep.passed and set(rep.ranks) == {5}
 
 
 def test_smoothness_short_sample_fails(model):
     """Fewer points than requested fail the check; a point off Y2 is a witness."""
-    pts = sample_y2_points(model, 101, 3, seed=33)
-    rep = smoothness_sample(model, "Y2", pts, q=101, requested=4)
+    pts = sample_y2_points(model, 3, seed=33)
+    rep = smoothness_sample(model, "Y2", pts, requested=4)
     assert rep.found == 3 and not rep.passed and not rep.witnesses
     rng = random.Random(6)
     off = [rng.randrange(1, 101) for _ in range(7)]
-    rep = smoothness_sample(model, "Y2", pts + [off], q=101)
+    rep = smoothness_sample(model, "Y2", pts + [off])
     assert not rep.passed and [w["point"] for w in rep.witnesses] == [off]
 
 
@@ -599,7 +599,7 @@ def _jacobian_oracle(work, p):
 @pytest.mark.parametrize("q", [101, 1009, "int64"])
 def test_pfaffian_jacobian_matches_interpolation_oracle(request, d, q):
     """The stacked Jacobian equals dPf_i/dp_j interpolated over PrimeField(q),
-    and each point of the stack equals the one-point call.
+    and each point of the stack equals the call on a stack of that point.
 
     The int64 case takes the largest prime the bound admits and a model with
     every entry of A negative, so every residue of A mod q lies near q: each
@@ -616,39 +616,40 @@ def test_pfaffian_jacobian_matches_interpolation_oracle(request, d, q):
     if q == "int64":
         q = _largest_int64_prime(d)
         A = tuple(tuple(rng.randint(-9, -1) for _ in range(comb(d, 2))) for _ in range(d))
-        base = PfaffianModel(d=d, A=A, seed=0, field=PrimeField(q))
+        work = PfaffianModel(d=d, A=A, seed=0, field=PrimeField(q))
         pts = [[rng.randrange(1, q) for _ in range(d)] for _ in range(4)]
     else:
+        work = PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q))
         # five points on Y2 and three random points off it
-        pts = sample_y2_points(base, q, 5, seed=d)
+        pts = sample_y2_points(work, 5, seed=d)
         pts += [[rng.randrange(1, q) for _ in range(d)] for _ in range(3)]
-    work = PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q))
-    J = geometry.pfaffian_jacobian_mod(base, pts, q)
+    J = geometry.pfaffian_jacobian_mod(work, pts)
     assert J.shape == (len(pts), d, d)
     for p, Jp in zip(pts, J):
         assert Jp.tolist() == _jacobian_oracle(work, p)
-        assert (geometry.pfaffian_jacobian_mod(base, p, q) == Jp).all()
+        assert (geometry.pfaffian_jacobian_mod(work, [p])[0] == Jp).all()
 
 
 @pytest.mark.parametrize("d", [5, 7])
 def test_y1_jacobian_matches_wedge_columns(request, d):
     """Column a of the stacked Y1 differential is A(e_a wedge v), column
-    d + a is A(u wedge e_a), and each point equals the one-point call."""
+    d + a is A(u wedge e_a), and each point equals the call on a stack of
+    that point."""
     base = request.getfixturevalue("model" if d == 7 else "model5")
     q = 101
     F = PrimeField(q)
     work = PfaffianModel(d=d, A=base.A, seed=0, field=F)
     rng = random.Random(d)
-    xs = sample_y1_points(base, q, sample_y2_points(base, q, 5, seed=d), seed=d)
+    xs = sample_y1_points(work, sample_y2_points(work, 5, seed=d), seed=d)
     xs += [[[rng.randrange(q) for _ in range(d)] for _ in range(2)] for _ in range(3)]
-    D = geometry.y1_jacobian_mod(base, xs, q)
+    D = geometry.y1_jacobian_mod(work, xs)
     assert D.shape == (len(xs), d, 2 * d)
     for (u, v), Dx in zip(xs, D):
         e = [[int(a == b) for b in range(d)] for a in range(d)]
         cols = ([contraction_oracle(work, [e[a], v]) for a in range(d)]
                 + [contraction_oracle(work, [u, e[a]]) for a in range(d)])
         assert Dx.T.tolist() == cols
-        assert (geometry.y1_jacobian_mod(base, [u, v], q) == Dx).all()
+        assert (geometry.y1_jacobian_mod(work, [[u, v]])[0] == Dx).all()
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +680,7 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
     work = replace(base, field=PrimeField(q))
     F = work.field
     rng = random.Random(d * q)
-    pool = sample_y2_points(base, q, 6, seed=d)
+    pool = sample_y2_points(work, 6, seed=d)
     assert len(pool) == 6
     randoms = [[rng.randrange(q) for _ in range(d)] for _ in range(6)]
     for p in pool + [r for r in randoms if any(r)]:
@@ -687,7 +688,7 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
         assert kernel_basis(work, p) == linalg.right_kernel(F, omega)
         r = linalg.rank(F, omega)
         assert y2_membership(work, p) == (r, r <= d - 3)
-    planes = sample_y1_points(base, q, pool, seed=d)
+    planes = sample_y1_points(work, pool, seed=d)
     assert planes and all(y1_membership(work, x) for x in planes)
     others = [[[rng.randrange(q) for _ in range(d)] for _ in range(2)] for _ in range(6)]
     for x in planes + [x for x in others if linalg.rank(F, x) == 2]:
@@ -710,25 +711,86 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
 
 
 def test_pointwise_functions_refuse_rationals(model):
-    """Every single-point verdict runs mod the model's prime: over Q it
-    raises ValueError before any arithmetic."""
+    """Every pointwise verdict and sampler runs mod the model's prime: over Q
+    it raises ValueError before any arithmetic.  certify_model instead moves
+    the model onto its sampling field, so over Q it certifies as over F_101."""
     over_q = replace(model, field=QQ)
-    p = sample_y2_points(model, 101, 1, seed=18)[0]
-    x = sample_y1_points(model, 101, [p], seed=18)[0]
+    p = sample_y2_points(model, 1, seed=18)[0]
+    x = sample_y1_points(model, [p], seed=18)[0]
+    ps, us = np.array([p]), np.array([x[0]])
     for call in (lambda: y1_membership(over_q, x), lambda: y2_membership(over_q, p),
                  lambda: kernel_basis(over_q, p), lambda: kernel_and_extend(over_q, p, x),
                  lambda: maximal_isotropic(over_q, p),
-                 lambda: underlying_scheme_probe(over_q, p)):
+                 lambda: underlying_scheme_probe(over_q, p),
+                 lambda: quadratic_form_matrix(over_q, p),
+                 lambda: sample_y2_points(over_q, 1),
+                 lambda: sample_y1_points(over_q, [p]),
+                 lambda: y2_kernels(over_q, [p]),
+                 lambda: geometry.pfaffian_jacobian_mod(over_q, [p]),
+                 lambda: geometry.y1_jacobian_mod(over_q, [x]),
+                 lambda: geometry._batch_verdicts(over_q, us, us, ps),
+                 lambda: smoothness_sample(over_q, "Y2", [p]),
+                 lambda: smoothness_sample(over_q, "Y1", [x]),
+                 lambda: normal_map_check(over_q, [p]),
+                 lambda: rank_parity_sample(over_q, 10),
+                 lambda: critical_equivalence_sweep(over_q, [p])):
         with pytest.raises(ValueError, match="prime field"):
             call()
+    assert certify_model(over_q) == certify_model(model)
+
+
+def test_verdicts_read_the_prime_of_the_model():
+    """On a model over F_1009 every verdict runs mod 1009 with no prime
+    given: the Y2 and Y1 points pass smoothness, the normal map passes at
+    each Y2 point, and the critical sweep agrees everywhere."""
+    model = random_model(1, field=PrimeField(1009), q=1009)
+    pts = sample_y2_points(model, 10, seed=4)
+    assert len(pts) == 10 and max(max(p) for p in pts) > 101
+    assert smoothness_sample(model, "Y2", pts).passed
+    assert smoothness_sample(model, "Y1", sample_y1_points(model, pts, seed=4)).passed
+    assert all(res.passed for res in normal_map_check(model, pts))
+    sweep = critical_equivalence_sweep(model, pts, n_pos=100, n_near=100, n_rand=100)
+    assert sweep.consistent and sweep.positive_failures == 0
+
+
+@pytest.mark.parametrize("d", [5, 7, 9])
+def test_y2_kernels_match_kernel_basis(request, d):
+    """y2_kernels reads the canonical kernel bases of a whole pool off one
+    reduced form: point by point they equal kernel_basis.  A point of omega
+    rank d - 1 makes it raise, and with it the sampler of Y1 planes, the
+    normal map and the critical sweep."""
+    model = request.getfixturevalue({5: "model5", 7: "model", 9: "model9"}[d])
+    pool = sample_y2_points(model, 8, seed=d)
+    K = y2_kernels(model, pool)
+    assert K.shape == (8, 3, d)
+    assert [k.tolist() for k in K] == [kernel_basis(model, p) for p in pool]
+    rng = random.Random(d)
+    off = [rng.randrange(1, 101) for _ in range(d)]
+    assert y2_membership(model, off) == (d - 1, False)
+    for call in (y2_kernels, sample_y1_points, normal_map_check, critical_equivalence_sweep):
+        with pytest.raises(ValueError, match=f"not on Y2: omega rank {d - 1}"):
+            call(model, pool[:3] + [off])
+
+
+def test_y2_kernels_refuse_deeper_points():
+    """A point whose omega has rank below d - 3 is refused too: here A has a
+    zero first row, so omega at e_0 vanishes."""
+    rng = random.Random(3)
+    A = ((0,) * 21,) + tuple(tuple(rng.randint(-9, 9) for _ in range(21)) for _ in range(6))
+    model = PfaffianModel(d=7, A=A, seed=0, field=PrimeField(101))
+    e0 = [1, 0, 0, 0, 0, 0, 0]
+    assert y2_membership(model, e0) == (0, True)
+    for call in (y2_kernels, sample_y1_points, critical_equivalence_sweep):
+        with pytest.raises(ValueError, match="not on Y2: omega rank 0"):
+            call(model, [e0])
 
 
 def test_kernel_and_extend_generic(model):
     """A plane through another base point is transverse to the kernel, and
     the extension is the kernel plus both of its rows."""
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
-    pts = sample_y2_points(model, 101, 2, seed=41)
-    xs = sample_y1_points(model, 101, pts, seed=41)
+    pts = sample_y2_points(model, 2, seed=41)
+    xs = sample_y1_points(model, pts, seed=41)
     res = kernel_and_extend(work, pts[0], xs[1])
     assert res.ok
     assert len(res.kernel) == 3 and len(res.extension) == 5
@@ -741,8 +803,8 @@ def test_kernel_and_extend_d9():
     the certified extension is completed to 6 inside their perp."""
     model9 = random_model(1, d=9, census_qs=(2,))
     work = replace(model9, field=PrimeField(101))
-    pts = sample_y2_points(model9, 101, 2, seed=45)
-    xs = sample_y1_points(model9, 101, pts, seed=45)
+    pts = sample_y2_points(model9, 2, seed=45)
+    xs = sample_y1_points(model9, pts, seed=45)
     res = kernel_and_extend(work, pts[0], xs[1])
     assert res.ok and len(res.kernel) == 3 and len(res.extension) == 6
     _assert_isotropic(work, pts[0], res.extension)
@@ -751,7 +813,7 @@ def test_kernel_and_extend_d9():
 
 def test_kernel_dimension_always_three(model):
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
-    for p in sample_y2_points(model, 101, 5, seed=43):
+    for p in sample_y2_points(model, 5, seed=43):
         assert len(kernel_basis(work, p)) == 3
 
 
@@ -760,8 +822,8 @@ def test_kernel_and_extend_named_failure(model):
     K_p + span(x) has dimension at most 4 and at most one row of x can be
     added; d = 7 needs two."""
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
-    p = sample_y2_points(model, 101, 1, seed=2)[0]
-    x = sample_y1_points(model, 101, [p], seed=2)[0]
+    p = sample_y2_points(model, 1, seed=2)[0]
+    x = sample_y1_points(model, [p], seed=2)[0]
     res = kernel_and_extend(work, p, x)
     assert not res.ok and res.failure == "kernel_meets_image"
 
@@ -770,7 +832,7 @@ def test_kernel_and_extend_preconditions(model):
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     rng = random.Random(7)
     generic_p = [rng.randrange(101) for _ in range(7)]
-    xs = sample_y1_points(model, 101, sample_y2_points(model, 101, 1, seed=47), seed=47)
+    xs = sample_y1_points(model, sample_y2_points(model, 1, seed=47), seed=47)
     with pytest.raises(ValueError):
         kernel_and_extend(work, generic_p, xs[0])
 
@@ -784,7 +846,7 @@ def test_maximal_isotropic(model, model5, model9):
     for mod in (model5, model, model9):
         d = mod.d
         work = replace(mod, field=PrimeField(101))
-        p = sample_y2_points(mod, 101, 1, seed=51)[0]
+        p = sample_y2_points(mod, 1, seed=51)[0]
         L = maximal_isotropic(work, p)
         assert maximal_isotropic(work, p) == L
         assert L[:3] == kernel_basis(work, p)
@@ -805,7 +867,7 @@ def test_invariant_vanishes_on_isotropic_hom(model):
     """W(x, p) = 0 whenever both columns of x land in an isotropic subspace."""
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     F = work.field
-    p = sample_y2_points(model, 101, 1, seed=55)[0]
+    p = sample_y2_points(model, 1, seed=55)[0]
     L = maximal_isotropic(work, p)
     rng = random.Random(12)
     K = kernel_basis(work, p)
@@ -827,8 +889,8 @@ def test_invariant_vanishes_on_isotropic_hom(model):
 def test_d5_plane_always_meets_kernel(model5):
     """In dimension five the kernel and any solution plane must intersect."""
     work = PfaffianModel(d=5, A=model5.A, seed=0, field=PrimeField(101))
-    pts = sample_y2_points(model5, 101, 3, seed=53)
-    xs = sample_y1_points(model5, 101, sample_y2_points(model5, 101, 3, seed=54), seed=53)
+    pts = sample_y2_points(model5, 3, seed=53)
+    xs = sample_y1_points(model5, sample_y2_points(model5, 3, seed=54), seed=53)
     F = work.field
     for p in pts:
         K = kernel_basis(work, p)
@@ -856,7 +918,7 @@ def test_grad_zero_matrix(model):
 
 def test_critical_positives_and_near_misses(model):
     work = PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
-    p = sample_y2_points(model, 101, 1, seed=61)[0]
+    p = sample_y2_points(model, 1, seed=61)[0]
     K = kernel_basis(work, p)
     k = K[0]
     # rank-one into the kernel: critical
@@ -877,7 +939,7 @@ def test_critical_positives_and_near_misses(model):
 
 
 def test_critical_sweep_consistency(model):
-    sweep = critical_equivalence_sweep(model, sample_y2_points(model, 101, 16, seed=72),
+    sweep = critical_equivalence_sweep(model, sample_y2_points(model, 16, seed=72),
                                        n_pos=200, n_near=200, n_rand=2000, seed=71)
     assert sweep.consistent and sweep.positive_failures == 0
     assert sweep.positives >= 190 and sweep.randoms >= 1990
@@ -888,31 +950,31 @@ def test_critical_sweep_consistency(model):
 
 
 def test_normal_map(model):
-    pts = sample_y2_points(model, 101, 10, seed=81)
-    for p in pts:
-        res = normal_map_check(model, p)
+    pts = sample_y2_points(model, 10, seed=81)
+    for res in normal_map_check(model, pts):
         assert res.passed and res.rank == 3 and res.jacobian_rank == 3
 
 
 def test_normal_map_rejects_generic_point(model):
     rng = random.Random(10)
     with pytest.raises(ValueError):
-        normal_map_check(model, [rng.randrange(101) for _ in range(7)])
+        normal_map_check(model, [[rng.randrange(101) for _ in range(7)]])
 
 
 @pytest.mark.parametrize("d", [5, 7])
 def test_stacked_normal_map_matches_linalg(request, d):
     """Each result of a 20-point stack equals the same check done pointwise
     over PrimeField(101) with pfgr.linalg: the kernel basis, the 2-forms
-    omega_{e_i} restricted to it, and the interpolated Jacobian.  One point
-    off Y2 makes the whole stack raise."""
+    omega_{e_i} restricted to it, and the interpolated Jacobian, and the
+    check on a stack of that point alone.  One point off Y2 makes the whole
+    stack raise."""
     base = request.getfixturevalue("model" if d == 7 else "model5")
     q = 101
     F = PrimeField(q)
     work = PfaffianModel(d=d, A=base.A, seed=0, field=F)
     T = base.coefficient_tensor()
-    pts = sample_y2_points(base, q, 20, seed=83)
-    results = normal_map_check(base, pts, q=q)
+    pts = sample_y2_points(base, 20, seed=83)
+    results = normal_map_check(base, pts)
     assert len(results) == 20
     for p, res in zip(pts, results):
         K = kernel_basis(work, p)
@@ -925,16 +987,16 @@ def test_stacked_normal_map_matches_linalg(request, d):
         expect = geometry.NormalMapResult(
             rank_m, rank_j, linalg.rank(F, J + M3) == rank_j == rank_m)
         assert res == expect and res.passed
-        assert normal_map_check(base, p, q=q) == expect
+        assert normal_map_check(base, [p]) == [expect]
     rng = random.Random(d)
     off = [rng.randrange(1, q) for _ in range(d)]
     assert y2_membership(work, off) == (d - 1, False)
     with pytest.raises(ValueError):
-        normal_map_check(base, pts[:7] + [off] + pts[7:], q=q)
+        normal_map_check(base, pts[:7] + [off] + pts[7:])
 
 
 def test_underlying_scheme_probe(model):
-    p = sample_y2_points(model, 101, 1, seed=91)[0]
+    p = sample_y2_points(model, 1, seed=91)[0]
     dims, ok = underlying_scheme_probe(model, p)
     assert ok
     assert dims[2] == 3 and dims[1] == 0 and dims[4] == 6 and dims[6] == 10

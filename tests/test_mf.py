@@ -124,7 +124,7 @@ def test_knorrer_base_point_like():
     ring = plane_ring((1, 1))
     E = hypersurface_factor(ring, ring.var(0), ring.var(1))
     ext = hom_ext_truncated(E, E, 6)
-    assert ext.capped() == {(0, 0): 1}
+    assert ext.dims == {(0, 0): 1}
     assert ext.total_dimension == 1
 
 
@@ -141,7 +141,7 @@ def test_four_variable_maximal_isotropic():
     E = hypersurface_factor(ring, u1, v1).tensor(hypersurface_factor(ring, u2, v2))
     assert mf_verify(E).ok and E.rank == 4
     ext = hom_ext_truncated(E, E, 5)
-    assert ext.capped() == {(0, 0): 1}
+    assert ext.dims == {(0, 0): 1}
     assert ext.total_dimension == 1
 
 
@@ -151,13 +151,13 @@ def test_contractible_stabilization_kills_everything():
     W = x1 * x2
     stab = zero_locus_stabilization(ring, W)
     E = hypersurface_factor(ring, x1, x2)
-    assert hom_ext_truncated(stab, E, 6).capped() == {}
-    assert hom_ext_truncated(E, stab, 6).capped() == {}
-    assert hom_ext_truncated(stab, stab, 6).capped() == {}
+    assert hom_ext_truncated(stab, E, 6).dims == {}
+    assert hom_ext_truncated(E, stab, 6).dims == {}
+    assert hom_ext_truncated(stab, stab, 6).dims == {}
     # tensoring a zero-curvature complex into the stabilization stays invisible
     zero = ring.zero()
     perfect = MatrixFactorization(ring, zero, [(0, 0), (1, 0)], [[zero, x1], [zero, zero]])
-    assert hom_ext_truncated(perfect.tensor(stab), E, 6).capped() == {}
+    assert hom_ext_truncated(perfect.tensor(stab), E, 6).dims == {}
 
 
 def test_hom_requires_matching_superpotential():
@@ -173,11 +173,11 @@ def test_shift_two_periodicity():
     E = hypersurface_factor(ring, ring.var(0), ring.var(1))
     base = hom_ext_truncated(E, E, 6)
     shifted = hom_ext_truncated(E, E.shift(2), 6)
-    assert {(p, r + 2): v for (p, r), v in base.capped().items()} == \
-        {k: v for k, v in shifted.capped().items() if k[1] <= 2 + base.charge_cap}
+    assert {(p, r + 2): v for (p, r), v in base.dims.items()} == \
+        {k: v for k, v in shifted.dims.items() if k[1] <= 2 + base.charge_cap}
     single = hom_ext_truncated(E, E.shift(1), 6)
-    assert {(1 - p, r + 1): v for (p, r), v in base.capped().items()} == \
-        {k: v for k, v in single.capped().items() if k[1] <= 1 + base.charge_cap}
+    assert {(1 - p, r + 1): v for (p, r), v in base.dims.items()} == \
+        {k: v for k, v in single.dims.items() if k[1] <= 1 + base.charge_cap}
 
 
 @pytest.mark.parametrize("k", range(-2, 4))
@@ -1013,7 +1013,7 @@ def model():
 
 
 def test_knorrer_rank_check(model):
-    p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
+    p = geometry.sample_y2_points(model, 1, seed=18)[0]
     L = geometry.maximal_isotropic(model, p)
     res = knorrer_rank_check(model, p, L, trunc=6)
     assert res.split_certified
@@ -1031,7 +1031,7 @@ def test_knorrer_rank_check(model):
 
 def test_knorrer_rank_check_d5():
     model5 = geometry.random_model(1, d=5)
-    p = geometry.sample_y2_points(model5, 101, 1, seed=18)[0]
+    p = geometry.sample_y2_points(model5, 1, seed=18)[0]
     L = geometry.maximal_isotropic(model5, p)
     res = knorrer_rank_check(model5, p, L, trunc=5)
     assert res.split_certified and res.full_rank_factorization_ok
@@ -1040,7 +1040,7 @@ def test_knorrer_rank_check_d5():
 
 
 def test_knorrer_rank_check_rejects_non_isotropic(model):
-    p = geometry.sample_y2_points(model, 101, 1, seed=19)[0]
+    p = geometry.sample_y2_points(model, 1, seed=19)[0]
     work = geometry.PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(101))
     bad = [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0],
            [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0],
@@ -1077,7 +1077,7 @@ def test_knorrer_closed_form_matches_the_fold(monkeypatch, model, d):
     W and rank 2^h, and have the same (parity, charge) generators.  W_p is
     built here from the matrix of the form, entry by entry."""
     work = model if d == 7 else geometry.random_model(1, d=5)
-    p = geometry.sample_y2_points(work, 101, 1, seed=18)[0]
+    p = geometry.sample_y2_points(work, 1, seed=18)[0]
     L = geometry.maximal_isotropic(work, p)
     pairs, verified = _fibre_spy(monkeypatch, 2 * d)
     res = knorrer_rank_check(work, p, L, trunc=4)
@@ -1086,7 +1086,7 @@ def test_knorrer_closed_form_matches_the_fold(monkeypatch, model, d):
     E = verified[-1]
     ring = E.ring
     W_p = ring.zero()
-    for a, row in enumerate(geometry.quadratic_form_matrix(work, p, 101).tolist()):
+    for a, row in enumerate(geometry.quadratic_form_matrix(work, p).tolist()):
         for b, c in enumerate(row):
             W_p = W_p + ring.var(a) * ring.var(b) * c
     fold = koszul_fold(koszul_complex(ring, cutters), W_p)
@@ -1103,14 +1103,14 @@ def test_knorrer_fibre_catches_a_wrong_factor(monkeypatch, model):
     that verifies, but of 3 W_p: the identity E.W == W_p refuses it."""
     real = mf.hypersurface_factor
     monkeypatch.setattr(mf, "hypersurface_factor", lambda ring, f, g: real(ring, f, g * 3))
-    p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
+    p = geometry.sample_y2_points(model, 1, seed=18)[0]
     L = geometry.maximal_isotropic(model, p)
     res = knorrer_rank_check(model, p, L, trunc=4)
     assert res.split_certified and not res.full_rank_factorization_ok
 
 
 def test_knorrer_rank_check_needs_a_prime_field(model):
-    p = geometry.sample_y2_points(model, 101, 1, seed=18)[0]
+    p = geometry.sample_y2_points(model, 1, seed=18)[0]
     L = geometry.maximal_isotropic(model, p)
     over_q = geometry.PfaffianModel(d=7, A=model.A, seed=0, field=QQ)
     with pytest.raises(ValueError, match="prime field"):
@@ -1244,7 +1244,7 @@ def test_koszul_certificate_agrees_on_the_knorrer_fibre(monkeypatch, model, mode
     (c_i, 2 a_i) it was built from, passes both the certificate and
     mf_verify."""
     work = model if d == 7 else model5
-    p = geometry.sample_y2_points(work, 101, 1, seed=18)[0]
+    p = geometry.sample_y2_points(work, 1, seed=18)[0]
     L = geometry.maximal_isotropic(work, p)
     pairs, verified = _fibre_spy(monkeypatch, 2 * d)
     assert knorrer_rank_check(work, p, L, trunc=4).full_rank_factorization_ok

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -56,6 +57,33 @@ def test_no_local_is_assigned_and_never_read():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               for name in _unread_locals(node)]
     assert unread == []
+
+
+def test_geometry_takes_a_prime_only_where_one_model_meets_several():
+    """Pointwise verdicts and samplers read q from the model's field.  Among
+    the public functions of pfgr.geometry (methods included) only the
+    evaluators and the censuses, which run one model at several primes, and
+    random_model, whose q is the order of the model's field, take a prime;
+    only random_model defaults it."""
+    from pfgr import geometry
+    functions = {name: obj for name, obj in vars(geometry).items()
+                 if inspect.isfunction(obj) and obj.__module__ == geometry.__name__}
+    for cname, cls in list(vars(geometry).items()):
+        if inspect.isclass(cls) and cls.__module__ == geometry.__name__:
+            functions.update((f"{cname}.{name}", obj) for name, obj in vars(cls).items()
+                             if inspect.isfunction(obj))
+    takes, defaults = set(), set()
+    for name, fn in functions.items():
+        if name.rsplit(".", 1)[-1].startswith("_"):
+            continue
+        for param in inspect.signature(fn).parameters.values():
+            if param.name in ("q", "sample_q"):
+                takes.add(name)
+                if param.default is not param.empty:
+                    defaults.add(name)
+    assert takes == {"omegas", "omega_rows", "PfaffianModel.tensor_mod", "rank_census",
+                     "grassmannian_census", "gaussian_binomial_2", "random_model"}
+    assert defaults == {"random_model"}
 
 
 ROOT = SRC.parents[1]
