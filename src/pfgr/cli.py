@@ -60,6 +60,14 @@ SCHEMA_VERSION = 1
 # trunc 100 ran out of memory
 MF_MAX_TRUNC = 14
 
+# the most ordered bundle pairs the window suite may take, (L M)^2 for an
+# L x M rectangle.  On a 2-vCPU box: --d 5 --rect 16,32, at the bound, 5.7 s;
+# --d 9 --rect 12,40, 230,400 pairs, 3.7 s; the default rectangle of d = 31,
+# 216,225 pairs, 8.3 s; --d 5 --rect 30,60, 3.24 million pairs, over 60 s.
+# Every default rectangle through d = 31 is inside it, and the other suites
+# stop at d = 9
+WINDOW_MAX_PAIRS = 2 ** 18
+
 
 @dataclass
 class SuiteConfig:
@@ -115,6 +123,12 @@ class SuiteConfig:
             raise ValueError(f"unknown suites: {sorted(bad)}")
         if (self.l_bound, self.m_bound) != (0, 0) and min(self.l_bound, self.m_bound) < 1:
             raise ValueError("rectangle bounds must be both 0 (the default) or both positive")
+        if "window" in self.suites:
+            l_bound, m_bound = self.rectangle()
+            if (l_bound * m_bound) ** 2 > WINDOW_MAX_PAIRS:
+                raise ValueError(f"the {l_bound} x {m_bound} window rectangle has "
+                                 f"{(l_bound * m_bound) ** 2} ordered bundle pairs, more "
+                                 f"than the window suite's bound of {WINDOW_MAX_PAIRS}")
         # only a run with the geometry suite reads geometry here: it loads numpy
         if "geometry" in self.suites:
             draws = self.samples * self.sampling_q()
@@ -203,14 +217,27 @@ def draw_pool(config, model, report):
     max(samples, 16) Y2 points when the geometry suite runs (the critical
     sweep takes 16) and one for the Knorrer fibre otherwise, and one Y1 plane
     through each of the first `samples` points when geometry runs; timed on
-    a shared `pool` line."""
+    a shared `pool` line.
+
+    validate budgets about q draws a point, but a model's real rate varies
+    (about 111.5 draws a Y2 point for seed 1 at d = 5 over F_101), so a
+    sampler may run out of draws before the pool is full.  A short pool
+    raises ValueError named sampling_budget_Y2 or sampling_budget_Y1, as
+    random_model refuses a certificate sampler that runs out: the request,
+    not a sampled point, failed.
+    """
     q = model.field.characteristic
     t0 = time.perf_counter()
     geometry_runs = "geometry" in config.suites
-    pool = geometry.sample_y2_points(model, max(config.samples, 16) if geometry_runs else 1,
-                                     seed=config.seed)
+    wanted = (max(config.samples, 16), config.samples) if geometry_runs else (1, 0)
+    pool = geometry.sample_y2_points(model, wanted[0], seed=config.seed)
     planes = (geometry.sample_y1_points(model, pool[:config.samples], seed=config.seed)
               if geometry_runs else [])
+    for variety, got, want in zip(("Y2", "Y1"), (pool, planes), wanted):
+        if len(got) < want:
+            raise ValueError(f"sampling_budget_{variety}: the sampler found {len(got)} of "
+                             f"{want} {variety} points over F_{q} in its "
+                             f"{geometry.SAMPLER_MAX_TRIES} draws; ask for fewer samples")
     report.shared["pool"] = (time.perf_counter() - t0,
                              f"{len(pool)} Y2 points and {len(planes)} Y1 planes over "
                              f"F_{q}, shared by the sampled checks")

@@ -135,9 +135,11 @@ class PfaffianModel:
 def omegas(model, pts, q):
     """omega_p mod q: a (d, d) matrix for one point p, an (N, d, d) stack for
     an (N, d) stack of points.  Each entry sums d products of residues, within
-    the C(d, 2) (q - 1)^2 < 2^63 bound of random_model."""
+    the C(d, 2) (q - 1)^2 < 2^63 bound of random_model; the stack is one
+    product against the d x d^2 matrix of the tensor."""
     pts = np.asarray(pts, dtype=np.int64) % q
-    return np.einsum("...i,iab->...ab", pts, model.tensor_mod(q)) % q
+    d = model.d
+    return (pts @ model.tensor_mod(q).reshape(d, d * d) % q).reshape(pts.shape[:-1] + (d, d))
 
 
 def omega_rows(model, pts, q):
@@ -271,9 +273,11 @@ def grassmannian_census(model, q):
     cross-checks the two rank routes; it adds nothing about the model.
     """
     d = model.d
-    Tq = model.tensor_mod(q)
+    # C_u for a stack of points u is one product against Tq[j, l, m] as an
+    # l x (j, m) matrix
+    Tl = model.tensor_mod(q).transpose(1, 0, 2).reshape(d, d * d)
     strata = _strata(model, q,
-                     lambda us: modq.batch_rank(np.einsum("xl,jlm->xjm", us, Tq) % q, q))
+                     lambda us: modq.batch_rank((us @ Tl % q).reshape(-1, d, d), q))
     through = sum(c * ((q ** (d - r - 1) - 1) // (q - 1)) for r, c in strata.items())
     assert through % (q + 1) == 0
     return gaussian_binomial_2(d, q), through // (q + 1)
@@ -302,7 +306,8 @@ def sample_y2_points(model, count, seed=0):
     C_k transposed (grassmannian_census), whose right kernel gives Y1 planes.
     """
     d, q = model.d, _prime(model)
-    Tq = model.tensor_mod(q)
+    # B_k[j, i] = sum_l k_l Tq[i, l, j]: Tq as an l x (j, i) matrix
+    Tl = model.tensor_mod(q).transpose(1, 2, 0).reshape(d, d * d)
     rng = np.random.default_rng(seed)
     found = []
     tries = 0
@@ -313,8 +318,7 @@ def sample_y2_points(model, count, seed=0):
         keep = ks.any(axis=1)
         ks = ks[keep]
         # B_k maps p to the contraction of omega_p with k
-        Bs = np.einsum("xl,ilj->xji", ks, Tq) % q
-        R, ranks, pivots = modq.rref(Bs, q)
+        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
         line = ranks == d - 1
         ps = modq.kernels(R[line], pivots[line], q)
         # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
@@ -369,7 +373,8 @@ def sample_y1_points(model, base_points, seed=0):
     q planes must repeat some, and repeats are valid samples.
     """
     d, q = model.d, _prime(model)
-    Tq = model.tensor_mod(q)
+    # C_k[j, m] = sum_l k_l Tq[j, l, m]: Tq as an l x (j, m) matrix
+    Tl = model.tensor_mod(q).transpose(1, 0, 2).reshape(d, d * d)
     K = y2_kernels(model, base_points)
     rng = np.random.default_rng((seed, 1))
     planes = {}
@@ -383,7 +388,7 @@ def sample_y1_points(model, base_points, seed=0):
         tries += len(owner)
         ks = np.einsum("xs,xsl->xl", _rng_ints(rng, q, (len(owner), 3)), K[owner]) % q
         # C_k[j, m] = sum_l k_l omega_{e_j}[l, m], the coefficient of v_m in A(k wedge v)_j
-        R, ranks, pivots = modq.rref(np.einsum("xl,jlm->xjm", ks, Tq) % q, q)
+        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
         hit = np.nonzero(ranks == d - 2)[0]
         done, at = np.unique(owner[hit], return_index=True)
         rows = hit[at]

@@ -1,34 +1,44 @@
 """Vectorized exact linear algebra mod a prime, for the enumeration-heavy loops.
 
-Entries live in int64 numpy arrays, and every result is reduced into
-[0, q).  All elimination is one batched Gauss-Jordan pass, rref, which
-reduces a stack of N matrices one column at a time across the whole batch:
-O(columns) vectorized steps instead of N python-level eliminations, each
-running along the batch axis.  batch_rank, rank_and_kernel and solve only
-read its output; solve, like rref, takes a whole stack of systems at once.
+Every elimination runs in one loop, _eliminate, which reduces a stack of N
+matrices one column at a time across the whole batch: O(columns)
+vectorized steps instead of N python-level eliminations, each running
+along the batch axis.  rref takes the loop to the reduced row echelon form;
+batch_rank stops at a row echelon form, updating only the rows below the
+pivots with no back-elimination, and reads each rank off the pivot count.
+rank_and_kernel and solve only read rref's output; solve, like rref, takes
+a whole stack of systems at once.
 
 alternating_rank ranks a stack of alternating matrices by its principal
 Pfaffians instead, and sends only the matrices where all of them vanish
-through rref (pfaffians_vanish holds the argument and its bound).  Both take
-the stack as the rows of its entries above the diagonal, one contiguous row
-per entry; alternating_rank builds in full only the matrices it sends.
-pfaffian, the one memoized expansion behind this rank route, also gives the
-sub-Pfaffians that geometry.pfaffian_jacobian_mod sums.
+through batch_rank (pfaffians_vanish holds the argument and its bound).
+Both take the stack as the rows of its entries above the diagonal, one
+contiguous row per entry; alternating_rank builds in full only the
+matrices it sends.  pfaffian, the one memoized expansion behind this rank
+route, also gives the sub-Pfaffians that geometry.pfaffian_jacobian_mod
+sums.
 
-Contract: for each matrix rref returns the reduced row echelon form over F_q
-(pivots 1, zeros above and below them, zero rows last), the rank and the
-pivot-column mask.  The reduced form is unique, so it equals what
-pfgr.linalg.rref gives over PrimeField(q) entry for entry, and the kernel
-bases and solutions read off it are canonical too; the tests check both.
+Contract: inputs are int64 (any integers, reduced on entry into a new
+array, so the caller's array is never written) and every result is an
+int64 array of residues in [0, q).  For each matrix rref returns the
+reduced row echelon form over F_q (pivots 1, zeros above and below them,
+zero rows last), the rank and the pivot-column mask.  The reduced form is
+unique, so it equals what pfgr.linalg.rref gives over PrimeField(q) entry
+for entry, and the kernel bases and solutions read off it are canonical
+too; the tests check both.
 
-Bound on q: rref reduces lazily.  A step reduces only the pivot column and
-the pivot row, so each factor of a row update is a residue and the update
-subtracts at most (q - 1)^2 from an unreduced entry.  rref keeps a python-int
-bound on |entry|, and reduces the whole block first whenever bound +
-(q - 1)^2 would reach 2^63; no int64 operation can then wrap, as long as
-(q - 1)^2 < 2^63.  Callers that form dot products of residues before
-reducing need terms * (q - 1)^2 < 2^63 for their longest one;
-geometry.random_model refuses sampling primes that break it.
+Dtype and bound on q: the loop reduces lazily.  A step reduces only the
+pivot column and the pivot row, so each factor of a row update is a
+residue and the update subtracts at most (q - 1)^2 from an unreduced
+entry; the block is reduced only when a python-int bound on the entries
+says the next update could wrap.  The loop works in the narrowest integer
+dtype that bound allows: int32 when 2 (q - 1)^2 < 2^31 (q = 101 and
+mf.EN_PRIME = 32003 among them), else int64, for any prime with
+q^2 <= 2^63; _work_dtype holds the soundness argument.  Reductions go
+through numpy's floor division by a scalar (_reduce), several times faster
+than np.remainder.  Callers that form dot products of
+residues before reducing need terms * (q - 1)^2 < 2^63 for their longest
+one; geometry.random_model refuses sampling primes that break it.
 """
 
 from itertools import combinations
@@ -37,22 +47,130 @@ from math import isqrt
 import numpy as np
 
 
+def _reduce(x, q):
+    """x mod q for an integer array with |x| + q <= 2^(bits - 1) of its
+    dtype: x // q * q lies in [x - q + 1, x], so nothing wraps.  numpy's
+    floor division by a scalar makes this about 13 times faster than
+    np.remainder in int32 and 6 times in int64 (numpy 2.4, 28,672 entries);
+    below about 512 entries the one call of np.remainder is the faster."""
+    return x % q if x.size < 512 else x - x // q * q
+
+
 def _inverse(a, q):
-    """Elementwise inverse of nonzero residues a mod q (Fermat: a^(q-2))."""
+    """Elementwise inverse of nonzero residues a mod q (Fermat: a^(q-2)):
+    up to 16 entries by python's pow, which beats the 2 log2(q) array steps
+    there."""
+    if a.size <= 16:
+        return np.array([pow(x, q - 2, q) for x in a.tolist()], dtype=a.dtype)
     out = np.ones_like(a)
-    base = a % q
+    base = _reduce(a, q)
     e = q - 2
     while e:
         if e & 1:
-            out = out * base % q
-        base = base * base % q
+            out = _reduce(out * base, q)
+        base = _reduce(base * base, q)
         e >>= 1
     return out
 
 
 def inverse_table(q):
     """Inverses of 0..q-1 mod q; unused by pfgr, traced by name in perfbench."""
-    return _inverse(np.arange(q, dtype=np.int64), q)
+    return np.array([pow(a, q - 2, q) for a in range(q)], dtype=np.int64)
+
+
+def _work_dtype(q):
+    """The integer dtype _eliminate works in over F_q: int32 when
+    2 (q - 1)^2 < 2^31, which holds up to q = 32749 (q = 101 and
+    mf.EN_PRIME = 32003 among them), else int64; a prime with q^2 > 2^63
+    raises ValueError.
+
+    Soundness: _eliminate keeps a python-int bound on |entry| of the rows it
+    still updates; right after a reduction it is q - 1.  A row update
+    subtracts a product of two residues, at most (q - 1)^2, from an entry,
+    so it adds (q - 1)^2 to the bound, and _reduce needs |entry| + q <= 2^31
+    to reduce the result later.  So the loop reduces the block first
+    whenever bound + (q - 1)^2 + q would pass 2^31 (2^63 in int64).  Right
+    after a reduction that sum is q^2, which is at most 2 (q - 1)^2 < 2^31
+    for q >= 5 and far below it for q = 2 and 3, so every update goes
+    through and no operation wraps; the Fermat inverses multiply two
+    residues, within the same bound.  In int64 the sum q^2 must stay within
+    2^63, which for a prime is the same as (q - 1)^2 < 2^63.  A residue fits
+    either dtype, so both give the same reduced forms, returned as int64.
+    """
+    if q * q > 2 ** 63:
+        raise ValueError(f"q = {q} is too large for int64 elimination: need q^2 <= 2^63")
+    return np.int32 if 2 * (q - 1) ** 2 < 2 ** 31 else np.int64
+
+
+def _eliminate(mats, q, reduced):
+    """The one elimination loop behind rref and batch_rank: (R, ranks,
+    pivots) of an (N, m, n) int64 stack as (N, m, n), (N,) and (N, n).
+
+    With reduced, R is the reduced row echelon form as int64 residues.
+    Without it the loop stops at a row echelon form and returns R = None:
+    each step updates only rows ranks.min() onwards, only right of the pivot
+    column and never the pivot row, and there is no back-elimination.  The
+    ranks and the pivot columns, which a row echelon form already fixes, are
+    exact.  A pivot row of a matrix of higher rank in that range may take a
+    partial back-elimination, a row operation that moves neither.
+
+    The stack is eliminated as an (m, n, N) array in _work_dtype(q), batch
+    axis innermost, in a new array, so the caller's stack is never written.
+    A matrix without a pivot in column c gets a zero pivot row, which leaves
+    it unchanged; rows at or below a matrix's current rank are zero left of
+    column c.  With at least q matrices the inverses of all q residues cost
+    no more than the pivots of one column, so they are taken once as a table.
+    """
+    N, m, n = mats.shape
+    dtype = _work_dtype(q)
+    limit = 2 ** (8 * np.dtype(dtype).itemsize - 1)
+    M = np.empty((m, n, N), dtype=dtype)
+    if mats.size and (mats.min() < 0 or mats.max() >= q):
+        np.remainder(mats.transpose(1, 2, 0), q, out=M, casting="unsafe")
+    else:
+        M[...] = mats.transpose(1, 2, 0)
+    ranks = np.zeros(N, dtype=np.int64)
+    pivots = np.zeros((n, N), dtype=bool)
+    rows = np.arange(m)[:, None]
+    step = (q - 1) ** 2
+    bound = q - 1
+    table = _inverse(np.arange(q, dtype=dtype), q) if q <= N else None
+    for c in range(n):
+        if (ranks == m).all():
+            break
+        # rows above lo are pivot rows of every matrix
+        lo = 0 if reduced else int(ranks.min())
+        col = _reduce(M[lo:, c], q)
+        M[lo:, c] = col
+        cand = (col != 0) & (rows[lo:] >= ranks)
+        hit = np.flatnonzero(cand.any(axis=0))
+        if not len(hit):
+            continue
+        r = ranks[hit]
+        src = cand.argmax(axis=0)[hit] + lo
+        # the echelon pass never reads column c, or a pivot row, again
+        first = c if reduced else c + 1
+        pivrow = _reduce(M[src, first:, hit], q)
+        moved = np.flatnonzero(src != r)
+        M[src[moved], first:, hit[moved]] = M[r[moved], first:, hit[moved]]
+        piv = col[src - lo, hit]
+        pivrow = _reduce(pivrow * (_inverse(piv, q) if table is None else table[piv])[:, None], q)
+        coef = col.copy()
+        coef[src - lo, hit] = col[r - lo, hit]
+        coef[r - lo, hit] = 0
+        P = np.zeros((n - first, N), dtype=dtype)
+        P[:, hit] = pivrow.T
+        if bound + step + q > limit:
+            M[lo:, c + 1:] = _reduce(M[lo:, c + 1:], q)
+            bound = q - 1
+        M[lo:, first:] -= coef[:, None] * P
+        bound += step
+        if reduced:
+            M[r, c:, hit] = pivrow
+        pivots[c, hit] = True
+        ranks[hit] += 1
+    R = _reduce(M, q).astype(np.int64).transpose(2, 0, 1) if reduced else None
+    return R, ranks, pivots.T
 
 
 def rref(mats, q):
@@ -61,55 +179,13 @@ def rref(mats, q):
     Returns (R, ranks, pivots): R the reduced forms, same shape as mats;
     ranks an (N,) int64 array; pivots an (N, n) bool mask of pivot columns.
     For a single matrix the leading N axis is dropped from all three.
-
-    The stack is eliminated as an (m, n, N) array, batch axis innermost.  A
-    matrix without a pivot in column c gets a zero pivot row, which leaves
-    it unchanged; column c is final after its step (see the module
-    docstring for the lazy reduction and its bound).
     """
-    M = np.array(mats, dtype=np.int64)
-    single = M.ndim == 2
+    mats = np.asarray(mats, dtype=np.int64)
+    single = mats.ndim == 2
+    R, ranks, pivots = _eliminate(mats[None] if single else mats, q, True)
     if single:
-        M = M[None]
-    N, m, n = M.shape
-    M = np.remainder(M.transpose(1, 2, 0), q, order="C")
-    ranks = np.zeros(N, dtype=np.int64)
-    pivots = np.zeros((n, N), dtype=bool)
-    rows = np.arange(m)[:, None]
-    step = (q - 1) ** 2
-    bound = q - 1
-    for c in range(n):
-        if (ranks == m).all():
-            break
-        col = M[:, c] % q
-        M[:, c] = col
-        # rows at or below the current rank are zero left of column c, so
-        # the row operations of this step only touch columns c onwards
-        cand = (col != 0) & (rows >= ranks)
-        hit = np.flatnonzero(cand.any(axis=0))
-        if not len(hit):
-            continue
-        r = ranks[hit]
-        src = cand[:, hit].argmax(axis=0)
-        pivrow = M[src, c:, hit] % q
-        M[src, c:, hit] = M[r, c:, hit]
-        pivrow = pivrow * _inverse(pivrow[:, :1], q) % q
-        coef = M[:, c].copy()
-        coef[r, hit] = 0
-        P = np.zeros((n - c, N), dtype=np.int64)
-        P[:, hit] = pivrow.T
-        if bound + step >= 2 ** 63:
-            M[:, c + 1:] %= q
-            bound = q - 1
-        M[:, c:] -= coef[:, None] * P
-        bound += step
-        M[r, c:, hit] = pivrow
-        pivots[c, hit] = True
-        ranks[hit] += 1
-    R = (M % q).transpose(2, 0, 1)
-    if single:
-        return R[0], ranks[0], pivots[:, 0]
-    return R, ranks, pivots.T
+        return R[0], ranks[0], pivots[0]
+    return R, ranks, pivots
 
 
 def kernels(R, pivots, q):
@@ -125,8 +201,10 @@ def kernels(R, pivots, q):
 
 
 def batch_rank(mats, q):
-    """Ranks of a batch of matrices over F_q.  mats: (N, m, n) int64."""
-    return np.atleast_1d(rref(mats, q)[1])
+    """Ranks over F_q of an (N, m, n) stack, or of one (m, n) matrix as a
+    (1,) array, read off a row echelon form (_eliminate)."""
+    mats = np.asarray(mats, dtype=np.int64)
+    return _eliminate(mats[None] if mats.ndim == 2 else mats, q, False)[1]
 
 
 def pfaffian(entries, idx, q, memo):

@@ -41,6 +41,27 @@ def test_half_default_rectangle_is_refused():
     cli.SuiteConfig(l_bound=2, m_bound=5).validate()
 
 
+def test_window_rectangle_is_bounded(monkeypatch):
+    """A rectangle of more than WINDOW_MAX_PAIRS ordered bundle pairs is
+    refused with exit 2 before the window pass; every default rectangle
+    through d = 31 and every rectangle the tests use is inside the bound, and
+    a run without the window suite does not read the rectangle."""
+    passes = []
+    monkeypatch.setattr(windows, "exceptional_report",
+                        lambda *args, **kwargs: passes.append(args))
+    assert cli.main(["window", "--d", "5", "--rect", "30,60"]) == 2
+    assert cli.main(["window", "--d", "33"]) == 2
+    assert not passes
+    for d in range(5, 33, 2):
+        cli.SuiteConfig(d=d).validate()
+    for rect in ((2, 5), (3, 7), (3, 8), (16, 32)):
+        window_config(l_bound=rect[0], m_bound=rect[1]).validate()
+    assert (16 * 32) ** 2 == cli.WINDOW_MAX_PAIRS
+    with pytest.raises(ValueError, match="ordered bundle pairs"):
+        window_config(l_bound=16, m_bound=33).validate()
+    cli.SuiteConfig(l_bound=30, m_bound=60, suites=("geometry",)).validate()
+
+
 def test_truncation_below_two_is_refused():
     # below 2 the charge window trunc - 2 + min base is empty for the base
     # object, so a truncation below 2 is refused before any suite runs
@@ -396,6 +417,28 @@ def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     cli.SuiteConfig(q=39989).validate()
     cli.SuiteConfig(q=40009, suites=("mf",)).validate()
     cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
+
+
+@pytest.mark.parametrize("variety", ["Y2", "Y1"])
+def test_short_pool_is_refused(monkeypatch, capsys, variety):
+    """A sampler that runs out of draws before the pool is full (validate
+    budgets q draws a point; the real rate varies with the model) refuses
+    the run with exit 2, naming sampling_budget_Y2 or sampling_budget_Y1,
+    before any sampled check reports.  The certificate's own five-point
+    draws are left whole."""
+    name = {"Y2": "sample_y2_points", "Y1": "sample_y1_points"}[variety]
+    real = getattr(geometry, name)
+
+    def short(model, wanted, seed=0):
+        out = real(model, wanted, seed=seed)
+        return out[:-1] if (wanted if variety == "Y2" else len(wanted)) == 20 else out
+
+    checks = []
+    monkeypatch.setattr(geometry, name, short)
+    monkeypatch.setattr(cli, "run_geometry_suite", lambda *args: checks.append(args))
+    assert cli.main(["geometry", "--d", "5", "--samples", "20"]) == 2
+    assert f"sampling_budget_{variety}: the sampler found 19 of 20" in capsys.readouterr().err
+    assert not checks
 
 
 def test_sampling_prime_is_one_policy():

@@ -86,6 +86,35 @@ def test_geometry_takes_a_prime_only_where_one_model_meets_several():
     assert defaults == {"random_model"}
 
 
+def _callers(name):
+    """{module.function} of every function in src/pfgr whose own body
+    (nested functions aside) calls name, bare or as an attribute."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            todo = list(fn.body)
+            while todo:
+                node = todo.pop()
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    out.add(f"{path.stem}.{fn.name}")
+                if not isinstance(node, nested):
+                    todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_one_elimination_loop():
+    """Every exact elimination over F_q runs in modq._eliminate: it is the
+    only function that takes modular inverses, and only rref (the reduced
+    form) and batch_rank (the echelon-only rank) run it, so a second
+    elimination loop cannot come back unnoticed."""
+    assert _callers("_inverse") == {"modq._eliminate"}
+    assert _callers("_eliminate") == {"modq.rref", "modq.batch_rank"}
+
+
 ROOT = SRC.parents[1]
 
 
