@@ -60,12 +60,11 @@ SCHEMA_VERSION = 1
 # trunc 100 ran out of memory
 MF_MAX_TRUNC = 14
 
-# the most ordered bundle pairs the window suite may take, (L M)^2 for an
-# L x M rectangle.  On a 2-vCPU box: --d 5 --rect 16,32, at the bound, 5.7 s;
-# --d 9 --rect 12,40, 230,400 pairs, 3.7 s; the default rectangle of d = 31,
-# 216,225 pairs, 8.3 s; --d 5 --rect 30,60, 3.24 million pairs, over 60 s.
-# Every default rectangle through d = 31 is inside it, and the other suites
-# stop at d = 9
+# the most ordered bundle pairs a --rect rectangle may give the window suite,
+# (L M)^2 for L x M.  On a 2-vCPU box: --d 5 --rect 16,32, at the bound,
+# 5.7 s; --d 9 --rect 12,40, 230,400 pairs, 3.7 s; --d 5 --rect 30,60,
+# 3.24 million pairs, over 60 s.  The default rectangle is the window of
+# Gr(2, d), fixed by d, and is not bounded here (d = 31: 216,225 pairs, 8.3 s)
 WINDOW_MAX_PAIRS = 2 ** 18
 
 
@@ -123,12 +122,11 @@ class SuiteConfig:
             raise ValueError(f"unknown suites: {sorted(bad)}")
         if (self.l_bound, self.m_bound) != (0, 0) and min(self.l_bound, self.m_bound) < 1:
             raise ValueError("rectangle bounds must be both 0 (the default) or both positive")
-        if "window" in self.suites:
-            l_bound, m_bound = self.rectangle()
-            if (l_bound * m_bound) ** 2 > WINDOW_MAX_PAIRS:
-                raise ValueError(f"the {l_bound} x {m_bound} window rectangle has "
-                                 f"{(l_bound * m_bound) ** 2} ordered bundle pairs, more "
-                                 f"than the window suite's bound of {WINDOW_MAX_PAIRS}")
+        pairs = (self.l_bound * self.m_bound) ** 2
+        if "window" in self.suites and pairs > WINDOW_MAX_PAIRS:
+            raise ValueError(f"the {self.l_bound} x {self.m_bound} window rectangle has "
+                             f"{pairs} ordered bundle pairs, more than the window "
+                             f"suite's bound of {WINDOW_MAX_PAIRS}")
         # only a run with the geometry suite reads geometry here: it loads numpy
         if "geometry" in self.suites:
             draws = self.samples * self.sampling_q()
@@ -229,15 +227,20 @@ def draw_pool(config, model, report):
     q = model.field.characteristic
     t0 = time.perf_counter()
     geometry_runs = "geometry" in config.suites
-    wanted = (max(config.samples, 16), config.samples) if geometry_runs else (1, 0)
-    pool = geometry.sample_y2_points(model, wanted[0], seed=config.seed)
-    planes = (geometry.sample_y1_points(model, pool[:config.samples], seed=config.seed)
-              if geometry_runs else [])
-    for variety, got, want in zip(("Y2", "Y1"), (pool, planes), wanted):
-        if len(got) < want:
-            raise ValueError(f"sampling_budget_{variety}: the sampler found {len(got)} of "
+
+    def refuse_short(variety, got, want):
+        if got < want:
+            raise ValueError(f"sampling_budget_{variety}: the sampler found {got} of "
                              f"{want} {variety} points over F_{q} in its "
                              f"{geometry.SAMPLER_MAX_TRIES} draws; ask for fewer samples")
+
+    wanted = max(config.samples, 16) if geometry_runs else 1
+    pool = geometry.sample_y2_points(model, wanted, seed=config.seed)
+    refuse_short("Y2", len(pool), wanted)
+    planes = []
+    if geometry_runs:
+        planes = geometry.sample_y1_points(model, pool[:config.samples], seed=config.seed)
+        refuse_short("Y1", len(planes), config.samples)
     report.shared["pool"] = (time.perf_counter() - t0,
                              f"{len(pool)} Y2 points and {len(planes)} Y1 planes over "
                              f"F_{q}, shared by the sampled checks")

@@ -41,6 +41,7 @@ residues before reducing need terms * (q - 1)^2 < 2^63 for their longest
 one; geometry.random_model refuses sampling primes that break it.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 
@@ -51,17 +52,12 @@ def _reduce(x, q):
     """x mod q for an integer array with |x| + q <= 2^(bits - 1) of its
     dtype: x // q * q lies in [x - q + 1, x], so nothing wraps.  numpy's
     floor division by a scalar makes this about 13 times faster than
-    np.remainder in int32 and 6 times in int64 (numpy 2.4, 28,672 entries);
-    below about 512 entries the one call of np.remainder is the faster."""
-    return x % q if x.size < 512 else x - x // q * q
+    np.remainder in int32 and 6 times in int64 (numpy 2.4, 28,672 entries)."""
+    return x - x // q * q
 
 
 def _inverse(a, q):
-    """Elementwise inverse of nonzero residues a mod q (Fermat: a^(q-2)):
-    up to 16 entries by python's pow, which beats the 2 log2(q) array steps
-    there."""
-    if a.size <= 16:
-        return np.array([pow(x, q - 2, q) for x in a.tolist()], dtype=a.dtype)
+    """Elementwise inverse of nonzero residues a mod q (Fermat: a^(q-2))."""
     out = np.ones_like(a)
     base = _reduce(a, q)
     e = q - 2
@@ -75,7 +71,16 @@ def _inverse(a, q):
 
 def inverse_table(q):
     """Inverses of 0..q-1 mod q; unused by pfgr, traced by name in perfbench."""
-    return np.array([pow(a, q - 2, q) for a in range(q)], dtype=np.int64)
+    return _inverse(np.arange(q, dtype=np.int64), q)
+
+
+@lru_cache(maxsize=None)
+def _int32_table(q):
+    """Inverses of 0..q-1 mod q as int32, for _eliminate's int32 route
+    (q <= 32749, so at most 128 KiB): one Fermat pass over q entries per
+    process, after which a column's pivots take their inverses in one
+    gather, however many there are."""
+    return _inverse(np.arange(q, dtype=np.int32), q)
 
 
 def _work_dtype(q):
@@ -118,8 +123,8 @@ def _eliminate(mats, q, reduced):
     axis innermost, in a new array, so the caller's stack is never written.
     A matrix without a pivot in column c gets a zero pivot row, which leaves
     it unchanged; rows at or below a matrix's current rank are zero left of
-    column c.  With at least q matrices the inverses of all q residues cost
-    no more than the pivots of one column, so they are taken once as a table.
+    column c.  The int32 route reads its pivot inverses off _int32_table;
+    the int64 route takes them by Fermat, as many as the column has pivots.
     """
     N, m, n = mats.shape
     dtype = _work_dtype(q)
@@ -134,7 +139,7 @@ def _eliminate(mats, q, reduced):
     rows = np.arange(m)[:, None]
     step = (q - 1) ** 2
     bound = q - 1
-    table = _inverse(np.arange(q, dtype=dtype), q) if q <= N else None
+    table = _int32_table(q) if dtype is np.int32 else None
     for c in range(n):
         if (ranks == m).all():
             break

@@ -42,17 +42,23 @@ def test_half_default_rectangle_is_refused():
 
 
 def test_window_rectangle_is_bounded(monkeypatch):
-    """A rectangle of more than WINDOW_MAX_PAIRS ordered bundle pairs is
-    refused with exit 2 before the window pass; every default rectangle
-    through d = 31 and every rectangle the tests use is inside the bound, and
-    a run without the window suite does not read the rectangle."""
+    """A --rect rectangle of more than WINDOW_MAX_PAIRS ordered bundle pairs
+    is refused with exit 2 before the window pass, and every rectangle the
+    tests use is inside the bound.  The default rectangle, the window of
+    Gr(2, d), is accepted for every d without validate reading it, so the
+    set-up loads no window layer; a run without the window suite is not
+    bounded."""
     passes = []
     monkeypatch.setattr(windows, "exceptional_report",
                         lambda *args, **kwargs: passes.append(args))
     assert cli.main(["window", "--d", "5", "--rect", "30,60"]) == 2
-    assert cli.main(["window", "--d", "33"]) == 2
     assert not passes
-    for d in range(5, 33, 2):
+
+    def unread(n):
+        raise AssertionError("validate read the default rectangle")
+
+    monkeypatch.setattr(windows, "default_bounds", unread)
+    for d in range(5, 37, 2):
         cli.SuiteConfig(d=d).validate()
     for rect in ((2, 5), (3, 7), (3, 8), (16, 32)):
         window_config(l_bound=rect[0], m_bound=rect[1]).validate()
@@ -424,10 +430,12 @@ def test_short_pool_is_refused(monkeypatch, capsys, variety):
     """A sampler that runs out of draws before the pool is full (validate
     budgets q draws a point; the real rate varies with the model) refuses
     the run with exit 2, naming sampling_budget_Y2 or sampling_budget_Y1,
-    before any sampled check reports.  The certificate's own five-point
-    draws are left whole."""
+    before any sampled check reports; a short Y2 pool is refused before
+    any Y1 plane is drawn on it.  The certificate's own five-point draws are
+    left whole."""
     name = {"Y2": "sample_y2_points", "Y1": "sample_y1_points"}[variety]
     real = getattr(geometry, name)
+    y1_sizes = []
 
     def short(model, wanted, seed=0):
         out = real(model, wanted, seed=seed)
@@ -435,10 +443,18 @@ def test_short_pool_is_refused(monkeypatch, capsys, variety):
 
     checks = []
     monkeypatch.setattr(geometry, name, short)
+    sample_y1 = geometry.sample_y1_points
+
+    def y1_spy(model, points, seed=0):
+        y1_sizes.append(len(points))
+        return sample_y1(model, points, seed=seed)
+
+    monkeypatch.setattr(geometry, "sample_y1_points", y1_spy)
     monkeypatch.setattr(cli, "run_geometry_suite", lambda *args: checks.append(args))
     assert cli.main(["geometry", "--d", "5", "--samples", "20"]) == 2
     assert f"sampling_budget_{variety}: the sampler found 19 of 20" in capsys.readouterr().err
     assert not checks
+    assert max(y1_sizes) == (5 if variety == "Y2" else 20)
 
 
 def test_sampling_prime_is_one_policy():

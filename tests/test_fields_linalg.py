@@ -119,11 +119,9 @@ def test_batch_rank_agrees_with_generic_path(q, kind, shape, rank_cap, zero_shar
     unreduced, every entry moves by a random multiple of q in [-3q, 3q], so
     the kernel's own reduction makes them residues.
 
-    The kernel takes its inverses from a table when N >= q, by python's pow
-    for up to 16 pivots a column, and by Fermat powers on arrays for more
-    (N = 20); its reductions switch from np.remainder to floor division at
-    512 entries.  The reduced form is canonical, so no comparison is up to
-    equivalence.
+    The kernel takes its inverses from a table of all q residues on the
+    int32 route and by Fermat powers on the int64 route.  The reduced form
+    is canonical, so no comparison is up to equivalence.
     """
     N, m, n = shape
     if kind == "block":
@@ -214,10 +212,14 @@ def test_projective_points_count_and_normalization():
 
 def test_kernel_primes_straddle_the_dtype_bound():
     """The int32 route ends at the largest prime with 2 (q - 1)^2 < 2^31,
-    and primes with q^2 > 2^63 are refused before any elimination."""
+    where its inverse table still fits in int32 arithmetic, and primes with
+    q^2 > 2^63 are refused before any elimination."""
     narrow, wide, top = KERNEL_PRIMES[-3:]
     assert (narrow, wide) == (32749, 32771)
     assert modq._work_dtype(101) is modq._work_dtype(32003) is modq._work_dtype(narrow) is np.int32
+    table = modq._int32_table(narrow)
+    assert table.dtype == np.int32
+    assert (table[1:].astype(np.int64) * np.arange(1, narrow) % narrow == 1).all()
     assert modq._work_dtype(wide) is modq._work_dtype(top) is np.int64
     too_big = _next_prime(isqrt(2 ** 63) + 1)
     for kernel in (modq.rref, modq.batch_rank):

@@ -107,11 +107,13 @@ def _callers(name):
 
 
 def test_one_elimination_loop():
-    """Every exact elimination over F_q runs in modq._eliminate: it is the
-    only function that takes modular inverses, and only rref (the reduced
-    form) and batch_rank (the echelon-only rank) run it, so a second
-    elimination loop cannot come back unnoticed."""
-    assert _callers("_inverse") == {"modq._eliminate"}
+    """Every exact elimination over F_q runs in modq._eliminate: modular
+    inverses are taken only there and for the two tables of all q inverses
+    (the int32 route's own and the perfbench-traced inverse_table), and only
+    rref (the reduced form) and batch_rank (the echelon-only rank) run the
+    loop, so a second elimination loop cannot come back unnoticed."""
+    assert _callers("_inverse") == {"modq._eliminate", "modq._int32_table",
+                                    "modq.inverse_table"}
     assert _callers("_eliminate") == {"modq.rref", "modq.batch_rank"}
 
 
