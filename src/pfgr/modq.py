@@ -36,9 +36,12 @@ dtype that bound allows: int32 when 2 (q - 1)^2 < 2^31 (q = 101 and
 mf.EN_PRIME = 32003 among them), else int64, for any prime with
 q^2 <= 2^63; _work_dtype holds the soundness argument.  Reductions go
 through numpy's floor division by a scalar (_reduce), several times faster
-than np.remainder.  Callers that form dot products of
-residues before reducing need terms * (q - 1)^2 < 2^63 for their longest
-one; geometry.random_model refuses sampling primes that break it.
+than np.remainder.  The int32 route reads pivot inverses off one table of
+all q inverses per prime (_int32_table); the int64 route, whose primes
+run up to about 3 * 10^9, takes them by Fermat powers.  Callers that form
+dot products of residues before reducing need terms * (q - 1)^2 < 2^63
+for their longest one; geometry.random_model refuses sampling primes that
+break it.
 """
 
 from functools import lru_cache
