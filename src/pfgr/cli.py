@@ -44,7 +44,7 @@ import pickle
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field as dc_field, fields, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 from . import geometry, mf, reps, windows
 from .fields import QQ, PrimeField
@@ -129,10 +129,7 @@ class SuiteConfig:
                              f"suite's bound of {WINDOW_MAX_PAIRS}")
         # only a run with the geometry suite reads geometry here: it loads numpy
         if "geometry" in self.suites:
-            draws = self.samples * self.sampling_q()
-            if draws > geometry.SAMPLER_MAX_TRIES:
-                raise ValueError(f"samples * q = {draws} exceeds the sampler budget of "
-                                 f"{geometry.SAMPLER_MAX_TRIES} draws (about q draws per point)")
+            geometry.check_sampling_budget(self.samples, self.make_field())
 
     def rectangle(self):
         if self.l_bound and self.m_bound:
@@ -141,10 +138,6 @@ class SuiteConfig:
 
     def make_field(self):
         return QQ if self.field == "QQ" else PrimeField(self.q)
-
-    def sampling_q(self):
-        """The prime the sampled checks run over (geometry.sampling_prime)."""
-        return geometry.sampling_prime(self.make_field())
 
 
 @dataclass
@@ -215,32 +208,17 @@ def draw_pool(config, model, report):
     max(samples, 16) Y2 points when the geometry suite runs (the critical
     sweep takes 16) and one for the Knorrer fibre otherwise, and one Y1 plane
     through each of the first `samples` points when geometry runs; timed on
-    a shared `pool` line.
-
-    validate budgets about q draws a point, but a model's real rate varies
-    (about 111.5 draws a Y2 point for seed 1 at d = 5 over F_101), so a
-    sampler may run out of draws before the pool is full.  A short pool
-    raises ValueError named sampling_budget_Y2 or sampling_budget_Y1, as
-    random_model refuses a certificate sampler that runs out: the request,
-    not a sampled point, failed.
+    a shared `pool` line.  A sampler that runs out of draws raises
+    ValueError itself (geometry owns that refusal), so the pool is whole.
     """
     q = model.field.characteristic
     t0 = time.perf_counter()
     geometry_runs = "geometry" in config.suites
-
-    def refuse_short(variety, got, want):
-        if got < want:
-            raise ValueError(f"sampling_budget_{variety}: the sampler found {got} of "
-                             f"{want} {variety} points over F_{q} in its "
-                             f"{geometry.SAMPLER_MAX_TRIES} draws; ask for fewer samples")
-
     wanted = max(config.samples, 16) if geometry_runs else 1
     pool = geometry.sample_y2_points(model, wanted, seed=config.seed)
-    refuse_short("Y2", len(pool), wanted)
     planes = []
     if geometry_runs:
         planes = geometry.sample_y1_points(model, pool[:config.samples], seed=config.seed)
-        refuse_short("Y1", len(planes), config.samples)
     report.shared["pool"] = (time.perf_counter() - t0,
                              f"{len(pool)} Y2 points and {len(planes)} Y1 planes over "
                              f"F_{q}, shared by the sampled checks")
@@ -293,7 +271,7 @@ def run_geometry_suite(config, report, model, pool, planes):
     for variety in ("Y1", "Y2"):
         def smooth(v=variety):
             points = planes if v == "Y1" else pool[:config.samples]
-            rep = geometry.smoothness_sample(model, v, points, requested=config.samples)
+            rep = geometry.smoothness_sample(model, v, points)
             return rep.passed, {"found": rep.found, "expected_rank": rep.expected_rank,
                                 "witnesses": rep.witnesses[:3]}
         _timed(report, f"geometry.smoothness_{variety}",
@@ -324,16 +302,13 @@ def run_geometry_suite(config, report, model, pool, planes):
         pts = pool[:config.samples]
         results = geometry.normal_map_check(model, pts)
         bad = [{"p": p, "rank": res.rank} for p, res in zip(pts, results) if not res.passed]
-        return (len(pts) == config.samples and not bad), {
-            "checked": len(pts), "failures": bad[:3]}
+        return not bad, {"checked": len(pts), "failures": bad[:3]}
 
     _timed(report, "geometry.normal_map",
            "normal directions pair perfectly with 2-forms on the kernel",
            {"samples": config.samples, "q": q}, normal)
 
     def probe():
-        if not pool:
-            return False, {"reason": "no degenerate point found"}
         dims, okp = geometry.underlying_scheme_probe(model, pool[0])
         return okp, {"dims": {str(k): v for k, v in dims.items()}}
 
@@ -342,8 +317,6 @@ def run_geometry_suite(config, report, model, pool, planes):
            {"max_degree": 6}, probe)
 
     def extension():
-        if not pool or not planes:
-            return False, {"reason": "sampling failed"}
         # planes[i] passes through pool[i] and meets its kernel, so the pairs
         # i = j fail as 'kernel_meets_image' and the loop passes over them
         for p in pool[:3]:
@@ -452,8 +425,6 @@ def run_fibre_check(config, report, model, pool):
            {"d": config.d, "field": repr(QQ)}, koszul)
 
     def fibre():
-        if not pool:
-            return False, {"reason": "no degenerate point"}
         L = geometry.maximal_isotropic(model, pool[0])
         res = mf.knorrer_rank_check(model, pool[0], L, trunc=min(config.trunc, 6))
         ok = (res.split_certified and res.full_rank_factorization_ok
@@ -548,9 +519,8 @@ def run(config):
             vars(layer)
         t0 = time.perf_counter()
         try:
-            model = geometry.random_model(
-                config.seed, field=config.make_field(), q=config.q, d=config.d,
-                census_qs=config.census_qs)
+            model = geometry.random_model(config.seed, field=config.make_field(), d=config.d,
+                                          census_qs=config.census_qs)
             report.add("geometry.model_certificates",
                        "a generic model passes surjectivity, census and smoothness certificates",
                        True, {"seed": config.seed, "d": config.d},
@@ -571,7 +541,7 @@ def run(config):
     if model is None:
         return model_free(report)
     # the model over the sampling field F_q, where the sampled checks run
-    work = replace(model, field=PrimeField(config.sampling_q()))
+    work = geometry.sampling_model(model)
 
     def model_bound(part):
         pool, planes = draw_pool(config, work, part)
@@ -701,7 +671,7 @@ def main(argv=None):
                 if args.out:
                     _check_out_path(args.out)
                 field = QQ if args.field == "QQ" else PrimeField(args.q)
-                model = geometry.random_model(args.seed, field=field, q=args.q, d=args.d)
+                model = geometry.random_model(args.seed, field=field, d=args.d)
             except (geometry.ModelCertificateError, ValueError) as err:
                 print(f"error: {err}", file=sys.stderr)
                 return 2

@@ -34,8 +34,10 @@ varieties, the correspondence behind the equivalence: for each given Y2
 point p, a random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v))
 about once in q draws (sample_y1_points holds the soundness argument).
 Sampling is deterministic given a seed, with at most 4096 draws per batched
-elimination and SAMPLER_MAX_TRIES draws per call, so q is refused beyond
-that budget.
+elimination and SAMPLER_MAX_TRIES draws per call.  This module alone owns
+that policy: sampling_model moves a model onto its sampling field,
+check_sampling_budget refuses a count up front, and a sampler out of draws
+raises ValueError (sampling_budget_Y2 or _Y1) rather than return fewer.
 
 Each census and each sample is taken once per run.  certify_model ranks the
 census primes and draws its Y2 points, with one Y1 plane through each, in
@@ -292,13 +294,35 @@ def _rng_ints(rng, q, shape):
 
 
 # draws one sampler call may make.  A Y2 point costs about q draws, so count
-# points need count * q <= SAMPLER_MAX_TRIES; random_model and the CLI refuse
-# a sampling prime that breaks this before any sampling starts
+# points need count * q <= SAMPLER_MAX_TRIES (check_sampling_budget)
 SAMPLER_MAX_TRIES = 4_000_000
 
 
+def sampling_prime(field):
+    """The prime that points are sampled over for a model over the field:
+    q itself for F_q with q >= 101, else 101."""
+    return field.characteristic if field.characteristic >= 101 else 101
+
+
+def sampling_model(model):
+    """The model over its sampling field F_sampling_prime(model.field), where
+    every sampled verdict is taken; the census strata come along."""
+    return replace(model, field=PrimeField(sampling_prime(model.field)))
+
+
+def check_sampling_budget(count, field):
+    """Refuse (ValueError), before any draw, count points for a model over
+    the field when count * q > SAMPLER_MAX_TRIES, q its sampling prime: a
+    point costs about q draws.  A worse real rate can still exhaust a sampler."""
+    q = sampling_prime(field)
+    if count * q > SAMPLER_MAX_TRIES:
+        raise ValueError(f"samples * q = {count * q} exceeds the sampler budget of "
+                         f"{SAMPLER_MAX_TRIES} draws (about q = {q} draws per point)")
+
+
 def sample_y2_points(model, count, seed=0):
-    """Points p with rank(omega_p) = d - 3 over F_q, by kernel search.
+    """count points p with rank(omega_p) = d - 3 over F_q, by kernel search;
+    ValueError (sampling_budget_Y2) when SAMPLER_MAX_TRIES draws find fewer.
 
     A random vector k determines the linear system {p : k in ker(omega_p)};
     when its solution space is a single projective point p_k, that point lies
@@ -324,6 +348,10 @@ def sample_y2_points(model, count, seed=0):
         # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
         hits = ps[modq.pfaffians_vanish(omega_rows(model, ps, q), q)]
         found.extend(hits[:count - len(found)].tolist())
+    if len(found) < count:
+        raise ValueError(f"sampling_budget_Y2: the sampler found {len(found)} of {count} Y2 "
+                         f"points over F_{q} in its {SAMPLER_MAX_TRIES} draws; ask for "
+                         f"fewer samples")
     return found
 
 
@@ -367,10 +395,11 @@ def sample_y1_points(model, base_points, seed=0):
 
     The draws of k come from a stream disjoint from
     sample_y2_points(seed=seed), at most 4096 per elimination.  A base point
-    still without a plane after SAMPLER_MAX_TRIES draws is dropped, so fewer
-    planes than base points can come back.  Planes are not deduplicated: at
-    d = 5, Y1 is a curve with about q points over F_q, so a sample of about
-    q planes must repeat some, and repeats are valid samples.
+    still without a plane after SAMPLER_MAX_TRIES draws raises ValueError
+    (sampling_budget_Y1), so planes[i] always passes through base_points[i].
+    Planes are not deduplicated: at d = 5, Y1 is a curve with about q points
+    over F_q, so a sample of about q planes must repeat some, and repeats
+    are valid samples.
     """
     d, q = model.d, _prime(model)
     # C_k[j, m] = sum_l k_l Tq[j, l, m]: Tq as an l x (j, m) matrix
@@ -396,7 +425,11 @@ def sample_y1_points(model, base_points, seed=0):
         planes.update(zip(done.tolist(), xs.tolist()))
         open_[done] = False
         pending = pending[open_[pending]]
-    return [planes[i] for i in sorted(planes)]
+    if len(pending):
+        raise ValueError(f"sampling_budget_Y1: the sampler found {len(planes)} of "
+                         f"{len(base_points)} Y1 points over F_{q} in its "
+                         f"{SAMPLER_MAX_TRIES} draws; ask for fewer samples")
+    return [planes[i] for i in range(len(base_points))]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +482,6 @@ def y1_jacobian_mod(model, xs):
 class SmoothnessReport:
     variety: str
     q: int
-    requested: int
     found: int
     expected_rank: int
     ranks: list
@@ -457,7 +489,7 @@ class SmoothnessReport:
     witnesses: list = dc_field(default_factory=list)
 
 
-def smoothness_sample(model, variety, points, requested=None):
+def smoothness_sample(model, variety, points):
     """Exact Jacobian ranks at the given points of Y1 or Y2 over F_q.
 
     Y2 points must have Jacobian rank 3 (the codimension of the stratum);
@@ -465,8 +497,8 @@ def smoothness_sample(model, variety, points, requested=None):
     conditions are transverse to the Grassmannian cone.  The points come
     from the caller, which may share them with other checks; every one of
     them is ranked here.  The check passes when every rank is the expected
-    one and there are requested points (default: as many as given), so a
-    sampler that came back short is reported as a failure.
+    one; how many points there are is the samplers' concern, which refuse a
+    short sample themselves.
     """
     if variety not in ("Y1", "Y2"):
         raise ValueError("variety must be 'Y1' or 'Y2'")
@@ -480,10 +512,7 @@ def smoothness_sample(model, variety, points, requested=None):
         jacobian = y1_jacobian_mod
     ranks = modq.batch_rank(jacobian(model, pts), q).tolist()
     witnesses = [{"point": pt, "rank": r} for pt, r in zip(pts, ranks) if r != expected]
-    found = len(ranks)
-    requested = found if requested is None else requested
-    passed = found == requested and not witnesses
-    return SmoothnessReport(variety, q, requested, found, expected, ranks, passed, witnesses)
+    return SmoothnessReport(variety, q, len(ranks), expected, ranks, not witnesses, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +584,13 @@ def kernel_and_extend(model, p, x):
     point p (the plane through p drawn by sample_y1_points lies on it), the
     named failure is 'kernel_meets_image'.  The rest, (d - 7) / 2 vectors
     from d = 9 on, is completed inside (K_p + U)-perp as in
-    maximal_isotropic, and the result is certified isotropic mod q.
+    maximal_isotropic, and the result is certified isotropic mod q.  K_p
+    is read off y2_kernels, which refuses a point off Y2 with ValueError.
     """
     q, omega = _omega_at(model, p)
-    r, K = modq.rank_and_kernel(omega, q)
-    if r != model.degenerate_rank:
-        raise ValueError(f"p has omega rank {r}, expected {model.degenerate_rank}")
+    K = y2_kernels(model, [p])[0].tolist()
     if not y1_membership(model, x):
         raise ValueError("x is not a Y1 point")
-    K = K.tolist()
     target = isotropic_target_dim(model.d)
     need = 3 + min(target - 3, 2)
     stacked = list(K)
@@ -580,10 +607,11 @@ def kernel_and_extend(model, p, x):
 
 def maximal_isotropic(model, p):
     """A maximal isotropic subspace containing ker(omega_p) over the model's
-    prime field: kernel_basis completed deterministically by
-    _extend_isotropic, certified isotropic mod q."""
+    prime field: the kernel basis of y2_kernels (ValueError off Y2) completed
+    deterministically by _extend_isotropic, certified isotropic mod q."""
     q, omega = _omega_at(model, p)
-    basis = _extend_isotropic(omega, kernel_basis(model, p), isotropic_target_dim(model.d), q)
+    basis = _extend_isotropic(omega, y2_kernels(model, [p])[0].tolist(),
+                              isotropic_target_dim(model.d), q)
     assert _isotropic(omega, basis, q)
     return basis
 
@@ -682,20 +710,21 @@ def _random_A(rng, d):
     return tuple(tuple(rng.randint(-9, 9) for _ in range(npairs)) for _ in range(d))
 
 
-def certify_model(model, census_qs=(2, 3, 5), cert_samples=5):
+def certify_model(model, census_qs=(2, 3, 5)):
     """Run the genericity certificates.
 
     Returns (failure, census): the name of the first certificate that
     failed, or '' when all pass, and the strata {q: {rank: count}} of every
     census prime ranked on the way.  The smoothness certificates take one
-    stream of cert_samples Y2 points over F_sampling_prime(model.field) and
-    one Y1 plane through each of them.
+    stream of CERT_SAMPLES Y2 points on sampling_model(model) and one Y1
+    plane through each of them; a sampler that runs out of draws raises
+    ValueError, since a new A would not help.
     """
-    sample_q = sampling_prime(model.field)
+    work = sampling_model(model)
     census = {}
     # rank d mod any prime makes some d x d minor of A nonzero over Z, so A
     # is surjective over Q as well
-    for q in list(census_qs) + [sample_q]:
+    for q in list(census_qs) + [work.field.q]:
         Aq = np.array(model.A, dtype=np.int64) % q
         if int(modq.batch_rank(Aq[None], q)[0]) != model.d:
             return f"A_rank_drop_mod_{q}", census
@@ -703,14 +732,10 @@ def certify_model(model, census_qs=(2, 3, 5), cert_samples=5):
         census[q] = rank_census(model, q)
         if any(r <= model.forbidden_rank for r in census[q]):
             return f"deep_stratum_nonempty_q{q}", census
-    work = replace(model, field=PrimeField(sample_q))
-    pts = sample_y2_points(work, cert_samples, seed=model.seed)
+    pts = sample_y2_points(work, CERT_SAMPLES, seed=model.seed)
     planes = sample_y1_points(work, pts, seed=model.seed)
     for variety, points in (("Y2", pts), ("Y1", planes)):
-        rep = smoothness_sample(work, variety, points, requested=cert_samples)
-        if rep.found < cert_samples:
-            return f"sampling_budget_{variety}", census
-        if not rep.passed:
+        if not smoothness_sample(work, variety, points).passed:
             return f"smoothness_{variety}", census
     return "", census
 
@@ -722,14 +747,11 @@ DEEP_STRATUM_CODIM = comb(5, 2)
 # random matrices A that random_model tries before it gives up
 MODEL_MAX_RETRIES = 25
 
-
-def sampling_prime(field):
-    """The prime that points are sampled over for a model over the field:
-    q itself for F_q with q >= 101, else 101."""
-    return field.characteristic if field.characteristic >= 101 else 101
+# Y2 points, each with one Y1 plane through it, that certify_model ranks
+CERT_SAMPLES = 5
 
 
-def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples=5):
+def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5)):
     """A certified-generic model, deterministic in the seed.
 
     Samples small integer matrices until the certificates pass: A surjective
@@ -737,12 +759,12 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples
     census field, and Jacobian ranks correct at sampled points of both
     varieties.  The returned model carries the census strata it was
     certified with (PfaffianModel.census).  Raises ModelCertificateError
-    when retries run out or at once when a sampler runs out of tries (a new
-    A would not help), and ValueError, before any census or sampling, for a
-    negative seed, for d >= 11 (the deep stratum has codimension 10 among
+    when retries run out, and ValueError, before any census or sampling, for
+    a negative seed, for d >= 11 (the deep stratum has codimension 10 among
     2-forms, so P^(d-1) always meets it), for a sampling prime too large for
-    exact int64 arithmetic, or for the sampler budget (cert_samples * q >
-    SAMPLER_MAX_TRIES).
+    exact int64 arithmetic, or for CERT_SAMPLES points beyond the sampler
+    budget (check_sampling_budget); a sampler that runs out of draws during
+    certification raises its own ValueError (sampling_budget_Y2 or _Y1).
     """
     if seed < 0:
         raise ValueError(f"seed {seed} is negative: seeds are non-negative integers "
@@ -762,20 +784,15 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5), cert_samples
     if comb(d, 2) * (sample_q - 1) ** 2 >= 2 ** 63:
         raise ValueError(f"q = {sample_q} is too large for exact int64 arithmetic "
                          f"at d = {d}: need C(d, 2) * (q - 1)^2 < 2^63")
-    if cert_samples * sample_q > SAMPLER_MAX_TRIES:
-        raise ValueError(f"q = {sample_q} is too large to sample {cert_samples} points "
-                         f"within {SAMPLER_MAX_TRIES} draws: need samples * q "
-                         f"<= {SAMPLER_MAX_TRIES}")
+    check_sampling_budget(CERT_SAMPLES, field)
     rng = random.Random(seed)
     last = ""
     for attempt in range(MODEL_MAX_RETRIES):
         model = PfaffianModel(d=d, A=_random_A(rng, d), seed=seed + attempt, field=field)
-        last, census = certify_model(model, census_qs, cert_samples)
+        last, census = certify_model(model, census_qs)
         if not last:
             frozen = {cq: MappingProxyType(strata) for cq, strata in census.items()}
             return replace(model, census=MappingProxyType(frozen))
-        if last.startswith("sampling_budget_"):
-            raise ModelCertificateError(f"sampler out of tries at q = {sample_q}: {last}")
     raise ModelCertificateError(f"no generic model after {MODEL_MAX_RETRIES} tries: {last}")
 
 

@@ -227,7 +227,7 @@ def pfaffian(entries, idx, q, memo):
         for t in range(1, len(idx)):
             term = entries[idx[0], idx[t]] * pfaffian(entries, idx[1:t] + idx[t + 1:], q, memo)
             acc = acc + term if t % 2 else acc - term
-        memo[idx] = acc % q
+        memo[idx] = _reduce(acc, q)
     return memo[idx]
 
 
@@ -261,15 +261,15 @@ def pfaffians_vanish(upper, q):
     against (d - 2)!! perfect matchings for the full expansion.
 
     Bound on q: one expansion step adds at most d - 1 products of two
-    residues, sub-Pfaffians included, and reduces the sum mod q; no
-    int64 operation wraps as long as (d - 1)(q - 1)^2 < 2^63, which is
+    residues, sub-Pfaffians included, and reduces the sum by _reduce; no
+    int64 operation wraps while (d - 1)(q - 1)^2 + q <= 2^63, which is
     checked (geometry.random_model's C(d, 2)(q - 1)^2 < 2^63 implies it).
     """
     upper = np.asarray(upper, dtype=np.int64) % q
     d = _order(upper)
-    if (d - 1) * (q - 1) ** 2 >= 2 ** 63:
+    if (d - 1) * (q - 1) ** 2 + q > 2 ** 63:
         raise ValueError(f"q = {q} is too large for int64 Pfaffians at d = {d}: "
-                         f"need (d - 1)(q - 1)^2 < 2^63")
+                         f"need (d - 1)(q - 1)^2 + q <= 2^63")
     pairs = list(combinations(range(d), 2))
     n = upper.shape[1]
     alive = np.arange(n)

@@ -133,9 +133,9 @@ def test_criterion_07_geometry_certificates(model):
         assert sum(cnt for r, cnt in census.items() if r <= 2) == 0
     pts = geometry.sample_y2_points(model, 100, seed=1)
     planes = geometry.sample_y1_points(model, pts, seed=1)
-    rep1 = geometry.smoothness_sample(model, "Y1", planes, requested=100)
+    rep1 = geometry.smoothness_sample(model, "Y1", planes)
     assert rep1.found == 100 and rep1.passed and set(rep1.ranks) == {7}
-    rep2 = geometry.smoothness_sample(model, "Y2", pts, requested=100)
+    rep2 = geometry.smoothness_sample(model, "Y2", pts)
     assert rep2.found == 100 and rep2.passed and set(rep2.ranks) == {3}
     checked, failures = geometry.rank_parity_sample(model, 10000, seed=1)
     assert checked == 10000 and not failures
@@ -213,9 +213,9 @@ def test_criterion_11_dimension_five_suite(model5):
         assert sum(cnt for r, cnt in census.items() if r <= 0) == 0
     pts = geometry.sample_y2_points(model5, 100, seed=1)
     planes = geometry.sample_y1_points(model5, pts, seed=1)
-    rep1 = geometry.smoothness_sample(model5, "Y1", planes, requested=100)
+    rep1 = geometry.smoothness_sample(model5, "Y1", planes)
     assert rep1.found == 100 and rep1.passed and set(rep1.ranks) == {5}
-    rep2 = geometry.smoothness_sample(model5, "Y2", pts, requested=100)
+    rep2 = geometry.smoothness_sample(model5, "Y2", pts)
     assert rep2.found == 100 and rep2.passed and set(rep2.ranks) == {3}
     checked, failures = geometry.rank_parity_sample(model5, 10000, seed=1)
     assert checked == 10000 and not failures

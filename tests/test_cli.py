@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -166,11 +167,12 @@ def test_mf_suite_report_entries(d, ranks, term_ranks, sym_degrees, coker, pairs
 
 def test_koszul_check_verifies_only_the_toy_by_multiplication(monkeypatch):
     """The koszul_perturb check hands mf_verify only the rank-2 toy; the
-    model's K of rank 2^d goes through the Clifford certificate.  With an
-    empty pool the fibre check verifies nothing, so every call seen is the
-    koszul check's."""
-    ranks, certified = [], []
+    model's K of rank 2^d goes through the Clifford certificate.  The fibre
+    check that follows runs on a real one-point pool; ranks is read when it
+    starts, so every call it counts is the koszul check's."""
+    ranks, certified, before_fibre = [], [], []
     real_verify, real_certificate = mf.mf_verify, mf.koszul_certificate
+    real_fibre = mf.knorrer_rank_check
 
     def verify(E):
         ranks.append(E.rank)
@@ -180,15 +182,22 @@ def test_koszul_check_verifies_only_the_toy_by_multiplication(monkeypatch):
         certified.append(E.rank)
         return real_certificate(E, pairs)
 
+    def fibre(*args, **kwargs):
+        before_fibre.extend(ranks)
+        return real_fibre(*args, **kwargs)
+
     monkeypatch.setattr(mf, "mf_verify", verify)
     monkeypatch.setattr(mf, "koszul_certificate", certificate)
+    monkeypatch.setattr(mf, "knorrer_rank_check", fibre)
     config = cli.SuiteConfig(d=7, suites=("mf",))
     report = cli.Report(config={})
-    cli.run_fibre_check(config, report, geometry.random_model(1, d=7), [])
+    model = geometry.random_model(1, d=7)
+    cli.run_fibre_check(config, report, model, geometry.sample_y2_points(model, 1, seed=1))
     checks = {c["check_name"]: c for c in report.checks}
     assert checks["mf.koszul_perturb"]["verdict"] == "pass"
     assert checks["mf.koszul_perturb"]["witness"] == {"ranks": [2, 128]}
-    assert ranks == [2] and certified == [128]
+    assert checks["mf.knorrer_fibre"]["verdict"] == "pass"
+    assert before_fibre == [2] and certified == [128]
 
 
 def test_window_text_summary_times_the_shared_pass():
@@ -425,24 +434,19 @@ def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
 
 
-@pytest.mark.parametrize("variety", ["Y2", "Y1"])
-def test_short_pool_is_refused(monkeypatch, capsys, variety):
-    """A sampler that runs out of draws before the pool is full (validate
-    budgets q draws a point; the real rate varies with the model) refuses
-    the run with exit 2, naming sampling_budget_Y2 or sampling_budget_Y1,
-    before any sampled check reports; a short Y2 pool is refused before
-    any Y1 plane is drawn on it.  The certificate's own five-point draws are
-    left whole."""
-    name = {"Y2": "sample_y2_points", "Y1": "sample_y1_points"}[variety]
-    real = getattr(geometry, name)
+@pytest.mark.parametrize("variety, samples, found", [("Y2", 40, 31), ("Y1", 20, 18)],
+                         ids=["Y2", "Y1"])
+def test_short_pool_is_refused(monkeypatch, capsys, variety, samples, found):
+    """A sampler that runs out of draws before the pool is full refuses the
+    run with exit 2, naming sampling_budget_Y2 or sampling_budget_Y1, before
+    any sampled check reports; a short Y2 pool is refused before any Y1
+    plane is drawn on it.  The budget is lowered to samples * q, the most
+    that validate admits at q draws a point; the real samplers fall short
+    of it (about 111.5 draws a Y2 point at d = 5), while the certificate's
+    own five-point draws stay whole."""
     y1_sizes = []
-
-    def short(model, wanted, seed=0):
-        out = real(model, wanted, seed=seed)
-        return out[:-1] if (wanted if variety == "Y2" else len(wanted)) == 20 else out
-
     checks = []
-    monkeypatch.setattr(geometry, name, short)
+    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", samples * 101)
     sample_y1 = geometry.sample_y1_points
 
     def y1_spy(model, points, seed=0):
@@ -451,21 +455,37 @@ def test_short_pool_is_refused(monkeypatch, capsys, variety):
 
     monkeypatch.setattr(geometry, "sample_y1_points", y1_spy)
     monkeypatch.setattr(cli, "run_geometry_suite", lambda *args: checks.append(args))
-    assert cli.main(["geometry", "--d", "5", "--samples", "20"]) == 2
-    assert f"sampling_budget_{variety}: the sampler found 19 of 20" in capsys.readouterr().err
+    assert cli.main(["geometry", "--d", "5", "--samples", str(samples)]) == 2
+    assert (f"sampling_budget_{variety}: the sampler found {found} of {samples}"
+            in capsys.readouterr().err)
     assert not checks
-    assert max(y1_sizes) == (5 if variety == "Y2" else 20)
+    assert max(y1_sizes) == (5 if variety == "Y2" else samples)
+
+
+def test_certification_shortfall_is_refused(monkeypatch, capsys):
+    """A certificate sampler that runs out of draws refuses the run with
+    exit 2, as a short pool does, and no check is reported: at a budget of
+    exactly 5 q draws, which the up-front check admits, the Y1 sampler finds
+    4 of its 5 planes at d = 5 over F_100003."""
+    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 5 * 100003)
+    assert cli.main(["mf", "--d", "5", "--q", "100003", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "sampling_budget_Y1: the sampler found 4 of 5" in err and not out
 
 
 def test_sampling_prime_is_one_policy():
     """F_q with q >= 101 samples over itself, every other field over F_101;
-    the CLI asks geometry.sampling_prime."""
+    the run moves its model there through geometry.sampling_model."""
     assert geometry.sampling_prime(QQ) == 101
     assert geometry.sampling_prime(PrimeField(97)) == 101
     assert geometry.sampling_prime(PrimeField(103)) == 103
+    A = geometry._random_A(random.Random(0), 5)
     for field, q in (("QQ", 103), ("Fq", 97), ("Fq", 103)):
         config = cli.SuiteConfig(field=field, q=q)
-        assert config.sampling_q() == geometry.sampling_prime(config.make_field())
+        model = geometry.PfaffianModel(d=5, A=A, seed=0, field=config.make_field())
+        work = geometry.sampling_model(model)
+        assert work.field == PrimeField(geometry.sampling_prime(config.make_field()))
+        assert replace(work, field=model.field) == model
 
 
 def test_oversized_census_is_refused(monkeypatch):

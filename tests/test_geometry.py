@@ -58,22 +58,40 @@ def test_model_independent_of_sampling_prime(model):
 
 
 def test_sampler_exhaustion_is_not_retried(monkeypatch):
+    """With a budget of exactly 5 q draws, which the up-front check admits
+    for the five certificate points, the real Y1 sampler runs out at d = 5
+    over F_100003 (the real rate is worse than q draws a point): its
+    ValueError leaves random_model at the first A, since a new A would not
+    help."""
     calls = []
 
     def counting_certify(*args, **kwargs):
-        failure, census = certify_model(*args, **kwargs)
-        calls.append(failure)
-        return failure, census
+        calls.append(args)
+        return certify_model(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "sample_y2_points", lambda *args, **kwargs: [])
+    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 5 * 100003)
     monkeypatch.setattr(geometry, "certify_model", counting_certify)
-    with pytest.raises(geometry.ModelCertificateError, match="sampling_budget_Y2"):
-        random_model(1, d=5)  # its first A passes every census certificate
-    assert calls == ["sampling_budget_Y2"]
+    with pytest.raises(ValueError, match="sampling_budget_Y1: the sampler found 4 of 5"):
+        random_model(1, q=100003, d=5)  # its first A passes every census certificate
+    assert len(calls) == 1
+
+
+def test_sample_y1_points_refuses_a_base_point_without_a_plane(monkeypatch, model5):
+    """With its full budget the sampler returns planes[i] through pool[i]:
+    the plane meets K_p.  When one elimination of 4096 draws (a budget
+    lowered to 1) leaves a base point without a plane, it raises ValueError
+    instead of dropping the point and shifting the planes after it."""
+    pool = sample_y2_points(model5, 20, seed=3)
+    planes = sample_y1_points(model5, pool, seed=3)
+    for K, x in zip(y2_kernels(model5, pool), planes):
+        assert modq.batch_rank(np.concatenate([K, x]), 101)[0] < 5
+    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 1)
+    with pytest.raises(ValueError, match=r"sampling_budget_Y1: the sampler found 1\d of 20 "):
+        sample_y1_points(model5, pool, seed=3)
 
 
 def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):
-    """cert_samples * q beyond SAMPLER_MAX_TRIES is refused up front: the
+    """CERT_SAMPLES * q beyond SAMPLER_MAX_TRIES is refused up front: the
     samplers would give up after that many draws anyway."""
     calls = []
 
@@ -87,7 +105,8 @@ def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="draws"):
         random_model(1, q=1000003)
     with pytest.raises(ValueError, match="draws"):
-        random_model(1, q=101, cert_samples=geometry.SAMPLER_MAX_TRIES // 101 + 1)
+        geometry.check_sampling_budget(geometry.SAMPLER_MAX_TRIES // 101 + 1, PrimeField(101))
+    geometry.check_sampling_budget(geometry.SAMPLER_MAX_TRIES // 101, QQ)
     assert not calls
 
 
@@ -275,7 +294,8 @@ def test_pfaffian_rank_route_matches_elimination(d, q, seed, from_model):
 
 
 def test_pfaffian_route_refuses_primes_past_its_int64_bound():
-    """(d - 1)(q - 1)^2 < 2^63 bounds each unreduced expansion step."""
+    """(d - 1)(q - 1)^2 + q <= 2^63 bounds each unreduced expansion step and
+    its reduction."""
     q = 1500000001  # prime, 2 (q - 1)^2 < 2^63 <= 8 (q - 1)^2
     with pytest.raises(ValueError, match="too large"):
         modq.alternating_rank(np.zeros((comb(9, 2), 1), dtype=np.int64), q)
@@ -529,7 +549,7 @@ def test_y1_membership_rejects_rank_deficient(model):
 def test_smoothness_samples(model):
     pts = sample_y2_points(model, 25, seed=31)
     rep = smoothness_sample(model, "Y2", pts)
-    assert rep.passed and set(rep.ranks) == {3} and rep.found == rep.requested == 25
+    assert rep.passed and set(rep.ranks) == {3} and rep.found == 25
     rep = smoothness_sample(model, "Y1", sample_y1_points(model, pts[:10], seed=31))
     assert rep.passed and set(rep.ranks) == {7} and rep.found == 10
 
@@ -542,11 +562,15 @@ def test_smoothness_samples_d5(model5):
     assert rep.passed and set(rep.ranks) == {5}
 
 
-def test_smoothness_short_sample_fails(model):
-    """Fewer points than requested fail the check; a point off Y2 is a witness."""
+def test_smoothness_short_sample_fails(model, monkeypatch):
+    """A short sample never reaches the check: the sampler refuses it with
+    ValueError.  A point off Y2 among the given ones is a witness."""
     pts = sample_y2_points(model, 3, seed=33)
-    rep = smoothness_sample(model, "Y2", pts, requested=4)
-    assert rep.found == 3 and not rep.passed and not rep.witnesses
+    rep = smoothness_sample(model, "Y2", pts)
+    assert rep.found == 3 and rep.passed and not rep.witnesses
+    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 0)
+    with pytest.raises(ValueError, match="sampling_budget_Y2: the sampler found 0 of 4"):
+        sample_y2_points(model, 4, seed=33)
     rng = random.Random(6)
     off = [rng.randrange(1, 101) for _ in range(7)]
     rep = smoothness_sample(model, "Y2", pts + [off])
@@ -842,7 +866,8 @@ def test_maximal_isotropic(model, model5, model9):
     with kernel_basis, and its (d + 3) / 2 rows are independent and
     isotropic.  Off Y2 (omega of rank d - 1) the maximal isotropic subspaces
     through the kernel have dimension (d + 1) / 2, short of the target, and
-    the completion raises ValueError instead of searching."""
+    the completion raises ValueError instead of searching; maximal_isotropic
+    itself refuses such a point first, through y2_kernels."""
     for mod in (model5, model, model9):
         d = mod.d
         work = replace(mod, field=PrimeField(101))
@@ -859,7 +884,7 @@ def test_maximal_isotropic(model, model5, model9):
         with pytest.raises(ValueError, match="rank above"):
             geometry._extend_isotropic(omega, kernel_basis(work, off),
                                        geometry.isotropic_target_dim(d), 101)
-        with pytest.raises(ValueError, match="rank above"):
+        with pytest.raises(ValueError, match=f"not on Y2: omega rank {d - 1}"):
             maximal_isotropic(work, off)
 
 

@@ -86,24 +86,36 @@ def test_geometry_takes_a_prime_only_where_one_model_meets_several():
     assert defaults == {"random_model"}
 
 
-def _callers(name):
+def _sites(found):
     """{module.function} of every function in src/pfgr whose own body
-    (nested functions aside) calls name, bare or as an attribute."""
+    (nested functions aside) holds a node for which found(node) holds, and
+    {module} for such a node outside any function."""
     nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     out = set()
     for path in sorted(SRC.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            todo = list(fn.body)
+        tree = ast.parse(path.read_text())
+        for scope in [tree] + [fn for fn in ast.walk(tree)
+                               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+            todo = list(scope.body)
             while todo:
                 node = todo.pop()
-                if isinstance(node, ast.Call) and name in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    out.add(f"{path.stem}.{fn.name}")
+                if found(node):
+                    out.add(path.stem if scope is tree else f"{path.stem}.{scope.name}")
                 if not isinstance(node, nested):
                     todo.extend(ast.iter_child_nodes(node))
     return out
+
+
+def _callers(name):
+    """_sites of the calls of name, bare or as an attribute."""
+    return _sites(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _readers(name):
+    """_sites of the reads of name, bare or as an attribute."""
+    return _sites(lambda node: isinstance(getattr(node, "ctx", None), ast.Load) and name in (
+        getattr(node, "id", None), getattr(node, "attr", None)))
 
 
 def test_one_elimination_loop():
@@ -115,6 +127,20 @@ def test_one_elimination_loop():
     assert _callers("_inverse") == {"modq._eliminate", "modq._int32_table",
                                     "modq.inverse_table"}
     assert _callers("_eliminate") == {"modq.rref", "modq.batch_rank"}
+
+
+def test_one_owner_for_sampling():
+    """geometry alone decides how points are sampled and what a short sample
+    means: the draw budget is read only by the two samplers, which refuse a
+    short sample themselves, and by check_sampling_budget, which refuses a
+    count up front; the command line names no sampling prime, no budget and
+    no sampling_budget_ refusal."""
+    assert _readers("SAMPLER_MAX_TRIES") == {"geometry.sample_y2_points",
+                                             "geometry.sample_y1_points",
+                                             "geometry.check_sampling_budget"}
+    cli_text = (SRC / "cli.py").read_text()
+    assert [word for word in ("SAMPLER_MAX_TRIES", "sampling_prime", "sampling_budget_")
+            if word in cli_text] == []
 
 
 ROOT = SRC.parents[1]
