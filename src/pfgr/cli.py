@@ -62,9 +62,10 @@ MF_MAX_TRUNC = 14
 
 # the most ordered bundle pairs a --rect rectangle may give the window suite,
 # (L M)^2 for L x M.  On a 2-vCPU box: --d 5 --rect 16,32, at the bound,
-# 5.7 s; --d 9 --rect 12,40, 230,400 pairs, 3.7 s; --d 5 --rect 30,60,
-# 3.24 million pairs, over 60 s.  The default rectangle is the window of
-# Gr(2, d), fixed by d, and is not bounded here (d = 31: 216,225 pairs, 8.3 s)
+# 0.9 s; --d 9 --rect 12,40, 230,400 pairs, 0.6 s; the report alone on the
+# 3.24 million pairs of --d 5 --rect 30,60, 8.2 s at a 198 MiB peak.  The
+# default rectangle is the window of Gr(2, d), fixed by d, and is not
+# bounded here (d = 31: 216,225 pairs, 0.65 s)
 WINDOW_MAX_PAIRS = 2 ** 18
 
 

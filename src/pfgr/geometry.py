@@ -34,10 +34,12 @@ varieties, the correspondence behind the equivalence: for each given Y2
 point p, a random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v))
 about once in q draws (sample_y1_points holds the soundness argument).
 Sampling is deterministic given a seed, with at most 4096 draws per batched
-elimination and SAMPLER_MAX_TRIES draws per call.  This module alone owns
-that policy: sampling_model moves a model onto its sampling field,
+elimination and no batch begun after SAMPLER_MAX_TRIES draws in a call, so
+a call may end up to one batch past it.  This module alone owns that
+policy: sampling_model moves a model onto its sampling field,
 check_sampling_budget refuses a count up front, and a sampler out of draws
-raises ValueError (sampling_budget_Y2 or _Y1) rather than return fewer.
+raises ValueError (sampling_budget_Y2 or _Y1), giving the draws it made,
+rather than return fewer.
 
 Each census and each sample is taken once per run.  certify_model ranks the
 census primes and draws its Y2 points, with one Y1 plane through each, in
@@ -322,7 +324,8 @@ def check_sampling_budget(count, field):
 
 def sample_y2_points(model, count, seed=0):
     """count points p with rank(omega_p) = d - 3 over F_q, by kernel search;
-    ValueError (sampling_budget_Y2) when SAMPLER_MAX_TRIES draws find fewer.
+    ValueError (sampling_budget_Y2), with the draws made, when the batches
+    begun within SAMPLER_MAX_TRIES draws find fewer.
 
     A random vector k determines the linear system {p : k in ker(omega_p)};
     when its solution space is a single projective point p_k, that point lies
@@ -350,8 +353,7 @@ def sample_y2_points(model, count, seed=0):
         found.extend(hits[:count - len(found)].tolist())
     if len(found) < count:
         raise ValueError(f"sampling_budget_Y2: the sampler found {len(found)} of {count} Y2 "
-                         f"points over F_{q} in its {SAMPLER_MAX_TRIES} draws; ask for "
-                         f"fewer samples")
+                         f"points over F_{q} in its {tries} draws; ask for fewer samples")
     return found
 
 
@@ -395,8 +397,9 @@ def sample_y1_points(model, base_points, seed=0):
 
     The draws of k come from a stream disjoint from
     sample_y2_points(seed=seed), at most 4096 per elimination.  A base point
-    still without a plane after SAMPLER_MAX_TRIES draws raises ValueError
-    (sampling_budget_Y1), so planes[i] always passes through base_points[i].
+    still without a plane when a batch ends past SAMPLER_MAX_TRIES draws
+    raises ValueError (sampling_budget_Y1, with the draws made), so planes[i]
+    always passes through base_points[i].
     Planes are not deduplicated: at d = 5, Y1 is a curve with about q points
     over F_q, so a sample of about q planes must repeat some, and repeats
     are valid samples.
@@ -428,7 +431,7 @@ def sample_y1_points(model, base_points, seed=0):
     if len(pending):
         raise ValueError(f"sampling_budget_Y1: the sampler found {len(planes)} of "
                          f"{len(base_points)} Y1 points over F_{q} in its "
-                         f"{SAMPLER_MAX_TRIES} draws; ask for fewer samples")
+                         f"{tries} draws; ask for fewer samples")
     return [planes[i] for i in range(len(base_points))]
 
 
@@ -528,13 +531,6 @@ class KernelExtension:
     @property
     def ok(self):
         return not self.failure
-
-
-def kernel_basis(model, p):
-    """Basis of ker(omega_p) over the model's prime field, the canonical one
-    read off the reduced form; dimension 3 on Y2."""
-    q, omega = _omega_at(model, p)
-    return modq.rank_and_kernel(omega, q)[1].tolist()
 
 
 def _isotropic(omega, basis, q):

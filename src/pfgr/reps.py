@@ -10,7 +10,9 @@ Tensor products are products of characters, and the symmetric powers of
 S^(+c) have a closed form.  The irreducible content is read off the
 character: the determinant powers (w, w) directly by diagonal_isotypic, and
 everything by greedy highest-weight peeling in decompose_character, which is
-self-checking: the peeled multiplicities must stay positive.
+self-checking: the peeled multiplicities must stay positive.  The package
+reads only the first; the Ext rows of bbw take their summands from
+Clebsch-Gordan, and peeling is the reference the tests hold them to.
 """
 
 from dataclasses import dataclass

@@ -30,8 +30,13 @@ Twist invariance: Hom(T_{l1,m1}, T_{l2,m2}) = H^*(Sym^{l1} S (x) Sym^{l2}
 S^dual (x) O(m2 - m1)), and the coordinate algebras enter through gradings
 blind to m.  So gr_ext, ext_table_X1, ext_table_X2 and hom0_frakX read a pair
 only through its class (l1, l2, m1 - m2), twisting both bundles by O(s)
-changes none of them, and exceptional_report computes each once per class
-(at n = 9, 272 classes for the 1,296 ordered pairs).
+changes none of them, and neither does any verdict read off them alone:
+the higher-Ext tests on the Grassmannian, X1 and X2, the determinant power
+and both cross-model comparisons.  exceptional_report takes those tables
+and verdicts once per class (at n = 9, 272 classes for the 1,296 ordered
+pairs); its pass over the pairs reads only what depends on a pair's
+position in the (m, l) order, the diagonal and below-diagonal Hom^0, and
+names a pair only in a violation it keeps.
 
 The class tables share smaller pieces, each computed once.  gr_ext reads the
 Ext row bbw.ext_schur_pair(l1, l2, k, n) at k = m1 - m2 and ext_table_X1 the
@@ -209,13 +214,61 @@ def witten_index_candidates(d):
     return {"rectangle": d // 2, "index": d // 2 - 1}
 
 
+def _class_verdicts(b1, b2, n, dp_cutoff, dx_cutoff, hom0_dp_cutoff):
+    """What the report reads of the pair (b1, b2) through its class (l1, l2,
+    m1 - m2) alone: (h0, nu, notes), with h0 its Hom^0 on the Grassmannian,
+    nu its extremal determinant power, and notes its violations as (check,
+    violation) pairs, in the order the report notes them for each pair.
+    X1 is taken at the larger d_p cutoff: its rows do not depend on the
+    cutoff, and each check reads the rows up to its own."""
+    gr = gr_ext(b1, b2, n)
+    x1 = ext_table_X1(b1, b2, n, max(dp_cutoff, hom0_dp_cutoff))
+    x2, nu = ext_table_X2(b1, b2, n, dx_cutoff)
+    frak = hom0_frakX(b1, b2, n, dx_cutoff, hom0_dp_cutoff)
+    notes = []
+
+    # (i) strong exceptionality on the Grassmannian
+    if any(p > 0 for p in gr):
+        notes.append(("strong_exceptionality_gr", {"table": sorted(gr.items())}))
+
+    # (iv) no higher Ext after restriction to X1, up to dp_cutoff
+    hi = sorted((k, v) for k, v in x1.items() if k[1] > 0 and k[0] <= dp_cutoff)
+    if hi:
+        notes.append(("x1_no_higher_ext", {"entries": hi[:3]}))
+
+    # (v) no higher Ext on X2
+    hi = sorted((k, v) for k, v in x2.items() if k[1] > 0)
+    if hi:
+        notes.append(("x2_no_higher_ext", {"entries": hi[:3]}))
+
+    # (vi) cross-model agreement of Hom^0 dimensions; the stack table
+    # has (d_x, d_p) entries only where l1 - l2 + 2(m1 - m2) + d_x = 2 d_p
+    for d_p in range(hom0_dp_cutoff + 1):
+        d_x = b2.l - b1.l + 2 * (b2.m - b1.m) + 2 * d_p
+        if d_x > dx_cutoff:
+            continue
+        lhs, rhs = frak.get((d_x, d_p), 0), x1.get((d_p, 0), 0)
+        if lhs != rhs:
+            notes.append(("hom0_cross_model", {"d_p": d_p, "stack": lhs, "x1": rhs}))
+    for d_x in range(dx_cutoff + 1):
+        bal = b1.l - b2.l + 2 * (b1.m - b2.m) + d_x
+        if bal % 2 == 0 and bal // 2 > hom0_dp_cutoff:
+            continue
+        lhs, rhs = frak.get((d_x, bal // 2), 0), x2.get((d_x, 0), 0)
+        if lhs != rhs:
+            notes.append(("hom0_cross_model", {"d_x": d_x, "stack": lhs, "x2": rhs}))
+    return gr.get(0, 0), nu, notes
+
+
 def exceptional_report(l_bound=None, m_bound=None, n=7, dp_cutoff=12, dx_cutoff=12,
                        hom0_dp_cutoff=8):
     """Run every window check for the given rectangle and collect verdicts.
 
-    One pass over the ordered pairs, with the tables of each class (l1, l2,
-    m1 - m2) computed once.  X1 is taken at the larger d_p cutoff: its rows
-    do not depend on the cutoff, and each check reads the rows up to its own.
+    The verdicts of each class (l1, l2, m1 - m2) are computed once, when
+    the pass over the ordered pairs first meets it (_class_verdicts); the
+    pass itself reads only what depends on a pair's position, its diagonal
+    and below-diagonal Hom^0.  Each check keeps its first five violations
+    in pair order, and within a pair in the order the checks are listed.
     """
     if l_bound is None or m_bound is None:
         l_bound, m_bound = default_bounds(n)
@@ -224,65 +277,34 @@ def exceptional_report(l_bound=None, m_bound=None, n=7, dp_cutoff=12, dx_cutoff=
     gens = window_generators(l_bound, m_bound)
     classes = {}
     bad, tri_bad, x1_bad, x2_bad, cross_bad = [], [], [], [], []
+    found = {"strong_exceptionality_gr": bad, "x1_no_higher_ext": x1_bad,
+             "x2_no_higher_ext": x2_bad, "hom0_cross_model": cross_bad}
 
-    def note(violations, violation):
+    def note(violations, b1, b2, violation):
         # the report shows the first five per check; a check fails on the first
         if len(violations) < 5:
-            violations.append(violation)
+            violations.append({"pair": [repr(b1), repr(b2)], **violation})
 
-    nu_max = None
     # gens is in the (m, l) order, so (i, j) index the Hom^0 matrix directly
     for i, b1 in enumerate(gens):
         for j, b2 in enumerate(gens):
             key = (b1.l, b2.l, b1.m - b2.m)
-            if key not in classes:
-                classes[key] = (gr_ext(b1, b2, n),
-                                ext_table_X1(b1, b2, n, max(dp_cutoff, hom0_dp_cutoff)),
-                                ext_table_X2(b1, b2, n, dx_cutoff),
-                                hom0_frakX(b1, b2, n, dx_cutoff, hom0_dp_cutoff))
-            gr, x1, (x2, nu), frak = classes[key]
-            pair = [repr(b1), repr(b2)]
-
-            # (i) strong exceptionality on the Grassmannian and
-            # (ii) unitriangular Hom^0 matrix in the (m, l) order
-            h0 = gr.get(0, 0)
-            if any(p > 0 for p in gr):
-                note(bad, {"pair": pair, "table": sorted(gr.items())})
+            verdicts = classes.get(key)
+            if verdicts is None:
+                verdicts = classes[key] = _class_verdicts(b1, b2, n, dp_cutoff, dx_cutoff,
+                                                          hom0_dp_cutoff)
+            h0, _, notes = verdicts
+            for name, violation in notes:
+                note(found[name], b1, b2, violation)
+            # (i) simple endomorphisms and (ii) unitriangular Hom^0 matrix
+            # in the (m, l) order
             if i == j and h0 != 1:
-                note(bad, {"pair": pair, "endo": h0})
-                note(tri_bad, {"pair": pair, "diag": h0})
+                note(bad, b1, b2, {"endo": h0})
+                note(tri_bad, b1, b2, {"diag": h0})
             if j < i and h0 != 0:
-                note(tri_bad, {"pair": pair, "below": h0})
+                note(tri_bad, b1, b2, {"below": h0})
 
-            # (iv) no higher Ext after restriction to X1, up to dp_cutoff
-            hi = sorted((k, v) for k, v in x1.items() if k[1] > 0 and k[0] <= dp_cutoff)
-            if hi:
-                note(x1_bad, {"pair": pair, "entries": hi[:3]})
-
-            # (v) no higher Ext on X2 and determinant powers within range
-            if nu is not None and (nu_max is None or nu > nu_max):
-                nu_max = nu
-            hi = sorted((k, v) for k, v in x2.items() if k[1] > 0)
-            if hi:
-                note(x2_bad, {"pair": pair, "entries": hi[:3]})
-
-            # (vi) cross-model agreement of Hom^0 dimensions; the stack table
-            # has (d_x, d_p) entries only where l1 - l2 + 2(m1 - m2) + d_x = 2 d_p
-            for d_p in range(hom0_dp_cutoff + 1):
-                d_x = b2.l - b1.l + 2 * (b2.m - b1.m) + 2 * d_p
-                if d_x > dx_cutoff:
-                    continue
-                lhs, rhs = frak.get((d_x, d_p), 0), x1.get((d_p, 0), 0)
-                if lhs != rhs:
-                    note(cross_bad, {"pair": pair, "d_p": d_p, "stack": lhs, "x1": rhs})
-            for d_x in range(dx_cutoff + 1):
-                bal = b1.l - b2.l + 2 * (b1.m - b2.m) + d_x
-                if bal % 2 == 0 and bal // 2 > hom0_dp_cutoff:
-                    continue
-                lhs, rhs = frak.get((d_x, bal // 2), 0), x2.get((d_x, 0), 0)
-                if lhs != rhs:
-                    note(cross_bad, {"pair": pair, "d_x": d_x, "stack": lhs, "x2": rhs})
-
+    nu_max = max((nu for _, nu, _ in classes.values() if nu is not None), default=None)
     wit = witten_index_candidates(n)
     size_ok = len(gens) == l_bound * m_bound
     count_ok = (n % 2 == 0) or (l_bound == wit["index"] and m_bound == n)

@@ -4,7 +4,8 @@ Everything here works over a model's own field with pfgr.fields arithmetic
 and pfgr.linalg, entry by entry, on routes disjoint from the vectorized mod-q
 code in pfgr.geometry, except omega_rank_walk: the rank census as it was
 before the Pfaffian route, every omega_p ranked by modq.batch_rank's
-elimination; twist_tail_dominant is the closed-form dominance bound
+elimination, and kernel_basis, ker omega_p at one point by its own
+reduced form; twist_tail_dominant is the closed-form dominance bound
 the negative-twist sweeps of the BBW tests lean on.  perfect_matchings is
 the reference Pfaffian: principal_pfaffians and the Jacobian tests sum its
 (d - 2)!! signed matchings in full, where pfgr expands every Pfaffian once,
@@ -12,6 +13,12 @@ with shared sub-Pfaffians (modq.pfaffian).  The window tables
 ext_table_X2_direct and hom0_frakX_direct decompose each twisted character
 afresh, with no cache and no twist shift, and take Sym^d(S^(+n)) from
 newton_sym_characters, not from the closed form in pfgr.reps.
+bbw_cohomology_rho_shift is the Bott prescription that bbw.bbw_cohomology
+writes in closed form, and ext_schur_pair_peeled an Ext row summed over the
+summands that reps.decompose_character peels, not over the Clebsch-Gordan
+ones.  exceptional_report_per_pair is the window report as it was before
+its verdicts were taken once per class: every ordered pair reads its
+class's tables and notes its own violations.
 
 koszul_fold is the general route to a Koszul factorization that
 mf.koszul_perturb writes in closed form: it folds a resolution into W by
@@ -29,11 +36,11 @@ from math import comb
 
 import numpy as np
 
-from pfgr import bbw, geometry, linalg, modq
+from pfgr import bbw, geometry, linalg, modq, windows
 from pfgr.mf import (MatrixFactorization, _in_kernel, _modular, _rational, _sparse_map,
                      _stacks, _zmat)
 from pfgr.poly import Poly, PolyRing, poly_mat_is_zero, poly_mat_mul
-from pfgr.reps import GL2Weight, char_add, char_mul, diagonal_isotypic
+from pfgr.reps import GL2Weight, char_add, char_mul, decompose_character, diagonal_isotypic
 
 
 def omega_field(model, p):
@@ -83,6 +90,14 @@ def principal_pfaffians(model, p):
             s = F.add(s, term)
         out.append(s)
     return out
+
+
+def kernel_basis(model, p):
+    """Basis of ker(omega_p) over the model's prime field, the canonical one
+    read off the reduced form of omega_p alone (modq.rank_and_kernel); any
+    nonzero p, on Y2 or off it, where geometry.y2_kernels refuses."""
+    q, omega = geometry._omega_at(model, p)
+    return modq.rank_and_kernel(omega, q)[1].tolist()
 
 
 def omega_rank_walk(model, q):
@@ -257,6 +272,165 @@ def hom0_frakX_direct(b1, b2, n, x_cutoff, p_cutoff):
             if inv:
                 out[(d_x, d_p)] = inv * comb(d_p + n - 1, n - 1)
     return out
+
+
+def bbw_cohomology_rho_shift(a, b, n):
+    """bbw.bbw_cohomology by the rho-shift prescription, entry by entry: pad,
+    shift by rho, sort, count inversions and take the Weyl dimension."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if b > a:
+        a, b = b, a
+    rho = list(range(n - 1, -1, -1))
+    padded = [a, b] + [0] * (n - 2)
+    shifted = [padded[i] + rho[i] for i in range(n)]
+    if len(set(shifted)) < n:
+        return bbw.CohomologyResult.zero()
+    inversions = sum(
+        1 for i in range(n) for j in range(i + 1, n) if shifted[i] < shifted[j]
+    )
+    srt = sorted(shifted, reverse=True)
+    lam = tuple(srt[i] - rho[i] for i in range(n))
+    return bbw.CohomologyResult(inversions, lam, bbw.weyl_dimension(lam))
+
+
+@lru_cache(maxsize=None)
+def _peeled_pair(l, lp):
+    """Sym^l S (x) Sym^lp S^dual as {GL2Weight: multiplicity}, peeled."""
+    return decompose_character(char_mul(GL2Weight(l, 0).character(),
+                                        GL2Weight(0, -lp).character()))
+
+
+def ext_schur_pair_peeled(l, lp, k, n):
+    """bbw.ext_schur_pair with Sym^l S (x) Sym^lp S^dual decomposed by
+    peeling its character (reps.decompose_character), not by Clebsch-Gordan,
+    and each summand's cohomology by the rho-shift prescription."""
+    out = {}
+    for w, mult in _peeled_pair(l, lp).items():
+        res = bbw_cohomology_rho_shift(-w.b - k, -w.a - k, n)
+        if not res.is_zero:
+            out[res.degree] = out.get(res.degree, 0) + mult * res.dimension
+    return out
+
+
+def exceptional_report_per_pair(l_bound=None, m_bound=None, n=7, dp_cutoff=12,
+                                dx_cutoff=12, hom0_dp_cutoff=8):
+    """windows.exceptional_report with every verdict taken pair by pair.
+
+    The tables of each class (l1, l2, m1 - m2) are computed once, but each
+    ordered pair reads them afresh: its Ext table test, its X1 and X2 higher
+    Ext lists, its determinant power and both cross-model loops.
+    """
+    if l_bound is None or m_bound is None:
+        l_bound, m_bound = windows.default_bounds(n)
+    if min(dp_cutoff, dx_cutoff, hom0_dp_cutoff) < 0:
+        raise ValueError("cutoff must be non-negative")
+    gens = windows.window_generators(l_bound, m_bound)
+    classes = {}
+    bad, tri_bad, x1_bad, x2_bad, cross_bad = [], [], [], [], []
+
+    def note(violations, violation):
+        # the report shows the first five per check; a check fails on the first
+        if len(violations) < 5:
+            violations.append(violation)
+
+    nu_max = None
+    # gens is in the (m, l) order, so (i, j) index the Hom^0 matrix directly
+    for i, b1 in enumerate(gens):
+        for j, b2 in enumerate(gens):
+            key = (b1.l, b2.l, b1.m - b2.m)
+            if key not in classes:
+                classes[key] = (windows.gr_ext(b1, b2, n),
+                                windows.ext_table_X1(b1, b2, n, max(dp_cutoff, hom0_dp_cutoff)),
+                                windows.ext_table_X2(b1, b2, n, dx_cutoff),
+                                windows.hom0_frakX(b1, b2, n, dx_cutoff, hom0_dp_cutoff))
+            gr, x1, (x2, nu), frak = classes[key]
+            pair = [repr(b1), repr(b2)]
+
+            # (i) strong exceptionality on the Grassmannian and
+            # (ii) unitriangular Hom^0 matrix in the (m, l) order
+            h0 = gr.get(0, 0)
+            if any(p > 0 for p in gr):
+                note(bad, {"pair": pair, "table": sorted(gr.items())})
+            if i == j and h0 != 1:
+                note(bad, {"pair": pair, "endo": h0})
+                note(tri_bad, {"pair": pair, "diag": h0})
+            if j < i and h0 != 0:
+                note(tri_bad, {"pair": pair, "below": h0})
+
+            # (iv) no higher Ext after restriction to X1, up to dp_cutoff
+            hi = sorted((k, v) for k, v in x1.items() if k[1] > 0 and k[0] <= dp_cutoff)
+            if hi:
+                note(x1_bad, {"pair": pair, "entries": hi[:3]})
+
+            # (v) no higher Ext on X2 and determinant powers within range
+            if nu is not None and (nu_max is None or nu > nu_max):
+                nu_max = nu
+            hi = sorted((k, v) for k, v in x2.items() if k[1] > 0)
+            if hi:
+                note(x2_bad, {"pair": pair, "entries": hi[:3]})
+
+            # (vi) cross-model agreement of Hom^0 dimensions; the stack table
+            # has (d_x, d_p) entries only where l1 - l2 + 2(m1 - m2) + d_x = 2 d_p
+            for d_p in range(hom0_dp_cutoff + 1):
+                d_x = b2.l - b1.l + 2 * (b2.m - b1.m) + 2 * d_p
+                if d_x > dx_cutoff:
+                    continue
+                lhs, rhs = frak.get((d_x, d_p), 0), x1.get((d_p, 0), 0)
+                if lhs != rhs:
+                    note(cross_bad, {"pair": pair, "d_p": d_p, "stack": lhs, "x1": rhs})
+            for d_x in range(dx_cutoff + 1):
+                bal = b1.l - b2.l + 2 * (b1.m - b2.m) + d_x
+                if bal % 2 == 0 and bal // 2 > hom0_dp_cutoff:
+                    continue
+                lhs, rhs = frak.get((d_x, bal // 2), 0), x2.get((d_x, 0), 0)
+                if lhs != rhs:
+                    note(cross_bad, {"pair": pair, "d_x": d_x, "stack": lhs, "x2": rhs})
+
+    wit = windows.witten_index_candidates(n)
+    size_ok = len(gens) == l_bound * m_bound
+    count_ok = (n % 2 == 0) or (l_bound == wit["index"] and m_bound == n)
+    nu_ok = nu_max is not None and nu_max <= n - 1
+    checks = [
+        windows.CheckRecord(
+            name="strong_exceptionality_gr",
+            claim="no higher Ext between window bundles on Gr(2,n), simple endomorphisms",
+            passed=not bad,
+            parameters={"n": n, "pairs": len(gens) ** 2},
+            witness={"violations": bad}),
+        windows.CheckRecord(
+            name="unitriangular_hom0",
+            claim="Hom^0 matrix is unitriangular in the (m, l) order",
+            passed=not tri_bad,
+            parameters={"n": n},
+            witness={"violations": tri_bad}),
+        # (iii) window size and fibre generator count
+        windows.CheckRecord(
+            name="window_size",
+            claim="rectangle size l_bound * m_bound; fibre generator count matches the index",
+            passed=size_ok and count_ok,
+            parameters={"l_bound": l_bound, "m_bound": m_bound},
+            witness={"size": len(gens), "fibre_generators": l_bound, "index_candidates": wit}),
+        windows.CheckRecord(
+            name="x1_no_higher_ext",
+            claim="window pairs acquire no higher Ext on the first total space",
+            passed=not x1_bad,
+            parameters={"n": n, "dp_cutoff": dp_cutoff},
+            witness={"violations": x1_bad}),
+        windows.CheckRecord(
+            name="x2_no_higher_ext",
+            claim="no higher cohomology on the second total space; det powers bounded by n-1",
+            passed=not x2_bad and nu_ok,
+            parameters={"n": n, "dx_cutoff": dx_cutoff},
+            witness={"violations": x2_bad, "max_nu": nu_max}),
+        windows.CheckRecord(
+            name="hom0_cross_model",
+            claim="graded Hom^0 agrees between the stack, X1 and X2 computations",
+            passed=not cross_bad,
+            parameters={"n": n, "dx_cutoff": dx_cutoff, "dp_cutoff": hom0_dp_cutoff},
+            witness={"violations": cross_bad}),
+    ]
+    return windows.WindowReport(n=n, l_bound=l_bound, m_bound=m_bound, checks=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pfgr import bbw, modq
 from pfgr.bbw import (CohomologyResult, bbw_cohomology, ext_schur_pair,
                       projective_cohomology, weyl_dimension)
 
-from oracles import twist_tail_dominant
+from oracles import bbw_cohomology_rho_shift, ext_schur_pair_peeled, twist_tail_dominant
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -145,6 +145,20 @@ def test_twist_dimensions_match_point_evaluation():
         assert dim == evaluation_rank_dimension(k)
 
 
+@pytest.mark.parametrize("n", range(3, 16))
+def test_closed_form_matches_the_rho_shift_prescription(n):
+    """The closed form gives the rho-shift prescription's degree, weight and
+    dimension for every (a, b) in [-40, 40]^2, zero results included."""
+    zeros = 0
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            res, ref = bbw_cohomology(a, b, n), bbw_cohomology_rho_shift(a, b, n)
+            assert (res.degree, res.weight, res.dimension) == (ref.degree, ref.weight,
+                                                               ref.dimension)
+            zeros += res.is_zero
+    assert 0 < zeros < 81 * 81
+
+
 # ---------------------------------------------------------------------------
 # Ext tables between symmetric powers
 
@@ -172,6 +186,17 @@ def test_ext_pair_negative_twist_sweep():
             for k in range(-50, 0):
                 table = ext_schur_pair(l, lp, k, 7)
                 assert all(p == 0 for p in table)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_clebsch_gordan_rows_match_the_peeled_route(n):
+    """Every Ext row with l, lp <= 12 and k in [-30, 30) equals the row summed
+    over the summands that peeling the character finds."""
+    for l in range(13):
+        for lp in range(13):
+            for k in range(-30, 30):
+                row = ext_schur_pair.__wrapped__(l, lp, k, n)
+                assert row == ext_schur_pair_peeled(l, lp, k, n)
 
 
 def test_twist_tail_dominance():

@@ -16,14 +16,14 @@ from pfgr import geometry, linalg, modq
 from pfgr.fields import QQ, PrimeField, is_prime
 from pfgr.geometry import (PfaffianModel, certify_model,
                            critical_equivalence_sweep, gaussian_binomial_2, grassmannian_census,
-                           kernel_and_extend, kernel_basis, maximal_isotropic,
+                           kernel_and_extend, maximal_isotropic,
                            normal_map_check, omega_rows, omegas, quadratic_form_matrix,
                            random_model, rank_census, rank_parity_sample,
                            sample_y1_points, sample_y2_points,
                            smoothness_sample, underlying_scheme_probe,
                            y1_membership, y2_kernels, y2_membership)
 
-from oracles import (contraction_oracle, critical_test, grad_W, omega_field,
+from oracles import (contraction_oracle, critical_test, grad_W, kernel_basis, omega_field,
                      omega_rank_walk, omega_stack_census, perfect_matchings,
                      principal_pfaffians, upper_rows)
 
@@ -88,6 +88,22 @@ def test_sample_y1_points_refuses_a_base_point_without_a_plane(monkeypatch, mode
     monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 1)
     with pytest.raises(ValueError, match=r"sampling_budget_Y1: the sampler found 1\d of 20 "):
         sample_y1_points(model5, pool, seed=3)
+
+
+def test_sampler_refusal_counts_the_draws_made(monkeypatch, model5):
+    """A refusal gives the draws the sampler made, not its budget: no batch
+    begins past SAMPLER_MAX_TRIES draws, but a batch begun below it runs
+    whole.  At a budget of 2,020 the Y1 sampler makes one round of 204 draws
+    for each of 20 base points, 4,080 in all, and the Y2 sampler one batch
+    of 4,096."""
+    pool = sample_y2_points(model5, 20, seed=3)
+    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 2020)
+    with pytest.raises(ValueError, match=r"sampling_budget_Y1: the sampler found 1\d of 20 "
+                                         r"Y1 points over F_101 in its 4080 draws;"):
+        sample_y1_points(model5, pool, seed=3)
+    with pytest.raises(ValueError, match=r"sampling_budget_Y2: the sampler found \d+ of 500 "
+                                         r"Y2 points over F_101 in its 4096 draws;"):
+        sample_y2_points(model5, 500, seed=3)
 
 
 def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):

@@ -143,6 +143,15 @@ def test_one_owner_for_sampling():
             if word in cli_text] == []
 
 
+def test_ext_rows_peel_no_character():
+    """bbw writes each Ext row from Clebsch-Gordan and each Bott group in
+    closed form: it multiplies and peels no character, so the peeling route
+    (reps.decompose_character of a reps.char_mul product) stays the test
+    reference the rows are checked against."""
+    assert {site for name in ("decompose_character", "char_mul") for site in _callers(name)
+            if site.split(".")[0] == "bbw"} == set()
+
+
 ROOT = SRC.parents[1]
 
 

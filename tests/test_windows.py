@@ -8,7 +8,7 @@ from pfgr.windows import (WindowBundle, default_bounds, exceptional_report,
                           ext_table_X1, ext_table_X2, gr_ext, hom0_frakX,
                           window_generators, witten_index_candidates)
 
-from oracles import ext_table_X2_direct, hom0_frakX_direct
+from oracles import exceptional_report_per_pair, ext_table_X2_direct, hom0_frakX_direct
 
 T = WindowBundle
 
@@ -287,3 +287,75 @@ def test_report_at_n11_passes():
     rep = exceptional_report(n=11)
     assert (rep.l_bound, rep.m_bound, rep.size) == (5, 11, 55)
     assert len(rep.checks) == 6 and all(c.passed for c in rep.checks)
+
+
+@pytest.mark.parametrize("n, rect, cutoffs", [
+    (5, (2, 40), (1, 1, 1)), (5, (3, 6), (0, 5, 2)), (7, (3, 8), (2, 3, 4)),
+    (7, (4, 7), (4, 2, 0)), (7, (3, 8), (0, 0, 6)), (9, (5, 10), (3, 2, 5)),
+    (9, (4, 11), (1, 6, 3))])
+def test_class_verdicts_match_the_per_pair_report(n, rect, cutoffs):
+    """On failing rectangles the report that takes each class's verdicts
+    once equals, record for record, the one that reads every pair afresh:
+    the same first five violations per check, in the same order."""
+    rep = exceptional_report(*rect, n, *cutoffs)
+    assert not rep.passed
+    assert list(map(repr, rep.checks)) == list(map(repr, exceptional_report_per_pair(
+        *rect, n, *cutoffs).checks))
+
+
+def _perturbed(name, fn):
+    """fn with its table changed on some classes (l1, l2, m1 - m2), and
+    only through the class, so that every window check has witnesses."""
+    def table(b1, b2, n, *cutoffs):
+        l1, l2, k = b1.l, b2.l, b1.m - b2.m
+        out = fn(b1, b2, n, *cutoffs)
+        if name == "gr_ext":
+            out = dict(out)
+            if l2 == 0 and k == -1:
+                out[1] = l1 + 1
+            if l1 == l2 == 1 and k == 0:
+                # a diagonal pair with higher Ext and Hom^0 of dimension 2
+                out[1], out[0] = 5, 2
+            if l1 == 0 and k == 1:
+                out[0] = 3   # below the diagonal
+        elif name == "ext_table_X1":
+            out = dict(out)
+            if (l1 + l2 + k) % 4 == 0:
+                out[(k % 2, 1)] = 7
+            if (l1 - l2 + k) % 3 == 0:
+                out[(0, 0)] = out.get((0, 0), 0) + 1
+        elif name == "ext_table_X2":
+            out, nu = dict(out[0]), out[1]
+            if (l2 + k) % 3 == 2:
+                out[(1, 2)] = 11
+            if l1 == l2 == k == 0:
+                out[(0, 0)] += 1   # the first pair disagrees with the stack at d_x = 0
+            if l1 == 1 and k == -2:
+                nu = n + l2
+            out = (out, nu)
+        elif (l1 + 3 * k) % 4 == 1:
+            out = {key: v + 1 for key, v in out.items()}
+        return out
+    return table
+
+
+@pytest.mark.parametrize("n, rect, cutoffs", [
+    (5, (3, 6), (2, 3, 2)), (7, (4, 7), (1, 4, 3)), (9, (5, 9), (3, 2, 1))])
+def test_perturbed_class_tables_fill_every_check(monkeypatch, n, rect, cutoffs):
+    """With the four pair tables perturbed on some classes, the class-once
+    report still equals the per-pair one in every record, now with
+    witnesses in all six checks, for the diagonal and below-diagonal Hom^0,
+    the determinant bound and both cross-model directions among them."""
+    for name in ("gr_ext", "ext_table_X1", "ext_table_X2", "hom0_frakX"):
+        monkeypatch.setattr(windows, name, _perturbed(name, getattr(windows, name)))
+    rep = exceptional_report(*rect, n, *cutoffs)
+    assert list(map(repr, rep.checks)) == list(map(repr, exceptional_report_per_pair(
+        *rect, n, *cutoffs).checks))
+    assert not any(c.passed for c in rep.checks)
+    witness = {c.name: c.witness for c in rep.checks}
+    kinds = {name: {key for v in w.get("violations", ()) for key in v if key != "pair"}
+             for name, w in witness.items()}
+    assert kinds["strong_exceptionality_gr"] == {"table", "endo"}
+    assert kinds["unitriangular_hom0"] == {"diag", "below"}
+    assert witness["x2_no_higher_ext"]["max_nu"] > n - 1
+    assert kinds["hom0_cross_model"] == {"d_p", "x1", "d_x", "x2", "stack"}
