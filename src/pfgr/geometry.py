@@ -15,16 +15,18 @@ cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
 against the kernel 2-forms.  Y2 and Y1 are counted by the same bounded walk
 over P^(d-1)(F_q), Y1 through the incidence u in ker(omega_p); with the deep
 stratum empty the counts agree (grassmannian_census).  Every pointwise
-verdict and sampler reads q from the model's field, refusing a model over Q
-with ValueError (the command line moves the model onto the sampling field);
-only omegas, omega_rows, tensor_mod and the censuses, which meet one model
-at several primes, take q.  Each reads omega_p mod q from omegas (the
-Pfaffian rank route its entries above the diagonal, from omega_rows) and
-ranks through pfgr.modq; the Jacobians, the normal map, the sweep and the
-samplers take (N, ...) stacks, and y2_kernels alone reads ker(omega_p) off
-a stack.  Surjectivity of A needs no rational elimination either: rank d
-mod any prime q means some d x d minor is nonzero mod q, hence nonzero
-over Z (certify_model).
+verdict and sampler reads q from the model's field, refusing with ValueError
+a model over Q (the command line moves the model onto the sampling field)
+or over a prime past the int64 bound C(d, 2)(q - 1)^2 < 2^63 (_check_int64,
+which random_model applies too); only omegas, omega_rows, tensor_mod and the
+censuses, which meet one model at several primes, take q.  Each reads
+omega_p mod q from omegas (the Pfaffian rank route its entries above the
+diagonal, from omega_rows) and ranks through pfgr.modq; the Jacobians, the
+normal map and the samplers take (N, ...) stacks, the sweep draws each of
+its four groups as one stack with one batched verdict call, and y2_kernels
+alone reads ker(omega_p) off a stack.  Surjectivity of A needs no rational
+elimination either: rank d mod any prime q means some d x d minor is
+nonzero mod q, hence nonzero over Z (certify_model).
 
 Both samplers cost about q draws per point over F_q.  Y2 is sampled by
 kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
@@ -139,7 +141,7 @@ class PfaffianModel:
 def omegas(model, pts, q):
     """omega_p mod q: a (d, d) matrix for one point p, an (N, d, d) stack for
     an (N, d) stack of points.  Each entry sums d products of residues, within
-    the C(d, 2) (q - 1)^2 < 2^63 bound of random_model; the stack is one
+    the C(d, 2) (q - 1)^2 < 2^63 bound of _check_int64; the stack is one
     product against the d x d^2 matrix of the tensor."""
     pts = np.asarray(pts, dtype=np.int64) % q
     d = model.d
@@ -152,16 +154,28 @@ def omega_rows(model, pts, q):
     modq.pfaffians_vanish take.  Entry (a, b) of the c-th wedge pair is
     p . A[:, c], so the rows are the one product (A mod q)^T p^T.  Each entry
     sums d products of residues, so no int64 operation wraps while
-    d (q - 1)^2 < 2^63 (random_model's C(d, 2)(q - 1)^2 < 2^63 implies it)."""
+    d (q - 1)^2 < 2^63 (_check_int64's C(d, 2)(q - 1)^2 < 2^63 implies it)."""
     pts = np.asarray(pts, dtype=np.int64) % q
     return (np.array(model.A, dtype=np.int64) % q).T @ pts.T % q
 
 
+def _check_int64(q, d):
+    """Refuse (ValueError) a prime q whose residues could wrap int64 at d.
+    The longest dot products of residues have C(d, 2) terms (the wedge
+    contraction of _batch_verdicts and the product of signed sub-Pfaffians
+    with A in pfaffian_jacobian_mod), so they need C(d, 2)(q - 1)^2 < 2^63."""
+    if comb(d, 2) * (q - 1) ** 2 >= 2 ** 63:
+        raise ValueError(f"q = {q} is too large for exact int64 arithmetic "
+                         f"at d = {d}: need C(d, 2) * (q - 1)^2 < 2^63")
+
+
 def _prime(model):
-    """The order q of the model's prime field; a model over Q raises."""
+    """The order q of the model's prime field; a model over Q, or over a
+    prime too large for exact int64 arithmetic (_check_int64), raises."""
     q = model.field.characteristic
     if not q:
         raise ValueError("pointwise verdicts need a model over a prime field, not Q")
+    _check_int64(q, model.d)
     return q
 
 
@@ -174,7 +188,7 @@ def _omega_at(model, p):
 
 
 def _rank(rows, q):
-    return int(modq.rref(np.asarray(rows, dtype=np.int64), q)[1])
+    return int(modq.batch_rank(rows, q)[0])
 
 
 def y1_membership(model, x):
@@ -452,7 +466,7 @@ def pfaffian_jacobian_mod(model, pts):
     these signed sub-Pfaffians, zero wherever i is in c.  Each is one
     modq.pfaffian on the rows of omega_rows, and one memo shares it across
     the rows i that reach it.  J is then one product of C(d, 2) residue
-    terms, within the C(d, 2)(q - 1)^2 < 2^63 bound random_model keeps.
+    terms, within the C(d, 2)(q - 1)^2 < 2^63 bound _check_int64 keeps.
     """
     d, q = model.d, _prime(model)
     rows = omega_rows(model, np.asarray(pts, dtype=np.int64).reshape(-1, d), q)
@@ -483,7 +497,6 @@ def y1_jacobian_mod(model, xs):
 
 @dataclass
 class SmoothnessReport:
-    variety: str
     q: int
     found: int
     expected_rank: int
@@ -515,7 +528,7 @@ def smoothness_sample(model, variety, points):
         jacobian = y1_jacobian_mod
     ranks = modq.batch_rank(jacobian(model, pts), q).tolist()
     witnesses = [{"point": pt, "rank": r} for pt, r in zip(pts, ranks) if r != expected]
-    return SmoothnessReport(variety, q, len(ranks), expected, ranks, not witnesses, witnesses)
+    return SmoothnessReport(q, len(ranks), expected, ranks, not witnesses, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -773,13 +786,7 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5)):
         field = PrimeField(q)
     if field.characteristic and field.characteristic < 5:
         raise ValueError("model field must be Q or F_q with q >= 5")
-    sample_q = sampling_prime(field)
-    # the longest int64 dot products of residues have C(d, 2) terms: the
-    # wedge contraction (wedge @ A.T in _batch_verdicts) and the product of
-    # signed sub-Pfaffians with A in pfaffian_jacobian_mod; they must not wrap
-    if comb(d, 2) * (sample_q - 1) ** 2 >= 2 ** 63:
-        raise ValueError(f"q = {sample_q} is too large for exact int64 arithmetic "
-                         f"at d = {d}: need C(d, 2) * (q - 1)^2 < 2^63")
+    _check_int64(sampling_prime(field), d)
     check_sampling_budget(CERT_SAMPLES, field)
     rng = random.Random(seed)
     last = ""
@@ -840,19 +847,18 @@ def _batch_verdicts(model, us, vs, ps):
 
     The shared conditions (both columns killed by omega_p) are computed once;
     the gradient verdict adds the vanishing of the wedge contractions, the
-    geometric verdict adds the vanishing of the 2 x 2 minors of x.
+    geometric verdict adds the vanishing of the 2 x 2 minors of x, whose
+    C(d, 2) wedge coordinates are read at the index pairs of model.pairs.
+    The omega_p stack is dropped before the wedge is built, so the two never
+    share memory at once.
     """
     q = _prime(model)
     Aq = np.array(model.A, dtype=np.int64) % q
-    om = omegas(model, ps, q)
-    gu = np.einsum("xab,xb->xa", om, vs % q) % q
-    gv = np.einsum("xab,xb->xa", om, us % q) % q
-    pairs = model.pairs
-    wedge = np.empty((len(us), len(pairs)), dtype=np.int64)
-    for c, (a, b) in enumerate(pairs):
-        wedge[:, c] = (us[:, a] * vs[:, b] - us[:, b] * vs[:, a]) % q
+    in_kernel = ~(np.einsum("xab,txb->xta", omegas(model, ps, q),
+                            np.stack([us, vs]) % q) % q).any(axis=(1, 2))
+    a, b = np.array(model.pairs).T
+    wedge = (us[:, a] * vs[:, b] - us[:, b] * vs[:, a]) % q
     contr = (wedge @ Aq.T) % q
-    in_kernel = (gu == 0).all(axis=1) & (gv == 0).all(axis=1)
     gradient_zero = in_kernel & (contr == 0).all(axis=1)
     rank_le_1 = (wedge == 0).all(axis=1)
     geometric = in_kernel & rank_le_1
@@ -863,83 +869,64 @@ def critical_equivalence_sweep(model, base_points, n_pos=1000, n_near=1000,
                                n_rand=10000, seed=0):
     """Compare gradient and geometric criticality verdicts in bulk.
 
-    Constructed positives are rank-one maps into the kernel at the given
-    Y2 base points (the caller's, which other checks may share; y2_kernels
-    refuses any of omega rank other than d - 3);
-    near-misses are rank-two maps into the kernel and rank-one maps off the
-    kernel; the rest are uniform random.  Any disagreement between the two
-    verdicts is returned as a witness.
+    Four groups of (x, p), each drawn as one stack and judged by one
+    _batch_verdicts call: positives, rank-one maps into the kernel at the
+    given Y2 base points (the caller's, which other checks may share;
+    y2_kernels refuses any of omega rank other than d - 3); near-misses,
+    rank-two maps into the kernel, then rank-one maps off the kernel at the
+    first base point; and uniform random (x, p).  Base point i takes
+    max(1, n // N) of a group's n kernel draws, in point order, n in all at
+    most: n_pos positives, and n_near // 2 near-miss draws, kept where the
+    two columns have rank 2, the rest of n_near off the kernel.  The seeded
+    stream draws the groups in that order.  Any disagreement between the two
+    verdicts is returned as a witness, in group order, then stack order.
     """
     d, q = model.d, _prime(model)
     rng = np.random.default_rng(seed)
     if not len(base_points):
         raise RuntimeError("no degenerate points given for the sweep")
-    kernels = list(zip(np.asarray(base_points, dtype=np.int64),
-                       y2_kernels(model, base_points)))
-
+    P = np.asarray(base_points, dtype=np.int64)
+    K = y2_kernels(model, P)
     disagreements = []
-    positive_failures = 0
 
-    def record(us, vs, ps, expect_positive=False):
-        nonlocal positive_failures
-        grad, geo = _batch_verdicts(model, us, vs, ps)
-        for t in np.nonzero(grad != geo)[0]:
-            disagreements.append({
-                "x": [[int(c) for c in us[t]], [int(c) for c in vs[t]]],
-                "p": [int(c) for c in ps[t]],
-                "gradient_zero": bool(grad[t]), "geometric": bool(geo[t]),
-            })
-        if expect_positive:
-            positive_failures += int((~(grad & geo)).sum())
+    def judge(xs, ps):
+        """Whether both verdicts hold, for an (n, 2, d) stack of maps x at an
+        (n, d) stack of points; each disagreement becomes a witness."""
+        grad, geo = _batch_verdicts(model, xs[:, 0], xs[:, 1], ps)
+        disagreements.extend({"x": xs[t].tolist(), "p": ps[t].tolist(),
+                              "gradient_zero": bool(grad[t]), "geometric": bool(geo[t])}
+                             for t in np.flatnonzero(grad != geo))
+        return grad & geo
+
+    def kernel_draws(n, r):
+        """The owning base point of each of n draws, and for each an (r, d)
+        stack of random vectors in its kernel."""
+        per = max(1, n // len(P))
+        owner = np.repeat(np.arange(len(P)), np.clip(n - per * np.arange(len(P)), 0, per))
+        coeffs = _rng_ints(rng, q, (len(owner), r, 3))
+        return owner, np.einsum("xrs,xsl->xrl", coeffs, K[owner]) % q
 
     # positives: u, v multiples of one kernel vector
-    per = max(1, n_pos // len(kernels))
-    total_pos = 0
-    for p, K in kernels:
-        m = min(per, n_pos - total_pos)
-        if m <= 0:
-            break
-        coeff = _rng_ints(rng, q, (m, K.shape[0]))
-        k = (coeff @ K) % q
-        a = _rng_ints(rng, q, (m, 1))
-        b = _rng_ints(rng, q, (m, 1))
-        us = (a * k) % q
-        vs = (b * k) % q
-        ps = np.tile(p, (m, 1))
-        record(us, vs, ps, expect_positive=True)
-        total_pos += m
+    owner, xs = kernel_draws(n_pos, 1)
+    positives = len(owner)
+    xs = _rng_ints(rng, q, (positives, 2, 1)) * xs % q
+    positive_failures = int((~judge(xs, P[owner])).sum())
 
     # near-misses: rank 2 inside the kernel, rank 1 outside it
-    half = n_near // 2
-    done = 0
-    for p, K in kernels:
-        m = min(max(1, half // len(kernels)), half - done)
-        if m <= 0:
-            break
-        c1 = _rng_ints(rng, q, (m, K.shape[0]))
-        c2 = _rng_ints(rng, q, (m, K.shape[0]))
-        us = (c1 @ K) % q
-        vs = (c2 @ K) % q
-        keep = modq.batch_rank(np.stack([us, vs], axis=1), q) == 2
-        ps = np.tile(p, (m, 1))
-        if keep.any():
-            record(us[keep], vs[keep], ps[keep])
-            done += int(keep.sum())
-    rest = n_near - done
-    p0 = kernels[0][0]
-    us = _rng_ints(rng, q, (rest, d))
-    lam = _rng_ints(rng, q, (rest, 1))
-    vs = (lam * us) % q
-    ps = np.tile(p0, (rest, 1))
-    record(us, vs, ps)
+    owner, xs = kernel_draws(n_near // 2, 2)
+    keep = modq.batch_rank(xs, q) == 2
+    judge(xs[keep], P[owner[keep]])
+    rest = n_near - int(keep.sum())
+    xs = _rng_ints(rng, q, (rest, 1, d))
+    lam = _rng_ints(rng, q, (rest, 1, 1))
+    judge(np.concatenate([xs, lam * xs % q], axis=1), np.tile(P[0], (rest, 1)))
 
-    # uniform random points
-    us = _rng_ints(rng, q, (n_rand, d))
-    vs = _rng_ints(rng, q, (n_rand, d))
-    ps = _rng_ints(rng, q, (n_rand, d))
-    keep = ps.any(axis=1)
-    record(us[keep], vs[keep], ps[keep])
+    # uniform random points; the names above are rebound, so the earlier
+    # groups' stacks are freed before the largest one is judged
+    xs = _rng_ints(rng, q, (n_rand, 3, d))
+    keep = xs[:, 2].any(axis=1)
+    judge(xs[keep, :2], xs[keep, 2])
 
     return CriticalSweep(
-        positives=total_pos, near_misses=n_near, randoms=int(keep.sum()),
+        positives=positives, near_misses=n_near, randoms=int(keep.sum()),
         disagreements=disagreements, positive_failures=positive_failures)

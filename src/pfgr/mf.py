@@ -460,7 +460,6 @@ def model_koszul_pairs(model):
 class ExtResult:
     """Graded morphism dimensions {(parity, charge): dim}, charge <= charge_cap."""
     dims: dict
-    truncation: int
     charge_cap: int
 
     @property
@@ -498,7 +497,7 @@ def hom_ext_truncated(E, F, trunc):
             "supported by mf_verify, koszul_perturb and koszul_certificate)")
     base_charges = [cf - ce for (_, cf) in F.gens for (_, ce) in E.gens]
     cap = trunc - 2 + min(base_charges, default=0)
-    return ExtResult(_ext_dims(E, F, cap), trunc, cap)
+    return ExtResult(_ext_dims(E, F, cap), cap)
 
 
 def _ext_dims(E, F, cap):
@@ -546,7 +545,6 @@ def _ext_dims(E, F, cap):
 
 @dataclass
 class DeterminantalResult:
-    columns: int
     term_ranks: tuple
     generator_degrees: tuple
     sym_degrees: tuple
@@ -554,7 +552,6 @@ class DeterminantalResult:
     homology_failures: list
     coker_dims: dict
     segre_dims: dict
-    degree_cutoff: int
 
     @property
     def exact(self):
@@ -766,10 +763,10 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     gen_degrees = tuple(0 if k == 0 else k + 1 for k in range(len(terms)))
     sym_degrees = tuple(0 if k <= 1 else k - 1 for k in range(len(terms)))
     return DeterminantalResult(
-        columns=c, term_ranks=term_ranks, generator_degrees=gen_degrees,
+        term_ranks=term_ranks, generator_degrees=gen_degrees,
         sym_degrees=sym_degrees, composites_zero=composites_zero,
         homology_failures=homology_failures, coker_dims=coker,
-        segre_dims=segre, degree_cutoff=degree_cutoff)
+        segre_dims=segre)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +818,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     them isotropic.  The split is certified by full rank of basis =
     [ms; ns; radical] and basis B basis^T = [[0, I, 0], [I, 0, 0], [0, 0, 0]].
     Each product is reduced mod q at once: a dot product has 2d <= C(d, 2)
-    terms, within the C(d, 2) (q - 1)^2 < 2^63 bound of random_model.
+    terms, within the C(d, 2) (q - 1)^2 < 2^63 bound of geometry._check_int64.
 
     In the adapted basis the cutters c_i(x) = (B m_i) . x and the duals
     a_i(x) = (B n_i) . x are the coordinates along n_i and m_i, so

@@ -263,7 +263,7 @@ def pfaffians_vanish(upper, q):
     Bound on q: one expansion step adds at most d - 1 products of two
     residues, sub-Pfaffians included, and reduces the sum by _reduce; no
     int64 operation wraps while (d - 1)(q - 1)^2 + q <= 2^63, which is
-    checked (geometry.random_model's C(d, 2)(q - 1)^2 < 2^63 implies it).
+    checked (geometry._check_int64's C(d, 2)(q - 1)^2 < 2^63 implies it).
     """
     upper = np.asarray(upper, dtype=np.int64) % q
     d = _order(upper)

@@ -752,30 +752,35 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
 
 def test_pointwise_functions_refuse_rationals(model):
     """Every pointwise verdict and sampler runs mod the model's prime: over Q
-    it raises ValueError before any arithmetic.  certify_model instead moves
-    the model onto its sampling field, so over Q it certifies as over F_101."""
+    it raises ValueError before any arithmetic, and so it does over a prime
+    past the int64 bound C(d, 2)(q - 1)^2 < 2^63, here a model over
+    F_(2^31 - 1) built directly, which random_model would refuse.
+    certify_model instead moves the model onto its sampling field, so over Q
+    it certifies as over F_101."""
     over_q = replace(model, field=QQ)
+    too_big = replace(model, field=PrimeField(2 ** 31 - 1))
     p = sample_y2_points(model, 1, seed=18)[0]
     x = sample_y1_points(model, [p], seed=18)[0]
     ps, us = np.array([p]), np.array([x[0]])
-    for call in (lambda: y1_membership(over_q, x), lambda: y2_membership(over_q, p),
-                 lambda: kernel_basis(over_q, p), lambda: kernel_and_extend(over_q, p, x),
-                 lambda: maximal_isotropic(over_q, p),
-                 lambda: underlying_scheme_probe(over_q, p),
-                 lambda: quadratic_form_matrix(over_q, p),
-                 lambda: sample_y2_points(over_q, 1),
-                 lambda: sample_y1_points(over_q, [p]),
-                 lambda: y2_kernels(over_q, [p]),
-                 lambda: geometry.pfaffian_jacobian_mod(over_q, [p]),
-                 lambda: geometry.y1_jacobian_mod(over_q, [x]),
-                 lambda: geometry._batch_verdicts(over_q, us, us, ps),
-                 lambda: smoothness_sample(over_q, "Y2", [p]),
-                 lambda: smoothness_sample(over_q, "Y1", [x]),
-                 lambda: normal_map_check(over_q, [p]),
-                 lambda: rank_parity_sample(over_q, 10),
-                 lambda: critical_equivalence_sweep(over_q, [p])):
-        with pytest.raises(ValueError, match="prime field"):
-            call()
+    for bad, match in ((over_q, "prime field"), (too_big, "too large for exact int64")):
+        for call in (lambda: y1_membership(bad, x), lambda: y2_membership(bad, p),
+                     lambda: kernel_basis(bad, p), lambda: kernel_and_extend(bad, p, x),
+                     lambda: maximal_isotropic(bad, p),
+                     lambda: underlying_scheme_probe(bad, p),
+                     lambda: quadratic_form_matrix(bad, p),
+                     lambda: sample_y2_points(bad, 1),
+                     lambda: sample_y1_points(bad, [p]),
+                     lambda: y2_kernels(bad, [p]),
+                     lambda: geometry.pfaffian_jacobian_mod(bad, [p]),
+                     lambda: geometry.y1_jacobian_mod(bad, [x]),
+                     lambda: geometry._batch_verdicts(bad, us, us, ps),
+                     lambda: smoothness_sample(bad, "Y2", [p]),
+                     lambda: smoothness_sample(bad, "Y1", [x]),
+                     lambda: normal_map_check(bad, [p]),
+                     lambda: rank_parity_sample(bad, 10),
+                     lambda: critical_equivalence_sweep(bad, [p])):
+            with pytest.raises(ValueError, match=match):
+                call()
     assert certify_model(over_q) == certify_model(model)
 
 
@@ -984,6 +989,64 @@ def test_critical_sweep_consistency(model):
                                        n_pos=200, n_near=200, n_rand=2000, seed=71)
     assert sweep.consistent and sweep.positive_failures == 0
     assert sweep.positives >= 190 and sweep.randoms >= 1990
+
+
+def test_critical_sweep_reports_a_planted_disagreement():
+    """The sweep can fail.  With A zero on Lambda^2<e1, e2, e3> and
+    omega_{e0} = e0 ^ e4 + e5 ^ e6, e0 lies on Y2 with K = <e1, e2, e3>, and
+    every rank-two map into K has vanishing gradient without being
+    geometric: all 50 in-kernel near-misses disagree, no positive fails."""
+    pairs = geometry.wedge_pairs(7)
+    rng = random.Random(29)
+    rows = [[int(c in ((0, 4), (5, 6))) for c in pairs]]
+    rows += [[0 if set(c) <= {1, 2, 3} else rng.randint(-9, 9) for c in pairs]
+             for _ in range(6)]
+    model = PfaffianModel(d=7, A=tuple(map(tuple, rows)), seed=0, field=PrimeField(101))
+    e0 = [1, 0, 0, 0, 0, 0, 0]
+    assert y2_kernels(model, [e0]).tolist() == [[[0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+                                                 [0, 0, 0, 1, 0, 0, 0]]]
+    sweep = critical_equivalence_sweep(model, [e0], n_pos=100, n_near=100, n_rand=100, seed=1)
+    assert sweep.positive_failures == 0 and len(sweep.disagreements) == 50
+    for w in sweep.disagreements:
+        assert w["p"] == e0 and w["gradient_zero"] and not w["geometric"]
+        assert all(row[0] == 0 and not any(row[4:]) for row in w["x"])
+        assert modq.batch_rank(np.array(w["x"]), 101).tolist() == [2]
+
+
+def test_critical_sweep_judges_each_group_as_one_stack(model, monkeypatch):
+    """At 16 base points the sweep makes one _batch_verdicts call per group:
+    positives, rank <= 1 in K_p, 62 at each point in point order (992 in
+    all); rank-two near-misses in K_p; rank-one near-misses v = lambda u at
+    the first point; then the uniform randoms."""
+    q = model.field.q
+    pts = sample_y2_points(model, 16, seed=2)
+    K = y2_kernels(model, pts)
+    calls = []
+    real = geometry._batch_verdicts
+
+    def spy(model_, us, vs, ps):
+        calls.append((us, vs, ps))
+        return real(model_, us, vs, ps)
+
+    monkeypatch.setattr(geometry, "_batch_verdicts", spy)
+    sweep = critical_equivalence_sweep(model, pts, seed=1)
+    assert len(calls) == 4
+    (pu, pv, pp), (nu, nv, np_), (ou, ov, op), (ru, rv, rp) = calls
+
+    def ranks(*rows):
+        return modq.batch_rank(np.stack(rows, axis=1), q)
+
+    def in_kernel(vs, ps):
+        index = [pts.index(p) for p in ps.tolist()]
+        return ranks(*K[index].transpose(1, 0, 2), vs) == 3
+
+    assert pp.tolist() == [p for p in pts for _ in range(62)] and sweep.positives == 992
+    assert (ranks(pu, pv) <= 1).all() and in_kernel(pu, pp).all() and in_kernel(pv, pp).all()
+    assert (ranks(nu, nv) == 2).all() and in_kernel(nu, np_).all() and in_kernel(nv, np_).all()
+    assert len(nu) + len(ou) == sweep.near_misses == 1000
+    # u is off K_p, so nonzero, and rank <= 1 makes v a multiple of u
+    assert (op == pts[0]).all() and not in_kernel(ou, op).any() and (ranks(ou, ov) <= 1).all()
+    assert len(ru) == len(rv) == len(rp) == sweep.randoms and rp.any(axis=1).all()
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,21 @@ def test_one_elimination_loop():
     assert _callers("_eliminate") == {"modq.rref", "modq.batch_rank"}
 
 
+def test_rref_only_where_the_reduced_form_is_read():
+    """modq.rref is called only where the reduced form R or its pivots are
+    read: a caller that reads only a rank takes modq.batch_rank, which stops
+    at a row echelon form.  (linalg.rref, over any field, is another
+    function and is not counted.)"""
+    modq_rref = _sites(lambda node: isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", None) == "rref"
+                       and getattr(node.func.value, "id", None) == "modq")
+    in_modq = {site for site in _callers("rref") if site.startswith("modq.")}
+    assert modq_rref | in_modq == {"geometry.sample_y2_points", "geometry.y2_kernels",
+                                   "geometry.sample_y1_points", "mf._ranks",
+                                   "mf.knorrer_rank_check", "modq.rank_and_kernel",
+                                   "modq.solve"}
+
+
 def test_one_owner_for_sampling():
     """geometry alone decides how points are sampled and what a short sample
     means: the draw budget is read only by the two samplers, which refuse a
