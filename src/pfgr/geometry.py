@@ -35,9 +35,10 @@ through the incidence {(p, U) : U meets ker(omega_p)} between the two
 varieties, the correspondence behind the equivalence: for each given Y2
 point p, a random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v))
 about once in q draws (sample_y1_points holds the soundness argument).
-Sampling is deterministic given a seed, with at most 4096 draws per batched
-elimination and no batch begun after SAMPLER_MAX_TRIES draws in a call, so
-a call may end up to one batch past it.  This module alone owns that
+Sampling is deterministic given a seed.  Draws come in batches of 4096,
+row-reduced ELIM_SLICE draws at a time up to the slice that completes the
+sample, and no batch is begun after SAMPLER_MAX_TRIES draws in a call, so a
+call may end up to one batch past it.  This module alone owns that
 policy: sampling_model moves a model onto its sampling field,
 check_sampling_budget refuses a count up front, and a sampler out of draws
 raises ValueError (sampling_budget_Y2 or _Y1), giving the draws it made,
@@ -313,6 +314,12 @@ def _rng_ints(rng, q, shape):
 # points need count * q <= SAMPLER_MAX_TRIES (check_sampling_budget)
 SAMPLER_MAX_TRIES = 4_000_000
 
+# draws one modq.rref call of a sampler eliminates; a sampler stops at the
+# slice that completes its sample.  Each call also has a fixed cost of about
+# 0.4 ms: random_model(1) and a 100-point pool at d = 7 took 64.6, 56.3 and
+# 56.9 ms in process at 512, 1024 and 2048 (2-vCPU box)
+ELIM_SLICE = 1024
+
 
 def sampling_prime(field):
     """The prime that points are sampled over for a model over the field:
@@ -345,6 +352,9 @@ def sample_y2_points(model, count, seed=0):
     when its solution space is a single projective point p_k, that point lies
     on Y2 roughly once in q tries, which is fast enough to batch.  B_k is
     C_k transposed (grassmannian_census), whose right kernel gives Y1 planes.
+    Each batch is eliminated ELIM_SLICE draws at a time, in draw order, up
+    to the slice that completes the sample: hits are taken in stream order,
+    so the points are those of eliminating the whole batch.
     """
     d, q = model.d, _prime(model)
     # B_k[j, i] = sum_l k_l Tq[i, l, j]: Tq as an l x (j, i) matrix
@@ -356,15 +366,18 @@ def sample_y2_points(model, count, seed=0):
     while len(found) < count and tries < SAMPLER_MAX_TRIES:
         ks = _rng_ints(rng, q, (batch, d))
         tries += batch
-        keep = ks.any(axis=1)
-        ks = ks[keep]
-        # B_k maps p to the contraction of omega_p with k
-        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
-        line = ranks == d - 1
-        ps = modq.kernels(R[line], pivots[line], q)
-        # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
-        hits = ps[modq.pfaffians_vanish(omega_rows(model, ps, q), q)]
-        found.extend(hits[:count - len(found)].tolist())
+        ks = ks[ks.any(axis=1)]
+        for start in range(0, len(ks), ELIM_SLICE):
+            if len(found) == count:
+                break
+            # B_k maps p to the contraction of omega_p with k
+            R, ranks, pivots = modq.rref(
+                (ks[start:start + ELIM_SLICE] @ Tl % q).reshape(-1, d, d), q)
+            line = ranks == d - 1
+            ps = modq.kernels(R[line], pivots[line], q)
+            # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
+            hits = ps[modq.pfaffians_vanish(omega_rows(model, ps, q), q)]
+            found.extend(hits[:count - len(found)].tolist())
     if len(found) < count:
         raise ValueError(f"sampling_budget_Y2: the sampler found {len(found)} of {count} Y2 "
                          f"points over F_{q} in its {tries} draws; ask for fewer samples")
@@ -410,10 +423,15 @@ def sample_y1_points(model, base_points, seed=0):
       K_p for some p on Y2.
 
     The draws of k come from a stream disjoint from
-    sample_y2_points(seed=seed), at most 4096 per elimination.  A base point
-    still without a plane when a batch ends past SAMPLER_MAX_TRIES draws
-    raises ValueError (sampling_budget_Y1, with the draws made), so planes[i]
-    always passes through base_points[i].
+    sample_y2_points(seed=seed), in rounds of 4096 split evenly among the
+    first 4096 base points still without a plane.  Each round is drawn
+    whole, then row-reduced by position slices of about ELIM_SLICE draws,
+    only for the base points still without a plane; each keeps its first
+    hit in draw order.  So the stream, the planes and the draws counted are
+    those of eliminating the whole round, where most draws are never
+    reduced.  A base point still without a plane when a round ends past
+    SAMPLER_MAX_TRIES draws raises ValueError (sampling_budget_Y1, with the
+    draws made), so planes[i] always passes through base_points[i].
     Planes are not deduplicated: at d = 5, Y1 is a curve with about q points
     over F_q, so a sample of about q planes must repeat some, and repeats
     are valid samples.
@@ -425,23 +443,28 @@ def sample_y1_points(model, base_points, seed=0):
     rng = np.random.default_rng((seed, 1))
     planes = {}
     pending = np.arange(len(base_points))
-    open_ = np.ones(len(base_points), dtype=bool)
     tries = 0
     batch = 4096
     while len(pending) and tries < SAMPLER_MAX_TRIES:
-        take = pending[:batch]
-        owner = np.repeat(take, batch // len(take))
-        tries += len(owner)
-        ks = np.einsum("xs,xsl->xl", _rng_ints(rng, q, (len(owner), 3)), K[owner]) % q
-        # C_k[j, m] = sum_l k_l omega_{e_j}[l, m], the coefficient of v_m in A(k wedge v)_j
-        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
-        hit = np.nonzero(ranks == d - 2)[0]
-        done, at = np.unique(owner[hit], return_index=True)
-        rows = hit[at]
-        xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
-        planes.update(zip(done.tolist(), xs.tolist()))
-        open_[done] = False
-        pending = pending[open_[pending]]
+        take, pending = pending[:batch], pending[batch:]
+        per = batch // len(take)
+        tries += len(take) * per
+        coeffs = _rng_ints(rng, q, (len(take), per, 3))
+        open_ = np.arange(len(take))  # positions in take still without a plane
+        start = 0
+        while len(open_) and start < per:
+            stop = start + max(1, ELIM_SLICE // len(open_))
+            ks = np.einsum("xws,xsl->xwl", coeffs[open_, start:stop], K[take[open_]]) % q
+            # C_k[j, m] = sum_l k_l omega_{e_j}[l, m], the coefficient of v_m in A(k wedge v)_j
+            R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
+            hit = (ranks == d - 2).reshape(len(open_), -1)
+            done = hit.any(axis=1)
+            rows = np.flatnonzero(done) * hit.shape[1] + hit.argmax(axis=1)[done]
+            xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
+            planes.update(zip(take[open_[done]].tolist(), xs.tolist()))
+            open_ = open_[~done]
+            start = stop
+        pending = np.concatenate([take[open_], pending])
     if len(pending):
         raise ValueError(f"sampling_budget_Y1: the sampler found {len(planes)} of "
                          f"{len(base_points)} Y1 points over F_{q} in its "

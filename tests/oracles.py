@@ -20,6 +20,12 @@ ones.  exceptional_report_per_pair is the window report as it was before
 its verdicts were taken once per class: every ordered pair reads its
 class's tables and notes its own violations.
 
+sample_y2_points_whole_batch and sample_y1_points_whole_batch are the
+samplers as they were before they eliminated in slices: every draw of a
+batch is row-reduced, and each base point's first hit is picked by
+np.unique.  mat_vec, right_kernel and solve are the dense products, kernels
+and solutions over a field, on pfgr.linalg.rref.
+
 koszul_fold is the general route to a Koszul factorization that
 mf.koszul_perturb writes in closed form: it folds a resolution into W by
 solving lifting problems degree by degree (_solve_lift, _solutions), and
@@ -41,6 +47,52 @@ from pfgr.mf import (MatrixFactorization, _in_kernel, _modular, _rational, _spar
                      _stacks, _zmat)
 from pfgr.poly import Poly, PolyRing, poly_mat_is_zero, poly_mat_mul
 from pfgr.reps import GL2Weight, char_add, char_mul, decompose_character, diagonal_isotypic
+
+
+# ---------------------------------------------------------------------------
+# dense linear algebra over a field, on pfgr.linalg.rref
+
+
+def mat_vec(field, a, v):
+    out = []
+    for row in a:
+        s = field.zero
+        for c, x in zip(row, v):
+            if not field.is_zero(c):
+                s = field.add(s, field.mul(c, x))
+        out.append(s)
+    return out
+
+
+def right_kernel(field, rows):
+    """Basis of {v : rows @ v = 0}."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots = linalg.rref(field, rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for r, c in enumerate(pivots):
+            v[c] = field.neg(m[r][f])
+        basis.append(v)
+    return basis
+
+
+def solve(field, a, b):
+    """One solution x of a @ x = b, or None if inconsistent."""
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
+    m, pivots = linalg.rref(field, aug)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][ncols]
+    return x
 
 
 def omega_field(model, p):
@@ -163,8 +215,8 @@ def grad_W(model, x, p):
     F = model.field
     u, v = ([F.of_int(c) for c in row] for row in x)
     omega = omega_field(model, p)
-    gu = linalg.mat_vec(F, omega, v)
-    gv = [F.neg(c) for c in linalg.mat_vec(F, omega, u)]
+    gu = mat_vec(F, omega, v)
+    gv = [F.neg(c) for c in mat_vec(F, omega, u)]
     return gu + gv + contraction_oracle(model, x)
 
 
@@ -178,7 +230,7 @@ def critical_test(model, x, p):
     F = model.field
     xm = [[F.of_int(c) for c in row] for row in x]
     gradient_zero = all(F.is_zero(c) for c in grad_W(model, xm, p))
-    K = linalg.right_kernel(F, omega_field(model, p))
+    K = right_kernel(F, omega_field(model, p))
     rk_k = linalg.rank(F, K)
     in_kernel = all(linalg.rank(F, K + [row]) == rk_k for row in xm if any(row))
     rank_le_1 = linalg.rank(F, xm) <= 1
@@ -434,6 +486,67 @@ def exceptional_report_per_pair(l_bound=None, m_bound=None, n=7, dp_cutoff=12,
 
 
 # ---------------------------------------------------------------------------
+# the samplers as they were before they eliminated in slices: every draw of
+# a 4096-draw batch is row-reduced in one modq.rref call
+
+
+def sample_y2_points_whole_batch(model, count, seed=0):
+    """geometry.sample_y2_points, eliminating each batch whole."""
+    d, q = model.d, geometry._prime(model)
+    Tl = model.tensor_mod(q).transpose(1, 2, 0).reshape(d, d * d)
+    rng = np.random.default_rng(seed)
+    found = []
+    tries = 0
+    batch = 4096
+    while len(found) < count and tries < geometry.SAMPLER_MAX_TRIES:
+        ks = geometry._rng_ints(rng, q, (batch, d))
+        tries += batch
+        keep = ks.any(axis=1)
+        ks = ks[keep]
+        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
+        line = ranks == d - 1
+        ps = modq.kernels(R[line], pivots[line], q)
+        hits = ps[modq.pfaffians_vanish(geometry.omega_rows(model, ps, q), q)]
+        found.extend(hits[:count - len(found)].tolist())
+    if len(found) < count:
+        raise ValueError(f"sampling_budget_Y2: the sampler found {len(found)} of {count} Y2 "
+                         f"points over F_{q} in its {tries} draws; ask for fewer samples")
+    return found
+
+
+def sample_y1_points_whole_batch(model, base_points, seed=0):
+    """geometry.sample_y1_points, eliminating each round's draws whole and
+    keeping each base point's first hit (np.unique)."""
+    d, q = model.d, geometry._prime(model)
+    Tl = model.tensor_mod(q).transpose(1, 0, 2).reshape(d, d * d)
+    K = geometry.y2_kernels(model, base_points)
+    rng = np.random.default_rng((seed, 1))
+    planes = {}
+    pending = np.arange(len(base_points))
+    open_ = np.ones(len(base_points), dtype=bool)
+    tries = 0
+    batch = 4096
+    while len(pending) and tries < geometry.SAMPLER_MAX_TRIES:
+        take = pending[:batch]
+        owner = np.repeat(take, batch // len(take))
+        tries += len(owner)
+        ks = np.einsum("xs,xsl->xl", geometry._rng_ints(rng, q, (len(owner), 3)), K[owner]) % q
+        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
+        hit = np.nonzero(ranks == d - 2)[0]
+        done, at = np.unique(owner[hit], return_index=True)
+        rows = hit[at]
+        xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
+        planes.update(zip(done.tolist(), xs.tolist()))
+        open_[done] = False
+        pending = pending[open_[pending]]
+    if len(pending):
+        raise ValueError(f"sampling_budget_Y1: the sampler found {len(planes)} of "
+                         f"{len(base_points)} Y1 points over F_{q} in its "
+                         f"{tries} draws; ask for fewer samples")
+    return [planes[i] for i in range(len(base_points))]
+
+
+# ---------------------------------------------------------------------------
 # the Koszul fold: the general lifting solver that mf.koszul_perturb's closed
 # form is cross-checked against
 
@@ -448,8 +561,8 @@ def dense(field, shape, entries):
 
 
 def _exact_solution(field, shape, entries, vec):
-    """One solution of the sparse system by linalg.solve, or None."""
-    return linalg.solve(field, dense(field, shape, entries), vec)
+    """One solution of the sparse system by solve, or None."""
+    return solve(field, dense(field, shape, entries), vec)
 
 
 class LiftObstruction(RuntimeError):

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from pfgr import linalg, modq
 from pfgr.fields import QQ, PrimeField, is_prime
 
+from oracles import right_kernel, solve
+
 
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
@@ -43,7 +45,7 @@ def test_rationals_are_ints_until_a_division():
 def test_rref_and_rank_over_qq():
     m = [[QQ.of_int(a) for a in row] for row in [[1, 2, 3], [2, 4, 6], [0, 1, 1]]]
     assert linalg.rank(QQ, m) == 2
-    ker = linalg.right_kernel(QQ, m)
+    ker = right_kernel(QQ, m)
     assert len(ker) == 1
     assert all(sum(r * v for r, v in zip(row, ker[0])) == 0 for row in m)
 
@@ -51,11 +53,11 @@ def test_rref_and_rank_over_qq():
 def test_solve_consistent_and_inconsistent():
     F = PrimeField(7)
     a = [[1, 2], [3, 4]]
-    x = linalg.solve(F, a, [5, 6])
+    x = solve(F, a, [5, 6])
     assert x is not None
     assert [(r[0] * x[0] + r[1] * x[1]) % 7 for r in a] == [5, 6]
     bad = [[1, 2], [2, 4]]
-    assert linalg.solve(F, bad, [1, 1]) is None
+    assert solve(F, bad, [1, 1]) is None
 
 
 def _next_prime(n):
@@ -166,11 +168,11 @@ def test_batch_rank_agrees_with_generic_path(q, kind, shape, rank_cap, zero_shar
         assert modq.batch_rank(mats[t], q).tolist() == [ranks[t]]
         r, ker = modq.rank_and_kernel(mats[t], q)
         assert r == ranks[t]
-        assert ker.tolist() == linalg.right_kernel(F, rows)
-        expect = linalg.solve(F, rows, (vecs[t] % q).tolist())
+        assert ker.tolist() == right_kernel(F, rows)
+        expect = solve(F, rows, (vecs[t] % q).tolist())
         for x in (modq.solve(mats[t], vecs[t], q), solutions[t]):
             assert (x is None and expect is None) or x.tolist() == expect
-    expected = [v for t in range(N) for v in linalg.right_kernel(F, residues[t].tolist())]
+    expected = [v for t in range(N) for v in right_kernel(F, residues[t].tolist())]
     assert modq.kernels(R, pivots, q).tolist() == expected
 
 

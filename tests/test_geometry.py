@@ -23,9 +23,10 @@ from pfgr.geometry import (PfaffianModel, certify_model,
                            smoothness_sample, underlying_scheme_probe,
                            y1_membership, y2_kernels, y2_membership)
 
-from oracles import (contraction_oracle, critical_test, grad_W, kernel_basis, omega_field,
-                     omega_rank_walk, omega_stack_census, perfect_matchings,
-                     principal_pfaffians, upper_rows)
+from oracles import (contraction_oracle, critical_test, grad_W, kernel_basis, mat_vec,
+                     omega_field, omega_rank_walk, omega_stack_census, perfect_matchings,
+                     principal_pfaffians, right_kernel, sample_y1_points_whole_batch,
+                     sample_y2_points_whole_batch, upper_rows)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,52 @@ def test_sampler_refusal_counts_the_draws_made(monkeypatch, model5):
     with pytest.raises(ValueError, match=r"sampling_budget_Y2: the sampler found \d+ of 500 "
                                          r"Y2 points over F_101 in its 4096 draws;"):
         sample_y2_points(model5, 500, seed=3)
+
+
+@pytest.mark.parametrize("d", [5, 7, 9])
+def test_sliced_samplers_match_whole_batch_elimination(request, d):
+    """Eliminating ELIM_SLICE draws at a time, up to the slice that completes
+    the sample, returns the points and planes of eliminating every draw of
+    each batch: hits are taken in stream order, and each base point keeps
+    its first hit."""
+    model = request.getfixturevalue({5: "model5", 7: "model", 9: "model9"}[d])
+    for seed in (1, 2, 3):
+        for count in (1, 5, 100):
+            pts = sample_y2_points(model, count, seed=seed)
+            assert pts == sample_y2_points_whole_batch(model, count, seed=seed)
+            assert (sample_y1_points(model, pts, seed=seed)
+                    == sample_y1_points_whole_batch(model, pts, seed=seed))
+
+
+def test_sliced_samplers_refuse_as_whole_batch_elimination(monkeypatch, model5):
+    """Out of draws, each sampler gives the refusal of eliminating whole
+    batches, word for word: the same hits and the same draws made."""
+    pool = sample_y2_points(model5, 20, seed=3)
+    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 2020)
+    for sampler, oracle, arg in ((sample_y1_points, sample_y1_points_whole_batch, pool),
+                                 (sample_y2_points, sample_y2_points_whole_batch, 500)):
+        with pytest.raises(ValueError) as got:
+            sampler(model5, arg, seed=3)
+        with pytest.raises(ValueError) as want:
+            oracle(model5, arg, seed=3)
+        assert str(got.value) == str(want.value)
+
+
+def test_certificate_samplers_eliminate_only_the_draws_they_use(monkeypatch):
+    """In random_model(1) at d = 7 the certificate's five Y2 points take one
+    modq.rref call of at most one slice, 1,024 draws, and its five Y1 planes
+    fewer than 2,048 rows: eliminating whole batches took 4,096 and 4,095."""
+    rows = {}
+    real = modq.rref
+
+    def spy(mats, q):
+        rows.setdefault(sys._getframe(1).f_code.co_name, []).append(len(mats))
+        return real(mats, q)
+
+    monkeypatch.setattr(modq, "rref", spy)
+    random_model(1, d=7)
+    y2, y1 = rows["sample_y2_points"], rows["sample_y1_points"]
+    assert len(y2) == 1 and y2[0] <= 1024 and sum(y1) < 2048
 
 
 def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):
@@ -701,7 +748,7 @@ def _assert_isotropic(work, p, basis):
     F = work.field
     assert linalg.rank(F, basis) == len(basis)
     for u in basis:
-        mu = linalg.mat_vec(F, omega, u)
+        mu = mat_vec(F, omega, u)
         for v in basis:
             assert F.is_zero(sum(a * b for a, b in zip(mu, v)) % F.q)
 
@@ -725,7 +772,7 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
     randoms = [[rng.randrange(q) for _ in range(d)] for _ in range(6)]
     for p in pool + [r for r in randoms if any(r)]:
         omega = omega_field(work, p)
-        assert kernel_basis(work, p) == linalg.right_kernel(F, omega)
+        assert kernel_basis(work, p) == right_kernel(F, omega)
         r = linalg.rank(F, omega)
         assert y2_membership(work, p) == (r, r <= d - 3)
     planes = sample_y1_points(work, pool, seed=d)
@@ -923,7 +970,7 @@ def test_invariant_vanishes_on_isotropic_hom(model):
         cv = [rng.randrange(101) for _ in L]
         u = [sum(c * vec[i] for c, vec in zip(cu, L)) % 101 for i in range(7)]
         v = [sum(c * vec[i] for c, vec in zip(cv, L)) % 101 for i in range(7)]
-        mu = linalg.mat_vec(F, omega, u)
+        mu = mat_vec(F, omega, u)
         w_val = sum(a * b for a, b in zip(mu, v)) % 101
         assert w_val == 0
     # rank-one maps into the kernel kill the whole gradient, hence W

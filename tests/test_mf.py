@@ -597,7 +597,7 @@ def test_lift_systems_are_solved_one_stack_per_shape(monkeypatch):
 
 def test_lifts_over_a_prime_field_are_stacked(monkeypatch):
     """Over F_101 each _solve_lift call makes one modq.solve per distinct
-    system shape, returns linalg.solve's x for every system, and never needs
+    system shape, returns oracles.solve's x for every system, and never needs
     _exact_solution; an inconsistent lift still raises LiftObstruction."""
     F = PrimeField(101)
     calls = []
@@ -612,7 +612,7 @@ def test_lifts_over_a_prime_field_are_stacked(monkeypatch):
         calls.append([])
         xs = real_solutions(field, systems)
         for (shape, entries, vec), x in zip(systems, xs):
-            assert x == linalg.solve(field, dense(field, shape, entries), vec)
+            assert x == oracles.solve(field, dense(field, shape, entries), vec)
         return xs
 
     monkeypatch.setattr(mf.modq, "solve", counting_solve)
@@ -732,17 +732,17 @@ _P = Fraction(mf.EN_PRIME)
 @example((QQ, [((1, 1), [(0, 0, _P)], [Fraction(1)])]))
 def test_ranks_and_solutions_match_linalg(problem):
     """mf._ranks equals linalg.rank; the fold oracle's _solutions is None
-    exactly when linalg.solve is, any x solves U x = b exactly, and over F_q
-    it is linalg.solve's x."""
+    exactly when oracles.solve is, any x solves U x = b exactly, and over F_q
+    it is oracles.solve's x."""
     field, systems = problem
     mats = [dense(field, shape, entries) for shape, entries, _ in systems]
     ranks = mf._ranks(field, [(shape, entries) for shape, entries, _ in systems])
     assert ranks == [linalg.rank(field, mat) for mat in mats]
     for mat, (_, _, b), x in zip(mats, systems, oracles._solutions(field, systems)):
-        want = linalg.solve(field, mat, b)
+        want = oracles.solve(field, mat, b)
         assert (x is None) == (want is None)
         if x is not None:
-            assert linalg.mat_vec(field, mat, x) == b
+            assert oracles.mat_vec(field, mat, x) == b
             if field.characteristic:
                 assert x == want
 
