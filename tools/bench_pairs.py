@@ -3,13 +3,13 @@
 
 Usage:
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_30.json \\
-        [--workload all-d7,window-d9] [--seeds 1,2] [--pairs 10] [--seconds S] \\
-        [--describe TEXT] [--parent-commit REV]
+        [--seeds 1,2] [--pairs 10] [--describe TEXT] [--parent-commit REV]
 
-For each seed, pair i = 0 .. N-1 and workload, it runs
-`python3 perfbench/run.py --workload W --seed S --trace 0` (with `--seconds`
-when given) once in each checkout, the parent first when i is even and the
-change first when i is odd, one process at a time.  Each run's last line of
+The workloads are the `workloads` of the change checkout's BENCHMARK.json,
+and each run lasts its `run_seconds`.  For each seed, pair i = 0 .. N-1 and
+workload, it runs `python3 perfbench/run.py --workload W --seed S --trace 0`
+once in each checkout, the parent first when i is even and the change first
+when i is odd, one process at a time.  Each run's last line of
 standard output is perfbench's JSON result; its summary line gives the run
 count and the load average.  Put both checkouts at paths of equal length,
 so that the two sides differ in nothing but their trees.
@@ -36,12 +36,10 @@ SUMMARY = re.compile(r"^perfbench \S+ seed=\S+ trace=\S+ runs=(\d+) nproc=(\S+) 
                      r"python=(\S+) numpy=(\S+) loadavg=(\S*)")
 
 
-def run_side(checkout, workload, seed, seconds):
+def run_side(checkout, workload, seed):
     """One perfbench invocation in the checkout: (result JSON, summary fields)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -74,16 +72,16 @@ def summarize(metric, per_pair):
     }
 
 
-def bench(args, metrics):
+def bench(args, workloads, metrics):
     machine, results = {}, []
     for seed in args.seeds:
-        runs = {w: [] for w in args.workload}
+        runs = {w: [] for w in workloads}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for workload in args.workload:
+            for workload in workloads:
                 pair = {}
                 for side in order:
-                    pair[side] = run_side(getattr(args, side), workload, seed, args.seconds)
+                    pair[side] = run_side(getattr(args, side), workload, seed)
                     print(f"seed {seed} pair {i} {workload} {side}: "
                           f"{json.dumps(pair[side][0]['metrics'])}", file=sys.stderr)
                 runs[workload].append(pair)
@@ -110,28 +108,24 @@ def main(argv):
     parser.add_argument("--parent", type=Path, required=True, help="the parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="the change checkout")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
-    parser.add_argument("--workload", default="all-d7,window-d9",
-                        type=lambda s: s.split(","))
     parser.add_argument("--seeds", default="1,2", type=lambda s: [int(x) for x in s.split(",")])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="perfbench --seconds (default: its run_seconds)")
     parser.add_argument("--describe", default="", help="what the change does")
     parser.add_argument("--parent-commit", default="", help="the parent's commit")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    machine, results = bench(args, spec["end_to_end"])
-    seconds = "" if args.seconds is None else f" --seconds {args.seconds:g}"
+    workloads = [w["name"] for w in spec["workloads"]]
+    machine, results = bench(args, workloads, spec["end_to_end"])
     record = {
         "change": args.describe,
         "parent_commit": args.parent_commit,
-        "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED --trace 0" + seconds,
+        "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED --trace 0",
         "protocol": (f"{args.pairs} alternating parent/change pairs per seed from two checkouts "
                      f"on one machine, parent first in even-numbered pairs (0-based); one "
                      f"perfbench invocation per side, pair and workload "
-                     f"({seconds.strip() or 'run_seconds'} per workload, so each wall_s and "
+                     f"(run_seconds {spec['run_seconds']:g} s per workload, so each wall_s and "
                      f"peak_rss_mb value is the median of the runs_per_side runs, and each "
                      f"setup_s value the median of perfbench's "
                      f"setup probes); quartiles by linear interpolation (statistics.quantiles, "
