@@ -59,21 +59,6 @@ class CohomologyResult:
         return self.degree is None
 
 
-def weyl_dimension(weights):
-    """Dimension of the GL(n) irreducible with the given dominant weight."""
-    w = list(weights)
-    n = len(w)
-    if any(w[i] < w[i + 1] for i in range(n - 1)):
-        raise ValueError(f"weight {w} is not dominant")
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
-    assert num % den == 0 and num > 0
-    return num // den
-
-
 def bbw_cohomology(a, b, n):
     """H^*(Gr(2, n), Sigma^{(a,b)} S^dual) by the closed-form Bott theorem
     (module docstring)."""

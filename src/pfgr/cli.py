@@ -11,21 +11,30 @@ of the pool that draw_pool takes right after the model.
 
 A run validates its config and certifies the model in one process, so every
 refusal and every failed certificate comes before any other work.  The
-checks then split in two halves that share no input but the config:
+checks then split in two halves that share no input but the config and
+the certified model:
 
-- model-bound, in the calling process: the pool, the geometry suite and
-  the two mf checks that read the certified model, mf.koszul_perturb (its
-  Koszul factorization over Q) and mf.knorrer_fibre (at a pool point);
-- model-free, in one worker forked beside them: the window suite and the
-  other four mf checks, which build their own objects over Q.
+- in the calling process: the pool and every check that reads it, the
+  geometry suite but rank_parity, and the two mf checks that read the
+  model, mf.koszul_perturb (its Koszul factorization over Q) and
+  mf.knorrer_fibre (at a pool point);
+- in one worker forked beside them: the window suite, the other four mf
+  checks, which build their own objects over Q, and geometry.rank_parity,
+  which reads the model but no pool (run_parity_check).
+
+rank_parity sits in the worker to balance the halves.  At d = 7 it takes
+about 30 ms, and the worker's other checks end about 30 ms before the
+rest of the calling half; with rank_parity in the worker both halves end
+within about 5 ms of each other (2-vCPU box).  Moving mf.koszul_perturb
+there instead left the calling half last and the run about 20 ms slower.
 
 The worker pickles its records, timings and shared lines back over a pipe,
 and run merges them into the serial order (_report_order), so the report is
 the one a serial run gives: each check seeds its own random stream from
 config.seed, the halves share no mutable state, and the merge order is
-fixed.  A run forks only when both halves have work, so window-only and
-geometry-only runs, and runs whose model failed its certificate, stay in
-one process.  This needs POSIX fork.
+fixed.  A run forks only when the window or mf suite runs beside the model,
+so window-only and geometry-only runs, and runs whose model failed its
+certificate, stay in one process.  This needs POSIX fork.
 
 Layers load on first use (pfgr/__init__): importing this module runs only
 fields, poly and the standard library.  A window-only run then loads reps,
@@ -279,14 +288,6 @@ def run_geometry_suite(config, report, model, pool, planes):
                f"Jacobian rank is exactly the codimension at every {variety} sample",
                {"samples": config.samples, "q": q}, smooth)
 
-    def parity():
-        checked, failures = geometry.rank_parity_sample(model, 10000, seed=config.seed)
-        return not failures, {"checked": checked, "failures": failures[:3]}
-
-    _timed(report, "geometry.rank_parity",
-           "the quadratic form rank is twice the 2-form rank at every sample",
-           {"count": 10000, "q": q}, parity)
-
     def critical():
         sweep = geometry.critical_equivalence_sweep(
             model, pool[:16], n_pos=1000, n_near=1000, n_rand=10000, seed=config.seed)
@@ -330,6 +331,20 @@ def run_geometry_suite(config, report, model, pool, planes):
     _timed(report, "geometry.isotropic_extension",
            "the kernel extends to a certified maximal isotropic subspace",
            {"q": q}, extension)
+
+
+def run_parity_check(config, report, model):
+    """geometry.rank_parity, the one geometry check that reads the model but
+    not the pool: at 10,000 random points of P^(d-1)(F_q) of its own seeded
+    stream, the quadratic form's rank is twice the 2-form's."""
+
+    def parity():
+        checked, failures = geometry.rank_parity_sample(model, 10000, seed=config.seed)
+        return not failures, {"checked": checked, "failures": failures[:3]}
+
+    _timed(report, "geometry.rank_parity",
+           "the quadratic form rank is twice the 2-form rank at every sample",
+           {"count": 10000, "q": model.field.characteristic}, parity)
 
 
 def run_mf_suite(config, report):
@@ -442,16 +457,24 @@ def run_fibre_check(config, report, model, pool):
            {"trunc": min(config.trunc, 6), "field": repr(model.field)}, fibre)
 
 
-_MF_ORDER = ("knorrer_base", "stabilization_contractible", "koszul_perturb",
-             "determinantal_resolution", "knorrer_fibre", "knorrer_tensor_law")
+# the serial order of the geometry and mf checks after the model certificate
+_ORDER = {
+    "geometry": ("rank_census", "grassmannian_census", "smoothness_Y1", "smoothness_Y2",
+                 "rank_parity", "critical_equivalence", "normal_map",
+                 "invariant_ring_probe", "isotropic_extension"),
+    "mf": ("knorrer_base", "stabilization_contractible", "koszul_perturb",
+           "determinantal_resolution", "knorrer_fibre", "knorrer_tensor_law"),
+}
 
 
 def _report_order(check):
     """Sort key of the serial report order after the model certificate: the
-    window, geometry and mf suites in turn, the mf checks as in _MF_ORDER.
-    Sorting is stable, so each suite keeps its own order."""
+    window, geometry and mf suites in turn, the geometry and mf checks as in
+    _ORDER.  The window checks all come from one half and the sort is
+    stable, so they keep their own order."""
     suite, name = check["check_name"].split(".", 1)
-    return ("window", "geometry", "mf").index(suite), _MF_ORDER.index(name) if suite == "mf" else 0
+    order = _ORDER.get(suite, ())
+    return ("window", "geometry", "mf").index(suite), order.index(name) if order else 0
 
 
 @contextmanager
@@ -488,12 +511,12 @@ def _worker(fn):
         _, status = os.waitpid(pid, 0)
         reaped = True
         if not data:
-            raise RuntimeError("the model-free worker ended without a result "
+            raise RuntimeError("the forked worker ended without a result "
                                f"(exit status {os.waitstatus_to_exitcode(status)})")
         value, error = pickle.loads(data)
         if error:
             err, text = error
-            raise err from RuntimeError("in the model-free worker:\n" + text)
+            raise err from RuntimeError("in the forked worker:\n" + text)
         return value
 
     try:
@@ -507,9 +530,10 @@ def _worker(fn):
 
 
 def run(config):
-    """Execute the selected suites and return the report; the model-free
-    checks run in a forked worker beside the model-bound ones (see the
-    module docstring)."""
+    """Execute the selected suites and return the report; the window suite,
+    the four mf checks that build their own objects and rank_parity run in
+    a forked worker beside the pool and the checks that read it (see the
+    module docstring for the split and why)."""
     config.validate()
     report = Report(config=dict(sorted(asdict(config).items())))
     model = None
@@ -552,11 +576,19 @@ def run(config):
             run_fibre_check(config, part, work, pool)
         return part
 
+    def beside(part):
+        model_free(part)
+        if "geometry" in config.suites:
+            run_parity_check(config, part, work)
+        return part
+
     if "window" not in config.suites and "mf" not in config.suites:
-        return model_bound(report)
-    with _worker(lambda: model_free(Report(config=report.config))) as join:
         bound = model_bound(Report(config=report.config))
-        free = join()
+        free = beside(Report(config=report.config))
+    else:
+        with _worker(lambda: beside(Report(config=report.config))) as join:
+            bound = model_bound(Report(config=report.config))
+            free = join()
     report.checks += sorted(bound.checks + free.checks, key=_report_order)
     report.timings.update(bound.timings | free.timings)
     report.shared.update(bound.shared | free.shared)  # the pool line, then the window line

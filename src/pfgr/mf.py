@@ -8,14 +8,17 @@ theory to an integer-graded one.  This module verifies the defining
 identities exactly, computes morphism spaces by truncated exact linear
 algebra, and certifies the determinantal resolution of the rank-one locus of
 a 2 x c matrix weight space by weight space, one weight per orbit of its row
-and column symmetries.  Every such linear system is built by _sparse_map,
-which applies a differential to a basis of (generator, monomial) pairs, and
-ranked by _ranks, which stacks the systems by shape and eliminates each
-stack mod a prime: over F_q its own order, and the ranks are exact; over Q
-the fixed EN_PRIME, and each rank is checked exactly over Z, with
-_exact_system for any that fails.  The Eagon-Northcott weight spaces over Q
-are ranked over F_EN_PRIME, sound by their integer coefficients
-(eagon_northcott_check).
+and column symmetries; each of those weights, and each basis of its weight
+space, is written down directly (_en_weight_spaces), with no listing of
+monomials.  Every such linear system is built by _sparse_map, which applies
+a differential to a basis of (generator, monomial) pairs, and ranked by
+_ranks, which stacks the systems by shape and eliminates each stack mod a
+prime: over F_q its own order, and the ranks are exact, with the shapes
+that round up to the same powers of two padded by zero rows and columns,
+which keep a rank, into one stack; over Q the fixed EN_PRIME, unpadded,
+and each rank is checked exactly over Z, with _exact_system for any that
+fails.  The Eagon-Northcott weight spaces over Q are ranked over
+F_EN_PRIME, sound by their integer coefficients (eagon_northcott_check).
 
 Koszul factorizations need no lifting problem: for W = sum_k a_k b_k,
 koszul_perturb writes tensor_k (a_k, b_k) in closed form, and
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd, isqrt, lcm
-from operator import add, lt
 
 import numpy as np
 
@@ -153,8 +155,15 @@ def _ranks(field, systems):
     """Ranks over the field of sparse matrices (shape, [(row, col, value)]),
     stacked by shape mod p (_modular).
 
-    Over F_q each shape is ranked by one modq.batch_rank, and the ranks are
-    exact.  Over Q each shape is reduced by one modq.rref mod p = EN_PRIME.
+    Over F_q the ranks are exact.  The shapes whose rows and columns round
+    up to the same powers of two form one group, whose matrices are padded
+    with zero rows and columns to the group's largest rows and columns and
+    ranked by one modq.batch_rank, so many small shapes share one
+    elimination and a shape alone in its group is ranked as it is.  Padding
+    keeps the rank: a nonzero minor of the padded matrix has no zero row or
+    column, so it is a minor of the matrix.  Over Q each shape is reduced
+    unpadded by one modq.rref mod p = EN_PRIME, whose forms the certificate
+    reads.
     Soundness: rank mod p <= rank over Q, since a minor nonzero mod p is
     nonzero over Z.  The reduced form mod p gives n - r_p kernel vectors with
     an identity block on the free columns; reconstruction keeps 0 and 1, so
@@ -166,11 +175,23 @@ def _ranks(field, systems):
     """
     p, ints = _modular(field, systems)
     ranks = [0] * len(systems)
-    for idx, mats in _stacks(ints, p).values():
-        if field.characteristic:
-            for i, r in zip(idx, modq.batch_rank(mats, p)):
+    stacks = _stacks(ints, p)
+    if field.characteristic:
+        groups = {}  # the stacks whose shapes round up to the same powers of two
+        for (m, n), part in stacks.items():
+            rounded = 1 << (m - 1).bit_length(), 1 << (n - 1).bit_length()
+            groups.setdefault(rounded, []).append(part)
+        for group in groups.values():
+            m = max(part.shape[1] for _, part in group)
+            n = max(part.shape[2] for _, part in group)
+            mats = group[0][1] if len(group) == 1 else np.concatenate(
+                [np.pad(part, ((0, 0), (0, m - part.shape[1]), (0, n - part.shape[2])))
+                 for _, part in group])
+            positions = [i for idx, _ in group for i in idx]
+            for i, r in zip(positions, modq.batch_rank(mats, p)):
                 ranks[i] = int(r)
-            continue
+        return ranks
+    for idx, mats in stacks.values():
         R, rp, pivots = modq.rref(mats, p)
         kernels = np.split(modq.kernels(R, pivots, p), np.cumsum(mats.shape[2] - rp)[:-1])
         for i, r, K in zip(idx, rp, kernels):
@@ -638,6 +659,71 @@ def _orbit_size(rows, cols):
     return size * (1 if rows[0] == rows[1] else 2)
 
 
+def _partitions(t, parts, top):
+    """The non-increasing tuples of `parts` non-negative integers at most top
+    with sum t, in increasing lexicographic order."""
+    if parts == 1:
+        return [(t,)] if t <= top else []
+    return [(h, *rest) for h in range(-(-t // parts), min(t, top) + 1)
+            for rest in _partitions(t - h, parts - 1, h)]
+
+
+def _tables(cols, top, units):
+    """Packed keys of the monomials in y11..y1c, y21..y2c (unit keys units)
+    whose exponents form a 2 x c table with column sums cols and first row
+    sum top: the y1i exponents x_i run over 0 <= x_i <= cols[i] with sum
+    top, and y2i takes cols[i] - x_i."""
+    c = len(cols)
+    keys = [(0, top)]
+    rest = sum(cols)
+    for i, s in enumerate(cols):
+        rest -= s
+        keys = [(key + x * units[i] + (s - x) * units[c + i], left - x) for key, left in keys
+                for x in range(max(0, left - rest), min(s, left) + 1)]
+    return [key for key, _ in keys]
+
+
+def _en_weight_spaces(ring, terms, degree_cutoff):
+    """(weights, spaces) of the Eagon-Northcott complex with generators terms
+    over the ring in y11..y1c, y21..y2c: every canonical weight
+    (t, r1, r2, *column sums) with t <= degree_cutoff, in increasing order,
+    and for each the (generator (k, gi), monomial key) basis of every term.
+
+    A canonical weight has r1 >= r2 and its column sums a partition of t
+    into at most c parts, padded with zeros; each such weight has a nonempty
+    term 0, its monomials.  A generator (I, (a1, a2)) of term k >= 1 has row
+    sums (1 + a1, 1 + a2) and column sums 1 on I (_en_terms), and the
+    monomials that complete it to the weight are the 2 x c tables with the
+    remaining row and column sums (Knuth, Pacific J. Math. 34, 1970),
+    written out as packed keys by _tables.  Nothing outside the canonical
+    weights is listed.
+    """
+    c = ring.nvars // 2
+    owned = [((k, gi), 0 if k == 0 else 1 + a1, I)
+             for k, gens in enumerate(terms) for gi, (I, (a1, _)) in enumerate(gens)]
+    units = [1 << s for s in ring.shifts]
+    tables = {}
+    weights, spaces = [], []
+    for t in range(degree_cutoff + 1):
+        partitions = _partitions(t, c, t)
+        for r1 in range((t + 1) // 2, t + 1):
+            for cols in partitions:
+                bases = [[] for _ in terms]
+                for gen, r, I in owned:
+                    rest = list(cols)
+                    for i in I:
+                        rest[i] -= 1
+                    rest, top = tuple(rest), r1 - r
+                    if top < 0 or min(rest) < 0 or sum(rest) < top:
+                        continue
+                    if (rest, top) not in tables:
+                        tables[rest, top] = _tables(rest, top, units)
+                    bases[gen[0]].extend((gen, m) for m in tables[rest, top])
+                weights.append((t, r1, t - r1, *cols))
+                spaces.append(bases)
+    return weights, spaces
+
+
 def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     """Certify the rank-one locus resolution for a generic 2 x c matrix.
 
@@ -646,14 +732,19 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     space by weight space: the differentials preserve the full torus
     multidegree, so each weight gives a few small matrices.  Only canonical
     weights are built: row sums r1 >= r2 and column sums non-increasing.
-    Each (generator, monomial) pair of degree <= the cutoff and of canonical
-    weight is bucketed by weight and term, so a weight space holds every
-    image of its pairs (_sparse_map); weights run in the order (t, row sums,
-    column sums).  All of them are ranked over F_p by _ranks, one
-    modq.batch_rank call per distinct matrix shape, with no kernel
-    certificate.  The cokernel dimensions, each weight space's counted once
-    per weight of its orbit, are compared against the independent count of
-    functions on the cone over the Segre product, dim_t = (t+1) * C(t+c-1, c-1).
+    _en_weight_spaces lists them directly, in the order (t, row sums, column
+    sums), and writes each term's basis as the generators times the 2 x c
+    tables of the remaining row and column sums; no monomial outside a
+    canonical weight is listed.  A weight space holds every image of its
+    pairs (_sparse_map).  All of them are ranked over F_p by _ranks, with no
+    kernel certificate: one modq.batch_rank call per group of shapes that
+    round up to the same powers of two, each matrix padded with zero rows
+    and columns, which keep its rank (a nonzero minor of the padded matrix
+    avoids the zero rows and columns, so it is a minor of the matrix).  At
+    c = 6, cutoff 8, that is 43 calls for 170 shapes.  The cokernel
+    dimensions, each weight space's counted once per weight of its orbit,
+    are compared against the independent count of functions on the cone
+    over the Segre product, dim_t = (t+1) * C(t+c-1, c-1).
 
     Why one weight space per orbit is enough:
     - The complex is GL_2 x GL_c-equivariant (Eagon-Northcott 1962; Weyman,
@@ -710,31 +801,9 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
                     assert int(cf) == cf
                     image.append(((k, ti), mu, int(cf)))
 
-    # the monomials of each degree, grouped by weight (degree, row sums,
-    # column sums); each (generator, monomial group) pair of total degree <=
-    # the cutoff and canonical weight is bucketed by weight and then by term
-    monos = [{} for _ in range(degree_cutoff + 1)]
-    for d, groups in enumerate(monos):
-        for e, key in ring.packed_monomials_of_degree(d):
-            mw = (d, sum(e[:c]), sum(e[c:]), *map(add, e[:c], e[c:]))
-            groups.setdefault(mw, []).append(key)
-    buckets = {}
-    for k, gens in enumerate(terms):
-        for gi, (I, (a1, a2)) in enumerate(gens):
-            rows = (0, 0) if k == 0 else (1 + a1, 1 + a2)
-            gen, gw = (k, gi), (sum(rows), *rows, *map(I.count, range(c)))
-            for d in range(degree_cutoff + 1 - gw[0]):
-                for mw, ms in monos[d].items():
-                    weight = tuple(map(add, mw, gw))
-                    if weight[1] < weight[2] or any(map(lt, weight[3:], weight[4:])):
-                        continue
-                    if weight not in buckets:
-                        buckets[weight] = [[] for _ in terms]
-                    buckets[weight][k].extend((gen, m) for m in ms)
-    weights = sorted(buckets)
+    weights, spaces = _en_weight_spaces(ring, terms, degree_cutoff)
     systems = []  # (shape, entries) of every differential, weight by weight
-    for weight in weights:
-        bases = buckets[weight]
+    for bases in spaces:
         for k in range(len(diffs)):
             index = {b: i for i, b in enumerate(bases[k])}
             systems.append(_sparse_map(bases[k + 1], index, images))
@@ -746,7 +815,7 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
     for w, weight in enumerate(weights):
         t, rows, cols = weight[0], weight[1:3], weight[3:]
         orbit = _orbit_size(rows, cols)
-        sizes = [len(basis) for basis in buckets[weight]]
+        sizes = [len(basis) for basis in spaces[w]]
         own = slice(w * nd, (w + 1) * nd)
         ranks = modular[own]
         if _en_homology(sizes, ranks):

@@ -2,8 +2,13 @@
 
 Every elimination runs in one loop, _eliminate, which reduces a stack of N
 matrices one column at a time across the whole batch: O(columns)
-vectorized steps instead of N python-level eliminations, each running
-along the batch axis.  rref takes the loop to the reduced row echelon form;
+vectorized steps instead of N python-level eliminations.  Each step's
+numpy loops run along the innermost axis in memory, and the loop keeps
+there the longer of the batch axis and the column axis: the batch for a
+tall stack of small matrices, such as geometry's 2,048-point batches, and
+the columns for a few wide matrices, such as the pairs of Hom slabs of up
+to 168 x 120 in mf.hom_ext_truncated, whose inner loops would otherwise
+run over 2 entries.  rref takes the loop to the reduced row echelon form;
 batch_rank stops at a row echelon form, updating only the rows below the
 pivots with no back-elimination, and reads each rank off the pivot count.
 rank_and_kernel and solve only read rref's output; solve, like rref, takes
@@ -122,8 +127,11 @@ def _eliminate(mats, q, reduced):
     exact.  A pivot row of a matrix of higher rank in that range may take a
     partial back-elimination, a row operation that moves neither.
 
-    The stack is eliminated as an (m, n, N) array in _work_dtype(q), batch
-    axis innermost, in a new array, so the caller's stack is never written.
+    The stack is eliminated as an (m, n, N) view in _work_dtype(q) of a new
+    array, so the caller's stack is never written.  Its memory puts the
+    batch axis innermost when N >= n and the column axis when N < n, and
+    so does the pivot-row buffer P; the loop reads only the view, so the
+    layout changes no step, only the length of numpy's inner loops.
     A matrix without a pivot in column c gets a zero pivot row, which leaves
     it unchanged; rows at or below a matrix's current rank are zero left of
     column c.  The int32 route reads its pivot inverses off _int32_table;
@@ -132,7 +140,9 @@ def _eliminate(mats, q, reduced):
     N, m, n = mats.shape
     dtype = _work_dtype(q)
     limit = 2 ** (8 * np.dtype(dtype).itemsize - 1)
-    M = np.empty((m, n, N), dtype=dtype)
+    # the longer of the batch and column axes innermost in memory
+    wide = N < n
+    M = np.empty((m, N, n), dtype).transpose(0, 2, 1) if wide else np.empty((m, n, N), dtype)
     if mats.size and (mats.min() < 0 or mats.max() >= q):
         np.remainder(mats.transpose(1, 2, 0), q, out=M, casting="unsafe")
     else:
@@ -166,7 +176,7 @@ def _eliminate(mats, q, reduced):
         coef = col.copy()
         coef[src - lo, hit] = col[r - lo, hit]
         coef[r - lo, hit] = 0
-        P = np.zeros((n - first, N), dtype=dtype)
+        P = np.zeros((N, n - first), dtype).T if wide else np.zeros((n - first, N), dtype)
         P[:, hit] = pivrow.T
         if bound + step + q > limit:
             M[lo:, c + 1:] = _reduce(M[lo:, c + 1:], q)

@@ -86,10 +86,6 @@ class PolyRing:
         """The charge of an exponent tuple."""
         return sum(e * c for e, c in zip(exp, self.charges))
 
-    def monomials_of_degree(self, deg):
-        """All exponent tuples of the given total degree."""
-        return [exp for exp, _ in self.packed_monomials_of_degree(deg)]
-
     def packed_monomials_of_degree(self, deg):
         """(exponent tuple, key) for every monomial of the given total degree.
         No exponent exceeds deg, so one bound on deg covers every key and

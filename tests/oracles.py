@@ -14,7 +14,8 @@ ext_table_X2_direct and hom0_frakX_direct decompose each twisted character
 afresh, with no cache and no twist shift, and take Sym^d(S^(+n)) from
 newton_sym_characters, not from the closed form in pfgr.reps.
 bbw_cohomology_rho_shift is the Bott prescription that bbw.bbw_cohomology
-writes in closed form, and ext_schur_pair_peeled an Ext row summed over the
+writes in closed form, with weyl_dimension the Weyl dimension formula it
+reads, and ext_schur_pair_peeled an Ext row summed over the
 summands that reps.decompose_character peels, not over the Clebsch-Gordan
 ones.  exceptional_report_per_pair is the window report as it was before
 its verdicts were taken once per class: every ordered pair reads its
@@ -24,7 +25,14 @@ sample_y2_points_whole_batch and sample_y1_points_whole_batch are the
 samplers as they were before they eliminated in slices: every draw of a
 batch is row-reduced, and each base point's first hit is picked by
 np.unique.  mat_vec, right_kernel and solve are the dense products, kernels
-and solutions over a field, on pfgr.linalg.rref.
+and solutions over a field, on pfgr.linalg.rref.  monomials_of_degree lists
+exponent tuples by recursion, apart from the packed keys of pfgr.poly.
+
+en_weight_spaces_bucketed is the Eagon-Northcott enumeration as it was
+before mf._en_weight_spaces wrote each canonical weight space directly: it
+lists every monomial up to the cutoff and buckets (generator, monomial)
+pairs by weight.  ranks_unpadded is mf._ranks over a prime field before it
+padded the shapes that round up to the same powers of two into one stack.
 
 koszul_fold is the general route to a Koszul factorization that
 mf.koszul_perturb writes in closed form: it folds a resolution into W by
@@ -39,6 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add, lt
 
 import numpy as np
 
@@ -51,6 +60,18 @@ from pfgr.reps import GL2Weight, char_add, char_mul, decompose_character, diagon
 
 # ---------------------------------------------------------------------------
 # dense linear algebra over a field, on pfgr.linalg.rref
+
+
+def monomials_of_degree(ring, deg):
+    """Every exponent tuple of total degree deg in the ring's variables, in
+    decreasing lexicographic order, the order of
+    PolyRing.packed_monomials_of_degree; built by recursion on the first
+    exponent, not from packed keys."""
+    def tails(n, d):
+        if n == 1:
+            return [(d,)]
+        return [(e, *rest) for e in range(d, -1, -1) for rest in tails(n - 1, d - e)]
+    return tails(ring.nvars, deg) if ring.nvars else [()] * (deg == 0)
 
 
 def mat_vec(field, a, v):
@@ -326,6 +347,21 @@ def hom0_frakX_direct(b1, b2, n, x_cutoff, p_cutoff):
     return out
 
 
+def weyl_dimension(weights):
+    """Dimension of the GL(n) irreducible with the given dominant weight."""
+    w = list(weights)
+    n = len(w)
+    if any(w[i] < w[i + 1] for i in range(n - 1)):
+        raise ValueError(f"weight {w} is not dominant")
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0 and num > 0
+    return num // den
+
+
 def bbw_cohomology_rho_shift(a, b, n):
     """bbw.bbw_cohomology by the rho-shift prescription, entry by entry: pad,
     shift by rho, sort, count inversions and take the Weyl dimension."""
@@ -343,7 +379,7 @@ def bbw_cohomology_rho_shift(a, b, n):
     )
     srt = sorted(shifted, reverse=True)
     lam = tuple(srt[i] - rho[i] for i in range(n))
-    return bbw.CohomologyResult(inversions, lam, bbw.weyl_dimension(lam))
+    return bbw.CohomologyResult(inversions, lam, weyl_dimension(lam))
 
 
 @lru_cache(maxsize=None)
@@ -846,3 +882,47 @@ def koszul_fold(C, W):
                 if not e.is_zero():
                     D[offsets[tgt] + i][offsets[k] + j2] = e
     return MatrixFactorization(ring, W, gens, D)
+
+
+# ---------------------------------------------------------------------------
+# the Eagon-Northcott weight spaces as they were listed before
+# mf._en_weight_spaces wrote them directly, and the unpadded ranks
+
+
+def en_weight_spaces_bucketed(ring, terms, degree_cutoff):
+    """mf._en_weight_spaces by bucketing: every monomial of degree <= the
+    cutoff is listed and grouped by weight, each (generator, monomial group)
+    pair of canonical weight (r1 >= r2, column sums non-increasing) is
+    bucketed by weight and term, and the weights are sorted."""
+    c = ring.nvars // 2
+    monos = [{} for _ in range(degree_cutoff + 1)]
+    for d, groups in enumerate(monos):
+        for e, key in ring.packed_monomials_of_degree(d):
+            mw = (d, sum(e[:c]), sum(e[c:]), *map(add, e[:c], e[c:]))
+            groups.setdefault(mw, []).append(key)
+    buckets = {}
+    for k, gens in enumerate(terms):
+        for gi, (I, (a1, a2)) in enumerate(gens):
+            rows = (0, 0) if k == 0 else (1 + a1, 1 + a2)
+            gen, gw = (k, gi), (sum(rows), *rows, *map(I.count, range(c)))
+            for d in range(degree_cutoff + 1 - gw[0]):
+                for mw, ms in monos[d].items():
+                    weight = tuple(map(add, mw, gw))
+                    if weight[1] < weight[2] or any(map(lt, weight[3:], weight[4:])):
+                        continue
+                    if weight not in buckets:
+                        buckets[weight] = [[] for _ in terms]
+                    buckets[weight][k].extend((gen, m) for m in ms)
+    weights = sorted(buckets)
+    return weights, [buckets[w] for w in weights]
+
+
+def ranks_unpadded(field, systems):
+    """mf._ranks over a prime field without padding: one modq.batch_rank per
+    distinct shape of the sparse systems (shape, [(row, col, value)])."""
+    q = field.characteristic
+    ranks = [0] * len(systems)
+    for idx, mats in _stacks(systems, q).values():
+        for i, r in zip(idx, modq.batch_rank(mats, q)):
+            ranks[i] = int(r)
+    return ranks

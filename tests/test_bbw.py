@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from pfgr import bbw, modq
-from pfgr.bbw import (CohomologyResult, bbw_cohomology, ext_schur_pair,
-                      projective_cohomology, weyl_dimension)
+from pfgr.bbw import CohomologyResult, bbw_cohomology, ext_schur_pair, projective_cohomology
 
-from oracles import bbw_cohomology_rho_shift, ext_schur_pair_peeled, twist_tail_dominant
+from oracles import (bbw_cohomology_rho_shift, ext_schur_pair_peeled, twist_tail_dominant,
+                     weyl_dimension)
 
 # ---------------------------------------------------------------------------
 # independent oracles

@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -691,7 +692,7 @@ def test_worker_exception_is_raised_in_the_caller(monkeypatch):
     with pytest.raises(WorkerFailure, match="Eagon-Northcott broke") as raised:
         cli.run(cli.SuiteConfig(d=5, samples=20))
     # chained from the worker's own traceback
-    assert "in the model-free worker" in str(raised.value.__cause__)
+    assert "in the forked worker" in str(raised.value.__cause__)
     assert "determinantal" in str(raised.value.__cause__)
     _no_child_left()
 
@@ -719,17 +720,68 @@ def test_worker_lift_obstruction_arrives_as_itself(monkeypatch):
                        match="lifting failed at level 1, column 2, degree 3") as raised:
         cli.run(cli.SuiteConfig(d=5, samples=20))
     assert (raised.value.level, raised.value.column, raised.value.degree) == (1, 2, 3)
-    assert "in the model-free worker" in str(raised.value.__cause__)
+    assert "in the forked worker" in str(raised.value.__cause__)
     _no_child_left()
 
 
 def test_caller_exception_kills_the_worker(monkeypatch):
     def broken(*args, **kwargs):
+        raise WorkerFailure("critical sweep broke")
+
+    monkeypatch.setattr(geometry, "critical_equivalence_sweep", broken)
+    with pytest.raises(WorkerFailure, match="critical sweep broke") as raised:
+        cli.run(cli.SuiteConfig(d=5, samples=20))
+    # raised in the caller itself, not carried over from the worker
+    assert raised.value.__cause__ is None
+    _no_child_left()
+
+
+def test_rank_parity_failure_arrives_from_the_worker(monkeypatch):
+    """geometry.rank_parity runs in the forked worker: its exception reaches
+    the caller chained from the worker's traceback."""
+    def broken(*args, **kwargs):
         raise WorkerFailure("rank parity broke")
 
     monkeypatch.setattr(geometry, "rank_parity_sample", broken)
-    with pytest.raises(WorkerFailure, match="rank parity broke"):
+    with pytest.raises(WorkerFailure, match="rank parity broke") as raised:
         cli.run(cli.SuiteConfig(d=5, samples=20))
+    assert "in the forked worker" in str(raised.value.__cause__)
+    assert "run_parity_check" in str(raised.value.__cause__)
+    _no_child_left()
+
+
+def test_worker_runs_the_window_suite_four_mf_checks_and_rank_parity(monkeypatch):
+    """The forked worker's report holds exactly the six window checks, the
+    four mf checks that build their own objects and geometry.rank_parity,
+    whose sampler never runs in the caller."""
+    caller = os.getpid()
+    real_parity = geometry.rank_parity_sample
+
+    def parity_in_the_worker(*args, **kwargs):
+        assert os.getpid() != caller, "rank_parity_sample ran in the caller"
+        return real_parity(*args, **kwargs)
+
+    real_worker = cli._worker
+    returned = []
+
+    @contextmanager
+    def recording(fn):
+        with real_worker(fn) as join:
+            def recorded_join():
+                returned.append(join())
+                return returned[-1]
+            yield recorded_join
+
+    monkeypatch.setattr(geometry, "rank_parity_sample", parity_in_the_worker)
+    monkeypatch.setattr(cli, "_worker", recording)
+    report = cli.run(cli.SuiteConfig(d=5, samples=20))
+    assert report.passed
+    (worker,) = returned
+    assert [c["check_name"] for c in worker.checks] == [
+        name for name in SERIAL_ORDER if name.startswith("window.")] + [
+        "mf.knorrer_base", "mf.stabilization_contractible",
+        "mf.determinantal_resolution", "mf.knorrer_tensor_law", "geometry.rank_parity"]
+    assert list(worker.shared) == ["window"]
     _no_child_left()
 
 

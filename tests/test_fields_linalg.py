@@ -176,6 +176,39 @@ def test_batch_rank_agrees_with_generic_path(q, kind, shape, rank_cap, zero_shar
     assert modq.kernels(R, pivots, q).tolist() == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 101, 32003, 32771]), st.booleans(),
+       st.integers(1, 24), st.integers(2, 24), st.integers(0, 24),
+       st.sampled_from([0.0, 0.5]), st.integers(0, 2 ** 32 - 1))
+def test_elimination_layout_keeps_every_form(q, few, m, n, rank_cap, zero_share, seed):
+    """_eliminate lays a stack out with the column axis innermost in memory
+    when it holds fewer matrices than columns (few: N < n) and the batch
+    axis otherwise (N >= n).  Either way rref gives each matrix the reduced
+    form, rank and pivots it gets when eliminated alone and that
+    pfgr.linalg.rref gives over PrimeField(q), and batch_rank the same
+    ranks.  q covers both dtype routes (32771 is the first int64 prime);
+    rank_cap below min(m, n) makes the stack rank-deficient through a
+    product of (m x k) and (k x n) factors, and zero_share blanks entries on
+    top (which may raise the rank again)."""
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(1, min(n, 4))) if few else int(rng.integers(n, n + 6))
+    k = min(rank_cap, m, n)
+    mats = (rng.integers(0, q, (N, m, k)).astype(object)
+            @ rng.integers(0, q, (N, k, n)).astype(object) % q).astype(np.int64)
+    mats[rng.random(mats.shape) < zero_share] = 0
+    R, ranks, pivots = modq.rref(mats, q)
+    assert modq.batch_rank(mats, q).tolist() == ranks.tolist()
+    F = PrimeField(q)
+    for t in range(N):
+        R1, r1, piv1 = modq.rref(mats[t], q)
+        assert (R1 == R[t]).all() and r1 == ranks[t] and (piv1 == pivots[t]).all()
+        slow, slow_pivots = linalg.rref(F, mats[t].tolist())
+        assert R[t].tolist() == slow
+        assert np.flatnonzero(pivots[t]).tolist() == slow_pivots
+        assert ranks[t] == len(slow_pivots)
+        assert zero_share or ranks[t] <= k
+
+
 def test_rank_and_kernel_mod_q():
     q = 101
     mat = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 5]], dtype=np.int64)

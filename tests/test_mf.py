@@ -244,7 +244,7 @@ def _uncapped_ext_dims(E, F, trunc):
     ring, field = E.ring, E.ring.field
     gens_e, gens_f = E.gens, F.gens
     Ed, Fd = E.D, F.D
-    monos = [m for d in range(trunc + 1) for m in ring.monomials_of_degree(d)]
+    monos = [m for d in range(trunc + 1) for m in oracles.monomials_of_degree(ring, d)]
     slabs, base_charges = {}, []
     for i, (pf, cf) in enumerate(gens_f):
         for j, (pe, ce) in enumerate(gens_e):
@@ -294,7 +294,7 @@ def hom_problems(draw):
                field.inv(field.of_int(2))]
 
     def monos(charge):
-        return [m for d in range(charge + 1) for m in ring.monomials_of_degree(d)
+        return [m for d in range(charge + 1) for m in oracles.monomials_of_degree(ring, d)
                 if ring.monomial_charge(m) == charge]
 
     def form(charge):
@@ -823,14 +823,22 @@ def test_determinantal_modular_ranks_match_rationals(monkeypatch, c, cutoff):
     assert res_q.exact
 
 
+def _extent(mat):
+    """The rows and columns of a matrix up to its last nonzero row and column."""
+    rows, cols = np.nonzero(mat)
+    return (int(rows.max()) + 1, int(cols.max()) + 1) if len(rows) else (0, 0)
+
+
 def _shorten_one(shortened):
     """A shorten hook: the first 5 x 7 matrix of positive rank comes back one
-    rank short, and is appended to shortened."""
+    rank short, and is appended to shortened.  mf._ranks may pad a 5 x 7
+    matrix with zero rows and columns into a stack of larger shapes, so it
+    is found as the first matrix that spans 5 x 7."""
     def shorten(stack, ranks):
-        if stack.shape[1:] == (5, 7):
-            i = int(np.flatnonzero(ranks)[0])
-            ranks[i] -= 1
-            shortened.append(stack[i])
+        hits = [i for i, (mat, r) in enumerate(zip(stack, ranks)) if r and _extent(mat) == (5, 7)]
+        if hits:
+            ranks[hits[0]] -= 1
+            shortened.append(stack[hits[0], :5, :7])
         return ranks
     return shorten
 
@@ -864,7 +872,7 @@ def test_determinantal_failure_is_reported_exactly(monkeypatch):
     # (2, 2, 1), whose orbit holds 2 row orders times 3 column orders
     weight = ((3, 2), (2, 2, 1))
     assert [((sum(e[:3]), sum(e[3:])), tuple(map(sum, zip(e[:3], e[3:]))))
-            for e in PolyRing(QQ, "abcdef").monomials_of_degree(5)].count(weight) == 5
+            for e in oracles.monomials_of_degree(PolyRing(QQ, "abcdef"), 5)].count(weight) == 5
     assert res.homology_failures == [{"spot": 1, "weight": weight, "dim": 1, "orbit": 6}]
     # each of the 6 weight spaces of the orbit gains one cokernel dimension
     assert res.coker_dims[5] == res.segre_dims[5] + 6
@@ -905,7 +913,7 @@ def _all_weight_spaces(c, cutoff, field):
         for gi, gen in enumerate(gens):
             degree = 0 if k == 0 else k + 1
             for d in range(cutoff + 1 - degree):
-                for e in ring.monomials_of_degree(d):
+                for e in oracles.monomials_of_degree(ring, d):
                     bases = buckets.setdefault(_en_weight(c, k, gen, e), [[] for _ in terms])
                     bases[k].append(((k, gi), ring.pack(e)))
     weights = list(buckets)
@@ -992,6 +1000,71 @@ def test_determinantal_bases_are_complete(monkeypatch, c, cutoff):
     assert mf._sparse_map([("g", 1)], {("h", 2): 0}, images) == ((1, 1), [(0, 0, 3)])
     with pytest.raises(KeyError):
         mf._sparse_map([("g", 1)], {("h", 1): 0}, images)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 6])
+def test_direct_weight_spaces_match_the_bucketing(monkeypatch, c):
+    """mf._en_weight_spaces writes the canonical weights that the bucketing
+    of every monomial finds (oracles.en_weight_spaces_bucketed), in the same
+    order and with the same bases as sets.  The check's padded ranks equal
+    the unpadded ranks of the bucketed systems, weight space by weight space,
+    and both routes give the same DeterminantalResult, at the cutoff of
+    `pfgr all` (c = d - 3: 4 at d = 7, 6 at d = 9)."""
+    ring = PolyRing(QQ, [f"y1{i}" for i in range(c)] + [f"y2{i}" for i in range(c)])
+    terms = mf._en_terms(c)
+    weights, spaces = mf._en_weight_spaces(ring, terms, 8)
+    reference_weights, reference_spaces = oracles.en_weight_spaces_bucketed(ring, terms, 8)
+    assert weights == reference_weights
+    for bases, reference in zip(spaces, reference_spaces):
+        assert all(len(set(basis)) == len(basis) for basis in bases)
+        assert [set(basis) for basis in bases] == [set(basis) for basis in reference]
+
+    ranks = []
+    padded = mf._ranks
+
+    def recording(rank):
+        def ranked(field, systems):
+            ranks.append(rank(field, systems))
+            return ranks[-1]
+        return ranked
+
+    monkeypatch.setattr(mf, "_ranks", recording(padded))
+    direct = eagon_northcott_check(c=c, degree_cutoff=8)
+    monkeypatch.setattr(mf, "_en_weight_spaces", oracles.en_weight_spaces_bucketed)
+    monkeypatch.setattr(mf, "_ranks", recording(oracles.ranks_unpadded))
+    reference = eagon_northcott_check(c=c, degree_cutoff=8)
+    assert len(ranks) == 2 and ranks[0] == ranks[1]
+    assert direct == reference and direct.exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 101, 32003, 32771]),
+       st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 17]),
+                          st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 17]),
+                          st.integers(0, 17), st.sampled_from([0.0, 0.5, 0.9])),
+                min_size=1, max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+def test_padded_ranks_match_unpadded(q, specs, seed):
+    """mf._ranks over F_q ranks the shapes that round up to the same powers
+    of two in one stack, padded with zero rows and columns; its ranks equal
+    the unpadded ones (oracles.ranks_unpadded) and pfgr.linalg's, on sparse
+    integer systems of many shapes, some sharing a group, made
+    rank-deficient by a product of (m x k) and (k x n) factors with
+    k <= min(m, n), with zero_share of the entries blanked on top."""
+    rng = np.random.default_rng(seed)
+    field = PrimeField(q)
+    systems = []
+    for m, n, k, zero_share in specs:
+        k = min(k, m, n)
+        left, right = rng.integers(-q, q, (m, k)), rng.integers(-q, q, (k, n))
+        mat = left.astype(object) @ right.astype(object)
+        mat[rng.random((m, n)) < zero_share] = 0
+        systems.append(((m, n), [(r, col, int(v)) for (r, col), v in np.ndenumerate(mat) if v]))
+    ranks = mf._ranks(field, systems)
+    assert ranks == oracles.ranks_unpadded(field, systems)
+    assert ranks == [linalg.rank(field, dense(field, shape, [(r, col, v % q)
+                                                             for r, col, v in entries]))
+                     for shape, entries in systems]
 
 
 def test_segre_dimension_oracle():

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfgr import reps
-from pfgr.bbw import weyl_dimension
 from pfgr.reps import (PLETHYSM_CUTOFF, GL2Weight, char_mul, decompose_character,
                        diagonal_isotypic, sl2_invariant_dims, sym_power_character)
 
-from oracles import newton_sym_characters
+from oracles import newton_sym_characters, weyl_dimension
 
 # ---------------------------------------------------------------------------
 # independent oracles
