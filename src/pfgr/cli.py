@@ -9,38 +9,46 @@ A run takes one census and one sample pool: the census check reports the
 strata the model was certified with, and every sampled check reads slices
 of the pool that draw_pool takes right after the model.
 
-A run validates its config and certifies the model in one process, so every
-refusal and every failed certificate comes before any other work.  The
-checks then split in two halves that share no input but the config and
-the certified model:
+A run validates its config before anything else, so every refusal, the
+model's included (geometry.check_model_request), comes before any other
+work.  A run with the window or mf suite beside the model then forks one
+worker before the model is certified, and the checks split in two halves
+that share no input but the config and the certified model:
 
-- in the calling process: the pool and every check that reads it, the
-  geometry suite but rank_parity, and the two mf checks that read the
-  model, mf.koszul_perturb (its Koszul factorization over Q) and
-  mf.knorrer_fibre (at a pool point);
-- in one worker forked beside them: the window suite, the other four mf
-  checks, which build their own objects over Q, and geometry.rank_parity,
-  which reads the model but no pool (run_parity_check).
+- in the calling process: the model certificate (geometry.random_model),
+  then the pool and every check that reads it, that is the geometry suite
+  but rank_parity, and mf.knorrer_fibre (at a pool point);
+- in the worker: the window suite and the four mf checks that build their
+  own objects over Q, while the caller certifies; then, on the certified
+  sampling model that the caller sends it, geometry.rank_parity
+  (run_parity_check) and mf.koszul_perturb (run_koszul_check), the two
+  checks that read the model but no pool.
 
-rank_parity sits in the worker to balance the halves.  At d = 7 it takes
-about 30 ms, and the worker's other checks end about 30 ms before the
-rest of the calling half; with rank_parity in the worker both halves end
-within about 5 ms of each other (2-vCPU box).  Moving mf.koszul_perturb
-there instead left the calling half last and the run about 20 ms slower.
+The model goes to the worker as geometry.model_to_json text over a second
+pipe: the census strata on the model are read-only mappings, which do not
+pickle, and no worker check reads them.  rank_parity and koszul_perturb sit
+in the worker because they need the model but no pool, so they can wait for
+it there while the caller draws the pool.  At d = 7 the certificate takes
+about 30 ms beside the window suite and the four mf checks, and the worker
+ends 3 to 8 ms after the caller; at d = 9 the caller ends about 50 ms
+after the worker (medians of direct runs, 2-vCPU box).  If no model passes its
+certificate, the caller sends empty text and the worker drops its mf
+records, so the report holds the failed certificate and the window checks,
+as a serial run's would; a caller exception kills and reaps the worker.
 
 The worker pickles its records, timings and shared lines back over a pipe,
 and run merges them into the serial order (_report_order), so the report is
 the one a serial run gives: each check seeds its own random stream from
 config.seed, the halves share no mutable state, and the merge order is
 fixed.  A run forks only when the window or mf suite runs beside the model,
-so window-only and geometry-only runs, and runs whose model failed its
-certificate, stay in one process.  This needs POSIX fork.
+so window-only and geometry-only runs stay in one process.  This needs
+POSIX fork.
 
 Layers load on first use (pfgr/__init__): importing this module runs only
 fields, poly and the standard library.  A window-only run then loads reps,
 bbw and windows and never imports numpy.  A run with the geometry or mf
 suite loads geometry (with modq and numpy) and, when the mf suite runs, mf
-(with linalg) at the start of run, before the model and the fork: the
+(with linalg) at the start of run, before the fork and the model: the
 worker inherits them instead of importing mf a second time, and the layers
 are loaded before the model's arrays are allocated, as an eager import
 loads them.
@@ -137,7 +145,11 @@ class SuiteConfig:
             raise ValueError(f"the {self.l_bound} x {self.m_bound} window rectangle has "
                              f"{pairs} ordered bundle pairs, more than the window "
                              f"suite's bound of {WINDOW_MAX_PAIRS}")
-        # only a run with the geometry suite reads geometry here: it loads numpy
+        # only a run that builds a model reads geometry here: it loads numpy.
+        # Every refusal of the model comes here, before run forks its worker
+        if "geometry" in self.suites or "mf" in self.suites:
+            geometry.check_model_request(self.seed, self.make_field(), self.d,
+                                         self.census_qs)
         if "geometry" in self.suites:
             geometry.check_sampling_budget(self.samples, self.make_field())
 
@@ -419,13 +431,11 @@ def run_mf_suite(config, report):
            {"trunc": trunc, "field": repr(F)}, tensor_law)
 
 
-def run_fibre_check(config, report, model, pool):
-    """The two model-bound mf checks.  mf.koszul_perturb builds the Koszul
-    factorization tensor_i (p_i, Q_i) of the model's W(x, p) over Q from the
-    integer A and certifies it by its Clifford relations
-    (mf.koszul_certificate), after mf_verify on the rank-2 toy (x1, x2);
-    mf.knorrer_fibre runs the Knorrer fold at the first pool point, on the
-    certified model over the sampling field F_q."""
+def run_koszul_check(config, report, model):
+    """mf.koszul_perturb, which reads the model but no pool: it builds the
+    Koszul factorization tensor_i (p_i, Q_i) of the model's W(x, p) over Q
+    from the integer A and certifies it by its Clifford relations
+    (mf.koszul_certificate), after mf_verify on the rank-2 toy (x1, x2)."""
 
     def koszul():
         plane = PolyRing(QQ, ("x1", "x2"), (0, 2))
@@ -439,6 +449,11 @@ def run_fibre_check(config, report, model, pool):
     _timed(report, "mf.koszul_perturb",
            "the Koszul factorization of the model's W squares to W exactly",
            {"d": config.d, "field": repr(QQ)}, koszul)
+
+
+def run_fibre_check(config, report, model, pool):
+    """mf.knorrer_fibre: the Knorrer fold at the first pool point, on the
+    certified model over the sampling field F_q."""
 
     def fibre():
         L = geometry.maximal_isotropic(model, pool[0])
@@ -479,20 +494,31 @@ def _report_order(check):
 
 @contextmanager
 def _worker(fn):
-    """Run fn() in one forked process while the with-block runs.
+    """Run fn(receive) in one forked process while the with-block runs.
 
-    Yields join(), which waits for the worker and returns fn's value or
-    raises its exception, chained from the worker's traceback.  The worker
-    pickles its outcome into a pipe and always leaves through os._exit, so it
-    never unwinds into the caller.  If the block raises first, the worker is
-    killed and reaped: no process outlives the block."""
+    Yields (send, join).  send(text), called once, hands the worker text
+    that its receive() returns; receive() waits for it.  join() waits for
+    the worker and returns fn's value or raises its exception, chained from
+    the worker's traceback.  The worker pickles its outcome into a pipe and
+    always leaves through os._exit, so it never unwinds into the caller; a
+    worker that raised before send has closed its end of the text pipe, and
+    send then returns quietly, so that join raises the worker's error and
+    not a BrokenPipeError.  If the block raises first, the worker is killed
+    and reaped: no process outlives the block."""
     read_fd, write_fd = os.pipe()
+    text_read, text_write = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)
+            os.close(text_write)
+
+            def receive():
+                with open(text_read) as pipe:
+                    return pipe.read()
+
             try:
-                data = pickle.dumps((fn(), None))
+                data = pickle.dumps((fn(receive), None))
             except BaseException as err:
                 import traceback  # the failure path only: a passing run imports nothing new
                 text = traceback.format_exc()
@@ -502,7 +528,16 @@ def _worker(fn):
         finally:
             os._exit(0)
     os.close(write_fd)
+    os.close(text_read)
+    text_pipe = open(text_write, "w")
     reaped = False
+
+    def send(text):
+        try:
+            with text_pipe:
+                text_pipe.write(text)
+        except BrokenPipeError:
+            pass  # the worker has ended: join raises what it raised
 
     def join():
         nonlocal reaped
@@ -520,8 +555,9 @@ def _worker(fn):
         return value
 
     try:
-        yield join
+        yield send, join
     finally:
+        text_pipe.close()
         os.close(read_fd)
         if not reaped:
             import signal  # the failure path only, as traceback above
@@ -530,64 +566,80 @@ def _worker(fn):
 
 
 def run(config):
-    """Execute the selected suites and return the report; the window suite,
-    the four mf checks that build their own objects and rank_parity run in
-    a forked worker beside the pool and the checks that read it (see the
-    module docstring for the split and why)."""
+    """Execute the selected suites and return the report.  A run with the
+    window or mf suite beside the model forks one worker before the model
+    is certified and sends it the certified sampling model; see the module
+    docstring for the split, why it falls there and when a run forks."""
     config.validate()
     report = Report(config=dict(sorted(asdict(config).items())))
-    model = None
-    if "geometry" in config.suites or "mf" in config.suites:
-        # load the numpy layers now, as an eager import would, so the worker
-        # inherits mf instead of loading it again (see the module docstring)
-        for layer in (geometry, mf) if "mf" in config.suites else (geometry,):
-            vars(layer)
+    if "geometry" not in config.suites and "mf" not in config.suites:
+        run_window_suite(config, report)
+        return report
+    # load the numpy layers now, as an eager import would, so the worker
+    # inherits mf instead of loading it again (see the module docstring)
+    for layer in (geometry, mf) if "mf" in config.suites else (geometry,):
+        vars(layer)
+
+    def certify():
+        """The certified model over the sampling field F_q, where the sampled
+        checks run, or None when no model passed its certificates."""
         t0 = time.perf_counter()
+        claim = "a generic model passes surjectivity, census and smoothness certificates"
         try:
             model = geometry.random_model(config.seed, field=config.make_field(), d=config.d,
                                           census_qs=config.census_qs)
-            report.add("geometry.model_certificates",
-                       "a generic model passes surjectivity, census and smoothness certificates",
-                       True, {"seed": config.seed, "d": config.d},
-                       {"field": repr(model.field)}, time.perf_counter() - t0)
         except geometry.ModelCertificateError as err:
-            report.add("geometry.model_certificates",
-                       "a generic model passes surjectivity, census and smoothness certificates",
-                       False, {"seed": config.seed, "d": config.d},
+            report.add("geometry.model_certificates", claim, False,
+                       {"seed": config.seed, "d": config.d},
                        {"error": str(err)}, time.perf_counter() - t0)
+            return None
+        report.add("geometry.model_certificates", claim, True,
+                   {"seed": config.seed, "d": config.d},
+                   {"field": repr(model.field)}, time.perf_counter() - t0)
+        return geometry.sampling_model(model)
 
-    def model_free(part):
-        if "window" in config.suites:
-            run_window_suite(config, part)
-        if "mf" in config.suites and model is not None:
-            run_mf_suite(config, part)
-        return part
-
-    if model is None:
-        return model_free(report)
-    # the model over the sampling field F_q, where the sampled checks run
-    work = geometry.sampling_model(model)
-
-    def model_bound(part):
+    def model_bound(part, work):
         pool, planes = draw_pool(config, work, part)
         if "geometry" in config.suites:
             run_geometry_suite(config, part, work, pool, planes)
         if "mf" in config.suites:
             run_fibre_check(config, part, work, pool)
-        return part
 
-    def beside(part):
-        model_free(part)
+    def poolless(part, work):
         if "geometry" in config.suites:
             run_parity_check(config, part, work)
+        if "mf" in config.suites:
+            run_koszul_check(config, part, work)
+
+    def beside(receive):
+        part = Report(config=report.config)
+        if "window" in config.suites:
+            run_window_suite(config, part)
+        if "mf" in config.suites:
+            run_mf_suite(config, part)
+        text = receive()
+        if not text:
+            # no certified model: keep the window records alone, as a serial
+            # run never starts the mf suite without a model
+            window = [c for c in part.checks if c["check_name"].startswith("window.")]
+            return Report(config=part.config, checks=window, shared=part.shared)
+        poolless(part, geometry.model_from_json(text))
         return part
 
+    bound, free = Report(config=report.config), Report(config=report.config)
     if "window" not in config.suites and "mf" not in config.suites:
-        bound = model_bound(Report(config=report.config))
-        free = beside(Report(config=report.config))
+        work = certify()
+        if work:
+            model_bound(bound, work)
+            poolless(free, work)
     else:
-        with _worker(lambda: beside(Report(config=report.config))) as join:
-            bound = model_bound(Report(config=report.config))
+        with _worker(beside) as (send, join):
+            work = certify()
+            # model_to_json, not pickle: the census strata are read-only
+            # mappings, and the worker's checks never read them
+            send(geometry.model_to_json(work) if work else "")
+            if work:
+                model_bound(bound, work)
             free = join()
     report.checks += sorted(bound.checks + free.checks, key=_report_order)
     report.timings.update(bound.timings | free.timings)

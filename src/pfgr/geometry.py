@@ -209,10 +209,12 @@ def y2_membership(model, p):
     return r, r <= model.degenerate_rank
 
 
-def quadratic_form_matrix(model, p):
+def quadratic_form_matrix(model, p, out=None):
     """The symmetric 2d x 2d matrix of W_p on pairs of columns (u, v), as
     residues mod q: [[0, omega_p / 2], [omega_p^T / 2, 0]] for one point p,
-    an (N, 2d, 2d) stack for an (N, d) stack of points.
+    an (N, 2d, 2d) stack for an (N, d) stack of points.  With out, an int64
+    array of that shape whose two diagonal d x d blocks are zero, the two
+    other blocks are written into it and it is returned.
 
     W_p(u, v) = omega_p(u, v), polarized; needs an invertible 2, so q must
     be odd.
@@ -221,8 +223,10 @@ def quadratic_form_matrix(model, p):
     if q == 2:
         raise ValueError("quadratic form matrix needs characteristic != 2")
     d = model.d
-    half = omegas(model, p, q) * ((q + 1) // 2) % q
-    B = np.zeros(half.shape[:-2] + (2 * d, 2 * d), dtype=np.int64)
+    half = omegas(model, p, q)
+    half *= (q + 1) // 2
+    half %= q
+    B = np.zeros(half.shape[:-2] + (2 * d, 2 * d), dtype=np.int64) if out is None else out
     B[..., :d, d:] = half
     B[..., d:, :d] = np.swapaxes(half, -1, -2)
     return B
@@ -240,15 +244,21 @@ CENSUS_CHUNK = 65536
 CENSUS_MAX_POINTS = 64 * CENSUS_CHUNK
 
 
+def _census_points(q, d):
+    """The number of points of P^(d-1)(F_q); ValueError past CENSUS_MAX_POINTS."""
+    PrimeField(q)
+    total = (q ** d - 1) // (q - 1)
+    if total > CENSUS_MAX_POINTS:
+        raise ValueError(f"P^{d - 1}(F_{q}) has {total} points, more than the "
+                         f"census bound of {CENSUS_MAX_POINTS}")
+    return total
+
+
 def _strata(model, q, ranks):
     """{rank: points} of ranks(pts), an (N,) array of ranks for an (N, d)
     stack of points, over P^(d-1)(F_q), CENSUS_CHUNK points at a time.
     More than CENSUS_MAX_POINTS points raise ValueError before any ranking."""
-    PrimeField(q)
-    total = (q ** model.d - 1) // (q - 1)
-    if total > CENSUS_MAX_POINTS:
-        raise ValueError(f"P^{model.d - 1}(F_{q}) has {total} points, more than the "
-                         f"census bound of {CENSUS_MAX_POINTS}")
+    total = _census_points(q, model.d)
     out = {}
     for start in range(0, total, CENSUS_CHUNK):
         pts = modq.projective_points(model.d, q, start, start + CENSUS_CHUNK)
@@ -318,9 +328,11 @@ SAMPLER_MAX_TRIES = 4_000_000
 # slice that completes its sample.  Each call also has a fixed cost of about
 # 0.4 ms: random_model(1) and a 100-point pool at d = 7 took 64.6, 56.3 and
 # 56.9 ms in process at 512, 1024 and 2048 (2-vCPU box).  Slicing the Y2
-# batches too costs the 100-point pool about 1 ms but saves the certificate,
-# which runs before the fork, about 6 ms: all-d7 ran a median 3.8 ms faster
-# than with Y1 slices alone, at 30 of 34 checkout paths and seeds
+# batches too costs the 100-point pool about 1 ms but saves the certificate
+# about 6 ms.  Both run in the calling half of `pfgr all`, one after the
+# other, so the trade still shortens that half.  When the certificate ran
+# before the fork, all-d7 ran a median 3.8 ms faster than with Y1 slices
+# alone, at 30 of 34 checkout paths and seeds
 ELIM_SLICE = 1024
 
 
@@ -720,6 +732,8 @@ def rank_parity_sample(model, count, seed=0):
     checked = 0
     failures = []
     batch = 2048
+    # one W stack for every batch: its zero blocks stay zero
+    W = np.zeros((min(batch, count), 2 * d, 2 * d), dtype=np.int64)
     while checked < count:
         take = min(batch, count - checked)
         ps = _rng_ints(rng, q, (take, d))
@@ -727,7 +741,7 @@ def rank_parity_sample(model, count, seed=0):
         if not len(ps):
             continue
         r_omega = modq.alternating_rank(omega_rows(model, ps, q), q)
-        r_w = modq.batch_rank(quadratic_form_matrix(model, ps), q)
+        r_w = modq.batch_rank(quadratic_form_matrix(model, ps, out=W[:len(ps)]), q)
         bad = np.nonzero(r_w != 2 * r_omega)[0]
         for b in bad:
             failures.append({"p": [int(c) for c in ps[b]],
@@ -786,6 +800,29 @@ MODEL_MAX_RETRIES = 25
 CERT_SAMPLES = 5
 
 
+def check_model_request(seed, field, d, census_qs):
+    """Refuse (ValueError) a model that random_model could not build, before
+    any census or sampling: a negative seed, d >= 11 (the deep stratum has
+    codimension 10 among 2-forms, so P^(d-1) always meets it), a field of
+    characteristic below 5 other than Q, a sampling prime too large for exact
+    int64 arithmetic (_check_int64), CERT_SAMPLES points beyond the sampler
+    budget (check_sampling_budget), or a census prime past the census bound.
+    random_model applies it, and the command line applies it before it forks."""
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative: seeds are non-negative integers "
+                         f"(random.Random(-s) draws the model of seed s)")
+    if d - 1 >= DEEP_STRATUM_CODIM:
+        raise ValueError(f"no model at d = {d} is generic: the stratum {{rank <= d - 5}} "
+                         f"has codimension C(5, 2) = {DEEP_STRATUM_CODIM} among 2-forms, "
+                         f"and P^{d - 1} meets it once d - 1 >= {DEEP_STRATUM_CODIM}")
+    if field.characteristic and field.characteristic < 5:
+        raise ValueError("model field must be Q or F_q with q >= 5")
+    _check_int64(sampling_prime(field), d)
+    check_sampling_budget(CERT_SAMPLES, field)
+    for q in census_qs:
+        _census_points(q, d)
+
+
 def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5)):
     """A certified-generic model, deterministic in the seed.
 
@@ -795,25 +832,13 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5)):
     varieties.  The returned model carries the census strata it was
     certified with (PfaffianModel.census).  Raises ModelCertificateError
     when retries run out, and ValueError, before any census or sampling, for
-    a negative seed, for d >= 11 (the deep stratum has codimension 10 among
-    2-forms, so P^(d-1) always meets it), for a sampling prime too large for
-    exact int64 arithmetic, or for CERT_SAMPLES points beyond the sampler
-    budget (check_sampling_budget); a sampler that runs out of draws during
-    certification raises its own ValueError (sampling_budget_Y2 or _Y1).
+    every request check_model_request refuses; a sampler that runs out of
+    draws during certification raises its own ValueError
+    (sampling_budget_Y2 or _Y1).
     """
-    if seed < 0:
-        raise ValueError(f"seed {seed} is negative: seeds are non-negative integers "
-                         f"(random.Random(-s) draws the model of seed s)")
-    if d - 1 >= DEEP_STRATUM_CODIM:
-        raise ValueError(f"no model at d = {d} is generic: the stratum {{rank <= d - 5}} "
-                         f"has codimension C(5, 2) = {DEEP_STRATUM_CODIM} among 2-forms, "
-                         f"and P^{d - 1} meets it once d - 1 >= {DEEP_STRATUM_CODIM}")
     if field is None:
         field = PrimeField(q)
-    if field.characteristic and field.characteristic < 5:
-        raise ValueError("model field must be Q or F_q with q >= 5")
-    _check_int64(sampling_prime(field), d)
-    check_sampling_budget(CERT_SAMPLES, field)
+    check_model_request(seed, field, d, census_qs)
     rng = random.Random(seed)
     last = ""
     for attempt in range(MODEL_MAX_RETRIES):

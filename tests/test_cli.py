@@ -48,8 +48,9 @@ def test_window_rectangle_is_bounded(monkeypatch):
     is refused with exit 2 before the window pass, and every rectangle the
     tests use is inside the bound.  The default rectangle, the window of
     Gr(2, d), is accepted for every d without validate reading it, so the
-    set-up loads no window layer; a run without the window suite is not
-    bounded."""
+    set-up loads no window layer (from d = 11 on only the window suite
+    runs, since no model is generic there); a run without the window suite
+    is not bounded."""
     passes = []
     monkeypatch.setattr(windows, "exceptional_report",
                         lambda *args, **kwargs: passes.append(args))
@@ -61,7 +62,8 @@ def test_window_rectangle_is_bounded(monkeypatch):
 
     monkeypatch.setattr(windows, "default_bounds", unread)
     for d in range(5, 37, 2):
-        cli.SuiteConfig(d=d).validate()
+        cli.SuiteConfig(d=d, suites=("window",) if d >= 11 else ("window", "geometry", "mf")
+                        ).validate()
     for rect in ((2, 5), (3, 7), (3, 8), (16, 32)):
         window_config(l_bound=rect[0], m_bound=rect[1]).validate()
     assert (16 * 32) ** 2 == cli.WINDOW_MAX_PAIRS
@@ -169,8 +171,8 @@ def test_mf_suite_report_entries(d, ranks, term_ranks, sym_degrees, coker, pairs
 def test_koszul_check_verifies_only_the_toy_by_multiplication(monkeypatch):
     """The koszul_perturb check hands mf_verify only the rank-2 toy; the
     model's K of rank 2^d goes through the Clifford certificate.  The fibre
-    check that follows runs on a real one-point pool; ranks is read when it
-    starts, so every call it counts is the koszul check's."""
+    check that follows it in a serial run takes a real one-point pool; ranks
+    is read when it starts, so every call it counts is the koszul check's."""
     ranks, certified, before_fibre = [], [], []
     real_verify, real_certificate = mf.mf_verify, mf.koszul_certificate
     real_fibre = mf.knorrer_rank_check
@@ -193,6 +195,7 @@ def test_koszul_check_verifies_only_the_toy_by_multiplication(monkeypatch):
     config = cli.SuiteConfig(d=7, suites=("mf",))
     report = cli.Report(config={})
     model = geometry.random_model(1, d=7)
+    cli.run_koszul_check(config, report, model)
     cli.run_fibre_check(config, report, model, geometry.sample_y2_points(model, 1, seed=1))
     checks = {c["check_name"]: c for c in report.checks}
     assert checks["mf.koszul_perturb"]["verdict"] == "pass"
@@ -472,6 +475,8 @@ def test_certification_shortfall_is_refused(monkeypatch, capsys):
     assert cli.main(["mf", "--d", "5", "--q", "100003", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert "sampling_budget_Y1: the sampler found 4 of 5" in err and not out
+    # the refusal came after the fork: the worker was killed and reaped
+    _no_child_left()
 
 
 def test_sampling_prime_is_one_policy():
@@ -752,27 +757,32 @@ def test_rank_parity_failure_arrives_from_the_worker(monkeypatch):
 
 def test_worker_runs_the_window_suite_four_mf_checks_and_rank_parity(monkeypatch):
     """The forked worker's report holds exactly the six window checks, the
-    four mf checks that build their own objects and geometry.rank_parity,
-    whose sampler never runs in the caller."""
+    four mf checks that build their own objects, geometry.rank_parity and
+    mf.koszul_perturb, whose sampler and model factorization never run in
+    the caller."""
     caller = os.getpid()
-    real_parity = geometry.rank_parity_sample
 
-    def parity_in_the_worker(*args, **kwargs):
-        assert os.getpid() != caller, "rank_parity_sample ran in the caller"
-        return real_parity(*args, **kwargs)
+    def in_the_worker(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            assert os.getpid() != caller, f"{name} ran in the caller"
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
 
     real_worker = cli._worker
     returned = []
 
     @contextmanager
     def recording(fn):
-        with real_worker(fn) as join:
+        with real_worker(fn) as (send, join):
             def recorded_join():
                 returned.append(join())
                 return returned[-1]
-            yield recorded_join
+            yield send, recorded_join
 
-    monkeypatch.setattr(geometry, "rank_parity_sample", parity_in_the_worker)
+    in_the_worker(geometry, "rank_parity_sample")
+    in_the_worker(mf, "model_koszul_pairs")
     monkeypatch.setattr(cli, "_worker", recording)
     report = cli.run(cli.SuiteConfig(d=5, samples=20))
     assert report.passed
@@ -780,8 +790,84 @@ def test_worker_runs_the_window_suite_four_mf_checks_and_rank_parity(monkeypatch
     assert [c["check_name"] for c in worker.checks] == [
         name for name in SERIAL_ORDER if name.startswith("window.")] + [
         "mf.knorrer_base", "mf.stabilization_contractible",
-        "mf.determinantal_resolution", "mf.knorrer_tensor_law", "geometry.rank_parity"]
+        "mf.determinantal_resolution", "mf.knorrer_tensor_law", "geometry.rank_parity",
+        "mf.koszul_perturb"]
     assert list(worker.shared) == ["window"]
+    _no_child_left()
+
+
+def test_all_forks_before_the_model_and_sends_the_worker_its_model(monkeypatch, tmp_path):
+    """`pfgr all` forks before geometry.random_model runs, and the worker's
+    rank_parity and koszul_perturb read the caller's sampling model: the
+    same d, A, seed and field.  The worker's spies leave the model they were
+    given in files, which outlive the worker."""
+    events, caller_models = [], []
+    real_fork, real_model = os.fork, geometry.random_model
+    real_parity, real_pairs = geometry.rank_parity_sample, mf.model_koszul_pairs
+
+    def fork():
+        events.append("fork")
+        return real_fork()
+
+    def random_model(*args, **kwargs):
+        events.append("random_model")
+        caller_models.append(real_model(*args, **kwargs))
+        return caller_models[-1]
+
+    def leave(name, model):
+        (tmp_path / name).write_text(geometry.model_to_json(model))
+
+    def parity(model, *args, **kwargs):
+        leave("parity.json", model)
+        return real_parity(model, *args, **kwargs)
+
+    def pairs(model):
+        leave("koszul.json", model)
+        return real_pairs(model)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(geometry, "random_model", random_model)
+    monkeypatch.setattr(geometry, "rank_parity_sample", parity)
+    monkeypatch.setattr(mf, "model_koszul_pairs", pairs)
+    report = cli.run(cli.SuiteConfig(d=5, samples=20, field="QQ", seed=3))
+    assert report.passed
+    assert events == ["fork", "random_model"]
+    (model,) = caller_models
+    work = geometry.sampling_model(model)
+    for name in ("parity.json", "koszul.json"):
+        got = geometry.model_from_json((tmp_path / name).read_text())
+        assert (got.d, got.A, got.seed, got.field) == (work.d, work.A, work.seed, work.field)
+        assert got.field == PrimeField(101)
+    _no_child_left()
+
+
+def test_worker_error_is_not_hidden_by_the_model_pipe(monkeypatch):
+    """A worker that fails before the model is sent has closed its end of
+    the model pipe.  The caller's certificate here waits, without reaping
+    it, until the worker has exited; sending the model then meets a closed
+    pipe, and the run raises the worker's own error, not BrokenPipeError."""
+    pids = []
+    real_fork, real_model = os.fork, geometry.random_model
+
+    def fork():
+        pids.append(real_fork())
+        return pids[-1]
+
+    def window_broke(*args, **kwargs):
+        raise WorkerFailure("window pass broke")
+
+    def after_the_worker(*args, **kwargs):
+        (pid,) = pids
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return real_model(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(windows, "exceptional_report", window_broke)
+    monkeypatch.setattr(geometry, "random_model", after_the_worker)
+    with pytest.raises(WorkerFailure, match="window pass broke") as raised:
+        cli.run(cli.SuiteConfig(d=5, samples=20))
+    assert "in the forked worker" in str(raised.value.__cause__)
+    assert "run_window_suite" in str(raised.value.__cause__)
     _no_child_left()
 
 
@@ -796,14 +882,40 @@ def test_refused_runs_never_fork(monkeypatch):
     assert cli.main(["mf", "--d", "11"]) == 2
 
 
+def test_every_model_refusal_comes_before_the_fork(monkeypatch, capsys):
+    """geometry.check_model_request holds every refusal random_model makes
+    up front, and validate applies it for the geometry and mf suites: each
+    of these exits 2 with no fork and no census."""
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(geometry, "rank_census", lambda *args: pytest.fail("census ranked"))
+    refusals = {("--seed", "-1"): "negative", ("--d", "11"): "generic",
+                ("--q", "3"): "q >= 5", ("--q", "2147483647"): "int64",
+                ("--q", "1000003"): "sampler budget",
+                ("--d", "9", "--census-q", "11"): "census bound"}
+    for args, reason in refusals.items():
+        for command in ("all", "mf"):
+            assert cli.main([command, *args]) == 2
+            assert reason in capsys.readouterr().err
+            with pytest.raises(ValueError, match=reason):
+                config = cli.config_from_args(cli.build_parser().parse_args([command, *args]))
+                geometry.random_model(config.seed, field=config.make_field(), d=config.d,
+                                      census_qs=config.census_qs)
+
+
 def test_one_sided_runs_do_not_fork(monkeypatch):
-    """Window-only and geometry-only runs, and a run whose model failed its
-    certificate, have work on one side only and stay in one process."""
+    """Window-only and geometry-only runs have work on one side only and
+    stay in one process."""
     _forbid_fork(monkeypatch)
     assert cli.run(window_config()).passed
     assert cli.run(cli.SuiteConfig(d=5, samples=5, census_qs=(2, 3),
                                    suites=("geometry",))).passed
 
+
+def test_uncertified_run_reports_the_window_checks(monkeypatch):
+    """A run whose model failed its certificate has forked already, since
+    the worker starts before the certificate.  The caller sends no model,
+    the worker drops its mf records, and the report holds the failed
+    certificate and the six window checks, as a serial run's would."""
     def uncertified(*args, **kwargs):
         raise geometry.ModelCertificateError("no certified model")
 
@@ -812,6 +924,25 @@ def test_one_sided_runs_do_not_fork(monkeypatch):
     names = [c["check_name"] for c in report.checks]
     assert names == SERIAL_ORDER[:7]
     assert report.checks[0]["verdict"] == "fail"
+    assert set(report.timings) == {"geometry.model_certificates"}
+    assert list(report.shared) == ["window"]
+    _no_child_left()
+
+
+def test_halves_tool_times_both_halves():
+    """tools/halves.py runs `pfgr all --d 5` once through its wrapper of
+    cli._worker and prints every mark, in the order the run makes them."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "halves.py"), "--runs", "1", str(root),
+         "--", "all", "--d", "5"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    medians = done.stdout.splitlines()[-1].split()
+    marks = dict(zip(medians[1::2], map(float, medians[2::2])))
+    assert list(marks) == ["fork", "sent", "caller", "worker", "exit"]
+    assert marks["fork"] < marks["sent"] < marks["caller"] < marks["exit"]
+    assert marks["fork"] < marks["worker"] < marks["exit"]
 
 
 def test_perfbench_trace_child_runs_beside_the_worker(tmp_path):

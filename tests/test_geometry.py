@@ -534,6 +534,19 @@ def test_quadratic_form_symmetry_and_value(model):
         quadratic_form_matrix(replace(model, field=PrimeField(2)), ps[0])
 
 
+def test_quadratic_form_matrix_fills_a_reused_stack(model):
+    """With out, the matrices are written into the given stack, which is
+    returned: a stack filled twice, by two draws of different sizes, holds
+    the second draw's matrices in its leading rows, as a new stack would."""
+    rng = np.random.default_rng(7)
+    out = np.zeros((6, 14, 14), dtype=np.int64)
+    for n in (6, 4):
+        ps = rng.integers(0, 101, size=(n, 7))
+        got = quadratic_form_matrix(model, ps, out=out[:n])
+        assert got.base is out
+        assert (out[:n] == quadratic_form_matrix(model, ps)).all()
+
+
 def test_model_path_leaves_numpy_ma_unimported():
     """numpy.ma costs about 11 ms to import, and only np.isin's first call
     needs it: certifying a model must not get there."""

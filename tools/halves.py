@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Time the two forked halves of `pfgr all` in one or two checkouts.
+
+Usage:
+    python3 tools/halves.py [--runs N] CHECKOUT [CHECKOUT] [-- PFGR-ARGS...]
+
+Runs `pfgr PFGR-ARGS` (default: `all`, at the defaults) N times per
+checkout (default 10), one process at a time, alternating between the
+checkouts when two are given, the first one first in even-numbered rounds.
+Each checkout first runs once untimed, so its byte-code is cached.  Each run
+takes the program from CHECKOUT/src and prints, in milliseconds after the
+process was launched:
+
+    fork    when the caller forks its worker,
+    sent    when the caller has sent the worker its model (checkouts whose
+            worker takes no model print "-"),
+    caller  when the caller's half ends and it starts to wait for the worker,
+    worker  when the worker's half ends, before it pickles its records,
+    exit    when the process has exited,
+
+then each checkout's medians.  The program is not modified: as
+perfbench/trace_child.py does, the run goes through this file, which wraps
+`pfgr.cli._worker` from outside before it calls `pfgr.cli.main`.  Launch and
+marks are read from one clock, time.monotonic, in both processes.  A run
+that does not fork (a window-only or geometry-only selection) prints "-" in
+the columns it has no mark for.
+"""
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+MARKS = ("fork", "sent", "caller", "worker")
+PREFIX = "halves-mark"
+
+
+def _mark(name):
+    # one write per mark: the worker writes its own before it exits
+    os.write(2, f"{PREFIX} {name} {time.monotonic()!r}\n".encode())
+
+
+def child(argv):
+    """Run pfgr's command line with the worker's marks; its exit code."""
+    from pfgr import cli
+
+    real = cli._worker
+
+    @contextmanager
+    def timed_worker(fn):
+        def timed_fn(*args):
+            value = fn(*args)
+            _mark("worker")
+            return value
+
+        def timed_send(text):
+            send(text)
+            _mark("sent")
+
+        def timed_join():
+            _mark("caller")
+            return join()
+
+        _mark("fork")
+        with real(timed_fn) as handles:
+            if callable(handles):  # a worker that takes no model yields join alone
+                join = handles
+                yield timed_join
+            else:
+                send, join = handles
+                yield timed_send, timed_join
+
+    cli._worker = timed_worker
+    return cli.main(argv)
+
+
+def run_once(checkout, pfgr_args):
+    """One timed run: {mark: ms after launch}, 'exit' included; a run that
+    exits with neither 0 (pass) nor 1 (a failed check) stops the tool."""
+    env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", "--", *pfgr_args]
+    launched = time.monotonic()
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    _, err = proc.communicate()
+    ended = time.monotonic()
+    marks = {"exit": (ended - launched) * 1e3}
+    for line in err.splitlines():
+        if line.startswith(PREFIX + " "):
+            _, name, value = line.split()
+            marks[name] = (float(value) - launched) * 1e3
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"{checkout}: pfgr {' '.join(pfgr_args)} exited "
+                         f"{proc.returncode}\n{err}")
+    return marks
+
+
+def _cell(value):
+    return "-" if value is None else f"{value:.1f}"
+
+
+def main(argv):
+    if argv[:1] == ["--child"]:
+        return child(argv[2:] if argv[1:2] == ["--"] else argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("checkouts", nargs="+", type=Path)
+    split = argv.index("--") if "--" in argv else len(argv)
+    args = parser.parse_args(argv[:split])
+    pfgr_args = argv[split + 1:] or ["all"]
+    if len(args.checkouts) > 2 or args.runs < 1:
+        parser.error("give one or two checkouts and at least one run")
+    for checkout in args.checkouts:
+        run_once(checkout, pfgr_args)
+    results = {c: [] for c in args.checkouts}
+    columns = MARKS + ("exit",)
+    print("run checkout " + " ".join(f"{c:>7}" for c in columns))
+    for i in range(args.runs):
+        order = args.checkouts if i % 2 == 0 else args.checkouts[::-1]
+        for checkout in order:
+            marks = run_once(checkout, pfgr_args)
+            results[checkout].append(marks)
+            print(f"{i:3} {checkout} " + " ".join(f"{_cell(marks.get(c)):>7}" for c in columns))
+    print(f"medians of {args.runs} runs, ms after launch (pfgr {' '.join(pfgr_args)})")
+    for checkout, runs in results.items():
+        medians = {c: statistics.median(r[c] for r in runs) if all(c in r for r in runs)
+                   else None for c in columns}
+        print(f"    {checkout} " + " ".join(f"{c} {_cell(medians[c])}" for c in columns))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
