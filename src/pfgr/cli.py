@@ -11,18 +11,19 @@ of the pool that draw_pool takes right after the model.
 
 A run validates its config before anything else, so every refusal, the
 model's included (geometry.check_model_request), comes before any other
-work.  A run with the window or mf suite beside the model then forks one
-worker before the model is certified, and the checks split in two halves
-that share no input but the config and the certified model:
+work.  Every run that builds a model, that is every run with the geometry
+or mf suite, then forks one worker before the model is certified, and the
+checks split in two halves that share no input but the config and the
+certified model:
 
 - in the calling process: the model certificate (geometry.random_model),
   then the pool and every check that reads it, that is the geometry suite
   but rank_parity, and mf.knorrer_fibre (at a pool point);
-- in the worker: the window suite and the four mf checks that build their
-  own objects over Q, while the caller certifies; then, on the certified
-  sampling model that the caller sends it, geometry.rank_parity
-  (run_parity_check) and mf.koszul_perturb (run_koszul_check), the two
-  checks that read the model but no pool.
+- in the worker: whichever of the window suite and the four mf checks that
+  build their own objects over Q were selected, while the caller
+  certifies; then, on the certified sampling model that the caller sends
+  it, geometry.rank_parity (run_parity_check) and mf.koszul_perturb
+  (run_koszul_check), the two checks that read the model but no pool.
 
 The model goes to the worker as geometry.model_to_json text over a second
 pipe: the census strata on the model are read-only mappings, which do not
@@ -40,9 +41,8 @@ The worker pickles its records, timings and shared lines back over a pipe,
 and run merges them into the serial order (_report_order), so the report is
 the one a serial run gives: each check seeds its own random stream from
 config.seed, the halves share no mutable state, and the merge order is
-fixed.  A run forks only when the window or mf suite runs beside the model,
-so window-only and geometry-only runs stay in one process.  This needs
-POSIX fork.
+fixed.  Only a window-only run, which builds no model, stays in one
+process.  This needs POSIX fork.
 
 Layers load on first use (pfgr/__init__): importing this module runs only
 fields, poly and the standard library.  A window-only run then loads reps,
@@ -85,6 +85,13 @@ MF_MAX_TRUNC = 14
 # bounded here (d = 31: 216,225 pairs, 0.65 s)
 WINDOW_MAX_PAIRS = 2 ** 18
 
+# the largest dp_cutoff the window suite accepts; a window run grows about
+# linearly in it.  On a 2-vCPU box (cutoff: seconds, peak RSS): --d 31, 12:
+# 1.4 s; 256: 6.9 s, 53 MiB; 1,000: 31 s.  --d 5 --rect 16,32, the largest
+# rectangle: 12: 2.5 s; 256: 6.5 s, 73 MiB; 1,000: 19.7 s.  --d 7, 200,000:
+# 60 s.  256 keeps these below the 10 s of the other bounds
+WINDOW_MAX_DP_CUTOFF = 256
+
 
 @dataclass
 class SuiteConfig:
@@ -120,6 +127,10 @@ class SuiteConfig:
         if "window" in self.suites and self.dx_cutoff > reps.PLETHYSM_CUTOFF:
             raise ValueError(f"dx_cutoff {self.dx_cutoff} exceeds the plethysm cutoff "
                              f"{reps.PLETHYSM_CUTOFF} of the window suite")
+        if "window" in self.suites and self.dp_cutoff > WINDOW_MAX_DP_CUTOFF:
+            raise ValueError(f"dp_cutoff {self.dp_cutoff} exceeds the window suite's bound "
+                             f"of {WINDOW_MAX_DP_CUTOFF} (about 7 s; the cost grows about "
+                             f"linearly in it)")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative: seeds are non-negative "
                              f"integers (random.Random(-s) draws the model of seed s)")
@@ -566,10 +577,10 @@ def _worker(fn):
 
 
 def run(config):
-    """Execute the selected suites and return the report.  A run with the
-    window or mf suite beside the model forks one worker before the model
-    is certified and sends it the certified sampling model; see the module
-    docstring for the split, why it falls there and when a run forks."""
+    """Execute the selected suites and return the report.  A run that
+    builds a model forks one worker before the model is certified and sends
+    it the certified sampling model; see the module docstring for the split
+    and why it falls there."""
     config.validate()
     report = Report(config=dict(sorted(asdict(config).items())))
     if "geometry" not in config.suites and "mf" not in config.suites:
@@ -598,19 +609,6 @@ def run(config):
                    {"field": repr(model.field)}, time.perf_counter() - t0)
         return geometry.sampling_model(model)
 
-    def model_bound(part, work):
-        pool, planes = draw_pool(config, work, part)
-        if "geometry" in config.suites:
-            run_geometry_suite(config, part, work, pool, planes)
-        if "mf" in config.suites:
-            run_fibre_check(config, part, work, pool)
-
-    def poolless(part, work):
-        if "geometry" in config.suites:
-            run_parity_check(config, part, work)
-        if "mf" in config.suites:
-            run_koszul_check(config, part, work)
-
     def beside(receive):
         part = Report(config=report.config)
         if "window" in config.suites:
@@ -619,28 +617,30 @@ def run(config):
             run_mf_suite(config, part)
         text = receive()
         if not text:
-            # no certified model: keep the window records alone, as a serial
-            # run never starts the mf suite without a model
+            # no certified model: keep the window records alone, as no mf
+            # check is reported without a model
             window = [c for c in part.checks if c["check_name"].startswith("window.")]
             return Report(config=part.config, checks=window, shared=part.shared)
-        poolless(part, geometry.model_from_json(text))
+        work = geometry.model_from_json(text)
+        if "geometry" in config.suites:
+            run_parity_check(config, part, work)
+        if "mf" in config.suites:
+            run_koszul_check(config, part, work)
         return part
 
-    bound, free = Report(config=report.config), Report(config=report.config)
-    if "window" not in config.suites and "mf" not in config.suites:
+    bound = Report(config=report.config)
+    with _worker(beside) as (send, join):
         work = certify()
+        # model_to_json, not pickle: the census strata are read-only
+        # mappings, and the worker's checks never read them
+        send(geometry.model_to_json(work) if work else "")
         if work:
-            model_bound(bound, work)
-            poolless(free, work)
-    else:
-        with _worker(beside) as (send, join):
-            work = certify()
-            # model_to_json, not pickle: the census strata are read-only
-            # mappings, and the worker's checks never read them
-            send(geometry.model_to_json(work) if work else "")
-            if work:
-                model_bound(bound, work)
-            free = join()
+            pool, planes = draw_pool(config, work, bound)
+            if "geometry" in config.suites:
+                run_geometry_suite(config, bound, work, pool, planes)
+            if "mf" in config.suites:
+                run_fibre_check(config, bound, work, pool)
+        free = join()
     report.checks += sorted(bound.checks + free.checks, key=_report_order)
     report.timings.update(bound.timings | free.timings)
     report.shared.update(bound.shared | free.shared)  # the pool line, then the window line

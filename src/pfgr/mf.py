@@ -80,21 +80,26 @@ def _exact_system(field, shape, entries):
 EN_PRIME = 32003
 
 
-def _stacks(systems, p):
-    """{shape: (positions, (N, m, n) int64 stack mod p)} of sparse integer
-    matrices (shape, [(row, col, value)]); matrices without entries, of
-    rank 0, are left out."""
+def _stacks(systems, p, *, padded):
+    """[(positions, (N, m, n) int64 stack mod p)] of sparse integer matrices
+    (shape, [(row, col, value)]); matrices without entries, of rank 0, are
+    left out.  A stack holds the matrices of one shape or, when padded, of
+    every shape whose rows and columns round up to the same powers of two,
+    at the largest rows and columns among them: each matrix fills the top
+    left corner of its slot, and its slot is zero beyond it."""
     groups = {}
     for i, (shape, entries) in enumerate(systems):
         if entries:
-            groups.setdefault(shape, []).append(i)
-    out = {}
-    for (m, n), idx in groups.items():
+            key = tuple(1 << (k - 1).bit_length() for k in shape) if padded else shape
+            groups.setdefault(key, []).append(i)
+    out = []
+    for idx in groups.values():
+        m, n = (max(sizes) for sizes in zip(*(systems[i][0] for i in idx)))
         flat = np.array([(k, r, col, v % p) for k, i in enumerate(idx)
                          for r, col, v in systems[i][1]], dtype=np.int64)
         mats = np.zeros((len(idx), m, n), dtype=np.int64)
         np.add.at(mats, tuple(flat[:, :3].T), flat[:, 3])
-        out[m, n] = idx, mats % p
+        out.append((idx, mats % p))
     return out
 
 
@@ -153,17 +158,16 @@ def _in_kernel(nrows, entries, K, p):
 
 def _ranks(field, systems):
     """Ranks over the field of sparse matrices (shape, [(row, col, value)]),
-    stacked by shape mod p (_modular).
+    stacked mod p (_modular, _stacks).
 
     Over F_q the ranks are exact.  The shapes whose rows and columns round
-    up to the same powers of two form one group, whose matrices are padded
-    with zero rows and columns to the group's largest rows and columns and
-    ranked by one modq.batch_rank, so many small shapes share one
-    elimination and a shape alone in its group is ranked as it is.  Padding
-    keeps the rank: a nonzero minor of the padded matrix has no zero row or
-    column, so it is a minor of the matrix.  Over Q each shape is reduced
-    unpadded by one modq.rref mod p = EN_PRIME, whose forms the certificate
-    reads.
+    up to the same powers of two share one stack, padded with zero rows and
+    columns to the group's largest rows and columns and ranked by one
+    modq.batch_rank, so many small shapes share one elimination and a shape
+    alone in its group is ranked as it is.  Padding keeps the rank: a
+    nonzero minor of the padded matrix has no zero row or column, so it is
+    a minor of the matrix.  Over Q each shape is reduced unpadded by one
+    modq.rref mod p = EN_PRIME, whose forms the certificate reads.
     Soundness: rank mod p <= rank over Q, since a minor nonzero mod p is
     nonzero over Z.  The reduced form mod p gives n - r_p kernel vectors with
     an identity block on the free columns; reconstruction keeps 0 and 1, so
@@ -175,23 +179,12 @@ def _ranks(field, systems):
     """
     p, ints = _modular(field, systems)
     ranks = [0] * len(systems)
-    stacks = _stacks(ints, p)
     if field.characteristic:
-        groups = {}  # the stacks whose shapes round up to the same powers of two
-        for (m, n), part in stacks.items():
-            rounded = 1 << (m - 1).bit_length(), 1 << (n - 1).bit_length()
-            groups.setdefault(rounded, []).append(part)
-        for group in groups.values():
-            m = max(part.shape[1] for _, part in group)
-            n = max(part.shape[2] for _, part in group)
-            mats = group[0][1] if len(group) == 1 else np.concatenate(
-                [np.pad(part, ((0, 0), (0, m - part.shape[1]), (0, n - part.shape[2])))
-                 for _, part in group])
-            positions = [i for idx, _ in group for i in idx]
-            for i, r in zip(positions, modq.batch_rank(mats, p)):
+        for idx, mats in _stacks(ints, p, padded=True):
+            for i, r in zip(idx, modq.batch_rank(mats, p)):
                 ranks[i] = int(r)
         return ranks
-    for idx, mats in stacks.values():
+    for idx, mats in _stacks(ints, p, padded=False):
         R, rp, pivots = modq.rref(mats, p)
         kernels = np.split(modq.kernels(R, pivots, p), np.cumsum(mats.shape[2] - rp)[:-1])
         for i, r, K in zip(idx, rp, kernels):

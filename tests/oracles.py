@@ -632,7 +632,7 @@ def _solutions(field, systems):
                  for (m, n), entries, vec in systems]
     p, ints = _modular(field, augmented)
     out = [[field.zero] * n for (_, n), *_ in systems]
-    for idx, aug in _stacks(ints, p).values():
+    for idx, aug in _stacks(ints, p, padded=False):
         for i, x in zip(idx, modq.solve(aug[:, :, :-1], aug[:, :, -1], p)):
             (m, _), rows = ints[i]
             if field.characteristic:
@@ -922,7 +922,7 @@ def ranks_unpadded(field, systems):
     distinct shape of the sparse systems (shape, [(row, col, value)])."""
     q = field.characteristic
     ranks = [0] * len(systems)
-    for idx, mats in _stacks(systems, q).values():
+    for idx, mats in _stacks(systems, q, padded=False):
         for i, r in zip(idx, modq.batch_rank(mats, q)):
             ranks[i] = int(r)
     return ranks

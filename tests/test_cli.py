@@ -72,6 +72,26 @@ def test_window_rectangle_is_bounded(monkeypatch):
     cli.SuiteConfig(l_bound=30, m_bound=60, suites=("geometry",)).validate()
 
 
+def test_window_dp_cutoff_is_bounded(monkeypatch):
+    """A dp_cutoff above WINDOW_MAX_DP_CUTOFF is refused with exit 2 before
+    the window pass or any fork, 12 and every cutoff the tests use are
+    inside the bound, and a run without the window suite is not bounded."""
+    passes = []
+    monkeypatch.setattr(windows, "exceptional_report",
+                        lambda *args, **kwargs: passes.append(args))
+    _forbid_fork(monkeypatch)
+    over = str(cli.WINDOW_MAX_DP_CUTOFF + 1)
+    for command in ("window", "all"):
+        assert cli.main([command, "--d", "5", "--dp-cutoff", over]) == 2
+    assert cli.main(["window", "--d", "5", "--dp-cutoff", "100000000"]) == 2
+    assert not passes
+    for cutoff in (2, 3, 4, 12, cli.WINDOW_MAX_DP_CUTOFF):
+        window_config(dp_cutoff=cutoff).validate()
+    with pytest.raises(ValueError, match="dp_cutoff .* exceeds"):
+        window_config(dp_cutoff=cli.WINDOW_MAX_DP_CUTOFF + 1).validate()
+    cli.SuiteConfig(dp_cutoff=10 ** 8, suites=("geometry", "mf")).validate()
+
+
 def test_truncation_below_two_is_refused():
     # below 2 the charge window trunc - 2 + min base is empty for the base
     # object, so a truncation below 2 is refused before any suite runs
@@ -903,19 +923,57 @@ def test_every_model_refusal_comes_before_the_fork(monkeypatch, capsys):
 
 
 def test_one_sided_runs_do_not_fork(monkeypatch):
-    """Window-only and geometry-only runs have work on one side only and
-    stay in one process."""
+    """A window-only run builds no model and stays in one process."""
     _forbid_fork(monkeypatch)
     assert cli.run(window_config()).passed
-    assert cli.run(cli.SuiteConfig(d=5, samples=5, census_qs=(2, 3),
-                                   suites=("geometry",))).passed
+
+
+def test_geometry_only_run_forks_once(monkeypatch, tmp_path):
+    """A geometry-only run takes the one forked path of every run that
+    builds a model: os.fork is called once, rank_parity samples in the
+    worker while the pool and the critical sweep run in the caller, and the
+    report lists the geometry checks in the serial order.  The spies leave
+    their pids in a file, which outlives the worker."""
+    caller, children = os.getpid(), []
+    real_fork = os.fork
+    log = tmp_path / "pids"
+
+    def fork():
+        children.append(real_fork())
+        return children[-1]
+
+    def spy(name):
+        real = getattr(geometry, name)
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, logged)
+
+    for name in ("rank_parity_sample", "sample_y2_points", "critical_equivalence_sweep"):
+        spy(name)
+    monkeypatch.setattr(os, "fork", fork)
+    report = cli.run(cli.SuiteConfig(d=5, samples=5, census_qs=(2, 3), suites=("geometry",)))
+    assert report.passed
+    (worker,) = children
+    ran = {}
+    for line in log.read_text().splitlines():
+        name, pid = line.split()
+        ran.setdefault(name, set()).add(int(pid))
+    assert ran == {"rank_parity_sample": {worker}, "sample_y2_points": {caller},
+                   "critical_equivalence_sweep": {caller}}
+    assert [c["check_name"] for c in report.checks] == [
+        name for name in SERIAL_ORDER if name.split(".")[0] == "geometry"]
+    _no_child_left()
 
 
 def test_uncertified_run_reports_the_window_checks(monkeypatch):
     """A run whose model failed its certificate has forked already, since
     the worker starts before the certificate.  The caller sends no model,
     the worker drops its mf records, and the report holds the failed
-    certificate and the six window checks, as a serial run's would."""
+    certificate and the six window checks, as a serial run's would, or the
+    failed certificate alone when the geometry suite runs by itself."""
     def uncertified(*args, **kwargs):
         raise geometry.ModelCertificateError("no certified model")
 
@@ -927,22 +985,30 @@ def test_uncertified_run_reports_the_window_checks(monkeypatch):
     assert set(report.timings) == {"geometry.model_certificates"}
     assert list(report.shared) == ["window"]
     _no_child_left()
+    # a geometry-only run forks too; its report holds the failed certificate alone
+    report = cli.run(window_config(suites=("geometry",)))
+    assert [c["check_name"] for c in report.checks] == ["geometry.model_certificates"]
+    assert report.checks[0]["verdict"] == "fail"
+    assert set(report.timings) == {"geometry.model_certificates"} and not report.shared
+    _no_child_left()
 
 
 def test_halves_tool_times_both_halves():
-    """tools/halves.py runs `pfgr all --d 5` once through its wrapper of
-    cli._worker and prints every mark, in the order the run makes them."""
+    """tools/halves.py runs `pfgr all --d 5` and `pfgr geometry --d 5` once
+    each through its wrapper of cli._worker and prints every mark, in the
+    order the run makes them."""
     root = Path(__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, str(root / "tools" / "halves.py"), "--runs", "1", str(root),
-         "--", "all", "--d", "5"],
-        capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    medians = done.stdout.splitlines()[-1].split()
-    marks = dict(zip(medians[1::2], map(float, medians[2::2])))
-    assert list(marks) == ["fork", "sent", "caller", "worker", "exit"]
-    assert marks["fork"] < marks["sent"] < marks["caller"] < marks["exit"]
-    assert marks["fork"] < marks["worker"] < marks["exit"]
+    for command in ("all", "geometry"):
+        done = subprocess.run(
+            [sys.executable, str(root / "tools" / "halves.py"), "--runs", "1", str(root),
+             "--", command, "--d", "5"],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        medians = done.stdout.splitlines()[-1].split()
+        marks = dict(zip(medians[1::2], map(float, medians[2::2])))
+        assert list(marks) == ["fork", "sent", "caller", "worker", "exit"]
+        assert marks["fork"] < marks["sent"] < marks["caller"] < marks["exit"]
+        assert marks["fork"] < marks["worker"] < marks["exit"]
 
 
 def test_perfbench_trace_child_runs_beside_the_worker(tmp_path):

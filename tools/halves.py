@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the two forked halves of `pfgr all` in one or two checkouts.
+"""Time the two forked halves of a pfgr run in one or two checkouts.
 
 Usage:
     python3 tools/halves.py [--runs N] CHECKOUT [CHECKOUT] [-- PFGR-ARGS...]
@@ -12,8 +12,7 @@ takes the program from CHECKOUT/src and prints, in milliseconds after the
 process was launched:
 
     fork    when the caller forks its worker,
-    sent    when the caller has sent the worker its model (checkouts whose
-            worker takes no model print "-"),
+    sent    when the caller has sent the worker its model,
     caller  when the caller's half ends and it starts to wait for the worker,
     worker  when the worker's half ends, before it pickles its records,
     exit    when the process has exited,
@@ -22,7 +21,7 @@ then each checkout's medians.  The program is not modified: as
 perfbench/trace_child.py does, the run goes through this file, which wraps
 `pfgr.cli._worker` from outside before it calls `pfgr.cli.main`.  Launch and
 marks are read from one clock, time.monotonic, in both processes.  A run
-that does not fork (a window-only or geometry-only selection) prints "-" in
+that does not fork, which only a window-only selection does, prints "-" in
 the columns it has no mark for.
 """
 
@@ -66,13 +65,8 @@ def child(argv):
             return join()
 
         _mark("fork")
-        with real(timed_fn) as handles:
-            if callable(handles):  # a worker that takes no model yields join alone
-                join = handles
-                yield timed_join
-            else:
-                send, join = handles
-                yield timed_send, timed_join
+        with real(timed_fn) as (send, join):
+            yield timed_send, timed_join
 
     cli._worker = timed_worker
     return cli.main(argv)
