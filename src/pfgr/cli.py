@@ -63,7 +63,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
-from . import geometry, mf, reps, windows
+from . import geometry, mf, windows
 from .fields import QQ, PrimeField
 from .poly import PolyRing
 
@@ -77,12 +77,12 @@ SCHEMA_VERSION = 1
 # trunc 100 ran out of memory
 MF_MAX_TRUNC = 14
 
-# the most ordered bundle pairs a --rect rectangle may give the window suite,
-# (L M)^2 for L x M.  On a 2-vCPU box: --d 5 --rect 16,32, at the bound,
-# 0.9 s; --d 9 --rect 12,40, 230,400 pairs, 0.6 s; the report alone on the
-# 3.24 million pairs of --d 5 --rect 30,60, 8.2 s at a 198 MiB peak.  The
-# default rectangle is the window of Gr(2, d), fixed by d, and is not
-# bounded here (d = 31: 216,225 pairs, 0.65 s)
+# the most ordered bundle pairs the window suite's rectangle, given by --rect
+# or the default of d, may hold: (L M)^2 for L x M.  On a 2-vCPU box: --d 5
+# --rect 16,32, at the bound, 0.9 s; --d 9 --rect 12,40, 230,400 pairs,
+# 0.6 s; --d 5 --rect 30,60, 3.24 million pairs, the report alone 8.2 s at a
+# 198 MiB peak.  The default fits up to d = 31 (216,225 pairs, 0.78 s,
+# 25 MiB); --d 51 took 6.4 s and --d 81 39 s at a 181 MiB peak
 WINDOW_MAX_PAIRS = 2 ** 18
 
 # the largest dp_cutoff the window suite accepts; a window run grows about
@@ -91,6 +91,11 @@ WINDOW_MAX_PAIRS = 2 ** 18
 # rectangle: 12: 2.5 s; 256: 6.5 s, 73 MiB; 1,000: 19.7 s.  --d 7, 200,000:
 # 60 s.  256 keeps these below the 10 s of the other bounds
 WINDOW_MAX_DP_CUTOFF = 256
+
+# the largest dx_cutoff the window suite accepts; a window run grows about
+# quadratically in it.  In process on a 2-vCPU box: --d 31 at 24, 1.3 s; 64,
+# 3.8 s; 256, 43 s.  --d 5 --rect 16,32 at 24, 1.7 s; 256, 48 s
+WINDOW_MAX_DX_CUTOFF = 24
 
 
 @dataclass
@@ -124,9 +129,9 @@ class SuiteConfig:
             PrimeField(self.q)
         if min(self.dp_cutoff, self.dx_cutoff, self.samples) < 1:
             raise ValueError("cutoffs and sample counts must be positive")
-        if "window" in self.suites and self.dx_cutoff > reps.PLETHYSM_CUTOFF:
-            raise ValueError(f"dx_cutoff {self.dx_cutoff} exceeds the plethysm cutoff "
-                             f"{reps.PLETHYSM_CUTOFF} of the window suite")
+        if "window" in self.suites and self.dx_cutoff > WINDOW_MAX_DX_CUTOFF:
+            raise ValueError(f"dx_cutoff {self.dx_cutoff} exceeds the window suite's bound "
+                             f"of {WINDOW_MAX_DX_CUTOFF} (the cost grows quadratically)")
         if "window" in self.suites and self.dp_cutoff > WINDOW_MAX_DP_CUTOFF:
             raise ValueError(f"dp_cutoff {self.dp_cutoff} exceeds the window suite's bound "
                              f"of {WINDOW_MAX_DP_CUTOFF} (about 7 s; the cost grows about "
@@ -151,9 +156,10 @@ class SuiteConfig:
             raise ValueError(f"unknown suites: {sorted(bad)}")
         if (self.l_bound, self.m_bound) != (0, 0) and min(self.l_bound, self.m_bound) < 1:
             raise ValueError("rectangle bounds must be both 0 (the default) or both positive")
-        pairs = (self.l_bound * self.m_bound) ** 2
+        l_bound, m_bound = self.rectangle()
+        pairs = (l_bound * m_bound) ** 2
         if "window" in self.suites and pairs > WINDOW_MAX_PAIRS:
-            raise ValueError(f"the {self.l_bound} x {self.m_bound} window rectangle has "
+            raise ValueError(f"the {l_bound} x {m_bound} window rectangle has "
                              f"{pairs} ordered bundle pairs, more than the window "
                              f"suite's bound of {WINDOW_MAX_PAIRS}")
         # only a run that builds a model reads geometry here: it loads numpy.
@@ -167,7 +173,7 @@ class SuiteConfig:
     def rectangle(self):
         if self.l_bound and self.m_bound:
             return self.l_bound, self.m_bound
-        return windows.default_bounds(self.d)
+        return (self.d - 1) // 2, self.d  # windows.default_bounds, loading no layer
 
     def make_field(self):
         return QQ if self.field == "QQ" else PrimeField(self.q)

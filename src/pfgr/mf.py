@@ -12,13 +12,13 @@ and column symmetries; each of those weights, and each basis of its weight
 space, is written down directly (_en_weight_spaces), with no listing of
 monomials.  Every such linear system is built by _sparse_map, which applies
 a differential to a basis of (generator, monomial) pairs, and ranked by
-_ranks, which stacks the systems by shape and eliminates each stack mod a
-prime: over F_q its own order, and the ranks are exact, with the shapes
-that round up to the same powers of two padded by zero rows and columns,
-which keep a rank, into one stack; over Q the fixed EN_PRIME, unpadded,
-and each rank is checked exactly over Z, with _exact_system for any that
-fails.  The Eagon-Northcott weight spaces over Q are ranked over
-F_EN_PRIME, sound by their integer coefficients (eagon_northcott_check).
+_ranks, which pads the shapes that round up to the same powers of two by
+zero rows and columns, which keep a rank, into one stack and eliminates
+each stack mod a prime: over F_q its own order, and the ranks are exact;
+over Q the fixed EN_PRIME, and each rank is checked exactly over Z, with
+_exact_system for any that fails.  The Eagon-Northcott weight spaces over
+Q are ranked over F_EN_PRIME, sound by their integer coefficients, and
+again over Q where they have homology mod p (eagon_northcott_check).
 
 Koszul factorizations need no lifting problem: for W = sum_k a_k b_k,
 koszul_perturb writes tensor_k (a_k, b_k) in closed form, and
@@ -64,9 +64,9 @@ def _exact_system(field, shape, entries):
     """Rank of a sparse matrix by pfgr.linalg over the field.
 
     The matrix has the given shape and is the sum of its (row, col, value)
-    entries.  It settles only what a rank mod p cannot: a system over Q whose
-    certificate failed in _ranks, and an Eagon-Northcott weight space with
-    homology mod p.
+    entries.  It settles only what a rank mod p cannot, both over Q: a system
+    whose certificate failed in _ranks, and an Eagon-Northcott weight space
+    with homology mod EN_PRIME.
     """
     nrows, ncols = shape
     mat = [[field.zero] * ncols for _ in range(nrows)]
@@ -80,18 +80,17 @@ def _exact_system(field, shape, entries):
 EN_PRIME = 32003
 
 
-def _stacks(systems, p, *, padded):
+def _stacks(systems, p):
     """[(positions, (N, m, n) int64 stack mod p)] of sparse integer matrices
     (shape, [(row, col, value)]); matrices without entries, of rank 0, are
-    left out.  A stack holds the matrices of one shape or, when padded, of
-    every shape whose rows and columns round up to the same powers of two,
-    at the largest rows and columns among them: each matrix fills the top
-    left corner of its slot, and its slot is zero beyond it."""
+    left out.  A stack holds every shape whose rows and columns round up to
+    the same powers of two, at the largest rows and columns among them: each
+    matrix fills the top left corner of its slot, and its slot is zero
+    beyond it."""
     groups = {}
     for i, (shape, entries) in enumerate(systems):
         if entries:
-            key = tuple(1 << (k - 1).bit_length() for k in shape) if padded else shape
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(tuple(1 << (k - 1).bit_length() for k in shape), []).append(i)
     out = []
     for idx in groups.values():
         m, n = (max(sizes) for sizes in zip(*(systems[i][0] for i in idx)))
@@ -160,31 +159,33 @@ def _ranks(field, systems):
     """Ranks over the field of sparse matrices (shape, [(row, col, value)]),
     stacked mod p (_modular, _stacks).
 
-    Over F_q the ranks are exact.  The shapes whose rows and columns round
-    up to the same powers of two share one stack, padded with zero rows and
-    columns to the group's largest rows and columns and ranked by one
-    modq.batch_rank, so many small shapes share one elimination and a shape
-    alone in its group is ranked as it is.  Padding keeps the rank: a
-    nonzero minor of the padded matrix has no zero row or column, so it is
-    a minor of the matrix.  Over Q each shape is reduced unpadded by one
-    modq.rref mod p = EN_PRIME, whose forms the certificate reads.
+    Over F_q and over Q alike, the shapes whose rows and columns round up to
+    the same powers of two share one stack, padded with zero rows and
+    columns, so many small shapes share one elimination.  Padding keeps the
+    rank, over Q and mod p: a nonzero minor of the padded matrix has no zero
+    row or column, so it is a minor of the matrix.  Over F_q one
+    modq.batch_rank per stack gives the exact ranks; over Q one modq.rref per
+    stack mod p = EN_PRIME gives the forms the certificate reads.
     Soundness: rank mod p <= rank over Q, since a minor nonzero mod p is
-    nonzero over Z.  The reduced form mod p gives n - r_p kernel vectors with
-    an identity block on the free columns; reconstruction keeps 0 and 1, so
-    the rebuilt vectors keep the block and are independent.  Each passes
-    M v = 0 exactly over Z (_in_kernel) or the matrix is ranked again through
-    _exact_system; so rank over Q <= r_p, and the ranks are equal.  Slab
-    kernels hold 0 and +-1 in practice, well inside the reconstruction bound
-    sqrt(p/2).
+    nonzero over Z.  The reduced form of a padded matrix of n_pad columns
+    gives n_pad - r_p kernel vectors with an identity block on the free
+    columns; reconstruction keeps 0 and 1, so the rebuilt vectors keep the
+    block and are independent.  A padded zero column is free, and its vector
+    is a unit vector that no entry touches.  If every vector passes M v = 0
+    exactly over Z (_in_kernel), they bound the rank over Q by r_p, so the
+    ranks are equal; else the matrix is ranked again, at its own shape,
+    through _exact_system.  Slab kernels hold 0 and +-1 in practice, well
+    inside the reconstruction bound sqrt(p/2).
     """
     p, ints = _modular(field, systems)
     ranks = [0] * len(systems)
+    stacks = _stacks(ints, p)
     if field.characteristic:
-        for idx, mats in _stacks(ints, p, padded=True):
+        for idx, mats in stacks:
             for i, r in zip(idx, modq.batch_rank(mats, p)):
                 ranks[i] = int(r)
         return ranks
-    for idx, mats in _stacks(ints, p, padded=False):
+    for idx, mats in stacks:
         R, rp, pivots = modq.rref(mats, p)
         kernels = np.split(modq.kernels(R, pivots, p), np.cumsum(mats.shape[2] - rp)[:-1])
         for i, r, K in zip(idx, rp, kernels):
@@ -766,11 +767,11 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
       vanishes over Q too, and the Euler characteristic of the weight space
       (the alternating sum of its basis sizes, the same over both fields) is
       then the cokernel dimension over both fields.
-    - A weight space with nonzero homology mod p is ranked again over the
-      field itself, through _exact_system, and only those ranks are used
-      for it.  A reported failure or cokernel dimension is thus exact over
-      the field.  The complex is a resolution over Z (the contractions carry
-      divided-power coefficients 1), so this path does not run in practice.
+    - Over QQ, a weight space with homology mod p is ranked again over Q by
+      _exact_system, and only those ranks are used for it.  A reported
+      failure or cokernel dimension is thus exact over the field.  The
+      complex is a resolution over Z (the contractions carry divided-power
+      coefficients 1), so this path does not run in practice.
     """
     if field is None:
         field = QQ
@@ -811,11 +812,9 @@ def eagon_northcott_check(c=4, degree_cutoff=8, field=None):
         sizes = [len(basis) for basis in spaces[w]]
         own = slice(w * nd, (w + 1) * nd)
         ranks = modular[own]
-        if _en_homology(sizes, ranks):
-            # an upper bound only: rank this weight space over the field itself
-            ranks = [_exact_system(field, shape, [(r, col, field.of_int(v))
-                                                  for r, col, v in entries])
-                     for shape, entries in systems[own]]
+        if not field.characteristic and _en_homology(sizes, ranks):
+            # an upper bound only: rank this weight space over Q itself
+            ranks = [_exact_system(field, *s) for s in systems[own]]
         for k, h in _en_homology(sizes, ranks):
             homology_failures.append({"spot": k, "weight": (rows, cols), "dim": h,
                                       "orbit": orbit})

@@ -151,21 +151,13 @@ class Poly:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            return poly_mat_mul([[self]], [[other]])[0][0]
         F = self.ring.field
-        if isinstance(other, int) or not isinstance(other, Poly):
-            scalar = F.of_int(other) if isinstance(other, int) else other
-            if F.is_zero(scalar):
-                return self.ring.zero()
-            return Poly(self.ring, {m: F.mul(c, scalar) for m, c in self.coeffs.items()})
-        guard, zero, add, mul = self.ring.guard, F.zero, F.add, F.mul
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                key = m1 + m2
-                if key & guard:
-                    raise OverflowError("a product exponent reaches 2^15")
-                out[key] = add(out.get(key, zero), mul(c1, c2))
-        return Poly(self.ring, _nonzero(F, out))
+        scalar = F.of_int(other) if isinstance(other, int) else other
+        if F.is_zero(scalar):
+            return self.ring.zero()
+        return Poly(self.ring, {m: F.mul(c, scalar) for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -207,7 +199,8 @@ class Poly:
 
 
 def poly_mat_mul(a, b):
-    """Product of matrices of polynomials (lists of lists).
+    """Product of matrices of polynomials (lists of lists); Poly * Poly is
+    the 1 x 1 case, so the guard test and the product loop live here alone.
 
     Only nonzero entries are walked: those of each row of b once, those of
     each row of a per row.  Each output entry accumulates in one dict, whose

@@ -18,8 +18,6 @@ Clebsch-Gordan, and peeling is the reference the tests hold them to.
 from dataclasses import dataclass
 from math import comb
 
-PLETHYSM_CUTOFF = 24
-
 
 @dataclass(frozen=True, order=True)
 class GL2Weight:

@@ -56,7 +56,7 @@ from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
-from . import bbw, reps
+from . import bbw
 from .reps import GL2Weight, char_mul, diagonal_isotypic, sym_power_character
 
 
@@ -155,8 +155,6 @@ def hom0_frakX(b1, b2, n=7, x_cutoff=12, p_cutoff=12):
     """
     if x_cutoff < 0 or p_cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    if x_cutoff > reps.PLETHYSM_CUTOFF:
-        raise ValueError(f"x cutoff {x_cutoff} exceeds plethysm cutoff")
     out = {}
     for d_p in range(p_cutoff + 1):
         # invariants force the total torus degree to vanish, which pins d_x

@@ -32,14 +32,16 @@ en_weight_spaces_bucketed is the Eagon-Northcott enumeration as it was
 before mf._en_weight_spaces wrote each canonical weight space directly: it
 lists every monomial up to the cutoff and buckets (generator, monomial)
 pairs by weight.  ranks_unpadded is mf._ranks over a prime field before it
-padded the shapes that round up to the same powers of two into one stack.
+padded the shapes that round up to the same powers of two into one stack;
+_stacks_by_shape is its stacking, one stack per shape, which _solutions
+shares.
 
 koszul_fold is the general route to a Koszul factorization that
 mf.koszul_perturb writes in closed form: it folds a resolution into W by
 solving lifting problems degree by degree (_solve_lift, _solutions), and
-raises LiftObstruction when a lift does not exist.  Its systems reuse the
-stacking and the exact certificates of pfgr.mf; random_cubic_superpotential
-is the seeded W its tests fold.
+raises LiftObstruction when a lift does not exist.  Its systems are
+stacked by _stacks_by_shape and reuse the exact certificates of pfgr.mf;
+random_cubic_superpotential is the seeded W its tests fold.
 """
 
 import random
@@ -53,7 +55,7 @@ import numpy as np
 
 from pfgr import bbw, geometry, linalg, modq, windows
 from pfgr.mf import (MatrixFactorization, _in_kernel, _modular, _rational, _sparse_map,
-                     _stacks, _zmat)
+                     _zmat)
 from pfgr.poly import Poly, PolyRing, poly_mat_is_zero, poly_mat_mul
 from pfgr.reps import GL2Weight, char_add, char_mul, decompose_character, diagonal_isotypic
 
@@ -632,7 +634,7 @@ def _solutions(field, systems):
                  for (m, n), entries, vec in systems]
     p, ints = _modular(field, augmented)
     out = [[field.zero] * n for (_, n), *_ in systems]
-    for idx, aug in _stacks(ints, p, padded=False):
+    for idx, aug in _stacks_by_shape(ints, p):
         for i, x in zip(idx, modq.solve(aug[:, :, :-1], aug[:, :, -1], p)):
             (m, _), rows = ints[i]
             if field.characteristic:
@@ -917,12 +919,31 @@ def en_weight_spaces_bucketed(ring, terms, degree_cutoff):
     return weights, [buckets[w] for w in weights]
 
 
+def _stacks_by_shape(systems, p):
+    """[(positions, (N, m, n) int64 stack mod p)] of sparse integer matrices
+    (shape, [(row, col, value)]), one stack per shape, as mf._stacks built
+    them before it padded shapes together; matrices without entries are
+    left out."""
+    groups = {}
+    for i, (shape, entries) in enumerate(systems):
+        if entries:
+            groups.setdefault(shape, []).append(i)
+    out = []
+    for shape, idx in groups.items():
+        flat = np.array([(k, r, col, v % p) for k, i in enumerate(idx)
+                         for r, col, v in systems[i][1]], dtype=np.int64)
+        mats = np.zeros((len(idx), *shape), dtype=np.int64)
+        np.add.at(mats, tuple(flat[:, :3].T), flat[:, 3])
+        out.append((idx, mats % p))
+    return out
+
+
 def ranks_unpadded(field, systems):
     """mf._ranks over a prime field without padding: one modq.batch_rank per
     distinct shape of the sparse systems (shape, [(row, col, value)])."""
     q = field.characteristic
     ranks = [0] * len(systems)
-    for idx, mats in _stacks(systems, q, padded=False):
+    for idx, mats in _stacks_by_shape(systems, q):
         for i, r in zip(idx, modq.batch_rank(mats, q)):
             ranks[i] = int(r)
     return ranks

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfgr import cli, geometry, mf, reps, windows
+from pfgr import cli, geometry, mf, windows
 from pfgr.fields import QQ, PrimeField
 
 
@@ -44,26 +44,35 @@ def test_half_default_rectangle_is_refused():
 
 
 def test_window_rectangle_is_bounded(monkeypatch):
-    """A --rect rectangle of more than WINDOW_MAX_PAIRS ordered bundle pairs
-    is refused with exit 2 before the window pass, and every rectangle the
-    tests use is inside the bound.  The default rectangle, the window of
-    Gr(2, d), is accepted for every d without validate reading it, so the
-    set-up loads no window layer (from d = 11 on only the window suite
-    runs, since no model is generic there); a run without the window suite
-    is not bounded."""
+    """A window rectangle of more than WINDOW_MAX_PAIRS ordered bundle pairs,
+    given by --rect or the default of d, is refused with exit 2 before the
+    window pass, and every rectangle the tests use is inside the bound.  The
+    default rectangle, the window of Gr(2, d), is the closed form
+    ((d - 1) // 2, d), which equals windows.default_bounds(d) but loads no
+    window layer: it is accepted up to d = 31 and refused from d = 33 on
+    (from d = 11 on only the window suite runs, since no model is generic
+    there); a run without the window suite is not bounded."""
     passes = []
     monkeypatch.setattr(windows, "exceptional_report",
                         lambda *args, **kwargs: passes.append(args))
     assert cli.main(["window", "--d", "5", "--rect", "30,60"]) == 2
+    assert cli.main(["window", "--d", "33"]) == 2
     assert not passes
 
     def unread(n):
         raise AssertionError("validate read the default rectangle")
 
+    default_bounds = windows.default_bounds
     monkeypatch.setattr(windows, "default_bounds", unread)
-    for d in range(5, 37, 2):
-        cli.SuiteConfig(d=d, suites=("window",) if d >= 11 else ("window", "geometry", "mf")
-                        ).validate()
+    for d in range(5, 35, 2):
+        config = cli.SuiteConfig(d=d, suites=("window",) if d >= 11
+                                 else ("window", "geometry", "mf"))
+        assert config.rectangle() == default_bounds(d)
+        if d <= 31:
+            config.validate()
+        else:
+            with pytest.raises(ValueError, match="ordered bundle pairs"):
+                config.validate()
     for rect in ((2, 5), (3, 7), (3, 8), (16, 32)):
         window_config(l_bound=rect[0], m_bound=rect[1]).validate()
     assert (16 * 32) ** 2 == cli.WINDOW_MAX_PAIRS
@@ -577,9 +586,9 @@ def test_dimension_11_and_up_is_refused(monkeypatch):
     assert cli.main(["window", "--d", "11"]) == 0
 
 
-def test_dx_cutoff_above_the_plethysm_cutoff_is_refused(monkeypatch):
-    """hom0_frakX refuses x-degrees above reps.PLETHYSM_CUTOFF, so the config
-    refuses them before any suite runs or the worker forks."""
+def test_dx_cutoff_above_the_window_bound_is_refused(monkeypatch):
+    """The config refuses x-degrees above WINDOW_MAX_DX_CUTOFF before any
+    suite runs or the worker forks, though hom0_frakX takes any cutoff."""
     _forbid_fork(monkeypatch)
     monkeypatch.setattr(windows, "exceptional_report",
                         lambda *args, **kwargs: pytest.fail("window suite ran"))
@@ -587,9 +596,9 @@ def test_dx_cutoff_above_the_plethysm_cutoff_is_refused(monkeypatch):
                         lambda *args, **kwargs: pytest.fail("model generated"))
     assert cli.main(["window", "--d", "7", "--dx-cutoff", "25"]) == 2
     assert cli.main(["all", "--dx-cutoff", "25"]) == 2
-    with pytest.raises(ValueError, match="plethysm cutoff"):
-        cli.SuiteConfig(dx_cutoff=reps.PLETHYSM_CUTOFF + 1).validate()
-    cli.SuiteConfig(dx_cutoff=reps.PLETHYSM_CUTOFF).validate()
+    with pytest.raises(ValueError, match="dx_cutoff .* exceeds the window suite's bound"):
+        cli.SuiteConfig(dx_cutoff=cli.WINDOW_MAX_DX_CUTOFF + 1).validate()
+    cli.SuiteConfig(dx_cutoff=cli.WINDOW_MAX_DX_CUTOFF).validate()
     cli.SuiteConfig(dx_cutoff=25, suites=("geometry", "mf")).validate()
 
 

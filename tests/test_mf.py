@@ -383,7 +383,7 @@ def _spy_exact_solution(monkeypatch):
 
 
 def test_certified_slab_ranks_match_rationals(monkeypatch):
-    """Every QQ slab is ranked mod EN_PRIME, one rref per shape, and its
+    """Every QQ slab is ranked mod EN_PRIME, one rref per padded stack, and its
     certified rank equals the rational rank of the integer lift."""
     calls = _record_rrefs(monkeypatch)
     fallbacks = _spy_exact_system(monkeypatch)
@@ -403,13 +403,24 @@ def test_certified_slab_ranks_match_rationals(monkeypatch):
 
 
 def test_failed_certificate_reranks_only_that_slab(monkeypatch):
+    """A kernel vector that fails its certificate sends its matrix alone to
+    _exact_system, at the matrix's own shape, not at its padded stack's."""
     E = _tensor_law_object()
     expected = hom_ext_truncated(E, E, 6).dims
+    stacks = []  # (systems, positions) of every stack not yet reduced
+    real_stacks = mf._stacks
+
+    def recording_stacks(systems, p):
+        out = real_stacks(systems, p)
+        stacks.extend((systems, idx) for idx, _ in out)
+        return out
+
     corrupted = []
     real = mf.modq.kernels
 
     def corrupting(R, pivots, q):
         K = real(R, pivots, q)
+        systems, idx = stacks.pop(0)
         nullity = (~pivots).sum(axis=1)
         hit = [j for j in range(len(R)) if nullity[j] and pivots[j].any()]
         if hit and not corrupted:
@@ -417,13 +428,35 @@ def test_failed_certificate_reranks_only_that_slab(monkeypatch):
             # which M does not annihilate
             j = hit[0]
             K[nullity[:j].sum(), np.flatnonzero(pivots[j])[0]] += 1
-            corrupted.append(R.shape[1:])
+            corrupted.append(systems[idx[j]][0])
         return K
 
+    monkeypatch.setattr(mf, "_stacks", recording_stacks)
     monkeypatch.setattr(mf.modq, "kernels", corrupting)
     fallbacks = _spy_exact_system(monkeypatch)
     assert hom_ext_truncated(E, E, 6).dims == expected
     assert len(corrupted) == 1 and fallbacks == corrupted
+
+
+def test_padded_stack_over_q_reranks_only_the_short_matrix(monkeypatch):
+    """A 3 x 5 and a 4 x 6 matrix over Q round up to 4 x 8 and share one
+    stack, one rref mod EN_PRIME.  Only the 3 x 5 one drops rank mod
+    EN_PRIME (entries 1 and 1 + EN_PRIME), so only its certificate fails:
+    _exact_system ranks it once, at its own shape, and both ranks equal
+    pfgr.linalg's."""
+    p = mf.EN_PRIME
+    short = ((3, 5), [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1 + p), (2, 2, 1)])
+    full = ((4, 6), [(0, 0, 1), (0, 1, 2), (1, 1, 1), (1, 2, 1), (2, 0, 1), (2, 1, 3),
+                     (2, 2, 1), (3, 3, 1), (3, 5, -1)])
+    systems = [short, full]
+    calls = _record_rrefs(monkeypatch)
+    reranked = _spy_exact_system(monkeypatch)
+    ranks = mf._ranks(QQ, systems)
+    assert [mats.shape for mats, _, _ in calls] == [(2, 4, 6)]
+    assert [int(r) for r in calls[0][2]] == [2, 3]
+    assert reranked == [(3, 5)]
+    assert ranks == [linalg.rank(QQ, dense(QQ, shape, entries)) for shape, entries in systems]
+    assert ranks == [3, 3]
 
 
 def test_fractional_coefficients_are_scaled_to_integers(monkeypatch):
@@ -854,6 +887,17 @@ def test_determinantal_short_modular_rank_is_reranked(monkeypatch):
     assert len(reranked) == 2 and (5, 7) in reranked
     assert res.exact and not res.homology_failures
     assert res == expected
+
+
+def test_determinantal_modular_ranks_over_a_prime_field_are_not_reranked(monkeypatch):
+    """Over F_101 the ranks mod 101 are exact, so a weight space with
+    homology mod 101 is reported as it is, with no second elimination."""
+    shortened = []
+    _record_batch_ranks(monkeypatch, _shorten_one(shortened))
+    reranked = _spy_exact_system(monkeypatch)
+    res = eagon_northcott_check(c=3, degree_cutoff=5, field=PrimeField(101))
+    assert len(shortened) == 1 and not reranked
+    assert res.homology_failures and not res.exact
 
 
 def test_determinantal_failure_is_reported_exactly(monkeypatch):

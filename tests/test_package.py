@@ -129,6 +129,30 @@ def test_one_elimination_loop():
     assert _callers("_eliminate") == {"modq.rref", "modq.batch_rank"}
 
 
+def test_one_polynomial_product():
+    """The guard-bit test of a product key raises its OverflowError in
+    poly.poly_mat_mul alone: Poly * Poly is its 1 x 1 case, so a second
+    product loop cannot come back unnoticed."""
+    assert _sites(lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(leaf, ast.Constant) and "product exponent" in str(leaf.value)
+        for leaf in ast.walk(node))) == {"poly.poly_mat_mul"}
+
+
+def test_exact_reranks_only_where_a_modular_rank_is_a_bound():
+    """pfgr.linalg ranks a sparse system again only where a rank mod p is a
+    bound over Q: a failed kernel certificate in mf._ranks and an
+    Eagon-Northcott weight space with homology mod EN_PRIME."""
+    assert _callers("_exact_system") == {"mf._ranks", "mf.eagon_northcott_check"}
+
+
+def test_window_bounds_are_read_only_by_the_command_line():
+    """The window suite's input bounds are the command line's alone: the
+    layers take any rectangle and cutoff, and reps defines no bound."""
+    for name in ("WINDOW_MAX_PAIRS", "WINDOW_MAX_DP_CUTOFF", "WINDOW_MAX_DX_CUTOFF"):
+        assert {site.split(".")[0] for site in _readers(name)} == {"cli"}
+    assert "CUTOFF" not in (SRC / "reps.py").read_text()
+
+
 def test_rref_only_where_the_reduced_form_is_read():
     """modq.rref is called only where the reduced form R or its pivots are
     read: a caller that reads only a rank takes modq.batch_rank, which stops

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pfgr import reps
-from pfgr.reps import (PLETHYSM_CUTOFF, GL2Weight, char_mul, decompose_character,
+from pfgr.reps import (GL2Weight, char_mul, decompose_character,
                        diagonal_isotypic, sl2_invariant_dims, sym_power_character)
 
 from oracles import newton_sym_characters, weyl_dimension
@@ -164,10 +164,11 @@ def test_sym_power_matches_enumeration(copies, degree):
 
 @pytest.mark.parametrize("copies", [1, 2, 3, 5, 7, 9, 11])
 def test_sym_power_closed_form_matches_newton(copies):
-    """The closed form agrees with Newton's recursion at every degree the
-    window tables may ask for."""
-    newton = newton_sym_characters({(1, 0): copies, (0, 1): copies}, PLETHYSM_CUTOFF)
-    assert [sym_power_character(copies, t) for t in range(PLETHYSM_CUTOFF + 1)] == newton
+    """The closed form agrees with Newton's recursion at every degree up to
+    32, beyond the window suite's x-degree bound (cli.WINDOW_MAX_DX_CUTOFF):
+    it is exact at any degree."""
+    newton = newton_sym_characters({(1, 0): copies, (0, 1): copies}, 32)
+    assert [sym_power_character(copies, t) for t in range(33)] == newton
 
 
 def test_sym_power_mixed_base():

@@ -245,10 +245,11 @@ def _class_representatives(l_bound, m_bound):
 
 @pytest.mark.parametrize("n, rect, dp_cutoff, dx_cutoff, hom0_dp_cutoff", [
     (5, None, 12, 12, 8), (7, None, 12, 12, 8), (9, None, 12, 12, 8),
-    (7, (3, 8), 2, 3, 2), (7, (3, 8), 4, 24, 10)])
+    (7, (3, 8), 2, 3, 2), (7, (3, 8), 4, 24, 10), (5, None, 2, 25, 12)])
 def test_cached_tables_match_the_direct_route(n, rect, dp_cutoff, dx_cutoff, hom0_dp_cutoff):
     # the shifted isotypic tables and the cached Ext rows against the route
-    # that decomposes every twisted character afresh
+    # that decomposes every twisted character afresh; the tables take any x
+    # cutoff, beyond the window suite's bound (cli.WINDOW_MAX_DX_CUTOFF)
     for b1, b2 in _class_representatives(*(rect or default_bounds(n))):
         assert ext_table_X2(b1, b2, n, dx_cutoff) == ext_table_X2_direct(b1, b2, n, dx_cutoff)
         assert (hom0_frakX(b1, b2, n, dx_cutoff, hom0_dp_cutoff)
