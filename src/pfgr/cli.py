@@ -12,35 +12,29 @@ of the pool that draw_pool takes right after the model.
 A run validates its config before anything else, so every refusal, the
 model's included (geometry.check_model_request), comes before any other
 work.  Every run that builds a model, that is every run with the geometry
-or mf suite, then forks one worker before the model is certified, and the
-checks split in two halves that share no input but the config and the
-certified model:
+or mf suite, then runs its checks in three processes, grouped by what they
+read:
 
-- in the calling process: the model certificate (geometry.random_model),
+- the model-free worker, forked before the model is certified: whichever
+  of the window suite and the four mf checks that build their own objects
+  over Q were selected (none in a geometry-only run);
+- the model-only worker, forked once the model has passed its certificate,
+  so that it holds the certified sampling model through the fork:
+  geometry.rank_parity (run_parity_check) and mf.koszul_perturb
+  (run_koszul_check), the two checks that read the model but no pool;
+- the calling process: the model certificate (geometry.random_model),
   then the pool and every check that reads it, that is the geometry suite
-  but rank_parity, and mf.knorrer_fibre (at a pool point);
-- in the worker: whichever of the window suite and the four mf checks that
-  build their own objects over Q were selected, while the caller
-  certifies; then, on the certified sampling model that the caller sends
-  it, geometry.rank_parity (run_parity_check) and mf.koszul_perturb
-  (run_koszul_check), the two checks that read the model but no pool.
+  but rank_parity, and mf.knorrer_fibre (at a pool point).
 
-The model goes to the worker as geometry.model_to_json text over a second
-pipe: the census strata on the model are read-only mappings, which do not
-pickle, and no worker check reads them.  rank_parity and koszul_perturb sit
-in the worker because they need the model but no pool, so they can wait for
-it there while the caller draws the pool.  At d = 7 the certificate takes
-about 30 ms beside the window suite and the four mf checks, and the worker
-ends 3 to 8 ms after the caller; at d = 9 the caller ends about 50 ms
-after the worker (medians of direct runs, 2-vCPU box).  If no model passes its
-certificate, the caller sends empty text and the worker drops its mf
-records, so the report holds the failed certificate and the window checks,
-as a serial run's would; a caller exception kills and reaps the worker.
+If no model passes its certificate, no model-only worker is forked and the
+caller drops the model-free worker's mf records, so the report holds the
+failed certificate and the window checks, as a serial run's would; a
+caller exception kills and reaps every worker.
 
-The worker pickles its records, timings and shared lines back over a pipe,
+Each worker pickles its records, timings and shared lines back over a pipe,
 and run merges them into the serial order (_report_order), so the report is
 the one a serial run gives: each check seeds its own random stream from
-config.seed, the halves share no mutable state, and the merge order is
+config.seed, the processes share no mutable state, and the merge order is
 fixed.  Only a window-only run, which builds no model, stays in one
 process.  This needs POSIX fork.
 
@@ -48,8 +42,8 @@ Layers load on first use (pfgr/__init__): importing this module runs only
 fields, poly and the standard library.  A window-only run then loads reps,
 bbw and windows and never imports numpy.  A run with the geometry or mf
 suite loads geometry (with modq and numpy) and, when the mf suite runs, mf
-(with linalg) at the start of run, before the fork and the model: the
-worker inherits them instead of importing mf a second time, and the layers
+(with linalg) at the start of run, before the forks and the model: the
+workers inherit them instead of importing mf a second time, and the layers
 are loaded before the model's arrays are allocated, as an eager import
 loads them.
 """
@@ -96,6 +90,10 @@ WINDOW_MAX_DP_CUTOFF = 256
 # quadratically in it.  In process on a 2-vCPU box: --d 31 at 24, 1.3 s; 64,
 # 3.8 s; 256, 43 s.  --d 5 --rect 16,32 at 24, 1.7 s; 256, 48 s
 WINDOW_MAX_DX_CUTOFF = 24
+
+# the critical sweep's base points: when the geometry suite runs, the pool
+# holds at least this many Y2 points, and validate budgets for that pool
+CRITICAL_POINTS = 16
 
 
 @dataclass
@@ -168,7 +166,8 @@ class SuiteConfig:
             geometry.check_model_request(self.seed, self.make_field(), self.d,
                                          self.census_qs)
         if "geometry" in self.suites:
-            geometry.check_sampling_budget(self.samples, self.make_field())
+            geometry.check_sampling_budget(max(self.samples, CRITICAL_POINTS),
+                                           self.make_field())
 
     def rectangle(self):
         if self.l_bound and self.m_bound:
@@ -244,16 +243,16 @@ def run_window_suite(config, report):
 
 def draw_pool(config, model, report):
     """(points, planes) on the model over the sampling field F_q:
-    max(samples, 16) Y2 points when the geometry suite runs (the critical
-    sweep takes 16) and one for the Knorrer fibre otherwise, and one Y1 plane
-    through each of the first `samples` points when geometry runs; timed on
-    a shared `pool` line.  A sampler that runs out of draws raises
+    max(samples, CRITICAL_POINTS) Y2 points when the geometry suite runs
+    and one for the Knorrer fibre otherwise, and one Y1 plane through each
+    of the first `samples` points when geometry runs; timed on a shared
+    `pool` line.  A sampler that runs out of draws raises
     ValueError itself (geometry owns that refusal), so the pool is whole.
     """
     q = model.field.characteristic
     t0 = time.perf_counter()
     geometry_runs = "geometry" in config.suites
-    wanted = max(config.samples, 16) if geometry_runs else 1
+    wanted = max(config.samples, CRITICAL_POINTS) if geometry_runs else 1
     pool = geometry.sample_y2_points(model, wanted, seed=config.seed)
     planes = []
     if geometry_runs:
@@ -319,7 +318,8 @@ def run_geometry_suite(config, report, model, pool, planes):
 
     def critical():
         sweep = geometry.critical_equivalence_sweep(
-            model, pool[:16], n_pos=1000, n_near=1000, n_rand=10000, seed=config.seed)
+            model, pool[:CRITICAL_POINTS], n_pos=1000, n_near=1000, n_rand=10000,
+            seed=config.seed)
         return (sweep.consistent and sweep.positive_failures == 0), {
             "positives": sweep.positives, "near_misses": sweep.near_misses,
             "randoms": sweep.randoms, "disagreements": sweep.disagreements[:3],
@@ -378,7 +378,7 @@ def run_parity_check(config, report, model):
 
 def run_mf_suite(config, report):
     """The four model-free matrix-factorization checks, over Q; the two that
-    read the model are run_fibre_check."""
+    read the model are run_koszul_check and run_fibre_check."""
     F = QQ
     trunc = max(4, config.trunc)  # what the Hom checks run at and report
 
@@ -502,7 +502,7 @@ _ORDER = {
 def _report_order(check):
     """Sort key of the serial report order after the model certificate: the
     window, geometry and mf suites in turn, the geometry and mf checks as in
-    _ORDER.  The window checks all come from one half and the sort is
+    _ORDER.  The window checks all come from one worker and the sort is
     stable, so they keep their own order."""
     suite, name = check["check_name"].split(".", 1)
     order = _ORDER.get(suite, ())
@@ -511,31 +511,20 @@ def _report_order(check):
 
 @contextmanager
 def _worker(fn):
-    """Run fn(receive) in one forked process while the with-block runs.
+    """Run fn() in one forked process while the with-block runs.
 
-    Yields (send, join).  send(text), called once, hands the worker text
-    that its receive() returns; receive() waits for it.  join() waits for
-    the worker and returns fn's value or raises its exception, chained from
-    the worker's traceback.  The worker pickles its outcome into a pipe and
-    always leaves through os._exit, so it never unwinds into the caller; a
-    worker that raised before send has closed its end of the text pipe, and
-    send then returns quietly, so that join raises the worker's error and
-    not a BrokenPipeError.  If the block raises first, the worker is killed
-    and reaped: no process outlives the block."""
+    Yields join.  join() waits for the worker and returns fn's value or
+    raises its exception, chained from the worker's traceback.  The worker
+    pickles its outcome into a pipe and always leaves through os._exit, so
+    it never unwinds into the caller.  If the block raises first, the
+    worker is killed and reaped: no process outlives the block."""
     read_fd, write_fd = os.pipe()
-    text_read, text_write = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)
-            os.close(text_write)
-
-            def receive():
-                with open(text_read) as pipe:
-                    return pipe.read()
-
             try:
-                data = pickle.dumps((fn(receive), None))
+                data = pickle.dumps((fn(), None))
             except BaseException as err:
                 import traceback  # the failure path only: a passing run imports nothing new
                 text = traceback.format_exc()
@@ -545,16 +534,7 @@ def _worker(fn):
         finally:
             os._exit(0)
     os.close(write_fd)
-    os.close(text_read)
-    text_pipe = open(text_write, "w")
     reaped = False
-
-    def send(text):
-        try:
-            with text_pipe:
-                text_pipe.write(text)
-        except BrokenPipeError:
-            pass  # the worker has ended: join raises what it raised
 
     def join():
         nonlocal reaped
@@ -572,9 +552,8 @@ def _worker(fn):
         return value
 
     try:
-        yield send, join
+        yield join
     finally:
-        text_pipe.close()
         os.close(read_fd)
         if not reaped:
             import signal  # the failure path only, as traceback above
@@ -584,16 +563,16 @@ def _worker(fn):
 
 def run(config):
     """Execute the selected suites and return the report.  A run that
-    builds a model forks one worker before the model is certified and sends
-    it the certified sampling model; see the module docstring for the split
-    and why it falls there."""
+    builds a model forks its model-free worker before the model is
+    certified and its model-only worker once the model has passed; see the
+    module docstring for the three processes."""
     config.validate()
     report = Report(config=dict(sorted(asdict(config).items())))
     if "geometry" not in config.suites and "mf" not in config.suites:
         run_window_suite(config, report)
         return report
-    # load the numpy layers now, as an eager import would, so the worker
-    # inherits mf instead of loading it again (see the module docstring)
+    # load the numpy layers now, as an eager import would, so the workers
+    # inherit mf instead of loading it again (see the module docstring)
     for layer in (geometry, mf) if "mf" in config.suites else (geometry,):
         vars(layer)
 
@@ -615,19 +594,16 @@ def run(config):
                    {"field": repr(model.field)}, time.perf_counter() - t0)
         return geometry.sampling_model(model)
 
-    def beside(receive):
+    def model_free():
         part = Report(config=report.config)
         if "window" in config.suites:
             run_window_suite(config, part)
         if "mf" in config.suites:
             run_mf_suite(config, part)
-        text = receive()
-        if not text:
-            # no certified model: keep the window records alone, as no mf
-            # check is reported without a model
-            window = [c for c in part.checks if c["check_name"].startswith("window.")]
-            return Report(config=part.config, checks=window, shared=part.shared)
-        work = geometry.model_from_json(text)
+        return part
+
+    def model_only():
+        part = Report(config=report.config)
         if "geometry" in config.suites:
             run_parity_check(config, part, work)
         if "mf" in config.suites:
@@ -635,21 +611,27 @@ def run(config):
         return part
 
     bound = Report(config=report.config)
-    with _worker(beside) as (send, join):
+    parts = [bound]
+    with _worker(model_free) as join_free:
         work = certify()
-        # model_to_json, not pickle: the census strata are read-only
-        # mappings, and the worker's checks never read them
-        send(geometry.model_to_json(work) if work else "")
         if work:
-            pool, planes = draw_pool(config, work, bound)
-            if "geometry" in config.suites:
-                run_geometry_suite(config, bound, work, pool, planes)
-            if "mf" in config.suites:
-                run_fibre_check(config, bound, work, pool)
-        free = join()
-    report.checks += sorted(bound.checks + free.checks, key=_report_order)
-    report.timings.update(bound.timings | free.timings)
-    report.shared.update(bound.shared | free.shared)  # the pool line, then the window line
+            with _worker(model_only) as join_model:
+                pool, planes = draw_pool(config, work, bound)
+                if "geometry" in config.suites:
+                    run_geometry_suite(config, bound, work, pool, planes)
+                if "mf" in config.suites:
+                    run_fibre_check(config, bound, work, pool)
+                parts.append(join_model())
+        free = join_free()
+    if not work:
+        # keep the window records alone: no mf check is reported without a model
+        free = Report(config=free.config, shared=free.shared, checks=[
+            c for c in free.checks if c["check_name"].startswith("window.")])
+    parts.append(free)  # the pool line, then the window line
+    report.checks += sorted((c for part in parts for c in part.checks), key=_report_order)
+    for part in parts:
+        report.timings.update(part.timings)
+        report.shared.update(part.shared)
     return report
 
 

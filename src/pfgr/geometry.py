@@ -354,7 +354,7 @@ def check_sampling_budget(count, field):
     point costs about q draws.  A worse real rate can still exhaust a sampler."""
     q = sampling_prime(field)
     if count * q > SAMPLER_MAX_TRIES:
-        raise ValueError(f"samples * q = {count * q} exceeds the sampler budget of "
+        raise ValueError(f"{count} points * q = {count * q} exceeds the sampler budget of "
                          f"{SAMPLER_MAX_TRIES} draws (about q = {q} draws per point)")
 
 

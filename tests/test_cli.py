@@ -445,7 +445,10 @@ def test_oversized_prime_is_refused():
 
 def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     # about q draws per point: 100 samples allow q <= 40,000, and model
-    # generation, with 5 samples per variety, q <= 800,000
+    # generation, with 5 samples per variety, q <= 800,000.  The geometry
+    # suite's pool holds at least the critical sweep's 16 points, so fewer
+    # samples are budgeted as 16: q <= 250,000
+    _forbid_fork(monkeypatch)
     calls = []
 
     def spy(*args, **kwargs):
@@ -459,10 +462,15 @@ def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     assert cli.main(["mf", "--q", "1000003"]) == 2
     assert cli.main(["geometry", "--q", "40009"]) == 2
     assert cli.main(["geometry", "--q", "10007", "--samples", "400"]) == 2
+    for samples in ("1", "13"):
+        assert cli.main(["geometry", "--d", "5", "--q", "300007", "--samples", samples]) == 2
     assert not calls
     with pytest.raises(ValueError, match="sampler budget"):
         cli.SuiteConfig(q=40009).validate()
     cli.SuiteConfig(q=39989).validate()
+    cli.SuiteConfig(samples=1, suites=("geometry",)).validate()
+    with pytest.raises(ValueError, match="16 points"):
+        cli.SuiteConfig(q=300007, samples=1, suites=("geometry",)).validate()
     cli.SuiteConfig(q=40009, suites=("mf",)).validate()
     cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
 
@@ -701,10 +709,10 @@ def _no_child_left():
 
 
 def test_all_reports_the_checks_in_serial_order():
-    """The model-free half runs in a forked worker, yet the report lists
-    the 22 checks of `pfgr all` as a serial run does, with every timing and
-    the pool line before the window line, and the worker is gone when run
-    returns."""
+    """The checks run in two forked workers beside the caller, yet the
+    report lists the 22 checks of `pfgr all` as a serial run does, with
+    every timing and the pool line before the window line, and the workers
+    are gone when run returns."""
     report = cli.run(cli.SuiteConfig(d=5, samples=20))
     assert report.passed
     assert [c["check_name"] for c in report.checks] == SERIAL_ORDER
@@ -771,8 +779,8 @@ def test_caller_exception_kills_the_worker(monkeypatch):
 
 
 def test_rank_parity_failure_arrives_from_the_worker(monkeypatch):
-    """geometry.rank_parity runs in the forked worker: its exception reaches
-    the caller chained from the worker's traceback."""
+    """geometry.rank_parity runs in the model-only worker: its exception
+    reaches the caller chained from the worker's traceback."""
     def broken(*args, **kwargs):
         raise WorkerFailure("rank parity broke")
 
@@ -781,122 +789,6 @@ def test_rank_parity_failure_arrives_from_the_worker(monkeypatch):
         cli.run(cli.SuiteConfig(d=5, samples=20))
     assert "in the forked worker" in str(raised.value.__cause__)
     assert "run_parity_check" in str(raised.value.__cause__)
-    _no_child_left()
-
-
-def test_worker_runs_the_window_suite_four_mf_checks_and_rank_parity(monkeypatch):
-    """The forked worker's report holds exactly the six window checks, the
-    four mf checks that build their own objects, geometry.rank_parity and
-    mf.koszul_perturb, whose sampler and model factorization never run in
-    the caller."""
-    caller = os.getpid()
-
-    def in_the_worker(module, name):
-        real = getattr(module, name)
-
-        def spy(*args, **kwargs):
-            assert os.getpid() != caller, f"{name} ran in the caller"
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, spy)
-
-    real_worker = cli._worker
-    returned = []
-
-    @contextmanager
-    def recording(fn):
-        with real_worker(fn) as (send, join):
-            def recorded_join():
-                returned.append(join())
-                return returned[-1]
-            yield send, recorded_join
-
-    in_the_worker(geometry, "rank_parity_sample")
-    in_the_worker(mf, "model_koszul_pairs")
-    monkeypatch.setattr(cli, "_worker", recording)
-    report = cli.run(cli.SuiteConfig(d=5, samples=20))
-    assert report.passed
-    (worker,) = returned
-    assert [c["check_name"] for c in worker.checks] == [
-        name for name in SERIAL_ORDER if name.startswith("window.")] + [
-        "mf.knorrer_base", "mf.stabilization_contractible",
-        "mf.determinantal_resolution", "mf.knorrer_tensor_law", "geometry.rank_parity",
-        "mf.koszul_perturb"]
-    assert list(worker.shared) == ["window"]
-    _no_child_left()
-
-
-def test_all_forks_before_the_model_and_sends_the_worker_its_model(monkeypatch, tmp_path):
-    """`pfgr all` forks before geometry.random_model runs, and the worker's
-    rank_parity and koszul_perturb read the caller's sampling model: the
-    same d, A, seed and field.  The worker's spies leave the model they were
-    given in files, which outlive the worker."""
-    events, caller_models = [], []
-    real_fork, real_model = os.fork, geometry.random_model
-    real_parity, real_pairs = geometry.rank_parity_sample, mf.model_koszul_pairs
-
-    def fork():
-        events.append("fork")
-        return real_fork()
-
-    def random_model(*args, **kwargs):
-        events.append("random_model")
-        caller_models.append(real_model(*args, **kwargs))
-        return caller_models[-1]
-
-    def leave(name, model):
-        (tmp_path / name).write_text(geometry.model_to_json(model))
-
-    def parity(model, *args, **kwargs):
-        leave("parity.json", model)
-        return real_parity(model, *args, **kwargs)
-
-    def pairs(model):
-        leave("koszul.json", model)
-        return real_pairs(model)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(geometry, "random_model", random_model)
-    monkeypatch.setattr(geometry, "rank_parity_sample", parity)
-    monkeypatch.setattr(mf, "model_koszul_pairs", pairs)
-    report = cli.run(cli.SuiteConfig(d=5, samples=20, field="QQ", seed=3))
-    assert report.passed
-    assert events == ["fork", "random_model"]
-    (model,) = caller_models
-    work = geometry.sampling_model(model)
-    for name in ("parity.json", "koszul.json"):
-        got = geometry.model_from_json((tmp_path / name).read_text())
-        assert (got.d, got.A, got.seed, got.field) == (work.d, work.A, work.seed, work.field)
-        assert got.field == PrimeField(101)
-    _no_child_left()
-
-
-def test_worker_error_is_not_hidden_by_the_model_pipe(monkeypatch):
-    """A worker that fails before the model is sent has closed its end of
-    the model pipe.  The caller's certificate here waits, without reaping
-    it, until the worker has exited; sending the model then meets a closed
-    pipe, and the run raises the worker's own error, not BrokenPipeError."""
-    pids = []
-    real_fork, real_model = os.fork, geometry.random_model
-
-    def fork():
-        pids.append(real_fork())
-        return pids[-1]
-
-    def window_broke(*args, **kwargs):
-        raise WorkerFailure("window pass broke")
-
-    def after_the_worker(*args, **kwargs):
-        (pid,) = pids
-        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        return real_model(*args, **kwargs)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(windows, "exceptional_report", window_broke)
-    monkeypatch.setattr(geometry, "random_model", after_the_worker)
-    with pytest.raises(WorkerFailure, match="window pass broke") as raised:
-        cli.run(cli.SuiteConfig(d=5, samples=20))
-    assert "in the forked worker" in str(raised.value.__cause__)
-    assert "run_window_suite" in str(raised.value.__cause__)
     _no_child_left()
 
 
@@ -937,75 +829,203 @@ def test_one_sided_runs_do_not_fork(monkeypatch):
     assert cli.run(window_config()).passed
 
 
-def test_geometry_only_run_forks_once(monkeypatch, tmp_path):
-    """A geometry-only run takes the one forked path of every run that
-    builds a model: os.fork is called once, rank_parity samples in the
-    worker while the pool and the critical sweep run in the caller, and the
-    report lists the geometry checks in the serial order.  The spies leave
-    their pids in a file, which outlives the worker."""
-    caller, children = os.getpid(), []
-    real_fork = os.fork
-    log = tmp_path / "pids"
+def _record_forks(monkeypatch):
+    """The pids of the workers os.fork starts, in fork order; each fork
+    is also logged as "fork" in the list returned second."""
+    real_fork, children, events = os.fork, [], []
 
     def fork():
-        children.append(real_fork())
-        return children[-1]
+        events.append("fork")
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", fork)
+    return children, events
 
-    def spy(name):
-        real = getattr(geometry, name)
+
+def _record_workers(monkeypatch):
+    """The value each cli._worker join returns, in the order the workers
+    were forked (None for a worker never joined)."""
+    real, joined = cli._worker, []
+
+    @contextmanager
+    def recording(fn):
+        slot = len(joined)
+        joined.append(None)
+        with real(fn) as join:
+            def recorded_join():
+                joined[slot] = join()
+                return joined[slot]
+            yield recorded_join
+    monkeypatch.setattr(cli, "_worker", recording)
+    return joined
+
+
+def _log_pids(monkeypatch, log, spies):
+    """Wrap each (module, name) of spies so that every call appends its name
+    and pid to the file log, which outlives the workers; returns a reader of
+    {name: set of pids}."""
+    def spy(module, name):
+        real = getattr(module, name)
 
         def logged(*args, **kwargs):
             with open(log, "a") as fh:
                 fh.write(f"{name} {os.getpid()}\n")
             return real(*args, **kwargs)
-        monkeypatch.setattr(geometry, name, logged)
+        monkeypatch.setattr(module, name, logged)
 
-    for name in ("rank_parity_sample", "sample_y2_points", "critical_equivalence_sweep"):
-        spy(name)
-    monkeypatch.setattr(os, "fork", fork)
+    for module, name in spies:
+        spy(module, name)
+
+    def ran():
+        out = {}
+        for line in log.read_text().splitlines():
+            name, pid = line.split()
+            out.setdefault(name, set()).add(int(pid))
+        return out
+    return ran
+
+
+def test_each_process_runs_the_checks_it_reads(monkeypatch, tmp_path):
+    """`pfgr all` runs its checks in three processes, grouped by what they
+    read: the model-free worker the window pass and the four mf checks that
+    build their own objects, the model-only worker rank_parity and
+    koszul_perturb, and the caller the certificate, the pool, the checks
+    that read it and the Knorrer fibre.  Each worker's join returns exactly
+    its own records."""
+    caller = os.getpid()
+    children, _ = _record_forks(monkeypatch)
+    joined = _record_workers(monkeypatch)
+    ran = _log_pids(monkeypatch, tmp_path / "pids", [
+        (windows, "exceptional_report"), (cli, "run_mf_suite"),
+        (mf, "eagon_northcott_check"), (geometry, "rank_parity_sample"),
+        (mf, "model_koszul_pairs"), (geometry, "random_model"),
+        (geometry, "sample_y2_points"), (geometry, "critical_equivalence_sweep"),
+        (mf, "knorrer_rank_check")])
+    report = cli.run(cli.SuiteConfig(d=5, samples=20))
+    assert report.passed
+    free, model = children
+    assert ran() == {
+        "exceptional_report": {free}, "run_mf_suite": {free},
+        "eagon_northcott_check": {free}, "rank_parity_sample": {model},
+        "model_koszul_pairs": {model}, "random_model": {caller},
+        "sample_y2_points": {caller}, "critical_equivalence_sweep": {caller},
+        "knorrer_rank_check": {caller}}
+    free_part, model_part = joined
+    assert [c["check_name"] for c in free_part.checks] == [
+        name for name in SERIAL_ORDER if name.startswith("window.")] + [
+        "mf.knorrer_base", "mf.stabilization_contractible",
+        "mf.determinantal_resolution", "mf.knorrer_tensor_law"]
+    assert list(free_part.shared) == ["window"]
+    assert [c["check_name"] for c in model_part.checks] == [
+        "geometry.rank_parity", "mf.koszul_perturb"]
+    assert not model_part.shared
+    _no_child_left()
+
+
+def test_model_only_worker_is_forked_with_the_certified_model(monkeypatch, tmp_path):
+    """`pfgr all` forks the model-free worker before geometry.random_model
+    runs and the model-only worker after it, and that worker's rank_parity
+    and koszul_perturb read the caller's sampling model: the same d, A, seed
+    and field.  The worker's spies leave the model they were given in files,
+    which outlive the worker."""
+    caller_models = []
+    _, events = _record_forks(monkeypatch)
+    real_model = geometry.random_model
+    real_parity, real_pairs = geometry.rank_parity_sample, mf.model_koszul_pairs
+
+    def random_model(*args, **kwargs):
+        events.append("random_model")
+        caller_models.append(real_model(*args, **kwargs))
+        return caller_models[-1]
+
+    def leave(name, model):
+        (tmp_path / name).write_text(geometry.model_to_json(model))
+
+    def parity(model, *args, **kwargs):
+        leave("parity.json", model)
+        return real_parity(model, *args, **kwargs)
+
+    def pairs(model):
+        leave("koszul.json", model)
+        return real_pairs(model)
+
+    monkeypatch.setattr(geometry, "random_model", random_model)
+    monkeypatch.setattr(geometry, "rank_parity_sample", parity)
+    monkeypatch.setattr(mf, "model_koszul_pairs", pairs)
+    report = cli.run(cli.SuiteConfig(d=5, samples=20, field="QQ", seed=3))
+    assert report.passed
+    assert events == ["fork", "random_model", "fork"]
+    (model,) = caller_models
+    work = geometry.sampling_model(model)
+    for name in ("parity.json", "koszul.json"):
+        got = geometry.model_from_json((tmp_path / name).read_text())
+        assert (got.d, got.A, got.seed, got.field) == (work.d, work.A, work.seed, work.field)
+        assert got.field == PrimeField(101)
+    _no_child_left()
+
+
+def test_geometry_only_run_forks_twice(monkeypatch, tmp_path):
+    """A geometry-only run takes the one path of every run that builds a
+    model: its model-free worker has no check and returns at once,
+    rank_parity samples in the model-only worker, the pool and the critical
+    sweep run in the caller, and the report lists the geometry checks in
+    the serial order."""
+    caller = os.getpid()
+    children, _ = _record_forks(monkeypatch)
+    joined = _record_workers(monkeypatch)
+    ran = _log_pids(monkeypatch, tmp_path / "pids", [
+        (geometry, name) for name in ("rank_parity_sample", "sample_y2_points",
+                                      "critical_equivalence_sweep")])
     report = cli.run(cli.SuiteConfig(d=5, samples=5, census_qs=(2, 3), suites=("geometry",)))
     assert report.passed
-    (worker,) = children
-    ran = {}
-    for line in log.read_text().splitlines():
-        name, pid = line.split()
-        ran.setdefault(name, set()).add(int(pid))
-    assert ran == {"rank_parity_sample": {worker}, "sample_y2_points": {caller},
-                   "critical_equivalence_sweep": {caller}}
+    _, model = children
+    assert ran() == {"rank_parity_sample": {model}, "sample_y2_points": {caller},
+                     "critical_equivalence_sweep": {caller}}
+    free_part, model_part = joined
+    assert not free_part.checks and not free_part.shared
+    assert [c["check_name"] for c in model_part.checks] == ["geometry.rank_parity"]
     assert [c["check_name"] for c in report.checks] == [
         name for name in SERIAL_ORDER if name.split(".")[0] == "geometry"]
     _no_child_left()
 
 
 def test_uncertified_run_reports_the_window_checks(monkeypatch):
-    """A run whose model failed its certificate has forked already, since
-    the worker starts before the certificate.  The caller sends no model,
-    the worker drops its mf records, and the report holds the failed
-    certificate and the six window checks, as a serial run's would, or the
-    failed certificate alone when the geometry suite runs by itself."""
+    """A run whose model failed its certificate has forked its model-free
+    worker already, since that worker starts before the certificate, and
+    forks no model-only worker.  The caller drops the mf records, and the
+    report holds the failed certificate and the six window checks, as a
+    serial run's would, or the failed certificate alone when the geometry
+    suite runs by itself."""
     def uncertified(*args, **kwargs):
         raise geometry.ModelCertificateError("no certified model")
 
     monkeypatch.setattr(geometry, "random_model", uncertified)
+    children, _ = _record_forks(monkeypatch)
     report = cli.run(window_config(suites=("window", "geometry", "mf")))
     names = [c["check_name"] for c in report.checks]
     assert names == SERIAL_ORDER[:7]
     assert report.checks[0]["verdict"] == "fail"
     assert set(report.timings) == {"geometry.model_certificates"}
     assert list(report.shared) == ["window"]
+    assert len(children) == 1
     _no_child_left()
-    # a geometry-only run forks too; its report holds the failed certificate alone
+    # a geometry-only run forks once too; its report holds the failed certificate alone
     report = cli.run(window_config(suites=("geometry",)))
     assert [c["check_name"] for c in report.checks] == ["geometry.model_certificates"]
     assert report.checks[0]["verdict"] == "fail"
     assert set(report.timings) == {"geometry.model_certificates"} and not report.shared
+    assert len(children) == 2
     _no_child_left()
 
 
 def test_halves_tool_times_both_halves():
     """tools/halves.py runs `pfgr all --d 5` and `pfgr geometry --d 5` once
-    each through its wrapper of cli._worker and prints every mark, in the
-    order the run makes them."""
+    each through its wrapper of cli._worker and prints every mark of the
+    three processes, in column order: the two forks come in the order the
+    run makes them, before the caller waits, and each worker ends after its
+    fork and before the process exits."""
     root = Path(__file__).resolve().parents[1]
     for command in ("all", "geometry"):
         done = subprocess.run(
@@ -1015,9 +1035,11 @@ def test_halves_tool_times_both_halves():
         assert done.returncode == 0, done.stderr
         medians = done.stdout.splitlines()[-1].split()
         marks = dict(zip(medians[1::2], map(float, medians[2::2])))
-        assert list(marks) == ["fork", "sent", "caller", "worker", "exit"]
-        assert marks["fork"] < marks["sent"] < marks["caller"] < marks["exit"]
-        assert marks["fork"] < marks["worker"] < marks["exit"]
+        assert list(marks) == ["free_fork", "model_fork", "caller", "free_end",
+                               "model_end", "exit"]
+        assert marks["free_fork"] < marks["model_fork"] < marks["caller"] < marks["exit"]
+        assert marks["free_fork"] < marks["free_end"] < marks["exit"]
+        assert marks["model_fork"] < marks["model_end"] < marks["exit"]
 
 
 def test_perfbench_trace_child_runs_beside_the_worker(tmp_path):

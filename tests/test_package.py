@@ -245,9 +245,19 @@ def test_setup_probe_window_never_imports_numpy():
     assert _run_python(code) == "0 False"
 
 
+def test_workers_get_the_model_through_the_fork():
+    """The model-only worker is forked after the certificate and holds the
+    model through the fork, so the run path serializes no model: only the
+    `model gen` and `model show` commands write or read model text, and the
+    one pipe is a worker's one-way result pipe."""
+    assert _callers("model_to_json") == {"cli.main"}
+    assert _callers("model_from_json") == {"cli.main"}
+    assert _callers("pipe") == {"cli._worker"}
+
+
 def test_full_run_loads_geometry_and_mf_before_the_fork():
-    """pfgr all loads geometry and mf before the model-free worker forks, so
-    the worker inherits them instead of importing mf a second time."""
+    """pfgr all loads geometry and mf before it forks either worker, so the
+    workers inherit them instead of importing mf a second time."""
     code = ("import sys, types; from pfgr import cli; real = cli._worker; seen = []\n"
             "def spy(fn):\n"
             "    seen.append([type(sys.modules['pfgr.' + name]) is types.ModuleType\n"
@@ -256,4 +266,4 @@ def test_full_run_loads_geometry_and_mf_before_the_fork():
             "cli._worker = spy\n"
             "code = cli.main(['all', '--d', '5', '--samples', '20'])\n"
             "print(code, seen)")
-    assert _run_python(code) == "0 [[True, True]]"
+    assert _run_python(code) == "0 [[True, True], [True, True]]"

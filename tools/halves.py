@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the two forked halves of a pfgr run in one or two checkouts.
+"""Time the three processes of a pfgr run in one or two checkouts.
 
 Usage:
     python3 tools/halves.py [--runs N] CHECKOUT [CHECKOUT] [-- PFGR-ARGS...]
@@ -11,18 +11,21 @@ Each checkout first runs once untimed, so its byte-code is cached.  Each run
 takes the program from CHECKOUT/src and prints, in milliseconds after the
 process was launched:
 
-    fork    when the caller forks its worker,
-    sent    when the caller has sent the worker its model,
-    caller  when the caller's half ends and it starts to wait for the worker,
-    worker  when the worker's half ends, before it pickles its records,
-    exit    when the process has exited,
+    free_fork   when the caller forks its model-free worker,
+    model_fork  when it forks its model-only worker, after the certificate,
+    caller      when the caller's own work ends and it starts to wait,
+    free_end    when the model-free worker's checks end, before it pickles
+                its records,
+    model_end   the same for the model-only worker,
+    exit        when the process has exited,
 
 then each checkout's medians.  The program is not modified: as
 perfbench/trace_child.py does, the run goes through this file, which wraps
-`pfgr.cli._worker` from outside before it calls `pfgr.cli.main`.  Launch and
-marks are read from one clock, time.monotonic, in both processes.  A run
-that does not fork, which only a window-only selection does, prints "-" in
-the columns it has no mark for.
+`pfgr.cli._worker` from outside before it calls `pfgr.cli.main`; the first
+worker a run forks is the model-free one.  Launch and marks are read from
+one clock, time.monotonic, in every process.  A run that does not fork, as
+a window-only selection, or forks once, as a run whose model fails its
+certificate, prints "-" in the columns it has no mark for.
 """
 
 import argparse
@@ -34,7 +37,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-MARKS = ("fork", "sent", "caller", "worker")
+MARKS = ("free_fork", "model_fork", "caller", "free_end", "model_end")
 PREFIX = "halves-mark"
 
 
@@ -44,29 +47,32 @@ def _mark(name):
 
 
 def child(argv):
-    """Run pfgr's command line with the worker's marks; its exit code."""
+    """Run pfgr's command line with the workers' marks; its exit code."""
     from pfgr import cli
 
     real = cli._worker
+    workers = iter(("free", "model"))  # the order run forks them in
+    waited = False
 
     @contextmanager
     def timed_worker(fn):
-        def timed_fn(*args):
-            value = fn(*args)
-            _mark("worker")
+        name = next(workers)
+
+        def timed_fn():
+            value = fn()
+            _mark(name + "_end")
             return value
 
-        def timed_send(text):
-            send(text)
-            _mark("sent")
-
         def timed_join():
-            _mark("caller")
+            nonlocal waited
+            if not waited:  # the caller's first join ends its own work
+                waited = True
+                _mark("caller")
             return join()
 
-        _mark("fork")
-        with real(timed_fn) as (send, join):
-            yield timed_send, timed_join
+        _mark(name + "_fork")
+        with real(timed_fn) as join:
+            yield timed_join
 
     cli._worker = timed_worker
     return cli.main(argv)
@@ -112,13 +118,14 @@ def main(argv):
         run_once(checkout, pfgr_args)
     results = {c: [] for c in args.checkouts}
     columns = MARKS + ("exit",)
-    print("run checkout " + " ".join(f"{c:>7}" for c in columns))
+    print("run checkout " + " ".join(f"{c:>10}" for c in columns))
     for i in range(args.runs):
         order = args.checkouts if i % 2 == 0 else args.checkouts[::-1]
         for checkout in order:
             marks = run_once(checkout, pfgr_args)
             results[checkout].append(marks)
-            print(f"{i:3} {checkout} " + " ".join(f"{_cell(marks.get(c)):>7}" for c in columns))
+            cells = " ".join(f"{_cell(marks.get(c)):>10}" for c in columns)
+            print(f"{i:3} {checkout} {cells}")
     print(f"medians of {args.runs} runs, ms after launch (pfgr {' '.join(pfgr_args)})")
     for checkout, runs in results.items():
         medians = {c: statistics.median(r[c] for r in runs) if all(c in r for r in runs)
