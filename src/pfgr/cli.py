@@ -271,6 +271,7 @@ def run_geometry_suite(config, report, model, pool, planes):
     share points and are not independent draws, but each certifies every
     point it is given."""
     q = model.field.characteristic
+    max_degree = 6  # what the probe runs at and reports
 
     def census():
         strata = {}
@@ -340,12 +341,12 @@ def run_geometry_suite(config, report, model, pool, planes):
            {"samples": config.samples, "q": q}, normal)
 
     def probe():
-        dims, okp = geometry.underlying_scheme_probe(model, pool[0])
+        dims, okp = geometry.underlying_scheme_probe(model, pool[0], max_degree)
         return okp, {"dims": {str(k): v for k, v in dims.items()}}
 
     _timed(report, "geometry.invariant_ring_probe",
            "invariant functions on the kernel Hom space form a 3-variable polynomial ring",
-           {"max_degree": 6}, probe)
+           {"max_degree": max_degree}, probe)
 
     def extension():
         # planes[i] passes through pool[i] and meets its kernel, so the pairs
@@ -366,14 +367,15 @@ def run_parity_check(config, report, model):
     """geometry.rank_parity, the one geometry check that reads the model but
     not the pool: at 10,000 random points of P^(d-1)(F_q) of its own seeded
     stream, the quadratic form's rank is twice the 2-form's."""
+    count = 10000
 
     def parity():
-        checked, failures = geometry.rank_parity_sample(model, 10000, seed=config.seed)
+        checked, failures = geometry.rank_parity_sample(model, count, seed=config.seed)
         return not failures, {"checked": checked, "failures": failures[:3]}
 
     _timed(report, "geometry.rank_parity",
            "the quadratic form rank is twice the 2-form rank at every sample",
-           {"count": 10000, "q": model.field.characteristic}, parity)
+           {"count": count, "q": model.field.characteristic}, parity)
 
 
 def run_mf_suite(config, report):
@@ -381,6 +383,7 @@ def run_mf_suite(config, report):
     read the model are run_koszul_check and run_fibre_check."""
     F = QQ
     trunc = max(4, config.trunc)  # what the Hom checks run at and report
+    c, cutoff = config.d - 3, 8  # what determinantal_resolution runs at and reports
 
     def knorrer_base():
         ring = PolyRing(F, ("x1", "x2"), (1, 1))
@@ -419,8 +422,7 @@ def run_mf_suite(config, report):
            {"trunc": trunc, "field": repr(F)}, contractible)
 
     def determinantal():
-        c = config.d - 3
-        res = mf.eagon_northcott_check(c=c, degree_cutoff=8, field=F)
+        res = mf.eagon_northcott_check(c=c, degree_cutoff=cutoff, field=F)
         return res.exact, {
             "term_ranks": list(res.term_ranks),
             "sym_degrees": list(res.sym_degrees),
@@ -428,7 +430,7 @@ def run_mf_suite(config, report):
 
     _timed(report, "mf.determinantal_resolution",
            "the rank-one locus resolution is exact with the expected term ranks",
-           {"c": config.d - 3, "degree_cutoff": 8, "field": repr(F)}, determinantal)
+           {"c": c, "degree_cutoff": cutoff, "field": repr(F)}, determinantal)
 
     def tensor_law():
         small = PolyRing(F, ("z",), (1,))
@@ -471,10 +473,11 @@ def run_koszul_check(config, report, model):
 def run_fibre_check(config, report, model, pool):
     """mf.knorrer_fibre: the Knorrer fold at the first pool point, on the
     certified model over the sampling field F_q."""
+    trunc = min(config.trunc, 6)
 
     def fibre():
         L = geometry.maximal_isotropic(model, pool[0])
-        res = mf.knorrer_rank_check(model, pool[0], L, trunc=min(config.trunc, 6))
+        res = mf.knorrer_rank_check(model, pool[0], L, trunc=trunc)
         ok = (res.split_certified and res.full_rank_factorization_ok
               and res.matches_kernel_functions
               and all(t == 1 for t in res.factor_totals))
@@ -486,7 +489,7 @@ def run_fibre_check(config, report, model, pool):
 
     _timed(report, "mf.knorrer_fibre",
            "the isotropic-subspace object is a skyscraper along the kernel directions",
-           {"trunc": min(config.trunc, 6), "field": repr(model.field)}, fibre)
+           {"trunc": trunc, "field": repr(model.field)}, fibre)
 
 
 # the serial order of the geometry and mf checks after the model certificate

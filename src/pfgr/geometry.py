@@ -18,15 +18,16 @@ stratum empty the counts agree (grassmannian_census).  Every pointwise
 verdict and sampler reads q from the model's field, refusing with ValueError
 a model over Q (the command line moves the model onto the sampling field)
 or over a prime past the int64 bound C(d, 2)(q - 1)^2 < 2^63 (_check_int64,
-which random_model applies too); only omegas, omega_rows, tensor_mod and the
-censuses, which meet one model at several primes, take q.  Each reads
-omega_p mod q from omegas (the Pfaffian rank route its entries above the
-diagonal, from omega_rows) and ranks through pfgr.modq; the Jacobians, the
-normal map and the samplers take (N, ...) stacks, the sweep draws each of
-its four groups as one stack with one batched verdict call, and y2_kernels
-alone reads ker(omega_p) off a stack.  Surjectivity of A needs no rational
-elimination either: rank d mod any prime q means some d x d minor is
-nonzero mod q, hence nonzero over Z (certify_model).
+which random_model applies too); only omegas, omega_rows, incidence_maps,
+tensor_mod and the censuses, which meet one model at several primes, take q.
+Each reads omega_p mod q from omegas (omega_rows for the Pfaffian route)
+and each map v -> A(k wedge v) from incidence_maps, and ranks through
+pfgr.modq; the Jacobians, the normal map and the samplers take (N, ...)
+stacks, the sweep draws each of its four groups as one stack with one
+batched verdict call, and y2_kernels alone reads ker(omega_p) off a stack.
+Surjectivity of A needs no rational elimination either: rank d mod any
+prime q means some d x d minor is nonzero mod q, hence nonzero over Z
+(certify_model).
 
 Both samplers cost about q draws per point over F_q.  Y2 is sampled by
 kernel search: a random k fixes the linear system {p : k in ker(omega_p)},
@@ -160,6 +161,17 @@ def omega_rows(model, pts, q):
     return (np.array(model.A, dtype=np.int64) % q).T @ pts.T % q
 
 
+def incidence_maps(model, ks, q):
+    """C_k mod q, the matrix of v -> A(k wedge v), for an (..., d) stack of
+    vectors k: an (..., d, d) stack of C_k[j, m] = sum_l k_l T[j, l, m].
+    C_k kills k, p . C_k v = omega_p(k, v), C_k v = -C_v k, and C_k is
+    linear in k.  Each entry sums d products of residues, as in omegas."""
+    ks = np.asarray(ks, dtype=np.int64) % q
+    d = model.d
+    Tl = model.tensor_mod(q).transpose(1, 0, 2).reshape(d, d * d)
+    return (ks @ Tl % q).reshape(ks.shape[:-1] + (d, d))
+
+
 def _check_int64(q, d):
     """Refuse (ValueError) a prime q whose residues could wrap int64 at d.
     The longest dot products of residues have C(d, 2) terms (the wedge
@@ -198,8 +210,7 @@ def y1_membership(model, x):
     u, v = np.asarray(x, dtype=np.int64) % q
     if _rank([u, v], q) != 2:
         raise ValueError("x must have rank 2")
-    # A(u wedge v)_i = u . T_i v, reduced after each contraction
-    return not (np.einsum("iab,b->ia", model.tensor_mod(q), v) % q @ u % q).any()
+    return not (incidence_maps(model, u, q) @ v % q).any()
 
 
 def y2_membership(model, p):
@@ -287,10 +298,10 @@ def gaussian_binomial_2(n, q):
 def grassmannian_census(model, q):
     """(number of 2-planes over F_q, number of them lying on Y1).
 
-    Walks the points u of P^(d-1)(F_q) as rank_census does, ranking
-    C_u[j, m] = sum_l u_l omega_{e_j}[l, m], the map v -> A(u wedge v).  It
-    kills u, so the Y1 planes through u are the (q^(k_u - 1) - 1)/(q - 1)
-    lines of ker C_u / <u>, k_u = d - rank C_u; each plane has q + 1 points.
+    Walks the points u of P^(d-1)(F_q) as rank_census does, ranking C_u,
+    the map v -> A(u wedge v) (incidence_maps).  It kills u, so the Y1
+    planes through u are the (q^(k_u - 1) - 1)/(q - 1) lines of
+    ker C_u / <u>, k_u = d - rank C_u; each plane has q + 1 points.
 
     Double count: p . C_u v = omega_p(u, v), so counting {(u, p) : u in
     ker omega_p} over u and over p gives, for any A,
@@ -302,11 +313,7 @@ def grassmannian_census(model, q):
     cross-checks the two rank routes; it adds nothing about the model.
     """
     d = model.d
-    # C_u for a stack of points u is one product against Tq[j, l, m] as an
-    # l x (j, m) matrix
-    Tl = model.tensor_mod(q).transpose(1, 0, 2).reshape(d, d * d)
-    strata = _strata(model, q,
-                     lambda us: modq.batch_rank((us @ Tl % q).reshape(-1, d, d), q))
+    strata = _strata(model, q, lambda us: modq.batch_rank(incidence_maps(model, us, q), q))
     through = sum(c * ((q ** (d - r - 1) - 1) // (q - 1)) for r, c in strata.items())
     assert through % (q + 1) == 0
     return gaussian_binomial_2(d, q), through // (q + 1)
@@ -366,14 +373,14 @@ def sample_y2_points(model, count, seed=0):
     A random vector k determines the linear system {p : k in ker(omega_p)};
     when its solution space is a single projective point p_k, that point lies
     on Y2 roughly once in q tries, which is fast enough to batch.  B_k is
-    C_k transposed (grassmannian_census), whose right kernel gives Y1 planes.
+    C_k transposed (incidence_maps), whose right kernel gives Y1 planes;
+    C_k is linear in k, so the maps of the unit vectors give every draw's.
     Each batch is eliminated ELIM_SLICE draws at a time, in draw order, up
     to the slice that completes the sample: hits are taken in stream order,
     so the points are those of eliminating the whole batch.
     """
     d, q = model.d, _prime(model)
-    # B_k[j, i] = sum_l k_l Tq[i, l, j]: Tq as an l x (j, i) matrix
-    Tl = model.tensor_mod(q).transpose(1, 2, 0).reshape(d, d * d)
+    units = incidence_maps(model, np.eye(d, dtype=np.int64), q).reshape(d, d * d)
     rng = np.random.default_rng(seed)
     found = []
     tries = 0
@@ -386,8 +393,8 @@ def sample_y2_points(model, count, seed=0):
             if len(found) == count:
                 break
             # B_k maps p to the contraction of omega_p with k
-            R, ranks, pivots = modq.rref(
-                (ks[start:start + ELIM_SLICE] @ Tl % q).reshape(-1, d, d), q)
+            C = (ks[start:start + ELIM_SLICE] @ units % q).reshape(-1, d, d)
+            R, ranks, pivots = modq.rref(C.swapaxes(1, 2), q)
             line = ranks == d - 1
             ps = modq.kernels(R[line], pivots[line], q)
             # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
@@ -422,7 +429,8 @@ def sample_y1_points(model, base_points, seed=0):
     between Y2 and Y1.  The base points come from the caller, so the planes
     are not independent of them: the plane returned for p meets K_p.  For
     each p, draw k in K_p and let C_k be the d x d matrix of
-    v -> A(k wedge v).
+    v -> A(k wedge v) (incidence_maps), linear in k: the maps of the basis
+    of each K_p, taken once per call, give every draw's.
 
     * C_k kills k, and its image lies in the hyperplane p-perp, because
       p . A(k wedge v) = omega_p(k, v) = 0.  So rank C_k <= d - 2 is a single
@@ -452,9 +460,7 @@ def sample_y1_points(model, base_points, seed=0):
     are valid samples.
     """
     d, q = model.d, _prime(model)
-    # C_k[j, m] = sum_l k_l Tq[j, l, m]: Tq as an l x (j, m) matrix
-    Tl = model.tensor_mod(q).transpose(1, 0, 2).reshape(d, d * d)
-    K = y2_kernels(model, base_points)
+    CK = incidence_maps(model, y2_kernels(model, base_points), q).reshape(-1, 3, d * d)
     rng = np.random.default_rng((seed, 1))
     planes = {}
     pending = np.arange(len(base_points))
@@ -469,9 +475,8 @@ def sample_y1_points(model, base_points, seed=0):
         start = 0
         while len(open_) and start < per:
             stop = start + max(1, ELIM_SLICE // len(open_))
-            ks = np.einsum("xws,xsl->xwl", coeffs[open_, start:stop], K[take[open_]]) % q
-            # C_k[j, m] = sum_l k_l omega_{e_j}[l, m], the coefficient of v_m in A(k wedge v)_j
-            R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
+            C = coeffs[open_, start:stop] @ CK[take[open_]] % q
+            R, ranks, pivots = modq.rref(C.reshape(-1, d, d), q)
             hit = (ranks == d - 2).reshape(len(open_), -1)
             done = hit.any(axis=1)
             rows = np.flatnonzero(done) * hit.shape[1] + hit.argmax(axis=1)[done]
@@ -524,13 +529,11 @@ def pfaffian_jacobian_mod(model, pts):
 def y1_jacobian_mod(model, xs):
     """Differentials of the d equations A(wedge) on all of Hom(S, V) over
     F_q at an (N, 2, d) stack of points (an (N, d, 2d) stack).  Column a is
-    the derivative along u_a, column d + b along v_b: sum_b T[i, a, b] v_b
-    and sum_a T[i, a, b] u_a."""
+    the derivative along u_a, column d + b along v_b: [-C_v | C_u], since
+    A(u wedge v) = C_u v = -C_v u (incidence_maps)."""
     q = _prime(model)
-    Tq = model.tensor_mod(q)
-    xs = np.asarray(xs, dtype=np.int64).reshape(-1, 2, model.d) % q
-    return np.concatenate([np.einsum("iab,xb->xia", Tq, xs[:, 1]),
-                           np.einsum("iab,xa->xib", Tq, xs[:, 0])], axis=2) % q
+    C = incidence_maps(model, np.asarray(xs, dtype=np.int64).reshape(-1, 2, model.d), q)
+    return np.concatenate([-C[:, 1], C[:, 0]], axis=2) % q
 
 
 @dataclass
@@ -688,13 +691,10 @@ def normal_map_check(model, pts):
     omega rank is not d - 3) and three batch_rank calls.
     """
     q = _prime(model)
-    Tq = model.tensor_mod(q)
     K = y2_kernels(model, pts)
-    # reduce after each contraction: entries of K and Tq are residues, so an
-    # unreduced double contraction could reach d^2 (q - 1)^3 and wrap int64
-    TK = np.einsum("iab,xtb->xita", Tq, K) % q
-    G = np.einsum("xsa,xita->xist", K, TK) % q
-    M3 = np.stack([G[:, :, s, t] for s, t in [(0, 1), (0, 2), (1, 2)]], axis=1)
+    # G[x, s, :, t] = C_{K_s} K_t = A(K_s wedge K_t), reduced after each product
+    G = incidence_maps(model, K, q) @ K[:, None].swapaxes(-1, -2) % q
+    M3 = np.stack([G[:, s, :, t] for s, t in [(0, 1), (0, 2), (1, 2)]], axis=1)
     J = pfaffian_jacobian_mod(model, pts)
     rank_m = modq.batch_rank(M3, q).tolist()
     rank_j = modq.batch_rank(J, q).tolist()

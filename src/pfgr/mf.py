@@ -263,17 +263,37 @@ class MFVerifyResult:
         return self.ok
 
 
+def _graded(E, entries):
+    """The grading rules of E, as an MFVerifyResult: W is homogeneous of
+    charge 2, and each (i, j, charge) of entries, a nonzero D[i][j] and its
+    charge, joins generators of opposite parity (D is odd) with charge
+    c_j + 1 - c_i.  A failure names its rule and the offending entry (i, j);
+    a pass reports the evenness convention as parity_consistent (mf_verify)."""
+    wc = E.W.homogeneous_charge()
+    if not E.W.is_zero() and wc != 2:
+        return MFVerifyResult(False, "W is not homogeneous of charge 2", {"charge": wc})
+    for i, j, charge in entries:
+        (pi, ci), (pj, cj) = E.gens[i], E.gens[j]
+        if pi == pj:
+            return MFVerifyResult(False, "D entry joins generators of equal parity",
+                                  {"entry": (i, j), "parity": pi})
+        if charge != cj + 1 - ci:
+            return MFVerifyResult(False, "D entry charge mismatch",
+                                  {"entry": (i, j), "expected": cj + 1 - ci, "got": charge})
+    return MFVerifyResult(True, parity_consistent=all(c % 2 == p for p, c in E.gens))
+
+
 def mf_verify(E):
     """Exact check of the square identity and all homogeneity constraints.
 
-    One product D * D is compared with W * id entry by entry, W must be
-    homogeneous of charge 2, and every nonzero D[i][j] must join generators
-    of opposite parity (D is odd) with charge c_j + 1 - c_i; a failure names
-    its rule and the offending entry (i, j) in E.gens order.  The
-    parity/charge evenness convention (c % 2 == parity for every generator)
-    is reported separately and does not fail the verdict: on
-    dilation-weight-one fibres the convention is violated and the offending
-    sign is absorbed by the gauge group.
+    One product D * D is compared with W * id entry by entry; then, by
+    _graded, W must be homogeneous of charge 2, and every nonzero D[i][j]
+    must join generators of opposite parity (D is odd) with charge
+    c_j + 1 - c_i; a failure names its rule and the offending entry (i, j)
+    in E.gens order.  The parity/charge evenness convention (c % 2 ==
+    parity for every generator) is reported separately and does not fail
+    the verdict: on dilation-weight-one fibres the convention is violated
+    and the offending sign is absorbed by the gauge group.
     """
     W, zero = E.W, E.ring.zero()
     for i, row in enumerate(poly_mat_mul(E.D, E.D)):
@@ -282,24 +302,8 @@ def mf_verify(E):
             if e != want:
                 return MFVerifyResult(False, "D*D differs from W*id",
                                       {"entry": (i, j), "difference": repr(e - want)})
-    wc = W.homogeneous_charge()
-    if not W.is_zero() and wc != 2:
-        return MFVerifyResult(False, "W is not homogeneous of charge 2",
-                              {"charge": wc})
-    for i, (pi, ci) in enumerate(E.gens):
-        for j, (pj, cj) in enumerate(E.gens):
-            e = E.D[i][j]
-            if e.is_zero():
-                continue
-            if pi == pj:
-                return MFVerifyResult(False, "D entry joins generators of equal parity",
-                                      {"entry": (i, j), "parity": pi})
-            want = cj + 1 - ci
-            if e.homogeneous_charge() != want:
-                return MFVerifyResult(
-                    False, "D entry charge mismatch",
-                    {"entry": (i, j), "expected": want, "got": e.homogeneous_charge()})
-    return MFVerifyResult(True, parity_consistent=all(c % 2 == p for p, c in E.gens))
+    return _graded(E, ((i, j, e.homogeneous_charge()) for i, row in enumerate(E.D)
+                       for j, e in enumerate(row) if not e.is_zero()))
 
 
 def hypersurface_factor(ring, f, g):
@@ -379,11 +383,10 @@ def koszul_certificate(E, pairs):
     relations are checked over Z, so they hold over every field.  Each
     product composes two partial maps in O(rank), O(h^2 rank) in all, after
     one pass over the rank^2 slots of D; mf_verify instead forms the
-    polynomial product D * D.  The parity and charge rules of mf_verify
-    are checked on every nonzero entry, with the charge of f_j taken once,
-    and W must be homogeneous of charge 2.  The certificate reads the D that
-    was built, not the pairs it was meant to be built from, so a wrong sign,
-    a misplaced entry or a wrong factor in D fails it.
+    polynomial product D * D.  Once D is read, mf_verify's grading rules
+    (_graded) follow, with the charge of f_j taken once.  The certificate
+    reads the D that was built, not the pairs it was meant to be built from,
+    so a wrong sign, a misplaced entry or a wrong factor in D fails it.
     """
     factors = [f for pair in pairs for f in pair]
     label = {}  # the coefficients of +-f_j: (j, sign)
@@ -398,13 +401,10 @@ def koszul_certificate(E, pairs):
     if W != E.W:
         return MFVerifyResult(False, "sum of a_k b_k differs from W",
                               {"difference": repr(W - E.W)})
-    if not W.is_zero() and W.homogeneous_charge() != 2:
-        return MFVerifyResult(False, "W is not homogeneous of charge 2",
-                              {"charge": W.homogeneous_charge()})
     charges = [f.homogeneous_charge() for f in factors]
     X = [{} for _ in factors]
+    entries = []
     for r, row in enumerate(E.D):
-        pr, cr = E.gens[r]
         for c, e in enumerate(row):
             if not e.coeffs:
                 continue
@@ -417,14 +417,10 @@ def koszul_certificate(E, pairs):
                 return MFVerifyResult(False, "a factor polynomial fills two entries of one column",
                                       {"entry": (r, c), "factor": j})
             X[j][c] = r, sign
-            pc, cc = E.gens[c]
-            if pr == pc:
-                return MFVerifyResult(False, "D entry joins generators of equal parity",
-                                      {"entry": (r, c), "parity": pr})
-            if charges[j] != cc + 1 - cr:
-                return MFVerifyResult(False, "D entry charge mismatch",
-                                      {"entry": (r, c), "expected": cc + 1 - cr,
-                                       "got": charges[j]})
+            entries.append((r, c, charges[j]))
+    graded = _graded(E, entries)
+    if not graded:
+        return graded
     identity = {c: {c: 1} for c in range(E.rank)}
     for j, Xj in enumerate(X):
         if any(r in Xj for r, _ in Xj.values()):
@@ -433,7 +429,7 @@ def koszul_certificate(E, pairs):
             want = identity if j % 2 == 0 and l == j + 1 else {}
             if _anticommutator(Xj, X[l]) != want:
                 return MFVerifyResult(False, "Clifford relation fails", {"factors": (j, l)})
-    return MFVerifyResult(True, parity_consistent=all(c % 2 == p for p, c in E.gens))
+    return graded
 
 
 def model_koszul_pairs(model):

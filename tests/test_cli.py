@@ -158,6 +158,22 @@ def test_mf_checks_report_the_truncation_they_ran_at(tmp_path):
     assert params["mf.knorrer_fibre"]["trunc"] == 2
 
 
+def test_probe_reports_the_degree_it_ran_at(monkeypatch):
+    """geometry.invariant_ring_probe passes underlying_scheme_probe the
+    max_degree it reports, so the report cannot drift from the function's
+    default."""
+    real, seen = geometry.underlying_scheme_probe, []
+
+    def spy(model, p, *rest, **kwargs):
+        seen.append(rest + tuple(kwargs.values()))
+        return real(model, p, *rest, **kwargs)
+
+    monkeypatch.setattr(geometry, "underlying_scheme_probe", spy)
+    report = cli.run(cli.SuiteConfig(d=5, samples=20, suites=("geometry",)))
+    params = {c["check_name"]: c["parameters"] for c in report.checks}
+    assert seen == [(params["geometry.invariant_ring_probe"]["max_degree"],)]
+
+
 @pytest.mark.parametrize("field", [[], ["--field", "QQ"]], ids=["default", "QQ"])
 def test_mf_checks_report_the_field_they_ran_over(tmp_path, field):
     """The fibre runs on the working model over F_101; the other five mf
@@ -778,6 +794,22 @@ def test_caller_exception_kills_the_worker(monkeypatch):
     _no_child_left()
 
 
+def test_caller_exception_kills_a_busy_worker(monkeypatch):
+    """A caller exception ends the run at once: the model-free worker, held
+    for a minute in eagon_northcott_check, is killed rather than waited for,
+    and no child is left."""
+    def broken(*args, **kwargs):
+        raise WorkerFailure("critical sweep broke")
+
+    monkeypatch.setattr(mf, "eagon_northcott_check", lambda **kwargs: time.sleep(60))
+    monkeypatch.setattr(geometry, "critical_equivalence_sweep", broken)
+    t0 = time.monotonic()
+    with pytest.raises(WorkerFailure, match="critical sweep broke"):
+        cli.run(cli.SuiteConfig(d=5, samples=20))
+    assert time.monotonic() - t0 < 20
+    _no_child_left()
+
+
 def test_rank_parity_failure_arrives_from_the_worker(monkeypatch):
     """geometry.rank_parity runs in the model-only worker: its exception
     reaches the caller chained from the worker's traceback."""
@@ -1040,6 +1072,22 @@ def test_halves_tool_times_both_halves():
         assert marks["free_fork"] < marks["model_fork"] < marks["caller"] < marks["exit"]
         assert marks["free_fork"] < marks["free_end"] < marks["exit"]
         assert marks["model_fork"] < marks["model_end"] < marks["exit"]
+
+
+def test_halves_tool_refuses_a_run_without_a_report(tmp_path):
+    """tools/halves.py stops with the child's stderr when a run prints no
+    report, though the child exits 1 as a run with a failed check does:
+    here its pfgr.cli dies on import with ModuleNotFoundError."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("halves", root / "tools" / "halves.py")
+    halves = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(halves)
+    package = tmp_path / "src" / "pfgr"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("import pfgr_missing_layer\n")
+    with pytest.raises(SystemExit, match="exited 1 with no report(.|\n)*ModuleNotFoundError"):
+        halves.run_once(tmp_path, ["all", "--d", "5"])
 
 
 def test_perfbench_trace_child_runs_beside_the_worker(tmp_path):

@@ -81,16 +81,18 @@ def test_geometry_takes_a_prime_only_where_one_model_meets_several():
                 takes.add(name)
                 if param.default is not param.empty:
                     defaults.add(name)
-    assert takes == {"omegas", "omega_rows", "PfaffianModel.tensor_mod", "rank_census",
-                     "grassmannian_census", "gaussian_binomial_2", "random_model"}
+    assert takes == {"omegas", "omega_rows", "incidence_maps", "PfaffianModel.tensor_mod",
+                     "rank_census", "grassmannian_census", "gaussian_binomial_2",
+                     "random_model"}
     assert defaults == {"random_model"}
 
 
 def _sites(found):
     """{module.function} of every function in src/pfgr whose own body
-    (nested functions aside) holds a node for which found(node) holds, and
-    {module} for such a node outside any function."""
-    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    (nested functions aside, a lambda's body included) holds a node for
+    which found(node) holds, and {module} for such a node outside any
+    function."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -143,6 +145,30 @@ def test_exact_reranks_only_where_a_modular_rank_is_a_bound():
     bound over Q: a failed kernel certificate in mf._ranks and an
     Eagon-Northcott weight space with homology mod EN_PRIME."""
     assert _callers("_exact_system") == {"mf._ranks", "mf.eagon_northcott_check"}
+
+
+def test_one_incidence_map():
+    """The coefficient tensor mod q is read only by the two evaluators,
+    omegas and incidence_maps, and every map v -> A(k wedge v) of the
+    incidence is read off incidence_maps, so no site writes its own
+    contraction of the tensor."""
+    assert _readers("tensor_mod") == {"geometry.omegas", "geometry.incidence_maps"}
+    assert _callers("incidence_maps") == {
+        "geometry.grassmannian_census", "geometry.sample_y2_points",
+        "geometry.sample_y1_points", "geometry.y1_membership", "geometry.y1_jacobian_mod",
+        "geometry.normal_map_check"}
+
+
+def test_one_grading_rule():
+    """The grading rules of a matrix factorization (W of charge 2, D odd and
+    of charge 1) are coded once, in mf._graded, which both verifiers call:
+    each failure text appears once in src/pfgr, there."""
+    for text in ("W is not homogeneous of charge 2",
+                 "D entry joins generators of equal parity", "D entry charge mismatch"):
+        assert sum(path.read_text().count(text) for path in SRC.glob("*.py")) == 1
+        assert _sites(lambda node: isinstance(node, ast.Constant)
+                      and node.value == text) == {"mf._graded"}
+    assert _callers("_graded") == {"mf.mf_verify", "mf.koszul_certificate"}
 
 
 def test_window_bounds_are_read_only_by_the_command_line():

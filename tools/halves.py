@@ -4,12 +4,13 @@
 Usage:
     python3 tools/halves.py [--runs N] CHECKOUT [CHECKOUT] [-- PFGR-ARGS...]
 
-Runs `pfgr PFGR-ARGS` (default: `all`, at the defaults) N times per
-checkout (default 10), one process at a time, alternating between the
-checkouts when two are given, the first one first in even-numbered rounds.
-Each checkout first runs once untimed, so its byte-code is cached.  Each run
-takes the program from CHECKOUT/src and prints, in milliseconds after the
-process was launched:
+Runs `pfgr PFGR-ARGS` (default: `all`, at the defaults; PFGR-ARGS keep
+the text format, whose `overall:` line shows that a run reached its
+report) N times per checkout (default 10), one process at a time,
+alternating between the checkouts when two are given, the first one first
+in even-numbered rounds.  Each checkout first runs once untimed, so its
+byte-code is cached.  Each run takes the program from CHECKOUT/src and
+prints, in milliseconds after the process was launched:
 
     free_fork   when the caller forks its model-free worker,
     model_fork  when it forks its model-only worker, after the certificate,
@@ -22,9 +23,13 @@ process was launched:
 then each checkout's medians.  The program is not modified: as
 perfbench/trace_child.py does, the run goes through this file, which wraps
 `pfgr.cli._worker` from outside before it calls `pfgr.cli.main`; the first
-worker a run forks is the model-free one.  Launch and marks are read from
-one clock, time.monotonic, in every process.  A run that does not fork, as
-a window-only selection, or forks once, as a run whose model fails its
+worker a run forks is the model-free one.  The wrapper assumes the
+interface of `_worker(fn)`: a context manager that runs fn() in a forked
+process and yields `join`, which waits for it and returns fn's value.  A
+checkout whose `_worker` differs cannot be timed by this copy of the tool;
+time it with its own copy.  Launch and marks are read from one clock,
+time.monotonic, in every process.  A run that does not fork, as a
+window-only selection, or forks once, as a run whose model fails its
 certificate, prints "-" in the columns it has no mark for.
 """
 
@@ -79,23 +84,27 @@ def child(argv):
 
 
 def run_once(checkout, pfgr_args):
-    """One timed run: {mark: ms after launch}, 'exit' included; a run that
-    exits with neither 0 (pass) nor 1 (a failed check) stops the tool."""
+    """One timed run: {mark: ms after launch}, 'exit' included.  A run that
+    exits with neither 0 (pass) nor 1 (a failed check), or that prints no
+    text report with its `overall:` line, stops the tool with its stderr:
+    a child that died before its report, as on a checkout without
+    src/pfgr, also exits 1."""
     env = {**os.environ, "PYTHONPATH": str(Path(checkout).resolve() / "src")}
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", "--", *pfgr_args]
     launched = time.monotonic()
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True)
-    _, err = proc.communicate()
+    out, err = proc.communicate()
     ended = time.monotonic()
     marks = {"exit": (ended - launched) * 1e3}
     for line in err.splitlines():
         if line.startswith(PREFIX + " "):
             _, name, value = line.split()
             marks[name] = (float(value) - launched) * 1e3
-    if proc.returncode not in (0, 1):
+    reported = any(line.startswith("overall: ") for line in out.splitlines())
+    if proc.returncode not in (0, 1) or not reported:
         raise SystemExit(f"{checkout}: pfgr {' '.join(pfgr_args)} exited "
-                         f"{proc.returncode}\n{err}")
+                         f"{proc.returncode}{'' if reported else ' with no report'}\n{err}")
     return marks
 
 
