@@ -20,14 +20,24 @@ exact folds over Q.
 from fractions import Fraction
 
 
+# Miller-Rabin to the first 12 prime bases is exact below psi_12 =
+# 318665857834031151167461, itself a strong pseudoprime to all 12 of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Whether the int n is prime, by deterministic Miller-Rabin; an n the
+    bases do not decide (n >= psi_12) raises ValueError."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is past the exact Miller-Rabin range")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 2 ** i, n) for i in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -78,8 +88,8 @@ class PrimeField:
     one = 1
 
     def __init__(self, q):
-        if type(q) is not int or not is_prime(q):
-            raise ValueError(f"field order {q!r} is not a prime int")
+        if type(q) is not int or q >= 2 ** 64 or not is_prime(q):
+            raise ValueError(f"field order {q!r} is not a prime int below 2^64")
         self.q = q
         self.name = f"F{q}"
         self.characteristic = q

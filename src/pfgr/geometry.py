@@ -36,11 +36,11 @@ through the incidence {(p, U) : U meets ker(omega_p)} between the two
 varieties, the correspondence behind the equivalence: for each given Y2
 point p, a random k in ker(omega_p) gives the Y1 plane ker(v -> A(k wedge v))
 about once in q draws (sample_y1_points holds the soundness argument).
-Sampling is deterministic given a seed.  Draws come in batches of 4096,
-row-reduced ELIM_SLICE draws at a time up to the slice that completes the
-sample, and no batch is begun after SAMPLER_MAX_TRIES draws in a call, so a
-call may end up to one batch past it.  This module alone owns that
-policy: sampling_model moves a model onto its sampling field,
+Sampling is deterministic given a seed.  Each sampler draws ELIM_SLICE
+vectors at a time and row-reduces each slice as it draws it, up to the slice
+that completes the sample; no slice is begun at or past SAMPLER_MAX_TRIES
+draws in a call, so a call may end up to one slice past it.  This module
+alone owns that policy: sampling_model moves a model onto its sampling field,
 check_sampling_budget refuses a count up front, and a sampler out of draws
 raises ValueError (sampling_budget_Y2 or _Y1), giving the draws it made,
 rather than return fewer.
@@ -331,15 +331,10 @@ def _rng_ints(rng, q, shape):
 # points need count * q <= SAMPLER_MAX_TRIES (check_sampling_budget)
 SAMPLER_MAX_TRIES = 4_000_000
 
-# draws one modq.rref call of a sampler eliminates; a sampler stops at the
-# slice that completes its sample.  Each call also has a fixed cost of about
-# 0.4 ms: random_model(1) and a 100-point pool at d = 7 took 64.6, 56.3 and
-# 56.9 ms in process at 512, 1024 and 2048 (2-vCPU box).  Slicing the Y2
-# batches too costs the 100-point pool about 1 ms but saves the certificate
-# about 6 ms.  Both run in the calling half of `pfgr all`, one after the
-# other, so the trade still shortens that half.  When the certificate ran
-# before the fork, all-d7 ran a median 3.8 ms faster than with Y1 slices
-# alone, at 30 of 34 checkout paths and seeds
+# draws one sampler pass makes and eliminates in one modq.rref call; a
+# sampler stops at the slice that completes its sample.  Each call also costs
+# about 0.4 ms: random_model(1) and a 100-point pool at d = 7 took 64.6, 56.3
+# and 56.9 ms in process at 512, 1024 and 2048 (2-vCPU box)
 ELIM_SLICE = 1024
 
 
@@ -367,7 +362,7 @@ def check_sampling_budget(count, field):
 
 def sample_y2_points(model, count, seed=0):
     """count points p with rank(omega_p) = d - 3 over F_q, by kernel search;
-    ValueError (sampling_budget_Y2), with the draws made, when the batches
+    ValueError (sampling_budget_Y2), with the draws made, when the slices
     begun within SAMPLER_MAX_TRIES draws find fewer.
 
     A random vector k determines the linear system {p : k in ker(omega_p)};
@@ -375,31 +370,26 @@ def sample_y2_points(model, count, seed=0):
     on Y2 roughly once in q tries, which is fast enough to batch.  B_k is
     C_k transposed (incidence_maps), whose right kernel gives Y1 planes;
     C_k is linear in k, so the maps of the unit vectors give every draw's.
-    Each batch is eliminated ELIM_SLICE draws at a time, in draw order, up
-    to the slice that completes the sample: hits are taken in stream order,
-    so the points are those of eliminating the whole batch.
+    Each pass draws ELIM_SLICE vectors, drops the zero ones and eliminates
+    the rest in one call; hits are taken in draw order, up to the slice that
+    completes the sample.
     """
     d, q = model.d, _prime(model)
     units = incidence_maps(model, np.eye(d, dtype=np.int64), q).reshape(d, d * d)
     rng = np.random.default_rng(seed)
     found = []
     tries = 0
-    batch = 4096
     while len(found) < count and tries < SAMPLER_MAX_TRIES:
-        ks = _rng_ints(rng, q, (batch, d))
-        tries += batch
-        ks = ks[ks.any(axis=1)]
-        for start in range(0, len(ks), ELIM_SLICE):
-            if len(found) == count:
-                break
-            # B_k maps p to the contraction of omega_p with k
-            C = (ks[start:start + ELIM_SLICE] @ units % q).reshape(-1, d, d)
-            R, ranks, pivots = modq.rref(C.swapaxes(1, 2), q)
-            line = ranks == d - 1
-            ps = modq.kernels(R[line], pivots[line], q)
-            # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
-            hits = ps[modq.pfaffians_vanish(omega_rows(model, ps, q), q)]
-            found.extend(hits[:count - len(found)].tolist())
+        ks = _rng_ints(rng, q, (ELIM_SLICE, d))
+        tries += ELIM_SLICE
+        # B_k maps p to the contraction of omega_p with k
+        C = (ks[ks.any(axis=1)] @ units % q).reshape(-1, d, d)
+        R, ranks, pivots = modq.rref(C.swapaxes(1, 2), q)
+        line = ranks == d - 1
+        ps = modq.kernels(R[line], pivots[line], q)
+        # d is odd, so rank <= d - 3 exactly where every principal Pfaffian vanishes
+        hits = ps[modq.pfaffians_vanish(omega_rows(model, ps, q), q)]
+        found.extend(hits[:count - len(found)].tolist())
     if len(found) < count:
         raise ValueError(f"sampling_budget_Y2: the sampler found {len(found)} of {count} Y2 "
                          f"points over F_{q} in its {tries} draws; ask for fewer samples")
@@ -446,15 +436,14 @@ def sample_y1_points(model, base_points, seed=0):
       K_p for some p on Y2.
 
     The draws of k come from a stream disjoint from
-    sample_y2_points(seed=seed), in rounds of 4096 split evenly among the
-    first 4096 base points still without a plane.  Each round is drawn
-    whole, then row-reduced by position slices of about ELIM_SLICE draws,
-    only for the base points still without a plane; each keeps its first
-    hit in draw order.  So the stream, the planes and the draws counted are
-    those of eliminating the whole round, where most draws are never
-    reduced.  A base point still without a plane when a round ends past
-    SAMPLER_MAX_TRIES draws raises ValueError (sampling_budget_Y1, with the
-    draws made), so planes[i] always passes through base_points[i].
+    sample_y2_points(seed=seed), in slices: each takes the first n base
+    points still without a plane, n <= ELIM_SLICE, draws ELIM_SLICE // n
+    vectors k for each and eliminates them all in one call.  Each base
+    point keeps its first hit in draw order, and those still without a
+    plane go back to the front of the line.  A base point still without a
+    plane when a slice ends at or past SAMPLER_MAX_TRIES draws raises
+    ValueError (sampling_budget_Y1, with the draws made), so planes[i]
+    always passes through base_points[i].
     Planes are not deduplicated: at d = 5, Y1 is a curve with about q points
     over F_q, so a sample of about q planes must repeat some, and repeats
     are valid samples.
@@ -465,26 +454,18 @@ def sample_y1_points(model, base_points, seed=0):
     planes = {}
     pending = np.arange(len(base_points))
     tries = 0
-    batch = 4096
     while len(pending) and tries < SAMPLER_MAX_TRIES:
-        take, pending = pending[:batch], pending[batch:]
-        per = batch // len(take)
+        take, pending = pending[:ELIM_SLICE], pending[ELIM_SLICE:]
+        per = ELIM_SLICE // len(take)
         tries += len(take) * per
-        coeffs = _rng_ints(rng, q, (len(take), per, 3))
-        open_ = np.arange(len(take))  # positions in take still without a plane
-        start = 0
-        while len(open_) and start < per:
-            stop = start + max(1, ELIM_SLICE // len(open_))
-            C = coeffs[open_, start:stop] @ CK[take[open_]] % q
-            R, ranks, pivots = modq.rref(C.reshape(-1, d, d), q)
-            hit = (ranks == d - 2).reshape(len(open_), -1)
-            done = hit.any(axis=1)
-            rows = np.flatnonzero(done) * hit.shape[1] + hit.argmax(axis=1)[done]
-            xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
-            planes.update(zip(take[open_[done]].tolist(), xs.tolist()))
-            open_ = open_[~done]
-            start = stop
-        pending = np.concatenate([take[open_], pending])
+        C = _rng_ints(rng, q, (len(take), per, 3)) @ CK[take] % q
+        R, ranks, pivots = modq.rref(C.reshape(-1, d, d), q)
+        hit = (ranks == d - 2).reshape(len(take), per)
+        done = hit.any(axis=1)
+        rows = np.flatnonzero(done) * per + hit.argmax(axis=1)[done]
+        xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
+        planes.update(zip(take[done].tolist(), xs.tolist()))
+        pending = np.concatenate([take[~done], pending])
     if len(pending):
         raise ValueError(f"sampling_budget_Y1: the sampler found {len(planes)} of "
                          f"{len(base_points)} Y1 points over F_{q} in its "
@@ -806,8 +787,9 @@ def check_model_request(seed, field, d, census_qs):
     codimension 10 among 2-forms, so P^(d-1) always meets it), a field of
     characteristic below 5 other than Q, a sampling prime too large for exact
     int64 arithmetic (_check_int64), CERT_SAMPLES points beyond the sampler
-    budget (check_sampling_budget), or a census prime past the census bound.
-    random_model applies it, and the command line applies it before it forks."""
+    budget (check_sampling_budget), a census prime named twice, or one past
+    the census bound.  random_model applies it, and the command line applies
+    it before it forks."""
     if seed < 0:
         raise ValueError(f"seed {seed} is negative: seeds are non-negative integers "
                          f"(random.Random(-s) draws the model of seed s)")
@@ -819,6 +801,8 @@ def check_model_request(seed, field, d, census_qs):
         raise ValueError("model field must be Q or F_q with q >= 5")
     _check_int64(sampling_prime(field), d)
     check_sampling_budget(CERT_SAMPLES, field)
+    if len(set(census_qs)) < len(census_qs):
+        raise ValueError(f"census primes {list(census_qs)} name a prime twice")
     for q in census_qs:
         _census_points(q, d)
 

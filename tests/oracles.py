@@ -21,11 +21,8 @@ ones.  exceptional_report_per_pair is the window report as it was before
 its verdicts were taken once per class: every ordered pair reads its
 class's tables and notes its own violations.
 
-sample_y2_points_whole_batch and sample_y1_points_whole_batch are the
-samplers as they were before they eliminated in slices: every draw of a
-batch is row-reduced, and each base point's first hit is picked by
-np.unique.  mat_vec, right_kernel and solve are the dense products, kernels
-and solutions over a field, on pfgr.linalg.rref.  monomials_of_degree lists
+mat_vec, right_kernel and solve are the dense products, kernels and
+solutions over a field, on pfgr.linalg.rref.  monomials_of_degree lists
 exponent tuples by recursion, apart from the packed keys of pfgr.poly.
 
 en_weight_spaces_bucketed is the Eagon-Northcott enumeration as it was
@@ -521,67 +518,6 @@ def exceptional_report_per_pair(l_bound=None, m_bound=None, n=7, dp_cutoff=12,
             witness={"violations": cross_bad}),
     ]
     return windows.WindowReport(n=n, l_bound=l_bound, m_bound=m_bound, checks=checks)
-
-
-# ---------------------------------------------------------------------------
-# the samplers as they were before they eliminated in slices: every draw of
-# a 4096-draw batch is row-reduced in one modq.rref call
-
-
-def sample_y2_points_whole_batch(model, count, seed=0):
-    """geometry.sample_y2_points, eliminating each batch whole."""
-    d, q = model.d, geometry._prime(model)
-    Tl = model.tensor_mod(q).transpose(1, 2, 0).reshape(d, d * d)
-    rng = np.random.default_rng(seed)
-    found = []
-    tries = 0
-    batch = 4096
-    while len(found) < count and tries < geometry.SAMPLER_MAX_TRIES:
-        ks = geometry._rng_ints(rng, q, (batch, d))
-        tries += batch
-        keep = ks.any(axis=1)
-        ks = ks[keep]
-        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
-        line = ranks == d - 1
-        ps = modq.kernels(R[line], pivots[line], q)
-        hits = ps[modq.pfaffians_vanish(geometry.omega_rows(model, ps, q), q)]
-        found.extend(hits[:count - len(found)].tolist())
-    if len(found) < count:
-        raise ValueError(f"sampling_budget_Y2: the sampler found {len(found)} of {count} Y2 "
-                         f"points over F_{q} in its {tries} draws; ask for fewer samples")
-    return found
-
-
-def sample_y1_points_whole_batch(model, base_points, seed=0):
-    """geometry.sample_y1_points, eliminating each round's draws whole and
-    keeping each base point's first hit (np.unique)."""
-    d, q = model.d, geometry._prime(model)
-    Tl = model.tensor_mod(q).transpose(1, 0, 2).reshape(d, d * d)
-    K = geometry.y2_kernels(model, base_points)
-    rng = np.random.default_rng((seed, 1))
-    planes = {}
-    pending = np.arange(len(base_points))
-    open_ = np.ones(len(base_points), dtype=bool)
-    tries = 0
-    batch = 4096
-    while len(pending) and tries < geometry.SAMPLER_MAX_TRIES:
-        take = pending[:batch]
-        owner = np.repeat(take, batch // len(take))
-        tries += len(owner)
-        ks = np.einsum("xs,xsl->xl", geometry._rng_ints(rng, q, (len(owner), 3)), K[owner]) % q
-        R, ranks, pivots = modq.rref((ks @ Tl % q).reshape(-1, d, d), q)
-        hit = np.nonzero(ranks == d - 2)[0]
-        done, at = np.unique(owner[hit], return_index=True)
-        rows = hit[at]
-        xs = modq.kernels(R[rows], pivots[rows], q).reshape(-1, 2, d)
-        planes.update(zip(done.tolist(), xs.tolist()))
-        open_[done] = False
-        pending = pending[open_[pending]]
-    if len(pending):
-        raise ValueError(f"sampling_budget_Y1: the sampler found {len(planes)} of "
-                         f"{len(base_points)} Y1 points over F_{q} in its "
-                         f"{tries} draws; ask for fewer samples")
-    return [planes[i] for i in range(len(base_points))]
 
 
 # ---------------------------------------------------------------------------

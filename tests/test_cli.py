@@ -145,6 +145,40 @@ def test_negative_seed_is_refused(monkeypatch, capsys):
     cli.SuiteConfig(seed=0).validate()
 
 
+def test_repeated_census_prime_is_refused(monkeypatch, capsys):
+    """A census prime named twice would rank its census twice: the run exits
+    2 before any census, and random_model refuses it too.  A window run
+    builds no model, so it reads no census prime."""
+    _forbid_fork(monkeypatch)
+    monkeypatch.setattr(geometry, "rank_census",
+                        lambda *args: pytest.fail("census ranked"))
+    assert cli.main(["geometry", "--d", "9", "--census-q", "2,3,5,5,5"]) == 2
+    assert cli.main(["all", "--d", "5", "--census-q", "3,2,3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("name a prime twice") == 2
+    with pytest.raises(ValueError, match="twice"):
+        geometry.random_model(1, d=5, census_qs=(2, 2))
+    cli.SuiteConfig(census_qs=(2, 2), suites=("window",)).validate()
+
+
+def test_huge_prime_is_refused_at_once():
+    """2^61 - 1 is prime, so a geometry run over it is refused by the int64
+    bound, with exit 2, as soon as its primality is known: deciding that
+    takes no trial division.  A window run over it is accepted, and a census
+    over it refused by the census bound, at once too."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH", "")) if p)}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pfgr", "geometry", "--q", str(2 ** 61 - 1)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "too large for exact int64" in done.stderr
+    assert time.perf_counter() - start < 10
+    cli.SuiteConfig(q=2 ** 61 - 1, suites=("window",)).validate()  # a window run reads no q
+    with pytest.raises(ValueError, match="census bound"):
+        cli.SuiteConfig(census_qs=(2 ** 61 - 1,)).validate()
+
+
 def test_mf_checks_report_the_truncation_they_ran_at(tmp_path):
     out = tmp_path / "mf.json"
     assert cli.main(["mf", "--d", "5", "--trunc", "2", "--out", str(out)]) == 0
@@ -491,7 +525,7 @@ def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
 
 
-@pytest.mark.parametrize("variety, samples, found", [("Y2", 40, 31), ("Y1", 20, 18)],
+@pytest.mark.parametrize("variety, samples, found", [("Y2", 40, 31), ("Y1", 16, 13)],
                          ids=["Y2", "Y1"])
 def test_short_pool_is_refused(monkeypatch, capsys, variety, samples, found):
     """A sampler that runs out of draws before the pool is full refuses the
@@ -523,11 +557,11 @@ def test_certification_shortfall_is_refused(monkeypatch, capsys):
     """A certificate sampler that runs out of draws refuses the run with
     exit 2, as a short pool does, and no check is reported: at a budget of
     exactly 5 q draws, which the up-front check admits, the Y1 sampler finds
-    4 of its 5 planes at d = 5 over F_100003."""
+    3 of its 5 planes at d = 5 over F_100003."""
     monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 5 * 100003)
     assert cli.main(["mf", "--d", "5", "--q", "100003", "--seed", "1"]) == 2
     out, err = capsys.readouterr()
-    assert "sampling_budget_Y1: the sampler found 4 of 5" in err and not out
+    assert "sampling_budget_Y1: the sampler found 3 of 5" in err and not out
     # the refusal came after the fork: the worker was killed and reaped
     _no_child_left()
 

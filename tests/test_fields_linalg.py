@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -58,6 +59,29 @@ def test_solve_consistent_and_inconsistent():
     assert [(r[0] * x[0] + r[1] * x[1]) % 7 for r in a] == [5, 6]
     bad = [[1, 2], [2, 4]]
     assert solve(F, bad, [1, 1]) is None
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    """is_prime agrees with trial division below 200,000 and finds composite
+    two strong pseudoprimes to its first bases: 3215031751 = 151 * 751 *
+    28351 fools 2, 3, 5 and 7, 3825123056546413051 the first nine primes.
+    psi_12, a strong pseudoprime to all twelve, is past its exact range and
+    refused; PrimeField takes primes below 2^64 only, at once."""
+    assert ([n for n in range(200_000) if is_prime(n)]
+            == [n for n in range(200_000) if n > 1 and all(n % a for a in range(2, isqrt(n) + 1))])
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="exact Miller-Rabin range"):
+        is_prime(psi12)
+    start = time.perf_counter()
+    assert PrimeField(2 ** 61 - 1).q == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1
+    assert PrimeField(2 ** 64 - 59).q == 2 ** 64 - 59
+    for q in (2 ** 64 + 13, psi12):
+        with pytest.raises(ValueError, match="not a prime int below 2\\^64"):
+            PrimeField(q)
 
 
 def _next_prime(n):

@@ -25,8 +25,7 @@ from pfgr.geometry import (PfaffianModel, certify_model,
 
 from oracles import (contraction_oracle, critical_test, grad_W, kernel_basis, mat_vec,
                      omega_field, omega_rank_walk, omega_stack_census, perfect_matchings,
-                     principal_pfaffians, right_kernel, sample_y1_points_whole_batch,
-                     sample_y2_points_whole_batch, upper_rows)
+                     principal_pfaffians, right_kernel, upper_rows)
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +71,14 @@ def test_sampler_exhaustion_is_not_retried(monkeypatch):
 
     monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 5 * 100003)
     monkeypatch.setattr(geometry, "certify_model", counting_certify)
-    with pytest.raises(ValueError, match="sampling_budget_Y1: the sampler found 4 of 5"):
+    with pytest.raises(ValueError, match="sampling_budget_Y1: the sampler found 3 of 5"):
         random_model(1, q=100003, d=5)  # its first A passes every census certificate
     assert len(calls) == 1
 
 
 def test_sample_y1_points_refuses_a_base_point_without_a_plane(monkeypatch, model5):
     """With its full budget the sampler returns planes[i] through pool[i]:
-    the plane meets K_p.  When one elimination of 4096 draws (a budget
+    the plane meets K_p.  When one slice of ELIM_SLICE draws (a budget
     lowered to 1) leaves a base point without a plane, it raises ValueError
     instead of dropping the point and shifting the planes after it."""
     pool = sample_y2_points(model5, 20, seed=3)
@@ -87,53 +86,26 @@ def test_sample_y1_points_refuses_a_base_point_without_a_plane(monkeypatch, mode
     for K, x in zip(y2_kernels(model5, pool), planes):
         assert modq.batch_rank(np.concatenate([K, x]), 101)[0] < 5
     monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 1)
-    with pytest.raises(ValueError, match=r"sampling_budget_Y1: the sampler found 1\d of 20 "):
+    with pytest.raises(ValueError, match=r"sampling_budget_Y1: the sampler found 3 of 20 "
+                                         r"Y1 points over F_101 in its 1020 draws;"):
         sample_y1_points(model5, pool, seed=3)
 
 
 def test_sampler_refusal_counts_the_draws_made(monkeypatch, model5):
-    """A refusal gives the draws the sampler made, not its budget: no batch
-    begins past SAMPLER_MAX_TRIES draws, but a batch begun below it runs
-    whole.  At a budget of 2,020 the Y1 sampler makes one round of 204 draws
-    for each of 20 base points, 4,080 in all, and the Y2 sampler one batch
-    of 4,096."""
+    """A refusal gives the draws the sampler made, not its budget: no slice
+    begins at or past SAMPLER_MAX_TRIES draws, but a slice begun below it
+    runs whole.  At a budget of 2,020 the Y1 sampler makes a slice of 51
+    draws for each of its 20 base points, then one of 60 draws for each of
+    the 17 still open, 2,040 in all, and the Y2 sampler two slices of
+    1,024."""
     pool = sample_y2_points(model5, 20, seed=3)
     monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 2020)
-    with pytest.raises(ValueError, match=r"sampling_budget_Y1: the sampler found 1\d of 20 "
-                                         r"Y1 points over F_101 in its 4080 draws;"):
+    with pytest.raises(ValueError, match=r"sampling_budget_Y1: the sampler found 10 of 20 "
+                                         r"Y1 points over F_101 in its 2040 draws;"):
         sample_y1_points(model5, pool, seed=3)
     with pytest.raises(ValueError, match=r"sampling_budget_Y2: the sampler found \d+ of 500 "
-                                         r"Y2 points over F_101 in its 4096 draws;"):
+                                         r"Y2 points over F_101 in its 2048 draws;"):
         sample_y2_points(model5, 500, seed=3)
-
-
-@pytest.mark.parametrize("d", [5, 7, 9])
-def test_sliced_samplers_match_whole_batch_elimination(request, d):
-    """Eliminating ELIM_SLICE draws at a time, up to the slice that completes
-    the sample, returns the points and planes of eliminating every draw of
-    each batch: hits are taken in stream order, and each base point keeps
-    its first hit."""
-    model = request.getfixturevalue({5: "model5", 7: "model", 9: "model9"}[d])
-    for seed in (1, 2, 3):
-        for count in (1, 5, 100):
-            pts = sample_y2_points(model, count, seed=seed)
-            assert pts == sample_y2_points_whole_batch(model, count, seed=seed)
-            assert (sample_y1_points(model, pts, seed=seed)
-                    == sample_y1_points_whole_batch(model, pts, seed=seed))
-
-
-def test_sliced_samplers_refuse_as_whole_batch_elimination(monkeypatch, model5):
-    """Out of draws, each sampler gives the refusal of eliminating whole
-    batches, word for word: the same hits and the same draws made."""
-    pool = sample_y2_points(model5, 20, seed=3)
-    monkeypatch.setattr(geometry, "SAMPLER_MAX_TRIES", 2020)
-    for sampler, oracle, arg in ((sample_y1_points, sample_y1_points_whole_batch, pool),
-                                 (sample_y2_points, sample_y2_points_whole_batch, 500)):
-        with pytest.raises(ValueError) as got:
-            sampler(model5, arg, seed=3)
-        with pytest.raises(ValueError) as want:
-            oracle(model5, arg, seed=3)
-        assert str(got.value) == str(want.value)
 
 
 def test_certificate_samplers_eliminate_only_the_draws_they_use(monkeypatch):
@@ -583,13 +555,10 @@ def test_y1_membership_and_contraction_oracle(model):
     assert not y1_membership(work, x)
 
 
-@pytest.mark.parametrize("d", [5, 7])
-@pytest.mark.parametrize("q", [101, 1009])
-def test_incidence_sampler_cross_check(request, d, q):
+def _cross_check_incidence_sample(work):
     """Every sampled plane is a rank-2 point of Y1, by two independent routes,
-    and plane i meets the kernel at base point i."""
-    base = request.getfixturevalue("model" if d == 7 else "model5")
-    work = PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q))
+    plane i meets the kernel at base point i, and from d = 7 on no two of
+    the 20 planes are equal."""
     ps = sample_y2_points(work, 20, seed=3)
     xs = sample_y1_points(work, ps, seed=3)
     assert len(xs) == 20
@@ -598,9 +567,23 @@ def test_incidence_sampler_cross_check(request, d, q):
         assert y1_membership(work, x)
         assert all(work.field.is_zero(v) for v in contraction_oracle(work, x))
         assert linalg.rank(work.field, kernel_basis(work, p) + x) <= 4
-    if d == 7:
-        reduced, _, _ = modq.rref(np.array(xs), q)
+    if work.d >= 7:
+        reduced, _, _ = modq.rref(np.array(xs), work.field.q)
         assert len({r.tobytes() for r in reduced}) == len(xs)
+
+
+@pytest.mark.parametrize("d", [5, 7, 9])
+@pytest.mark.parametrize("q", [101, 1009])
+def test_incidence_sampler_cross_check(request, d, q):
+    base = request.getfixturevalue({5: "model5", 7: "model", 9: "model9"}[d])
+    _cross_check_incidence_sample(PfaffianModel(d=d, A=base.A, seed=0, field=PrimeField(q)))
+
+
+def test_incidence_sampler_cross_check_in_small_slices(monkeypatch, model):
+    """With ELIM_SLICE = 16 the 20 base points span several Y1 slices, the
+    first 16 of them one draw each, and the cross-check still holds."""
+    monkeypatch.setattr(geometry, "ELIM_SLICE", 16)
+    _cross_check_incidence_sample(model)
 
 
 def test_y1_sampler_refuses_base_points_off_y2(model):

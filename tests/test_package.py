@@ -208,6 +208,23 @@ def test_one_owner_for_sampling():
             if word in cli_text] == []
 
 
+def test_one_draw_loop_per_sampler():
+    """Each sampler has one loop, whose every pass draws one slice of
+    ELIM_SLICE draws, eliminates it and keeps the hits: only the two
+    samplers read the slice size, and each body holds one while statement
+    and no for statement, so an outer batch loop cannot come back
+    unnoticed."""
+    samplers = {"sample_y2_points", "sample_y1_points"}
+    assert _readers("ELIM_SLICE") == {f"geometry.{name}" for name in samplers}
+    tree = ast.parse((SRC / "geometry.py").read_text())
+    bodies = {fn.name: fn for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in samplers}
+    assert set(bodies) == samplers
+    for fn in bodies.values():
+        assert [type(node) for node in ast.walk(fn)
+                if isinstance(node, (ast.While, ast.For))] == [ast.While]
+
+
 def test_ext_rows_peel_no_character():
     """bbw writes each Ext row from Clebsch-Gordan and each Bott group in
     closed form: it multiplies and peels no character, so the peeling route
