@@ -19,7 +19,7 @@ read:
   of the window suite and the four mf checks that build their own objects
   over Q were selected (none in a geometry-only run);
 - the model-only worker, forked once the model has passed its certificate,
-  so that it holds the certified sampling model through the fork:
+  so that it holds the certified model through the fork:
   geometry.rank_parity (run_parity_check) and mf.koszul_perturb
   (run_koszul_check), the two checks that read the model but no pool;
 - the calling process: the model certificate (geometry.random_model),
@@ -98,7 +98,6 @@ CRITICAL_POINTS = 16
 
 @dataclass
 class SuiteConfig:
-    field: str = "Fq"
     q: int = 101
     seed: int = 1
     d: int = 7
@@ -121,10 +120,7 @@ class SuiteConfig:
                 raise ValueError(f"config value {f.name} = {value!r} must be {f.type.__name__}")
         if self.d < 5 or self.d % 2 == 0:
             raise ValueError("d must be odd and at least 5")
-        if self.field not in ("QQ", "Fq"):
-            raise ValueError("field must be QQ or Fq")
-        if self.field == "Fq":
-            PrimeField(self.q)
+        self.make_field()
         if min(self.dp_cutoff, self.dx_cutoff, self.samples) < 1:
             raise ValueError("cutoffs and sample counts must be positive")
         if "window" in self.suites and self.dx_cutoff > WINDOW_MAX_DX_CUTOFF:
@@ -175,7 +171,7 @@ class SuiteConfig:
         return (self.d - 1) // 2, self.d  # windows.default_bounds, loading no layer
 
     def make_field(self):
-        return QQ if self.field == "QQ" else PrimeField(self.q)
+        return PrimeField(self.q)
 
 
 @dataclass
@@ -242,7 +238,7 @@ def run_window_suite(config, report):
 
 
 def draw_pool(config, model, report):
-    """(points, planes) on the model over the sampling field F_q:
+    """(points, planes) on the model over its field F_q:
     max(samples, CRITICAL_POINTS) Y2 points when the geometry suite runs
     and one for the Knorrer fibre otherwise, and one Y1 plane through each
     of the first `samples` points when geometry runs; timed on a shared
@@ -264,12 +260,11 @@ def draw_pool(config, model, report):
 
 
 def run_geometry_suite(config, report, model, pool, planes):
-    """The geometry checks on the certified model over the sampling field
-    F_q, where pointwise verdicts at sampled points must be taken.  The
-    census check reports the strata the model was certified with; the
-    sampled checks read slices of the run's pool and Y1 planes, so they
-    share points and are not independent draws, but each certifies every
-    point it is given."""
+    """The geometry checks on the certified model over its field F_q, where
+    pointwise verdicts at sampled points are taken.  The census check
+    reports the strata the model was certified with; the sampled checks
+    read slices of the run's pool and Y1 planes, so they share points and
+    are not independent draws, but each certifies every point it is given."""
     q = model.field.characteristic
     max_degree = 6  # what the probe runs at and reports
 
@@ -472,7 +467,7 @@ def run_koszul_check(config, report, model):
 
 def run_fibre_check(config, report, model, pool):
     """mf.knorrer_fibre: the Knorrer fold at the first pool point, on the
-    certified model over the sampling field F_q."""
+    certified model over its field F_q."""
     trunc = min(config.trunc, 6)
 
     def fibre():
@@ -580,8 +575,8 @@ def run(config):
         vars(layer)
 
     def certify():
-        """The certified model over the sampling field F_q, where the sampled
-        checks run, or None when no model passed its certificates."""
+        """The certified model, over the F_q where the sampled checks run, or
+        None when no model passed its certificates."""
         t0 = time.perf_counter()
         claim = "a generic model passes surjectivity, census and smoothness certificates"
         try:
@@ -595,7 +590,7 @@ def run(config):
         report.add("geometry.model_certificates", claim, True,
                    {"seed": config.seed, "d": config.d},
                    {"field": repr(model.field)}, time.perf_counter() - t0)
-        return geometry.sampling_model(model)
+        return model
 
     def model_free():
         part = Report(config=report.config)
@@ -608,25 +603,25 @@ def run(config):
     def model_only():
         part = Report(config=report.config)
         if "geometry" in config.suites:
-            run_parity_check(config, part, work)
+            run_parity_check(config, part, model)
         if "mf" in config.suites:
-            run_koszul_check(config, part, work)
+            run_koszul_check(config, part, model)
         return part
 
     bound = Report(config=report.config)
     parts = [bound]
     with _worker(model_free) as join_free:
-        work = certify()
-        if work:
+        model = certify()
+        if model:
             with _worker(model_only) as join_model:
-                pool, planes = draw_pool(config, work, bound)
+                pool, planes = draw_pool(config, model, bound)
                 if "geometry" in config.suites:
-                    run_geometry_suite(config, bound, work, pool, planes)
+                    run_geometry_suite(config, bound, model, pool, planes)
                 if "mf" in config.suites:
-                    run_fibre_check(config, bound, work, pool)
+                    run_fibre_check(config, bound, model, pool)
                 parts.append(join_model())
         free = join_free()
-    if not work:
+    if not model:
         # keep the window records alone: no mf check is reported without a model
         free = Report(config=free.config, shared=free.shared, checks=[
             c for c in free.checks if c["check_name"].startswith("window.")])
@@ -646,7 +641,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     def add_run_args(p):
-        p.add_argument("--field", choices=["QQ", "Fq"], default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--d", type=int, default=None)
@@ -675,7 +669,6 @@ def build_parser():
     gen = model_sub.add_parser("gen", help="generate a certified model")
     gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--d", type=int, default=7)
-    gen.add_argument("--field", choices=["QQ", "Fq"], default="Fq")
     gen.add_argument("--q", type=int, default=101)
     gen.add_argument("--out", default=None)
     show = model_sub.add_parser("show", help="print a stored model")
@@ -694,7 +687,7 @@ def config_from_args(args):
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         values.update(stored)
-    for key in ("field", "q", "seed", "d", "dp_cutoff", "dx_cutoff",
+    for key in ("q", "seed", "d", "dp_cutoff", "dx_cutoff",
                 "trunc", "samples"):
         v = getattr(args, key, None)
         if v is not None:
@@ -746,8 +739,7 @@ def main(argv=None):
             try:
                 if args.out:
                     _check_out_path(args.out)
-                field = QQ if args.field == "QQ" else PrimeField(args.q)
-                model = geometry.random_model(args.seed, field=field, d=args.d)
+                model = geometry.random_model(args.seed, q=args.q, d=args.d)
             except (geometry.ModelCertificateError, ValueError) as err:
                 print(f"error: {err}", file=sys.stderr)
                 return 2

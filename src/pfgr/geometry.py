@@ -15,11 +15,11 @@ cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
 against the kernel 2-forms.  Y2 and Y1 are counted by the same bounded walk
 over P^(d-1)(F_q), Y1 through the incidence u in ker(omega_p); with the deep
 stratum empty the counts agree (grassmannian_census).  Every pointwise
-verdict and sampler reads q from the model's field, refusing with ValueError
-a model over Q (the command line moves the model onto the sampling field)
-or over a prime past the int64 bound C(d, 2)(q - 1)^2 < 2^63 (_check_int64,
-which random_model applies too); only omegas, omega_rows, incidence_maps,
-tensor_mod and the censuses, which meet one model at several primes, take q.
+verdict and sampler reads q from the model's field, which is always a prime
+field (PfaffianModel refuses Q), refusing with ValueError a prime past the
+int64 bound C(d, 2)(q - 1)^2 < 2^63 (_check_int64, which random_model
+applies too); only omegas, omega_rows, incidence_maps, tensor_mod and the
+censuses, which meet one model at several primes, take q.
 Each reads omega_p mod q from omegas (omega_rows for the Pfaffian route)
 and each map v -> A(k wedge v) from incidence_maps, and ranks through
 pfgr.modq; the Jacobians, the normal map and the samplers take (N, ...)
@@ -40,10 +40,14 @@ Sampling is deterministic given a seed.  Each sampler draws ELIM_SLICE
 vectors at a time and row-reduces each slice as it draws it, up to the slice
 that completes the sample; no slice is begun at or past SAMPLER_MAX_TRIES
 draws in a call, so a call may end up to one slice past it.  This module
-alone owns that policy: sampling_model moves a model onto its sampling field,
-check_sampling_budget refuses a count up front, and a sampler out of draws
-raises ValueError (sampling_budget_Y2 or _Y1), giving the draws it made,
-rather than return fewer.
+alone owns that policy: check_sampling_budget refuses a count up front, and a
+sampler out of draws raises ValueError (sampling_budget_Y2 or _Y1), giving
+the draws it made, rather than return fewer.
+
+Every sample is taken over the model's own F_q, and no prime replaces
+another.  A small q may show bad reduction of A that CERT_SAMPLES points
+miss: at d = 7, seed 2, q = 5 the pool holds a Y1 plane of Jacobian rank 6,
+singular on A mod 5, and smoothness_Y1 fails on it; hence the default q = 101.
 
 Each census and each sample is taken once per run.  certify_model ranks the
 census primes and draws its Y2 points, with one Y1 plane through each, in
@@ -66,7 +70,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import modq, reps
-from .fields import QQ, PrimeField
+from .fields import PrimeField
 
 
 class ModelCertificateError(RuntimeError):
@@ -79,7 +83,8 @@ def wedge_pairs(d):
 
 @dataclass(frozen=True)
 class PfaffianModel:
-    """The defining data: dimensions, the integer matrix A, a seed, a field.
+    """The defining data: dimensions, the integer matrix A, a seed, and the
+    prime field F_q it is sampled over (ValueError for any other field).
 
     A has d rows and C(d, 2) columns (wedge-basis order from wedge_pairs) and
     full row rank; entries are small integers so the same model reduces
@@ -107,6 +112,8 @@ class PfaffianModel:
             raise ValueError("A must be d x C(d,2)")
         if any(type(x) is not int for r in self.A for x in r):
             raise ValueError("entries of A must be integers")
+        if not isinstance(self.field, PrimeField):
+            raise ValueError(f"a model is sampled over a prime field F_q, not {self.field!r}")
 
     @property
     def pairs(self):
@@ -183,13 +190,10 @@ def _check_int64(q, d):
 
 
 def _prime(model):
-    """The order q of the model's prime field; a model over Q, or over a
-    prime too large for exact int64 arithmetic (_check_int64), raises."""
-    q = model.field.characteristic
-    if not q:
-        raise ValueError("pointwise verdicts need a model over a prime field, not Q")
-    _check_int64(q, model.d)
-    return q
+    """The order q of the model's prime field; a prime too large for exact
+    int64 arithmetic (_check_int64) raises."""
+    _check_int64(model.field.q, model.d)
+    return model.field.q
 
 
 def _omega_at(model, p):
@@ -260,7 +264,7 @@ def _census_points(q, d):
     PrimeField(q)
     total = (q ** d - 1) // (q - 1)
     if total > CENSUS_MAX_POINTS:
-        raise ValueError(f"P^{d - 1}(F_{q}) has {total} points, more than the "
+        raise ValueError(f"P^{d - 1}(F_q) at d = {d}, q = {q} has more points than the "
                          f"census bound of {CENSUS_MAX_POINTS}")
     return total
 
@@ -338,23 +342,11 @@ SAMPLER_MAX_TRIES = 4_000_000
 ELIM_SLICE = 1024
 
 
-def sampling_prime(field):
-    """The prime that points are sampled over for a model over the field:
-    q itself for F_q with q >= 101, else 101."""
-    return field.characteristic if field.characteristic >= 101 else 101
-
-
-def sampling_model(model):
-    """The model over its sampling field F_sampling_prime(model.field), where
-    every sampled verdict is taken; the census strata come along."""
-    return replace(model, field=PrimeField(sampling_prime(model.field)))
-
-
 def check_sampling_budget(count, field):
     """Refuse (ValueError), before any draw, count points for a model over
-    the field when count * q > SAMPLER_MAX_TRIES, q its sampling prime: a
-    point costs about q draws.  A worse real rate can still exhaust a sampler."""
-    q = sampling_prime(field)
+    F_q when count * q > SAMPLER_MAX_TRIES: a point costs about q draws.  A
+    worse real rate can still exhaust a sampler."""
+    q = field.q
     if count * q > SAMPLER_MAX_TRIES:
         raise ValueError(f"{count} points * q = {count * q} exceeds the sampler budget of "
                          f"{SAMPLER_MAX_TRIES} draws (about q = {q} draws per point)")
@@ -746,15 +738,14 @@ def certify_model(model, census_qs=(2, 3, 5)):
     Returns (failure, census): the name of the first certificate that
     failed, or '' when all pass, and the strata {q: {rank: count}} of every
     census prime ranked on the way.  The smoothness certificates take one
-    stream of CERT_SAMPLES Y2 points on sampling_model(model) and one Y1
-    plane through each of them; a sampler that runs out of draws raises
+    stream of CERT_SAMPLES Y2 points over the model's F_q and one Y1 plane
+    through each of them; a sampler that runs out of draws raises
     ValueError, since a new A would not help.
     """
-    work = sampling_model(model)
     census = {}
     # rank d mod any prime makes some d x d minor of A nonzero over Z, so A
     # is surjective over Q as well
-    for q in list(census_qs) + [work.field.q]:
+    for q in list(census_qs) + [model.field.q]:
         Aq = np.array(model.A, dtype=np.int64) % q
         if int(modq.batch_rank(Aq[None], q)[0]) != model.d:
             return f"A_rank_drop_mod_{q}", census
@@ -762,10 +753,10 @@ def certify_model(model, census_qs=(2, 3, 5)):
         census[q] = rank_census(model, q)
         if any(r <= model.forbidden_rank for r in census[q]):
             return f"deep_stratum_nonempty_q{q}", census
-    pts = sample_y2_points(work, CERT_SAMPLES, seed=model.seed)
-    planes = sample_y1_points(work, pts, seed=model.seed)
+    pts = sample_y2_points(model, CERT_SAMPLES, seed=model.seed)
+    planes = sample_y1_points(model, pts, seed=model.seed)
     for variety, points in (("Y2", pts), ("Y1", planes)):
-        if not smoothness_sample(work, variety, points).passed:
+        if not smoothness_sample(model, variety, points).passed:
             return f"smoothness_{variety}", census
     return "", census
 
@@ -784,9 +775,9 @@ CERT_SAMPLES = 5
 def check_model_request(seed, field, d, census_qs):
     """Refuse (ValueError) a model that random_model could not build, before
     any census or sampling: a negative seed, d >= 11 (the deep stratum has
-    codimension 10 among 2-forms, so P^(d-1) always meets it), a field of
-    characteristic below 5 other than Q, a sampling prime too large for exact
-    int64 arithmetic (_check_int64), CERT_SAMPLES points beyond the sampler
+    codimension 10 among 2-forms, so P^(d-1) always meets it), a field other
+    than F_q with q >= 5, a prime too large for exact int64 arithmetic
+    (_check_int64), CERT_SAMPLES points beyond the sampler
     budget (check_sampling_budget), a census prime named twice, or one past
     the census bound.  random_model applies it, and the command line applies
     it before it forks."""
@@ -797,9 +788,9 @@ def check_model_request(seed, field, d, census_qs):
         raise ValueError(f"no model at d = {d} is generic: the stratum {{rank <= d - 5}} "
                          f"has codimension C(5, 2) = {DEEP_STRATUM_CODIM} among 2-forms, "
                          f"and P^{d - 1} meets it once d - 1 >= {DEEP_STRATUM_CODIM}")
-    if field.characteristic and field.characteristic < 5:
-        raise ValueError("model field must be Q or F_q with q >= 5")
-    _check_int64(sampling_prime(field), d)
+    if not isinstance(field, PrimeField) or field.q < 5:
+        raise ValueError(f"a model is sampled over F_q with q >= 5, not {field!r}")
+    _check_int64(field.q, d)
     check_sampling_budget(CERT_SAMPLES, field)
     if len(set(census_qs)) < len(census_qs):
         raise ValueError(f"census primes {list(census_qs)} name a prime twice")
@@ -839,21 +830,23 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5)):
 
 
 def model_to_json(model):
-    fieldspec = {"name": "QQ"} if model.field == QQ else {"name": "Fq", "q": model.field.q}
     return json.dumps({
         "d": model.d,
         "seed": model.seed,
-        "field": fieldspec,
+        "field": {"name": "Fq", "q": model.field.q},
         "A": [list(row) for row in model.A],
     }, indent=2, sort_keys=True)
 
 
 def model_from_json(text):
-    """Inverse of model_to_json; malformed text raises ValueError."""
+    """Inverse of model_to_json; malformed text, or a field other than
+    {"name": "Fq", "q": q}, raises ValueError."""
     data = json.loads(text)
     try:
         f = data["field"]
-        field = QQ if f["name"] == "QQ" else PrimeField(f["q"])
+        if f["name"] != "Fq":
+            raise ValueError(f"a model is sampled over a prime field Fq, not {f['name']!r}")
+        field = PrimeField(f["q"])
         A = tuple(tuple(row) for row in data["A"])
         return PfaffianModel(d=data["d"], A=A, seed=data["seed"], field=field)
     except (KeyError, TypeError) as err:

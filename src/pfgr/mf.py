@@ -867,12 +867,11 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     """Graded self-Ext of the structure sheaf of M_p = Hom(S, L_p) on one
     fibre, and the Knorrer factorization of W_p that it stands for.
 
-    The split is exact linear algebra mod q through pfgr.modq, so the model
-    must be over a prime field F_q (ValueError over Q).  With W_p(x) =
-    x B x^T and M B M^T = 0 for the rows M spanning M_p, the pivot rows ms
-    of rref([radical; M]^T) complete the radical ker B to M_p, one stacked
-    solve gives ns with ms B ns^T = I, and ns -= 1/2 (ns B ns^T) ms makes
-    them isotropic.  The split is certified by full rank of basis =
+    The split is exact linear algebra mod q through pfgr.modq over F_q.
+    With W_p(x) = x B x^T and M B M^T = 0 for the rows M spanning M_p, the
+    pivot rows ms of rref([radical; M]^T) complete the radical ker B to M_p,
+    one stacked solve gives ns with ms B ns^T = I, and ns -= 1/2 (ns B ns^T)
+    ms makes them isotropic.  The split is certified by full rank of basis =
     [ms; ns; radical] and basis B basis^T = [[0, I, 0], [I, 0, 0], [0, 0, 0]].
     Each product is reduced mod q at once: a dot product has 2d <= C(d, 2)
     terms, within the C(d, 2) (q - 1)^2 < 2^63 bound of geometry._check_int64.
@@ -893,9 +892,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     """
     from . import geometry
     F = model.field
-    q = F.characteristic
-    if not q:
-        raise ValueError("knorrer_rank_check needs a model over a prime field")
+    q = F.q
     n = 2 * model.d
     B = geometry.quadratic_form_matrix(model, p)
     M = np.kron(np.eye(2, dtype=np.int64), np.array(L_basis, dtype=np.int64) % q)

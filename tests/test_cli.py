@@ -2,7 +2,6 @@ import importlib
 import importlib.util
 import json
 import os
-import random
 import runpy
 import subprocess
 import sys
@@ -14,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pfgr import cli, geometry, mf, windows
-from pfgr.fields import QQ, PrimeField
+from pfgr import cli, geometry, linalg, mf, windows
+from pfgr.fields import PrimeField
+
+from oracles import contraction_oracle
 
 
 def window_config(**extra):
@@ -179,6 +180,21 @@ def test_huge_prime_is_refused_at_once():
         cli.SuiteConfig(census_qs=(2 ** 61 - 1,)).validate()
 
 
+def test_census_refusal_is_one_short_line():
+    """A census past the bound is refused naming d, q and the bound, not the
+    130-digit point count of P^6(F_(2^61 - 1))."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH", "")) if p)}
+    done = subprocess.run([sys.executable, "-m", "pfgr", "geometry", "--census-q",
+                           str(2 ** 61 - 1)], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    (line,) = done.stderr.splitlines()
+    assert "census bound" in line and len(line) < 200
+    assert f"q = {2 ** 61 - 1}" in line and str(geometry.CENSUS_MAX_POINTS) in line
+
+
 def test_mf_checks_report_the_truncation_they_ran_at(tmp_path):
     out = tmp_path / "mf.json"
     assert cli.main(["mf", "--d", "5", "--trunc", "2", "--out", str(out)]) == 0
@@ -208,16 +224,16 @@ def test_probe_reports_the_degree_it_ran_at(monkeypatch):
     assert seen == [(params["geometry.invariant_ring_probe"]["max_degree"],)]
 
 
-@pytest.mark.parametrize("field", [[], ["--field", "QQ"]], ids=["default", "QQ"])
-def test_mf_checks_report_the_field_they_ran_over(tmp_path, field):
-    """The fibre runs on the working model over F_101; the other five mf
-    checks run over Q whatever --field says, koszul_perturb on the model's
-    Koszul factorization built from its integer A."""
+@pytest.mark.parametrize("prime", [[], ["--q", "103"]], ids=["default", "F103"])
+def test_mf_checks_report_the_field_they_ran_over(tmp_path, prime):
+    """The fibre runs on the model over its F_q (F_101 by default); the
+    other five mf checks run over Q whatever --q says, koszul_perturb on the
+    model's Koszul factorization built from its integer A."""
     out = tmp_path / "mf.json"
-    assert cli.main(["mf", "--d", "5", *field, "--out", str(out)]) == 0
+    assert cli.main(["mf", "--d", "5", *prime, "--out", str(out)]) == 0
     fields = {c["check_name"]: c["parameters"]["field"]
               for c in json.loads(out.read_text())["checks"] if c["check_name"].startswith("mf.")}
-    assert fields.pop("mf.knorrer_fibre") == "F101"
+    assert fields.pop("mf.knorrer_fibre") == ("F103" if prime else "F101")
     assert len(fields) == 5 and set(fields.values()) == {"QQ"}
 
 
@@ -438,9 +454,51 @@ def test_full_json_report_schema(tmp_path):
     assert payload["config"]["suites"] == ["window"]
 
 
-def test_geometry_suite_over_qq():
-    # the pointwise checks run over the sampling field F_q, not over Q
-    assert cli.main(["geometry", "--field", "QQ", "--samples", "5"]) == 0
+def test_geometry_suite_over_qq(tmp_path, capsys):
+    """A model is sampled over F_q alone: no run takes a field, so --field
+    is an argparse error (exit 2) and a config file holding the key field
+    exits 2 naming it."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["geometry", "--field", "QQ", "--samples", "5"])
+    assert exit_.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": "QQ", "samples": 5}))
+    assert cli.main(["geometry", "--config", str(cfg)]) == 2
+    assert "unknown config keys: ['field']" in capsys.readouterr().err
+
+
+def test_small_prime_is_sampled_over_itself(tmp_path):
+    """--q 7 is honoured: the certificate names F7 and every sampled check
+    ran over F_7, with no other prime put in its place."""
+    out = tmp_path / "g7.json"
+    assert cli.main(["geometry", "--q", "7", "--seed", "1", "--samples", "20",
+                     "--out", str(out)]) == 0
+    checks = {c["check_name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["geometry.model_certificates"]["witness"] == {"field": "F7"}
+    sampled = [name for name, c in checks.items() if "q" in c["parameters"]]
+    assert len(sampled) == 6
+    assert {checks[name]["parameters"]["q"] for name in sampled} == {7}
+
+
+def test_bad_reduction_at_a_small_prime_fails_with_its_witness(tmp_path):
+    """At d = 7, seed 2, the model certified over F_5 has a singular point
+    of Y1 mod 5 that its five certificate planes miss: the run exits 1, and
+    the smoothness_Y1 witness is a plane on Y1 whose Jacobian, built
+    column by column from the coefficient tensor, has rank 6 < d over F_5."""
+    out = tmp_path / "q5.json"
+    assert cli.main(["all", "--q", "5", "--seed", "2", "--out", str(out)]) == 1
+    checks = {c["check_name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert [name for name, c in checks.items() if c["verdict"] == "fail"] == [
+        "geometry.smoothness_Y1"]
+    (witness,) = checks["geometry.smoothness_Y1"]["witness"]["witnesses"]
+    assert witness["rank"] == 6
+    model = geometry.random_model(2, q=5)
+    u, v = witness["point"]
+    assert geometry.y1_membership(model, [u, v])
+    e = [[int(a == b) for b in range(7)] for a in range(7)]
+    columns = ([contraction_oracle(model, [e[a], v]) for a in range(7)]
+               + [contraction_oracle(model, [u, e[a]]) for a in range(7)])
+    assert linalg.rank(PrimeField(5), columns) == 6
 
 
 def test_geometry_suite_at_d9():
@@ -522,7 +580,8 @@ def test_sampling_budget_is_refused_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="16 points"):
         cli.SuiteConfig(q=300007, samples=1, suites=("geometry",)).validate()
     cli.SuiteConfig(q=40009, suites=("mf",)).validate()
-    cli.SuiteConfig(field="QQ", q=40009).validate()  # QQ samples over F_101
+    with pytest.raises(TypeError, match="field"):
+        cli.SuiteConfig(field="QQ", q=40009)  # no field but F_q
 
 
 @pytest.mark.parametrize("variety, samples, found", [("Y2", 40, 31), ("Y1", 16, 13)],
@@ -564,21 +623,6 @@ def test_certification_shortfall_is_refused(monkeypatch, capsys):
     assert "sampling_budget_Y1: the sampler found 3 of 5" in err and not out
     # the refusal came after the fork: the worker was killed and reaped
     _no_child_left()
-
-
-def test_sampling_prime_is_one_policy():
-    """F_q with q >= 101 samples over itself, every other field over F_101;
-    the run moves its model there through geometry.sampling_model."""
-    assert geometry.sampling_prime(QQ) == 101
-    assert geometry.sampling_prime(PrimeField(97)) == 101
-    assert geometry.sampling_prime(PrimeField(103)) == 103
-    A = geometry._random_A(random.Random(0), 5)
-    for field, q in (("QQ", 103), ("Fq", 97), ("Fq", 103)):
-        config = cli.SuiteConfig(field=field, q=q)
-        model = geometry.PfaffianModel(d=5, A=A, seed=0, field=config.make_field())
-        work = geometry.sampling_model(model)
-        assert work.field == PrimeField(geometry.sampling_prime(config.make_field()))
-        assert replace(work, field=model.field) == model
 
 
 def test_oversized_census_is_refused(monkeypatch):
@@ -715,6 +759,28 @@ def test_malformed_model_file(tmp_path):
         assert cli.main(["model", "show", str(path)]) == 2, (key, bad)
     path.write_text(json.dumps(good))
     assert cli.main(["model", "show", str(path)]) == 0
+
+
+def test_model_file_over_qq_is_refused(tmp_path, capsys):
+    """A model is sampled over a prime field: a model file over QQ, which
+    older versions wrote, exits 2 with its reason."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"d": 5, "seed": 1, "field": {"name": "QQ"},
+                                "A": [[int(j == i) for j in range(10)] for i in range(5)]}))
+    assert cli.main(["model", "show", str(path)]) == 2
+    assert "prime field" in capsys.readouterr().err
+
+
+def test_model_file_round_trips_at_its_prime(tmp_path, capsys):
+    """model gen --q 1009 writes the model over F_1009, and model show
+    prints that file back unchanged."""
+    path = tmp_path / "model.json"
+    assert cli.main(["model", "gen", "--q", "1009", "--seed", "1", "--out", str(path)]) == 0
+    text = path.read_text()
+    assert json.loads(text)["field"] == {"name": "Fq", "q": 1009}
+    capsys.readouterr()
+    assert cli.main(["model", "show", str(path)]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_perfbench_traced_names_resolve():
@@ -993,9 +1059,9 @@ def test_each_process_runs_the_checks_it_reads(monkeypatch, tmp_path):
 def test_model_only_worker_is_forked_with_the_certified_model(monkeypatch, tmp_path):
     """`pfgr all` forks the model-free worker before geometry.random_model
     runs and the model-only worker after it, and that worker's rank_parity
-    and koszul_perturb read the caller's sampling model: the same d, A, seed
-    and field.  The worker's spies leave the model they were given in files,
-    which outlive the worker."""
+    and koszul_perturb read the caller's certified model, over the F_q the
+    run was given: the same d, A, seed and field.  The worker's spies leave
+    the model they were given in files, which outlive the worker."""
     caller_models = []
     _, events = _record_forks(monkeypatch)
     real_model = geometry.random_model
@@ -1020,15 +1086,14 @@ def test_model_only_worker_is_forked_with_the_certified_model(monkeypatch, tmp_p
     monkeypatch.setattr(geometry, "random_model", random_model)
     monkeypatch.setattr(geometry, "rank_parity_sample", parity)
     monkeypatch.setattr(mf, "model_koszul_pairs", pairs)
-    report = cli.run(cli.SuiteConfig(d=5, samples=20, field="QQ", seed=3))
+    report = cli.run(cli.SuiteConfig(d=5, samples=20, q=103, seed=3))
     assert report.passed
     assert events == ["fork", "random_model", "fork"]
     (model,) = caller_models
-    work = geometry.sampling_model(model)
     for name in ("parity.json", "koszul.json"):
         got = geometry.model_from_json((tmp_path / name).read_text())
-        assert (got.d, got.A, got.seed, got.field) == (work.d, work.A, work.seed, work.field)
-        assert got.field == PrimeField(101)
+        assert (got.d, got.A, got.seed, got.field) == (model.d, model.A, model.seed, model.field)
+        assert got.field == PrimeField(103)
     _no_child_left()
 
 

@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 import os
 import subprocess
@@ -141,7 +141,9 @@ def test_oversized_sampling_prime_is_refused_before_sampling(monkeypatch):
         random_model(1, q=1000003)
     with pytest.raises(ValueError, match="draws"):
         geometry.check_sampling_budget(geometry.SAMPLER_MAX_TRIES // 101 + 1, PrimeField(101))
-    geometry.check_sampling_budget(geometry.SAMPLER_MAX_TRIES // 101, QQ)
+    geometry.check_sampling_budget(geometry.SAMPLER_MAX_TRIES // 101, PrimeField(101))
+    # a small prime is budgeted at its own q, not at a floor
+    geometry.check_sampling_budget(geometry.SAMPLER_MAX_TRIES // 7, PrimeField(7))
     assert not calls
 
 
@@ -161,8 +163,8 @@ def test_degenerate_model_fails_certificates(model):
 
 
 def test_model_requires_odd_dimension():
-    with pytest.raises(ValueError):
-        PfaffianModel(d=6, A=tuple(), seed=0, field=QQ)
+    with pytest.raises(ValueError, match="odd"):
+        PfaffianModel(d=6, A=tuple(), seed=0, field=PrimeField(101))
 
 
 def test_model_json_roundtrip(model):
@@ -174,7 +176,7 @@ def test_model_json_roundtrip(model):
 def test_model_carries_its_census(model, model5):
     """random_model keeps the strata certify_model ranked: equal to a fresh
     census for every certified prime, read-only, carried by a change of
-    field, and left out of equality, repr and the JSON record."""
+    prime, and left out of equality, repr and the JSON record."""
     for m in (model, model5):
         assert sorted(m.census) == [2, 3, 5]
         for q, strata in m.census.items():
@@ -183,7 +185,7 @@ def test_model_carries_its_census(model, model5):
         model.census[2] = {}
     with pytest.raises(TypeError):
         model.census[2][6] = 0
-    moved = replace(model, field=QQ)
+    moved = replace(model, field=PrimeField(103))
     assert moved.census is model.census
     bare = PfaffianModel(d=7, A=model.A, seed=model.seed, field=model.field)
     assert bare.census is None and bare == model and hash(bare) == hash(model)
@@ -391,15 +393,20 @@ def test_pfaffian_batch_matches_pointwise(model):
 
 
 def test_pfaffian_rank_consistency_rational(model):
-    work = PfaffianModel(d=7, A=model.A, seed=0, field=QQ)
+    """Over Q, from the integer coefficient tensor of A: rank(omega_p) <= 4
+    exactly where the principal Pfaffians vanish."""
+    T = model.coefficient_tensor()
     rng = random.Random(3)
     for _ in range(40):
         p = [rng.randint(-9, 9) for _ in range(7)]
         if not any(p):
             continue
-        rank = linalg.rank(QQ, omega_field(work, p))
-        pf = principal_pfaffians(work, p)
-        assert (rank <= 4) == all(v == 0 for v in pf)
+        omega = [[sum(p[i] * T[i][a][b] for i in range(7)) for b in range(7)]
+                 for a in range(7)]
+        pf = [sum(sign * prod(omega[a][b] for a, b in matching)
+                  for matching, sign in perfect_matchings(tuple(a for a in range(7) if a != i)))
+              for i in range(7)]
+        assert (linalg.rank(QQ, omega) <= 4) == all(v == 0 for v in pf)
 
 
 def test_grassmannian_census_counts(model):
@@ -794,37 +801,35 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
 
 
 def test_pointwise_functions_refuse_rationals(model):
-    """Every pointwise verdict and sampler runs mod the model's prime: over Q
-    it raises ValueError before any arithmetic, and so it does over a prime
-    past the int64 bound C(d, 2)(q - 1)^2 < 2^63, here a model over
-    F_(2^31 - 1) built directly, which random_model would refuse.
-    certify_model instead moves the model onto its sampling field, so over Q
-    it certifies as over F_101."""
-    over_q = replace(model, field=QQ)
-    too_big = replace(model, field=PrimeField(2 ** 31 - 1))
+    """Every pointwise verdict and sampler runs mod the model's prime, so a
+    model over Q cannot be built, and each of them raises ValueError before
+    any arithmetic over a prime past the int64 bound C(d, 2)(q - 1)^2 < 2^63,
+    here a model over F_(2^31 - 1) built directly, which random_model would
+    refuse."""
+    with pytest.raises(ValueError, match="prime field"):
+        replace(model, field=QQ)
+    bad = replace(model, field=PrimeField(2 ** 31 - 1))
     p = sample_y2_points(model, 1, seed=18)[0]
     x = sample_y1_points(model, [p], seed=18)[0]
     ps, us = np.array([p]), np.array([x[0]])
-    for bad, match in ((over_q, "prime field"), (too_big, "too large for exact int64")):
-        for call in (lambda: y1_membership(bad, x), lambda: y2_membership(bad, p),
-                     lambda: kernel_basis(bad, p), lambda: kernel_and_extend(bad, p, x),
-                     lambda: maximal_isotropic(bad, p),
-                     lambda: underlying_scheme_probe(bad, p),
-                     lambda: quadratic_form_matrix(bad, p),
-                     lambda: sample_y2_points(bad, 1),
-                     lambda: sample_y1_points(bad, [p]),
-                     lambda: y2_kernels(bad, [p]),
-                     lambda: geometry.pfaffian_jacobian_mod(bad, [p]),
-                     lambda: geometry.y1_jacobian_mod(bad, [x]),
-                     lambda: geometry._batch_verdicts(bad, us, us, ps),
-                     lambda: smoothness_sample(bad, "Y2", [p]),
-                     lambda: smoothness_sample(bad, "Y1", [x]),
-                     lambda: normal_map_check(bad, [p]),
-                     lambda: rank_parity_sample(bad, 10),
-                     lambda: critical_equivalence_sweep(bad, [p])):
-            with pytest.raises(ValueError, match=match):
-                call()
-    assert certify_model(over_q) == certify_model(model)
+    for call in (lambda: y1_membership(bad, x), lambda: y2_membership(bad, p),
+                 lambda: kernel_basis(bad, p), lambda: kernel_and_extend(bad, p, x),
+                 lambda: maximal_isotropic(bad, p),
+                 lambda: underlying_scheme_probe(bad, p),
+                 lambda: quadratic_form_matrix(bad, p),
+                 lambda: sample_y2_points(bad, 1),
+                 lambda: sample_y1_points(bad, [p]),
+                 lambda: y2_kernels(bad, [p]),
+                 lambda: geometry.pfaffian_jacobian_mod(bad, [p]),
+                 lambda: geometry.y1_jacobian_mod(bad, [x]),
+                 lambda: geometry._batch_verdicts(bad, us, us, ps),
+                 lambda: smoothness_sample(bad, "Y2", [p]),
+                 lambda: smoothness_sample(bad, "Y1", [x]),
+                 lambda: normal_map_check(bad, [p]),
+                 lambda: rank_parity_sample(bad, 10),
+                 lambda: critical_equivalence_sweep(bad, [p])):
+        with pytest.raises(ValueError, match="too large for exact int64"):
+            call()
 
 
 def test_verdicts_read_the_prime_of_the_model():

@@ -1227,11 +1227,15 @@ def test_knorrer_fibre_catches_a_wrong_factor(monkeypatch, model):
 
 
 def test_knorrer_rank_check_needs_a_prime_field(model):
-    p = geometry.sample_y2_points(model, 1, seed=18)[0]
-    L = geometry.maximal_isotropic(model, p)
-    over_q = geometry.PfaffianModel(d=7, A=model.A, seed=0, field=QQ)
+    """The split runs mod the model's own prime, which is always a prime
+    field: a model over Q cannot be built, and over F_103 the check reads
+    103 from the model and certifies its split."""
     with pytest.raises(ValueError, match="prime field"):
-        knorrer_rank_check(over_q, p, L, trunc=4)
+        geometry.PfaffianModel(d=7, A=model.A, seed=0, field=QQ)
+    work = geometry.PfaffianModel(d=7, A=model.A, seed=0, field=PrimeField(103))
+    p = geometry.sample_y2_points(work, 1, seed=18)[0]
+    res = knorrer_rank_check(work, p, geometry.maximal_isotropic(work, p), trunc=4)
+    assert res.split_certified and res.full_rank_factorization_ok
 
 
 def test_free_module_endomorphisms_are_polynomials():

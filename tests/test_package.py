@@ -199,13 +199,18 @@ def test_one_owner_for_sampling():
     means: the draw budget is read only by the two samplers, which refuse a
     short sample themselves, and by check_sampling_budget, which refuses a
     count up front; the command line names no sampling prime, no budget and
-    no sampling_budget_ refusal."""
+    no sampling_budget_ refusal.  A model is sampled over its own prime:
+    no module names a sampling prime or a sampling model, and the command
+    line takes no --field."""
     assert _readers("SAMPLER_MAX_TRIES") == {"geometry.sample_y2_points",
                                              "geometry.sample_y1_points",
                                              "geometry.check_sampling_budget"}
     cli_text = (SRC / "cli.py").read_text()
-    assert [word for word in ("SAMPLER_MAX_TRIES", "sampling_prime", "sampling_budget_")
+    assert [word for word in ("SAMPLER_MAX_TRIES", "sampling_budget_", "--field")
             if word in cli_text] == []
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if any(word in path.read_text() for word in ("sampling_prime", "sampling_model"))
+            ] == []
 
 
 def test_one_draw_loop_per_sampler():
