@@ -120,7 +120,7 @@ class SuiteConfig:
                 raise ValueError(f"config value {f.name} = {value!r} must be {f.type.__name__}")
         if self.d < 5 or self.d % 2 == 0:
             raise ValueError("d must be odd and at least 5")
-        self.make_field()
+        field = self.make_field()
         if min(self.dp_cutoff, self.dx_cutoff, self.samples) < 1:
             raise ValueError("cutoffs and sample counts must be positive")
         if "window" in self.suites and self.dx_cutoff > WINDOW_MAX_DX_CUTOFF:
@@ -159,11 +159,9 @@ class SuiteConfig:
         # only a run that builds a model reads geometry here: it loads numpy.
         # Every refusal of the model comes here, before run forks its worker
         if "geometry" in self.suites or "mf" in self.suites:
-            geometry.check_model_request(self.seed, self.make_field(), self.d,
-                                         self.census_qs)
+            geometry.check_model_request(self.seed, field, self.d, self.census_qs)
         if "geometry" in self.suites:
-            geometry.check_sampling_budget(max(self.samples, CRITICAL_POINTS),
-                                           self.make_field())
+            geometry.check_sampling_budget(max(self.samples, CRITICAL_POINTS), field)
 
     def rectangle(self):
         if self.l_bound and self.m_bound:
@@ -245,7 +243,7 @@ def draw_pool(config, model, report):
     `pool` line.  A sampler that runs out of draws raises
     ValueError itself (geometry owns that refusal), so the pool is whole.
     """
-    q = model.field.characteristic
+    q = model.field.q
     t0 = time.perf_counter()
     geometry_runs = "geometry" in config.suites
     wanted = max(config.samples, CRITICAL_POINTS) if geometry_runs else 1
@@ -265,7 +263,7 @@ def run_geometry_suite(config, report, model, pool, planes):
     reports the strata the model was certified with; the sampled checks
     read slices of the run's pool and Y1 planes, so they share points and
     are not independent draws, but each certifies every point it is given."""
-    q = model.field.characteristic
+    q = model.field.q
     max_degree = 6  # what the probe runs at and reports
 
     def census():
@@ -370,7 +368,7 @@ def run_parity_check(config, report, model):
 
     _timed(report, "geometry.rank_parity",
            "the quadratic form rank is twice the 2-form rank at every sample",
-           {"count": count, "q": model.field.characteristic}, parity)
+           {"count": count, "q": model.field.q}, parity)
 
 
 def run_mf_suite(config, report):
@@ -580,7 +578,7 @@ def run(config):
         t0 = time.perf_counter()
         claim = "a generic model passes surjectivity, census and smoothness certificates"
         try:
-            model = geometry.random_model(config.seed, field=config.make_field(), d=config.d,
+            model = geometry.random_model(config.seed, q=config.q, d=config.d,
                                           census_qs=config.census_qs)
         except geometry.ModelCertificateError as err:
             report.add("geometry.model_certificates", claim, False,
@@ -676,6 +674,17 @@ def build_parser():
     return parser
 
 
+def _ints(text, flag, form, count=0):
+    """The ints of a comma-separated flag (count of them if count); ValueError names the form."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or count and len(values) != count:
+        raise ValueError(f"{flag} takes {form}, not {text!r}")
+    return values
+
+
 def config_from_args(args):
     values = {}
     if getattr(args, "config", None):
@@ -693,11 +702,9 @@ def config_from_args(args):
         if v is not None:
             values[key] = v
     if getattr(args, "census_q", None):
-        values["census_qs"] = tuple(int(x) for x in args.census_q.split(","))
+        values["census_qs"] = _ints(args.census_q, "--census-q", "comma-separated primes 2,3,5")
     if getattr(args, "rect", None):
-        l_bound, m_bound = (int(x) for x in args.rect.split(","))
-        values["l_bound"] = l_bound
-        values["m_bound"] = m_bound
+        values["l_bound"], values["m_bound"] = _ints(args.rect, "--rect", "two integers L,M", 2)
     suites = getattr(args, "suite", None)
     if args.command in ("window", "geometry", "mf"):
         values["suites"] = (args.command,)

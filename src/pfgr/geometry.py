@@ -14,11 +14,11 @@ Jacobian ranks at sampled points, the critical-locus equivalence for the
 cubic invariant W(x, p) by direct evaluation, and the normal-space pairing
 against the kernel 2-forms.  Y2 and Y1 are counted by the same bounded walk
 over P^(d-1)(F_q), Y1 through the incidence u in ker(omega_p); with the deep
-stratum empty the counts agree (grassmannian_census).  Every pointwise
-verdict and sampler reads q from the model's field, which is always a prime
-field (PfaffianModel refuses Q), refusing with ValueError a prime past the
-int64 bound C(d, 2)(q - 1)^2 < 2^63 (_check_int64, which random_model
-applies too); only omegas, omega_rows, incidence_maps, tensor_mod and the
+stratum empty the counts agree (grassmannian_census).  PfaffianModel owns
+the rule on its prime: it refuses any field but F_q, and a q past the int64
+bound C(d, 2)(q - 1)^2 < 2^63 of the dot products of residues here
+(_check_int64).  So every pointwise verdict and sampler reads model.field.q
+unchecked; only omegas, omega_rows, incidence_maps, tensor_mod and the
 censuses, which meet one model at several primes, take q.
 Each reads omega_p mod q from omegas (omega_rows for the Pfaffian route)
 and each map v -> A(k wedge v) from incidence_maps, and ranks through
@@ -83,8 +83,8 @@ def wedge_pairs(d):
 
 @dataclass(frozen=True)
 class PfaffianModel:
-    """The defining data: dimensions, the integer matrix A, a seed, and the
-    prime field F_q it is sampled over (ValueError for any other field).
+    """Dimensions, the integer matrix A, a seed, and the prime field F_q it is
+    sampled over; any other field, or a q past _check_int64's bound, raises.
 
     A has d rows and C(d, 2) columns (wedge-basis order from wedge_pairs) and
     full row rank; entries are small integers so the same model reduces
@@ -114,6 +114,7 @@ class PfaffianModel:
             raise ValueError("entries of A must be integers")
         if not isinstance(self.field, PrimeField):
             raise ValueError(f"a model is sampled over a prime field F_q, not {self.field!r}")
+        _check_int64(self.field.q, self.d)
 
     @property
     def pairs(self):
@@ -150,7 +151,7 @@ class PfaffianModel:
 def omegas(model, pts, q):
     """omega_p mod q: a (d, d) matrix for one point p, an (N, d, d) stack for
     an (N, d) stack of points.  Each entry sums d products of residues, within
-    the C(d, 2) (q - 1)^2 < 2^63 bound of _check_int64; the stack is one
+    the C(d, 2) (q - 1)^2 < 2^63 bound PfaffianModel keeps; the stack is one
     product against the d x d^2 matrix of the tensor."""
     pts = np.asarray(pts, dtype=np.int64) % q
     d = model.d
@@ -189,28 +190,13 @@ def _check_int64(q, d):
                          f"at d = {d}: need C(d, 2) * (q - 1)^2 < 2^63")
 
 
-def _prime(model):
-    """The order q of the model's prime field; a prime too large for exact
-    int64 arithmetic (_check_int64) raises."""
-    _check_int64(model.field.q, model.d)
-    return model.field.q
-
-
-def _omega_at(model, p):
-    """(q, omega_p mod q) over the model's prime field; p = 0 raises."""
-    q = _prime(model)
-    if not (np.asarray(p, dtype=np.int64) % q).any():
-        raise ValueError("p must be a nonzero point")
-    return q, omegas(model, p, q)
-
-
 def _rank(rows, q):
     return int(modq.batch_rank(rows, q)[0])
 
 
 def y1_membership(model, x):
     """Whether the full-rank 2 x d matrix x spans a plane killed by A."""
-    q = _prime(model)
+    q = model.field.q
     u, v = np.asarray(x, dtype=np.int64) % q
     if _rank([u, v], q) != 2:
         raise ValueError("x must have rank 2")
@@ -218,9 +204,11 @@ def y1_membership(model, x):
 
 
 def y2_membership(model, p):
-    """(rank of omega_p, whether the rank is at most d - 3)."""
-    q, omega = _omega_at(model, p)
-    r = _rank(omega, q)
+    """(rank of omega_p, whether the rank is at most d - 3); p = 0 raises."""
+    q = model.field.q
+    if not (np.asarray(p, dtype=np.int64) % q).any():
+        raise ValueError("p must be a nonzero point")
+    r = _rank(omegas(model, p, q), q)
     return r, r <= model.degenerate_rank
 
 
@@ -234,7 +222,7 @@ def quadratic_form_matrix(model, p, out=None):
     W_p(u, v) = omega_p(u, v), polarized; needs an invertible 2, so q must
     be odd.
     """
-    q = _prime(model)
+    q = model.field.q
     if q == 2:
         raise ValueError("quadratic form matrix needs characteristic != 2")
     d = model.d
@@ -366,7 +354,7 @@ def sample_y2_points(model, count, seed=0):
     the rest in one call; hits are taken in draw order, up to the slice that
     completes the sample.
     """
-    d, q = model.d, _prime(model)
+    d, q = model.d, model.field.q
     units = incidence_maps(model, np.eye(d, dtype=np.int64), q).reshape(d, d * d)
     rng = np.random.default_rng(seed)
     found = []
@@ -392,7 +380,7 @@ def y2_kernels(model, pts):
     """The canonical bases of ker(omega_p) over F_q, read off one reduced
     form of the (N, d) stack pts, as an (N, 3, d) stack.  A point whose
     omega rank is not d - 3 raises ValueError."""
-    d, q = model.d, _prime(model)
+    d, q = model.d, model.field.q
     pts = np.asarray(pts, dtype=np.int64).reshape(-1, d) % q
     R, ranks, pivots = modq.rref(omegas(model, pts, q), q)
     off = np.flatnonzero(ranks != model.degenerate_rank)
@@ -440,7 +428,7 @@ def sample_y1_points(model, base_points, seed=0):
     over F_q, so a sample of about q planes must repeat some, and repeats
     are valid samples.
     """
-    d, q = model.d, _prime(model)
+    d, q = model.d, model.field.q
     CK = incidence_maps(model, y2_kernels(model, base_points), q).reshape(-1, 3, d * d)
     rng = np.random.default_rng((seed, 1))
     planes = {}
@@ -482,9 +470,9 @@ def pfaffian_jacobian_mod(model, pts):
     these signed sub-Pfaffians, zero wherever i is in c.  Each is one
     modq.pfaffian on the rows of omega_rows, and one memo shares it across
     the rows i that reach it.  J is then one product of C(d, 2) residue
-    terms, within the C(d, 2)(q - 1)^2 < 2^63 bound _check_int64 keeps.
+    terms, within the C(d, 2)(q - 1)^2 < 2^63 bound PfaffianModel keeps.
     """
-    d, q = model.d, _prime(model)
+    d, q = model.d, model.field.q
     rows = omega_rows(model, np.asarray(pts, dtype=np.int64).reshape(-1, d), q)
     entries = dict(zip(model.pairs, rows))
     memo = {}
@@ -504,7 +492,7 @@ def y1_jacobian_mod(model, xs):
     F_q at an (N, 2, d) stack of points (an (N, d, 2d) stack).  Column a is
     the derivative along u_a, column d + b along v_b: [-C_v | C_u], since
     A(u wedge v) = C_u v = -C_v u (incidence_maps)."""
-    q = _prime(model)
+    q = model.field.q
     C = incidence_maps(model, np.asarray(xs, dtype=np.int64).reshape(-1, 2, model.d), q)
     return np.concatenate([-C[:, 1], C[:, 0]], axis=2) % q
 
@@ -532,7 +520,7 @@ def smoothness_sample(model, variety, points):
     """
     if variety not in ("Y1", "Y2"):
         raise ValueError("variety must be 'Y1' or 'Y2'")
-    q = _prime(model)
+    q = model.field.q
     pts = list(points)
     if variety == "Y2":
         expected = 3
@@ -610,8 +598,9 @@ def kernel_and_extend(model, p, x):
     maximal_isotropic, and the result is certified isotropic mod q.  K_p
     is read off y2_kernels, which refuses a point off Y2 with ValueError.
     """
-    q, omega = _omega_at(model, p)
+    q = model.field.q
     K = y2_kernels(model, [p])[0].tolist()
+    omega = omegas(model, p, q)
     if not y1_membership(model, x):
         raise ValueError("x is not a Y1 point")
     target = isotropic_target_dim(model.d)
@@ -632,9 +621,10 @@ def maximal_isotropic(model, p):
     """A maximal isotropic subspace containing ker(omega_p) over the model's
     prime field: the kernel basis of y2_kernels (ValueError off Y2) completed
     deterministically by _extend_isotropic, certified isotropic mod q."""
-    q, omega = _omega_at(model, p)
-    basis = _extend_isotropic(omega, y2_kernels(model, [p])[0].tolist(),
-                              isotropic_target_dim(model.d), q)
+    q = model.field.q
+    K = y2_kernels(model, [p])[0].tolist()
+    omega = omegas(model, p, q)
+    basis = _extend_isotropic(omega, K, isotropic_target_dim(model.d), q)
     assert _isotropic(omega, basis, q)
     return basis
 
@@ -663,7 +653,7 @@ def normal_map_check(model, pts):
     for the kernels (y2_kernels, which raises ValueError at a point whose
     omega rank is not d - 3) and three batch_rank calls.
     """
-    q = _prime(model)
+    q = model.field.q
     K = y2_kernels(model, pts)
     # G[x, s, :, t] = C_{K_s} K_t = A(K_s wedge K_t), reduced after each product
     G = incidence_maps(model, K, q) @ K[:, None].swapaxes(-1, -2) % q
@@ -700,7 +690,7 @@ def rank_parity_sample(model, count, seed=0):
     modq.batch_rank's elimination and rank(omega_p) from the principal
     Pfaffians (modq.alternating_rank), so this tests the two rank routes
     against each other, not the model."""
-    d, q = model.d, _prime(model)
+    d, q = model.d, model.field.q
     rng = np.random.default_rng(seed)
     checked = 0
     failures = []
@@ -776,10 +766,10 @@ def check_model_request(seed, field, d, census_qs):
     """Refuse (ValueError) a model that random_model could not build, before
     any census or sampling: a negative seed, d >= 11 (the deep stratum has
     codimension 10 among 2-forms, so P^(d-1) always meets it), a field other
-    than F_q with q >= 5, a prime too large for exact int64 arithmetic
-    (_check_int64), CERT_SAMPLES points beyond the sampler
-    budget (check_sampling_budget), a census prime named twice, or one past
-    the census bound.  random_model applies it, and the command line applies
+    than F_q with q >= 5, a prime past the int64 bound that PfaffianModel
+    keeps (_check_int64), CERT_SAMPLES points beyond the sampler budget
+    (check_sampling_budget), a census prime named twice, or one past the
+    census bound.  random_model applies it, and the command line applies
     it before it forks."""
     if seed < 0:
         raise ValueError(f"seed {seed} is negative: seeds are non-negative integers "
@@ -799,7 +789,7 @@ def check_model_request(seed, field, d, census_qs):
 
 
 def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5)):
-    """A certified-generic model, deterministic in the seed.
+    """A certified-generic model over F_q, deterministic in the seed.
 
     Samples small integer matrices until the certificates pass: A surjective
     (also mod every census prime), the deep rank stratum empty over each
@@ -807,12 +797,14 @@ def random_model(seed, field=None, q=101, d=7, census_qs=(2, 3, 5)):
     varieties.  The returned model carries the census strata it was
     certified with (PfaffianModel.census).  Raises ModelCertificateError
     when retries run out, and ValueError, before any census or sampling, for
-    every request check_model_request refuses; a sampler that runs out of
-    draws during certification raises its own ValueError
-    (sampling_budget_Y2 or _Y1).
+    every request check_model_request refuses, or for a field other than
+    PrimeField(q): q names the prime, and field remains only because
+    perfbench/setup_probe.py passes both.  A sampler that runs out of draws
+    during certification raises its own ValueError (sampling_budget_Y2 or _Y1).
     """
-    if field is None:
-        field = PrimeField(q)
+    if field is not None and field != PrimeField(q):
+        raise ValueError(f"field {field!r} disagrees with q = {q}: a model has one prime")
+    field = PrimeField(q)
     check_model_request(seed, field, d, census_qs)
     rng = random.Random(seed)
     last = ""
@@ -880,7 +872,7 @@ def _batch_verdicts(model, us, vs, ps):
     The omega_p stack is dropped before the wedge is built, so the two never
     share memory at once.
     """
-    q = _prime(model)
+    q = model.field.q
     Aq = np.array(model.A, dtype=np.int64) % q
     in_kernel = ~(np.einsum("xab,txb->xta", omegas(model, ps, q),
                             np.stack([us, vs]) % q) % q).any(axis=(1, 2))
@@ -909,7 +901,7 @@ def critical_equivalence_sweep(model, base_points, n_pos=1000, n_near=1000,
     stream draws the groups in that order.  Any disagreement between the two
     verdicts is returned as a witness, in group order, then stack order.
     """
-    d, q = model.d, _prime(model)
+    d, q = model.d, model.field.q
     rng = np.random.default_rng(seed)
     if not len(base_points):
         raise RuntimeError("no degenerate points given for the sweep")

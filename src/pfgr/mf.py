@@ -874,7 +874,7 @@ def knorrer_rank_check(model, p, L_basis, trunc=6):
     ms makes them isotropic.  The split is certified by full rank of basis =
     [ms; ns; radical] and basis B basis^T = [[0, I, 0], [I, 0, 0], [0, 0, 0]].
     Each product is reduced mod q at once: a dot product has 2d <= C(d, 2)
-    terms, within the C(d, 2) (q - 1)^2 < 2^63 bound of geometry._check_int64.
+    terms, within the C(d, 2) (q - 1)^2 < 2^63 bound every PfaffianModel keeps.
 
     In the adapted basis the cutters c_i(x) = (B m_i) . x and the duals
     a_i(x) = (B n_i) . x are the coordinates along n_i and m_i, so

@@ -45,8 +45,8 @@ than np.remainder.  The int32 route reads pivot inverses off one table of
 all q inverses per prime (_int32_table); the int64 route, whose primes
 run up to about 3 * 10^9, takes them by Fermat powers.  Callers that form
 dot products of residues before reducing need terms * (q - 1)^2 < 2^63
-for their longest one; geometry.random_model refuses sampling primes that
-break it.
+for their longest one; geometry.PfaffianModel refuses to be built over a
+prime that breaks it.
 """
 
 from functools import lru_cache

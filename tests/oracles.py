@@ -168,8 +168,10 @@ def kernel_basis(model, p):
     """Basis of ker(omega_p) over the model's prime field, the canonical one
     read off the reduced form of omega_p alone (modq.rank_and_kernel); any
     nonzero p, on Y2 or off it, where geometry.y2_kernels refuses."""
-    q, omega = geometry._omega_at(model, p)
-    return modq.rank_and_kernel(omega, q)[1].tolist()
+    q = model.field.q
+    if not (np.asarray(p, dtype=np.int64) % q).any():
+        raise ValueError("p must be a nonzero point")
+    return modq.rank_and_kernel(geometry.omegas(model, p, q), q)[1].tolist()
 
 
 def omega_rank_walk(model, q):

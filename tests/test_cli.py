@@ -445,6 +445,19 @@ def test_suite_flag_belongs_to_run_only(command, capsys):
     assert cli.config_from_args(args).suites == ("mf", "window")
 
 
+@pytest.mark.parametrize("args, flag, form", [
+    (["window", "--rect", "3"], "--rect", "L,M"),
+    (["window", "--rect", "3,4,5"], "--rect", "L,M"),
+    (["window", "--rect", "a,b"], "--rect", "L,M"),
+    (["geometry", "--census-q", "2,,3"], "--census-q", "2,3,5")])
+def test_list_flags_that_do_not_parse_exit_2(args, flag, form, capsys):
+    """--rect takes two integers and --census-q comma-separated ones; any
+    other text exits 2 with a message naming the flag and its form."""
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} takes" in err and form in err
+
+
 def test_full_json_report_schema(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(["run", "--suite", "window", "--dp-cutoff", "2",
@@ -771,6 +784,18 @@ def test_model_file_over_qq_is_refused(tmp_path, capsys):
     assert "prime field" in capsys.readouterr().err
 
 
+def test_model_file_past_the_int64_bound_is_refused(tmp_path, capsys):
+    """A model cannot be built over a prime past the int64 bound: model show
+    of a model gen --d 5 file edited to q = 2^31 - 1 exits 2 naming it."""
+    path = tmp_path / "model.json"
+    assert cli.main(["model", "gen", "--d", "5", "--seed", "1", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["field"]["q"] = 2 ** 31 - 1
+    path.write_text(json.dumps(data))
+    assert cli.main(["model", "show", str(path)]) == 2
+    assert "too large for exact int64" in capsys.readouterr().err
+
+
 def test_model_file_round_trips_at_its_prime(tmp_path, capsys):
     """model gen --q 1009 writes the model over F_1009, and model show
     prints that file back unchanged."""
@@ -798,12 +823,15 @@ def test_perfbench_traced_names_resolve():
 
 def test_perfbench_setup_probe_runs():
     """perfbench/setup_probe.py, loaded unedited, builds the model of a run:
-    a drift in the cli or geometry calls it makes fails here."""
+    a drift in the cli or geometry calls it makes fails here.  It passes
+    random_model both field= and q=, which must agree at a prime other than
+    the default too, or random_model raises."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "setup_probe.py"
     spec = importlib.util.spec_from_file_location("setup_probe", path)
     setup_probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(setup_probe)
-    assert setup_probe.main(["all", "--d", "5", "--seed", "1"]) == 0
+    for extra in ([], ["--q", "103"]):
+        assert setup_probe.main(["all", "--d", "5", "--seed", "1", *extra]) == 0
 
 
 SERIAL_ORDER = ["geometry.model_certificates"] + [
@@ -951,7 +979,7 @@ def test_every_model_refusal_comes_before_the_fork(monkeypatch, capsys):
             assert reason in capsys.readouterr().err
             with pytest.raises(ValueError, match=reason):
                 config = cli.config_from_args(cli.build_parser().parse_args([command, *args]))
-                geometry.random_model(config.seed, field=config.make_field(), d=config.d,
+                geometry.random_model(config.seed, q=config.q, d=config.d,
                                       census_qs=config.census_qs)
 
 

@@ -57,6 +57,16 @@ def test_model_independent_of_sampling_prime(model):
     assert random_model(1, q=1009).A == model.A
 
 
+def test_random_model_takes_one_prime():
+    """q names the model's prime: a field that is not PrimeField(q) raises
+    rather than silently winning over q, and one that agrees is accepted."""
+    with pytest.raises(ValueError, match="disagrees with q = 7"):
+        random_model(1, field=PrimeField(1009), q=7, d=5)
+    with pytest.raises(ValueError, match="disagrees with q = 101"):
+        random_model(1, field=QQ, d=5)
+    assert random_model(1, field=PrimeField(103), q=103, d=5).field == PrimeField(103)
+
+
 def test_sampler_exhaustion_is_not_retried(monkeypatch):
     """With a budget of exactly 5 q draws, which the up-front check admits
     for the five certificate points, the real Y1 sampler runs out at d = 5
@@ -800,36 +810,23 @@ def test_pointwise_residue_path_matches_linalg(request, d, q):
     assert extended
 
 
-def test_pointwise_functions_refuse_rationals(model):
-    """Every pointwise verdict and sampler runs mod the model's prime, so a
-    model over Q cannot be built, and each of them raises ValueError before
-    any arithmetic over a prime past the int64 bound C(d, 2)(q - 1)^2 < 2^63,
-    here a model over F_(2^31 - 1) built directly, which random_model would
-    refuse."""
+def test_model_refuses_rationals_and_primes_past_int64(model):
+    """Every pointwise verdict and sampler runs mod the model's prime with no
+    check of its own, so PfaffianModel refuses, when it is built, a model
+    over Q and one over a prime past the int64 bound C(d, 2)(q - 1)^2 < 2^63,
+    by replace or directly.  The largest prime within the bound is accepted
+    and the next one refused."""
     with pytest.raises(ValueError, match="prime field"):
         replace(model, field=QQ)
-    bad = replace(model, field=PrimeField(2 ** 31 - 1))
-    p = sample_y2_points(model, 1, seed=18)[0]
-    x = sample_y1_points(model, [p], seed=18)[0]
-    ps, us = np.array([p]), np.array([x[0]])
-    for call in (lambda: y1_membership(bad, x), lambda: y2_membership(bad, p),
-                 lambda: kernel_basis(bad, p), lambda: kernel_and_extend(bad, p, x),
-                 lambda: maximal_isotropic(bad, p),
-                 lambda: underlying_scheme_probe(bad, p),
-                 lambda: quadratic_form_matrix(bad, p),
-                 lambda: sample_y2_points(bad, 1),
-                 lambda: sample_y1_points(bad, [p]),
-                 lambda: y2_kernels(bad, [p]),
-                 lambda: geometry.pfaffian_jacobian_mod(bad, [p]),
-                 lambda: geometry.y1_jacobian_mod(bad, [x]),
-                 lambda: geometry._batch_verdicts(bad, us, us, ps),
-                 lambda: smoothness_sample(bad, "Y2", [p]),
-                 lambda: smoothness_sample(bad, "Y1", [x]),
-                 lambda: normal_map_check(bad, [p]),
-                 lambda: rank_parity_sample(bad, 10),
-                 lambda: critical_equivalence_sweep(bad, [p])):
-        with pytest.raises(ValueError, match="too large for exact int64"):
-            call()
+    with pytest.raises(ValueError, match="too large for exact int64"):
+        replace(model, field=PrimeField(2 ** 31 - 1))
+    with pytest.raises(ValueError, match="too large for exact int64"):
+        PfaffianModel(d=model.d, A=model.A, seed=model.seed, field=PrimeField(2 ** 31 - 1))
+    top = _largest_int64_prime(model.d)
+    assert replace(model, field=PrimeField(top)).field.q == top
+    above = next(n for n in range(top + 1, 2 * top) if is_prime(n))
+    with pytest.raises(ValueError, match="too large for exact int64"):
+        replace(model, field=PrimeField(above))
 
 
 def test_verdicts_read_the_prime_of_the_model():

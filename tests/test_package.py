@@ -120,6 +120,17 @@ def _readers(name):
         getattr(node, "id", None), getattr(node, "attr", None)))
 
 
+def test_model_owns_the_int64_bound():
+    """PfaffianModel refuses a prime past the int64 bound when it is built,
+    so no verdict checks it again: _check_int64 runs only in its
+    __post_init__ and in check_model_request, the up-front refusal of a run,
+    and geometry defines no per-call _prime or _omega_at."""
+    from pfgr import geometry
+    assert _callers("_check_int64") == {"geometry.__post_init__",
+                                        "geometry.check_model_request"}
+    assert not {"_prime", "_omega_at"} & set(vars(geometry))
+
+
 def test_one_elimination_loop():
     """Every exact elimination over F_q runs in modq._eliminate: modular
     inverses are taken only there and for the two tables of all q inverses
