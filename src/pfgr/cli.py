@@ -701,9 +701,9 @@ def config_from_args(args):
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    if getattr(args, "census_q", None):
+    if getattr(args, "census_q", None) is not None:
         values["census_qs"] = _ints(args.census_q, "--census-q", "comma-separated primes 2,3,5")
-    if getattr(args, "rect", None):
+    if getattr(args, "rect", None) is not None:
         values["l_bound"], values["m_bound"] = _ints(args.rect, "--rect", "two integers L,M", 2)
     suites = getattr(args, "suite", None)
     if args.command in ("window", "geometry", "mf"):

@@ -449,10 +449,13 @@ def test_suite_flag_belongs_to_run_only(command, capsys):
     (["window", "--rect", "3"], "--rect", "L,M"),
     (["window", "--rect", "3,4,5"], "--rect", "L,M"),
     (["window", "--rect", "a,b"], "--rect", "L,M"),
-    (["geometry", "--census-q", "2,,3"], "--census-q", "2,3,5")])
+    (["window", "--rect", ""], "--rect", "L,M"),
+    (["geometry", "--census-q", "2,,3"], "--census-q", "2,3,5"),
+    (["window", "--census-q", ""], "--census-q", "2,3,5")])
 def test_list_flags_that_do_not_parse_exit_2(args, flag, form, capsys):
     """--rect takes two integers and --census-q comma-separated ones; any
-    other text exits 2 with a message naming the flag and its form."""
+    other text, an empty one included, exits 2 with a message naming the
+    flag and its form."""
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert f"{flag} takes" in err and form in err
